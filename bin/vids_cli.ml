@@ -1281,30 +1281,19 @@ let parse_file path =
 (* export-fsm                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let machines =
-  [
-    ("sip-call", fun () -> Vids.Sip_call_machine.spec Vids.Config.default);
-    ("rtp-call", fun () -> Vids.Rtp_call_machine.spec Vids.Config.default);
-    ("invite-flood", fun () -> Vids.Invite_flood_machine.spec Vids.Config.default);
-    ("media-spam", fun () -> Vids.Media_spam_machine.spec Vids.Config.default);
-    ("drdos", fun () -> Vids.Drdos_machine.spec Vids.Config.default);
-  ]
+(* The five shipped machines under the default config, by CLI name. *)
+let builtins () = Vids.Spec_load.builtins Vids.Config.default
 
 (* The shipped machines grouped the way [Vids.Fact_base] actually couples
    them: SIP and RTP share each call's globals and δ channels; the three
    detectors run alone. *)
 let lint_systems () =
-  let cfg = Vids.Config.default in
-  [
-    ( "call",
-      [
-        (Vids.Sip_call_machine.spec cfg, Vids.Sip_call_machine.vars);
-        (Vids.Rtp_call_machine.spec cfg, Vids.Rtp_call_machine.vars);
-      ] );
-    ("invite-flood", [ (Vids.Invite_flood_machine.spec cfg, Vids.Invite_flood_machine.vars) ]);
-    ("media-spam", [ (Vids.Media_spam_machine.spec cfg, Vids.Media_spam_machine.vars) ]);
-    ("drdos", [ (Vids.Drdos_machine.spec cfg, Vids.Drdos_machine.vars) ]);
-  ]
+  let call = [ "sip-call"; "rtp-call" ] in
+  let all = builtins () in
+  ("call", List.map (fun name -> List.assoc name all) call)
+  :: List.filter_map
+       (fun (name, entry) -> if List.mem name call then None else Some (name, [ entry ]))
+       all
 
 let ensure_dir dir =
   try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
@@ -1394,8 +1383,7 @@ let lint json dot_dir emit files =
 let check_specs () =
   let failures = ref 0 in
   List.iter
-    (fun (name, spec) ->
-      let spec = spec () in
+    (fun (name, (spec, _)) ->
       let r = Analyze.Verifier.verify_spec spec in
       match Analyze.Verifier.machine_errors r with
       | [] ->
@@ -1407,7 +1395,7 @@ let check_specs () =
           List.iter
             (fun f -> Format.printf "%-14s FAILED: %s@." name (Analyze.Finding.to_string f))
             errors)
-    machines;
+    (builtins ());
   if !failures = 0 then 0
   else begin
     Format.printf "(run `vids-cli lint` for the full report)@.";
@@ -1415,13 +1403,14 @@ let check_specs () =
   end
 
 let export_fsm name =
-  match List.assoc_opt name machines with
-  | Some spec ->
-      print_string (Efsm.Dot.of_spec (spec ()));
+  let all = builtins () in
+  match List.assoc_opt name all with
+  | Some (spec, _) ->
+      print_string (Efsm.Dot.of_spec spec);
       0
   | None ->
       Format.eprintf "unknown machine %S (choose from %s)@." name
-        (String.concat ", " (List.map fst machines));
+        (String.concat ", " (List.map fst all));
       1
 
 (* ------------------------------------------------------------------ *)

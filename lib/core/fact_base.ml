@@ -31,9 +31,13 @@ type detector_kind = [ `Flood | `Spam | `Drdos ]
 
 type t = {
   config : Config.t;
-  (* [.vspec]-loaded replacements for builtin machine specs, keyed by
-     machine name (e.g. "SIP"); builtins are the fallback. *)
-  overrides : (string * Efsm.Machine.spec) list;
+  (* The machine specs, shared by every record of this base: a record owns
+     only its machines' state, variable cells, history and timers. *)
+  sip_spec : Efsm.Machine.spec Lazy.t;
+  rtp_spec : Efsm.Machine.spec Lazy.t;
+  flood_spec : Efsm.Machine.spec Lazy.t;
+  spam_spec : Efsm.Machine.spec Lazy.t;
+  drdos_spec : Efsm.Machine.spec Lazy.t;
   timer_host : Efsm.System.timer_host;
   on_alert : machine:string -> state:string -> subject:string -> detail:string -> unit;
   on_anomaly :
@@ -74,11 +78,22 @@ type t = {
   mutable sweep_next : Dsim.Time.t option;
 }
 
+(* A spec depends only on the config, so it is built once per base: on
+   first use, which keeps engine set-up cheap.  A [.vspec] override,
+   keyed by machine name (e.g. "SIP"), replaces the builtin. *)
+let shared_spec ~overrides ~config name build =
+  lazy (match List.assoc_opt name overrides with Some spec -> spec | None -> build config)
+
 let create ?(on_pressure = fun ~subject:_ ~detail:_ -> ()) ?(overrides = []) ~config
     ~timer_host ~on_alert ~on_anomaly () =
+  let spec = shared_spec ~overrides ~config in
   {
     config;
-    overrides;
+    sip_spec = spec Keys.sip_machine Sip_call_machine.spec;
+    rtp_spec = spec Keys.rtp_machine Rtp_call_machine.spec;
+    flood_spec = spec Invite_flood_machine.machine_name Invite_flood_machine.spec;
+    spam_spec = spec Media_spam_machine.machine_name Media_spam_machine.spec;
+    drdos_spec = spec Drdos_machine.machine_name Drdos_machine.spec;
     timer_host;
     on_alert;
     on_anomaly;
@@ -102,13 +117,6 @@ let create ?(on_pressure = fun ~subject:_ ~detail:_ -> ()) ?(overrides = []) ~co
     sweep_timer = None;
     sweep_next = None;
   }
-
-(* Builtin specs are built per record (they close over config), so the
-   override lookup keys on the spec name the builtin would have had. *)
-let resolve_spec t (spec : Efsm.Machine.spec) =
-  match List.assoc_opt spec.Efsm.Machine.spec_name t.overrides with
-  | Some replacement -> replacement
-  | None -> spec
 
 let find_call t call_id =
   match Intern.find t.ids call_id with
@@ -187,6 +195,33 @@ let rec evict_oldest_call t =
                  t.config.Config.max_calls)
       | Some _ | None -> evict_oldest_call t)
 
+(* Builds a call record on the shared specs and registers it; creation
+   counters and the cap are the caller's business. *)
+let add_call t ~call_id ~key ~created_at =
+  let on_alert, on_anomaly = system_callbacks t ~subject:call_id in
+  let system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
+  let sip = Efsm.System.add_machine system (Lazy.force t.sip_spec) in
+  let rtp = Efsm.System.add_machine system (Lazy.force t.rtp_spec) in
+  let call =
+    {
+      call_id;
+      key;
+      serial = fresh_serial t;
+      system;
+      sip;
+      rtp;
+      created_at;
+      media_addrs = [];
+      closing = false;
+      finish_pending = false;
+      delete_at = None;
+      recheck_at = None;
+    }
+  in
+  Hashtbl.replace t.calls key call;
+  Queue.add (key, call.serial) t.call_order;
+  call
+
 let create_call t ~call_id =
   let key = Intern.intern t.ids call_id in
   match Hashtbl.find_opt t.calls key with
@@ -197,28 +232,7 @@ let create_call t ~call_id =
   | None ->
       let cap = t.config.Config.max_calls in
       if cap > 0 && Hashtbl.length t.calls >= cap then evict_oldest_call t;
-      let on_alert, on_anomaly = system_callbacks t ~subject:call_id in
-      let system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
-      let sip = Efsm.System.add_machine system (resolve_spec t (Sip_call_machine.spec t.config)) in
-      let rtp = Efsm.System.add_machine system (resolve_spec t (Rtp_call_machine.spec t.config)) in
-      let call =
-        {
-          call_id;
-          key;
-          serial = fresh_serial t;
-          system;
-          sip;
-          rtp;
-          created_at = t.timer_host.Efsm.System.now ();
-          media_addrs = [];
-          closing = false;
-          finish_pending = false;
-          delete_at = None;
-          recheck_at = None;
-        }
-      in
-      Hashtbl.replace t.calls key call;
-      Queue.add (key, call.serial) t.call_order;
+      let call = add_call t ~call_id ~key ~created_at:(t.timer_host.Efsm.System.now ()) in
       t.created <- t.created + 1;
       let active = Hashtbl.length t.calls in
       if active > t.peak then t.peak <- active;
@@ -287,33 +301,39 @@ let rec evict_oldest_detector t =
                  t.config.Config.max_detectors)
       | Some _ | None -> evict_oldest_detector t)
 
-let detector kind t ~key ~make_spec ~subject_prefix =
-  let table = detector_table t kind in
-  match Hashtbl.find_opt table key with
+let detector_spec t = function
+  | `Flood -> Lazy.force t.flood_spec
+  | `Spam -> Lazy.force t.spam_spec
+  | `Drdos -> Lazy.force t.drdos_spec
+
+let subject_prefix = function `Flood -> "dst:" | `Spam -> "stream:" | `Drdos -> "victim:"
+
+(* Builds a detector on the shared spec and registers it; the cap is the
+   caller's business. *)
+let add_detector t kind ~key ~created_at ~touched =
+  let on_alert, on_anomaly = system_callbacks t ~subject:(subject_prefix kind ^ key) in
+  let d_system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
+  let d_machine = Efsm.System.add_machine d_system (detector_spec t kind) in
+  let d_serial = fresh_serial t in
+  Hashtbl.replace (detector_table t kind) key
+    { d_system; d_machine; d_created = created_at; d_serial; d_touched = touched };
+  Queue.add (kind, key, d_serial) t.detector_order;
+  (d_system, d_machine)
+
+let detector kind t ~key =
+  match Hashtbl.find_opt (detector_table t kind) key with
   | Some d ->
       d.d_touched <- t.timer_host.Efsm.System.now ();
       (d.d_system, d.d_machine)
   | None ->
       let cap = t.config.Config.max_detectors in
       if cap > 0 && detector_count t >= cap then evict_oldest_detector t;
-      let subject = subject_prefix ^ key in
-      let on_alert, on_anomaly = system_callbacks t ~subject in
-      let d_system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
-      let d_machine = Efsm.System.add_machine d_system (resolve_spec t (make_spec t.config)) in
-      let d_created = t.timer_host.Efsm.System.now () in
-      let d_serial = fresh_serial t in
-      Hashtbl.replace table key { d_system; d_machine; d_created; d_serial; d_touched = d_created };
-      Queue.add (kind, key, d_serial) t.detector_order;
-      (d_system, d_machine)
+      let now = t.timer_host.Efsm.System.now () in
+      add_detector t kind ~key ~created_at:now ~touched:now
 
-let flood_detector t ~key =
-  detector `Flood t ~key ~make_spec:Invite_flood_machine.spec ~subject_prefix:"dst:"
-
-let spam_detector t ~key =
-  detector `Spam t ~key ~make_spec:Media_spam_machine.spec ~subject_prefix:"stream:"
-
-let drdos_detector t ~key =
-  detector `Drdos t ~key ~make_spec:Drdos_machine.spec ~subject_prefix:"victim:"
+let flood_detector t ~key = detector `Flood t ~key
+let spam_detector t ~key = detector `Spam t ~key
+let drdos_detector t ~key = detector `Drdos t ~key
 
 (* --------------------------------------------------------------- *)
 (* Fault quarantine                                                 *)
@@ -485,49 +505,13 @@ let restore_call t ~call_id ~created_at =
   let key = Intern.intern t.ids call_id in
   if Hashtbl.mem t.calls key then
     invalid_arg (Printf.sprintf "Fact_base.restore_call: duplicate call %S" call_id);
-  let on_alert, on_anomaly = system_callbacks t ~subject:call_id in
-  let system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
-  let sip = Efsm.System.add_machine system (resolve_spec t (Sip_call_machine.spec t.config)) in
-  let rtp = Efsm.System.add_machine system (resolve_spec t (Rtp_call_machine.spec t.config)) in
-  let call =
-    {
-      call_id;
-      key;
-      serial = fresh_serial t;
-      system;
-      sip;
-      rtp;
-      created_at;
-      media_addrs = [];
-      closing = false;
-      finish_pending = false;
-      delete_at = None;
-      recheck_at = None;
-    }
-  in
-  Hashtbl.replace t.calls key call;
-  Queue.add (key, call.serial) t.call_order;
-  call
+  add_call t ~call_id ~key ~created_at
 
 let restore_detector t kind ~key ~created_at ~touched =
-  let table = detector_table t kind in
-  if Hashtbl.mem table key then
+  if Hashtbl.mem (detector_table t kind) key then
     invalid_arg
       (Printf.sprintf "Fact_base.restore_detector: duplicate %s detector %S" (kind_label kind) key);
-  let make_spec, subject_prefix =
-    match kind with
-    | `Flood -> (Invite_flood_machine.spec, "dst:")
-    | `Spam -> (Media_spam_machine.spec, "stream:")
-    | `Drdos -> (Drdos_machine.spec, "victim:")
-  in
-  let on_alert, on_anomaly = system_callbacks t ~subject:(subject_prefix ^ key) in
-  let d_system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
-  let d_machine = Efsm.System.add_machine d_system (resolve_spec t (make_spec t.config)) in
-  let d_serial = fresh_serial t in
-  Hashtbl.replace table key
-    { d_system; d_machine; d_created = created_at; d_serial; d_touched = touched };
-  Queue.add (kind, key, d_serial) t.detector_order;
-  (d_system, d_machine)
+  add_detector t kind ~key ~created_at ~touched
 
 let set_counters t ~peak ~created ~deleted ~calls_evicted ~detectors_evicted ~swept
     ~detectors_swept =

@@ -7,6 +7,11 @@
     after a linger period; the memory model mirrors §7.3's ≈450 B SIP +
     ≈40 B RTP per-call figures alongside the measured footprint.
 
+    The five machine specs are built from the config (or taken from the
+    [overrides]) once per base, when the first record needs them, and
+    every record shares them: a record owns only its machines' state,
+    variables, history and timers.
+
     Because every record here is created by attacker-controlled input, the
     base governs its own size: optional caps on calls and detectors evict
     the oldest record when reached, and a scheduled sweep reclaims records

@@ -13,14 +13,20 @@ let timer_host_of_scheduler sched =
 
 type notification = { machine : string; state : string; event : Event.t; detail : string }
 
+(* An armed timer, at most one per (machine, timer id). *)
+type armed = { owner : string; id : string; handle : Dsim.Scheduler.timer }
+
+(* A system holds one or two machines and a few armed timers, so both are
+   plain lists: a hash table per system cost more than the machines' own
+   state. *)
 type t = {
   timer_host : timer_host;
   on_alert : notification -> unit;
   on_anomaly : notification -> unit;
   shared : Env.globals;
-  machines : (string, Machine.t) Hashtbl.t;
+  mutable machines : Machine.t list; (* in creation order *)
   sync_queue : (string * Event.t) Queue.t; (* target machine, event — FIFO across the system *)
-  timers : (string * string, Dsim.Scheduler.timer) Hashtbl.t; (* (machine, timer id) *)
+  mutable timers : armed list;
   mutable released : bool;
 }
 
@@ -30,42 +36,56 @@ let create ?(on_alert = fun _ -> ()) ?(on_anomaly = fun _ -> ()) timer_host =
     on_alert;
     on_anomaly;
     shared = Env.globals ();
-    machines = Hashtbl.create 4;
+    machines = [];
     sync_queue = Queue.create ();
-    timers = Hashtbl.create 8;
+    timers = [];
     released = false;
   }
 
 let globals t = t.shared
 
+let rec find_machine name = function
+  | [] -> None
+  | m :: rest -> if String.equal (Machine.name m) name then Some m else find_machine name rest
+
 let add_machine t spec =
   let name = spec.Machine.spec_name in
-  if Hashtbl.mem t.machines name then
+  if Option.is_some (find_machine name t.machines) then
     invalid_arg (Printf.sprintf "System.add_machine: duplicate machine %S" name);
   let m = Machine.instantiate spec ~globals:t.shared in
-  Hashtbl.replace t.machines name m;
+  t.machines <- t.machines @ [ m ];
   m
 
-let machine t name = Hashtbl.find_opt t.machines name
-let machines t = Hashtbl.fold (fun _ m acc -> m :: acc) t.machines []
+let machine t name = find_machine name t.machines
+let machines t = t.machines
+
+let is_timer owner id a = String.equal a.owner owner && String.equal a.id id
+
+let rec find_timer owner id = function
+  | [] -> None
+  | a :: rest -> if is_timer owner id a then Some a else find_timer owner id rest
+
+let rec without_timer owner id = function
+  | [] -> []
+  | a :: rest -> if is_timer owner id a then rest else a :: without_timer owner id rest
 
 let cancel_timer t machine_name id =
-  match Hashtbl.find_opt t.timers (machine_name, id) with
+  match find_timer machine_name id t.timers with
   | None -> ()
-  | Some handle ->
-      t.timer_host.cancel handle;
-      Hashtbl.remove t.timers (machine_name, id)
+  | Some a ->
+      t.timer_host.cancel a.handle;
+      t.timers <- without_timer machine_name id t.timers
 
 let rec arm_timer t machine_name id ~delay =
   cancel_timer t machine_name id;
   let handle =
     t.timer_host.set delay (fun () ->
-        Hashtbl.remove t.timers (machine_name, id);
+        t.timers <- without_timer machine_name id t.timers;
         let event = Event.make Event.Timer ~at:(t.timer_host.now ()) id in
         feed t machine_name event ~is_data:false;
         drain_sync t)
   in
-  Hashtbl.replace t.timers (machine_name, id) handle
+  t.timers <- { owner = machine_name; id; handle } :: t.timers
 
 and apply_effects t machine_name effects =
   List.iter
@@ -82,7 +102,7 @@ and apply_effects t machine_name effects =
     effects
 
 and feed t machine_name event ~is_data =
-  match Hashtbl.find_opt t.machines machine_name with
+  match find_machine machine_name t.machines with
   | None ->
       t.on_anomaly
         { machine = machine_name; state = "?"; event; detail = "no such machine in system" }
@@ -128,7 +148,7 @@ let inject t ~machine event =
   drain_sync t
 
 let queued_sync t = Queue.length t.sync_queue
-let all_final t = Hashtbl.fold (fun _ m acc -> acc && Machine.is_final m) t.machines true
+let all_final t = List.for_all Machine.is_final t.machines
 
 (* --------------------------------------------------------------- *)
 (* Checkpoint support                                               *)
@@ -138,9 +158,7 @@ let pending_sync t = List.of_seq (Queue.to_seq t.sync_queue)
 let push_sync t ~target event = Queue.add (target, event) t.sync_queue
 
 let pending_timers t =
-  Hashtbl.fold
-    (fun (machine, id) handle acc -> (machine, id, Dsim.Scheduler.fire_time handle) :: acc)
-    t.timers []
+  List.map (fun a -> (a.owner, a.id, Dsim.Scheduler.fire_time a.handle)) t.timers
   |> List.sort compare
 
 let restore_timer t ~machine ~id ~fire_at =
@@ -149,11 +167,11 @@ let restore_timer t ~machine ~id ~fire_at =
   arm_timer t machine id ~delay
 
 let estimated_bytes t =
-  Hashtbl.fold (fun _ m acc -> acc + Env.estimated_bytes (Machine.env m)) t.machines 0
+  List.fold_left (fun acc m -> acc + Env.estimated_bytes (Machine.env m)) 0 t.machines
 
 let release t =
   if not t.released then begin
-    Hashtbl.iter (fun _ handle -> t.timer_host.cancel handle) t.timers;
-    Hashtbl.reset t.timers;
+    List.iter (fun a -> t.timer_host.cancel a.handle) t.timers;
+    t.timers <- [];
     t.released <- true
   end

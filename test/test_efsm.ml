@@ -51,6 +51,68 @@ let env_bytes () =
   Env.set e Env.Local "tag" (V.Str "abcdef");
   check "estimate counts names+values" true (Env.estimated_bytes e >= 9)
 
+(* The variable stores against a Hashtbl reference model: every read
+   and the sorted bindings agree after each operation. *)
+type env_op =
+  | Set of Env.scope * string * int
+  | Get of Env.scope * string
+  | Mem of Env.scope * string
+  | Reset_locals
+  | Globals_put of string * int
+
+let env_op_gen =
+  QCheck.Gen.(
+    let scope = oneofl [ Env.Local; Env.Global ] and name = oneofl [ "a"; "b"; "c"; "d"; "e" ] in
+    frequency
+      [
+        (4, map3 (fun s n v -> Set (s, n, v)) scope name small_nat);
+        (3, map2 (fun s n -> Get (s, n)) scope name);
+        (2, map2 (fun s n -> Mem (s, n)) scope name);
+        (1, return Reset_locals);
+        (2, map2 (fun n v -> Globals_put (n, v)) name small_nat);
+      ])
+
+let env_matches_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"env: stores agree with a Hashtbl model" ~count:300
+       (QCheck.make QCheck.Gen.(list_size (int_range 0 40) env_op_gen))
+       (fun ops ->
+         let g = Env.globals () in
+         let e = Env.create g in
+         let locals = Hashtbl.create 8 and globals = Hashtbl.create 8 in
+         let model = function Env.Local -> locals | Env.Global -> globals in
+         let sorted tbl =
+           Hashtbl.fold (fun k v acc -> (k, V.Int v) :: acc) tbl [] |> List.sort compare
+         in
+         List.for_all
+           (fun op ->
+             let read_ok =
+               match op with
+               | Set (s, n, v) ->
+                   Env.set e s n (V.Int v);
+                   Hashtbl.replace (model s) n v;
+                   true
+               | Get (s, n) ->
+                   let expected =
+                     match Hashtbl.find_opt (model s) n with Some v -> V.Int v | None -> V.Unset
+                   in
+                   V.equal (Env.get e s n) expected
+               | Mem (s, n) -> Env.mem e s n = Hashtbl.mem (model s) n
+               | Reset_locals ->
+                   Env.reset_locals e;
+                   Hashtbl.reset locals;
+                   true
+               | Globals_put (n, v) ->
+                   Env.globals_put g n (V.Int v);
+                   Hashtbl.replace globals n v;
+                   true
+             in
+             read_ok
+             && Env.local_bindings e = sorted locals
+             && Env.global_bindings e = sorted globals
+             && Env.globals_bindings g = sorted globals)
+           ops))
+
 (* ------------------------------------------------------------------ *)
 (* Machine stepping                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -307,6 +369,73 @@ let system_release_cancels_timers () =
   Dsim.Scheduler.run_until sched (Dsim.Time.of_ms 500.0);
   check "released timers do not fire" true (!alerts = [])
 
+(* Arms and cancels the timer named by the event's "id" argument. *)
+let rearm_spec =
+  let delay = Dsim.Time.of_ms 100.0 in
+  let fired id = tr ~label:("fire_" ^ id) ~from_state:"S" (M.On_timer id) ~to_state:"S" () in
+  {
+    M.spec_name = "R";
+    initial = "S";
+    finals = [];
+    attack_states = [];
+    transitions =
+      [
+        tr ~label:"arm" ~from_state:"S" (M.On_event "arm") ~to_state:"S"
+          ~action:(fun _ e -> [ M.Set_timer { id = E.arg_str e "id"; delay } ])
+          ();
+        tr ~label:"disarm" ~from_state:"S" (M.On_event "disarm") ~to_state:"S"
+          ~action:(fun _ e -> [ M.Cancel_timer (E.arg_str e "id") ])
+          ();
+        fired "t1";
+        fired "t2";
+      ];
+  }
+
+type timer_op = Arm of string | Disarm of string | Expire
+
+(* Whatever the sequence of arms, cancels, re-arms and expiries, each
+   (machine, timer id) has at most one pending timer, the system and the
+   scheduler agree on which, and [release] cancels them all. *)
+let system_timers_match_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"system: one pending timer per (machine, id)" ~count:200
+       (QCheck.make
+          QCheck.Gen.(
+            list_size (int_range 0 30)
+              (let id = oneofl [ "t1"; "t2" ] in
+               frequency
+                 [ (4, map (fun i -> Arm i) id); (2, map (fun i -> Disarm i) id); (1, return Expire) ])))
+       (fun ops ->
+         let sched, sys, _, _ = make_system () in
+         ignore (Efsm.System.add_machine sys rearm_spec);
+         let armed = ref [] in
+         let agrees () =
+           let ids = List.map (fun (_, id, _) -> id) (Efsm.System.pending_timers sys) in
+           ids = List.sort_uniq compare !armed && Dsim.Scheduler.pending sched = List.length ids
+         in
+         let send name id =
+           Efsm.System.inject sys ~machine:"R" (ev ~args:[ ("id", V.Str id) ] name)
+         in
+         let consistent =
+           List.for_all
+             (fun op ->
+               (match op with
+               | Arm id ->
+                   send "arm" id;
+                   armed := id :: !armed
+               | Disarm id ->
+                   send "disarm" id;
+                   armed := List.filter (fun a -> a <> id) !armed
+               | Expire ->
+                   Dsim.Scheduler.run_until sched
+                     (Dsim.Time.add (Dsim.Scheduler.now sched) (Dsim.Time.of_ms 200.0));
+                   armed := []);
+               agrees ())
+             ops
+         in
+         Efsm.System.release sys;
+         consistent && Efsm.System.pending_timers sys = [] && Dsim.Scheduler.pending sched = 0))
+
 let system_duplicate_machine () =
   let _sched, sys, _, _ = make_system () in
   ignore (Efsm.System.add_machine sys ping_spec);
@@ -336,6 +465,7 @@ let suite =
         tc "value coercions" value_coercions;
         tc "env scopes" env_scopes;
         tc "env bytes" env_bytes;
+        env_matches_model;
       ] );
     ( "efsm.machine",
       [
@@ -357,6 +487,7 @@ let suite =
         tc "timer fires" system_timer_fires;
         tc "timer cancelled" system_timer_cancelled;
         tc "release cancels timers" system_release_cancels_timers;
+        system_timers_match_model;
         tc "duplicate machine rejected" system_duplicate_machine;
         tc "dot export" dot_export;
       ] );

@@ -91,9 +91,9 @@ let quick_protocol () =
 
 type pipeline = { sched : Dsim.Scheduler.t; engine : Vids.Engine.t }
 
-let make_pipeline () =
+let make_pipeline ?config () =
   let sched = Dsim.Scheduler.create () in
-  { sched; engine = Vids.Engine.create sched }
+  { sched; engine = Vids.Engine.create ?config sched }
 
 let feed p ~src ~dst payload =
   Vids.Engine.process_packet p.engine
@@ -299,6 +299,97 @@ let memory_scales_linearly () =
   check_int "100 calls" 100 stats.Vids.Fact_base.active_calls;
   check_int "linear model" (100 * per_call) stats.Vids.Fact_base.modeled_bytes
 
+(* Every record of one base runs on the same spec objects, however it was
+   created: a record owns only its machines' state, variables, history
+   and timers. *)
+let fact_base_shares_specs () =
+  let base = Vids.Engine.fact_base (make_pipeline ()).engine in
+  let module F = Vids.Fact_base in
+  let same m1 m2 = Efsm.Machine.spec m1 == Efsm.Machine.spec m2 in
+  let a = F.create_call base ~call_id:"share-a" in
+  let b = F.create_call base ~call_id:"share-b" in
+  let c = F.restore_call base ~call_id:"share-c" ~created_at:Dsim.Time.zero in
+  check "sip spec shared" true (same a.F.sip b.F.sip && same a.F.sip c.F.sip);
+  check "rtp spec shared" true (same a.F.rtp b.F.rtp && same a.F.rtp c.F.rtp);
+  List.iter
+    (fun (kind, make) ->
+      let _, m1 = make base ~key:"k1" and _, m2 = make base ~key:"k2" in
+      let _, m3 =
+        F.restore_detector base kind ~key:"k3" ~created_at:Dsim.Time.zero ~touched:Dsim.Time.zero
+      in
+      check (F.kind_label kind ^ " spec shared") true (same m1 m2 && same m1 m3))
+    [ (`Flood, F.flood_detector); (`Spam, F.spam_detector); (`Drdos, F.drdos_detector) ]
+
+let flood_invite i =
+  Printf.sprintf
+    "INVITE sip:bob@b.example SIP/2.0\r\nVia: SIP/2.0/UDP 10.1.0.2:5060;branch=z9hG4bKf%d\r\nFrom: <sip:a@a.example>;tag=f%d\r\nTo: <sip:bob@b.example>\r\nCall-ID: flood-%d\r\nCSeq: 1 INVITE\r\n\r\n"
+    i i i
+
+(* Specs are shared within an engine, never across engines: two engines
+   tuned differently, fed the same INVITE burst side by side, disagree. *)
+let thresholds_stay_per_engine () =
+  let engine threshold =
+    make_pipeline ~config:{ Vids.Config.default with Vids.Config.invite_flood_threshold = threshold } ()
+  in
+  let strict = engine 5 and lax = engine 1000 in
+  for i = 1 to 20 do
+    List.iter
+      (fun p -> feed p ~src:(sip_addr "10.1.0.2") ~dst:(sip_addr "10.2.0.2") (flood_invite i))
+      [ strict; lax ]
+  done;
+  let flooded p =
+    List.exists
+      (fun (a : Vids.Alert.t) -> a.Vids.Alert.kind = Vids.Alert.Invite_flood)
+      (Vids.Engine.alerts p.engine)
+  in
+  check "strict engine alerts" true (flooded strict);
+  check "lax engine stays quiet" false (flooded lax)
+
+let held_call_texts i =
+  let call_id = Printf.sprintf "held-%d" i and port = 16384 + (2 * (i mod 4096)) in
+  (* A callee per call, so the INVITE-flood detector stays quiet. *)
+  let head first cseq to_tag =
+    Printf.sprintf
+      "%s\r\nVia: SIP/2.0/UDP 10.1.0.2:5060;branch=z9hG4bKh%d\r\nFrom: <sip:alice@a.example>;tag=ta%d\r\nTo: <sip:bob%d@b.example>%s\r\nCall-ID: %s\r\nCSeq: %s\r\n"
+      first i i i to_tag call_id cseq
+  in
+  let sdp host =
+    let body =
+      Printf.sprintf "v=0\r\no=x 0 0 IN IP4 %s\r\ns=-\r\nc=IN IP4 %s\r\nt=0 0\r\nm=audio %d RTP/AVP 18\r\n"
+        host host port
+    in
+    Printf.sprintf "Content-Type: application/sdp\r\nContent-Length: %d\r\n\r\n%s"
+      (String.length body) body
+  in
+  let tb = Printf.sprintf ";tag=tb%d" i in
+  [
+    (true, head (Printf.sprintf "INVITE sip:bob%d@b.example SIP/2.0" i) "1 INVITE" "" ^ sdp "10.1.0.10");
+    (false, head "SIP/2.0 180 Ringing" "1 INVITE" tb ^ "\r\n");
+    (false, head "SIP/2.0 200 OK" "1 INVITE" tb ^ sdp "10.2.0.10");
+    (true, head (Printf.sprintf "ACK sip:bob%d@10.2.0.10 SIP/2.0" i) "1 ACK" tb ^ "\r\n");
+  ]
+
+(* The paper's §7.3 claim is ≈490 B of state per call.  Holding 1 000
+   established calls open must stay within 8 KB of live heap per call —
+   building each record its own copy of the specs cost ≈55 KB. *)
+let open_call_footprint () =
+  let n = 1000 in
+  Gc.full_major ();
+  let live0 = (Gc.stat ()).Gc.live_words in
+  let p = make_pipeline () in
+  for i = 1 to n do
+    List.iter
+      (fun (from_caller, text) ->
+        let a = sip_addr "10.1.0.2" and b = sip_addr "10.2.0.2" in
+        if from_caller then feed p ~src:a ~dst:b text else feed p ~src:b ~dst:a text)
+      (held_call_texts i)
+  done;
+  Gc.full_major ();
+  let per_call = 8 * ((Gc.stat ()).Gc.live_words - live0) / n in
+  check_int "calls held" n (Vids.Engine.memory_stats p.engine).Vids.Fact_base.active_calls;
+  check_int "no alerts" 0 (List.length (Vids.Engine.alerts p.engine));
+  if per_call >= 8192 then Alcotest.failf "%d B live per open call, limit 8192" per_call
+
 (* ------------------------------------------------------------------ *)
 (* Baselines                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -409,6 +500,9 @@ let suite =
         tc "sweep" fact_base_sweep;
         tc "media index" fact_base_media_index;
         tc "memory linear" memory_scales_linearly;
+        tc "specs shared per base" fact_base_shares_specs;
+        tc "thresholds stay per engine" thresholds_stay_per_engine;
+        tc "open-call footprint" open_call_footprint;
       ] );
     ( "vids.sip_event",
       [ tc "encoding" sip_event_encoding; tc "alert formatting" alert_formatting ] );
