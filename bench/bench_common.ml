@@ -17,18 +17,6 @@ let timed f =
 (** [time f] is the elapsed wall-clock seconds of [f ()] alone. *)
 let time f = snd (timed f)
 
-(** [best_of n f] runs [f] [n] times and returns the fastest wall-clock
-    seconds — the standard way to compare two pipelines while shrugging
-    off scheduler noise.  [n] must be positive. *)
-let best_of n f =
-  if n <= 0 then invalid_arg "Bench_common.best_of: n must be positive";
-  let best = ref infinity in
-  for _ = 1 to n do
-    let t = time f in
-    if t < !best then best := t
-  done;
-  !best
-
 (** [write_json ~path contents] writes the artifact and announces it on
     stdout, the contract CI greps for. *)
 let write_json ~path contents =

@@ -1,15 +1,18 @@
-(* Profiling bench: what does the hot-path profiler itself cost, and
-   where does the pipeline's time actually go?
+(* Profiling bench: what do the hot-path profiler and the telemetry
+   registry cost, and where does the pipeline's time actually go?
 
    Three gates, answered in BENCH_profile.json:
 
    1. Overhead — the shared {!Workload} trace is replayed through a bare
-      engine and through one carrying an {!Obs.Prof} profiler (every
-      parse/dispatch/detect span live).  Best-of-N drive times; the gate
-      requires the profiled run within 5% of the baseline plus a 10 ms
-      epsilon, the same contract the telemetry bench enforces.
-   2. Transparency — profiling must be write-only: the canonical
-      [Vids.Snapshot.digest] of the two engines must be byte-identical.
+      engine, through one carrying an {!Obs.Prof} profiler (every
+      parse/dispatch/detect span live), and through one carrying a full
+      metrics registry + flight recorder (what the CLI's
+      --metrics-out/--trace-out flags attach).  Best-of-N drive times; each
+      instrumented mode must stay within 5% of the baseline plus a 10 ms
+      epsilon, so micro runs aren't judged on scheduler noise.
+   2. Transparency — profiling and telemetry must be write-only: the
+      canonical [Vids.Snapshot.digest] of each instrumented engine must be
+      byte-identical to the bare engine's.
    3. Coverage — the per-stage self times must account for at least 90%
       of the measured end-to-end drive time, i.e. the span set actually
       explains where the wall clock went (a [Drive] span around the
@@ -17,35 +20,67 @@
 
    The JSON carries the full per-stage breakdown (shares, quantiles,
    bytes/record) — the rows bench/trend.exe compares against a committed
-   baseline to catch per-stage regressions in CI.
+   baseline to catch per-stage regressions in CI.  The telemetry run's
+   exports are written beside it (obs_sample.prom,
+   obs_sample_trace.jsonl) as a sample of both exporter formats.
 
    Scale comes from argv: [profile.exe 400 3] replays 400 calls with
    best-of-3 timing (the CI smoke preset); the default is 2000 calls,
    best-of-5. *)
 
+type mode = Bare | Profiled | Telemetry
+
+type run = {
+  engine : Vids.Engine.t;
+  prof : Obs.Prof.t option;
+  obs : (Obs.Metrics.t * Obs.Trace.t) option;
+  drive_s : float;
+}
+
 (* One replay over a private clock.  Event scheduling ([schedule_into])
    allocates the whole timeline up front, so it stays outside the timed
-   window: both modes time only the drive phase the profiler actually
-   instruments. *)
-let replay ~profiled ~horizon trace =
+   window: every mode times only the drive phase the instruments see. *)
+let replay mode ~horizon trace =
   let sched = Dsim.Scheduler.create () in
   let engine = Vids.Engine.create sched in
   let prof =
-    if not profiled then None
+    if mode <> Profiled then None
     else begin
       let p = Obs.Prof.create () in
       Vids.Engine.set_profiler engine (Some p);
       Some p
     end
   in
+  let obs =
+    if mode <> Telemetry then None
+    else begin
+      let metrics = Obs.Metrics.create () in
+      let flight = Obs.Trace.create ~capacity:256 () in
+      Vids.Engine.set_telemetry engine ~metrics ~flight ();
+      Some (metrics, flight)
+    end
+  in
   ignore (Vids.Trace.schedule_into sched engine trace);
   let drive_s =
     Bench_common.time (fun () ->
-        (match prof with Some p -> Obs.Prof.enter p Obs.Prof.Drive | None -> ());
+        Option.iter (fun p -> Obs.Prof.enter p Obs.Prof.Drive) prof;
         Dsim.Scheduler.run_until sched horizon;
-        match prof with Some p -> Obs.Prof.exit p Obs.Prof.Drive | None -> ())
+        Option.iter (fun p -> Obs.Prof.exit p Obs.Prof.Drive) prof)
   in
-  (engine, prof, drive_s)
+  { engine; prof; obs; drive_s }
+
+(* Fastest drive time of the bare, profiled and telemetry modes over [n]
+   rounds.  A round replays every mode once, so a slow spell on the host
+   hits all modes alike instead of whichever one happened to be running. *)
+let best_of n ~horizon trace =
+  if n <= 0 then invalid_arg "best_of";
+  let bare = ref infinity and profiled = ref infinity and telemetry = ref infinity in
+  for _ = 1 to n do
+    List.iter
+      (fun (mode, best) -> best := Float.min !best (replay mode ~horizon trace).drive_s)
+      [ (Bare, bare); (Profiled, profiled); (Telemetry, telemetry) ]
+  done;
+  (!bare, !profiled, !telemetry)
 
 let () =
   let calls = try int_of_string Sys.argv.(1) with _ -> 2000 in
@@ -54,42 +89,48 @@ let () =
   let n_records = List.length trace in
   let horizon = Workload.horizon ~calls in
   Printf.printf "trace: %d calls, %d records, best of %d\n%!" calls n_records repeats;
-  let best_of n f =
-    if n <= 0 then invalid_arg "best_of";
-    let best = ref infinity in
-    for _ = 1 to n do
-      let _, _, s = f () in
-      if s < !best then best := s
-    done;
-    !best
-  in
-  let base_s = best_of repeats (fun () -> replay ~profiled:false ~horizon trace) in
-  let prof_s = best_of repeats (fun () -> replay ~profiled:true ~horizon trace) in
+  let base_s, prof_s, tel_s = best_of repeats ~horizon trace in
   (* Transparency + breakdown: one fresh run per mode, digests compared at
-     the horizon, the profiled run's report kept for the artifact. *)
-  let bare_engine, _, _ = replay ~profiled:false ~horizon trace in
-  let prof_engine, prof, drive_s = replay ~profiled:true ~horizon trace in
-  let prof = Option.get prof in
-  let bare_digest = Vids.Snapshot.digest ~at:horizon bare_engine in
-  let prof_digest = Vids.Snapshot.digest ~at:horizon prof_engine in
-  let transparent = String.equal bare_digest prof_digest in
+     the horizon, the profiled run's report and the telemetry run's
+     exports kept for the artifacts. *)
+  let digest r = Vids.Snapshot.digest ~at:horizon r.engine in
+  let bare_digest = digest (replay Bare ~horizon trace) in
+  let profiled = replay Profiled ~horizon trace in
+  let telemetry = replay Telemetry ~horizon trace in
+  let prof_transparent = String.equal bare_digest (digest profiled) in
+  let tel_transparent = String.equal bare_digest (digest telemetry) in
+  let prof = Option.get profiled.prof in
+  let metrics, flight = Option.get telemetry.obs in
+  let drive_s = profiled.drive_s in
   Obs.Prof.sample_gc prof;
   let report = Obs.Prof.report_of_snapshot (Obs.Metrics.snapshot (Obs.Prof.registry prof)) in
   let covered_s = Obs.Prof.total_seconds report in
   let coverage = if drive_s > 0. then covered_s /. drive_s else 0. in
-  let overhead = (prof_s -. base_s) /. base_s in
-  (* Same 5% + 10 ms contract as the telemetry gate. *)
-  let overhead_ok = prof_s <= (base_s *. 1.05) +. 0.010 in
+  let overhead s = (s -. base_s) /. base_s in
+  let within_gate s = s <= (base_s *. 1.05) +. 0.010 in
+  let prof_ok = within_gate prof_s and tel_ok = within_gate tel_s in
   let coverage_ok = coverage >= 0.90 in
-  let gate_passed = overhead_ok && coverage_ok && transparent in
-  Printf.printf "baseline: %.3f s (%.0f records/s)\n" base_s (float_of_int n_records /. base_s);
-  Printf.printf "profiled: %.3f s (%.0f records/s), overhead %+.2f%%\n" prof_s
-    (float_of_int n_records /. prof_s)
-    (100. *. overhead);
-  Printf.printf "digest identical with profiling on: %b\n" transparent;
+  let gate_passed = prof_ok && tel_ok && coverage_ok && prof_transparent && tel_transparent in
+  let rate s = float_of_int n_records /. s in
+  Printf.printf "baseline:  %.3f s (%.0f records/s)\n" base_s (rate base_s);
+  Printf.printf "profiled:  %.3f s (%.0f records/s), overhead %+.2f%%\n" prof_s (rate prof_s)
+    (100. *. overhead prof_s);
+  Printf.printf "telemetry: %.3f s (%.0f records/s), overhead %+.2f%%\n" tel_s (rate tel_s)
+    (100. *. overhead tel_s);
+  Printf.printf "digest identical with profiling on: %b, with telemetry on: %b\n"
+    prof_transparent tel_transparent;
   Printf.printf "span coverage: %.1f%% of %.3f s drive time across %d stages\n"
     (100. *. coverage) drive_s (List.length report);
   Format.printf "%a%!" (Obs.Prof.pp_table ~records:n_records ~total_s:drive_s) report;
+  let snap = Obs.Metrics.snapshot metrics in
+  let packets_counted = Obs.Metrics.total snap "vids_packets_total" in
+  Printf.printf "registry: %d rows, %d packets counted; flight recorder: %d events\n"
+    (List.length snap.Obs.Metrics.rows) packets_counted (Obs.Trace.recorded flight);
+  Obs.Export.write_metrics ~path:"obs_sample.prom" snap;
+  (try Sys.remove "obs_sample_trace.jsonl" with Sys_error _ -> ());
+  Obs.Export.append_trace ~reason:"bench end of run" ~path:"obs_sample_trace.jsonl"
+    (Obs.Trace.entries flight);
+  print_endline "wrote obs_sample.prom, obs_sample_trace.jsonl";
   let live = Bench_common.live_words () in
   let module J = Bench_common.Json in
   Bench_common.write_json ~path:"BENCH_profile.json"
@@ -101,10 +142,17 @@ let () =
          ("repeats", J.int repeats);
          ("baseline_s", J.float base_s);
          ("profiled_s", J.float prof_s);
-         ("overhead_fraction", J.float overhead);
-         ("baseline_records_per_s", J.float (float_of_int n_records /. base_s));
-         ("profiled_records_per_s", J.float (float_of_int n_records /. prof_s));
-         ("digest_identical", J.bool transparent);
+         ("overhead_fraction", J.float (overhead prof_s));
+         ("baseline_records_per_s", J.float (rate base_s));
+         ("profiled_records_per_s", J.float (rate prof_s));
+         ("digest_identical", J.bool prof_transparent);
+         ("telemetry_s", J.float tel_s);
+         ("telemetry_overhead_fraction", J.float (overhead tel_s));
+         ("telemetry_records_per_s", J.float (rate tel_s));
+         ("telemetry_digest_identical", J.bool tel_transparent);
+         ("registry_rows", J.int (List.length snap.Obs.Metrics.rows));
+         ("packets_counted", J.int packets_counted);
+         ("flight_events", J.int (Obs.Trace.recorded flight));
          ("coverage_fraction", J.float coverage);
          ("live_words", J.int live);
          ("stages", Obs.Prof.report_json ~records:n_records ~total_s:drive_s report);
@@ -118,15 +166,11 @@ let () =
              ] );
        ]
     ^ "\n");
-  if not transparent then begin
-    prerr_endline "FAIL: profiling changed the engine digest";
-    exit 1
-  end;
-  if not overhead_ok then begin
-    Printf.eprintf "FAIL: profiling overhead %.2f%% exceeds the 5%% gate\n" (100. *. overhead);
-    exit 1
-  end;
-  if not coverage_ok then begin
-    Printf.eprintf "FAIL: span coverage %.1f%% below the 90%% gate\n" (100. *. coverage);
-    exit 1
-  end
+  let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("FAIL: " ^ msg); exit 1) fmt in
+  if not prof_transparent then fail "profiling changed the engine digest";
+  if not tel_transparent then fail "telemetry changed the engine digest";
+  if not prof_ok then
+    fail "profiling overhead %.2f%% exceeds the 5%% gate" (100. *. overhead prof_s);
+  if not tel_ok then
+    fail "telemetry overhead %.2f%% exceeds the 5%% gate" (100. *. overhead tel_s);
+  if not coverage_ok then fail "span coverage %.1f%% below the 90%% gate" (100. *. coverage)

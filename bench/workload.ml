@@ -1,12 +1,13 @@
-(* The dialog-rich synthetic trace shared by the observability and
-   profiling benches: every 50 ms a new call starts; two in three run a
-   full dialog with a media burst, one in three is abandoned after the
-   INVITE.  Three rogue RTP floods ride on top so the media-spam
-   detector (and its alerts) exercise the instrumented paths too.
+(* The dialog-rich synthetic trace of the profiling bench, which replays
+   it bare, profiled and with telemetry on: every 50 ms a new call
+   starts; two in three run a full dialog with a media burst, one in
+   three is abandoned after the INVITE.  Three rogue RTP floods ride on
+   top so the media-spam detector (and its alerts) exercise the
+   instrumented paths too.
 
-   Benches that need a *different* traffic shape (the shard bench's
-   collision-free media hosts, the soak bench's pcap fixtures) keep their
-   own builders; this is the common "telemetry cost" workload. *)
+   Benches that need a *different* traffic shape (the soak bench's pcap
+   fixtures) keep their own builders; this is the common "instrumentation
+   cost" workload. *)
 
 let ms = Dsim.Time.of_ms
 let sip_addr host = Dsim.Addr.v host 5060

@@ -135,22 +135,17 @@ let start_prof enabled obs_state =
 (* Renders the breakdown: [Some json] under --json (the caller embeds it
    in its report object, keeping stdout one parseable value), a table on
    stdout otherwise. *)
-let render_prof_snapshot ?records ?total_s ~json snap =
-  let report = Obs.Prof.report_of_snapshot snap in
-  if report = [] then None
-  else if json then Some (Obs.Prof.report_json ?records ?total_s report)
-  else begin
-    Format.printf "%a" (Obs.Prof.pp_table ?records ?total_s) report;
-    None
-  end
-
 let finish_prof ?records ?total_s ~json prof =
   match prof with
   | None -> None
-  | Some p ->
+  | Some p -> (
       Obs.Prof.sample_gc p;
-      render_prof_snapshot ?records ?total_s ~json
-        (Obs.Metrics.snapshot (Obs.Prof.registry p))
+      match Obs.Prof.report_of_snapshot (Obs.Metrics.snapshot (Obs.Prof.registry p)) with
+      | [] -> None
+      | report when json -> Some (Obs.Prof.report_json ?records ?total_s report)
+      | report ->
+          Format.printf "%a" (Obs.Prof.pp_table ?records ?total_s) report;
+          None)
 
 (* ------------------------------------------------------------------ *)
 (* Attack scheduling shared by [detect], [record] and [profile]        *)
@@ -285,120 +280,6 @@ let finish_checkpointing = function
          stdout machine-parseable. *)
       Format.eprintf "checkpoints: %s (journal %s)@." snapshot_path journal_path
 
-(* Sharded analysis shared by [simulate], [detect] and [analyze]: with
-   --shards N > 1 the engine is replaced by [Shard_engine] worker domains
-   fed from a tap on the vIDS node (monitor semantics — a sharded engine
-   cannot sit inline), checkpointing per shard under --checkpoint-file. *)
-let shard_checkpoint checkpointing =
-  if checkpointing.interval <= 0.0 then None
-  else
-    Some
-      { Shard.Shard_engine.prefix = checkpointing.file; every = sec checkpointing.interval }
-
-let start_sharded ?(obs = { metrics_out = None; trace_out = None; trace_ring = 256 })
-    ?(profile = false) ~shards ~config ~checkpointing ~horizon tb =
-  let eng =
-    Shard.Shard_engine.create ~config ?checkpoint:(shard_checkpoint checkpointing)
-      ~telemetry:(telemetry_wanted obs) ~profile ~trace_ring:obs.trace_ring ~horizon ~shards ()
-  in
-  Dsim.Network.set_tap tb.T.vids_node
-    (Some
-       (fun packet ->
-         Shard.Shard_engine.feed eng
-           (Vids.Trace.record_of_packet ~at:(Dsim.Scheduler.now tb.T.sched) packet)));
-  eng
-
-(* One merged export for the whole sharded run: worker registries were
-   folded by the coordinator, worker flight tails are appended per shard. *)
-let export_sharded_obs obs (outcome : Shard.Shard_engine.outcome) =
-  (match (obs.metrics_out, outcome.Shard.Shard_engine.metrics) with
-  | Some path, Some snap ->
-      Obs.Export.write_metrics ~path snap;
-      Format.eprintf "metrics: %s (merged across %d shards)@." path
-        outcome.Shard.Shard_engine.shards
-  | _ -> ());
-  match obs.trace_out with
-  | Some path ->
-      Array.iteri
-        (fun i entries ->
-          Obs.Export.append_trace ~reason:(Printf.sprintf "shard %d end of run" i) ~path entries)
-        outcome.Shard.Shard_engine.flights;
-      Format.eprintf "trace: %s@." path
-  | None -> ()
-
-let finish_sharded ?obs ?(print_report = true) ~checkpointing eng =
-  let outcome = Shard.Shard_engine.finish eng in
-  if print_report then begin
-    Shard.Shard_engine.report Format.std_formatter outcome;
-    match shard_checkpoint checkpointing with
-    | None -> ()
-    | Some ck ->
-        Format.printf "checkpoints: %s.shard0..%d (journals ….journal)@."
-          ck.Shard.Shard_engine.prefix
-          (outcome.Shard.Shard_engine.shards - 1)
-  end;
-  Option.iter (fun o -> export_sharded_obs o outcome) obs;
-  outcome
-
-(* The sharded counterpart of [Vids.Report.json]: merged counters and the
-   merged alert log, plus the per-shard load table.  [profile], when the
-   run was profiled, is the rendered per-stage ranking. *)
-let shard_outcome_json ?profile (o : Shard.Shard_engine.outcome) =
-  let module J = Obs.Json in
-  let c = o.Shard.Shard_engine.counters in
-  let counters =
-    J.obj
-      [
-        ("sip_packets", J.int c.Vids.Engine.sip_packets);
-        ("rtp_packets", J.int c.Vids.Engine.rtp_packets);
-        ("rtcp_packets", J.int c.Vids.Engine.rtcp_packets);
-        ("other_packets", J.int c.Vids.Engine.other_packets);
-        ("malformed_packets", J.int c.Vids.Engine.malformed_packets);
-        ("orphan_requests", J.int c.Vids.Engine.orphan_requests);
-        ("orphan_responses", J.int c.Vids.Engine.orphan_responses);
-        ("alerts_raised", J.int c.Vids.Engine.alerts_raised);
-        ("alerts_suppressed", J.int c.Vids.Engine.alerts_suppressed);
-        ("anomalies", J.int c.Vids.Engine.anomalies);
-        ("faults", J.int c.Vids.Engine.faults);
-        ("rtp_shed", J.int c.Vids.Engine.rtp_shed);
-        ("backpressure_stalls", J.int c.Vids.Engine.backpressure_stalls);
-      ]
-  in
-  let alert_json (a : Vids.Alert.t) =
-    J.obj
-      [
-        ("kind", J.quote (Vids.Alert.kind_to_string a.Vids.Alert.kind));
-        ("severity", J.quote (Vids.Alert.severity_to_string a.Vids.Alert.severity));
-        ("at_us", J.int (Dsim.Time.to_us a.Vids.Alert.at));
-        ("subject", J.quote a.Vids.Alert.subject);
-        ("detail", J.quote a.Vids.Alert.detail);
-      ]
-  in
-  let shard_json i (s : Shard.Shard_engine.shard_stat) =
-    J.obj
-      [
-        ("shard", J.int i);
-        ("fed", J.int s.Shard.Shard_engine.fed);
-        ("stalls", J.int s.Shard.Shard_engine.stalls);
-        ("alerts_raised", J.int s.Shard.Shard_engine.counters.Vids.Engine.alerts_raised);
-        ("active_calls", J.int s.Shard.Shard_engine.memory.Vids.Fact_base.active_calls);
-      ]
-  in
-  let alerts = o.Shard.Shard_engine.alerts in
-  J.obj
-    ([
-       ("shards", J.int o.Shard.Shard_engine.shards);
-       ("counters", counters);
-       ( "attacks_detected",
-         J.bool
-           (List.exists (fun (a : Vids.Alert.t) -> Vids.Alert.is_attack a.Vids.Alert.kind) alerts)
-       );
-       ("alerts", J.arr (List.map alert_json alerts));
-       ( "per_shard",
-         J.arr (Array.to_list (Array.mapi shard_json o.Shard.Shard_engine.per_shard)) );
-     ]
-    @ match profile with None -> [] | Some j -> [ ("profile", j) ])
-
 (* --spec FILE: load [.vspec] machine overrides under [config].  Front-end
    diagnostics are rendered (with caret snippets) to stderr; [Error]
    means "already reported, exit 1". *)
@@ -415,13 +296,6 @@ let load_spec_overrides config paths =
         prerr_endline msg;
         Error ()
 
-let reject_spec_with_shards specs shards =
-  if specs <> [] && shards > 1 then begin
-    Format.eprintf
-      "--spec needs the sequential engine (overrides are per-engine); drop --shards@.";
-    exit 1
-  end
-
 let governance_summary engine =
   let stats = Vids.Engine.memory_stats engine in
   let c = Vids.Engine.counters engine in
@@ -435,27 +309,18 @@ let governance_summary engine =
       stats.Vids.Fact_base.calls_evicted stats.Vids.Fact_base.detectors_evicted
       stats.Vids.Fact_base.calls_swept c.Vids.Engine.faults c.Vids.Engine.rtp_shed
 
-let simulate seed n_ua mode_str minutes mean_gap mean_talk governance checkpointing shards obs
-    specs =
+let simulate seed n_ua mode_str minutes mean_gap mean_talk governance checkpointing obs specs =
   match mode_of_string mode_str with
   | Error e ->
       prerr_endline e;
       1
   | Ok mode -> (
       let config = apply_governance governance Vids.Config.default in
-      let sharded = shards > 1 && mode <> T.Off in
-      reject_spec_with_shards specs shards;
       match load_spec_overrides config specs with
       | Error () -> 1
       | Ok overrides ->
-      let tb =
-        T.make ~seed ~n_ua ~vids:(if sharded then T.Off else mode) ~config ~overrides ()
-      in
+      let tb = T.make ~seed ~n_ua ~vids:mode ~config ~overrides () in
       let horizon = sec (60.0 *. minutes) in
-      let shard_eng =
-        if sharded then Some (start_sharded ~obs ~shards ~config ~checkpointing ~horizon tb)
-        else None
-      in
       let obs_state =
         match tb.T.engine with Some engine -> start_obs obs engine | None -> None
       in
@@ -500,9 +365,6 @@ let simulate seed n_ua mode_str minutes mean_gap mean_talk governance checkpoint
           governance_summary engine;
           List.iter (fun a -> Format.printf "  %a@." Vids.Alert.pp a) (Vids.Engine.alerts engine));
       finish_obs obs obs_state;
-      (match shard_eng with
-      | None -> ()
-      | Some eng -> ignore (finish_sharded ~obs ~checkpointing eng));
       0)
 
 (* ------------------------------------------------------------------ *)
@@ -512,40 +374,25 @@ let simulate seed n_ua mode_str minutes mean_gap mean_talk governance checkpoint
 let all_attacks = [ "bye-dos"; "cancel-dos"; "hijack"; "media-spam"; "billing-fraud";
                     "invite-flood"; "rtp-flood"; "drdos" ]
 
-let detect seed attacks governance checkpointing shards obs enforce_policy profile json specs =
+let detect seed attacks governance checkpointing obs enforce_policy profile json specs =
   let attacks = if attacks = [] then all_attacks else attacks in
   let config = apply_governance governance Vids.Config.default in
-  let sharded = shards > 1 in
-  if sharded && enforce_policy <> None then begin
-    Format.eprintf
-      "--enforce needs the sequential engine (the gate sits on one tap); drop --shards@.";
-    exit 1
-  end;
-  reject_spec_with_shards specs shards;
   match load_spec_overrides config specs with
   | Error () -> 1
   | Ok overrides ->
-  let tb =
-    T.make ~seed ~vids:(if sharded then T.Off else T.Monitor) ~config ~overrides ()
-  in
+  let tb = T.make ~seed ~vids:T.Monitor ~config ~overrides () in
   let horizon = sec (40.0 +. (25.0 *. float_of_int (List.length attacks))) in
-  let shard_eng =
-    if sharded then Some (start_sharded ~obs ~profile ~shards ~config ~checkpointing ~horizon tb)
-    else None
-  in
-  let obs_state = if sharded then None else start_obs obs (T.engine_exn tb) in
-  let prof = if sharded then None else start_prof profile obs_state in
-  if not sharded then Vids.Engine.set_profiler (T.engine_exn tb) prof;
-  let ck =
-    if sharded then None
-    else start_checkpointing ?obs:obs_state checkpointing tb.T.sched (T.engine_exn tb) ~horizon
-  in
+  let engine = T.engine_exn tb in
+  let obs_state = start_obs obs engine in
+  let prof = start_prof profile obs_state in
+  Vids.Engine.set_profiler engine prof;
+  let ck = start_checkpointing ?obs:obs_state checkpointing tb.T.sched engine ~horizon in
   (* Prevention mode: re-point the sensor tap at the enforcement gate so
      blocked packets never reach the engine. *)
   let enforcer =
     Option.map
       (fun policy ->
-        let e = Enforce.Enforcer.create ~policy tb.T.sched (T.engine_exn tb) in
+        let e = Enforce.Enforcer.create ~policy tb.T.sched engine in
         Dsim.Network.set_tap tb.T.vids_node
           (Some
              (fun pkt ->
@@ -576,57 +423,37 @@ let detect seed attacks governance checkpointing shards obs enforce_policy profi
       Option.iter (fun p -> Obs.Prof.exit p Obs.Prof.Drive) prof;
       let total_s = Unix.gettimeofday () -. t0 in
       finish_checkpointing ck;
-      match shard_eng with
-      | Some eng ->
-          let outcome = finish_sharded ~obs ~print_report:(not json) ~checkpointing eng in
-          let prof_json =
-            if not profile then None
-            else
-              Option.bind outcome.Shard.Shard_engine.metrics (fun snap ->
-                  render_prof_snapshot ~json snap)
-          in
-          if json then print_endline (shard_outcome_json ?profile:prof_json outcome)
-          else begin
-            let c = outcome.Shard.Shard_engine.counters in
-            Format.printf "%d distinct alert(s); %d duplicates suppressed@."
-              c.Vids.Engine.alerts_raised c.Vids.Engine.alerts_suppressed
-          end;
-          exit_for_alerts outcome.Shard.Shard_engine.alerts
-      | None ->
-          let engine = T.engine_exn tb in
-          let c = Vids.Engine.counters engine in
-          let records =
-            c.Vids.Engine.sip_packets + c.Vids.Engine.rtp_packets + c.Vids.Engine.rtcp_packets
-            + c.Vids.Engine.other_packets + c.Vids.Engine.malformed_packets
-          in
-          if json then
-            let prof_json = finish_prof ~records ~total_s ~json:true prof in
-            print_endline
-              (match (enforcer, prof_json) with
-              | None, None -> Vids.Report.json engine
-              | _ ->
-                  Obs.Json.obj
-                    ([ ("report", Vids.Report.json engine) ]
-                    @ (match enforcer with
-                      | None -> []
-                      | Some e -> [ ("enforcement", enforcement_json e) ])
-                    @ match prof_json with None -> [] | Some j -> [ ("profile", j) ]))
-          else begin
-            List.iter
-              (fun a -> Format.printf "%a@." Vids.Alert.pp a)
-              (Vids.Engine.alerts engine);
-            Format.printf "%d distinct alert(s); %d duplicates suppressed@."
-              c.Vids.Engine.alerts_raised c.Vids.Engine.alerts_suppressed;
-            governance_summary engine;
-            Option.iter
-              (fun e ->
-                print_enforcement e;
-                print_string (Enforce.Enforcer.rules_text e))
-              enforcer;
-            ignore (finish_prof ~records ~total_s ~json:false prof)
-          end;
-          finish_obs obs obs_state;
-          exit_for_alerts (Vids.Engine.alerts engine))
+      let c = Vids.Engine.counters engine in
+      let records =
+        c.Vids.Engine.sip_packets + c.Vids.Engine.rtp_packets + c.Vids.Engine.rtcp_packets
+        + c.Vids.Engine.other_packets + c.Vids.Engine.malformed_packets
+      in
+      if json then
+        let prof_json = finish_prof ~records ~total_s ~json:true prof in
+        print_endline
+          (match (enforcer, prof_json) with
+          | None, None -> Vids.Report.json engine
+          | _ ->
+              Obs.Json.obj
+                ([ ("report", Vids.Report.json engine) ]
+                @ (match enforcer with
+                  | None -> []
+                  | Some e -> [ ("enforcement", enforcement_json e) ])
+                @ match prof_json with None -> [] | Some j -> [ ("profile", j) ]))
+      else begin
+        List.iter (fun a -> Format.printf "%a@." Vids.Alert.pp a) (Vids.Engine.alerts engine);
+        Format.printf "%d distinct alert(s); %d duplicates suppressed@."
+          c.Vids.Engine.alerts_raised c.Vids.Engine.alerts_suppressed;
+        governance_summary engine;
+        Option.iter
+          (fun e ->
+            print_enforcement e;
+            print_string (Enforce.Enforcer.rules_text e))
+          enforcer;
+        ignore (finish_prof ~records ~total_s ~json:false prof)
+      end;
+      finish_obs obs obs_state;
+      exit_for_alerts (Vids.Engine.alerts engine))
 
 (* ------------------------------------------------------------------ *)
 (* record / analyze: offline trace workflow                            *)
@@ -871,8 +698,7 @@ let daemon captures pace listen queue_cap max_runtime governance checkpointing o
             | _ -> exit_for_alerts (Vids.Engine.alerts report.Ingest.Daemon.engine))
       end)
 
-let analyze path checkpointing shards obs profile json specs =
-  reject_spec_with_shards specs shards;
+let analyze path checkpointing obs profile json specs =
   let overrides =
     match load_spec_overrides Vids.Config.default specs with
     | Ok o -> o
@@ -885,38 +711,6 @@ let analyze path checkpointing shards obs profile json specs =
   | Error e ->
       Format.eprintf "trace error: %s@." e;
       1
-  | Ok records when shards > 1 ->
-      if not json then
-        Format.printf "replaying %d packets across %d shards...@." (List.length records) shards;
-      let horizon =
-        (* Mirror the sequential checkpointing path's bounded drain; an
-           unbounded drain otherwise. *)
-        if checkpointing.interval <= 0.0 then None
-        else
-          Some
-            (Dsim.Time.add
-               (List.fold_left
-                  (fun acc r -> Dsim.Time.max acc r.Vids.Trace.at)
-                  Dsim.Time.zero records)
-               (sec 60.0))
-      in
-      let eng =
-        Shard.Shard_engine.create ?checkpoint:(shard_checkpoint checkpointing) ?horizon
-          ~telemetry:(telemetry_wanted obs) ~profile ~trace_ring:obs.trace_ring ~shards ()
-      in
-      List.iter (Shard.Shard_engine.feed eng)
-        (List.stable_sort
-           (fun (a : Vids.Trace.record) b -> Dsim.Time.compare a.at b.at)
-           records);
-      let outcome = finish_sharded ~obs ~print_report:(not json) ~checkpointing eng in
-      let prof_json =
-        if not profile then None
-        else
-          Option.bind outcome.Shard.Shard_engine.metrics (fun snap ->
-              render_prof_snapshot ~records:(List.length records) ~json snap)
-      in
-      if json then print_endline (shard_outcome_json ?profile:prof_json outcome);
-      exit_for_alerts outcome.Shard.Shard_engine.alerts
   | Ok records ->
       if not json then Format.printf "replaying %d packets...@." (List.length records);
       let plain =
@@ -971,11 +765,11 @@ let analyze path checkpointing shards obs profile json specs =
 (* ------------------------------------------------------------------ *)
 
 (* Capture the attack suite plus benign background calls (the [record]
-   fixture shape), then replay it through a fully instrumented sequential
-   stack: profiler on the engine, every record through an enforcement
-   gate, periodic checkpoints with journal fsyncs, and the whole drive
-   loop under [Drive] spans — so the per-stage self times are disjoint
-   and sum to the measured end-to-end wall time. *)
+   fixture shape), then replay it through a fully instrumented stack:
+   profiler on the engine, every record through an enforcement gate,
+   periodic checkpoints with journal fsyncs, and the whole drive loop
+   under [Drive] spans — so the per-stage self times are disjoint and sum
+   to the measured end-to-end wall time. *)
 let profile_workload seed minutes attacks json obs =
   let attacks = if attacks = [] then all_attacks else attacks in
   let tb = T.make ~seed ~vids:T.Off () in
@@ -1098,50 +892,8 @@ let profile_workload seed minutes attacks json obs =
 (* recover: crash recovery from checkpoint + journal + trace           *)
 (* ------------------------------------------------------------------ *)
 
-let recover_sharded snapshot_path trace_path until shards obs =
-  match trace_path with
-  | None ->
-      Format.eprintf "sharded recovery needs --trace to re-partition the traffic@.";
-      1
-  | Some trace_path -> (
-      let ic = open_in trace_path in
-      let loaded = Vids.Trace.load ic in
-      close_in ic;
-      match loaded with
-      | Error e ->
-          Format.eprintf "trace error: %s@." e;
-          1
-      | Ok trace -> (
-          match
-            Shard.Shard_engine.recover ?horizon:until
-              ~telemetry:(telemetry_wanted obs) ~prefix:snapshot_path ~shards ~trace ()
-          with
-          | Error e ->
-              Format.eprintf "recovery failed: %s@." e;
-              1
-          | Ok r ->
-              Format.printf "recovered %d shards from %s.shard* (checkpoint #%d at %a)@."
-                shards snapshot_path r.Shard.Shard_engine.snapshot_seq Dsim.Time.pp
-                r.Shard.Shard_engine.snapshot_at;
-              Array.iteri
-                (fun i fb -> if fb then Format.printf "  shard %d used its rotated snapshot@." i)
-                r.Shard.Shard_engine.used_fallback;
-              Format.printf "replayed %d packet(s) recorded after the checkpoint@.@."
-                r.Shard.Shard_engine.replayed;
-              Shard.Shard_engine.report Format.std_formatter r.Shard.Shard_engine.outcome;
-              Option.iter
-                (fun o -> export_sharded_obs o r.Shard.Shard_engine.outcome)
-                (if telemetry_wanted obs then Some obs else None);
-              0))
-
-let recover snapshot_path journal_path trace_path until shards obs enforce_policy =
+let recover snapshot_path journal_path trace_path until obs enforce_policy =
   let until = Option.map sec until in
-  if shards > 1 && enforce_policy <> None then begin
-    Format.eprintf "--enforce needs the sequential engine; drop --shards@.";
-    1
-  end
-  else if shards > 1 then recover_sharded snapshot_path trace_path until shards obs
-  else
   let obs_state = make_obs obs in
   let prepare =
     Option.map
@@ -1488,14 +1240,6 @@ let checkpoint_term =
   in
   Term.(const (fun interval file -> { interval; file }) $ interval $ file)
 
-let shards_term =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Partition the analysis across $(docv) worker domains (1 = the sequential engine). \
-           More than one shard implies monitor semantics and per-shard checkpoint files.")
-
 let obs_term =
   let metrics_out =
     Arg.(
@@ -1599,7 +1343,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run the enterprise workload and report performance")
     Term.(
       const simulate $ seed_arg $ n_ua $ mode $ minutes $ gap $ talk $ governance_term
-      $ checkpoint_term $ shards_term $ obs_term $ spec_term)
+      $ checkpoint_term $ obs_term $ spec_term)
 
 let detect_cmd =
   let attacks =
@@ -1608,8 +1352,8 @@ let detect_cmd =
   Cmd.v
     (Cmd.info "detect" ~doc:"Launch attack scenarios and print the vIDS alert log")
     Term.(
-      const detect $ seed_arg $ attacks $ governance_term $ checkpoint_term $ shards_term
-      $ obs_term $ enforce_term $ profile_flag $ json_flag $ spec_term)
+      const detect $ seed_arg $ attacks $ governance_term $ checkpoint_term $ obs_term
+      $ enforce_term $ profile_flag $ json_flag $ spec_term)
 
 let parse_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
@@ -1694,8 +1438,8 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Replay a recorded trace through vIDS offline")
     Term.(
-      const analyze $ file $ checkpoint_term $ shards_term $ obs_term $ profile_flag
-      $ json_flag $ spec_term)
+      const analyze $ file $ checkpoint_term $ obs_term $ profile_flag $ json_flag
+      $ spec_term)
 
 let profile_cmd =
   let attacks =
@@ -1715,7 +1459,7 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:
          "Capture the attack suite plus benign calls, replay it through a fully instrumented \
-          sequential stack — profiler, enforcement gate, periodic checkpoints, journal \
+          stack — profiler, enforcement gate, periodic checkpoints, journal \
           fsyncs — and print the per-stage wall-time / allocation breakdown.  --json emits \
           the ranking with bytes allocated per record.")
     Term.(const profile_workload $ seed_arg $ minutes $ attacks $ json_flag $ obs_term)
@@ -1748,8 +1492,7 @@ let recover_cmd =
     (Cmd.info "recover"
        ~doc:"Rebuild a crashed engine from checkpoint + journal + trace and print its report")
     Term.(
-      const recover $ snapshot $ journal $ trace $ until $ shards_term $ obs_term
-      $ enforce_term)
+      const recover $ snapshot $ journal $ trace $ until $ obs_term $ enforce_term)
 
 let rules_cmd =
   let snapshot =

@@ -1,8 +1,7 @@
 (** Static verification of EFSM specifications and composed systems.
 
-    Refines the deprecated graph-only [Efsm.Analysis] with guard-level
-    reasoning over the declarative {!Efsm.Ir} syntax carried by
-    IR-built transitions:
+    Guard-level reasoning over the declarative {!Efsm.Ir} syntax carried
+    by IR-built transitions:
 
     - {b determinism}: pairwise guard disjointness per (state, trigger)
       via {!Solver.satisfiable}, statically discharging the runtime

@@ -14,13 +14,6 @@ type counters = {
   backpressure_stalls : int;
 }
 
-(* Input events for the detectors that need cross-call totals.  A sharded
-   deployment defers these ([Config.defer_global_detectors]) and aggregates
-   the counts across shards; see [set_global_listener]. *)
-type global_event =
-  | Invite_flood_candidate of string  (* INVITE toward this user\@host *)
-  | Drdos_candidate of string  (* orphan response toward this victim host *)
-
 (* Pre-resolved telemetry handles, so the per-packet cost of metrics is a
    field load and an integer bump — no registry lookups on the hot path.
    Strictly write-only with respect to the engine: nothing here feeds back
@@ -78,8 +71,7 @@ type t = {
   mutable faults : int;
   mutable injects : int; (* machine injections, for the chaos self-test knob *)
   mutable rtp_shed : int;
-  mutable backpressure_stalls : int; (* producer stalls on this engine's feed queue *)
-  mutable global_listener : (at:Dsim.Time.t -> global_event -> unit) option;
+  mutable backpressure_stalls : int; (* written only by snapshot restore; see engine.mli *)
   mutable degraded_since : Dsim.Time.t option;
   mutable degraded_log : (Dsim.Time.t * Dsim.Time.t) list; (* closed intervals, newest first *)
   mutable inline_free_at : Dsim.Time.t; (* single-CPU queueing for inline deployment *)
@@ -298,7 +290,6 @@ let create ?(config = Config.default) ?(overrides = []) sched =
       injects = 0;
       rtp_shed = 0;
       backpressure_stalls = 0;
-      global_listener = None;
       degraded_since = None;
       degraded_log = [];
       inline_free_at = Dsim.Time.zero;
@@ -404,56 +395,43 @@ let inject_call t call event =
     trace_quarantine t ~subject:call.Fact_base.call_id ~origin:"call machine"
   end
 
-(* The listener is foreign code (the shard worker's epoch counter); contain
-   its failures like alert listeners'. *)
-let emit_global_event t ev =
-  match t.global_listener with
-  | None -> ()
-  | Some listener -> ( try listener ~at:(now t) ev with _ -> t.faults <- t.faults + 1)
-
 let feed_flood_detector t msg event =
   match Sip_event.flood_key msg with
   | None -> ()
   | Some key ->
-      emit_global_event t (Invite_flood_candidate key);
-      if not t.config.Config.defer_global_detectors then begin
-        tick t (fun i -> i.i_inject_flood);
-        trace t (Obs.Trace.Dispatch { target = "flood"; subject = key });
-        penter t Obs.Prof.Detect;
-        let system, _ = Fact_base.flood_detector t.base ~key in
-        let faulted =
-          contain t ~subject:("dst:" ^ key) ~origin:"flood detector" (fun () ->
-              checked_inject t system ~machine:Invite_flood_machine.machine_name event)
-        in
-        pexit t Obs.Prof.Detect;
-        if faulted then begin
-          Fact_base.quarantine_detector t.base `Flood ~key;
-          trace_quarantine t ~subject:("dst:" ^ key) ~origin:"flood detector"
-        end
+      tick t (fun i -> i.i_inject_flood);
+      trace t (Obs.Trace.Dispatch { target = "flood"; subject = key });
+      penter t Obs.Prof.Detect;
+      let system, _ = Fact_base.flood_detector t.base ~key in
+      let faulted =
+        contain t ~subject:("dst:" ^ key) ~origin:"flood detector" (fun () ->
+            checked_inject t system ~machine:Invite_flood_machine.machine_name event)
+      in
+      pexit t Obs.Prof.Detect;
+      if faulted then begin
+        Fact_base.quarantine_detector t.base `Flood ~key;
+        trace_quarantine t ~subject:("dst:" ^ key) ~origin:"flood detector"
       end
 
 let feed_drdos_detector t (packet : Dsim.Packet.t) event =
   let key = Dsim.Addr.host packet.dst in
-  emit_global_event t (Drdos_candidate key);
-  if not t.config.Config.defer_global_detectors then begin
-    let system, _ = Fact_base.drdos_detector t.base ~key in
-    let orphan =
-      Efsm.Event.make
-        ~args:event.Efsm.Event.args (Efsm.Event.Data "SIP") ~at:event.Efsm.Event.at
-        Drdos_machine.orphan_response
-    in
-    tick t (fun i -> i.i_inject_drdos);
-    trace t (Obs.Trace.Dispatch { target = "drdos"; subject = key });
-    penter t Obs.Prof.Detect;
-    let faulted =
-      contain t ~subject:("victim:" ^ key) ~origin:"drdos detector" (fun () ->
-          checked_inject t system ~machine:Drdos_machine.machine_name orphan)
-    in
-    pexit t Obs.Prof.Detect;
-    if faulted then begin
-      Fact_base.quarantine_detector t.base `Drdos ~key;
-      trace_quarantine t ~subject:("victim:" ^ key) ~origin:"drdos detector"
-    end
+  let system, _ = Fact_base.drdos_detector t.base ~key in
+  let orphan =
+    Efsm.Event.make
+      ~args:event.Efsm.Event.args (Efsm.Event.Data "SIP") ~at:event.Efsm.Event.at
+      Drdos_machine.orphan_response
+  in
+  tick t (fun i -> i.i_inject_drdos);
+  trace t (Obs.Trace.Dispatch { target = "drdos"; subject = key });
+  penter t Obs.Prof.Detect;
+  let faulted =
+    contain t ~subject:("victim:" ^ key) ~origin:"drdos detector" (fun () ->
+        checked_inject t system ~machine:Drdos_machine.machine_name orphan)
+  in
+  pexit t Obs.Prof.Detect;
+  if faulted then begin
+    Fact_base.quarantine_detector t.base `Drdos ~key;
+    trace_quarantine t ~subject:("victim:" ^ key) ~origin:"drdos detector"
   end
 
 (* A REGISTER crossing the boundary sensor: intra-enterprise registrations
@@ -690,13 +668,11 @@ let counters t =
     backpressure_stalls = t.backpressure_stalls;
   }
 
-let add_backpressure_stalls t n = if n > 0 then t.backpressure_stalls <- t.backpressure_stalls + n
 let cpu_busy t = t.busy
 let fact_base t = t.base
 let memory_stats t = Fact_base.stats t.base
 let on_alert t listener = t.listeners <- listener :: t.listeners
 let on_eviction t listener = t.eviction_listeners <- listener :: t.eviction_listeners
-let set_global_listener t listener = t.global_listener <- listener
 
 (* --------------------------------------------------------------- *)
 (* Crash safety                                                     *)

@@ -1,18 +1,10 @@
 (** Hash-consed string keys for the hot path.
 
-    The fact base looks calls up by Call-ID on every SIP packet, and the
-    sharded engine partitions traffic by hashing the same Call-ID.  Interning
+    The fact base looks calls up by Call-ID on every SIP packet.  Interning
     maps each distinct key string to a small integer id, so the string is
-    hashed exactly once per operation (with {!hash}, the same function the
-    shard partitioner uses) and every secondary structure — the call table,
-    the media index, the eviction queue — works on cheap integer keys instead
-    of rehashing and re-comparing the string. *)
-
-val hash : string -> int
-(** FNV-1a over the bytes, folded to a non-negative OCaml [int].  This is
-    {e the} partition/intern hash: [Shard.Partition] routes by
-    [hash call_id mod shards] and the intern table buckets by the same
-    value, so one computation serves both. *)
+    hashed exactly once per operation and every secondary structure — the
+    call table, the media index, the eviction queue — works on cheap integer
+    keys instead of rehashing and re-comparing the string. *)
 
 type t
 (** An intern table.  Ids are dense, starting at 0; released ids are

@@ -41,10 +41,10 @@ let recover ?config ?prepare ?on_ext ?inject ?(journal = []) ?(trace = []) ?unti
   in
   let replayed = ref 0 in
   let before_timers sched engine =
-    (* Caller hook first: a shard coordinator uses it to re-attach the
-       global-event listener before any packet or journal entry lands; an
-       enforcement layer uses it to rebuild its state from the snapshot's
-       extension records. *)
+    (* Caller hook first, before any packet or journal entry lands:
+       telemetry uses it to re-attach its registry; an enforcement layer
+       uses it to rebuild its state from the snapshot's extension
+       records. *)
     (match prepare with None -> () | Some f -> f sched engine);
     List.iter (Engine.merge_journal_alert engine) alerts;
     replayed := Trace.schedule_into ?inject sched engine packets;

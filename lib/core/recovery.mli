@@ -29,12 +29,11 @@ val recover :
   Snapshot.t ->
   (outcome, string) result
 (** Pure-data recovery.  [prepare] runs on the restored engine before the
-    journal merge, the replay scheduling and the timer re-arm — the hook a
-    shard coordinator uses to re-attach {!Engine.set_global_listener} so
-    replayed packets feed the cross-shard aggregation again, and an
-    enforcement layer uses to rebuild its tables from the snapshot's
-    extension records.  [on_ext] receives every {!Journal.Ext} entry
-    recorded after the checkpoint, in append order, once the replay
+    journal merge, the replay scheduling and the timer re-arm — the hook
+    telemetry uses to re-attach its registry before any replayed packet
+    lands, and an enforcement layer uses to rebuild its tables from the
+    snapshot's extension records.  [on_ext] receives every {!Journal.Ext}
+    entry recorded after the checkpoint, in append order, once the replay
     suffix is scheduled (so a hook that re-arms a timer loses same-instant
     ties to packets, exactly as live): replayed alerts are claimed
     exactly-once and never re-notify listeners, so decisions taken on

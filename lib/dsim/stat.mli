@@ -85,8 +85,8 @@ module Quantiles : sig
   val p99 : t -> float
 
   val merge : t -> t -> t
-  (** A fresh estimator over both retained sample sets — how per-shard
-      latency distributions combine into one report. *)
+  (** A fresh estimator over both retained sample sets.  Merging with an
+      empty estimator is how a metrics snapshot takes a private copy. *)
 
   val pp : Format.formatter -> t -> unit
   (** ["p50=… p95=… p99=… (n=…)"]. *)

@@ -1,10 +1,10 @@
 (* Instance-scoped metrics registry: counters, gauges, log-bucket
-   histograms, mergeable snapshots.  See metrics.mli for the contract. *)
+   histograms, snapshots.  See metrics.mli for the contract. *)
 
 let bucket_bounds =
   (* Powers of two from 1e-6 to ~9e9: spans sub-microsecond durations (in
      seconds) through dimensionless counts in the billions, so one shared
-     ladder keeps every histogram mergeable bucket-by-bucket. *)
+     ladder serves every histogram. *)
   Array.init 54 (fun i -> 1e-6 *. Float.of_int (1 lsl i))
 
 let n_buckets = Array.length bucket_bounds + 1 (* + overflow *)
@@ -159,40 +159,6 @@ let snapshot t =
       t.order
   in
   { at = t.clock (); rows = List.sort row_order rows }
-
-let merge_values key a b =
-  match (a, b) with
-  | Counter x, Counter y -> Counter (x + y)
-  | Gauge x, Gauge y -> Gauge (x +. y)
-  | Histogram x, Histogram y ->
-      Histogram
-        {
-          buckets = Array.init n_buckets (fun i -> x.buckets.(i) + y.buckets.(i));
-          count = x.count + y.count;
-          sum = x.sum +. y.sum;
-          quantiles = Dsim.Stat.Quantiles.merge x.quantiles y.quantiles;
-        }
-  | _ -> invalid_arg (Printf.sprintf "Obs.Metrics.merge: %s has mismatched types" key)
-
-let merge a b =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun r -> Hashtbl.replace tbl (row_key r) r) a.rows;
-  let merged_b =
-    List.filter_map
-      (fun r ->
-        let key = row_key r in
-        match Hashtbl.find_opt tbl key with
-        | None -> Some r
-        | Some existing ->
-            Hashtbl.replace tbl key
-              { existing with value = merge_values key existing.value r.value };
-            None)
-      b.rows
-  in
-  let rows =
-    List.map (fun r -> Hashtbl.find tbl (row_key r)) a.rows @ merged_b
-  in
-  { at = Dsim.Time.max a.at b.at; rows = List.sort row_order rows }
 
 let find snap ?(labels = []) name =
   let labels = sort_labels labels in

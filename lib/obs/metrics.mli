@@ -14,11 +14,8 @@
     for explicitly wall-clock-valued observations (fsync and checkpoint
     durations), whose {e values} are inherently host-dependent.
 
-    Snapshots are plain data and {e mergeable}: the shard coordinator
-    folds per-worker registries with {!merge} exactly like it merges
-    alert logs — counters and histogram buckets sum, gauges sum (every
-    gauge here is an occupancy, for which the cross-shard total is the
-    meaningful figure), quantile reservoirs merge.
+    Snapshots are plain data, copied out of the live registry: later
+    writes never reach a snapshot already taken.
 
     Registration is idempotent: asking for an existing (name, labels)
     pair returns the same handle, so instrument-attachment code can run
@@ -58,9 +55,8 @@ type histogram
 
 val histogram : t -> ?help:string -> ?labels:(string * string) list -> string -> histogram
 (** Fixed log-scale buckets (powers of two from 1e-6 up, plus overflow)
-    shared by every histogram, so any two histogram snapshots merge
-    bucket-by-bucket; a seeded {!Dsim.Stat.Quantiles} reservoir rides
-    along for p50/p95/p99. *)
+    shared by every histogram; a seeded {!Dsim.Stat.Quantiles} reservoir
+    rides along for p50/p95/p99. *)
 
 val observe : histogram -> float -> unit
 
@@ -90,14 +86,8 @@ type snapshot = { at : Dsim.Time.t; rows : row list (** Sorted by (name, labels)
 
 val snapshot : t -> snapshot
 
-val merge : snapshot -> snapshot -> snapshot
-(** Counters and histograms sum, gauges sum, quantile reservoirs merge;
-    rows present on one side only pass through.  [at] is the later of the
-    two.  Raises [Invalid_argument] when the same (name, labels) row has
-    different metric types on the two sides. *)
-
 val find : snapshot -> ?labels:(string * string) list -> string -> value option
 
 val total : snapshot -> string -> int
 (** Sum of every [Counter] row with this name across all label sets; 0
-    when absent.  The cross-shard invariant checks compare these. *)
+    when absent. *)

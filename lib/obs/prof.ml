@@ -10,9 +10,6 @@ type stage =
   | Sip_parse
   | Sdp_parse
   | Rtp_parse
-  | Partition
-  | Ring_publish
-  | Ring_drain
   | Efsm_dispatch
   | Detect
   | Enforce_gate
@@ -23,32 +20,26 @@ type stage =
 
 let all_stages =
   [
-    Sip_parse; Sdp_parse; Rtp_parse; Partition; Ring_publish; Ring_drain; Efsm_dispatch;
-    Detect; Enforce_gate; Journal_fsync; Checkpoint; Ingest_poll; Drive;
+    Sip_parse; Sdp_parse; Rtp_parse; Efsm_dispatch; Detect; Enforce_gate; Journal_fsync;
+    Checkpoint; Ingest_poll; Drive;
   ]
 
 let index = function
   | Sip_parse -> 0
   | Sdp_parse -> 1
   | Rtp_parse -> 2
-  | Partition -> 3
-  | Ring_publish -> 4
-  | Ring_drain -> 5
-  | Efsm_dispatch -> 6
-  | Detect -> 7
-  | Enforce_gate -> 8
-  | Journal_fsync -> 9
-  | Checkpoint -> 10
-  | Ingest_poll -> 11
-  | Drive -> 12
+  | Efsm_dispatch -> 3
+  | Detect -> 4
+  | Enforce_gate -> 5
+  | Journal_fsync -> 6
+  | Checkpoint -> 7
+  | Ingest_poll -> 8
+  | Drive -> 9
 
 let stage_name = function
   | Sip_parse -> "sip-parse"
   | Sdp_parse -> "sdp-parse"
   | Rtp_parse -> "rtp-parse"
-  | Partition -> "partition"
-  | Ring_publish -> "ring-publish"
-  | Ring_drain -> "ring-drain"
   | Efsm_dispatch -> "efsm-dispatch"
   | Detect -> "detect"
   | Enforce_gate -> "enforce-gate"

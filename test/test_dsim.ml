@@ -231,6 +231,23 @@ let sched_pending () =
   Dsim.Scheduler.run s;
   check_int "none pending" 0 (Dsim.Scheduler.pending s)
 
+let advance_to_semantics () =
+  let ms = Dsim.Time.of_ms in
+  let time = Alcotest.testable Dsim.Time.pp Dsim.Time.equal in
+  let sched = Dsim.Scheduler.create () in
+  let fired = ref [] in
+  let note name () = fired := name :: !fired in
+  ignore (Dsim.Scheduler.schedule_at sched (ms 10.) (note "a"));
+  ignore (Dsim.Scheduler.schedule_at sched (ms 20.) (note "b"));
+  ignore (Dsim.Scheduler.schedule_at sched (ms 30.) (note "c"));
+  Dsim.Scheduler.advance_to sched (ms 20.);
+  (* Strictly-earlier timers fire; the timer at exactly the target stays
+     pending (same-instant packets beat timers). *)
+  Alcotest.(check (list string)) "only earlier timers" [ "a" ] (List.rev !fired);
+  Alcotest.(check time) "clock at target" (ms 20.) (Dsim.Scheduler.now sched);
+  Dsim.Scheduler.run sched;
+  Alcotest.(check (list string)) "rest fire in order" [ "a"; "b"; "c" ] (List.rev !fired)
+
 (* ------------------------------------------------------------------ *)
 (* Stat                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -457,6 +474,23 @@ let addr_parse () =
   check "bad port" true (Dsim.Addr.of_string "h:xx" = None);
   check "empty host" true (Dsim.Addr.of_string ":80" = None)
 
+let quantiles_exact_and_merged () =
+  let qt = Dsim.Stat.Quantiles.create () in
+  for i = 1 to 100 do
+    Dsim.Stat.Quantiles.add qt (float_of_int i)
+  done;
+  Alcotest.(check (float 1.0)) "p50" 50.0 (Dsim.Stat.Quantiles.p50 qt);
+  Alcotest.(check (float 1.0)) "p95" 95.0 (Dsim.Stat.Quantiles.p95 qt);
+  Alcotest.(check (float 1.0)) "p99" 99.0 (Dsim.Stat.Quantiles.p99 qt);
+  let a = Dsim.Stat.Quantiles.create () and b = Dsim.Stat.Quantiles.create () in
+  for i = 1 to 50 do
+    Dsim.Stat.Quantiles.add a (float_of_int i);
+    Dsim.Stat.Quantiles.add b (float_of_int (50 + i))
+  done;
+  let m = Dsim.Stat.Quantiles.merge a b in
+  Alcotest.(check int) "merged count" 100 (Dsim.Stat.Quantiles.count m);
+  Alcotest.(check (float 1.0)) "merged p50" 50.0 (Dsim.Stat.Quantiles.p50 m)
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suite =
@@ -499,6 +533,7 @@ let suite =
         tc "run_until" sched_run_until;
         tc "nested scheduling" sched_nested_scheduling;
         tc "pending count" sched_pending;
+        tc "scheduler: advance_to fires strictly-earlier timers" advance_to_semantics;
       ] );
     ( "dsim.stat",
       [
@@ -509,6 +544,7 @@ let suite =
         tc "percentile" percentile_basics;
         tc "histogram" histogram_basics;
         tc "counter" counter_ops;
+        tc "stat: quantiles exact and merged" quantiles_exact_and_merged;
       ] );
     ( "dsim.network",
       [

@@ -390,6 +390,25 @@ let open_call_footprint () =
   check_int "no alerts" 0 (List.length (Vids.Engine.alerts p.engine));
   if per_call >= 8192 then Alcotest.failf "%d B live per open call, limit 8192" per_call
 
+let intern_basics () =
+  let t = Vids.Intern.create () in
+  let a = Vids.Intern.intern t "alpha" in
+  let b = Vids.Intern.intern t "beta" in
+  check "distinct ids" true (a <> b);
+  check_int "stable" a (Vids.Intern.intern t "alpha");
+  Alcotest.(check (option int)) "find" (Some b) (Vids.Intern.find t "beta");
+  Alcotest.(check (option int)) "miss" None (Vids.Intern.find t "gamma");
+  check_str "name" "beta" (Vids.Intern.name t b);
+  check_int "count" 2 (Vids.Intern.count t);
+  (* Call-IDs sharing a long prefix, as an attacker's generated ones do,
+     stay distinct keys. *)
+  let key i = String.make 200 'x' ^ string_of_int i in
+  let ids = List.init 64 (fun i -> Vids.Intern.intern t (key i)) in
+  check_int "long shared prefix" 64 (List.length (List.sort_uniq compare ids));
+  List.iteri
+    (fun i id -> Alcotest.(check (option int)) "found" (Some id) (Vids.Intern.find t (key i)))
+    ids
+
 (* ------------------------------------------------------------------ *)
 (* Baselines                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -503,6 +522,7 @@ let suite =
         tc "specs shared per base" fact_base_shares_specs;
         tc "thresholds stay per engine" thresholds_stay_per_engine;
         tc "open-call footprint" open_call_footprint;
+        tc "intern: ids, find, hash" intern_basics;
       ] );
     ( "vids.sip_event",
       [ tc "encoding" sip_event_encoding; tc "alert formatting" alert_formatting ] );

@@ -165,14 +165,21 @@ let analysis_flags_unreachable () =
         ];
     }
   in
-  let r = Efsm.Analysis.analyze spec in
-  Alcotest.(check (list string)) "reachable" [ "A"; "B" ] r.Efsm.Analysis.reachable;
-  Alcotest.(check (list string))
-    "unreachable attacks" [ "X" ] r.Efsm.Analysis.unreachable_attacks;
-  check "finals unreachable" false r.Efsm.Analysis.finals_reachable;
-  Alcotest.(check (list string)) "dead ends" [ "B" ] r.Efsm.Analysis.dead_ends;
-  check "verifier rejects" true
-    (Analyze.Verifier.machine_errors (Analyze.Verifier.verify_spec spec) <> [])
+  let r = Analyze.Verifier.verify_spec spec in
+  Alcotest.(check (list string)) "reachable" [ "A"; "B" ] r.Analyze.Verifier.reachable;
+  let flagged prefix =
+    List.filter_map
+      (fun (f : Analyze.Finding.t) ->
+        if String.starts_with ~prefix f.Analyze.Finding.message then
+          Some (Option.value f.Analyze.Finding.state ~default:"")
+        else None)
+      r.Analyze.Verifier.findings
+  in
+  Alcotest.(check (list string)) "unreachable attacks" [ "X" ]
+    (flagged "attack state is unreachable");
+  Alcotest.(check (list string)) "finals unreachable" [ "" ] (flagged "no final state is reachable");
+  Alcotest.(check (list string)) "dead ends" [ "B" ] (flagged "reachable dead end");
+  check "verifier rejects" true (Analyze.Verifier.machine_errors r <> [])
 
 let analysis_accepts_paper_machines () =
   List.iter
