@@ -5,26 +5,64 @@
    them mid-write. *)
 
 let hex = Efsm.Value.hex_of_string
+let add_hex = Efsm.Value.add_hex
 let unhex = Efsm.Value.string_of_hex
 
 (* --------------------------------------------------------------- *)
 (* CRC-32 (IEEE 802.3, reflected)                                   *)
 (* --------------------------------------------------------------- *)
 
-let crc_table =
+(* Slicing-by-8: table [k] gives a byte's contribution to the register
+   [k] bytes further on, so one step folds eight bytes with eight
+   lookups instead of eight dependent shifts.  Table 0 is the classic
+   byte-wise table; the tail shorter than eight bytes goes through it.
+   Bytes are read one at a time, which keeps the fold independent of
+   the host's byte order. *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
+       done
+     done;
+     t)
 
-let crc32 s =
-  let table = Lazy.force crc_table in
+let crc32_sub s ~off ~len =
+  if off < 0 || len < 0 || off > String.length s - len then invalid_arg "Codec.crc32_sub";
+  let t = Lazy.force crc_tables in
+  let byte i = Char.code (String.unsafe_get s i) in
   let c = ref 0xFFFFFFFF in
-  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+  let i = ref off in
+  let stop8 = off + (len land lnot 7) in
+  while !i < stop8 do
+    let c0 = !c and p = !i in
+    c :=
+      Array.unsafe_get t ((7 * 256) + ((c0 lxor byte p) land 0xFF))
+      lxor Array.unsafe_get t ((6 * 256) + (((c0 lsr 8) lxor byte (p + 1)) land 0xFF))
+      lxor Array.unsafe_get t ((5 * 256) + (((c0 lsr 16) lxor byte (p + 2)) land 0xFF))
+      lxor Array.unsafe_get t ((4 * 256) + ((c0 lsr 24) lxor byte (p + 3)))
+      lxor Array.unsafe_get t ((3 * 256) + byte (p + 4))
+      lxor Array.unsafe_get t ((2 * 256) + byte (p + 5))
+      lxor Array.unsafe_get t (256 + byte (p + 6))
+      lxor Array.unsafe_get t (byte (p + 7));
+    i := p + 8
+  done;
+  while !i < off + len do
+    c := Array.unsafe_get t ((!c lxor byte !i) land 0xFF) lxor (!c lsr 8);
+    incr i
+  done;
   !c lxor 0xFFFFFFFF
+
+let crc32 s = crc32_sub s ~off:0 ~len:(String.length s)
 
 let crc32_hex s = Printf.sprintf "%08x" (crc32 s)
 
@@ -49,10 +87,17 @@ let take = function [] -> Error "truncated record" | tok :: rest -> Ok (tok, res
 (* Events                                                           *)
 (* --------------------------------------------------------------- *)
 
-let channel_to_token = function
-  | Efsm.Event.Data proto -> "D" ^ hex proto
-  | Efsm.Event.Sync { from_machine } -> "S" ^ hex from_machine
-  | Efsm.Event.Timer -> "T"
+let sp buf = Buffer.add_char buf ' '
+let add_int buf n = Buffer.add_string buf (string_of_int n)
+
+let add_channel buf = function
+  | Efsm.Event.Data proto ->
+      Buffer.add_char buf 'D';
+      add_hex buf proto
+  | Efsm.Event.Sync { from_machine } ->
+      Buffer.add_char buf 'S';
+      add_hex buf from_machine
+  | Efsm.Event.Timer -> Buffer.add_char buf 'T'
 
 let channel_of_token tok =
   if String.length tok = 0 then Error "empty channel token"
@@ -67,14 +112,21 @@ let channel_of_token tok =
 (* [<name-hex> <at_us> <chan> <argc> (<key-hex> <value>)*] — the explicit
    argument count makes the encoding self-delimiting inside a longer
    token list. *)
-let event_to_tokens (e : Efsm.Event.t) =
-  hex e.Efsm.Event.name
-  :: string_of_int (Dsim.Time.to_us e.Efsm.Event.at)
-  :: channel_to_token e.Efsm.Event.channel
-  :: string_of_int (List.length e.Efsm.Event.args)
-  :: List.concat_map
-       (fun (k, v) -> [ hex k; Efsm.Value.to_token v ])
-       e.Efsm.Event.args
+let add_event buf (e : Efsm.Event.t) =
+  add_hex buf e.Efsm.Event.name;
+  sp buf;
+  add_int buf (Dsim.Time.to_us e.Efsm.Event.at);
+  sp buf;
+  add_channel buf e.Efsm.Event.channel;
+  sp buf;
+  add_int buf (List.length e.Efsm.Event.args);
+  List.iter
+    (fun (k, v) ->
+      sp buf;
+      add_hex buf k;
+      sp buf;
+      Efsm.Value.add_token buf v)
+    e.Efsm.Event.args
 
 let event_of_tokens tokens =
   let* name_hex, rest = take tokens in
@@ -103,14 +155,16 @@ let event_of_tokens tokens =
 (* Alerts                                                           *)
 (* --------------------------------------------------------------- *)
 
-let alert_to_tokens (a : Alert.t) =
-  [
-    string_of_int (Dsim.Time.to_us a.Alert.at);
-    Alert.kind_to_string a.Alert.kind;
-    Alert.severity_to_string a.Alert.severity;
-    hex a.Alert.subject;
-    hex a.Alert.detail;
-  ]
+let add_alert buf (a : Alert.t) =
+  add_int buf (Dsim.Time.to_us a.Alert.at);
+  sp buf;
+  Buffer.add_string buf (Alert.kind_to_string a.Alert.kind);
+  sp buf;
+  Buffer.add_string buf (Alert.severity_to_string a.Alert.severity);
+  sp buf;
+  add_hex buf a.Alert.subject;
+  sp buf;
+  add_hex buf a.Alert.detail
 
 let alert_of_tokens = function
   | [ at_tok; kind_tok; sev_tok; subject_hex; detail_hex ] -> (

@@ -6,10 +6,17 @@
 
 val hex : string -> string
 
+val add_hex : Buffer.t -> string -> unit
+(** Appends [hex s]. *)
+
 val unhex : string -> (string, string) result
 
 val crc32 : string -> int
 (** IEEE CRC-32 of the bytes, as a non-negative int. *)
+
+val crc32_sub : string -> off:int -> len:int -> int
+(** [crc32 (String.sub s off len)] without the copy.  Raises
+    [Invalid_argument] if the range is not within [s]. *)
 
 val crc32_hex : string -> string
 (** Zero-padded 8-digit lowercase hex. *)
@@ -26,13 +33,15 @@ val opt_time_str : Dsim.Time.t option -> string
 val take : string list -> (string * string list, string) result
 (** Pops the next token or fails on a truncated record. *)
 
-val event_to_tokens : Efsm.Event.t -> string list
-(** Self-delimiting: an explicit argument count precedes the key/value
-    pairs, so the encoding can be embedded in a longer token list. *)
+val add_event : Buffer.t -> Efsm.Event.t -> unit
+(** Appends the event's space-separated tokens.  Self-delimiting: an
+    explicit argument count precedes the key/value pairs, so the encoding
+    can be embedded in a longer token list. *)
 
 val event_of_tokens : string list -> (Efsm.Event.t * string list, string) result
 (** Returns the decoded event and the unconsumed tail. *)
 
-val alert_to_tokens : Alert.t -> string list
+val add_alert : Buffer.t -> Alert.t -> unit
+(** Appends the alert's five space-separated tokens. *)
 
 val alert_of_tokens : string list -> (Alert.t, string) result

@@ -25,7 +25,11 @@ let entry_at = function
   | Ext { at; _ } -> at
 
 let payload_of_entry = function
-  | Alert a -> String.concat " " ("A" :: Codec.alert_to_tokens a)
+  | Alert a ->
+      let buf = Buffer.create 96 in
+      Buffer.add_string buf "A ";
+      Codec.add_alert buf a;
+      Buffer.contents buf
   | Eviction { at; subject; detail } ->
       Printf.sprintf "E %d %s %s" (Dsim.Time.to_us at) (Codec.hex subject) (Codec.hex detail)
   | Checkpoint { at; seq } -> Printf.sprintf "C %d %d" (Dsim.Time.to_us at) seq

@@ -164,106 +164,167 @@ let capture ?(seq = 0) ?(ext = []) ~at engine =
 (* Serialization                                                    *)
 (* --------------------------------------------------------------- *)
 
-let us = Dsim.Time.to_us
-let bool01 b = if b then "1" else "0"
+(* Every record is appended straight into one buffer: a checkpoint of a
+   few thousand open calls is megabytes of text, and the daemon's
+   dispatch loop stalls while it is written.  Each field appender writes
+   the separating space before its field. *)
 
-let system_lines buf ss =
+let us = Dsim.Time.to_us
+let word buf s = Buffer.add_char buf ' '; Buffer.add_string buf s
+let int buf n = word buf (string_of_int n)
+let time buf t = int buf (us t)
+let flag buf b = word buf (if b then "1" else "0")
+let opt_time buf t = word buf (Codec.opt_time_str t)
+let hex buf s = Buffer.add_char buf ' '; Codec.add_hex buf s
+let token buf v = Buffer.add_char buf ' '; Efsm.Value.add_token buf v
+let eol buf = Buffer.add_char buf '\n'
+
+let add_system buf ss =
   List.iter
     (fun (k, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "G %s %s\n" (Codec.hex k) (Efsm.Value.to_token v)))
+      Buffer.add_string buf "G";
+      hex buf k;
+      token buf v;
+      eol buf)
     ss.s_globals;
   List.iter
     (fun (target, event) ->
-      Buffer.add_string buf
-        (Printf.sprintf "Y %s %s\n" (Codec.hex target)
-           (String.concat " " (Codec.event_to_tokens event))))
+      Buffer.add_string buf "Y";
+      hex buf target;
+      Buffer.add_char buf ' ';
+      Codec.add_event buf event;
+      eol buf)
     ss.s_syncs;
   List.iter
     (fun (machine, id, fire_at) ->
-      Buffer.add_string buf
-        (Printf.sprintf "R %s %s %d\n" (Codec.hex machine) (Codec.hex id) (us fire_at)))
+      Buffer.add_string buf "R";
+      hex buf machine;
+      hex buf id;
+      time buf fire_at;
+      eol buf)
     ss.s_timers;
   List.iter
     (fun ms ->
-      Buffer.add_string buf
-        (Printf.sprintf "M %s %s\n" (Codec.hex ms.m_name) (Codec.hex ms.m_state));
+      Buffer.add_string buf "M";
+      hex buf ms.m_name;
+      hex buf ms.m_state;
+      eol buf;
       List.iter
         (fun (k, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf "V %s %s\n" (Codec.hex k) (Efsm.Value.to_token v)))
+          Buffer.add_string buf "V";
+          hex buf k;
+          token buf v;
+          eol buf)
         ms.m_vars;
       List.iter
         (fun (t, label) ->
-          Buffer.add_string buf (Printf.sprintf "H %d %s\n" (us t) (Codec.hex label)))
+          Buffer.add_string buf "H";
+          time buf t;
+          hex buf label;
+          eol buf)
         ms.m_hist)
     ss.s_machines
 
-let body_string t =
-  let buf = Buffer.create 4096 in
-  let c = t.engine.Engine.Persist.p_counters in
-  Buffer.add_string buf
-    (Printf.sprintf "EC %d %d %d %d %d %d %d %d %d %d %d %d %d %d\n" c.Engine.sip_packets
-       c.Engine.rtp_packets c.Engine.rtcp_packets c.Engine.other_packets c.Engine.malformed_packets
-       c.Engine.orphan_requests c.Engine.orphan_responses c.Engine.alerts_raised
-       c.Engine.alerts_suppressed c.Engine.anomalies c.Engine.faults
-       t.engine.Engine.Persist.p_injects c.Engine.rtp_shed c.Engine.backpressure_stalls);
-  Buffer.add_string buf
-    (Printf.sprintf "ET %d %d\n"
-       (us t.engine.Engine.Persist.p_busy)
-       (us t.engine.Engine.Persist.p_inline_free_at));
-  (match t.engine.Engine.Persist.p_degraded_since with
-  | None -> ()
-  | Some since -> Buffer.add_string buf (Printf.sprintf "ED %d\n" (us since)));
+let add_body buf t =
+  let p = t.engine in
+  let c = p.Engine.Persist.p_counters in
+  Buffer.add_string buf "EC";
+  List.iter (int buf)
+    [
+      c.Engine.sip_packets; c.Engine.rtp_packets; c.Engine.rtcp_packets; c.Engine.other_packets;
+      c.Engine.malformed_packets; c.Engine.orphan_requests; c.Engine.orphan_responses;
+      c.Engine.alerts_raised; c.Engine.alerts_suppressed; c.Engine.anomalies; c.Engine.faults;
+      p.Engine.Persist.p_injects; c.Engine.rtp_shed; c.Engine.backpressure_stalls;
+    ];
+  eol buf;
+  Buffer.add_string buf "ET";
+  time buf p.Engine.Persist.p_busy;
+  time buf p.Engine.Persist.p_inline_free_at;
+  eol buf;
+  Option.iter
+    (fun since ->
+      Buffer.add_string buf "ED";
+      time buf since;
+      eol buf)
+    p.Engine.Persist.p_degraded_since;
   List.iter
-    (fun (a, b) -> Buffer.add_string buf (Printf.sprintf "EL %d %d\n" (us a) (us b)))
-    t.engine.Engine.Persist.p_degraded_log;
+    (fun (a, b) ->
+      Buffer.add_string buf "EL";
+      time buf a;
+      time buf b;
+      eol buf)
+    p.Engine.Persist.p_degraded_log;
   List.iter
     (fun (a, b, missed) ->
-      Buffer.add_string buf (Printf.sprintf "EW %d %d %d\n" (us a) (us b) missed))
-    t.engine.Engine.Persist.p_downtime;
+      Buffer.add_string buf "EW";
+      time buf a;
+      time buf b;
+      int buf missed;
+      eol buf)
+    p.Engine.Persist.p_downtime;
   List.iter
     (fun alert ->
-      Buffer.add_string buf ("EA " ^ String.concat " " (Codec.alert_to_tokens alert) ^ "\n"))
-    t.engine.Engine.Persist.p_alerts;
-  Buffer.add_string buf
-    (Printf.sprintf "FB %d %d %d %d %d %d %d %s\n" t.fb.fb_peak t.fb.fb_created t.fb.fb_deleted
-       t.fb.fb_calls_evicted t.fb.fb_detectors_evicted t.fb.fb_swept t.fb.fb_dswept
-       (Codec.opt_time_str t.fb.fb_sweep_at));
+      Buffer.add_string buf "EA ";
+      Codec.add_alert buf alert;
+      eol buf)
+    p.Engine.Persist.p_alerts;
+  Buffer.add_string buf "FB";
+  List.iter (int buf)
+    [
+      t.fb.fb_peak; t.fb.fb_created; t.fb.fb_deleted; t.fb.fb_calls_evicted;
+      t.fb.fb_detectors_evicted; t.fb.fb_swept; t.fb.fb_dswept;
+    ];
+  opt_time buf t.fb.fb_sweep_at;
+  eol buf;
   List.iter
     (fun cs ->
-      Buffer.add_string buf
-        (Printf.sprintf "CALL %s %d %s %s %s %s\n" (Codec.hex cs.c_id) (us cs.c_created)
-           (bool01 cs.c_closing) (bool01 cs.c_finish)
-           (Codec.opt_time_str cs.c_delete_at)
-           (Codec.opt_time_str cs.c_recheck_at));
+      Buffer.add_string buf "CALL";
+      hex buf cs.c_id;
+      time buf cs.c_created;
+      flag buf cs.c_closing;
+      flag buf cs.c_finish;
+      opt_time buf cs.c_delete_at;
+      opt_time buf cs.c_recheck_at;
+      eol buf;
       List.iter
         (fun addr ->
-          Buffer.add_string buf
-            (Printf.sprintf "CM %s\n"
-               (Efsm.Value.to_token
-                  (Efsm.Value.Addr (Dsim.Addr.host addr, Dsim.Addr.port addr)))))
+          Buffer.add_string buf "CM";
+          token buf (Efsm.Value.Addr (Dsim.Addr.host addr, Dsim.Addr.port addr));
+          eol buf)
         cs.c_media;
-      system_lines buf cs.c_system)
+      add_system buf cs.c_system)
     t.calls;
   List.iter
     (fun ds ->
-      Buffer.add_string buf
-        (Printf.sprintf "DET %s %s %d %d\n"
-           (Fact_base.kind_label ds.d_kind)
-           (Codec.hex ds.d_key) (us ds.d_created) (us ds.d_touched));
-      system_lines buf ds.d_system)
+      Buffer.add_string buf "DET";
+      word buf (Fact_base.kind_label ds.d_kind);
+      hex buf ds.d_key;
+      time buf ds.d_created;
+      time buf ds.d_touched;
+      eol buf;
+      add_system buf ds.d_system)
     t.detectors;
   List.iter
     (fun (tag, payload) ->
-      Buffer.add_string buf (Printf.sprintf "X %s %s\n" (Codec.hex tag) (Codec.hex payload)))
-    t.ext;
-  Buffer.contents buf
+      Buffer.add_string buf "X";
+      hex buf tag;
+      hex buf payload;
+      eol buf)
+    t.ext
 
-let to_string t =
-  let body = body_string t in
-  Printf.sprintf "%s %d %d %d\n%sEND %s %d\n" magic version t.seq (us t.at) body
-    (Codec.crc32_hex body) (String.length body)
+(* The file is a header line, the body, and a trailer line carrying the
+   body's CRC-32 and length. *)
+let parts t =
+  let buf = Buffer.create 65536 in
+  add_body buf t;
+  let body = Buffer.contents buf in
+  [
+    Printf.sprintf "%s %d %d %d\n" magic version t.seq (us t.at);
+    body;
+    Printf.sprintf "END %s %d\n" (Codec.crc32_hex body) (String.length body);
+  ]
+
+let to_string t = String.concat "" (parts t)
 
 (* --------------------------------------------------------------- *)
 (* Parsing                                                          *)
@@ -306,7 +367,9 @@ type block =
   | In_call of call_snap * system_builder (* c_system placeholder; media reversed in c_media *)
   | In_det of detector_snap * system_builder
 
-let of_body_lines lines =
+(* Parses the body [text.[off] .. text.[off + len - 1]] line by line in
+   place; blank lines are skipped and not counted. *)
+let of_body text ~off ~len =
   let counters = ref None in
   let times = ref None in
   let degraded_since = ref None in
@@ -536,14 +599,20 @@ let of_body_lines lines =
         Ok ()
     | tag :: _ -> Error ("unknown record tag " ^ tag)
   in
-  let rec go i = function
-    | [] -> Ok ()
-    | line :: rest -> (
-        match parse_line line with
-        | Ok () -> go (i + 1) rest
-        | Error e -> Error (Printf.sprintf "body line %d: %s" i e))
+  let stop = off + len in
+  let rec go i pos =
+    if pos >= stop then Ok ()
+    else
+      let eol =
+        match String.index_from_opt text pos '\n' with Some j when j < stop -> j | _ -> stop
+      in
+      if eol = pos then go i (pos + 1)
+      else
+        match parse_line (String.sub text pos (eol - pos)) with
+        | Ok () -> go (i + 1) (eol + 1)
+        | Error e -> Error (Printf.sprintf "body line %d: %s" i e)
   in
-  let* () = go 1 lines in
+  let* () = go 1 off in
   finish_block ();
   match (!counters, !times, !fb) with
   | None, _, _ -> Error "missing EC record"
@@ -576,9 +645,7 @@ let of_string text =
   match String.index_opt text '\n' with
   | None -> Error "not a vIDS snapshot: missing header"
   | Some header_end -> (
-      let header = String.sub text 0 header_end in
-      let rest = String.sub text (header_end + 1) (String.length text - header_end - 1) in
-      match String.split_on_char ' ' header with
+      match String.split_on_char ' ' (String.sub text 0 header_end) with
       | [ m; v; seq_tok; at_tok ] when String.equal m magic -> (
           let* v = Codec.int_tok v in
           if v <> version then
@@ -586,36 +653,41 @@ let of_string text =
           else
             let* seq = Codec.int_tok seq_tok in
             let* at = Codec.time_tok at_tok in
-            (* The trailer is the last line: "END <crc> <len>\n". *)
-            match String.rindex_opt (String.sub rest 0 (max 0 (String.length rest - 1))) '\n' with
-            | _ when String.length rest = 0 -> Error "truncated snapshot: missing END trailer"
-            | None when String.length rest < 4 || String.sub rest 0 3 <> "END" ->
+            (* Body and trailer follow the header; the trailer is the last
+               line, "END <crc> <len>\n".  [last_nl] is the newline that
+               ends the body, if the body is not empty. *)
+            let start = header_end + 1 and n = String.length text in
+            let last_nl =
+              match String.rindex_from_opt text (n - 2) '\n' with
+              | Some i when i >= start -> Some i
+              | Some _ | None -> None
+            in
+            match last_nl with
+            | _ when n = start -> Error "truncated snapshot: missing END trailer"
+            | None when n - start < 4 || String.sub text start 3 <> "END" ->
                 Error "truncated snapshot: missing END trailer"
-            | trailer_start -> (
-                let body_len, trailer =
-                  match trailer_start with
-                  | None -> (0, String.sub rest 0 (String.length rest))
-                  | Some i -> (i + 1, String.sub rest (i + 1) (String.length rest - i - 1))
-                in
-                let body = String.sub rest 0 body_len in
-                let trailer = String.trim trailer in
-                match String.split_on_char ' ' trailer with
+            | last_nl -> (
+                let body_len = match last_nl with None -> 0 | Some i -> i + 1 - start in
+                let trailer_at = start + body_len in
+                match
+                  String.split_on_char ' '
+                    (String.trim (String.sub text trailer_at (n - trailer_at)))
+                with
                 | [ "END"; crc_hex; len_tok ] ->
                     let* len = Codec.int_tok len_tok in
-                    if len <> String.length body then
+                    if len <> body_len then
                       Error
                         (Printf.sprintf "truncated snapshot: body is %d bytes, trailer says %d"
-                           (String.length body) len)
-                    else if not (String.equal crc_hex (Codec.crc32_hex body)) then
-                      Error "corrupted snapshot: CRC mismatch"
+                           body_len len)
+                    else if
+                      not
+                        (String.equal crc_hex
+                           (Printf.sprintf "%08x" (Codec.crc32_sub text ~off:start ~len)))
+                    then Error "corrupted snapshot: CRC mismatch"
                     else
-                      let lines =
-                        String.split_on_char '\n' body |> List.filter (fun l -> l <> "")
-                      in
-                      let* make = of_body_lines lines in
+                      let* make = of_body text ~off:start ~len in
                       Ok (make ~seq ~at)
-                | _ -> Error "truncated snapshot: malformed END trailer")
-          )
+                | _ -> Error "truncated snapshot: malformed END trailer"))
       | _ -> Error "not a vIDS snapshot")
 
 (* --------------------------------------------------------------- *)
@@ -716,7 +788,7 @@ let fsync_dir path =
 let save ~path t =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  output_string oc (to_string t);
+  List.iter (output_string oc) (parts t);
   flush oc;
   (* fsync BEFORE the rename: without it, a power loss can leave the
      rename durable but the data not — a zero-length or torn file sitting

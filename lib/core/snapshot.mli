@@ -60,7 +60,9 @@ val restore :
     checksums) come back as [Error]. *)
 
 val save : path:string -> t -> unit
-(** Atomic durable write: the temp file is fsynced {e before} the rename
+(** Writes the bytes of {!to_string}, without building them as one
+    string first.  Atomic durable write: the temp file is fsynced
+    {e before} the rename
     (so a power loss cannot publish a zero-length or torn snapshot), the
     containing directory after it (so the rename itself survives).  An
     existing snapshot at [path] is rotated to [path ^ ".1"] first, so a

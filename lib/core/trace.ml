@@ -3,24 +3,9 @@ type record = { at : Dsim.Time.t; src : Dsim.Addr.t; dst : Dsim.Addr.t; payload 
 let record_of_packet ~at (packet : Dsim.Packet.t) =
   { at; src = packet.src; dst = packet.dst; payload = packet.payload }
 
-let hex_of_string s =
-  let buffer = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buffer (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buffer
-
-let string_of_hex h =
-  let n = String.length h in
-  if n mod 2 <> 0 then Error "odd-length hex payload"
-  else
-    try
-      Ok
-        (String.init (n / 2) (fun i ->
-             Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2))))
-    with Failure _ -> Error "invalid hex digit"
-
 let record_to_line r =
   Printf.sprintf "%d %s %s %s" (Dsim.Time.to_us r.at) (Dsim.Addr.to_string r.src)
-    (Dsim.Addr.to_string r.dst) (hex_of_string r.payload)
+    (Dsim.Addr.to_string r.dst) (Efsm.Value.hex_of_string r.payload)
 
 let record_of_line line =
   match String.split_on_char ' ' (String.trim line) with
@@ -29,7 +14,7 @@ let record_of_line line =
         (int_of_string_opt at_str, Dsim.Addr.of_string src_str, Dsim.Addr.of_string dst_str)
       with
       | Some at, Some src, Some dst -> (
-          match string_of_hex hex with
+          match Efsm.Value.string_of_hex hex with
           | Ok payload -> Ok { at = Dsim.Time.of_us at; src; dst; payload }
           | Error e -> Error e)
       | None, _, _ -> Error "bad timestamp"

@@ -51,59 +51,107 @@ let type_error expected got =
   raise (Type_error (Printf.sprintf "expected %s, got %s" expected (to_string got)))
 
 (* Wire tokens for checkpointing: compact, space-free, and exact (floats
-   round-trip through their bit pattern, strings through hex). *)
+   round-trip through their bit pattern, strings through hex).  A
+   checkpoint encodes and a recovery decodes megabytes of this, so hex
+   goes through a digit table, never a formatting call per byte. *)
+
+let hex_digits = "0123456789abcdef"
 
 let hex_of_string s =
-  let buffer = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buffer (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buffer
+  let n = String.length s in
+  let out = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set out (2 * i) hex_digits.[c lsr 4];
+    Bytes.unsafe_set out ((2 * i) + 1) hex_digits.[c land 0xf]
+  done;
+  Bytes.unsafe_to_string out
 
-let string_of_hex h =
-  let n = String.length h in
-  if n mod 2 <> 0 then Error "odd-length hex"
+let add_hex buf s =
+  for i = 0 to String.length s - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Buffer.add_char buf hex_digits.[c lsr 4];
+    Buffer.add_char buf hex_digits.[c land 0xf]
+  done
+
+(* Exactly [0-9a-fA-F]; -1 for anything else.  [int_of_string] would
+   also take a sign or a '_' separator. *)
+let nibble = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+(* Decodes [h.[off] .. h.[off + len - 1]]. *)
+let unhex_sub h ~off ~len =
+  if len mod 2 <> 0 then Error "odd-length hex"
   else
-    try
-      Ok (String.init (n / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2))))
-    with Failure _ -> Error "invalid hex digit"
+    let out = Bytes.create (len / 2) in
+    let rec go i =
+      if i = len / 2 then Ok (Bytes.unsafe_to_string out)
+      else
+        let hi = nibble h.[off + (2 * i)] and lo = nibble h.[off + (2 * i) + 1] in
+        if hi < 0 || lo < 0 then Error "invalid hex digit"
+        else begin
+          Bytes.unsafe_set out i (Char.unsafe_chr ((hi lsl 4) lor lo));
+          go (i + 1)
+        end
+    in
+    go 0
 
-let to_token = function
-  | Int n -> Printf.sprintf "i%d" n
-  | Str s -> "s" ^ hex_of_string s
-  | Bool b -> if b then "b1" else "b0"
-  | Float f -> Printf.sprintf "f%Lx" (Int64.bits_of_float f)
-  | Addr (h, p) -> Printf.sprintf "a%s:%d" (hex_of_string h) p
-  | Unset -> "u"
+let string_of_hex h = unhex_sub h ~off:0 ~len:(String.length h)
+
+let add_token buf = function
+  | Int n ->
+      Buffer.add_char buf 'i';
+      Buffer.add_string buf (string_of_int n)
+  | Str s ->
+      Buffer.add_char buf 's';
+      add_hex buf s
+  | Bool b -> Buffer.add_string buf (if b then "b1" else "b0")
+  | Float f -> Buffer.add_string buf (Printf.sprintf "f%Lx" (Int64.bits_of_float f))
+  | Addr (h, p) ->
+      Buffer.add_char buf 'a';
+      add_hex buf h;
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (string_of_int p)
+  | Unset -> Buffer.add_char buf 'u'
+
+let to_token v =
+  let buf = Buffer.create 16 in
+  add_token buf v;
+  Buffer.contents buf
 
 let of_token token =
-  if String.length token = 0 then Error "empty value token"
+  let n = String.length token in
+  if n = 0 then Error "empty value token"
   else
-    let body = String.sub token 1 (String.length token - 1) in
+    let body () = String.sub token 1 (n - 1) in
     match token.[0] with
     | 'i' -> (
-        match int_of_string_opt body with
+        match int_of_string_opt (body ()) with
         | Some n -> Ok (Int n)
         | None -> Error "bad int token")
-    | 's' -> Result.map (fun s -> Str s) (string_of_hex body)
+    | 's' -> Result.map (fun s -> Str s) (unhex_sub token ~off:1 ~len:(n - 1))
     | 'b' -> (
-        match body with
+        match body () with
         | "0" -> Ok (Bool false)
         | "1" -> Ok (Bool true)
         | _ -> Error "bad bool token")
     | 'f' -> (
-        match Int64.of_string_opt ("0x" ^ body) with
+        match Int64.of_string_opt ("0x" ^ body ()) with
         | Some bits -> Ok (Float (Int64.float_of_bits bits))
         | None -> Error "bad float token")
     | 'a' -> (
-        match String.index_opt body ':' with
+        match String.index_from_opt token 1 ':' with
         | None -> Error "bad addr token"
         | Some i -> (
-            let host_hex = String.sub body 0 i in
-            let port_str = String.sub body (i + 1) (String.length body - i - 1) in
-            match (string_of_hex host_hex, int_of_string_opt port_str) with
+            let port_str = String.sub token (i + 1) (n - i - 1) in
+            match (unhex_sub token ~off:1 ~len:(i - 1), int_of_string_opt port_str) with
             | Ok host, Some port -> Ok (Addr (host, port))
             | Error e, _ -> Error e
             | _, None -> Error "bad addr port"))
-    | 'u' -> if body = "" then Ok Unset else Error "bad unset token"
+    | 'u' -> if n = 1 then Ok Unset else Error "bad unset token"
     | _ -> Error "unknown value token"
 
 let as_int = function Int n -> n | v -> type_error "int" v

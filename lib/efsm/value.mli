@@ -25,13 +25,21 @@ val to_string : t -> string
     exactly — floats round-trip through their IEEE bit pattern and strings
     through hex, so arbitrary bytes survive. *)
 
+val add_token : Buffer.t -> t -> unit
+(** Appends the token for the value. *)
+
 val to_token : t -> string
 
 val of_token : string -> (t, string) result
 
 val hex_of_string : string -> string
+(** Two lowercase hex digits per byte. *)
+
+val add_hex : Buffer.t -> string -> unit
+(** Appends [hex_of_string s]. *)
 
 val string_of_hex : string -> (string, string) result
+(** Accepts exactly [[0-9a-fA-F]] digits, in pairs. *)
 
 (** Coercions; raise [Type_error] with a descriptive message. *)
 

@@ -369,6 +369,15 @@ let held_call_texts i =
     (true, head (Printf.sprintf "ACK sip:bob%d@10.2.0.10 SIP/2.0" i) "1 ACK" tb ^ "\r\n");
   ]
 
+let hold_calls p n =
+  for i = 1 to n do
+    List.iter
+      (fun (from_caller, text) ->
+        let a = sip_addr "10.1.0.2" and b = sip_addr "10.2.0.2" in
+        if from_caller then feed p ~src:a ~dst:b text else feed p ~src:b ~dst:a text)
+      (held_call_texts i)
+  done
+
 (* The paper's §7.3 claim is ≈490 B of state per call.  Holding 1 000
    established calls open must stay within 8 KB of live heap per call —
    building each record its own copy of the specs cost ≈55 KB. *)
@@ -377,18 +386,37 @@ let open_call_footprint () =
   Gc.full_major ();
   let live0 = (Gc.stat ()).Gc.live_words in
   let p = make_pipeline () in
-  for i = 1 to n do
-    List.iter
-      (fun (from_caller, text) ->
-        let a = sip_addr "10.1.0.2" and b = sip_addr "10.2.0.2" in
-        if from_caller then feed p ~src:a ~dst:b text else feed p ~src:b ~dst:a text)
-      (held_call_texts i)
-  done;
+  hold_calls p n;
   Gc.full_major ();
   let per_call = 8 * ((Gc.stat ()).Gc.live_words - live0) / n in
   check_int "calls held" n (Vids.Engine.memory_stats p.engine).Vids.Fact_base.active_calls;
   check_int "no alerts" 0 (List.length (Vids.Engine.alerts p.engine));
   if per_call >= 8192 then Alcotest.failf "%d B live per open call, limit 8192" per_call
+
+(* A checkpoint of 1 000 held calls is ≈870 KB of text.  Encoding it
+   must allocate at most 16 B per output byte (one Printf per hex byte
+   cost ≈154), and [save], which does not go through [to_string], must
+   write exactly its bytes. *)
+let snapshot_encoding_cost () =
+  let p = make_pipeline () in
+  hold_calls p 1000;
+  let snap = Vids.Snapshot.capture ~seq:1 ~at:(Dsim.Scheduler.now p.sched) p.engine in
+  let a0 = Gc.allocated_bytes () in
+  let text = Vids.Snapshot.to_string snap in
+  let per_byte = (Gc.allocated_bytes () -. a0) /. float_of_int (String.length text) in
+  if per_byte > 16. then
+    Alcotest.failf "to_string allocated %.1f B per byte of %d, limit 16" per_byte
+      (String.length text);
+  let path = Filename.temp_file "vids-snapshot" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ path; Vids.Snapshot.previous_path path ])
+    (fun () ->
+      Vids.Snapshot.save ~path snap;
+      check "save writes the bytes of to_string" true
+        (String.equal text (In_channel.with_open_bin path In_channel.input_all)))
 
 let intern_basics () =
   let t = Vids.Intern.create () in
@@ -522,6 +550,7 @@ let suite =
         tc "specs shared per base" fact_base_shares_specs;
         tc "thresholds stay per engine" thresholds_stay_per_engine;
         tc "open-call footprint" open_call_footprint;
+        tc "snapshot encoding cost" snapshot_encoding_cost;
         tc "intern: ids, find, hash" intern_basics;
       ] );
     ( "vids.sip_event",

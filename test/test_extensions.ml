@@ -37,8 +37,12 @@ let trace_empty_payload () =
 
 let trace_bad_lines () =
   check "garbage" true (Result.is_error (Vids.Trace.record_of_line "not a record"));
-  check "bad hex" true
-    (Result.is_error (Vids.Trace.record_of_line "1 a:1 b:2 zz"));
+  (* "1_" passes [int_of_string], which allows '_' separators. *)
+  List.iter
+    (fun hex ->
+      check ("bad hex " ^ hex) true
+        (Result.is_error (Vids.Trace.record_of_line ("1 a:1 b:2 " ^ hex))))
+    [ "zz"; "1_" ];
   check "odd hex" true (Result.is_error (Vids.Trace.record_of_line "1 a:1 b:2 abc"));
   check "bad addr" true (Result.is_error (Vids.Trace.record_of_line "1 nope b:2 ab"))
 

@@ -129,6 +129,69 @@ let value_token_roundtrip =
       | Ok v' -> String.equal (Efsm.Value.to_token v') (Efsm.Value.to_token v)
       | Error _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Hex and CRC-32 against byte-at-a-time references                    *)
+(* ------------------------------------------------------------------ *)
+
+let reference_hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let hex_matches_reference =
+  q ~count:500 "hex: equals a Printf-per-byte encoder, and decodes back"
+    (QCheck.make ~print:String.escaped QCheck.Gen.(string_size ~gen:any_byte (int_range 0 300)))
+    (fun s ->
+      let h = Efsm.Value.hex_of_string s in
+      let buf = Buffer.create 16 in
+      Efsm.Value.add_hex buf s;
+      String.equal h (reference_hex s)
+      && String.equal (Buffer.contents buf) h
+      && Efsm.Value.string_of_hex h = Ok s)
+
+let unhex_accepts_exactly_hex_digits () =
+  let is_digit = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+  let accepts h = Result.is_ok (Efsm.Value.string_of_hex h) in
+  for b = 0 to 255 do
+    let c = String.make 1 (Char.chr b) in
+    check (Printf.sprintf "byte %02x as high nibble" b) (is_digit c.[0]) (accepts (c ^ "0"));
+    check (Printf.sprintf "byte %02x as low nibble" b) (is_digit c.[0]) (accepts ("0" ^ c))
+  done;
+  check "uppercase decodes" true (Efsm.Value.string_of_hex "DEADbeef" = Ok "\xde\xad\xbe\xef");
+  (* [int_of_string] takes '_' separators: "1_" once decoded to "\001". *)
+  List.iter
+    (fun tok -> check ("token " ^ tok) true (Result.is_error (Efsm.Value.of_token tok)))
+    [ "s1_"; "sa_"; "a1_:5060" ]
+
+let reference_crc32 s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+let crc32_matches_reference () =
+  Alcotest.(check string) "check value" "cbf43926" (Vids.Codec.crc32_hex "123456789");
+  let rng = Random.State.make [| 32 |] in
+  let data = String.init 256 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for len = 0 to 64 do
+    let s = String.sub data 0 len in
+    check_int (Printf.sprintf "crc32 of %d bytes" len) (reference_crc32 s) (Vids.Codec.crc32 s);
+    for _ = 1 to 8 do
+      let off = Random.State.int rng (String.length data - len + 1) in
+      check_int
+        (Printf.sprintf "crc32_sub ~off:%d ~len:%d" off len)
+        (reference_crc32 (String.sub data off len))
+        (Vids.Codec.crc32_sub data ~off ~len)
+    done
+  done;
+  check "range past the end rejected" true
+    (match Vids.Codec.crc32_sub data ~off:250 ~len:7 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let host_gen =
   QCheck.Gen.(
     map
@@ -684,6 +747,9 @@ let suite =
     ( "recovery",
       [
         value_token_roundtrip;
+        hex_matches_reference;
+        tc "unhex accepts exactly hex digits" unhex_accepts_exactly_hex_digits;
+        tc "crc32 matches a byte-wise reference" crc32_matches_reference;
         trace_line_roundtrip;
         journal_line_roundtrip;
         tc "snapshot text round-trip" snapshot_text_roundtrip;
