@@ -1109,23 +1109,17 @@ let lint_vspec json dot_dir files =
       else print_string (Analyze.Speclint.render_text r);
       if Analyze.Speclint.ok r then 0 else 1
 
-(* --emit NAME: dump a builtin machine as canonical .vspec text — the
-   generator for examples/specs/*.vspec. *)
+(* --emit NAME: print a builtin machine's embedded .vspec source, the
+   one definition the engine elaborates. *)
 let emit_builtin name =
-  let builtins = Vids.Spec_load.builtins Vids.Config.default in
-  match Vids.Spec_load.builtin_for Vids.Config.default name with
+  match Vids.Spec_load.source_for name with
   | None ->
       Format.eprintf "unknown machine %S (choose from %s)@." name
-        (String.concat ", " (List.map fst builtins));
+        (String.concat ", " (List.map fst Vids.Spec_load.sources));
       1
-  | Some (spec, vars) -> (
-      match Spec.Printer.of_machine spec vars with
-      | exception Spec.Printer.Unprintable msg ->
-          Format.eprintf "cannot print %s as .vspec: %s@." name msg;
-          1
-      | ast ->
-          print_string (Spec.Printer.print_machine ast);
-          0)
+  | Some source ->
+      print_string source;
+      0
 
 let lint json dot_dir emit files =
   match emit with
@@ -1524,8 +1518,10 @@ let lint_cmd =
       value & opt (some string) None
       & info [ "emit" ] ~docv:"MACHINE"
           ~doc:
-            "Print a builtin machine as canonical $(b,.vspec) text and exit (the generator \
-             for examples/specs/*.vspec).")
+            "Print a builtin machine's $(b,.vspec) source and exit: the embedded \
+             lib/core/specs file the engine elaborates, with its Config-bound params \
+             unexpanded.  $(docv) is a key such as media-spam or a machine name such as \
+             MEDIA_SPAM.")
   in
   let files =
     Arg.(

@@ -222,14 +222,14 @@ let create ?(config = Config.default) ?(overrides = []) sched =
   in
   (* Map a machine's attack state to the alert taxonomy. *)
   let kind_of_attack_state state =
-    if String.equal state Sip_call_machine.st_cancel_dos then Alert.Cancel_dos
-    else if String.equal state Sip_call_machine.st_hijack then Alert.Call_hijack
-    else if String.equal state Rtp_call_machine.st_bye_dos then Alert.Bye_dos
-    else if String.equal state Rtp_call_machine.st_billing_fraud then Alert.Billing_fraud
-    else if String.equal state Invite_flood_machine.st_flood then Alert.Invite_flood
-    else if String.equal state Media_spam_machine.st_spam then Alert.Media_spam
-    else if String.equal state Media_spam_machine.st_flood then Alert.Rtp_flood
-    else if String.equal state Drdos_machine.st_attack then Alert.Drdos
+    if String.equal state Keys.st_cancel_dos then Alert.Cancel_dos
+    else if String.equal state Keys.st_hijack then Alert.Call_hijack
+    else if String.equal state Keys.st_bye_dos then Alert.Bye_dos
+    else if String.equal state Keys.st_billing_fraud then Alert.Billing_fraud
+    else if String.equal state Keys.st_invite_flood then Alert.Invite_flood
+    else if String.equal state Keys.st_media_spam then Alert.Media_spam
+    else if String.equal state Keys.st_rtp_flood then Alert.Rtp_flood
+    else if String.equal state Keys.st_drdos then Alert.Drdos
     else Alert.Spec_deviation
   in
   let on_alert ~machine ~state ~subject ~detail =
@@ -405,7 +405,7 @@ let feed_flood_detector t msg event =
       let system, _ = Fact_base.flood_detector t.base ~key in
       let faulted =
         contain t ~subject:("dst:" ^ key) ~origin:"flood detector" (fun () ->
-            checked_inject t system ~machine:Invite_flood_machine.machine_name event)
+            checked_inject t system ~machine:Keys.flood_machine event)
       in
       pexit t Obs.Prof.Detect;
       if faulted then begin
@@ -419,14 +419,14 @@ let feed_drdos_detector t (packet : Dsim.Packet.t) event =
   let orphan =
     Efsm.Event.make
       ~args:event.Efsm.Event.args (Efsm.Event.Data "SIP") ~at:event.Efsm.Event.at
-      Drdos_machine.orphan_response
+      Keys.orphan_response
   in
   tick t (fun i -> i.i_inject_drdos);
   trace t (Obs.Trace.Dispatch { target = "drdos"; subject = key });
   penter t Obs.Prof.Detect;
   let faulted =
     contain t ~subject:("victim:" ^ key) ~origin:"drdos detector" (fun () ->
-        checked_inject t system ~machine:Drdos_machine.machine_name orphan)
+        checked_inject t system ~machine:Keys.drdos_machine orphan)
   in
   pexit t Obs.Prof.Detect;
   if faulted then begin
@@ -552,7 +552,7 @@ let handle_rtp t (packet : Dsim.Packet.t) decoded =
     let system, _ = Fact_base.spam_detector t.base ~key:stream_key in
     let faulted =
       contain t ~subject:("stream:" ^ stream_key) ~origin:"spam detector" (fun () ->
-          checked_inject t system ~machine:Media_spam_machine.machine_name event)
+          checked_inject t system ~machine:Keys.spam_machine event)
     in
     pexit t Obs.Prof.Detect;
     if faulted then begin

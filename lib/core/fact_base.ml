@@ -77,22 +77,25 @@ type t = {
   mutable sweep_next : Dsim.Time.t option;
 }
 
-(* A spec depends only on the config, so it is built once per base: on
-   first use, which keeps engine set-up cheap.  A [.vspec] override,
+(* A spec depends only on the config, so it is elaborated once per base:
+   on first use, which keeps engine set-up cheap.  A [.vspec] override,
    keyed by machine name (e.g. "SIP"), replaces the builtin. *)
-let shared_spec ~overrides ~config name build =
-  lazy (match List.assoc_opt name overrides with Some spec -> spec | None -> build config)
+let shared_spec ~overrides ~config name =
+  lazy
+    (match List.assoc_opt name overrides with
+    | Some spec -> spec
+    | None -> Spec_load.spec config name)
 
 let create ?(on_pressure = fun ~subject:_ ~detail:_ -> ()) ?(overrides = []) ~config
     ~timer_host ~on_alert ~on_anomaly () =
   let spec = shared_spec ~overrides ~config in
   {
     config;
-    sip_spec = spec Keys.sip_machine Sip_call_machine.spec;
-    rtp_spec = spec Keys.rtp_machine Rtp_call_machine.spec;
-    flood_spec = spec Invite_flood_machine.machine_name Invite_flood_machine.spec;
-    spam_spec = spec Media_spam_machine.machine_name Media_spam_machine.spec;
-    drdos_spec = spec Drdos_machine.machine_name Drdos_machine.spec;
+    sip_spec = spec Keys.sip_machine;
+    rtp_spec = spec Keys.rtp_machine;
+    flood_spec = spec Keys.flood_machine;
+    spam_spec = spec Keys.spam_machine;
+    drdos_spec = spec Keys.drdos_machine;
     timer_host;
     on_alert;
     on_anomaly;
@@ -343,7 +346,7 @@ let quarantine_detector t kind ~key = ignore (remove_detector t kind ~key)
 
 let rtp_done call =
   Efsm.Machine.is_final call.rtp
-  || String.equal (Efsm.Machine.state call.rtp) Rtp_call_machine.st_init
+  || String.equal (Efsm.Machine.state call.rtp) Keys.st_init
 
 (* Lifecycle timers are armed against an absolute deadline that is also
    recorded on the call, so a checkpoint can re-arm them at the same

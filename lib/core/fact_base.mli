@@ -7,8 +7,9 @@
     after a linger period; the memory model mirrors §7.3's ≈450 B SIP +
     ≈40 B RTP per-call figures alongside the measured footprint.
 
-    The five machine specs are built from the config (or taken from the
-    [overrides]) once per base, when the first record needs them, and
+    The five machine specs are elaborated from their [.vspec] sources
+    under the config (or taken from the [overrides]; see {!Spec_load})
+    once per base, when the first record needs them, and
     every record shares them: a record owns only its machines' state,
     variables, history and timers.
 

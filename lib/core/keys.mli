@@ -1,5 +1,6 @@
-(** Names of event parameters, state variables and synchronization messages
-    shared by the protocol machines and the event distributor. *)
+(** Names shared by the event distributor and the machine specs: event
+    parameters, event names, machine names and the states the engine
+    maps to alerts. *)
 
 (** {1 Event parameter names (the input vector x̄)} *)
 
@@ -54,29 +55,45 @@ val response : string
 
 val rtp_packet : string
 
-(** {1 Synchronization messages (the δ events of Figures 2 and 5)} *)
+val orphan_response : string
+(** A SIP response that matches no known call, fed to the DRDoS machine. *)
 
-val delta_media_offer : string
-(** SIP → RTP: caller's media description from the INVITE. *)
+(** {1 Machine names}
 
-val delta_media_answer : string
-(** SIP → RTP: callee's media description from the 2xx. *)
-
-val delta_bye : string
-(** SIP → RTP: a BYE passed through; argument [bye_sender_ip]. *)
-
-val bye_sender_ip : string
-
-(** {1 Machine names within a call's system} *)
+    The machines themselves are the [.vspec] sources in [lib/core/specs/]
+    ({!Spec_load}); these are the names the engine instantiates and
+    injects into. *)
 
 val sip_machine : string
 
 val rtp_machine : string
 
-(** {1 Global (cross-machine) variable names} *)
+val flood_machine : string
 
-val g_caller_media : string
+val spam_machine : string
 
-val g_callee_media : string
+val drdos_machine : string
 
-val g_codec : string
+(** {1 States the engine matches on}
+
+    [st_init], and the attack states it maps to alert kinds. *)
+
+val st_init : string
+(** Every builtin's initial state; an RTP machine still in it never saw
+    a media offer. *)
+
+val st_cancel_dos : string
+
+val st_hijack : string
+
+val st_bye_dos : string
+
+val st_billing_fraud : string
+
+val st_invite_flood : string
+
+val st_media_spam : string
+
+val st_rtp_flood : string
+
+val st_drdos : string

@@ -1,39 +1,168 @@
-let known_machines =
-  [
-    Keys.sip_machine;
-    Keys.rtp_machine;
-    Invite_flood_machine.machine_name;
-    Media_spam_machine.machine_name;
-    Drdos_machine.machine_name;
-  ]
+module E = Efsm.Event
+module I = Efsm.Ir
+module Env = Efsm.Env
+module V = Efsm.Value
+
+(* ------------------------------------------------------------------ *)
+(* Host registry: the media-spam machine's externs and the params     *)
+(* ------------------------------------------------------------------ *)
+
+(* The media-spam machine's variables (media_spam.vspec) the externs
+   read and write. *)
+let l_ssrc = "l_ssrc"
+let l_seq = "l_sequence_number"
+let l_ts = "l_time_stamp"
+let l_count = "l_window_count"
+let local n = (Env.Local, n)
+let get_int env name = match Env.get env Env.Local name with V.Int n -> n | _ -> 0
+
+(* The paper's spam predicate:
+   (x.time_stamp_{i+1} - v.time_stamp_i > Δt) or
+   (x.sequence_number_{i+1} - v.sequence_number_i > Δn),
+   extended with an SSRC identity check, a replay (deep reorder) check, and
+   a talkspurt refinement: a packet whose sequence number is consecutive
+   may jump further in timestamp (silence suppression emits no packets but
+   the media clock keeps running — the paper's own codec settings enable
+   SAD, which the raw rule would flag).  An injector cannot hide behind the
+   refinement without giving up the sequence-number advance it needs for
+   its packets to win the receiver's playout.
+
+   The wraparound deltas are beyond the IR's linear arithmetic, so the
+   predicate stays an opaque escape hatch with declared reads; sharing one
+   [pred_name] between the [spam] and [in_order] guards is what lets the
+   solver still discharge their disjointness propositionally. *)
+let is_spam config env event =
+  let ssrc_mismatch = not (V.equal (E.arg event Keys.ssrc) (Env.get env Env.Local l_ssrc)) in
+  ssrc_mismatch
+  ||
+  let seq_jump = Rtp.Rtp_packet.seq_delta (get_int env l_seq) (E.arg_int event Keys.seq) in
+  let ts_jump =
+    Rtp.Rtp_packet.ts_delta
+      (Int32.of_int (get_int env l_ts))
+      (Int32.of_int (E.arg_int event Keys.ts))
+  in
+  let ts_limit =
+    if seq_jump >= 1 && seq_jump <= 2 then config.Config.spam_silence_ts_gap
+    else config.Config.spam_ts_gap
+  in
+  seq_jump > config.Config.spam_seq_gap
+  || seq_jump < -config.Config.spam_reorder_tolerance
+  || ts_jump > ts_limit
+  || ts_jump < -(config.Config.spam_ts_gap * 4)
+
+(* Only move the baseline forward so reordered packets cannot drag it
+   backwards.  The seq_delta comparison wraps, hence opaque. *)
+let advance_baseline =
+  {
+    I.act_name = "advance_baseline";
+    act_reads = [ local l_seq; local l_count ];
+    act_writes = [ local l_seq; local l_ts; local l_count ];
+    act_emits = [];
+    run =
+      (fun env event ->
+        let seq = E.arg_int event Keys.seq in
+        let ts = E.arg_int event Keys.ts in
+        if Rtp.Rtp_packet.seq_delta (get_int env l_seq) seq > 0 then begin
+          Env.set env Env.Local l_seq (V.Int seq);
+          Env.set env Env.Local l_ts (V.Int ts)
+        end;
+        Env.set env Env.Local l_count (V.Int (get_int env l_count + 1));
+        []);
+  }
+
+(* Each [param] a builtin declares is bound by name to the Config field
+   of the same name. *)
+let param config = function
+  | "invite_flood_threshold" -> Some (Spec.Ast.P_int, config.Config.invite_flood_threshold)
+  | "invite_flood_window" -> Some (Spec.Ast.P_duration, config.Config.invite_flood_window)
+  | "rtp_flood_threshold" -> Some (Spec.Ast.P_int, config.Config.rtp_flood_threshold)
+  | "rtp_flood_window" -> Some (Spec.Ast.P_duration, config.Config.rtp_flood_window)
+  | "drdos_threshold" -> Some (Spec.Ast.P_int, config.Config.drdos_threshold)
+  | "drdos_window" -> Some (Spec.Ast.P_duration, config.Config.drdos_window)
+  | "bye_inflight_timer" -> Some (Spec.Ast.P_duration, config.Config.bye_inflight_timer)
+  | _ -> None
 
 let externs config =
   {
     Spec.Elaborate.find_pred =
       (function
-      | "is_spam" -> Some (Media_spam_machine.is_spam_opaque config) | _ -> None);
-    find_act =
-      (function "advance_baseline" -> Some Media_spam_machine.advance_opaque | _ -> None);
+      | "is_spam" ->
+          Some
+            {
+              I.pred_name = "is_spam";
+              pred_reads = [ local l_ssrc; local l_seq; local l_ts ];
+              pred_fields = [ Keys.ssrc; Keys.seq; Keys.ts ];
+              holds = (fun env event -> is_spam config env event);
+            }
+      | _ -> None);
+    find_act = (function "advance_baseline" -> Some advance_baseline | _ -> None);
+    find_param = param config;
   }
 
-let builtins config =
-  [
-    ("sip-call", (Sip_call_machine.spec config, Sip_call_machine.vars));
-    ("rtp-call", (Rtp_call_machine.spec config, Rtp_call_machine.vars));
-    ("invite-flood", (Invite_flood_machine.spec config, Invite_flood_machine.vars));
-    ("media-spam", (Media_spam_machine.spec config, Media_spam_machine.vars));
-    ("drdos", (Drdos_machine.spec config, Drdos_machine.vars));
-  ]
+(* ------------------------------------------------------------------ *)
+(* The builtins: embedded sources, parsed and checked once             *)
+(* ------------------------------------------------------------------ *)
 
-let builtin_for config name =
-  let all = builtins config in
-  match List.assoc_opt name all with
-  | Some _ as found -> found
-  | None ->
-      List.find_map
-        (fun (_, ((spec, _) as entry)) ->
-          if String.equal spec.Efsm.Machine.spec_name name then Some entry else None)
-        all
+type builtin = { key : string; source : string; ast : Spec.Ast.machine }
+
+(* Parsed and checked at module initialisation, so that no engine pays
+   for the AST; each engine elaborates its own specs from it under its
+   config.  A builtin that does not parse or check stops every program
+   at start-up. *)
+let all =
+  let sources =
+    List.map (fun (base, src) -> ("lib/core/specs/" ^ base, src)) Builtin_specs.all
+  in
+  let reject file diags =
+    failwith
+      (String.concat "\n"
+         (Printf.sprintf "%s: builtin machine spec rejected" file
+         :: List.map (Spec.Diag.render ~source:(List.assoc file sources)) diags))
+  in
+  let parsed =
+    List.map
+      (fun (file, source) ->
+        match Spec.Parser.parse ~file source with
+        | [ ast ], [] ->
+            let base = Filename.remove_extension (Filename.basename file) in
+            (file, { key = String.map (function '_' -> '-' | c -> c) base; source; ast })
+        | _, diags -> reject file diags)
+      sources
+  in
+  let known_machines = List.map (fun (_, b) -> b.ast.Spec.Ast.m_name) parsed in
+  List.iter
+    (fun (file, b) ->
+      match
+        Spec.Check.machine ~known_machines ~externs:(externs Config.default) b.ast
+      with
+      | [] -> ()
+      | diags -> reject file diags)
+    parsed;
+  List.map snd parsed
+
+let known_machines = List.map (fun b -> b.ast.Spec.Ast.m_name) all
+
+let sources = List.map (fun b -> (b.key, b.source)) all
+
+let find name =
+  List.find_opt (fun b -> String.equal b.key name || String.equal b.ast.Spec.Ast.m_name name) all
+
+let source_for name = Option.map (fun b -> b.source) (find name)
+
+let elaborate config b =
+  let el = Spec.Elaborate.machine ~externs:(externs config) b.ast in
+  (el.Spec.Elaborate.el_spec, el.Spec.Elaborate.el_vars)
+
+let builtins config = List.map (fun b -> (b.key, elaborate config b)) all
+
+let spec config name =
+  match find name with
+  | Some b -> fst (elaborate config b)
+  | None -> invalid_arg ("Spec_load.spec: no builtin machine " ^ name)
+
+(* ------------------------------------------------------------------ *)
+(* Overrides                                                           *)
+(* ------------------------------------------------------------------ *)
 
 let load_files config paths =
   match

@@ -1,25 +1,38 @@
-(** Loading external [.vspec] machine definitions into the engine.
+(** The builtin machine specs and the host side of the [.vspec] front end.
 
-    Bridges the {!Spec} front end to the builtin machine set: supplies
-    the extern registry (the opaque escape hatches some builtins need),
-    the known sync-target machine names, and the builtin specs in
-    [.vspec]-printable form for [vids-cli lint --emit]. *)
+    The five machines the engine instantiates are defined only by their
+    sources in [lib/core/specs/*.vspec], embedded in the binary, parsed
+    and checked once at start-up.  Each engine elaborates them under its
+    own {!Config.t}: the host registry binds every [param] to the Config
+    field of the same name and supplies the two opaque escape hatches of
+    the media-spam machine. *)
 
 val known_machines : string list
 (** Machine names the engine instantiates — valid [sync] targets and the
     only names an override may use. *)
 
 val externs : Config.t -> Spec.Elaborate.externs
-(** [extern is_spam] / [extern advance_baseline], backed by the
-    media-spam machine's wraparound arithmetic under [config]. *)
+(** The host registry under [config]: [extern is_spam] and [extern
+    advance_baseline] (the media-spam machine's wraparound arithmetic),
+    and the seven params [invite_flood_threshold], [invite_flood_window],
+    [rtp_flood_threshold], [rtp_flood_window], [drdos_threshold],
+    [drdos_window] and [bye_inflight_timer]. *)
 
-val builtins : Config.t -> (string * (Efsm.Machine.spec * Efsm.Ir.decl list)) list
-(** CLI-facing key (e.g. ["media-spam"]) to builtin spec and declared
-    variable domains. *)
+val sources : (string * string) list
+(** CLI key (e.g. ["media-spam"]) to embedded [.vspec] source, in the
+    order the CLI lists the machines. *)
 
-val builtin_for : Config.t -> string -> (Efsm.Machine.spec * Efsm.Ir.decl list) option
+val source_for : string -> string option
 (** Accepts either the CLI key ["media-spam"] or the machine name
     ["MEDIA_SPAM"]. *)
+
+val builtins : Config.t -> (string * (Efsm.Machine.spec * Efsm.Ir.decl list)) list
+(** CLI key to the builtin elaborated under [config], with its declared
+    variable domains for the verifier. *)
+
+val spec : Config.t -> string -> Efsm.Machine.spec
+(** The builtin machine [name] (key or machine name) elaborated under
+    [config].  @raise Invalid_argument on an unknown name. *)
 
 val load_files :
   Config.t -> string list -> ((string * Efsm.Machine.spec) list, string) result

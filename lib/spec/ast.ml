@@ -3,8 +3,8 @@
    The AST is deliberately untyped and context-free: one expression form
    covers predicate, value and integer positions, and [Check] decides
    which {!Efsm.Ir} fragment each node elaborates into.  Every node
-   carries the span of the text it was parsed from; machine-emitted
-   trees ([Printer.of_machine]) carry [Loc.dummy]. *)
+   carries the span of the text it was parsed from; generated trees (the
+   round-trip property's) carry [Loc.dummy]. *)
 
 type lit =
   | L_int of int
@@ -14,6 +14,10 @@ type lit =
 
 (* Variable domains; mirrors [Efsm.Ir.domain]. *)
 type ty = T_int | T_bool | T_str | T_addr | T_enum of lit list
+
+(* A [param] is a host-bound constant: an integer operand, or a duration
+   in microseconds for [set_timer]. *)
+type param_ty = P_int | P_duration
 
 type binop =
   | B_and
@@ -41,13 +45,17 @@ and exp_node =
   | Bin of binop * exp * exp
   | In_set of exp * lit list
 
+(* A [set_timer] delay: a literal (microseconds, [Dsim.Time.t]) or a
+   duration param, spanned for its diagnostics. *)
+type delay = Delay_us of int | Delay_param of string * Loc.span
+
 type act = { a : act_node; a_span : Loc.span }
 
 and act_node =
   | Assign of string * exp
   | If of exp * act list * act list
   | Sync of { target : string; event : string; args : (string * exp) list }
-  | Set_timer of string * int  (* delay in microseconds (Dsim.Time.t) *)
+  | Set_timer of string * delay
   | Cancel_timer of string
   | Extern_act of string
 
@@ -66,10 +74,16 @@ type trans = {
 type scope = S_local | S_global
 
 type item =
+  | I_param of { p_name : string; p_ty : param_ty; p_span : Loc.span }
   | I_var of { v_name : string; v_scope : scope; v_ty : ty; v_span : Loc.span }
   | I_initial of string * Loc.span
   | I_final of (string * Loc.span) list
-  | I_attack of { at_state : string; at_desc : string; at_span : Loc.span }
+  | I_attack of {
+      at_state : string;
+      at_desc : string;  (* may name params as {NAME} *)
+      at_span : Loc.span;
+      at_desc_span : Loc.span;
+    }
   | I_trans of trans
 
 type machine = { m_name : string; m_items : item list; m_span : Loc.span }
@@ -95,6 +109,12 @@ let rec equal_exp a b =
   | In_set (x, xs), In_set (y, ys) -> equal_exp x y && xs = ys
   | _ -> false
 
+let equal_delay a b =
+  match (a, b) with
+  | Delay_us x, Delay_us y -> x = y
+  | Delay_param (x, _), Delay_param (y, _) -> String.equal x y
+  | _ -> false
+
 let rec equal_act a b =
   match (a.a, b.a) with
   | Assign (x, e1), Assign (y, e2) -> String.equal x y && equal_exp e1 e2
@@ -107,7 +127,7 @@ let rec equal_act a b =
       && List.for_all2
            (fun (k1, e1) (k2, e2) -> String.equal k1 k2 && equal_exp e1 e2)
            s1.args s2.args
-  | Set_timer (i, d), Set_timer (j, e) -> String.equal i j && d = e
+  | Set_timer (i, d), Set_timer (j, e) -> String.equal i j && equal_delay d e
   | Cancel_timer i, Cancel_timer j -> String.equal i j
   | Extern_act i, Extern_act j -> String.equal i j
   | _ -> false
@@ -127,6 +147,7 @@ let equal_trans (a : trans) (b : trans) =
 
 let equal_item a b =
   match (a, b) with
+  | I_param x, I_param y -> String.equal x.p_name y.p_name && x.p_ty = y.p_ty
   | I_var x, I_var y ->
       String.equal x.v_name y.v_name && x.v_scope = y.v_scope && equal_ty x.v_ty y.v_ty
   | I_initial (x, _), I_initial (y, _) -> String.equal x y
@@ -144,3 +165,36 @@ let equal_machine a b =
   && List.for_all2 equal_item a.m_items b.m_items
 
 let equal_file a b = List.length a = List.length b && List.for_all2 equal_machine a b
+
+(* Attack descriptions name params as [{NAME}].  A brace that does not
+   enclose an identifier is literal text. *)
+
+let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+
+let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
+
+(* [expand_placeholders f s] replaces each [{NAME}] in [s] by [f NAME]. *)
+let expand_placeholders f s =
+  let n = String.length s in
+  let b = Buffer.create n in
+  let rec ident_end j = if j < n && is_ident_char s.[j] then ident_end (j + 1) else j in
+  let rec go i =
+    if i < n then begin
+      let j = if s.[i] = '{' && i + 1 < n && is_ident_start s.[i + 1] then ident_end (i + 1) else i in
+      if j > i && j < n && s.[j] = '}' then begin
+        Buffer.add_string b (f (String.sub s (i + 1) (j - i - 1)));
+        go (j + 1)
+      end
+      else begin
+        Buffer.add_char b s.[i];
+        go (i + 1)
+      end
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+let placeholders s =
+  let names = ref [] in
+  ignore (expand_placeholders (fun name -> names := name :: !names; "") s);
+  List.rev !names

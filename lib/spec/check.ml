@@ -2,6 +2,7 @@ type ctx = {
   known_machines : string list;
   externs : Elaborate.externs;
   vars : (string * (Ast.scope * Ast.ty)) list;
+  params : (string * Ast.param_ty) list;
   mutable diags : Diag.t list;  (* reversed *)
 }
 
@@ -13,6 +14,8 @@ let ty_name = function
   | Ast.T_str -> "string"
   | Ast.T_addr -> "addr"
   | Ast.T_enum _ -> "enum"
+
+let param_ty_name = function Ast.P_int -> "int" | Ast.P_duration -> "duration"
 
 let ty_of_lit = function
   | Ast.L_int _ -> Some Ast.T_int
@@ -30,12 +33,23 @@ let conflict a b =
 
 let lookup_var ctx name = List.assoc_opt name ctx.vars
 
+let is_param ctx name = List.mem_assoc name ctx.params
+
+(* An int param reads as an int value; a duration param is only a
+   [set_timer] delay. *)
 let resolve ctx span name =
   match lookup_var ctx name with
   | Some (_, ty) -> Some ty
-  | None ->
-      err ctx Diag.Unbound_var span (Printf.sprintf "undeclared variable %s" name);
-      None
+  | None -> (
+      match List.assoc_opt name ctx.params with
+      | Some Ast.P_int -> Some Ast.T_int
+      | Some Ast.P_duration ->
+          err ctx Diag.Type_mismatch span
+            (Printf.sprintf "%s is a duration param: it can only be a set_timer delay" name);
+          None
+      | None ->
+          err ctx Diag.Unbound_var span (Printf.sprintf "undeclared variable %s" name);
+          None)
 
 let is_pred_shaped = Elaborate.is_pred_shaped
 
@@ -101,6 +115,7 @@ and check_iexpr ctx (e : Ast.exp) =
   | Ast.Bin ((Ast.B_add | Ast.B_sub), a, b) ->
       check_iexpr ctx a;
       check_iexpr ctx b
+  | Ast.Ident name when is_param ctx name -> ignore (resolve ctx e.Ast.e_span name)
   | Ast.Ident name ->
       ignore (resolve ctx e.Ast.e_span name);
       err ctx Diag.Type_mismatch e.Ast.e_span
@@ -164,6 +179,9 @@ let lit_in_enum lit lits = List.exists (fun l -> l = lit) lits
 
 let check_assign ctx span name (rhs : Ast.exp) =
   match lookup_var ctx name with
+  | None when is_param ctx name ->
+      err ctx Diag.Type_mismatch span
+        (Printf.sprintf "cannot assign to param %s: params are read-only" name)
   | None -> err ctx Diag.Unbound_var span (Printf.sprintf "undeclared variable %s" name)
   | Some (_, declared) -> (
       let inferred = check_expr ctx rhs in
@@ -194,13 +212,21 @@ let rec check_act ctx (act : Ast.act) =
           (Printf.sprintf "unknown sync target machine %s (known: %s)" target
              (String.concat ", " ctx.known_machines));
       List.iter (fun (_, e) -> ignore (check_expr ctx e)) args
-  | Ast.Set_timer _ | Ast.Cancel_timer _ -> ()
+  | Ast.Set_timer (_, Ast.Delay_param (name, span)) -> (
+      match List.assoc_opt name ctx.params with
+      | Some Ast.P_duration -> ()
+      | Some Ast.P_int ->
+          err ctx Diag.Type_mismatch span
+            (Printf.sprintf "%s is an int param: set_timer needs a duration" name)
+      | None -> err ctx Diag.Unbound_var span (Printf.sprintf "undeclared param %s" name))
+  | Ast.Set_timer (_, Ast.Delay_us _) | Ast.Cancel_timer _ -> ()
   | Ast.Extern_act name ->
       if ctx.externs.Elaborate.find_act name = None then
         err ctx Diag.Unknown_extern act.Ast.a_span
           (Printf.sprintf "no extern action %s is registered" name)
 
-(* Declaration-level structure: duplicates and missing initial. *)
+(* Declaration-level structure: duplicates, missing initial, params the
+   host does not bind and description placeholders naming no param. *)
 let check_structure ctx (m : Ast.machine) =
   let seen_vars = Hashtbl.create 8 in
   let seen_labels = Hashtbl.create 8 in
@@ -210,6 +236,20 @@ let check_structure ctx (m : Ast.machine) =
   List.iter
     (fun item ->
       match item with
+      | Ast.I_param { p_name; p_ty; p_span } -> (
+          if Hashtbl.mem seen_vars p_name then
+            err ctx Diag.Dup_label p_span
+              (Printf.sprintf "variable %s is declared twice" p_name)
+          else Hashtbl.add seen_vars p_name ();
+          match ctx.externs.Elaborate.find_param p_name with
+          | None ->
+              err ctx Diag.Unknown_extern p_span
+                (Printf.sprintf "no host binding for param %s" p_name)
+          | Some (bound, _) when bound <> p_ty ->
+              err ctx Diag.Type_mismatch p_span
+                (Printf.sprintf "param %s is declared %s but the host binds a %s" p_name
+                   (param_ty_name p_ty) (param_ty_name bound))
+          | Some _ -> ())
       | Ast.I_var { v_name; v_span; _ } ->
           if Hashtbl.mem seen_vars v_name then
             err ctx Diag.Dup_label v_span
@@ -233,7 +273,13 @@ let check_structure ctx (m : Ast.machine) =
                     (Printf.sprintf "state %s is declared both final and attack" s)
               end)
             states
-      | Ast.I_attack { at_state; at_span; _ } ->
+      | Ast.I_attack { at_state; at_desc; at_span; at_desc_span } ->
+          List.iter
+            (fun name ->
+              if not (is_param ctx name) then
+                err ctx Diag.Unbound_var at_desc_span
+                  (Printf.sprintf "the description names {%s}, which is not a param" name))
+            (Ast.placeholders at_desc);
           if List.mem_assoc at_state !attacks then
             err ctx Diag.Dup_state at_span
               (Printf.sprintf "state %s is declared attack twice" at_state)
@@ -261,7 +307,12 @@ let machine ~known_machines ~externs (m : Ast.machine) =
         | _ -> None)
       m.Ast.m_items
   in
-  let ctx = { known_machines; externs; vars; diags = [] } in
+  let params =
+    List.filter_map
+      (function Ast.I_param { p_name; p_ty; _ } -> Some (p_name, p_ty) | _ -> None)
+      m.Ast.m_items
+  in
+  let ctx = { known_machines; externs; vars; params; diags = [] } in
   check_structure ctx m;
   List.iter
     (fun item ->

@@ -3,8 +3,8 @@
     Validates everything the elaborator will rely on — declared
     variables, operator typing over the {!Efsm.Ir} linear-int/value
     fragment, duplicate states and labels, sync targets, extern
-    references, enum domains — and reports each defect as a positioned
-    {!Diag.t}.  Never raises. *)
+    references and param bindings, enum domains — and reports each
+    defect as a positioned {!Diag.t}.  Never raises. *)
 
 val machine :
   known_machines:string list ->

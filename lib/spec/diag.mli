@@ -10,13 +10,17 @@ type severity = Error | Warning
 (** Diagnostic classes.  One constructor per kind of defect the front
     end detects; {!code_to_string} gives the stable wire name. *)
 type code =
-  | Lex  (** Unrecognized character, unterminated string, bad escape. *)
+  | Lex
+      (** Unrecognized character, unterminated string, bad escape,
+          out-of-range number. *)
   | Parse  (** Grammar violation. *)
   | Unbound_var  (** Reference to an undeclared variable. *)
   | Type_mismatch  (** Operand/assignment type conflict, arity errors. *)
   | Dup_state  (** State declared twice (initial/final/attack). *)
   | Unknown_sync  (** [sync] target machine that exists nowhere. *)
-  | Unknown_extern  (** [extern] name with no registered implementation. *)
+  | Unknown_extern
+      (** [extern] name with no registered implementation, or a [param]
+          the host does not bind. *)
   | Out_of_domain  (** Constant outside a variable's declared domain. *)
   | Dup_label  (** Duplicate transition label or machine name. *)
   | Structure  (** Missing initial state, [Machine.validate_spec] failures. *)

@@ -5,9 +5,11 @@ module V = Efsm.Value
 type externs = {
   find_pred : string -> I.opaque_pred option;
   find_act : string -> M.effect I.opaque_act option;
+  find_param : string -> (Ast.param_ty * int) option;
 }
 
-let no_externs = { find_pred = (fun _ -> None); find_act = (fun _ -> None) }
+let no_externs =
+  { find_pred = (fun _ -> None); find_act = (fun _ -> None); find_param = (fun _ -> None) }
 
 type elaborated = {
   el_spec : M.spec;
@@ -50,7 +52,11 @@ let is_pred_shaped (e : Ast.exp) =
   | Ast.Call ("has", _) -> true
   | _ -> false
 
-type env = { externs : externs; scope_of : string -> Efsm.Env.scope }
+type env = {
+  externs : externs;
+  scope_of : string -> Efsm.Env.scope;
+  param_of : string -> int option;  (* a declared param's bound value *)
+}
 
 (* Left-associative chains of the same operator flatten back into the
    n-ary [And]/[Or] the builtin specs use, so [a && b && c] elaborates
@@ -85,6 +91,7 @@ let rec elab_pred env (e : Ast.exp) : I.pred =
 and elab_iexpr env (e : Ast.exp) : I.iexpr =
   match e.Ast.e with
   | Ast.Lit (Ast.L_int n) -> I.Int_const n
+  | Ast.Ident name -> I.Int_const (Option.value (env.param_of name) ~default:0)
   | Ast.Call ("int", [ a ]) -> I.Int_of (elab_expr env a)
   | Ast.Call ("int0", [ a ]) -> I.Int_or0 (elab_expr env a)
   | Ast.Bin (Ast.B_add, a, b) -> I.Add (elab_iexpr env a, elab_iexpr env b)
@@ -94,7 +101,10 @@ and elab_iexpr env (e : Ast.exp) : I.iexpr =
 and elab_expr env (e : Ast.exp) : I.expr =
   match e.Ast.e with
   | Ast.Lit l -> I.Const (value_of_lit l)
-  | Ast.Ident name -> I.Var (env.scope_of name, name)
+  | Ast.Ident name -> (
+      match env.param_of name with
+      | Some n -> I.Const (V.Int n)
+      | None -> I.Var (env.scope_of name, name))
   | Ast.Fieldref f -> I.Field f
   | Ast.Call ("addr", [ h; p ]) -> I.Mk_addr (elab_expr env h, elab_expr env p)
   | Ast.Call ("host", [ a ]) -> I.Addr_host (elab_expr env a)
@@ -116,7 +126,9 @@ let rec elab_act env (act : Ast.act) : M.effect I.act list =
             args = List.map (fun (k, e) -> (k, elab_expr env e)) args;
           };
       ]
-  | Ast.Set_timer (id, us) -> [ I.Set_timer { id; delay = us } ]
+  | Ast.Set_timer (id, Ast.Delay_us us) -> [ I.Set_timer { id; delay = us } ]
+  | Ast.Set_timer (id, Ast.Delay_param (name, _)) ->
+      [ I.Set_timer { id; delay = Option.value (env.param_of name) ~default:0 } ]
   | Ast.Cancel_timer id -> [ I.Cancel_timer id ]
   | Ast.Extern_act name -> (
       match env.externs.find_act name with Some o -> [ I.Opaque_act o ] | None -> [])
@@ -148,7 +160,25 @@ let machine ~externs (m : Ast.machine) =
     | Some ((scope, _), _) -> scope
     | None -> Efsm.Env.Local
   in
-  let env = { externs; scope_of } in
+  let params =
+    List.filter_map
+      (function
+        | Ast.I_param { p_name; _ } ->
+            Option.map (fun binding -> (p_name, binding)) (externs.find_param p_name)
+        | _ -> None)
+      m.Ast.m_items
+  in
+  let param_of name = Option.map snd (List.assoc_opt name params) in
+  let env = { externs; scope_of; param_of } in
+  let describe desc =
+    Ast.expand_placeholders
+      (fun name ->
+        match List.assoc_opt name params with
+        | Some (Ast.P_int, n) -> string_of_int n
+        | Some (Ast.P_duration, us) -> Printer.print_duration us
+        | None -> "{" ^ name ^ "}")
+      desc
+  in
   let initial =
     match
       List.find_map (function Ast.I_initial (s, _) -> Some s | _ -> None) m.Ast.m_items
@@ -164,7 +194,8 @@ let machine ~externs (m : Ast.machine) =
   let attacks =
     List.filter_map
       (function
-        | Ast.I_attack { at_state; at_desc; _ } -> Some (at_state, at_desc) | _ -> None)
+        | Ast.I_attack { at_state; at_desc; _ } -> Some (at_state, describe at_desc)
+        | _ -> None)
       m.Ast.m_items
   in
   let transitions =
@@ -191,7 +222,7 @@ let machine ~externs (m : Ast.machine) =
         | Ast.I_final states -> List.fold_left add acc states
         | Ast.I_attack { at_state; at_span; _ } -> add acc (at_state, at_span)
         | Ast.I_trans t -> add (add acc (t.Ast.t_from, t.Ast.t_span)) (t.Ast.t_to, t.Ast.t_span)
-        | Ast.I_var _ -> acc)
+        | Ast.I_param _ | Ast.I_var _ -> acc)
       [] m.Ast.m_items
     |> List.rev
   in

@@ -13,15 +13,21 @@
     comparisons ([Ir.Cmp]) whose operands must be integer-shaped (an
     integer literal, [int(e)], [int0(e)], or [+]/[-] arithmetic); an
     integer-shaped expression in value position is wrapped in [Of_int], a
-    predicate-shaped one in [Of_pred]. *)
+    predicate-shaped one in [Of_pred].  A [param] is replaced by the
+    value its host binding gives it: an [int] param by an integer
+    constant, a [duration] param by a [set_timer] delay, and [{NAME}] in
+    an attack description by the value's literal text ([6], [250ms]). *)
 
 type externs = {
   find_pred : string -> Efsm.Ir.opaque_pred option;
   find_act : string -> Efsm.Machine.effect Efsm.Ir.opaque_act option;
+  find_param : string -> (Ast.param_ty * int) option;
+      (** A param's type and value (microseconds for a duration). *)
 }
-(** Registry for [extern] escape hatches: guards and actions (like the
-    RTP wraparound arithmetic of the media-spam machine) that the linear
-    IR cannot express.  Supplied by the host at load time. *)
+(** The host registry: [extern] escape hatches — guards and actions
+    (like the RTP wraparound arithmetic of the media-spam machine) that
+    the linear IR cannot express — and the values [param]s are bound
+    to.  Supplied by the host at load time. *)
 
 val no_externs : externs
 

@@ -74,9 +74,6 @@ let load_sources ?(known_machines = []) ~externs sources =
   in
   (loaded, parse_diags @ dup_diags @ check_diags)
 
-let load_string ?known_machines ~externs ~file src =
-  load_sources ?known_machines ~externs [ (file, src) ]
-
 let read_file path =
   match open_in_bin path with
   | exception Sys_error e -> Error e

@@ -25,16 +25,6 @@ val load_sources :
     {!Efsm.Machine.validate_spec}; a failure is reported as a
     [Diag.Structure] error and the machine is dropped. *)
 
-val load_string :
-  ?known_machines:string list ->
-  externs:Elaborate.externs ->
-  file:string ->
-  string ->
-  loaded list * Diag.t list
-
-val read_file : string -> (string, string) result
-(** Whole-file read; [Error] carries a printable message. *)
-
 val load_files :
   ?known_machines:string list ->
   externs:Elaborate.externs ->

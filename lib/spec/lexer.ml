@@ -90,23 +90,35 @@ let emit st kind s = st.toks <- { kind; span = { Loc.s; e = here st } } :: st.to
 let diag st s message =
   st.diags <- Diag.error Diag.Lex { Loc.s; e = here st } message :: st.diags
 
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let is_ident_start = Ast.is_ident_start
 
-let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
+let is_ident_char = Ast.is_ident_char
 
 let is_digit c = c >= '0' && c <= '9'
 
+(* The scanners below index [src] directly: every program lexes the
+   builtin specs at start-up, so they allocate per token, not per
+   character. *)
 let read_while st pred =
-  let b = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | Some c when pred c ->
-        Buffer.add_char b c;
+  let start = st.pos in
+  while st.pos < String.length st.src && pred st.src.[st.pos] do
+    advance st
+  done;
+  String.sub st.src start (st.pos - start)
+
+(* Blanks, and comments from [#] to end of line. *)
+let rec skip_blank st =
+  if st.pos < String.length st.src then
+    match st.src.[st.pos] with
+    | ' ' | '\t' | '\r' | '\n' ->
         advance st;
-        go ()
-    | _ -> Buffer.contents b
-  in
-  go ()
+        skip_blank st
+    | '#' ->
+        while st.pos < String.length st.src && st.src.[st.pos] <> '\n' do
+          advance st
+        done;
+        skip_blank st
+    | _ -> ()
 
 let read_string st start =
   advance st (* opening quote *);
@@ -157,20 +169,31 @@ let read_string st start =
 
 let read_number st start =
   let digits = read_while st is_digit in
-  let n = try int_of_string digits with _ -> 0 in
+  (* Out of range is a diagnostic and 0, never a silently different
+     number. *)
+  let value ~scale text =
+    match int_of_string_opt digits with
+    | Some n when n <= max_int / scale -> n * scale
+    | _ ->
+        diag st start (Printf.sprintf "%s is out of range" text);
+        0
+  in
   (* A duration is digits immediately followed by a unit suffix. *)
   match peek st with
   | Some c when is_ident_start c -> (
       let suffix = read_while st is_ident_char in
+      let duration scale =
+        emit st (DURATION (value ~scale ("duration " ^ digits ^ suffix))) start
+      in
       match suffix with
-      | "s" -> emit st (DURATION (n * 1_000_000)) start
-      | "ms" -> emit st (DURATION (n * 1_000)) start
-      | "us" -> emit st (DURATION n) start
+      | "s" -> duration 1_000_000
+      | "ms" -> duration 1_000
+      | "us" -> duration 1
       | _ ->
           diag st start
             (Printf.sprintf "bad numeric suffix %S (expected s, ms or us)" suffix);
-          emit st (INT n) start)
-  | _ -> emit st (INT n) start
+          emit st (INT 0) start)
+  | _ -> emit st (INT (value ~scale:1 ("integer " ^ digits))) start
 
 let tokenize ~file src =
   let st = { file; src; pos = 0; line = 1; col = 1; toks = []; diags = [] } in
@@ -184,22 +207,10 @@ let tokenize ~file src =
     else emit st kind_one start
   in
   let rec go () =
+    skip_blank st;
     let start = here st in
     match peek st with
     | None -> emit st EOF start
-    | Some (' ' | '\t' | '\r' | '\n') ->
-        advance st;
-        go ()
-    | Some '#' ->
-        let rec skip () =
-          match peek st with
-          | Some '\n' | None -> ()
-          | Some _ ->
-              advance st;
-              skip ()
-        in
-        skip ();
-        go ()
     | Some '"' ->
         read_string st start;
         go ()

@@ -4,7 +4,8 @@
     lexer skips forward, so the parser always receives a token stream
     ending in {!EOF}.  Comments run from [#] to end of line.  Duration
     literals are an integer immediately followed by [s], [ms] or [us]
-    and carry microseconds. *)
+    and carry microseconds.  A literal beyond [max_int] (microseconds,
+    for a duration) is a [Diag.Lex] diagnostic and lexes as 0. *)
 
 type kind =
   | IDENT of string

@@ -11,7 +11,7 @@ type span = { s : pos; e : pos }
 (** Half-open: [e] is the position just past the last character. *)
 
 val dummy : span
-(** For synthesized nodes (e.g. machine-emitted specs); renders as
+(** For synthesized nodes (e.g. generated ASTs); renders as
     [<none>:0:0]. *)
 
 val is_dummy : span -> bool

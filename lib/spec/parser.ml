@@ -265,13 +265,17 @@ and parse_primary st =
       bump st;
       { Ast.e = Ast.Lit Ast.L_unset; e_span = sp }
 
-let parse_duration st =
+let parse_delay st =
   match cur_kind st with
   | L.DURATION us ->
       bump st;
-      Some us
+      Some (Ast.Delay_us us)
+  | L.IDENT name ->
+      let sp = cur_span st in
+      bump st;
+      Some (Ast.Delay_param (name, sp))
   | _ ->
-      expected st "a duration (e.g. 250ms, 1s)";
+      expected st "a duration (e.g. 250ms, 1s) or a duration param";
       None
 
 let rec parse_act st : Ast.act option =
@@ -336,7 +340,7 @@ let rec parse_act st : Ast.act option =
           recover st;
           None
       | Some (id, _) -> (
-          match parse_duration st with
+          match parse_delay st with
           | None ->
               recover st;
               None
@@ -430,6 +434,33 @@ let parse_ty st : Ast.ty option =
       expected st "a type (int, bool, string, addr or enum)";
       None
 
+let parse_param st sp =
+  match ident st "a param name" with
+  | None ->
+      recover st;
+      None
+  | Some (name, nsp) -> (
+      if not (eat st L.COLON "':'") then begin
+        recover st;
+        None
+      end
+      else
+        let ty =
+          match cur_kind st with
+          | L.IDENT "int" -> Some Ast.P_int
+          | L.IDENT "duration" -> Some Ast.P_duration
+          | _ -> None
+        in
+        match ty with
+        | None ->
+            expected st "a param type (int or duration)";
+            recover st;
+            None
+        | Some p_ty ->
+            bump st;
+            ignore (eat st L.SEMI "';'");
+            Some (Ast.I_param { p_name = name; p_ty; p_span = Loc.merge sp nsp }))
+
 let parse_var st ~scope sp =
   match ident st "a variable name" with
   | None ->
@@ -501,7 +532,8 @@ let parse_trans st sp =
 
 let parse_item st : Ast.item option =
   let sp = cur_span st in
-  if eat_keyword st "var" then parse_var st ~scope:Ast.S_local sp
+  if eat_keyword st "param" then parse_param st sp
+  else if eat_keyword st "var" then parse_var st ~scope:Ast.S_local sp
   else if eat_keyword st "global" then parse_var st ~scope:Ast.S_global sp
   else if eat_keyword st "initial" then (
     match ident st "a state name" with
@@ -538,16 +570,19 @@ let parse_item st : Ast.item option =
     | Some (name, nsp) -> (
         match cur_kind st with
         | L.STRING desc ->
+            let at_desc_span = cur_span st in
             bump st;
             ignore (eat st L.SEMI "';'");
-            Some (Ast.I_attack { at_state = name; at_desc = desc; at_span = Loc.merge sp nsp })
+            Some
+              (Ast.I_attack
+                 { at_state = name; at_desc = desc; at_span = Loc.merge sp nsp; at_desc_span })
         | _ ->
             expected st "an alert description string";
             recover st;
             None))
   else if eat_keyword st "trans" then parse_trans st sp
   else begin
-    expected st "a declaration (var, global, initial, final, attack or trans)";
+    expected st "a declaration (param, var, global, initial, final, attack or trans)";
     recover st;
     None
   end

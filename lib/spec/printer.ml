@@ -1,12 +1,3 @@
-module I = Efsm.Ir
-module M = Efsm.Machine
-
-exception Unprintable of string
-
-(* ------------------------------------------------------------------ *)
-(* Canonical printing                                                  *)
-(* ------------------------------------------------------------------ *)
-
 let escape s =
   let b = Buffer.create (String.length s + 2) in
   String.iter
@@ -114,8 +105,11 @@ let rec print_act buf indent (act : Ast.act) =
         (Printf.sprintf "%ssync %s.%s(%s);\n" pad target event
            (String.concat ", "
               (List.map (fun (k, e) -> Printf.sprintf "%s: %s" k (print_exp e)) args)))
-  | Ast.Set_timer (id, us) ->
-      Buffer.add_string buf (Printf.sprintf "%sset_timer %s %s;\n" pad id (print_duration us))
+  | Ast.Set_timer (id, delay) ->
+      let delay =
+        match delay with Ast.Delay_us us -> print_duration us | Ast.Delay_param (n, _) -> n
+      in
+      Buffer.add_string buf (Printf.sprintf "%sset_timer %s %s;\n" pad id delay)
   | Ast.Cancel_timer id -> Buffer.add_string buf (Printf.sprintf "%scancel_timer %s;\n" pad id)
   | Ast.Extern_act n -> Buffer.add_string buf (Printf.sprintf "%sextern %s;\n" pad n)
 
@@ -141,6 +135,10 @@ let print_trans buf (t : Ast.trans) =
   end
 
 let print_item buf = function
+  | Ast.I_param { p_name; p_ty; _ } ->
+      Buffer.add_string buf
+        (Printf.sprintf "  param %s : %s;\n" p_name
+           (match p_ty with Ast.P_int -> "int" | Ast.P_duration -> "duration"))
   | Ast.I_var { v_name; v_scope; v_ty; _ } ->
       Buffer.add_string buf
         (Printf.sprintf "  %s %s : %s;\n"
@@ -174,137 +172,3 @@ let print_machine (m : Ast.machine) =
   Buffer.contents buf
 
 let print_file machines = String.concat "\n" (List.map print_machine machines)
-
-(* ------------------------------------------------------------------ *)
-(* Unelaboration: Efsm.Machine.spec -> Ast                             *)
-(* ------------------------------------------------------------------ *)
-
-let dummy e = { Ast.e; e_span = Loc.dummy }
-
-let dummy_act a = { Ast.a; a_span = Loc.dummy }
-
-let lit_of_value = function
-  | Efsm.Value.Int n -> Ast.L_int n
-  | Efsm.Value.Str s -> Ast.L_str s
-  | Efsm.Value.Bool b -> Ast.L_bool b
-  | Efsm.Value.Unset -> Ast.L_unset
-  | Efsm.Value.Float _ -> raise (Unprintable "float constants have no surface syntax")
-  | Efsm.Value.Addr _ -> raise (Unprintable "use addr(host, port) instead of address constants")
-
-let cmp_op = function
-  | I.Lt -> Ast.B_lt
-  | I.Le -> Ast.B_le
-  | I.Gt -> Ast.B_gt
-  | I.Ge -> Ast.B_ge
-  | I.Ieq -> Ast.B_ieq
-  | I.Ine -> Ast.B_ine
-
-let left_chain op = function
-  | [] -> dummy (Ast.Lit (Ast.L_bool (op = Ast.B_and)))
-  | first :: rest -> List.fold_left (fun acc e -> dummy (Ast.Bin (op, acc, e))) first rest
-
-let rec exp_of_pred = function
-  | I.True -> dummy (Ast.Lit (Ast.L_bool true))
-  | I.False -> dummy (Ast.Lit (Ast.L_bool false))
-  | I.Not p -> dummy (Ast.Not (exp_of_pred p))
-  | I.And ps -> left_chain Ast.B_and (List.map exp_of_pred ps)
-  | I.Or ps -> left_chain Ast.B_or (List.map exp_of_pred ps)
-  | I.Eq (a, b) -> dummy (Ast.Bin (Ast.B_eq, exp_of_expr a, exp_of_expr b))
-  | I.Member (e, vs) -> dummy (Ast.In_set (exp_of_expr e, List.map lit_of_value vs))
-  | I.Cmp (c, a, b) -> dummy (Ast.Bin (cmp_op c, exp_of_iexpr a, exp_of_iexpr b))
-  | I.Has_field f -> dummy (Ast.Call ("has", [ dummy (Ast.Fieldref f) ]))
-  | I.Opaque o -> dummy (Ast.Extern_ref o.I.pred_name)
-
-and exp_of_expr = function
-  | I.Const v -> (
-      match v with
-      | Efsm.Value.Addr (h, p) ->
-          dummy
-            (Ast.Call
-               ("addr", [ dummy (Ast.Lit (Ast.L_str h)); dummy (Ast.Lit (Ast.L_int p)) ]))
-      | v -> dummy (Ast.Lit (lit_of_value v)))
-  | I.Var (_, name) -> dummy (Ast.Ident name)
-  | I.Field f -> dummy (Ast.Fieldref f)
-  | I.Mk_addr (h, p) -> dummy (Ast.Call ("addr", [ exp_of_expr h; exp_of_expr p ]))
-  | I.Addr_host e -> dummy (Ast.Call ("host", [ exp_of_expr e ]))
-  | I.Of_int ie -> exp_of_iexpr ie
-  | I.Of_pred p -> exp_of_pred p
-
-and exp_of_iexpr = function
-  | I.Int_const n -> dummy (Ast.Lit (Ast.L_int n))
-  | I.Int_of e -> dummy (Ast.Call ("int", [ exp_of_expr e ]))
-  | I.Int_or0 e -> dummy (Ast.Call ("int0", [ exp_of_expr e ]))
-  | I.Add (a, b) -> dummy (Ast.Bin (Ast.B_add, exp_of_iexpr a, exp_of_iexpr b))
-  | I.Sub (a, b) -> dummy (Ast.Bin (Ast.B_sub, exp_of_iexpr a, exp_of_iexpr b))
-
-let rec act_of = function
-  | I.Assign ((_, name), e) -> dummy_act (Ast.Assign (name, exp_of_expr e))
-  | I.If (p, then_acts, else_acts) ->
-      dummy_act (Ast.If (exp_of_pred p, List.map act_of then_acts, List.map act_of else_acts))
-  | I.Send_sync { target; event_name; args } ->
-      dummy_act
-        (Ast.Sync
-           {
-             target;
-             event = event_name;
-             args = List.map (fun (k, e) -> (k, exp_of_expr e)) args;
-           })
-  | I.Set_timer { id; delay } -> dummy_act (Ast.Set_timer (id, delay))
-  | I.Cancel_timer id -> dummy_act (Ast.Cancel_timer id)
-  | I.Opaque_act o -> dummy_act (Ast.Extern_act o.I.act_name)
-
-let ty_of_domain = function
-  | I.D_int -> Ast.T_int
-  | I.D_bool -> Ast.T_bool
-  | I.D_str -> Ast.T_str
-  | I.D_addr -> Ast.T_addr
-  | I.D_enum vs -> Ast.T_enum (List.map lit_of_value vs)
-
-let trigger_of = function
-  | M.On_event name -> (Ast.Tg_event, name)
-  | M.On_channel name -> (Ast.Tg_channel, name)
-  | M.On_sync name -> (Ast.Tg_sync, name)
-  | M.On_timer name -> (Ast.Tg_timer, name)
-
-let trans_of (t : M.transition) =
-  match t.M.syntax with
-  | None ->
-      raise
-        (Unprintable
-           (Printf.sprintf "transition %s is built from raw closures (no IR syntax)"
-              t.M.label))
-  | Some { I.guard; acts } ->
-      {
-        Ast.t_label = t.M.label;
-        t_from = t.M.from_state;
-        t_to = t.M.to_state;
-        t_trigger = trigger_of t.M.trigger;
-        t_guard = (match guard with I.True -> None | g -> Some (exp_of_pred g));
-        t_acts = List.map act_of acts;
-        t_span = Loc.dummy;
-      }
-
-let of_machine (spec : M.spec) (decls : I.decl list) =
-  let var_items =
-    List.map
-      (fun ((scope, name), domain) ->
-        Ast.I_var
-          {
-            v_name = name;
-            v_scope = (match scope with Efsm.Env.Local -> Ast.S_local | Efsm.Env.Global -> Ast.S_global);
-            v_ty = ty_of_domain domain;
-            v_span = Loc.dummy;
-          })
-      decls
-  in
-  let header =
-    [ Ast.I_initial (spec.M.initial, Loc.dummy) ]
-    @ (match spec.M.finals with
-      | [] -> []
-      | finals -> [ Ast.I_final (List.map (fun s -> (s, Loc.dummy)) finals) ])
-    @ List.map
-        (fun (state, desc) -> Ast.I_attack { at_state = state; at_desc = desc; at_span = Loc.dummy })
-        spec.M.attack_states
-  in
-  let transitions = List.map (fun t -> Ast.I_trans (trans_of t)) spec.M.transitions in
-  { Ast.m_name = spec.M.spec_name; m_items = var_items @ header @ transitions; m_span = Loc.dummy }

@@ -1,22 +1,17 @@
-(** Canonical [.vspec] rendering, and "unelaboration" of compiled-in
-    machine specifications back to surface syntax.
+(** Canonical [.vspec] rendering.
 
     [print_file] is the canonical printer: [Parser.parse] of its output
     yields a span-ignoring structurally equal AST (the qcheck round-trip
-    property in the test suite).  [of_machine] lifts an IR-built
-    {!Efsm.Machine.spec} into the AST, which is how the builtin machines
-    are exported as [examples/specs/*.vspec] ([vids-cli lint --emit]). *)
+    property in the test suite), and each builtin spec source is its own
+    canonical print.  Comments are not part of the AST, so they do not
+    survive a print. *)
 
 val print_exp : Ast.exp -> string
+
+val print_duration : int -> string
+(** Microseconds as a duration literal in the largest exact unit:
+    [250ms], [1s], [7us]. *)
 
 val print_machine : Ast.machine -> string
 
 val print_file : Ast.file -> string
-
-exception Unprintable of string
-(** Raised by {!of_machine} on a spec that cannot round-trip: a
-    transition built from raw closures (no [Ir] syntax) or a constant
-    outside the surface language (floats). *)
-
-val of_machine : Efsm.Machine.spec -> Efsm.Ir.decl list -> Ast.machine
-(** @raise Unprintable — see above. *)

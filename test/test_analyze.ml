@@ -242,16 +242,12 @@ let validate_gaps () =
 (* ------------------------------------------------------------------ *)
 
 let shipped_systems () =
-  let cfg = Vids.Config.default in
+  let builtin key = List.assoc key (Vids.Spec_load.builtins Vids.Config.default) in
   [
-    ( "call",
-      [
-        (Vids.Sip_call_machine.spec cfg, Vids.Sip_call_machine.vars);
-        (Vids.Rtp_call_machine.spec cfg, Vids.Rtp_call_machine.vars);
-      ] );
-    ("invite-flood", [ (Vids.Invite_flood_machine.spec cfg, Vids.Invite_flood_machine.vars) ]);
-    ("media-spam", [ (Vids.Media_spam_machine.spec cfg, Vids.Media_spam_machine.vars) ]);
-    ("drdos", [ (Vids.Drdos_machine.spec cfg, Vids.Drdos_machine.vars) ]);
+    ("call", [ builtin "sip-call"; builtin "rtp-call" ]);
+    ("invite-flood", [ builtin "invite-flood" ]);
+    ("media-spam", [ builtin "media-spam" ]);
+    ("drdos", [ builtin "drdos" ]);
   ]
 
 let shipped_specs_clean () =
@@ -281,7 +277,7 @@ let shipped_report_renders () =
   let json = Analyze.Report.render_json report in
   check_bool "json has machines" true (contains json "\"machines\"");
   check_bool "json error count is zero" true (contains json "\"errors\": 0");
-  let sip = Vids.Sip_call_machine.spec Vids.Config.default in
+  let sip = Vids.Spec_load.spec Vids.Config.default Vids.Keys.sip_machine in
   let dot = Analyze.Report.render_dot report sip in
   check_bool "dot is a digraph" true (contains dot "digraph")
 

@@ -155,7 +155,7 @@ let engine_routes_rtp_to_call () =
   check_int "no alerts" 0 c.Vids.Engine.alerts_raised;
   (* The call's RTP machine is active now. *)
   let call = Option.get (Vids.Fact_base.find_call (Vids.Engine.fact_base p.engine) "c-1") in
-  check_str "rtp active" Vids.Rtp_call_machine.st_active
+  check_str "rtp active" "RTP_RCVD"
     (Efsm.Machine.state call.Vids.Fact_base.rtp)
 
 let engine_detects_bye_dos_end_to_end () =

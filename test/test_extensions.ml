@@ -193,13 +193,7 @@ let analysis_accepts_paper_machines () =
       | f :: _ ->
           Alcotest.failf "verifier rejected %s: %s" spec.Efsm.Machine.spec_name
             (Analyze.Finding.to_string f))
-    [
-      (Vids.Sip_call_machine.spec Vids.Config.default, Vids.Sip_call_machine.vars);
-      (Vids.Rtp_call_machine.spec Vids.Config.default, Vids.Rtp_call_machine.vars);
-      (Vids.Invite_flood_machine.spec Vids.Config.default, Vids.Invite_flood_machine.vars);
-      (Vids.Media_spam_machine.spec Vids.Config.default, Vids.Media_spam_machine.vars);
-      (Vids.Drdos_machine.spec Vids.Config.default, Vids.Drdos_machine.vars);
-    ]
+    (List.map snd (Vids.Spec_load.builtins Vids.Config.default))
 
 let suite =
   [

@@ -1,7 +1,8 @@
 (* Tests for the .vspec front end: positioned diagnostics on malformed
-   specs (one fixture per diagnostic class), the parse/print round-trip
-   property, freshness of the shipped example specs against the
-   unelaborator, and digest transparency of DSL-loaded overrides. *)
+   specs (one fixture per diagnostic class, and the param misuses), the
+   parse/print round-trip property, the builtin sources in canonical form
+   and bound to Config by their params, and digest transparency of
+   DSL-loaded overrides. *)
 
 module A = Spec.Ast
 module P = Spec.Printer
@@ -22,12 +23,11 @@ let sec = Dsim.Time.of_sec
    positions a user would click on.  [Speclint.ok = false] is what makes
    [vids-cli lint] exit nonzero. *)
 
-let lint_src src =
-  Analyze.Speclint.lint_sources ~externs:Spec.Elaborate.no_externs
-    [ ("fixture.vspec", src) ]
+let lint_src ?(externs = Spec.Elaborate.no_externs) src =
+  Analyze.Speclint.lint_sources ~externs [ ("fixture.vspec", src) ]
 
-let expect_error ~code ~line ~col src () =
-  let r = lint_src src in
+let expect_error ?externs ~code ~line ~col src () =
+  let r = lint_src ?externs src in
   check "lint rejects" false (Analyze.Speclint.ok r);
   check "front-end errors" true (Spec.Diag.has_errors r.Analyze.Speclint.diags);
   match List.filter Spec.Diag.is_error r.Analyze.Speclint.diags with
@@ -38,21 +38,66 @@ let expect_error ~code ~line ~col src () =
       check_int "line" line d.Spec.Diag.span.Spec.Loc.s.Spec.Loc.line;
       check_int "col" col d.Spec.Diag.span.Spec.Loc.s.Spec.Loc.col
 
-let lex_error =
-  expect_error ~code:"lex" ~line:3 ~col:3
-    "machine M {\n  initial A;\n  ?\n}\n"
+(* An out-of-range number is an error at its own position, not a
+   silently different number. *)
+let lex_error () =
+  expect_error ~code:"lex" ~line:3 ~col:3 "machine M {\n  initial A;\n  ?\n}\n" ();
+  expect_error ~code:"lex" ~line:5 ~col:25
+    "machine M {\n  var n : int;\n  initial A;\n  trans t : A -> A on event e\n    when int0(n) + 1 <= 99999999999999999999;\n}\n"
+    ();
+  expect_error ~code:"lex" ~line:4 ~col:22
+    "machine M {\n  initial A;\n  trans t : A -> A on event e\n    do { set_timer t 9300000000000s; }\n  trans u : A -> A on timer t;\n}\n"
+    ()
 
 let parse_error =
   expect_error ~code:"parse" ~line:2 ~col:11
     "machine M {\n  initial ;\n}\n"
 
-let unbound_var =
+(* Params: [limit] is bound to an int, [window] to a duration. *)
+let host =
+  {
+    Spec.Elaborate.no_externs with
+    find_param =
+      (function
+      | "limit" -> Some (A.P_int, 5)
+      | "window" -> Some (A.P_duration, 1_000_000)
+      | _ -> None);
+  }
+
+(* The second fixture names a param in an attack description that is not
+   one. *)
+let unbound_var () =
   expect_error ~code:"unbound-var" ~line:4 ~col:10
     "machine M {\n  initial A;\n  trans t : A -> A on event e\n    when missing == 1;\n}\n"
+    ();
+  expect_error ~externs:host ~code:"unbound-var" ~line:4 ~col:12
+    "machine M {\n  param limit : int;\n  initial A;\n  attack B \"more than {limt} tries\";\n  trans t : A -> B on event e;\n}\n"
+    ()
 
-let type_mismatch =
+(* After the first fixture, each misuses a param: a duration as an
+   integer operand, an int as a delay, a declared type the host binding
+   does not have, an assignment. *)
+let type_mismatch () =
   expect_error ~code:"type-mismatch" ~line:5 ~col:15
     "machine M {\n  var n : int;\n  initial A;\n  trans t : A -> A on event e\n    do { n := \"hello\"; }\n}\n"
+    ();
+  let fixture decls body =
+    Printf.sprintf
+      "machine M {\n%s  var n : int;\n  initial A;\n  trans t : A -> A on event e\n%s\n  trans u : A -> A on timer w;\n}\n"
+      decls body
+  in
+  expect_error ~externs:host ~code:"type-mismatch" ~line:6 ~col:24
+    (fixture "  param window : duration;\n" "    when int0(n) + 1 > window;")
+    ();
+  expect_error ~externs:host ~code:"type-mismatch" ~line:6 ~col:22
+    (fixture "  param limit : int;\n" "    do { set_timer w limit; }")
+    ();
+  expect_error ~externs:host ~code:"type-mismatch" ~line:2 ~col:3
+    (fixture "  param limit : duration;\n" "    do { set_timer w limit; }")
+    ();
+  expect_error ~externs:host ~code:"type-mismatch" ~line:6 ~col:10
+    (fixture "  param limit : int;\n" "    do { limit := 1; }")
+    ()
 
 let dup_state =
   expect_error ~code:"dup-state" ~line:4 ~col:3
@@ -61,6 +106,10 @@ let dup_state =
 let unknown_sync =
   expect_error ~code:"unknown-sync" ~line:4 ~col:10
     "machine M {\n  initial A;\n  trans t : A -> A on event e\n    do { sync NOPE.go(); }\n}\n"
+
+let param_unbound =
+  expect_error ~code:"unknown-extern" ~line:2 ~col:3
+    "machine M {\n  param limit : int;\n  initial A;\n}\n"
 
 (* A broken machine in a batch does not hide a clean one. *)
 let batch_isolation () =
@@ -88,6 +137,8 @@ let name_pool = [ "ping"; "pong"; "tick"; "media" ]
 let machine_pool = [ "M0"; "M1"; "RTP" ]
 let field_pool = [ "from"; "tag"; "seq" ]
 let str_pool = [ ""; "a"; "b c"; "x\"y"; "line\nbreak"; "tab\there" ]
+let param_pool = [ "limit"; "window" ]
+let desc_pool = str_pool @ [ "more than {limit} in {window}"; "{limit}"; "{ not a param }" ]
 
 let dexp e = { A.e; e_span = Spec.Loc.dummy }
 let dact a = { A.a; a_span = Spec.Loc.dummy }
@@ -115,7 +166,7 @@ let rec exp_gen n =
     oneof
       [
         map (fun l -> dexp (A.Lit l)) lit_gen;
-        map (fun v -> dexp (A.Ident v)) (oneofl var_pool);
+        map (fun v -> dexp (A.Ident v)) (oneofl (var_pool @ param_pool));
         map (fun f -> dexp (A.Fieldref f)) (oneofl field_pool);
         map (fun e -> dexp (A.Extern_ref e)) (oneofl [ "is_spam"; "p_ext" ]);
       ]
@@ -155,7 +206,13 @@ let rec act_gen n =
         map2
           (fun id d -> dact (A.Set_timer (id, d)))
           (oneofl label_pool)
-          (oneofl [ 0; 7; 40_000; 250_000; 1_000_000; 10_000_000 ]);
+          (oneof
+             [
+               map
+                 (fun us -> A.Delay_us us)
+                 (oneofl [ 0; 7; 40_000; 250_000; 1_000_000; 10_000_000 ]);
+               map (fun p -> A.Delay_param (p, Spec.Loc.dummy)) (oneofl param_pool);
+             ]);
         map (fun id -> dact (A.Cancel_timer id)) (oneofl label_pool);
         map (fun nm -> dact (A.Extern_act nm)) (oneofl [ "advance_baseline"; "a_ext" ]);
       ]
@@ -185,6 +242,11 @@ let item_gen =
   let open QCheck.Gen in
   frequency
     [
+      ( 1,
+        map2
+          (fun p_name p_ty -> A.I_param { p_name; p_ty; p_span = Spec.Loc.dummy })
+          (oneofl param_pool)
+          (oneofl [ A.P_int; A.P_duration ]) );
       ( 2,
         map3
           (fun v_name v_scope v_ty ->
@@ -200,8 +262,9 @@ let item_gen =
       ( 1,
         map2
           (fun at_state at_desc ->
-            A.I_attack { at_state; at_desc; at_span = Spec.Loc.dummy })
-          (oneofl state_pool) (oneofl str_pool) );
+            A.I_attack
+              { at_state; at_desc; at_span = Spec.Loc.dummy; at_desc_span = Spec.Loc.dummy })
+          (oneofl state_pool) (oneofl desc_pool) );
       ( 3,
         map
           (fun ((t_label, (t_from, t_to)), ((kind, name), (t_guard, t_acts))) ->
@@ -242,42 +305,82 @@ let round_trip =
          diags = [] && A.equal_file file parsed))
 
 (* ------------------------------------------------------------------ *)
-(* Shipped example specs                                               *)
+(* The builtin specs                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let builtin_files =
-  [
-    ("sip-call", "sip_call");
-    ("rtp-call", "rtp_call");
-    ("invite-flood", "invite_flood");
-    ("media-spam", "media_spam");
-    ("drdos", "drdos");
-  ]
+let spec_files = [ "sip_call"; "rtp_call"; "invite_flood"; "media_spam"; "drdos" ]
 
-let example_path base = Printf.sprintf "../examples/specs/%s.vspec" base
+let spec_path base = Printf.sprintf "../lib/core/specs/%s.vspec" base
 
-let read_file path =
-  match Spec.Front_end.read_file path with
-  | Ok s -> s
-  | Error e -> Alcotest.fail e
-
-(* The shipped files are exactly [lint --emit]'s canonical print of the
-   builtins: regenerating them after a machine change is a test failure,
-   not a silent drift. *)
-let emitted_specs_fresh () =
+(* The embedded sources are the only definition of the builtins, kept in
+   the canonical form the printer emits. *)
+let builtin_sources_canonical () =
+  check_int "five builtins" 5 (List.length Vids.Spec_load.sources);
   List.iter
-    (fun (key, base) ->
-      let spec, decls =
-        match Vids.Spec_load.builtin_for Vids.Config.default key with
-        | Some sd -> sd
-        | None -> Alcotest.failf "no builtin %s" key
-      in
-      let expected = P.print_machine (P.of_machine spec decls) in
-      check_str (base ^ ".vspec is fresh") expected (read_file (example_path base)))
-    builtin_files
+    (fun (key, src) ->
+      let parsed, diags = Spec.Parser.parse ~file:key src in
+      check (key ^ " parses clean") true (diags = []);
+      check_str (key ^ " is canonical") src (P.print_file parsed))
+    Vids.Spec_load.sources
+
+(* What a config can change in an elaborated spec: its attack
+   descriptions, guards and timer delays. *)
+let fingerprint (spec : Efsm.Machine.spec) =
+  let rec delays acts =
+    List.concat_map
+      (function
+        | Efsm.Ir.Set_timer { delay; _ } -> [ string_of_int delay ]
+        | Efsm.Ir.If (_, a, b) -> delays a @ delays b
+        | _ -> [])
+      acts
+  in
+  List.map snd spec.Efsm.Machine.attack_states
+  @ List.concat_map
+      (fun (t : Efsm.Machine.transition) ->
+        match t.Efsm.Machine.syntax with
+        | Some { Efsm.Ir.guard; acts } -> Efsm.Ir.pred_to_string guard :: delays acts
+        | None -> [])
+      spec.Efsm.Machine.transitions
+
+(* Each of the seven Config fields a param binds changes the builtin that
+   reads it, and only that one. *)
+let params_bind_config () =
+  let module C = Vids.Config in
+  let d = C.default in
+  let print config = List.map (fun (key, (spec, _)) -> (key, fingerprint spec)) (Vids.Spec_load.builtins config) in
+  let base = print d in
+  List.iter
+    (fun (field, reader, config) ->
+      List.iter
+        (fun (key, fp) ->
+          check
+            (Printf.sprintf "%s %s %s" field
+               (if key = reader then "changes" else "leaves")
+               key)
+            (key = reader)
+            (fp <> List.assoc key base))
+        (print config))
+    [
+      ("invite_flood_threshold", "invite-flood", { d with C.invite_flood_threshold = 7 });
+      ("invite_flood_window", "invite-flood", { d with C.invite_flood_window = 2_000_000 });
+      ("rtp_flood_threshold", "media-spam", { d with C.rtp_flood_threshold = 151 });
+      ("rtp_flood_window", "media-spam", { d with C.rtp_flood_window = 2_000_000 });
+      ("drdos_threshold", "drdos", { d with C.drdos_threshold = 31 });
+      ("drdos_window", "drdos", { d with C.drdos_window = 20_000_000 });
+      ("bye_inflight_timer", "rtp-call", { d with C.bye_inflight_timer = 300_000 });
+    ];
+  let description key state =
+    List.assoc state (Vids.Spec_load.spec d key).Efsm.Machine.attack_states
+  in
+  check_str "invite flood" "more than 6 INVITEs within the window"
+    (description "invite-flood" Vids.Keys.st_invite_flood);
+  check_str "rtp flood" "more than 150 RTP packets per window on one stream"
+    (description "media-spam" Vids.Keys.st_rtp_flood);
+  check_str "drdos" "more than 30 unsolicited SIP responses within the window"
+    (description "drdos" Vids.Keys.st_drdos)
 
 let examples_lint_clean () =
-  let files = List.map (fun (_, b) -> example_path b) builtin_files in
+  let files = List.map spec_path spec_files in
   match
     Analyze.Speclint.lint_files ~known_machines:Vids.Spec_load.known_machines
       ~externs:(Vids.Spec_load.externs Vids.Config.default)
@@ -315,7 +418,7 @@ let dsl_digest_transparency () =
   let overrides =
     match
       Vids.Spec_load.load_files Vids.Config.default
-        (List.map (fun (_, b) -> example_path b) builtin_files)
+        (List.map spec_path spec_files)
     with
     | Ok o -> o
     | Error e -> Alcotest.fail e
@@ -383,13 +486,15 @@ let suite =
         tc "type mismatch positioned" type_mismatch;
         tc "duplicate state positioned" dup_state;
         tc "unknown sync target positioned" unknown_sync;
+        tc "param without host binding positioned" param_unbound;
         tc "broken file does not hide clean one" batch_isolation;
       ] );
     ("spec.roundtrip", [ round_trip ]);
     ( "spec.examples",
       [
-        tc "emitted specs are fresh" emitted_specs_fresh;
+        tc "builtin sources are canonical" builtin_sources_canonical;
         tc "examples lint clean with spans" examples_lint_clean;
+        tc "params bind the Config fields" params_bind_config;
       ] );
     ( "spec.digest",
       [

@@ -31,8 +31,8 @@ let make_rig () =
       ~on_anomaly:(fun n -> anomalies := n :: !anomalies)
       (Efsm.System.timer_host_of_scheduler sched)
   in
-  let sip = Efsm.System.add_machine sys (Vids.Sip_call_machine.spec config) in
-  let rtp = Efsm.System.add_machine sys (Vids.Rtp_call_machine.spec config) in
+  let sip = Efsm.System.add_machine sys (Vids.Spec_load.spec config Vids.Keys.sip_machine) in
+  let rtp = Efsm.System.add_machine sys (Vids.Spec_load.spec config Vids.Keys.rtp_machine) in
   { sched; sys; sip; rtp; alerts; anomalies }
 
 let now rig = Dsim.Scheduler.now rig.sched
@@ -130,14 +130,14 @@ let bye ?(src = "10.1.0.10") ?(from_tag = "tag-a") rig =
 let normal_setup_path () =
   let rig = make_rig () in
   invite_with_sdp rig;
-  check_str "invite rcvd" Vids.Sip_call_machine.st_invite_rcvd (M.state rig.sip);
-  check_str "rtp open via sync" Vids.Rtp_call_machine.st_open (M.state rig.rtp);
+  check_str "invite rcvd" "INVITE_RCVD" (M.state rig.sip);
+  check_str "rtp open via sync" "RTP_OPEN" (M.state rig.rtp);
   resp rig 180;
-  check_str "proceeding" Vids.Sip_call_machine.st_proceeding (M.state rig.sip);
+  check_str "proceeding" "PROCEEDING" (M.state rig.sip);
   resp_with_media rig 200;
-  check_str "established" Vids.Sip_call_machine.st_established (M.state rig.sip);
+  check_str "established" "ESTABLISHED" (M.state rig.sip);
   inject_sip rig ~extra:[ (Vids.Keys.cseq_method, V.Str "ACK") ] "ACK";
-  check_str "confirmed" Vids.Sip_call_machine.st_confirmed (M.state rig.sip);
+  check_str "confirmed" "CONFIRMED" (M.state rig.sip);
   check "no alerts" true (!(rig.alerts) = []);
   check "no anomalies" true (!(rig.anomalies) = [])
 
@@ -145,9 +145,9 @@ let normal_teardown_path () =
   let rig = make_rig () in
   establish rig;
   bye rig;
-  check_str "teardown" Vids.Sip_call_machine.st_teardown (M.state rig.sip);
+  check_str "teardown" "TEARDOWN" (M.state rig.sip);
   resp rig ~cseq_method:"BYE" 200;
-  check_str "closed" Vids.Sip_call_machine.st_closed (M.state rig.sip);
+  check_str "closed" "CLOSED" (M.state rig.sip);
   check "sip final" true (M.is_final rig.sip);
   check "no alerts" true (!(rig.alerts) = [])
 
@@ -155,32 +155,32 @@ let retransmissions_absorbed () =
   let rig = make_rig () in
   invite_with_sdp rig;
   invite_with_sdp rig;
-  check_str "still invite rcvd" Vids.Sip_call_machine.st_invite_rcvd (M.state rig.sip);
+  check_str "still invite rcvd" "INVITE_RCVD" (M.state rig.sip);
   resp rig 180;
   resp rig 180;
   resp rig 100;
-  check_str "proceeding" Vids.Sip_call_machine.st_proceeding (M.state rig.sip);
+  check_str "proceeding" "PROCEEDING" (M.state rig.sip);
   resp_with_media rig 200;
   resp_with_media rig 200;
   inject_sip rig ~extra:[ (Vids.Keys.cseq_method, V.Str "ACK") ] "ACK";
   inject_sip rig ~extra:[ (Vids.Keys.cseq_method, V.Str "ACK") ] "ACK";
-  check_str "confirmed" Vids.Sip_call_machine.st_confirmed (M.state rig.sip);
+  check_str "confirmed" "CONFIRMED" (M.state rig.sip);
   check "no anomalies from retransmissions" true (!(rig.anomalies) = [])
 
 let direct_200_without_180 () =
   let rig = make_rig () in
   invite_with_sdp rig;
   resp_with_media rig 200;
-  check_str "established" Vids.Sip_call_machine.st_established (M.state rig.sip)
+  check_str "established" "ESTABLISHED" (M.state rig.sip)
 
 let failed_setup_path () =
   let rig = make_rig () in
   invite_with_sdp rig;
   resp rig 180;
   resp rig 486;
-  check_str "failed" Vids.Sip_call_machine.st_failed (M.state rig.sip);
+  check_str "failed" "FAILED" (M.state rig.sip);
   inject_sip rig ~extra:[ (Vids.Keys.cseq_method, V.Str "ACK") ] "ACK";
-  check_str "closed" Vids.Sip_call_machine.st_closed (M.state rig.sip)
+  check_str "closed" "CLOSED" (M.state rig.sip)
 
 let cancel_legitimate () =
   let rig = make_rig () in
@@ -188,11 +188,11 @@ let cancel_legitimate () =
   resp rig 180;
   (* CANCEL from the same source as the INVITE. *)
   inject_sip rig ~extra:[ (Vids.Keys.cseq_method, V.Str "CANCEL") ] "CANCEL";
-  check_str "cancelling" Vids.Sip_call_machine.st_cancelling (M.state rig.sip);
+  check_str "cancelling" "CANCELLING" (M.state rig.sip);
   resp rig ~cseq_method:"CANCEL" 200;
   resp rig 487;
   inject_sip rig ~extra:[ (Vids.Keys.cseq_method, V.Str "ACK") ] "ACK";
-  check_str "closed" Vids.Sip_call_machine.st_closed (M.state rig.sip);
+  check_str "closed" "CLOSED" (M.state rig.sip);
   check "no alerts" true (!(rig.alerts) = [])
 
 let cancel_dos_detected () =
@@ -203,7 +203,7 @@ let cancel_dos_detected () =
     ~extra:
       [ (Vids.Keys.cseq_method, V.Str "CANCEL"); (Vids.Keys.src_ip, V.Str "203.0.113.66") ]
     "CANCEL";
-  check_str "attack state" Vids.Sip_call_machine.st_cancel_dos (M.state rig.sip);
+  check_str "attack state" Vids.Keys.st_cancel_dos (M.state rig.sip);
   check_int "alert" 1 (List.length !(rig.alerts))
 
 let reinvite_legitimate () =
@@ -214,9 +214,9 @@ let reinvite_legitimate () =
     ~extra:
       [ (Vids.Keys.to_tag, V.Str "tag-b"); (Vids.Keys.src_ip, V.Str "10.1.0.10") ]
     "INVITE";
-  check_str "reinvite pending" Vids.Sip_call_machine.st_reinvite_pending (M.state rig.sip);
+  check_str "reinvite pending" "REINVITE_PENDING" (M.state rig.sip);
   resp rig 200;
-  check_str "back to confirmed" Vids.Sip_call_machine.st_confirmed (M.state rig.sip);
+  check_str "back to confirmed" "CONFIRMED" (M.state rig.sip);
   check "no alerts" true (!(rig.alerts) = [])
 
 let hijack_detected () =
@@ -231,7 +231,7 @@ let hijack_detected () =
         (Vids.Keys.src_ip, V.Str "203.0.113.66");
       ]
     "INVITE";
-  check_str "hijack state" Vids.Sip_call_machine.st_hijack (M.state rig.sip);
+  check_str "hijack state" Vids.Keys.st_hijack (M.state rig.sip);
   check_int "alert" 1 (List.length !(rig.alerts))
 
 let hijack_matching_tags_wrong_source () =
@@ -242,28 +242,28 @@ let hijack_matching_tags_wrong_source () =
     ~extra:
       [ (Vids.Keys.to_tag, V.Str "tag-b"); (Vids.Keys.src_ip, V.Str "203.0.113.66") ]
     "INVITE";
-  check_str "hijack state" Vids.Sip_call_machine.st_hijack (M.state rig.sip)
+  check_str "hijack state" Vids.Keys.st_hijack (M.state rig.sip)
 
 let bye_with_unknown_tag_is_anomaly () =
   let rig = make_rig () in
   establish rig;
   bye rig ~from_tag:"tag-nobody";
-  check_str "state unchanged" Vids.Sip_call_machine.st_confirmed (M.state rig.sip);
+  check_str "state unchanged" "CONFIRMED" (M.state rig.sip);
   check_int "anomaly" 1 (List.length !(rig.anomalies))
 
 let register_path () =
   let rig = make_rig () in
   inject_sip rig ~extra:[ (Vids.Keys.cseq_method, V.Str "REGISTER") ] "REGISTER";
-  check_str "registering" Vids.Sip_call_machine.st_registering (M.state rig.sip);
+  check_str "registering" "REGISTERING" (M.state rig.sip);
   resp rig ~cseq_method:"REGISTER" 200;
-  check_str "closed" Vids.Sip_call_machine.st_closed (M.state rig.sip)
+  check_str "closed" "CLOSED" (M.state rig.sip)
 
 let callee_bye_teardown () =
   let rig = make_rig () in
   establish rig;
   (* BYE from the callee side (their tag, their contact). *)
   bye rig ~src:"10.2.0.10" ~from_tag:"tag-b";
-  check_str "teardown" Vids.Sip_call_machine.st_teardown (M.state rig.sip);
+  check_str "teardown" "TEARDOWN" (M.state rig.sip);
   check "no alerts" true (!(rig.alerts) = [])
 
 (* ------------------------------------------------------------------ *)
@@ -273,24 +273,24 @@ let callee_bye_teardown () =
 let rtp_opens_on_sync () =
   let rig = make_rig () in
   invite_with_sdp rig;
-  check_str "open" Vids.Rtp_call_machine.st_open (M.state rig.rtp);
+  check_str "open" "RTP_OPEN" (M.state rig.rtp);
   resp_with_media rig 200;
-  check_str "still open after answer" Vids.Rtp_call_machine.st_open (M.state rig.rtp);
+  check_str "still open after answer" "RTP_OPEN" (M.state rig.rtp);
   inject_rtp rig ~src:"10.1.0.10" ~dst:"10.2.0.10";
-  check_str "active" Vids.Rtp_call_machine.st_active (M.state rig.rtp)
+  check_str "active" "RTP_RCVD" (M.state rig.rtp)
 
 let bye_then_quiet_closes () =
   let rig = make_rig () in
   establish rig;
   inject_rtp rig ~src:"10.1.0.10" ~dst:"10.2.0.10";
   bye rig;
-  check_str "after bye" Vids.Rtp_call_machine.st_after_bye (M.state rig.rtp);
+  check_str "after bye" "RTP_RCVD_AFTER_BYE" (M.state rig.rtp);
   (* In-flight packet inside the grace window: allowed. *)
   Dsim.Scheduler.run_until rig.sched (Dsim.Time.of_ms 100.0);
   inject_rtp rig ~src:"10.2.0.10" ~dst:"10.1.0.10";
-  check_str "still grace" Vids.Rtp_call_machine.st_after_bye (M.state rig.rtp);
+  check_str "still grace" "RTP_RCVD_AFTER_BYE" (M.state rig.rtp);
   Dsim.Scheduler.run_until rig.sched (Dsim.Time.of_sec 1.0);
-  check_str "closed" Vids.Rtp_call_machine.st_closed (M.state rig.rtp);
+  check_str "closed" "RTP_CLOSED" (M.state rig.rtp);
   check "rtp final" true (M.is_final rig.rtp);
   check "no alerts" true (!(rig.alerts) = [])
 
@@ -303,7 +303,7 @@ let spoofed_bye_dos_detected () =
   Dsim.Scheduler.run_until rig.sched (Dsim.Time.of_sec 1.0);
   (* The real caller keeps talking. *)
   inject_rtp rig ~src:"10.1.0.10" ~dst:"10.2.0.10";
-  check_str "bye dos" Vids.Rtp_call_machine.st_bye_dos (M.state rig.rtp);
+  check_str "bye dos" Vids.Keys.st_bye_dos (M.state rig.rtp);
   check_int "alert" 1 (List.length !(rig.alerts))
 
 let billing_fraud_detected () =
@@ -315,7 +315,7 @@ let billing_fraud_detected () =
   Dsim.Scheduler.run_until rig.sched (Dsim.Time.of_sec 1.0);
   (* ...who keeps streaming after the grace period. *)
   inject_rtp rig ~src:"10.1.0.10" ~dst:"10.2.0.10";
-  check_str "billing fraud" Vids.Rtp_call_machine.st_billing_fraud (M.state rig.rtp);
+  check_str "billing fraud" Vids.Keys.st_billing_fraud (M.state rig.rtp);
   check_int "alert" 1 (List.length !(rig.alerts))
 
 let grace_timer_uses_config () =
@@ -325,9 +325,9 @@ let grace_timer_uses_config () =
   bye rig;
   (* Just before T (250 ms default) the machine is still in grace. *)
   Dsim.Scheduler.run_until rig.sched (Dsim.Time.of_ms 240.0);
-  check_str "still grace" Vids.Rtp_call_machine.st_after_bye (M.state rig.rtp);
+  check_str "still grace" "RTP_RCVD_AFTER_BYE" (M.state rig.rtp);
   Dsim.Scheduler.run_until rig.sched (Dsim.Time.of_ms 260.0);
-  check_str "closed at T" Vids.Rtp_call_machine.st_closed (M.state rig.rtp)
+  check_str "closed at T" "RTP_CLOSED" (M.state rig.rtp)
 
 (* ------------------------------------------------------------------ *)
 (* INVITE flood detector (Figure 4)                                    *)
@@ -341,9 +341,9 @@ let flood_rig () =
       ~on_alert:(fun n -> alerts := n :: !alerts)
       (Efsm.System.timer_host_of_scheduler sched)
   in
-  let m = Efsm.System.add_machine sys (Vids.Invite_flood_machine.spec config) in
+  let m = Efsm.System.add_machine sys (Vids.Spec_load.spec config Vids.Keys.flood_machine) in
   let send () =
-    Efsm.System.inject sys ~machine:Vids.Invite_flood_machine.machine_name
+    Efsm.System.inject sys ~machine:Vids.Keys.flood_machine
       (E.make (E.Data "SIP") ~at:(Dsim.Scheduler.now sched) "INVITE")
   in
   (sched, m, alerts, send)
@@ -354,10 +354,10 @@ let flood_below_threshold () =
     send ()
   done;
   check "no alert at N" true (!alerts = []);
-  check_str "counting" Vids.Invite_flood_machine.st_counting (M.state m);
+  check_str "counting" "PACKET_RCVD" (M.state m);
   (* Window expires: reset. *)
   Dsim.Scheduler.run_until sched (Dsim.Time.of_sec 2.0);
-  check_str "reset" Vids.Invite_flood_machine.st_init (M.state m);
+  check_str "reset" "INIT" (M.state m);
   (* A fresh burst of N after the window is still fine. *)
   for _ = 1 to config.Vids.Config.invite_flood_threshold do
     send ()
@@ -369,7 +369,7 @@ let flood_above_threshold () =
   for _ = 1 to config.Vids.Config.invite_flood_threshold + 1 do
     send ()
   done;
-  check_str "flood state" Vids.Invite_flood_machine.st_flood (M.state m);
+  check_str "flood state" Vids.Keys.st_invite_flood (M.state m);
   check_int "one alert per entry" 1 (List.length !alerts)
 
 let flood_spread_out_no_alert () =
@@ -394,9 +394,9 @@ let spam_rig () =
       ~on_alert:(fun n -> alerts := n :: !alerts)
       (Efsm.System.timer_host_of_scheduler sched)
   in
-  let m = Efsm.System.add_machine sys (Vids.Media_spam_machine.spec config) in
+  let m = Efsm.System.add_machine sys (Vids.Spec_load.spec config Vids.Keys.spam_machine) in
   let send ?(ssrc = 7) ~seq ~ts () =
-    Efsm.System.inject sys ~machine:Vids.Media_spam_machine.machine_name
+    Efsm.System.inject sys ~machine:Vids.Keys.spam_machine
       (E.make
          ~args:
            [
@@ -417,13 +417,13 @@ let spam_in_order_stream_ok () =
       (Dsim.Time.add (Dsim.Scheduler.now sched) (Dsim.Time.of_ms 20.0))
   done;
   check "no alert" true (!alerts = []);
-  check_str "streaming" Vids.Media_spam_machine.st_stream (M.state m)
+  check_str "streaming" "PACKET_RCVD" (M.state m)
 
 let spam_seq_gap_detected () =
   let _sched, m, alerts, send = spam_rig () in
   send ~seq:1000 ~ts:0 ();
   send ~seq:(1000 + config.Vids.Config.spam_seq_gap + 1) ~ts:160 ();
-  check_str "spam" Vids.Media_spam_machine.st_spam (M.state m);
+  check_str "spam" Vids.Keys.st_media_spam (M.state m);
   check_int "alert" 1 (List.length !alerts)
 
 let spam_ts_gap_detected () =
@@ -431,7 +431,7 @@ let spam_ts_gap_detected () =
   send ~seq:1000 ~ts:0 ();
   (* A non-consecutive sequence advance with a timestamp jump beyond Δt. *)
   send ~seq:1005 ~ts:(config.Vids.Config.spam_ts_gap + 801) ();
-  check_str "spam" Vids.Media_spam_machine.st_spam (M.state m)
+  check_str "spam" Vids.Keys.st_media_spam (M.state m)
 
 let spam_talkspurt_tolerated () =
   let _sched, m, alerts, send = spam_rig () in
@@ -439,30 +439,30 @@ let spam_talkspurt_tolerated () =
   (* Consecutive sequence number with a multi-second timestamp jump: a
      talkspurt after VAD silence suppression, not an injection. *)
   send ~seq:1001 ~ts:24000 ();
-  check_str "talkspurt ok" Vids.Media_spam_machine.st_stream (M.state m);
+  check_str "talkspurt ok" "PACKET_RCVD" (M.state m);
   check "no alert" true (!alerts = []);
   (* But even a consecutive-sequence packet cannot jump beyond the silence
      allowance. *)
   send ~seq:1002 ~ts:(24000 + config.Vids.Config.spam_silence_ts_gap + 161) ();
-  check_str "absurd jump is spam" Vids.Media_spam_machine.st_spam (M.state m)
+  check_str "absurd jump is spam" Vids.Keys.st_media_spam (M.state m)
 
 let spam_foreign_ssrc_detected () =
   let _sched, m, _alerts, send = spam_rig () in
   send ~seq:1000 ~ts:0 ();
   send ~ssrc:999 ~seq:1001 ~ts:160 ();
-  check_str "spam" Vids.Media_spam_machine.st_spam (M.state m)
+  check_str "spam" Vids.Keys.st_media_spam (M.state m)
 
 let spam_replay_detected () =
   let _sched, m, _alerts, send = spam_rig () in
   send ~seq:1000 ~ts:160000 ();
   send ~seq:(1000 - config.Vids.Config.spam_reorder_tolerance - 1) ~ts:150000 ();
-  check_str "deep reorder is spam" Vids.Media_spam_machine.st_spam (M.state m)
+  check_str "deep reorder is spam" Vids.Keys.st_media_spam (M.state m)
 
 let spam_small_reorder_tolerated () =
   let _sched, m, _alerts, send = spam_rig () in
   send ~seq:1000 ~ts:16000 ();
   send ~seq:999 ~ts:15840 ();
-  check_str "tolerated" Vids.Media_spam_machine.st_stream (M.state m)
+  check_str "tolerated" "PACKET_RCVD" (M.state m)
 
 let spam_seq_wrap_tolerated () =
   let _sched, m, _alerts, send = spam_rig () in
@@ -470,7 +470,7 @@ let spam_seq_wrap_tolerated () =
   send ~seq:0xFFFF ~ts:160 ();
   send ~seq:0 ~ts:320 ();
   send ~seq:1 ~ts:480 ();
-  check_str "wrap ok" Vids.Media_spam_machine.st_stream (M.state m);
+  check_str "wrap ok" "PACKET_RCVD" (M.state m);
   check "no alert" true (!_alerts = [])
 
 let spam_silence_suppression_tolerated () =
@@ -478,14 +478,14 @@ let spam_silence_suppression_tolerated () =
   send ~seq:1000 ~ts:0 ();
   (* A 0.4 s timestamp jump with consecutive seq: silence suppression. *)
   send ~seq:1001 ~ts:3200 ();
-  check_str "tolerated" Vids.Media_spam_machine.st_stream (M.state m)
+  check_str "tolerated" "PACKET_RCVD" (M.state m)
 
 let rtp_flood_detected () =
   let _sched, m, alerts, send = spam_rig () in
   for i = 1 to config.Vids.Config.rtp_flood_threshold + 1 do
     send ~seq:(1000 + i) ~ts:(160 * i) ()
   done;
-  check_str "flood" Vids.Media_spam_machine.st_flood (M.state m);
+  check_str "flood" Vids.Keys.st_rtp_flood (M.state m);
   check_int "alert on entering the attack state" 1 (List.length !alerts)
 
 let spam_dormant_resume () =
@@ -493,16 +493,16 @@ let spam_dormant_resume () =
   send ~seq:1000 ~ts:0 ();
   (* Idle long enough for two window expiries: counting window then idle. *)
   Dsim.Scheduler.run_until sched (Dsim.Time.of_sec 3.0);
-  check_str "dormant" Vids.Media_spam_machine.st_dormant (M.state m);
+  check_str "dormant" "DORMANT" (M.state m);
   (* Same SSRC resumes with a big jump: tolerated (re-baseline). *)
   send ~seq:3000 ~ts:500000 ();
-  check_str "resumed" Vids.Media_spam_machine.st_stream (M.state m);
+  check_str "resumed" "PACKET_RCVD" (M.state m);
   check "no alert" true (!alerts = []);
   (* But a foreign SSRC after dormancy is spam. *)
   Dsim.Scheduler.run_until sched (Dsim.Time.of_sec 10.0);
-  check_str "dormant again" Vids.Media_spam_machine.st_dormant (M.state m);
+  check_str "dormant again" "DORMANT" (M.state m);
   send ~ssrc:999 ~seq:1 ~ts:0 ();
-  check_str "foreign after dormancy" Vids.Media_spam_machine.st_spam (M.state m)
+  check_str "foreign after dormancy" Vids.Keys.st_media_spam (M.state m)
 
 (* ------------------------------------------------------------------ *)
 (* DRDoS detector                                                      *)
@@ -516,17 +516,17 @@ let drdos_detector () =
       ~on_alert:(fun n -> alerts := n :: !alerts)
       (Efsm.System.timer_host_of_scheduler sched)
   in
-  let m = Efsm.System.add_machine sys (Vids.Drdos_machine.spec config) in
+  let m = Efsm.System.add_machine sys (Vids.Spec_load.spec config Vids.Keys.drdos_machine) in
   let send () =
-    Efsm.System.inject sys ~machine:Vids.Drdos_machine.machine_name
-      (E.make (E.Data "SIP") ~at:(Dsim.Scheduler.now sched) Vids.Drdos_machine.orphan_response)
+    Efsm.System.inject sys ~machine:Vids.Keys.drdos_machine
+      (E.make (E.Data "SIP") ~at:(Dsim.Scheduler.now sched) Vids.Keys.orphan_response)
   in
   for _ = 1 to config.Vids.Config.drdos_threshold do
     send ()
   done;
   check "below threshold" true (!alerts = []);
   send ();
-  check_str "attack" Vids.Drdos_machine.st_attack (M.state m);
+  check_str "attack" Vids.Keys.st_drdos (M.state m);
   check_int "alert" 1 (List.length !alerts);
   (* Occasional orphans spread over windows never alert. *)
   let sched2 = Dsim.Scheduler.create () in
@@ -536,10 +536,10 @@ let drdos_detector () =
       ~on_alert:(fun n -> alerts2 := n :: !alerts2)
       (Efsm.System.timer_host_of_scheduler sched2)
   in
-  ignore (Efsm.System.add_machine sys2 (Vids.Drdos_machine.spec config));
+  ignore (Efsm.System.add_machine sys2 (Vids.Spec_load.spec config Vids.Keys.drdos_machine));
   for _ = 1 to 100 do
-    Efsm.System.inject sys2 ~machine:Vids.Drdos_machine.machine_name
-      (E.make (E.Data "SIP") ~at:(Dsim.Scheduler.now sched2) Vids.Drdos_machine.orphan_response);
+    Efsm.System.inject sys2 ~machine:Vids.Keys.drdos_machine
+      (E.make (E.Data "SIP") ~at:(Dsim.Scheduler.now sched2) Vids.Keys.orphan_response);
     Dsim.Scheduler.run_until sched2
       (Dsim.Time.add (Dsim.Scheduler.now sched2) (Dsim.Time.of_sec 1.0))
   done;
@@ -555,13 +555,7 @@ let all_specs_validate () =
       match M.validate_spec spec with
       | Ok () -> ()
       | Error e -> Alcotest.failf "invalid spec: %s" e)
-    [
-      Vids.Sip_call_machine.spec config;
-      Vids.Rtp_call_machine.spec config;
-      Vids.Invite_flood_machine.spec config;
-      Vids.Media_spam_machine.spec config;
-      Vids.Drdos_machine.spec config;
-    ]
+    (List.map (fun (_, (spec, _)) -> spec) (Vids.Spec_load.builtins config))
 
 let dot_export_of_paper_figures () =
   (* The three patterns of Figures 4-6 export to non-trivial graphs. *)
@@ -569,11 +563,9 @@ let dot_export_of_paper_figures () =
     (fun spec ->
       let dot = Efsm.Dot.of_spec spec in
       check "has content" true (String.length dot > 100))
-    [
-      Vids.Invite_flood_machine.spec config;
-      Vids.Rtp_call_machine.spec config;
-      Vids.Media_spam_machine.spec config;
-    ]
+    (List.map
+       (Vids.Spec_load.spec config)
+       [ Vids.Keys.flood_machine; Vids.Keys.rtp_machine; Vids.Keys.spam_machine ])
 
 let suite =
   [
