@@ -93,6 +93,13 @@ let pexit t s = match t.prof with None -> () | Some p -> Obs.Prof.exit p s
 let trace t ev =
   match t.flight with None -> () | Some fl -> Obs.Trace.record fl ~at:(now t) ev
 
+(* Per-packet trace sites build their event only when a recorder is
+   attached; [trace]'s argument would be allocated either way. *)
+let trace_dispatch t target subject =
+  match t.flight with
+  | None -> ()
+  | Some fl -> Obs.Trace.record fl ~at:(now t) (Obs.Trace.Dispatch { target; subject })
+
 (* A quarantine is the flight recorder's raison d'être: dump the tail so
    the event sequence that led to the fault survives as an artifact. *)
 let trace_quarantine t ~subject ~origin =
@@ -145,22 +152,24 @@ let raise_alert t alert =
 
 exception Chaos_fault
 
-(* Runs [f] inside the containment boundary.  An escaping exception is
-   counted, reported as an [Engine_fault] alert, and returned so the call
-   site can quarantine the offending record; it never unwinds further. *)
-let contain t ~subject ~origin f =
-  try
-    f ();
-    false
-  with
-  | (Stack_overflow | Out_of_memory) as fatal -> raise fatal
-  | exn ->
-      t.faults <- t.faults + 1;
-      tick t (fun i -> i.i_faults);
-      raise_alert t
-        (Alert.make ~kind:Alert.Engine_fault ~at:(now t) ~subject
-           (Printf.sprintf "%s: contained exception %s" origin (Printexc.to_string exn)));
-      true
+(* Runs [f] inside the containment boundary and returns the exception
+   that escaped it, if any; it never unwinds further.  The call site
+   reports it with [fault] and quarantines the offending record, so a
+   fault's subject string is built only once there is a fault. *)
+let contain f =
+  match f () with
+  | () -> None
+  | exception ((Stack_overflow | Out_of_memory) as fatal) -> raise fatal
+  | exception exn -> Some exn
+
+(* A contained exception is counted and reported as an [Engine_fault]
+   alert. *)
+let fault t ~subject ~origin exn =
+  t.faults <- t.faults + 1;
+  tick t (fun i -> i.i_faults);
+  raise_alert t
+    (Alert.make ~kind:Alert.Engine_fault ~at:(now t) ~subject
+       (Printf.sprintf "%s: contained exception %s" origin (Printexc.to_string exn)))
 
 (* Chaos self-test: deterministically blow up inside the boundary every
    [chaos_inject_every]-th machine injection. *)
@@ -258,7 +267,10 @@ let create ?(config = Config.default) ?(overrides = []) sched =
           host.Efsm.System.set delay (fun () ->
               match !self with
               | None -> f ()
-              | Some t -> ignore (contain t ~subject:"timer" ~origin:"timer callback" f)));
+              | Some t -> (
+                  match contain f with
+                  | None -> ()
+                  | Some exn -> fault t ~subject:"timer" ~origin:"timer callback" exn)));
     }
   in
   let base = Fact_base.create ~on_pressure ~overrides ~config ~timer_host ~on_alert ~on_anomaly () in
@@ -379,60 +391,63 @@ let register_event_media t call event =
 (* A fault inside a call's machines quarantines that call: its record is
    deleted so the poisoned state cannot fault again on the next packet,
    while every other call keeps being analyzed. *)
-let inject_call t call event =
+let inject_call t call ~machine event =
   tick t (fun i -> i.i_inject_call);
-  trace t (Obs.Trace.Dispatch { target = "call"; subject = call.Fact_base.call_id });
+  trace_dispatch t "call" call.Fact_base.call_id;
   penter t Obs.Prof.Efsm_dispatch;
-  let faulted =
-    contain t ~subject:call.Fact_base.call_id ~origin:"call machine"
-      (fun () ->
-        checked_inject t call.Fact_base.system ~machine:Keys.sip_machine event;
+  let escaped =
+    contain (fun () ->
+        checked_inject t call.Fact_base.system ~machine event;
         Fact_base.maybe_finish t.base call)
   in
   pexit t Obs.Prof.Efsm_dispatch;
-  if faulted then begin
-    Fact_base.quarantine_call t.base call;
-    trace_quarantine t ~subject:call.Fact_base.call_id ~origin:"call machine"
-  end
+  match escaped with
+  | None -> ()
+  | Some exn ->
+      let subject = call.Fact_base.call_id and origin = "call machine" in
+      fault t ~subject ~origin exn;
+      Fact_base.quarantine_call t.base call;
+      trace_quarantine t ~subject ~origin
+
+(* The standalone detectors, keyed by destination (flood), stream (spam)
+   or victim host (drdos); a faulting detector is quarantined the same
+   way. *)
+let feed_detector t kind ~key event =
+  (match t.inst with
+  | None -> ()
+  | Some i ->
+      Obs.Metrics.incr
+        (match kind with
+        | `Flood -> i.i_inject_flood
+        | `Spam -> i.i_inject_spam
+        | `Drdos -> i.i_inject_drdos));
+  trace_dispatch t (Fact_base.kind_label kind) key;
+  penter t Obs.Prof.Detect;
+  let system, machine = Fact_base.detector t.base kind ~key in
+  let machine = Efsm.Machine.name machine in
+  let escaped = contain (fun () -> checked_inject t system ~machine event) in
+  pexit t Obs.Prof.Detect;
+  match escaped with
+  | None -> ()
+  | Some exn ->
+      let subject = Fact_base.detector_subject kind key
+      and origin = Fact_base.kind_label kind ^ " detector" in
+      fault t ~subject ~origin exn;
+      Fact_base.quarantine_detector t.base kind ~key;
+      trace_quarantine t ~subject ~origin
 
 let feed_flood_detector t msg event =
   match Sip_event.flood_key msg with
   | None -> ()
-  | Some key ->
-      tick t (fun i -> i.i_inject_flood);
-      trace t (Obs.Trace.Dispatch { target = "flood"; subject = key });
-      penter t Obs.Prof.Detect;
-      let system, _ = Fact_base.flood_detector t.base ~key in
-      let faulted =
-        contain t ~subject:("dst:" ^ key) ~origin:"flood detector" (fun () ->
-            checked_inject t system ~machine:Keys.flood_machine event)
-      in
-      pexit t Obs.Prof.Detect;
-      if faulted then begin
-        Fact_base.quarantine_detector t.base `Flood ~key;
-        trace_quarantine t ~subject:("dst:" ^ key) ~origin:"flood detector"
-      end
+  | Some key -> feed_detector t `Flood ~key event
 
 let feed_drdos_detector t (packet : Dsim.Packet.t) event =
-  let key = Dsim.Addr.host packet.dst in
-  let system, _ = Fact_base.drdos_detector t.base ~key in
   let orphan =
     Efsm.Event.make
       ~args:event.Efsm.Event.args (Efsm.Event.Data "SIP") ~at:event.Efsm.Event.at
       Keys.orphan_response
   in
-  tick t (fun i -> i.i_inject_drdos);
-  trace t (Obs.Trace.Dispatch { target = "drdos"; subject = key });
-  penter t Obs.Prof.Detect;
-  let faulted =
-    contain t ~subject:("victim:" ^ key) ~origin:"drdos detector" (fun () ->
-        checked_inject t system ~machine:Keys.drdos_machine orphan)
-  in
-  pexit t Obs.Prof.Detect;
-  if faulted then begin
-    Fact_base.quarantine_detector t.base `Drdos ~key;
-    trace_quarantine t ~subject:("victim:" ^ key) ~origin:"drdos detector"
-  end
+  feed_detector t `Drdos ~key:(Dsim.Addr.host packet.dst) orphan
 
 (* A REGISTER crossing the boundary sensor: intra-enterprise registrations
    never reach this vantage point, so someone outside is rebinding a
@@ -488,13 +503,13 @@ let handle_sip t (packet : Dsim.Packet.t) msg =
       match Fact_base.find_call t.base call_id with
       | Some call ->
           register_event_media t call event;
-          inject_call t call event
+          inject_call t call ~machine:Keys.sip_machine event
       | None -> (
           match msg.Sip.Msg.start with
           | Sip.Msg.Request { meth = Sip.Msg_method.INVITE; _ } ->
               let call = Fact_base.create_call t.base ~call_id in
               register_event_media t call event;
-              inject_call t call event
+              inject_call t call ~machine:Keys.sip_machine event
           | Sip.Msg.Request { meth = Sip.Msg_method.REGISTER; _ } ->
               (* Already reported by the boundary-REGISTER check; a
                  registration is not expected to belong to a call. *)
@@ -544,41 +559,13 @@ let handle_rtp t (packet : Dsim.Packet.t) decoded =
     t.rtp_shed <- t.rtp_shed + 1;
     tick t (fun i -> i.i_rtp_shed)
   end
-  else begin
-    let stream_key = Dsim.Addr.to_string packet.dst in
-    tick t (fun i -> i.i_inject_spam);
-    trace t (Obs.Trace.Dispatch { target = "spam"; subject = stream_key });
-    penter t Obs.Prof.Detect;
-    let system, _ = Fact_base.spam_detector t.base ~key:stream_key in
-    let faulted =
-      contain t ~subject:("stream:" ^ stream_key) ~origin:"spam detector" (fun () ->
-          checked_inject t system ~machine:Keys.spam_machine event)
-    in
-    pexit t Obs.Prof.Detect;
-    if faulted then begin
-      Fact_base.quarantine_detector t.base `Spam ~key:stream_key;
-      trace_quarantine t ~subject:("stream:" ^ stream_key) ~origin:"spam detector"
-    end
-  end;
+  else feed_detector t `Spam ~key:(Dsim.Addr.to_string packet.dst) event;
   (* Call-level cross-protocol checks (Figure 5) when the stream belongs to
      a tracked call; these stay live even degraded (they are bounded by the
      call cap and carry the BYE-DoS/billing-fraud discrimination). *)
   match Fact_base.call_for_media t.base packet.dst with
   | None -> ()
-  | Some call ->
-      tick t (fun i -> i.i_inject_call);
-      trace t (Obs.Trace.Dispatch { target = "call"; subject = call.Fact_base.call_id });
-      penter t Obs.Prof.Efsm_dispatch;
-      let faulted =
-        contain t ~subject:call.Fact_base.call_id ~origin:"call machine" (fun () ->
-            checked_inject t call.Fact_base.system ~machine:Keys.rtp_machine event;
-            Fact_base.maybe_finish t.base call)
-      in
-      pexit t Obs.Prof.Efsm_dispatch;
-      if faulted then begin
-        Fact_base.quarantine_call t.base call;
-        trace_quarantine t ~subject:call.Fact_base.call_id ~origin:"call machine"
-      end
+  | Some call -> inject_call t call ~machine:Keys.rtp_machine event
 
 (* --------------------------------------------------------------- *)
 (* Entry points                                                     *)
@@ -621,11 +608,10 @@ let process_packet t packet =
   (* Outer boundary: whatever the inner per-record boundaries miss
      (classifier, parser, distributor) is contained here, so no packet —
      however crafted — can unwind the sensor's packet loop. *)
-  ignore
-    (contain t
-       ~subject:(Dsim.Addr.to_string packet.Dsim.Packet.src)
-       ~origin:"packet pipeline"
-       (fun () -> dispatch t packet))
+  match contain (fun () -> dispatch t packet) with
+  | None -> ()
+  | Some exn ->
+      fault t ~subject:(Dsim.Addr.to_string packet.Dsim.Packet.src) ~origin:"packet pipeline" exn
 
 let tap t packet = process_packet t packet
 
@@ -668,6 +654,7 @@ let counters t =
     backpressure_stalls = t.backpressure_stalls;
   }
 
+let malformed_packets t = t.malformed_packets
 let cpu_busy t = t.busy
 let fact_base t = t.base
 let memory_stats t = Fact_base.stats t.base

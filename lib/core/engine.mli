@@ -61,6 +61,10 @@ val alerts_of_kind : t -> Alert.kind -> Alert.t list
 
 val counters : t -> counters
 
+val malformed_packets : t -> int
+(** [(counters t).malformed_packets] without building the record, for
+    callers that read it once per packet. *)
+
 val cpu_busy : t -> Dsim.Time.t
 (** Accumulated modeled CPU time spent analyzing packets. *)
 

@@ -29,6 +29,8 @@ type detector = {
 
 type detector_kind = [ `Flood | `Spam | `Drdos ]
 
+module Addr_tbl = Hashtbl.Make (Dsim.Addr)
+
 type t = {
   config : Config.t;
   (* The machine specs, shared by every record of this base: a record owns
@@ -53,7 +55,7 @@ type t = {
      queue all key on the cheap int instead of rehashing the string. *)
   ids : Intern.t;
   calls : (int, call) Hashtbl.t;
-  media_index : (string, int) Hashtbl.t; (* media addr -> interned call id *)
+  media_index : int Addr_tbl.t; (* media addr -> interned call id *)
   floods : (string, detector) Hashtbl.t;
   spams : (string, detector) Hashtbl.t;
   drdoses : (string, detector) Hashtbl.t;
@@ -102,7 +104,7 @@ let create ?(on_pressure = fun ~subject:_ ~detail:_ -> ()) ?(overrides = []) ~co
     on_pressure;
     ids = Intern.create ();
     calls = Hashtbl.create 256;
-    media_index = Hashtbl.create 256;
+    media_index = Addr_tbl.create 256;
     floods = Hashtbl.create 64;
     spams = Hashtbl.create 256;
     drdoses = Hashtbl.create 64;
@@ -136,8 +138,6 @@ let system_callbacks t ~subject =
   in
   (on_alert, on_anomaly)
 
-let media_key addr = Dsim.Addr.to_string addr
-
 let fresh_serial t =
   let s = t.next_serial in
   t.next_serial <- s + 1;
@@ -165,8 +165,8 @@ let delete_call t call =
       Efsm.System.release call.system;
       List.iter
         (fun addr ->
-          match Hashtbl.find_opt t.media_index (media_key addr) with
-          | Some k when k = call.key -> Hashtbl.remove t.media_index (media_key addr)
+          match Addr_tbl.find_opt t.media_index addr with
+          | Some k when k = call.key -> Addr_tbl.remove t.media_index addr
           | Some _ | None -> ())
         call.media_addrs;
       Hashtbl.remove t.calls call.key;
@@ -243,15 +243,15 @@ let create_call t ~call_id =
 let register_media t call addr =
   if not (List.exists (Dsim.Addr.equal addr) call.media_addrs) then begin
     call.media_addrs <- addr :: call.media_addrs;
-    Hashtbl.replace t.media_index (media_key addr) call.key
+    Addr_tbl.replace t.media_index addr call.key
   end
 
 let call_for_media t addr =
-  match Hashtbl.find_opt t.media_index (media_key addr) with
-  | None -> None
-  | Some key -> Hashtbl.find_opt t.calls key
+  match Addr_tbl.find t.media_index addr with
+  | key -> Hashtbl.find_opt t.calls key
+  | exception Not_found -> None
 
-let known_media t addr = Hashtbl.mem t.media_index (media_key addr)
+let known_media t addr = Addr_tbl.mem t.media_index addr
 
 let detector_table t = function
   | `Flood -> t.floods
@@ -308,12 +308,13 @@ let detector_spec t = function
   | `Spam -> Lazy.force t.spam_spec
   | `Drdos -> Lazy.force t.drdos_spec
 
-let subject_prefix = function `Flood -> "dst:" | `Spam -> "stream:" | `Drdos -> "victim:"
+let detector_subject kind key =
+  (match kind with `Flood -> "dst:" | `Spam -> "stream:" | `Drdos -> "victim:") ^ key
 
 (* Builds a detector on the shared spec and registers it; the cap is the
    caller's business. *)
 let add_detector t kind ~key ~created_at ~touched =
-  let on_alert, on_anomaly = system_callbacks t ~subject:(subject_prefix kind ^ key) in
+  let on_alert, on_anomaly = system_callbacks t ~subject:(detector_subject kind key) in
   let d_system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
   let d_machine = Efsm.System.add_machine d_system (detector_spec t kind) in
   let d_serial = fresh_serial t in
@@ -322,7 +323,7 @@ let add_detector t kind ~key ~created_at ~touched =
   Queue.add (kind, key, d_serial) t.detector_order;
   (d_system, d_machine)
 
-let detector kind t ~key =
+let detector t kind ~key =
   match Hashtbl.find_opt (detector_table t kind) key with
   | Some d ->
       d.d_touched <- t.timer_host.Efsm.System.now ();
@@ -332,10 +333,6 @@ let detector kind t ~key =
       if cap > 0 && detector_count t >= cap then evict_oldest_detector t;
       let now = t.timer_host.Efsm.System.now () in
       add_detector t kind ~key ~created_at:now ~touched:now
-
-let flood_detector t ~key = detector `Flood t ~key
-let spam_detector t ~key = detector `Spam t ~key
-let drdos_detector t ~key = detector `Drdos t ~key
 
 (* --------------------------------------------------------------- *)
 (* Fault quarantine                                                 *)

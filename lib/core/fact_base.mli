@@ -73,12 +73,13 @@ val call_for_media : t -> Dsim.Addr.t -> call option
 
 val known_media : t -> Dsim.Addr.t -> bool
 
-val flood_detector : t -> key:string -> Efsm.System.t * Efsm.Machine.t
-(** Per-destination INVITE flood machine (created on first use). *)
+val detector : t -> detector_kind -> key:string -> Efsm.System.t * Efsm.Machine.t
+(** The detector of that kind for [key] (created on first use): INVITE
+    flood per destination, media spam per stream, DRDoS per victim host. *)
 
-val spam_detector : t -> key:string -> Efsm.System.t * Efsm.Machine.t
-
-val drdos_detector : t -> key:string -> Efsm.System.t * Efsm.Machine.t
+val detector_subject : detector_kind -> string -> string
+(** The subject its alerts carry: ["dst:"], ["stream:"] or ["victim:"]
+    followed by the key. *)
 
 val occupancy : t -> int
 (** Active calls plus detectors — the engine's degradation signal. *)

@@ -3,9 +3,21 @@ type record = { at : Dsim.Time.t; src : Dsim.Addr.t; dst : Dsim.Addr.t; payload 
 let record_of_packet ~at (packet : Dsim.Packet.t) =
   { at; src = packet.src; dst = packet.dst; payload = packet.payload }
 
+(* An empty payload still gets its separator: the line ends in a space,
+   which [record_of_line] trims. *)
+let add_record_line b r =
+  Buffer.add_string b (string_of_int (Dsim.Time.to_us r.at));
+  Buffer.add_char b ' ';
+  Buffer.add_string b (Dsim.Addr.to_string r.src);
+  Buffer.add_char b ' ';
+  Buffer.add_string b (Dsim.Addr.to_string r.dst);
+  Buffer.add_char b ' ';
+  Efsm.Value.add_hex b r.payload
+
 let record_to_line r =
-  Printf.sprintf "%d %s %s %s" (Dsim.Time.to_us r.at) (Dsim.Addr.to_string r.src)
-    (Dsim.Addr.to_string r.dst) (Efsm.Value.hex_of_string r.payload)
+  let b = Buffer.create (48 + (2 * String.length r.payload)) in
+  add_record_line b r;
+  Buffer.contents b
 
 let record_of_line line =
   match String.split_on_char ' ' (String.trim line) with
@@ -30,10 +42,13 @@ let record_of_line line =
   | _ -> Error "malformed record"
 
 let save oc records =
+  let b = Buffer.create 4096 in
   List.iter
     (fun r ->
-      output_string oc (record_to_line r);
-      output_char oc '\n')
+      Buffer.clear b;
+      add_record_line b r;
+      Buffer.add_char b '\n';
+      Buffer.output_buffer oc b)
     records
 
 let load ic =

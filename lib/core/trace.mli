@@ -22,6 +22,9 @@ val record_of_packet : at:Dsim.Time.t -> Dsim.Packet.t -> record
 
 val record_to_line : record -> string
 
+val add_record_line : Buffer.t -> record -> unit
+(** Appends [record_to_line r], for writers that reuse one buffer. *)
+
 val record_of_line : string -> (record, string) result
 
 val save : out_channel -> record list -> unit

@@ -7,10 +7,11 @@ let compare a b =
   let c = String.compare a.host b.host in
   if c <> 0 then c else Int.compare a.port b.port
 
+let hash = Hashtbl.hash
 let host t = t.host
 let port t = t.port
+let to_string t = t.host ^ ":" ^ string_of_int t.port
 let pp ppf t = Format.fprintf ppf "%s:%d" t.host t.port
-let to_string t = Format.asprintf "%a" pp t
 
 let of_string s =
   match String.rindex_opt s ':' with
@@ -19,5 +20,5 @@ let of_string s =
       let host = String.sub s 0 i in
       let port_str = String.sub s (i + 1) (String.length s - i - 1) in
       match int_of_string_opt port_str with
-      | Some port when port >= 0 && host <> "" -> Some { host; port }
+      | Some port when port >= 0 && port <= 65535 && host <> "" -> Some { host; port }
       | Some _ | None -> None)

@@ -8,6 +8,9 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
+val hash : t -> int
+(** Structural, so [Hashtbl.Make (Addr)] keys tables on addresses. *)
+
 val host : t -> string
 
 val port : t -> int
@@ -16,6 +19,8 @@ val pp : Format.formatter -> t -> unit
 (** Prints as ["host:port"]. *)
 
 val to_string : t -> string
+(** The bytes {!pp} prints, without going through [Format]. *)
 
 val of_string : string -> t option
-(** Parses ["host:port"]. *)
+(** Parses ["host:port"]: [None] for an empty host or a port outside
+    0–65535, which no UDP datagram can carry. *)

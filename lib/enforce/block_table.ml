@@ -31,7 +31,7 @@ type stats = {
 }
 
 type t = {
-  table : (string, rule) Hashtbl.t;  (* keyed by [scope_key] *)
+  table : (scope, rule) Hashtbl.t;
   t_max_rules : int;
   on_expire : scope -> unit;
   mutable next_serial : int;
@@ -49,10 +49,6 @@ type t = {
    shares one bucket, keeping the rule's footprint bounded (and the
    degradation deterministic — insertion order decides who shares). *)
 let max_buckets_per_rule = 4096
-
-let scope_key = function
-  | Src k -> "S:" ^ Source_key.to_string k
-  | Dst k -> "D:" ^ Source_key.to_string k
 
 let create ?(max_rules = 4096) ?(on_expire = fun _ -> ()) () =
   if max_rules <= 0 then invalid_arg "Block_table.create: max_rules must be positive";
@@ -75,12 +71,12 @@ let lockdown t = t.t_lockdown
 let set_lockdown t v = t.t_lockdown <- v
 
 let expire_rule t r =
-  Hashtbl.remove t.table (scope_key r.scope);
+  Hashtbl.remove t.table r.scope;
   t.s_expired <- t.s_expired + 1;
   t.on_expire r.scope
 
 let lookup t ~now scope =
-  match Hashtbl.find_opt t.table (scope_key scope) with
+  match Hashtbl.find_opt t.table scope with
   | None -> None
   | Some r ->
       if Dsim.Time.( >= ) now r.expires_at then (
@@ -88,10 +84,7 @@ let lookup t ~now scope =
         None)
       else Some r
 
-let find t scope =
-  match Hashtbl.find_opt t.table (scope_key scope) with
-  | Some r -> Some r
-  | None -> None
+let find t scope = Hashtbl.find_opt t.table scope
 
 let purge_expired t ~now =
   let stale =
@@ -106,8 +99,7 @@ type install_outcome = Installed | Refreshed | Overflow
 
 let install t ~now scope action ~expires_at ?(escalate = false) ~reason () =
   ignore (purge_expired t ~now);
-  let key = scope_key scope in
-  match Hashtbl.find_opt t.table key with
+  match Hashtbl.find_opt t.table scope with
   | Some r ->
       (* Refresh: deadline extends, Drop dominates, escalate is sticky,
          the original reason/install time (first cause) stand. *)
@@ -137,7 +129,7 @@ let install t ~now scope action ~expires_at ?(escalate = false) ~reason () =
           }
         in
         t.next_serial <- t.next_serial + 1;
-        Hashtbl.replace t.table key r;
+        Hashtbl.replace t.table scope r;
         t.s_installed <- t.s_installed + 1;
         Installed)
 
@@ -179,6 +171,7 @@ let decide t ~now ~src ~dst =
   if t.t_lockdown then (
     t.s_dropped <- t.s_dropped + 1;
     Locked)
+  else if Hashtbl.length t.table = 0 then Pass
   else
     let matched =
       List.filter_map (lookup t ~now)
@@ -324,8 +317,7 @@ let parse_rule_tokens = function
    refresh-merge semantics — restore and journal replay record the exact
    post-install state, so re-applying it verbatim is what converges. *)
 let put_rule t p ~hits ~buckets =
-  let key = scope_key p.p_scope in
-  match Hashtbl.find_opt t.table key with
+  match Hashtbl.find_opt t.table p.p_scope with
   | Some r ->
       r.action <- p.p_action;
       r.installed_at <- p.p_installed;
@@ -357,7 +349,7 @@ let put_rule t p ~hits ~buckets =
       | Some bs -> List.iter (fun (k, b) -> Hashtbl.replace r.buckets k b) bs
       | None -> ());
       t.next_serial <- t.next_serial + 1;
-      Hashtbl.replace t.table key r;
+      Hashtbl.replace t.table p.p_scope r;
       r
 
 let apply_rule_line t ~keep_hits line =

@@ -116,7 +116,9 @@ val decide : t -> now:Dsim.Time.t -> src:Dsim.Addr.t -> dst:Dsim.Addr.t -> verdi
     destination endpoint, destination host — [Drop] rules are checked
     across all four before any token bucket is charged, so a drop is
     never masked by a limiter that still has tokens.  Matched expired
-    rules are reclaimed on the spot. *)
+    rules are reclaimed on the spot.  An empty table passes the packet
+    before any scope is built; otherwise the only string built is the
+    bucket key of a matching [Dst] rate limit. *)
 
 val purge_expired : t -> now:Dsim.Time.t -> int
 (** Reclaims every expired rule; returns how many. *)

@@ -64,6 +64,12 @@ let trace t action subject =
   | None -> ()
   | Some fl -> Obs.Trace.record fl ~at:(now t) (Obs.Trace.Enforce { action; subject })
 
+(* Drops are per packet: the source is formatted only for a recorder. *)
+let trace_drop t action src =
+  match Engine.flight_recorder t.eng with
+  | None -> ()
+  | Some _ -> trace t action (Dsim.Addr.to_string src)
+
 let emit_ext t payload =
   match t.journal with
   | None -> ()
@@ -223,7 +229,7 @@ let ingest t pkt =
       true
   | Block_table.Blocked _ ->
       t.blocked <- t.blocked + 1;
-      trace t "drop" (Dsim.Addr.to_string src);
+      trace_drop t "drop" src;
       bump t ~labels:[ ("cause", "block") ] "vids_enforce_dropped_total";
       false
   | Block_table.Locked ->
@@ -232,7 +238,7 @@ let ingest t pkt =
       false
   | Block_table.Limited r ->
       t.blocked <- t.blocked + 1;
-      trace t "rate-limit-drop" (Dsim.Addr.to_string src);
+      trace_drop t "rate-limit-drop" src;
       bump t ~labels:[ ("cause", "rate") ] "vids_enforce_dropped_total";
       if r.Block_table.escalate then
         install t

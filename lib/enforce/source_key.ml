@@ -2,7 +2,10 @@
 
 type t = Host of string | Endpoint of string * int
 
-let normalize = String.lowercase_ascii
+(* Hosts on the wire are almost always lowercase already: copy only the
+   ones that are not. *)
+let normalize h =
+  if String.exists (fun c -> c >= 'A' && c <= 'Z') h then String.lowercase_ascii h else h
 let host h = Host (normalize h)
 
 let endpoint h p =
@@ -14,7 +17,7 @@ let host_of_addr (a : Dsim.Addr.t) = host a.Dsim.Addr.host
 
 let to_string = function
   | Host h -> h
-  | Endpoint (h, p) -> Printf.sprintf "%s:%d" h p
+  | Endpoint (h, p) -> h ^ ":" ^ string_of_int p
 
 let of_string s =
   if s = "" then Error "Source_key.of_string: empty key"

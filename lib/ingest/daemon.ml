@@ -157,6 +157,7 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
             (fun p -> open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 p)
             config.record_path
         in
+        let record_line = Buffer.create 512 in
         let queue =
           Shed_queue.create ?high_water:config.queue_high_water
             ~capacity:config.queue_capacity ()
@@ -250,7 +251,7 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
              can land behind a capture that raced ahead of real time. *)
           let at = Dsim.Time.max r.Vids.Trace.at (Dsim.Scheduler.now sched) in
           let r = { r with Vids.Trace.at } in
-          let before = (Vids.Engine.counters engine).Vids.Engine.malformed_packets in
+          let before = Vids.Engine.malformed_packets engine in
           let t0 = Unix.gettimeofday () in
           Dsim.Scheduler.advance_to sched at;
           let pkt =
@@ -270,12 +271,14 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
           Option.iter (fun h -> Obs.Metrics.observe h dt) dispatch_h;
           incr dispatched;
           tick packets_c;
-          Option.iter
-            (fun oc ->
-              output_string oc (Vids.Trace.record_to_line r);
-              output_char oc '\n')
-            record_oc;
-          let after = (Vids.Engine.counters engine).Vids.Engine.malformed_packets in
+          (match record_oc with
+          | None -> ()
+          | Some oc ->
+              Buffer.clear record_line;
+              Vids.Trace.add_record_line record_line r;
+              Buffer.add_char record_line '\n';
+              Buffer.output_buffer oc record_line);
+          let after = Vids.Engine.malformed_packets engine in
           if after > before then begin
             parse_errors := !parse_errors + (after - before);
             if Quarantine.note_error quar ~now:(clock.Clock.now ()) ~src:r.Vids.Trace.src

@@ -3,8 +3,9 @@
    The reader is written as a total function over arbitrary bytes: every
    length is checked before use, every arithmetic result is bounded, and
    anything surprising becomes [Skipped] (bad frame) or ends the stream
-   with [truncated_tail] (bad file).  The decode path allocates one string
-   per delivered payload and nothing else of note. *)
+   with [truncated_tail] (bad file).  The decode path allocates the frame,
+   the delivered payload and the two dotted-quad hosts, and formats
+   nothing. *)
 
 type item = Record of Vids.Trace.record | Skipped of string
 
@@ -84,12 +85,26 @@ let of_channel ic =
 (* Frame decoding                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Dotted quads are built from a table of the 256 octet strings into one
+   exact-length string: every record carries two, so this is the reader's
+   hottest allocation after the payload. *)
+let octets = Array.init 256 string_of_int
+let octet s off = octets.(Char.code s.[off])
+
+(* Blits [x] into [q] at [pos]; returns the position past it and the
+   separator already there. *)
+let blit_part q pos x =
+  Bytes.blit_string x 0 q pos (String.length x);
+  pos + String.length x + 1
+
 let dotted s off =
-  Printf.sprintf "%d.%d.%d.%d"
-    (Char.code s.[off])
-    (Char.code s.[off + 1])
-    (Char.code s.[off + 2])
-    (Char.code s.[off + 3])
+  let a = octet s off and b = octet s (off + 1) and c = octet s (off + 2) in
+  let d = octet s (off + 3) in
+  let q =
+    Bytes.make (String.length a + String.length b + String.length c + String.length d + 3) '.'
+  in
+  ignore (blit_part q (blit_part q (blit_part q (blit_part q 0 a) b) c) d);
+  Bytes.unsafe_to_string q
 
 let be16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
 

@@ -472,7 +472,40 @@ let addr_parse () =
   | None -> Alcotest.fail "should parse");
   check "no port" true (Dsim.Addr.of_string "10.0.0.1" = None);
   check "bad port" true (Dsim.Addr.of_string "h:xx" = None);
-  check "empty host" true (Dsim.Addr.of_string ":80" = None)
+  check "empty host" true (Dsim.Addr.of_string ":80" = None);
+  (* No datagram carries these, and a trace line holding one used to
+     parse and then crash enforced recovery in the block table. *)
+  check "port above 65535" true (Dsim.Addr.of_string "10.9.9.9:70000" = None);
+  check "port 65536" true (Dsim.Addr.of_string "h:65536" = None);
+  check "negative port" true (Dsim.Addr.of_string "h:-1" = None);
+  check "port 65535" true (Dsim.Addr.of_string "h:65535" = Some (Dsim.Addr.v "h" 65535));
+  check "port 0" true (Dsim.Addr.of_string "h:0" = Some (Dsim.Addr.v "h" 0))
+
+let q ?(count = 500) name arb prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
+
+let any_host = QCheck.(string_of_size (Gen.int_range 0 120))
+
+let addr_print (h, p) = Printf.sprintf "%S port %d" h p
+
+(* [to_string] skips [Format]; the bytes must not change, whatever the
+   host holds (newlines, '@', beyond the 78-column margin) or the port. *)
+let prop_addr_to_string_is_pp =
+  q "addr: to_string = asprintf pp"
+    (QCheck.set_print addr_print (QCheck.pair any_host QCheck.int))
+    (fun (h, p) ->
+      let a = Dsim.Addr.v h p in
+      String.equal (Dsim.Addr.to_string a) (Format.asprintf "%a" Dsim.Addr.pp a))
+
+let prop_addr_of_string_inverts =
+  q "addr: of_string inverts to_string for ports 0-65535"
+    (QCheck.set_print addr_print
+       (QCheck.pair
+          (QCheck.string_of_size (QCheck.Gen.int_range 1 40))
+          (QCheck.int_range 0 65535)))
+    (fun (h, p) ->
+      let a = Dsim.Addr.v h p in
+      Dsim.Addr.of_string (Dsim.Addr.to_string a) = Some a)
 
 let quantiles_exact_and_merged () =
   let qt = Dsim.Stat.Quantiles.create () in
@@ -558,5 +591,7 @@ let suite =
         tc "link stats" net_link_stats;
         tc "duplicate host rejected" net_duplicate_host_rejected;
         tc "addr parse" addr_parse;
+        prop_addr_to_string_is_pp;
+        prop_addr_of_string_inverts;
       ] );
   ]

@@ -51,6 +51,10 @@ let key_gen =
             (fun (a, b) -> Printf.sprintf "10.%d.0.%d" a b)
             (pair (int_range 0 255) (int_range 1 254));
           map (fun n -> Printf.sprintf "ua%d.example" n) (int_range 0 999);
+          (* Mixed case: normalization must lowercase exactly these. *)
+          map2
+            (fun n upper -> Printf.sprintf (if upper then "UA%d.Example" else "Ua%d.eXample") n)
+            (int_range 0 999) bool;
         ]
     in
     oneof
@@ -165,6 +169,32 @@ let test_overflow_and_lockdown () =
   BT.set_lockdown t true;
   check_verdict "lockdown blocks unmatched traffic" BT.Locked
     (BT.decide t ~now:(sec 1.0) ~src:(addr "10.1.1.1" 1) ~dst:(addr "10.1.1.2" 2))
+
+(* The gate runs on every packet in prevention mode: with no rules it
+   must not build a single key, and with rules it builds the four scope
+   keys without formatting anything (string keys cost ≈1.4 KB). *)
+let test_decide_allocation () =
+  let t = BT.create () in
+  let src = addr "10.1.1.1" 16384 and dst = addr "10.1.1.2" 20000 in
+  let n = 1000 in
+  (* [Gc.minor_words] is exact and allocates nothing; OCaml 5.1's
+     [Gc.allocated_bytes] lags between minor collections. *)
+  let per_decide () =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (BT.decide t ~now:(sec 1.0) ~src ~dst)
+    done;
+    8. *. (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let empty = per_decide () in
+  if empty > 0. then Alcotest.failf "%.1f B per decide on an empty table, want 0" empty;
+  ignore
+    (BT.install t ~now:Dsim.Time.zero
+       (BT.Src (SK.host "198.51.100.99"))
+       BT.Drop ~expires_at:(sec 60.0) ~reason:"r" ());
+  let one_rule = per_decide () in
+  if one_rule > 1024. then
+    Alcotest.failf "%.0f B per decide with one unrelated rule, limit 1024" one_rule
 
 (* ------------------------------------------------------------------ *)
 (* checkpoint ∘ crash ∘ recover preserves the table (qcheck)           *)
@@ -440,6 +470,8 @@ let suite =
         Alcotest.test_case "drop outranks limiter" `Quick test_match_order_drop_before_bucket;
         Alcotest.test_case "overflow and lockdown" `Quick test_overflow_and_lockdown;
         Alcotest.test_case "restore is total on garbage" `Quick test_restore_rejects_garbage;
+        Alcotest.test_case "decide: nothing allocated on an empty table, <=1 KB with a rule"
+          `Quick test_decide_allocation;
       ] );
     ( "enforce.recovery",
       [

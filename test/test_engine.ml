@@ -312,13 +312,13 @@ let fact_base_shares_specs () =
   check "sip spec shared" true (same a.F.sip b.F.sip && same a.F.sip c.F.sip);
   check "rtp spec shared" true (same a.F.rtp b.F.rtp && same a.F.rtp c.F.rtp);
   List.iter
-    (fun (kind, make) ->
-      let _, m1 = make base ~key:"k1" and _, m2 = make base ~key:"k2" in
+    (fun kind ->
+      let _, m1 = F.detector base kind ~key:"k1" and _, m2 = F.detector base kind ~key:"k2" in
       let _, m3 =
         F.restore_detector base kind ~key:"k3" ~created_at:Dsim.Time.zero ~touched:Dsim.Time.zero
       in
       check (F.kind_label kind ^ " spec shared") true (same m1 m2 && same m1 m3))
-    [ (`Flood, F.flood_detector); (`Spam, F.spam_detector); (`Drdos, F.drdos_detector) ]
+    [ `Flood; `Spam; `Drdos ]
 
 let flood_invite i =
   Printf.sprintf
@@ -392,6 +392,36 @@ let open_call_footprint () =
   check_int "calls held" n (Vids.Engine.memory_stats p.engine).Vids.Fact_base.active_calls;
   check_int "no alerts" 0 (List.length (Vids.Engine.alerts p.engine));
   if per_call >= 8192 then Alcotest.failf "%d B live per open call, limit 8192" per_call
+
+(* No address is formatted on the per-packet path: 2 000 RTP packets of
+   an established call, each through the spam detector and the call's RTP
+   machine, allocate at most 4 KB apiece.  Formatting the media-index key,
+   the stream key and both containment subjects through [Format] cost
+   ≈12 KB. *)
+let rtp_packet_allocation () =
+  let p = make_pipeline () in
+  run_call p;
+  let src = Dsim.Addr.v "10.1.0.10" 16384 and dst = Dsim.Addr.v "10.2.0.10" 20000 in
+  let n = 2000 in
+  let packets =
+    Array.init n (fun i -> packet ~src ~dst (rtp_bytes ~seq:(i + 1) ~ts:(160 * (i + 1)) ()))
+  in
+  let start = Dsim.Scheduler.now p.sched in
+  (* [Gc.minor_words] is exact and allocates nothing; OCaml 5.1's
+     [Gc.allocated_bytes] lags between minor collections. *)
+  let words = ref 0. in
+  Array.iteri
+    (fun i pkt ->
+      Dsim.Scheduler.run_until p.sched (Dsim.Time.add start (Dsim.Time.of_ms (20. *. float i)));
+      let w0 = Gc.minor_words () in
+      Vids.Engine.process_packet p.engine pkt;
+      words := !words +. (Gc.minor_words () -. w0))
+    packets;
+  check_int "rtp seen" n (Vids.Engine.counters p.engine).Vids.Engine.rtp_packets;
+  check_int "no alerts" 0 (List.length (Vids.Engine.alerts p.engine));
+  let per_packet = 8. *. !words /. float_of_int n in
+  if per_packet > 4096. then
+    Alcotest.failf "%.0f B allocated per RTP packet, limit 4096" per_packet
 
 (* A checkpoint of 1 000 held calls is ≈870 KB of text.  Encoding it
    must allocate at most 16 B per output byte (one Printf per hex byte
@@ -541,6 +571,7 @@ let suite =
         tc "alert listener" engine_listener;
         tc "cpu accounting" engine_cpu_accounting;
         tc "inline queueing" engine_transit_delay_queueing;
+        tc "rtp packet allocation" rtp_packet_allocation;
       ] );
     ( "vids.fact_base",
       [

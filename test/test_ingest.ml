@@ -110,6 +110,49 @@ let pcap_nonip_hosts () =
       check "distinct hosts stay distinct" true
         (Dsim.Addr.host r0.Vids.Trace.src <> Dsim.Addr.host r0.Vids.Trace.dst)
 
+(* The reader builds hosts from an octet table: every octet value must
+   come back in every position, with the ports and payload intact. *)
+let dotted a b c d = Printf.sprintf "%d.%d.%d.%d" a b c d
+
+let pcap_reads_back records =
+  let path = tmp_path ".pcap" in
+  Ingest.Pcap.write_file path records;
+  let read = Ingest.Pcap.read_file path in
+  Sys.remove path;
+  match read with
+  | Error _ -> false
+  | Ok (records', skipped) ->
+      skipped = [] && List.length records' = List.length records
+      && List.for_all2 same_record records records'
+
+let pcap_every_octet () =
+  let records =
+    List.init 256 (fun i ->
+        record ~at:(ms (float_of_int i))
+          ~src:(Dsim.Addr.v (dotted i ((i + 85) mod 256) ((i + 170) mod 256) (255 - i)) (i * 257))
+          ~dst:(Dsim.Addr.v (dotted (255 - i) i ((i + 1) mod 256) (i * 7 mod 256)) 5060)
+          (String.make (i mod 7) 'p'))
+  in
+  check "every octet in every position round-trips" true (pcap_reads_back records)
+
+let pcap_dotted_quad_roundtrip =
+  let open QCheck.Gen in
+  let octet = int_range 0 255 in
+  let addr =
+    map2
+      (fun (a, b, c, d) port -> Dsim.Addr.v (dotted a b c d) port)
+      (quad octet octet octet octet) (int_range 0 65535)
+  in
+  let capture =
+    list_size (int_range 1 20) (triple addr addr (string_size ~gen:char (int_range 0 40)))
+    |> map (List.mapi (fun i (src, dst, payload) -> record ~at:(ms (float_of_int i)) ~src ~dst payload))
+  in
+  q ~count:100 "pcap: random dotted quads survive write -> read"
+    (QCheck.make
+       ~print:(fun rs -> String.concat "\n" (List.map Vids.Trace.record_to_line rs))
+       capture)
+    pcap_reads_back
+
 let pcap_truncation_fuzz =
   let records = Test_recovery.make_trace ~calls:3 in
   let path = tmp_path ".pcap" in
@@ -424,6 +467,43 @@ let daemon_sigterm_preserves_alerts () =
     (alert_keys clean.Ingest.Daemon.engine)
     (alert_keys interrupted.Ingest.Daemon.engine)
 
+(* A capture line whose port no datagram can carry is skipped as a bad
+   address.  It used to parse, and enforced recovery then raised from the
+   block table's key builder, which runs outside the engine's
+   containment. *)
+let enforced_recovery_skips_out_of_range_port () =
+  let path = tmp_path ".pcap" and snap = tmp_path ".ck" and capture = tmp_path ".trace" in
+  Ingest.Pcap.write_file path (flood_then_benign ());
+  let config =
+    {
+      daemon_config with
+      Ingest.Daemon.snapshot_path = Some snap;
+      record_path = Some capture;
+      enforce = Some Enforce.Enforcer.default_policy;
+    }
+  in
+  let report = run_daemon ~config [ Ingest.Daemon.Pcap_file { path; pace = false } ] in
+  check "the flood left a rule" true
+    (Enforce.Block_table.rules
+       (Enforce.Enforcer.table (Option.get report.Ingest.Daemon.enforcer))
+       ~now:report.Ingest.Daemon.horizon
+    <> []);
+  let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 capture in
+  Printf.fprintf oc "%d 10.9.9.9:70000 10.0.0.1:5060 %s\n"
+    (Dsim.Time.to_us report.Ingest.Daemon.horizon + 1000)
+    (Efsm.Value.hex_of_string "x");
+  close_out oc;
+  let recovered = Enforce.Recover.recover_files ~trace_path:capture ~snapshot_path:snap () in
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ path; snap; Vids.Snapshot.previous_path snap; capture ];
+  match recovered with
+  | Error e -> Alcotest.failf "recovery: %s" e
+  | Ok (fr, _) ->
+      Alcotest.(check (list string))
+        "the line is skipped as a bad address" [ "bad source address" ]
+        (List.map snd fr.Vids.Recovery.trace_skipped)
+
 let daemon_hard_kill_recovers () =
   let records = flood_then_benign () in
   let path = tmp_path ".pcap" in
@@ -549,6 +629,8 @@ let suite =
         tc "system clock monotone" system_clock_monotone;
         tc "pcap round-trip" pcap_roundtrip;
         tc "pcap non-IP host mapping" pcap_nonip_hosts;
+        tc "pcap every octet" pcap_every_octet;
+        pcap_dotted_quad_roundtrip;
         pcap_truncation_fuzz;
         pcap_garbage_fuzz;
         tc "shed queue watermarks" shed_queue_watermarks;
@@ -563,6 +645,7 @@ let suite =
         tc "daemon paced run under manual clock" daemon_paced_run;
         tc "daemon SIGTERM preserves earned alerts" daemon_sigterm_preserves_alerts;
         tc "daemon hard kill recovers through Recovery" daemon_hard_kill_recovers;
+        tc "enforced recovery skips an out-of-range port" enforced_recovery_skips_out_of_range_port;
         tc "daemon quarantines hostile UDP source, still detects" daemon_udp_quarantine_and_detection;
       ] );
   ]
