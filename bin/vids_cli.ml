@@ -225,60 +225,34 @@ let apply_governance g config =
   |> opt g.degrade_high_water (fun c v -> { c with Vids.Config.degrade_high_water = v })
   |> opt g.degrade_low_water (fun c v -> { c with Vids.Config.degrade_low_water = v })
 
-(* Periodic checkpointing shared by [simulate], [detect] and [analyze]:
-   every interval, snapshot the engine to --checkpoint-file (rotating the
-   previous file to FILE.1) and append a marker to the write-ahead journal
-   at FILE.journal, which also receives every alert and eviction as it
-   happens.  [vids-cli recover] consumes all three files. *)
+(* --checkpoint-interval / --checkpoint-file, shared by [simulate],
+   [detect], [analyze] and [run]: every interval of virtual time the
+   daemon's checkpoint step ([Vids.Checkpoint]) snapshots the engine to
+   FILE, rotating the previous one to FILE.1, and marks the write-ahead
+   journal at FILE.journal, which also receives every alert, eviction and
+   enforcement decision as it happens.  An interval of 0 writes nothing.
+   [vids-cli recover] consumes all three files. *)
 type checkpointing = { interval : float; file : string }
 
-let start_checkpointing ?obs ck sched engine ~horizon =
-  if ck.interval <= 0.0 then None
-  else begin
-    let registry = Option.map fst obs in
-    let flight = Option.map snd obs in
-    let ck_hist =
-      Option.map
-        (fun m ->
-          Obs.Metrics.histogram m "vids_checkpoint_seconds"
-            ~help:"Wall-clock duration of one checkpoint (capture + save + journal marker)")
-        registry
-    in
-    let journal_path = ck.file ^ ".journal" in
-    let writer = Vids.Journal.create_writer ?registry journal_path in
-    Vids.Journal.attach writer engine;
-    let seq = ref 0 in
-    let period = sec ck.interval in
-    let rec arm at =
-      if Dsim.Time.( < ) at horizon then
-        ignore
-          (Dsim.Scheduler.schedule_at sched at (fun () ->
-               incr seq;
-               let now = Dsim.Scheduler.now sched in
-               let t0 = match ck_hist with None -> 0.0 | Some _ -> Unix.gettimeofday () in
-               Vids.Snapshot.save ~path:ck.file
-                 (Vids.Snapshot.capture ~seq:!seq ~at:now engine);
-               Vids.Journal.append writer (Vids.Journal.Checkpoint { at = now; seq = !seq });
-               Option.iter
-                 (fun h -> Obs.Metrics.observe h (Unix.gettimeofday () -. t0))
-                 ck_hist;
-               Option.iter
-                 (fun fl ->
-                   Obs.Trace.record fl ~at:now (Obs.Trace.Checkpoint { seq = !seq }))
-                 flight;
-               arm (Dsim.Time.add at period)))
-    in
-    arm period;
-    Some (writer, ck.file, journal_path)
-  end
+let snapshot_path ck = if ck.interval > 0.0 then Some ck.file else None
+let journal_path ck = Option.map (fun file -> file ^ ".journal") (snapshot_path ck)
 
-let finish_checkpointing = function
-  | None -> ()
-  | Some (writer, snapshot_path, journal_path) ->
-      Vids.Journal.close_writer writer;
-      (* stderr, like the telemetry export announcements, so --json keeps
-         stdout machine-parseable. *)
-      Format.eprintf "checkpoints: %s (journal %s)@." snapshot_path journal_path
+(* The offline commands' grid: [interval], [2 interval], ... strictly
+   before [horizon]. *)
+let checkpoint_step ck sched engine ~horizon =
+  let step =
+    Vids.Checkpoint.create ?snapshot_path:(snapshot_path ck) ?journal_path:(journal_path ck)
+      sched engine
+  in
+  Vids.Checkpoint.arm step ~every:(sec ck.interval) ~until:horizon ();
+  step
+
+(* stderr, like the telemetry export announcements, so --json keeps
+   stdout machine-parseable. *)
+let announce_checkpoints ck =
+  Option.iter
+    (fun file -> Format.eprintf "checkpoints: %s (journal %s.journal)@." file file)
+    (snapshot_path ck)
 
 (* --spec FILE: load [.vspec] machine overrides under [config].  Front-end
    diagnostics are rendered (with caret snippets) to stderr; [Error]
@@ -325,10 +299,9 @@ let simulate seed n_ua mode_str minutes mean_gap mean_talk governance checkpoint
         match tb.T.engine with Some engine -> start_obs obs engine | None -> None
       in
       let ck =
-        match tb.T.engine with
-        | Some engine ->
-            start_checkpointing ?obs:obs_state checkpointing tb.T.sched engine ~horizon
-        | None -> None
+        Option.map
+          (fun engine -> checkpoint_step checkpointing tb.T.sched engine ~horizon)
+          tb.T.engine
       in
       let profile =
         {
@@ -338,7 +311,11 @@ let simulate seed n_ua mode_str minutes mean_gap mean_talk governance checkpoint
         }
       in
       T.run_workload tb ~profile ~duration:horizon ();
-      finish_checkpointing ck;
+      Option.iter
+        (fun ck ->
+          Vids.Checkpoint.close ck;
+          announce_checkpoints checkpointing)
+        ck;
       let m = tb.T.metrics in
       Format.printf "workload: %d calls attempted, %d established, %d completed, %d failed@."
         (Voip.Metrics.attempted m) (Voip.Metrics.established m) (Voip.Metrics.completed m)
@@ -386,13 +363,17 @@ let detect seed attacks governance checkpointing obs enforce_policy profile json
   let obs_state = start_obs obs engine in
   let prof = start_prof profile obs_state in
   Vids.Engine.set_profiler engine prof;
-  let ck = start_checkpointing ?obs:obs_state checkpointing tb.T.sched engine ~horizon in
+  let ck = checkpoint_step checkpointing tb.T.sched engine ~horizon in
   (* Prevention mode: re-point the sensor tap at the enforcement gate so
-     blocked packets never reach the engine. *)
+     blocked packets never reach the engine; its decisions are journaled
+     and its rules checkpointed, exactly as the daemon's. *)
   let enforcer =
     Option.map
       (fun policy ->
-        let e = Enforce.Enforcer.create ~policy tb.T.sched engine in
+        let e =
+          Enforce.Enforcer.create ~policy ~journal:(Vids.Checkpoint.journal ck) tb.T.sched engine
+        in
+        Vids.Checkpoint.set_ext ck (fun () -> Enforce.Enforcer.ext e);
         Dsim.Network.set_tap tb.T.vids_node
           (Some
              (fun pkt ->
@@ -422,7 +403,8 @@ let detect seed attacks governance checkpointing obs enforce_policy profile json
       T.run_until tb horizon;
       Option.iter (fun p -> Obs.Prof.exit p Obs.Prof.Drive) prof;
       let total_s = Unix.gettimeofday () -. t0 in
-      finish_checkpointing ck;
+      Vids.Checkpoint.close ck;
+      announce_checkpoints checkpointing;
       let c = Vids.Engine.counters engine in
       let records =
         c.Vids.Engine.sip_packets + c.Vids.Engine.rtp_packets + c.Vids.Engine.rtcp_packets
@@ -666,11 +648,8 @@ let daemon captures pace listen queue_cap max_runtime governance checkpointing o
             spec_overrides = overrides;
             queue_capacity = queue_cap;
             checkpoint_every_s = checkpointing.interval;
-            snapshot_path =
-              (if checkpointing.interval > 0.0 then Some checkpointing.file else None);
-            journal_path =
-              (if checkpointing.interval > 0.0 then Some (checkpointing.file ^ ".journal")
-               else None);
+            snapshot_path = snapshot_path checkpointing;
+            journal_path = journal_path checkpointing;
             record_path = record_out;
             max_runtime_s = max_runtime;
             enforce = enforce_policy;
@@ -689,9 +668,7 @@ let daemon captures pace listen queue_cap max_runtime governance checkpointing o
               print_ingest_report report;
               ignore (finish_prof ~records ~json:false prof)
             end;
-            if checkpointing.interval > 0.0 then
-              Format.eprintf "checkpoints: %s (journal %s)@." checkpointing.file
-                (checkpointing.file ^ ".journal");
+            announce_checkpoints checkpointing;
             finish_obs obs obs_state;
             (match report.Ingest.Daemon.stop_reason with
             | Ingest.Daemon.Source_dead -> 1
@@ -713,40 +690,27 @@ let analyze path checkpointing obs profile json specs =
       1
   | Ok records ->
       if not json then Format.printf "replaying %d packets...@." (List.length records);
-      let plain =
-        checkpointing.interval <= 0.0 && not (telemetry_wanted obs) && not profile
-        && overrides = []
+      let sched = Dsim.Scheduler.create () in
+      let engine = Vids.Engine.create ~overrides sched in
+      let obs_state = start_obs obs engine in
+      let prof = start_prof profile obs_state in
+      Vids.Engine.set_profiler engine prof;
+      let last =
+        List.fold_left (fun acc r -> Dsim.Time.max acc r.Vids.Trace.at) Dsim.Time.zero records
       in
-      let engine, obs_state, prof, total_s =
-        if plain then (Vids.Trace.replay records, None, None, 0.0)
-        else begin
-          (* Build the replay by hand so checkpoints, telemetry and the
-             profiler ride the same clock. *)
-          let sched = Dsim.Scheduler.create () in
-          let engine = Vids.Engine.create ~overrides sched in
-          let obs_state = start_obs obs engine in
-          let prof = start_prof profile obs_state in
-          Vids.Engine.set_profiler engine prof;
-          let last =
-            List.fold_left (fun acc r -> Dsim.Time.max acc r.Vids.Trace.at) Dsim.Time.zero
-              records
-          in
-          let horizon = Dsim.Time.add last (sec 60.0) in
-          (* Packets first: at equal instants a packet must beat a
-             checkpoint, so a record at exactly the checkpoint time is
-             inside the snapshot rather than lost (recovery replays only
-             strictly-later records). *)
-          ignore (Vids.Trace.schedule_into sched engine records);
-          let ck = start_checkpointing ?obs:obs_state checkpointing sched engine ~horizon in
-          let t0 = Unix.gettimeofday () in
-          Option.iter (fun p -> Obs.Prof.enter p Obs.Prof.Drive) prof;
-          Dsim.Scheduler.run_until sched horizon;
-          Option.iter (fun p -> Obs.Prof.exit p Obs.Prof.Drive) prof;
-          let total_s = Unix.gettimeofday () -. t0 in
-          finish_checkpointing ck;
-          (engine, obs_state, prof, total_s)
-        end
-      in
+      let horizon = Dsim.Time.add last (sec 60.0) in
+      (* Packets first: at equal instants a packet must beat a checkpoint,
+         so a record at exactly the checkpoint time is inside the snapshot
+         rather than lost (recovery replays only strictly-later records). *)
+      ignore (Vids.Trace.schedule_into sched engine records);
+      let ck = checkpoint_step checkpointing sched engine ~horizon in
+      let t0 = Unix.gettimeofday () in
+      Option.iter (fun p -> Obs.Prof.enter p Obs.Prof.Drive) prof;
+      Dsim.Scheduler.run_until sched horizon;
+      Option.iter (fun p -> Obs.Prof.exit p Obs.Prof.Drive) prof;
+      let total_s = Unix.gettimeofday () -. t0 in
+      Vids.Checkpoint.close ck;
+      announce_checkpoints checkpointing;
       if json then
         print_endline
           (match finish_prof ~records:(List.length records) ~total_s ~json:true prof with
@@ -809,37 +773,25 @@ let profile_workload seed minutes attacks json obs =
           ?flight:(Option.map snd obs_state) ()
       in
       Vids.Engine.set_profiler engine (Some prof);
-      let enforcer =
-        Enforce.Enforcer.create ~policy:Enforce.Enforcer.default_policy sched engine
-      in
       let ck_file = Filename.temp_file "vids-profile" ".checkpoint" in
       let journal_path = ck_file ^ ".journal" in
-      let writer = Vids.Journal.create_writer ~registry:(Obs.Prof.registry prof) journal_path in
-      Vids.Journal.attach writer engine;
-      let alloc = Dsim.Packet.allocator () in
-      let seq = ref 0 in
-      let period = sec 15.0 in
-      let next_ck = ref period in
-      let checkpoint_now () =
-        incr seq;
-        Obs.Prof.enter prof Obs.Prof.Checkpoint;
-        let now = Dsim.Scheduler.now sched in
-        Vids.Snapshot.save ~path:ck_file (Vids.Snapshot.capture ~seq:!seq ~at:now engine);
-        Vids.Journal.append writer (Vids.Journal.Checkpoint { at = now; seq = !seq });
-        Obs.Prof.enter prof Obs.Prof.Journal_fsync;
-        Vids.Journal.fsync_writer writer;
-        Obs.Prof.exit prof Obs.Prof.Journal_fsync;
-        Obs.Prof.exit prof Obs.Prof.Checkpoint
+      let ck = Vids.Checkpoint.create ~snapshot_path:ck_file ~journal_path sched engine in
+      let enforcer =
+        Enforce.Enforcer.create ~policy:Enforce.Enforcer.default_policy
+          ~journal:(Vids.Checkpoint.journal ck) sched engine
       in
+      Vids.Checkpoint.set_ext ck (fun () -> Enforce.Enforcer.ext enforcer);
+      (* Checkpoints every 15 s while records flow, then a final one. *)
+      let last =
+        List.fold_left (fun _ (r : Vids.Trace.record) -> r.Vids.Trace.at) Dsim.Time.zero records
+      in
+      Vids.Checkpoint.arm ck ~every:(sec 15.0) ~until:last ();
+      let alloc = Dsim.Packet.allocator () in
       let t0 = Unix.gettimeofday () in
       List.iter
         (fun (r : Vids.Trace.record) ->
           Obs.Prof.enter prof Obs.Prof.Drive;
           Dsim.Scheduler.advance_to sched r.Vids.Trace.at;
-          if Dsim.Time.compare r.Vids.Trace.at !next_ck >= 0 then begin
-            checkpoint_now ();
-            next_ck := Dsim.Time.add !next_ck period
-          end;
           let pkt =
             Dsim.Packet.make alloc ~src:r.Vids.Trace.src ~dst:r.Vids.Trace.dst
               ~sent_at:r.Vids.Trace.at r.Vids.Trace.payload
@@ -853,10 +805,10 @@ let profile_workload seed minutes attacks json obs =
          accounting, then take the final checkpoint. *)
       Obs.Prof.enter prof Obs.Prof.Drive;
       Dsim.Scheduler.run_until sched (Dsim.Time.add horizon (sec 60.0));
-      checkpoint_now ();
+      Vids.Checkpoint.take ck;
       Obs.Prof.exit prof Obs.Prof.Drive;
       let total_s = Unix.gettimeofday () -. t0 in
-      Vids.Journal.close_writer writer;
+      Vids.Checkpoint.close ck;
       Obs.Prof.sample_gc prof;
       let n = List.length records in
       let report = Obs.Prof.report_of_snapshot (Obs.Metrics.snapshot (Obs.Prof.registry prof)) in
@@ -976,8 +928,15 @@ let rules snapshot_path json =
   | Ok snap -> (
       match List.assoc_opt Enforce.Enforcer.ext_tag (Vids.Snapshot.ext snap) with
       | None ->
-          Format.printf "no enforcement state in %s (checkpoint #%d at %a)@." snapshot_path
+          (* Under --json the note goes to stderr and stdout stays one
+             parseable value: the empty table. *)
+          (if json then Format.eprintf else Format.printf)
+            "no enforcement state in %s (checkpoint #%d at %a)@." snapshot_path
             (Vids.Snapshot.seq snap) Dsim.Time.pp (Vids.Snapshot.at snap);
+          if json then
+            print_endline
+              (Enforce.Block_table.to_json (Enforce.Block_table.create ())
+                 ~now:(Vids.Snapshot.at snap));
           0
       | Some payload -> (
           let tbl = Enforce.Block_table.create () in
@@ -1248,8 +1207,8 @@ let obs_term =
       value & opt (some string) None
       & info [ "trace-out" ] ~docv:"FILE"
           ~doc:
-            "Append flight-recorder dumps (machine quarantines, supervisor restarts, end of \
-             run) to $(docv) as JSONL.  Enables telemetry.")
+            "Append flight-recorder dumps (machine quarantines, daemon shutdown, end of run) \
+             to $(docv) as JSONL.  Enables telemetry.")
   in
   let trace_ring =
     Arg.(

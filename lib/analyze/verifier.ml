@@ -75,43 +75,29 @@ let verify_spec ?vars (spec : Machine.spec) =
     findings := Finding.make ?state ?transition ~severity ~pass ~machine:name message :: !findings
   in
   let domains = Option.value vars ~default:[] in
-  let syntaxed = List.filter_map (fun t -> t.Machine.syntax) spec.Machine.transitions in
-  let opaque_transitions =
-    List.filter (fun t -> t.Machine.syntax = None) spec.Machine.transitions
-  in
-  let fully_declarative = opaque_transitions = [] in
+  let syntaxed = List.map (fun t -> t.Machine.syntax) spec.Machine.transitions in
 
   (* Pass: structural validation (Machine.validate_spec). *)
   (match Machine.validate_spec spec with
   | Ok () -> ()
   | Error e -> emit Finding.Error "structure" e);
 
-  if not fully_declarative then
-    emit Finding.Warning "coverage"
-      (Printf.sprintf
-         "%d transition(s) carry closure guards/actions with no declarative syntax (%s): \
-          variable, timer and sync analyses are incomplete"
-         (List.length opaque_transitions)
-         (String.concat ", " (List.map (fun t -> t.Machine.label) opaque_transitions)));
-
   (* Pass: per-transition guard satisfiability (prunes the graph). *)
   let pruned = ref [] in
   List.iter
     (fun (t : Machine.transition) ->
-      match t.Machine.syntax with
-      | Some { Ir.guard; _ } -> (
-          match Solver.satisfiable ~domains [ guard ] with
-          | Solver.Unsat ->
-              pruned := t.Machine.label :: !pruned;
-              emit ~state:t.Machine.from_state ~transition:t.Machine.label Finding.Error
-                "reachability"
-                (Printf.sprintf "guard %s is unsatisfiable: transition can never fire"
-                   (Ir.pred_to_string guard))
-          | Solver.Sat _ -> ()
-          | Solver.Unknown why ->
-              emit ~transition:t.Machine.label Finding.Info "reachability"
-                ("guard satisfiability not decided: " ^ why))
-      | None -> ())
+      let guard = t.Machine.syntax.Ir.guard in
+      match Solver.satisfiable ~domains [ guard ] with
+      | Solver.Unsat ->
+          pruned := t.Machine.label :: !pruned;
+          emit ~state:t.Machine.from_state ~transition:t.Machine.label Finding.Error
+            "reachability"
+            (Printf.sprintf "guard %s is unsatisfiable: transition can never fire"
+               (Ir.pred_to_string guard))
+      | Solver.Sat _ -> ()
+      | Solver.Unknown why ->
+          emit ~transition:t.Machine.label Finding.Info "reachability"
+            ("guard satisfiability not decided: " ^ why))
     spec.Machine.transitions;
   let pruned = !pruned in
   let kept =
@@ -132,33 +118,25 @@ let verify_spec ?vars (spec : Machine.spec) =
         && triggers_overlap t.Machine.trigger u.Machine.trigger
       then begin
         incr pairs_checked;
-        match (t.Machine.syntax, u.Machine.syntax) with
-        | Some s1, Some s2 -> (
-            match Solver.satisfiable ~domains [ s1.Ir.guard; s2.Ir.guard ] with
-            | Solver.Unsat -> ()
-            | Solver.Sat witness ->
-                all_disjoint := false;
-                let opaque = Solver.has_opaque s1.Ir.guard || Solver.has_opaque s2.Ir.guard in
-                let severity = if opaque then Finding.Warning else Finding.Error in
-                let qualifier = if opaque then "may both fire" else "both fire" in
-                emit ~state:t.Machine.from_state
-                  ~transition:(t.Machine.label ^ "/" ^ u.Machine.label) severity "determinism"
-                  (Printf.sprintf "guards are not disjoint: %S and %S %s on %s" t.Machine.label
-                     u.Machine.label qualifier witness)
-            | Solver.Unknown why ->
-                all_disjoint := false;
-                emit ~state:t.Machine.from_state
-                  ~transition:(t.Machine.label ^ "/" ^ u.Machine.label) Finding.Warning
-                  "determinism"
-                  (Printf.sprintf "disjointness of %S and %S not decided: %s" t.Machine.label
-                     u.Machine.label why))
-        | _ ->
+        let g1 = t.Machine.syntax.Ir.guard and g2 = u.Machine.syntax.Ir.guard in
+        match Solver.satisfiable ~domains [ g1; g2 ] with
+        | Solver.Unsat -> ()
+        | Solver.Sat witness ->
+            all_disjoint := false;
+            let opaque = Solver.has_opaque g1 || Solver.has_opaque g2 in
+            let severity = if opaque then Finding.Warning else Finding.Error in
+            let qualifier = if opaque then "may both fire" else "both fire" in
+            emit ~state:t.Machine.from_state
+              ~transition:(t.Machine.label ^ "/" ^ u.Machine.label) severity "determinism"
+              (Printf.sprintf "guards are not disjoint: %S and %S %s on %s" t.Machine.label
+                 u.Machine.label qualifier witness)
+        | Solver.Unknown why ->
             all_disjoint := false;
             emit ~state:t.Machine.from_state
-              ~transition:(t.Machine.label ^ "/" ^ u.Machine.label) Finding.Warning "determinism"
-              (Printf.sprintf
-                 "cannot check disjointness of %S and %S: closure guard without syntax"
-                 t.Machine.label u.Machine.label)
+              ~transition:(t.Machine.label ^ "/" ^ u.Machine.label) Finding.Warning
+              "determinism"
+              (Printf.sprintf "disjointness of %S and %S not decided: %s" t.Machine.label
+                 u.Machine.label why)
       end)
     (pairs kept);
 
@@ -208,220 +186,213 @@ let verify_spec ?vars (spec : Machine.spec) =
           "reachable dead end: not final, not an attack state, and no live outgoing transition")
     states;
 
-  (* Variable and timer hygiene need full declarative coverage. *)
-  if fully_declarative then begin
-    let kept_syn =
-      List.filter_map
-        (fun (t : Machine.transition) ->
-          match t.Machine.syntax with Some s -> Some (t, s) | None -> None)
-        kept
-    in
-    (* May/must-assigned fixpoint over the pruned, reachable graph. *)
-    let universe =
-      List.fold_left
-        (fun acc { Ir.guard; acts } ->
-          let acc = VarSet.union acc (VarSet.of_list (Ir.pred_vars guard)) in
-          let acc = VarSet.union acc (VarSet.of_list (Ir.acts_reads acts)) in
-          VarSet.union acc (may_writes acts))
-        (VarSet.of_list (List.map fst domains))
-        syntaxed
-    in
-    let may : (string, VarSet.t) Hashtbl.t = Hashtbl.create 16 in
-    let must : (string, VarSet.t) Hashtbl.t = Hashtbl.create 16 in
+  (* Variable and timer hygiene. *)
+  let kept_syn = List.map (fun (t : Machine.transition) -> (t, t.Machine.syntax)) kept in
+  (* May/must-assigned fixpoint over the pruned, reachable graph. *)
+  let universe =
+    List.fold_left
+      (fun acc { Ir.guard; acts } ->
+        let acc = VarSet.union acc (VarSet.of_list (Ir.pred_vars guard)) in
+        let acc = VarSet.union acc (VarSet.of_list (Ir.acts_reads acts)) in
+        VarSet.union acc (may_writes acts))
+      (VarSet.of_list (List.map fst domains))
+      syntaxed
+  in
+  let may : (string, VarSet.t) Hashtbl.t = Hashtbl.create 16 in
+  let must : (string, VarSet.t) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun s ->
+      Hashtbl.replace may s VarSet.empty;
+      Hashtbl.replace must s (if String.equal s spec.Machine.initial then VarSet.empty else universe))
+    states;
+  let changed = ref true in
+  while !changed do
+    changed := false;
     List.iter
-      (fun s ->
-        Hashtbl.replace may s VarSet.empty;
-        Hashtbl.replace must s (if String.equal s spec.Machine.initial then VarSet.empty else universe))
-      states;
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun ((t : Machine.transition), { Ir.acts; _ }) ->
-          if SS.mem t.Machine.from_state reachable then begin
-            let update table v join =
-              let cur = Hashtbl.find table v in
-              let next = join cur in
-              if not (VarSet.equal cur next) then begin
-                Hashtbl.replace table v next;
-                changed := true
-              end
-            in
-            let may_in = Hashtbl.find may t.Machine.from_state in
-            let must_in = Hashtbl.find must t.Machine.from_state in
-            update may t.Machine.to_state (VarSet.union (VarSet.union may_in (may_writes acts)));
-            update must t.Machine.to_state
-              (VarSet.inter (VarSet.union must_in (must_writes acts)))
-          end)
-        kept_syn
-    done;
-    let ever_written =
-      List.fold_left (fun acc { Ir.acts; _ } -> VarSet.union acc (may_writes acts)) VarSet.empty
-        syntaxed
-    in
-    let ever_read =
-      List.fold_left
-        (fun acc { Ir.guard; acts } ->
-          VarSet.union acc
-            (VarSet.union (VarSet.of_list (Ir.pred_vars guard)) (VarSet.of_list (Ir.acts_reads acts))))
-        VarSet.empty syntaxed
-    in
-    let report_read ~where ~state ~transition ~may_in ~assigned v =
-      if not (VarSet.mem v assigned) then
-        let scope_of (scope, _) = scope in
-        if not (VarSet.mem v may_in) then begin
-          if scope_of v = Efsm.Env.Local then
-            emit ~state ~transition Finding.Error "variables"
-              (Printf.sprintf "%s reads %s before any assignment can have happened%s" where
-                 (Ir.var_to_string v)
-                 (if VarSet.mem v ever_written then "" else " (never assigned in this machine)"))
-          else
-            emit ~state ~transition Finding.Warning "variables"
-              (Printf.sprintf "%s reads global %s, which this machine never assigns first" where
-                 (Ir.var_to_string v))
-        end
+      (fun ((t : Machine.transition), { Ir.acts; _ }) ->
+        if SS.mem t.Machine.from_state reachable then begin
+          let update table v join =
+            let cur = Hashtbl.find table v in
+            let next = join cur in
+            if not (VarSet.equal cur next) then begin
+              Hashtbl.replace table v next;
+              changed := true
+            end
+          in
+          let may_in = Hashtbl.find may t.Machine.from_state in
+          let must_in = Hashtbl.find must t.Machine.from_state in
+          update may t.Machine.to_state (VarSet.union (VarSet.union may_in (may_writes acts)));
+          update must t.Machine.to_state
+            (VarSet.inter (VarSet.union must_in (must_writes acts)))
+        end)
+      kept_syn
+  done;
+  let ever_written =
+    List.fold_left (fun acc { Ir.acts; _ } -> VarSet.union acc (may_writes acts)) VarSet.empty
+      syntaxed
+  in
+  let ever_read =
+    List.fold_left
+      (fun acc { Ir.guard; acts } ->
+        VarSet.union acc
+          (VarSet.union (VarSet.of_list (Ir.pred_vars guard)) (VarSet.of_list (Ir.acts_reads acts))))
+      VarSet.empty syntaxed
+  in
+  let report_read ~where ~state ~transition ~may_in ~assigned v =
+    if not (VarSet.mem v assigned) then
+      let scope_of (scope, _) = scope in
+      if not (VarSet.mem v may_in) then begin
+        if scope_of v = Efsm.Env.Local then
+          emit ~state ~transition Finding.Error "variables"
+            (Printf.sprintf "%s reads %s before any assignment can have happened%s" where
+               (Ir.var_to_string v)
+               (if VarSet.mem v ever_written then "" else " (never assigned in this machine)"))
         else
-          emit ~state ~transition Finding.Info "variables"
-            (Printf.sprintf "%s may read %s before initialization (assigned on some paths only)"
-               where (Ir.var_to_string v))
-    in
-    List.iter
-      (fun ((t : Machine.transition), { Ir.guard; acts }) ->
-        let state = t.Machine.from_state and transition = t.Machine.label in
-        if SS.mem state reachable then begin
-          let may_in = Hashtbl.find may state and must_in = Hashtbl.find must state in
-          List.iter
-            (report_read ~where:"guard" ~state ~transition ~may_in ~assigned:must_in)
-            (Ir.pred_vars guard);
-          (* Actions: sequential tracking within the list. *)
-          let rec walk assigned seen_may acts =
-            List.fold_left
-              (fun (assigned, seen_may) act ->
-                let check_expr e =
+          emit ~state ~transition Finding.Warning "variables"
+            (Printf.sprintf "%s reads global %s, which this machine never assigns first" where
+               (Ir.var_to_string v))
+      end
+      else
+        emit ~state ~transition Finding.Info "variables"
+          (Printf.sprintf "%s may read %s before initialization (assigned on some paths only)"
+             where (Ir.var_to_string v))
+  in
+  List.iter
+    (fun ((t : Machine.transition), { Ir.guard; acts }) ->
+      let state = t.Machine.from_state and transition = t.Machine.label in
+      if SS.mem state reachable then begin
+        let may_in = Hashtbl.find may state and must_in = Hashtbl.find must state in
+        List.iter
+          (report_read ~where:"guard" ~state ~transition ~may_in ~assigned:must_in)
+          (Ir.pred_vars guard);
+        (* Actions: sequential tracking within the list. *)
+        let rec walk assigned seen_may acts =
+          List.fold_left
+            (fun (assigned, seen_may) act ->
+              let check_expr e =
+                List.iter
+                  (report_read ~where:"action" ~state ~transition ~may_in:seen_may
+                     ~assigned)
+                  (Ir.vars_of_expr e)
+              in
+              match act with
+              | Ir.Assign (v, e) ->
+                  check_expr e;
+                  (VarSet.add v assigned, VarSet.add v seen_may)
+              | Ir.If (p, then_, else_) ->
                   List.iter
                     (report_read ~where:"action" ~state ~transition ~may_in:seen_may
                        ~assigned)
-                    (Ir.vars_of_expr e)
-                in
-                match act with
-                | Ir.Assign (v, e) ->
-                    check_expr e;
-                    (VarSet.add v assigned, VarSet.add v seen_may)
-                | Ir.If (p, then_, else_) ->
-                    List.iter
-                      (report_read ~where:"action" ~state ~transition ~may_in:seen_may
-                         ~assigned)
-                      (Ir.pred_vars p);
-                    let a1, m1 = walk assigned seen_may then_ in
-                    let a2, m2 = walk assigned seen_may else_ in
-                    (VarSet.inter a1 a2, VarSet.union m1 m2)
-                | Ir.Send_sync { args; _ } ->
-                    List.iter (fun (_, e) -> check_expr e) args;
-                    (assigned, seen_may)
-                | Ir.Opaque_act o ->
-                    List.iter
-                      (report_read ~where:"action" ~state ~transition ~may_in:seen_may
-                         ~assigned)
-                      o.Ir.act_reads;
-                    (assigned, VarSet.union seen_may (VarSet.of_list o.Ir.act_writes))
-                | Ir.Set_timer _ | Ir.Cancel_timer _ -> (assigned, seen_may))
-              (assigned, seen_may) acts
-          in
-          ignore (walk must_in may_in acts)
-        end)
-      kept_syn;
-    (* Declared-domain hygiene. *)
-    (match vars with
-    | None -> ()
-    | Some decls ->
-        List.iter
-          (fun ((t : Machine.transition), { Ir.acts; _ }) ->
-            Ir.acts_fold
-              (fun () act ->
-                match act with
-                | Ir.Assign (v, e) -> (
-                    match List.assoc_opt v decls with
-                    | None ->
-                        emit ~state:t.Machine.from_state ~transition:t.Machine.label
-                          Finding.Error "variables"
-                          (Printf.sprintf "assignment to %s, which is outside the declared \
-                                           variable domain"
-                             (Ir.var_to_string v))
-                    | Some domain -> (
-                        match (domain, e) with
-                        | Ir.D_enum allowed, Ir.Const c ->
-                            if not (List.exists (Efsm.Value.equal c) allowed) then
-                              emit ~state:t.Machine.from_state ~transition:t.Machine.label
-                                Finding.Error "variables"
-                                (Printf.sprintf "assigns %s to %s, outside its declared domain %s"
-                                   (Efsm.Value.to_string c) (Ir.var_to_string v)
-                                   (Ir.domain_to_string domain))
-                        | _ -> (
-                            match Ir.type_of_expr e with
-                            | Some d when d <> domain -> (
-                                match domain with
-                                | Ir.D_enum _ -> ()
-                                | _ ->
-                                    emit ~state:t.Machine.from_state ~transition:t.Machine.label
-                                      Finding.Error "variables"
-                                      (Printf.sprintf
-                                         "assigns a %s expression to %s, declared as %s"
-                                         (Ir.domain_to_string d) (Ir.var_to_string v)
-                                         (Ir.domain_to_string domain)))
-                            | _ -> ())))
-                | _ -> ())
-              () acts)
-          kept_syn);
-    (* Dead variables: locally assigned, never read by this machine. *)
-    VarSet.iter
-      (fun v ->
-        if fst v = Efsm.Env.Local && not (VarSet.mem v ever_read) then
-          emit Finding.Warning "variables"
-            (Printf.sprintf "dead variable: %s is assigned but never read" (Ir.var_to_string v)))
-      ever_written;
+                    (Ir.pred_vars p);
+                  let a1, m1 = walk assigned seen_may then_ in
+                  let a2, m2 = walk assigned seen_may else_ in
+                  (VarSet.inter a1 a2, VarSet.union m1 m2)
+              | Ir.Send_sync { args; _ } ->
+                  List.iter (fun (_, e) -> check_expr e) args;
+                  (assigned, seen_may)
+              | Ir.Opaque_act o ->
+                  List.iter
+                    (report_read ~where:"action" ~state ~transition ~may_in:seen_may
+                       ~assigned)
+                    o.Ir.act_reads;
+                  (assigned, VarSet.union seen_may (VarSet.of_list o.Ir.act_writes))
+              | Ir.Set_timer _ | Ir.Cancel_timer _ -> (assigned, seen_may))
+            (assigned, seen_may) acts
+        in
+        ignore (walk must_in may_in acts)
+      end)
+    kept_syn;
+  (* Declared-domain hygiene. *)
+  (match vars with
+  | None -> ()
+  | Some decls ->
+      List.iter
+        (fun ((t : Machine.transition), { Ir.acts; _ }) ->
+          Ir.acts_fold
+            (fun () act ->
+              match act with
+              | Ir.Assign (v, e) -> (
+                  match List.assoc_opt v decls with
+                  | None ->
+                      emit ~state:t.Machine.from_state ~transition:t.Machine.label
+                        Finding.Error "variables"
+                        (Printf.sprintf "assignment to %s, which is outside the declared \
+                                         variable domain"
+                           (Ir.var_to_string v))
+                  | Some domain -> (
+                      match (domain, e) with
+                      | Ir.D_enum allowed, Ir.Const c ->
+                          if not (List.exists (Efsm.Value.equal c) allowed) then
+                            emit ~state:t.Machine.from_state ~transition:t.Machine.label
+                              Finding.Error "variables"
+                              (Printf.sprintf "assigns %s to %s, outside its declared domain %s"
+                                 (Efsm.Value.to_string c) (Ir.var_to_string v)
+                                 (Ir.domain_to_string domain))
+                      | _ -> (
+                          match Ir.type_of_expr e with
+                          | Some d when d <> domain -> (
+                              match domain with
+                              | Ir.D_enum _ -> ()
+                              | _ ->
+                                  emit ~state:t.Machine.from_state ~transition:t.Machine.label
+                                    Finding.Error "variables"
+                                    (Printf.sprintf
+                                       "assigns a %s expression to %s, declared as %s"
+                                       (Ir.domain_to_string d) (Ir.var_to_string v)
+                                       (Ir.domain_to_string domain)))
+                          | _ -> ())))
+              | _ -> ())
+            () acts)
+        kept_syn);
+  (* Dead variables: locally assigned, never read by this machine. *)
+  VarSet.iter
+    (fun v ->
+      if fst v = Efsm.Env.Local && not (VarSet.mem v ever_read) then
+        emit Finding.Warning "variables"
+          (Printf.sprintf "dead variable: %s is assigned but never read" (Ir.var_to_string v)))
+    ever_written;
 
-    (* Timer hygiene. *)
-    let timers_set =
-      List.concat_map
-        (fun ((t : Machine.transition), { Ir.acts; _ }) ->
-          List.map (fun id -> (id, t.Machine.label, t.Machine.from_state)) (Ir.acts_timers_set acts))
-        kept_syn
-    in
-    let timers_cancelled =
-      List.concat_map
-        (fun ((t : Machine.transition), { Ir.acts; _ }) ->
-          List.map (fun id -> (id, t.Machine.label, t.Machine.from_state))
-            (Ir.acts_timers_cancelled acts))
-        kept_syn
-    in
-    let expiry_ids =
-      List.filter_map
-        (fun (t : Machine.transition) ->
-          match t.Machine.trigger with Machine.On_timer id -> Some id | _ -> None)
-        spec.Machine.transitions
-    in
-    let set_ids = List.map (fun (id, _, _) -> id) timers_set in
-    List.iter
-      (fun (id, label, state) ->
-        if not (List.mem id expiry_ids) then
-          emit ~state ~transition:label Finding.Error "timers"
-            (Printf.sprintf "Set_timer %S has no On_timer expiry transition: the timer fires \
-                             into the void"
-               id))
-      timers_set;
-    List.iter
-      (fun (id, label, state) ->
-        if not (List.mem id set_ids) then
-          emit ~state ~transition:label Finding.Warning "timers"
-            (Printf.sprintf "Cancel_timer %S cancels a timer no transition ever sets" id))
-      timers_cancelled;
-    List.iter
-      (fun id ->
-        if not (List.mem id set_ids) then
-          emit Finding.Warning "timers"
-            (Printf.sprintf "On_timer %S expiry can never occur: no transition sets the timer" id))
-      (List.sort_uniq String.compare expiry_ids)
-  end;
+  (* Timer hygiene. *)
+  let timers_set =
+    List.concat_map
+      (fun ((t : Machine.transition), { Ir.acts; _ }) ->
+        List.map (fun id -> (id, t.Machine.label, t.Machine.from_state)) (Ir.acts_timers_set acts))
+      kept_syn
+  in
+  let timers_cancelled =
+    List.concat_map
+      (fun ((t : Machine.transition), { Ir.acts; _ }) ->
+        List.map (fun id -> (id, t.Machine.label, t.Machine.from_state))
+          (Ir.acts_timers_cancelled acts))
+      kept_syn
+  in
+  let expiry_ids =
+    List.filter_map
+      (fun (t : Machine.transition) ->
+        match t.Machine.trigger with Machine.On_timer id -> Some id | _ -> None)
+      spec.Machine.transitions
+  in
+  let set_ids = List.map (fun (id, _, _) -> id) timers_set in
+  List.iter
+    (fun (id, label, state) ->
+      if not (List.mem id expiry_ids) then
+        emit ~state ~transition:label Finding.Error "timers"
+          (Printf.sprintf "Set_timer %S has no On_timer expiry transition: the timer fires \
+                           into the void"
+             id))
+    timers_set;
+  List.iter
+    (fun (id, label, state) ->
+      if not (List.mem id set_ids) then
+        emit ~state ~transition:label Finding.Warning "timers"
+          (Printf.sprintf "Cancel_timer %S cancels a timer no transition ever sets" id))
+    timers_cancelled;
+  List.iter
+    (fun id ->
+      if not (List.mem id set_ids) then
+        emit Finding.Warning "timers"
+          (Printf.sprintf "On_timer %S expiry can never occur: no transition sets the timer" id))
+    (List.sort_uniq String.compare expiry_ids);
 
   {
     spec_name = name;
@@ -455,13 +426,9 @@ let verify_system (machines : (Machine.spec * Ir.decl list) list) =
         let r = report_of spec.Machine.spec_name in
         List.concat_map
           (fun (t : Machine.transition) ->
-            match t.Machine.syntax with
-            | None -> []
-            | Some { Ir.acts; _ } ->
-                List.map
-                  (fun (target, ev) ->
-                    (spec.Machine.spec_name, t, target, ev, live_transition r t))
-                  (Ir.acts_syncs acts))
+            List.map
+              (fun (target, ev) -> (spec.Machine.spec_name, t, target, ev, live_transition r t))
+              (Ir.acts_syncs t.Machine.syntax.Ir.acts))
           spec.Machine.transitions)
       machines
   in
@@ -514,27 +481,11 @@ let verify_system (machines : (Machine.spec * Ir.decl list) list) =
                     live && String.equal target spec.Machine.spec_name && String.equal ev' ev)
                   sends
               in
-              let sender_syntax_gaps =
-                List.exists
-                  (fun ((other : Machine.spec), _) ->
-                    (not (String.equal other.Machine.spec_name spec.Machine.spec_name))
-                    && List.exists (fun (u : Machine.transition) -> u.Machine.syntax = None)
-                         other.Machine.transitions)
-                  machines
-              in
               if not has_sender then
-                if sender_syntax_gaps then
-                  emit ~state:t.Machine.from_state ~transition:t.Machine.label Finding.Warning
-                    "sync" spec.Machine.spec_name
-                    (Printf.sprintf
-                       "On_sync %S has no declared sender (some machines carry closure actions, \
-                        so a sender may be hidden)"
-                       ev)
-                else
-                  emit ~state:t.Machine.from_state ~transition:t.Machine.label Finding.Error
-                    "sync" spec.Machine.spec_name
-                    (Printf.sprintf
-                       "On_sync %S can never fire: no machine in the system sends it" ev)
+                emit ~state:t.Machine.from_state ~transition:t.Machine.label Finding.Error "sync"
+                  spec.Machine.spec_name
+                  (Printf.sprintf "On_sync %S can never fire: no machine in the system sends it"
+                     ev)
           | _ -> ())
         spec.Machine.transitions)
     machines;
@@ -570,54 +521,42 @@ let verify_system (machines : (Machine.spec * Ir.decl list) list) =
   let global_writes_of (spec : Machine.spec) =
     List.concat_map
       (fun (t : Machine.transition) ->
-        match t.Machine.syntax with
-        | None -> []
-        | Some { Ir.acts; _ } ->
-            List.filter (fun (scope, _) -> scope = Efsm.Env.Global) (Ir.acts_writes acts))
+        List.filter
+          (fun (scope, _) -> scope = Efsm.Env.Global)
+          (Ir.acts_writes t.Machine.syntax.Ir.acts))
       spec.Machine.transitions
   in
   let global_reads_of (spec : Machine.spec) =
     List.concat_map
       (fun (t : Machine.transition) ->
-        match t.Machine.syntax with
-        | None -> []
-        | Some { Ir.guard; acts } ->
-            List.filter
-              (fun (scope, _) -> scope = Efsm.Env.Global)
-              (Ir.pred_vars guard @ Ir.acts_reads acts))
+        let { Ir.guard; acts } = t.Machine.syntax in
+        List.filter
+          (fun (scope, _) -> scope = Efsm.Env.Global)
+          (Ir.pred_vars guard @ Ir.acts_reads acts))
       spec.Machine.transitions
   in
-  let any_syntax_gap =
-    List.exists
-      (fun ((spec : Machine.spec), _) ->
-        List.exists (fun (t : Machine.transition) -> t.Machine.syntax = None)
-          spec.Machine.transitions)
-      machines
-  in
-  if not any_syntax_gap then begin
-    let writers = List.concat_map (fun (spec, _) -> global_writes_of spec) machines in
-    let readers = List.concat_map (fun (spec, _) -> global_reads_of spec) machines in
-    List.iter
-      (fun ((spec : Machine.spec), _) ->
-        List.iter
-          (fun v ->
-            if not (List.mem v writers) then
-              emit Finding.Warning "globals" spec.Machine.spec_name
-                (Printf.sprintf "reads global %s, which no machine in the system writes"
-                   (Ir.var_to_string v)))
-          (List.sort_uniq compare (global_reads_of spec)))
-      machines;
-    List.iter
-      (fun v ->
-        if not (List.mem v readers) then
-          let writer =
-            List.find
-              (fun ((spec : Machine.spec), _) -> List.mem v (global_writes_of spec))
-              machines
-          in
-          emit Finding.Warning "globals" (fst writer).Machine.spec_name
-            (Printf.sprintf "writes global %s, which no machine in the system reads"
-               (Ir.var_to_string v)))
-      (List.sort_uniq compare writers)
-  end;
+  let writers = List.concat_map (fun (spec, _) -> global_writes_of spec) machines in
+  let readers = List.concat_map (fun (spec, _) -> global_reads_of spec) machines in
+  List.iter
+    (fun ((spec : Machine.spec), _) ->
+      List.iter
+        (fun v ->
+          if not (List.mem v writers) then
+            emit Finding.Warning "globals" spec.Machine.spec_name
+              (Printf.sprintf "reads global %s, which no machine in the system writes"
+                 (Ir.var_to_string v)))
+        (List.sort_uniq compare (global_reads_of spec)))
+    machines;
+  List.iter
+    (fun v ->
+      if not (List.mem v readers) then
+        let writer =
+          List.find
+            (fun ((spec : Machine.spec), _) -> List.mem v (global_writes_of spec))
+            machines
+        in
+        emit Finding.Warning "globals" (fst writer).Machine.spec_name
+          (Printf.sprintf "writes global %s, which no machine in the system reads"
+             (Ir.var_to_string v)))
+    (List.sort_uniq compare writers);
   { machines = reports; system_findings = List.stable_sort Finding.compare (List.rev !findings) }

@@ -1,0 +1,82 @@
+(* The checkpoint step shared by the daemon and every CLI command that
+   checkpoints.  Periodic checkpoints ride the virtual clock as
+   self-re-arming events: under live pacing the grid tracks wall time
+   through the daemon's clock bridge, and under replay it is a
+   deterministic grid, so two runs over the same input write the same
+   files. *)
+
+type t = {
+  sched : Dsim.Scheduler.t;
+  engine : Engine.t;
+  snapshot_path : string option;
+  writer : Journal.writer option;
+  tee : out_channel option;
+  counter : Obs.Metrics.counter option;
+  seconds : Obs.Metrics.histogram option;
+  mutable ext : unit -> (string * string) list;
+  mutable seq : int;
+}
+
+let create ?tee ?counter ?snapshot_path ?journal_path sched engine =
+  let registry = Engine.metrics_registry engine in
+  let writer = Option.map (Journal.create_writer ?registry) journal_path in
+  Option.iter (fun w -> Journal.attach w engine) writer;
+  let seconds =
+    match (registry, snapshot_path) with
+    | Some m, Some _ ->
+        Some
+          (Obs.Metrics.histogram m "vids_checkpoint_seconds"
+             ~help:"Wall-clock duration of one checkpoint (capture, save, journal marker, fsync)")
+    | _ -> None
+  in
+  { sched; engine; snapshot_path; writer; tee; counter; seconds; ext = (fun () -> []); seq = 0 }
+
+let journal t entry = Option.iter (fun w -> Journal.append w entry) t.writer
+let set_ext t ext = t.ext <- ext
+let taken t = t.seq
+
+let take t =
+  match t.snapshot_path with
+  | None -> ()
+  | Some path ->
+      let prof = Engine.profiler t.engine in
+      let enter stage = Option.iter (fun p -> Obs.Prof.enter p stage) prof in
+      let exit stage = Option.iter (fun p -> Obs.Prof.exit p stage) prof in
+      enter Obs.Prof.Checkpoint;
+      let t0 = match t.seconds with None -> 0.0 | Some _ -> Unix.gettimeofday () in
+      (* A kill -9 must not leave a snapshot whose replay suffix is still
+         sitting in the tee's buffer. *)
+      Option.iter flush t.tee;
+      let at = Dsim.Scheduler.now t.sched in
+      Snapshot.save ~path (Snapshot.capture ~seq:(t.seq + 1) ~ext:(t.ext ()) ~at t.engine);
+      t.seq <- t.seq + 1;
+      Option.iter Obs.Metrics.incr t.counter;
+      Option.iter
+        (fun w ->
+          Journal.append w (Journal.Checkpoint { at; seq = t.seq });
+          enter Obs.Prof.Journal_fsync;
+          Journal.fsync_writer w;
+          exit Obs.Prof.Journal_fsync)
+        t.writer;
+      Option.iter (fun h -> Obs.Metrics.observe h (Unix.gettimeofday () -. t0)) t.seconds;
+      Option.iter
+        (fun fl -> Obs.Trace.record fl ~at (Obs.Trace.Checkpoint { seq = t.seq }))
+        (Engine.flight_recorder t.engine);
+      exit Obs.Prof.Checkpoint
+
+let arm t ~every ?until () =
+  if t.snapshot_path <> None && Dsim.Time.( > ) every Dsim.Time.zero then begin
+    let before_until at =
+      match until with None -> true | Some u -> Dsim.Time.( < ) at u
+    in
+    let rec arm_at at =
+      if before_until at then
+        ignore
+          (Dsim.Scheduler.schedule_at t.sched at (fun () ->
+               take t;
+               arm_at (Dsim.Time.add at every)))
+    in
+    arm_at (Dsim.Time.add (Dsim.Scheduler.now t.sched) every)
+  end
+
+let close t = Option.iter Journal.close_writer t.writer

@@ -57,7 +57,6 @@ type t = {
   journal_pending : (string, unit) Hashtbl.t;
   mutable listeners : (Alert.t -> unit) list;
   mutable eviction_listeners : (at:Dsim.Time.t -> subject:string -> detail:string -> unit) list;
-  mutable downtime_log : (Dsim.Time.t * Dsim.Time.t * int) list; (* newest first *)
   mutable busy : Dsim.Time.t;
   mutable sip_packets : int;
   mutable rtp_packets : int;
@@ -287,7 +286,6 @@ let create ?(config = Config.default) ?(overrides = []) sched =
       journal_pending = Hashtbl.create 8;
       listeners = [];
       eviction_listeners = [];
-      downtime_log = [];
       busy = Dsim.Time.zero;
       sip_packets = 0;
       rtp_packets = 0;
@@ -672,9 +670,6 @@ let merge_journal_alert t alert =
     Hashtbl.replace t.journal_pending key ()
   end
 
-let record_downtime t ~start ~stop ~missed = t.downtime_log <- (start, stop, missed) :: t.downtime_log
-let downtime_intervals t = List.rev t.downtime_log
-
 module Persist = struct
   type dump = {
     p_counters : counters;
@@ -684,7 +679,6 @@ module Persist = struct
     p_degraded_since : Dsim.Time.t option;
     p_degraded_log : (Dsim.Time.t * Dsim.Time.t) list; (* oldest first *)
     p_alerts : Alert.t list; (* oldest first *)
-    p_downtime : (Dsim.Time.t * Dsim.Time.t * int) list; (* oldest first *)
   }
 
   let dump t =
@@ -696,7 +690,6 @@ module Persist = struct
       p_degraded_since = t.degraded_since;
       p_degraded_log = List.rev t.degraded_log;
       p_alerts = alerts t;
-      p_downtime = downtime_intervals t;
     }
 
   let restore t d =
@@ -720,6 +713,5 @@ module Persist = struct
     t.degraded_log <- List.rev d.p_degraded_log;
     t.alerts <- List.rev d.p_alerts;
     Hashtbl.reset t.seen;
-    List.iter (fun a -> Hashtbl.replace t.seen (Alert.dedup_key a) ()) d.p_alerts;
-    t.downtime_log <- List.rev d.p_downtime
+    List.iter (fun a -> Hashtbl.replace t.seen (Alert.dedup_key a) ()) d.p_alerts
 end

@@ -89,7 +89,7 @@ val on_eviction : t -> (at:Dsim.Time.t -> subject:string -> detail:string -> uni
 (** {1 Telemetry}
 
     Optional, attached after creation so every existing construction site
-    (testbed, snapshot restore, supervisor, daemon) keeps its
+    (testbed, snapshot restore, daemon) keeps its
     signature.  Strictly observational: instrumentation never feeds back
     into analysis, so [Snapshot.digest] and the alert log are identical
     with telemetry on or off. *)
@@ -143,14 +143,6 @@ val merge_journal_alert : t -> Alert.t -> unit
     suppressed count, no listener notification — it was already delivered
     before the crash), keeping replay exactly-once. *)
 
-val record_downtime : t -> start:Dsim.Time.t -> stop:Dsim.Time.t -> missed:int -> unit
-(** Records a crash/recovery outage: packets in [start, stop) were not
-    analyzed.  Persisted across further checkpoints and surfaced by
-    [Report.summary]. *)
-
-val downtime_intervals : t -> (Dsim.Time.t * Dsim.Time.t * int) list
-(** Recorded outages, oldest first, with packets missed during each. *)
-
 (** Engine-internal mutable state as plain data, for {!Snapshot} only. *)
 module Persist : sig
   type dump = {
@@ -161,7 +153,6 @@ module Persist : sig
     p_degraded_since : Dsim.Time.t option;
     p_degraded_log : (Dsim.Time.t * Dsim.Time.t) list;  (** Oldest first. *)
     p_alerts : Alert.t list;  (** Oldest first. *)
-    p_downtime : (Dsim.Time.t * Dsim.Time.t * int) list;  (** Oldest first. *)
   }
 
   val dump : t -> dump

@@ -56,22 +56,6 @@ let summary ppf engine =
           | Some stop -> Format.fprintf ppf "  %a .. %a@." Dsim.Time.pp start Dsim.Time.pp stop
           | None -> Format.fprintf ppf "  %a .. (still degraded)@." Dsim.Time.pp start)
         intervals);
-  (match Engine.downtime_intervals engine with
-  | [] -> ()
-  | outages ->
-      let total_missed = List.fold_left (fun acc (_, _, m) -> acc + m) 0 outages in
-      let total_down =
-        List.fold_left
-          (fun acc (start, stop, _) -> Dsim.Time.add acc (Dsim.Time.sub stop start))
-          Dsim.Time.zero outages
-      in
-      Format.fprintf ppf "downtime intervals (%a down, %d packets missed):@." Dsim.Time.pp
-        total_down total_missed;
-      List.iter
-        (fun (start, stop, missed) ->
-          Format.fprintf ppf "  %a .. %a (%d packets missed)@." Dsim.Time.pp start Dsim.Time.pp
-            stop missed)
-        outages);
   Format.fprintf ppf "analysis cpu: %a@." Dsim.Time.pp (Engine.cpu_busy engine)
 
 (* Machine-readable twin of [full]: everything the text report shows, as
@@ -134,17 +118,6 @@ let json engine =
           ])
       (Engine.degraded_intervals engine)
   in
-  let downtime =
-    List.map
-      (fun (start, stop, missed) ->
-        J.obj
-          [
-            ("start_us", J.int (Dsim.Time.to_us start));
-            ("stop_us", J.int (Dsim.Time.to_us stop));
-            ("packets_missed", J.int missed);
-          ])
-      (Engine.downtime_intervals engine)
-  in
   let alerts = Engine.alerts engine in
   J.obj
     [
@@ -153,7 +126,6 @@ let json engine =
       ("cpu_busy_us", J.int (Dsim.Time.to_us (Engine.cpu_busy engine)));
       ("degraded", J.bool (Engine.degraded engine));
       ("degraded_intervals", J.arr degraded);
-      ("downtime_intervals", J.arr downtime);
       ("attacks_detected", J.bool (List.exists (fun a -> Alert.is_attack a.Alert.kind) alerts));
       ("alerts", J.arr (List.map alert_json alerts));
     ]

@@ -7,15 +7,14 @@ val alerts : Format.formatter -> Engine.t -> unit
 
 val summary : Format.formatter -> Engine.t -> unit
 (** Traffic counters, alert totals by severity, fact-base occupancy and
-    modeled memory; when present, degraded intervals and crash/recovery
-    downtime intervals with the packets missed during each outage. *)
+    modeled memory; when present, degraded intervals. *)
 
 val full : Format.formatter -> Engine.t -> unit
 (** [summary] followed by [alerts]. *)
 
 val json : Engine.t -> string
 (** The full report as one JSON object: counters, memory/governance stats,
-    degraded and downtime intervals, an [attacks_detected] flag
+    degraded intervals, an [attacks_detected] flag
     ({!Alert.is_attack}), and the distinct alert log — the [--json] output
     of [detect]/[analyze]. *)
 

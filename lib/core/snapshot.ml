@@ -255,14 +255,6 @@ let add_body buf t =
       eol buf)
     p.Engine.Persist.p_degraded_log;
   List.iter
-    (fun (a, b, missed) ->
-      Buffer.add_string buf "EW";
-      time buf a;
-      time buf b;
-      int buf missed;
-      eol buf)
-    p.Engine.Persist.p_downtime;
-  List.iter
     (fun alert ->
       Buffer.add_string buf "EA ";
       Codec.add_alert buf alert;
@@ -374,7 +366,6 @@ let of_body text ~off ~len =
   let times = ref None in
   let degraded_since = ref None in
   let degraded_log = ref [] in
-  let downtime = ref [] in
   let alerts = ref [] in
   let fb = ref None in
   let calls = ref [] in
@@ -492,12 +483,6 @@ let of_body text ~off ~len =
         let* a = Codec.time_tok a in
         let* b = Codec.time_tok b in
         degraded_log := (a, b) :: !degraded_log;
-        Ok ()
-    | [ "EW"; a; b; missed ] ->
-        let* a = Codec.time_tok a in
-        let* b = Codec.time_tok b in
-        let* missed = Codec.int_tok missed in
-        downtime := (a, b, missed) :: !downtime;
         Ok ()
     | "EA" :: toks ->
         let* alert = Codec.alert_of_tokens toks in
@@ -633,7 +618,6 @@ let of_body text ~off ~len =
                 p_degraded_since = !degraded_since;
                 p_degraded_log = List.rev !degraded_log;
                 p_alerts = List.rev !alerts;
-                p_downtime = List.rev !downtime;
               };
             fb;
             calls = List.rev !calls;
@@ -817,9 +801,4 @@ let load path =
 (* Divergence                                                       *)
 (* --------------------------------------------------------------- *)
 
-let digest ~at engine =
-  let snap = capture ~seq:0 ~at engine in
-  (* Downtime history is recovery metadata: a recovered engine legitimately
-     differs from an uninterrupted one there, so it is excluded from the
-     divergence measure. *)
-  to_string { snap with engine = { snap.engine with Engine.Persist.p_downtime = [] } }
+let digest ~at engine = to_string (capture ~seq:0 ~at engine)

@@ -5,8 +5,7 @@
     EFSM systems (current states, variable vectors, queued synchronization
     events, armed timers with absolute deadlines), standalone detector
     machines, fact-base counters and eviction order, engine counters, the
-    cost model, the alert log and dedup set, and degradation/downtime
-    history.
+    cost model, the alert log and dedup set, and degradation history.
 
     The on-disk format is a line-oriented text file with a version header
     ([VIDS-SNAPSHOT 1 <seq> <at_us>]) and an [END <crc32> <length>] trailer.
@@ -74,6 +73,5 @@ val previous_path : string -> string
 val load : string -> (t, string) result
 
 val digest : at:Dsim.Time.t -> Engine.t -> string
-(** Canonical serialization with the sequence number zeroed and downtime
-    history (legitimate recovery metadata) excluded: two engines are in
-    equivalent states iff their digests are equal. *)
+(** Canonical serialization with the sequence number zeroed: two engines
+    are in equivalent states iff their digests are equal. *)

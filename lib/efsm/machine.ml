@@ -12,12 +12,8 @@ type transition = {
   guard : Env.t -> Event.t -> bool;
   action : Env.t -> Event.t -> effect list;
   to_state : string;
-  syntax : effect Ir.t option;
+  syntax : effect Ir.t;
 }
-
-let transition ?(guard = fun _ _ -> true) ?(action = fun _ _ -> []) ~label ~from_state trigger
-    ~to_state () =
-  { label; from_state; trigger; guard; action; to_state; syntax = None }
 
 let builders : effect Ir.builders =
   {
@@ -34,7 +30,7 @@ let ir_transition ?(guard = Ir.True) ?(acts = []) ~label ~from_state trigger ~to
     guard = Ir.compile_pred guard;
     action = Ir.compile_acts builders acts;
     to_state;
-    syntax = Some { Ir.guard; acts };
+    syntax = { Ir.guard; acts };
   }
 
 type spec = {

@@ -34,22 +34,11 @@ type transition = {
   guard : Env.t -> Event.t -> bool;
   action : Env.t -> Event.t -> effect list;
   to_state : string;
-  syntax : effect Ir.t option;
-      (** Declarative source when built with {!ir_transition}; [None] for raw
-          closures.  The static verifier ([lib/analyze]) reasons over this;
-          the engine only ever calls the compiled [guard]/[action]. *)
+  syntax : effect Ir.t;
+      (** The declarative source [guard]/[action] were compiled from.  The
+          static verifier ([lib/analyze]) reasons over this; the engine only
+          ever calls the compiled closures. *)
 }
-
-val transition :
-  ?guard:(Env.t -> Event.t -> bool) ->
-  ?action:(Env.t -> Event.t -> effect list) ->
-  label:string ->
-  from_state:string ->
-  trigger ->
-  to_state:string ->
-  unit ->
-  transition
-(** Guard defaults to [true], action to no-op.  Carries no {!Ir} syntax. *)
 
 val builders : effect Ir.builders
 (** Effect constructors used to compile IR actions for this machine type. *)

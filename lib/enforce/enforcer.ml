@@ -269,6 +269,7 @@ let rules_json t = Block_table.to_json t.tbl ~now:(now t)
 (* ---- crash safety ------------------------------------------------- *)
 
 let snapshot_payload t = Block_table.serialize t.tbl ~now:(now t)
+let ext t = [ (ext_tag, snapshot_payload t) ]
 
 let restore t ~payload =
   match Block_table.restore t.tbl payload with

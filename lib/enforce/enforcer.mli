@@ -94,8 +94,12 @@ val rules_json : t -> string
 (** {1 Crash safety} *)
 
 val snapshot_payload : t -> string
-(** The table serialized at the current virtual time; store it as the
-    {!ext_tag} extension of the checkpoint ([Snapshot.capture ~ext]). *)
+(** The table serialized at the current virtual time: the payload of the
+    {!ext_tag} checkpoint extension. *)
+
+val ext : t -> (string * string) list
+(** [[(ext_tag, snapshot_payload t)]]: the checkpoint extension records,
+    shaped for [Vids.Checkpoint.set_ext]. *)
 
 val restore : t -> payload:string -> (unit, string) result
 (** Replaces the table from a snapshot payload.  Under a [fail_closed]

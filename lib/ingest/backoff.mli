@@ -3,8 +3,7 @@
     The socket listener's retry arithmetic, shared with tests: each
     consecutive failure doubles (by [factor]) the wait, clamped at [cap]
     so the sensor never sleeps itself into uselessness, and bounded by
-    [budget] total retries before giving up — the same shape as
-    {!Vids.Supervisor}'s restart policy, but on the wall clock. *)
+    [budget] total retries before giving up. *)
 
 type t
 

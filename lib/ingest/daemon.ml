@@ -135,27 +135,34 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
         in
         Vids.Engine.set_telemetry engine ?metrics ?flight ();
         Vids.Engine.set_profiler engine prof;
-        let journal_w =
-          Option.map
-            (fun p -> Vids.Journal.create_writer ?registry:metrics p)
-            config.journal_path
-        in
-        Option.iter (fun w -> Vids.Journal.attach w engine) journal_w;
-        (* Prevention mode: the gate sits between the queue and the
-           engine, and its decisions are journaled write-ahead through
-           the same writer as alerts. *)
-        let enforcer =
-          Option.map
-            (fun policy ->
-              Enforce.Enforcer.create ~policy
-                ?journal:(Option.map (fun w e -> Vids.Journal.append w e) journal_w)
-                sched engine)
-            config.enforce
-        in
         let record_oc =
           Option.map
             (fun p -> open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 p)
             config.record_path
+        in
+        let ctr name help =
+          Option.map (fun m -> Obs.Metrics.counter m name ~help) metrics
+        in
+        let ck =
+          Vids.Checkpoint.create ?tee:record_oc
+            ?counter:(ctr "vids_ingest_checkpoints_total" "Checkpoints saved by the daemon")
+            ?snapshot_path:config.snapshot_path ?journal_path:config.journal_path sched engine
+        in
+        (* Prevention mode: the gate sits between the queue and the
+           engine, its decisions are journaled write-ahead through the
+           same writer as alerts, and the block table (with live
+           token-bucket levels) rides in every checkpoint, so a kill -9
+           recovers into the same enforcement state. *)
+        let enforcer =
+          Option.map
+            (fun policy ->
+              let e =
+                Enforce.Enforcer.create ~policy ~journal:(Vids.Checkpoint.journal ck) sched
+                  engine
+              in
+              Vids.Checkpoint.set_ext ck (fun () -> Enforce.Enforcer.ext e);
+              e)
+            config.enforce
         in
         let record_line = Buffer.create 512 in
         let queue =
@@ -166,13 +173,9 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
           Quarantine.create ~threshold:config.quarantine_threshold
             ~window_s:config.quarantine_window_s ~ttl_s:config.quarantine_ttl_s ()
         in
-        let ctr name help =
-          Option.map (fun m -> Obs.Metrics.counter m name ~help) metrics
-        in
         let packets_c = ctr "vids_ingest_packets_total" "Records dispatched to the engine" in
         let shed_c = ctr "vids_ingest_shed_total" "Records refused or displaced by the ingest queue" in
         let quarantines_c = ctr "vids_ingest_quarantines_total" "Sources entering quarantine" in
-        let checkpoints_c = ctr "vids_ingest_checkpoints_total" "Checkpoints saved by the daemon" in
         let dispatch_h =
           Option.map
             (fun m ->
@@ -194,57 +197,7 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
         let alloc = Dsim.Packet.allocator () in
         let dispatched = ref 0 in
         let parse_errors = ref 0 in
-        let checkpoints = ref 0 in
-        let seq = ref 0 in
-        let take_checkpoint () =
-          match config.snapshot_path with
-          | None -> ()
-          | Some path ->
-              penter Obs.Prof.Checkpoint;
-              (* The capture must be durable at least up to the snapshot
-                 instant, or a kill -9 leaves a snapshot whose replay
-                 suffix is still sitting in this channel's buffer. *)
-              Option.iter flush record_oc;
-              let at = Dsim.Scheduler.now sched in
-              (* The block table (with live token-bucket levels) rides in
-                 the checkpoint so a kill -9 recovers into the same
-                 enforcement state, not just the same analysis state. *)
-              let ext =
-                match enforcer with
-                | None -> []
-                | Some e -> [ (Enforce.Enforcer.ext_tag, Enforce.Enforcer.snapshot_payload e) ]
-              in
-              let snap = Vids.Snapshot.capture ~seq:(!seq + 1) ~ext ~at engine in
-              Vids.Snapshot.save ~path snap;
-              incr seq;
-              incr checkpoints;
-              tick checkpoints_c;
-              Option.iter
-                (fun w ->
-                  Vids.Journal.append w (Vids.Journal.Checkpoint { at; seq = !seq });
-                  penter Obs.Prof.Journal_fsync;
-                  Vids.Journal.fsync_writer w;
-                  pexit Obs.Prof.Journal_fsync)
-                journal_w;
-              Option.iter
-                (fun fl -> Obs.Trace.record fl ~at (Obs.Trace.Checkpoint { seq = !seq }))
-                flight;
-              pexit Obs.Prof.Checkpoint
-        in
-        (* Periodic checkpoints ride the virtual clock as self-re-arming
-           events: under live pacing the grid tracks wall time through
-           the clock bridge, and under a manual clock it is exactly the
-           deterministic grid the supervisor tests use. *)
-        if config.checkpoint_every_s > 0.0 && config.snapshot_path <> None then begin
-          let period = Dsim.Time.of_sec config.checkpoint_every_s in
-          let rec arm t =
-            ignore
-              (Dsim.Scheduler.schedule_at sched t (fun () ->
-                   take_checkpoint ();
-                   arm (Dsim.Time.add t period)))
-          in
-          arm (Dsim.Time.add (Dsim.Scheduler.now sched) period)
-        end;
+        Vids.Checkpoint.arm ck ~every:(Dsim.Time.of_sec config.checkpoint_every_s) ();
         let dispatch r =
           penter Obs.Prof.Drive;
           (* Never move the clock backwards: a wall-timestamped datagram
@@ -426,8 +379,8 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
             | Deadline -> "deadline"
             | Source_dead -> "source_dead"
             | Killed -> assert false);
-          take_checkpoint ();
-          Option.iter Vids.Journal.close_writer journal_w;
+          Vids.Checkpoint.take ck;
+          Vids.Checkpoint.close ck;
           Option.iter
             (fun oc ->
               flush oc;
@@ -443,7 +396,7 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
             stop_reason = reason;
             dispatched = !dispatched;
             parse_errors = !parse_errors;
-            checkpoints = !checkpoints;
+            checkpoints = Vids.Checkpoint.taken ck;
             queue = Shed_queue.stats queue;
             quarantine = Quarantine.stats quar ~now:(clock.Clock.now ());
             pcap =

@@ -1,8 +1,7 @@
 (* Non-blocking UDP listener.  One receive buffer is reused across the
    whole life of the source; each delivered payload is the only per-
-   datagram allocation.  Errors follow the supervised-restart shape:
-   close, wait out a capped exponential backoff, rebind, give up when the
-   budget is spent. *)
+   datagram allocation.  On an error: close, wait out a capped
+   exponential backoff, rebind, give up when the budget is spent. *)
 
 type datagram = { src : Dsim.Addr.t; payload : string }
 

@@ -1,12 +1,11 @@
-(** Non-blocking UDP listener with supervised reopen.
+(** Non-blocking UDP listener with a budgeted reopen.
 
     The daemon's live front-end: binds a datagram socket and drains it in
     bounded batches from the ingestion loop.  Socket failures never
     propagate — a receive error closes the socket and schedules a rebind
-    under a capped exponential {!Backoff} budget, mirroring the process
-    supervisor's restart discipline at the descriptor level.  When the
-    budget is spent the source reports itself dead ([gave_up]) and the
-    daemon decides whether that is fatal (its only source) or not. *)
+    under a capped exponential {!Backoff} budget.  When the budget is
+    spent the source reports itself dead ([gave_up]) and the daemon
+    decides whether that is fatal (its only source) or not. *)
 
 type t
 

@@ -46,7 +46,7 @@ type stage =
   | Detect  (** Standalone detector machines (flood, spam, DRDoS). *)
   | Enforce_gate  (** Prevention-mode verdict for one packet. *)
   | Journal_fsync  (** Durability fsync of the write-ahead journal. *)
-  | Checkpoint  (** Snapshot capture + save + journal marker. *)
+  | Checkpoint  (** The checkpoint step: snapshot capture + save + journal marker. *)
   | Ingest_poll  (** Daemon pulling datagrams from a source. *)
   | Drive  (** The driver loop itself: scheduling, clock bridging, glue. *)
 

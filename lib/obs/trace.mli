@@ -5,7 +5,7 @@
     ring holds the last [capacity] pipeline events (packet classified,
     event distributed to a machine, attack-state transition, alert,
     quarantine, eviction, checkpoint).  When something goes wrong — an
-    [Engine_fault] quarantine, a supervisor restart — {!dump} snapshots
+    [Engine_fault] quarantine — or the daemon shuts down, {!dump} snapshots
     the tail and hands it to every registered sink, turning "a fault was
     contained and counted" into a diagnosable artifact: the exact event
     sequence that led up to the fault.
@@ -45,7 +45,7 @@ type event =
           self wall seconds and self minor words allocated.  Sampled, not
           exhaustive — the per-stage totals live in the metrics. *)
   | Note of { label : string; detail : string }
-      (** Free-form marker (supervisor crashes/restarts, run phases). *)
+      (** Free-form marker (run phases). *)
 
 type entry = {
   seq : int;  (** Monotone event number since creation (never wraps). *)

@@ -9,9 +9,10 @@ module M = Efsm.Machine
 module E = Efsm.Event
 module V = Efsm.Value
 module Env = Efsm.Env
+module Ir = Efsm.Ir
 
 let ev ?(args = []) ?(at = 0) name = E.make ~args (E.Data "TEST") ~at name
-let tr = M.transition
+let tr = M.ir_transition
 
 (* ------------------------------------------------------------------ *)
 (* Values and environments                                             *)
@@ -126,15 +127,21 @@ let toy_spec =
     transitions =
       [
         tr ~label:"a_to_b" ~from_state:"A" (M.On_event "go") ~to_state:"B"
-          ~action:(fun env e ->
-            Env.set env Env.Local "n" (E.arg e "n");
-            [])
+          ~acts:[ Ir.Assign ((Env.Local, "n"), Ir.Field "n") ]
           ();
+        (* An escape-hatch guard: [E.arg_int] raises on a non-int n. *)
         tr ~label:"b_self_small" ~from_state:"B" (M.On_event "go") ~to_state:"B"
-          ~guard:(fun _ e -> E.arg_int e "n" <= 10)
+          ~guard:
+            (Ir.Opaque
+               {
+                 pred_name = "n_small";
+                 pred_reads = [];
+                 pred_fields = [ "n" ];
+                 holds = (fun _ e -> E.arg_int e "n" <= 10);
+               })
           ();
         tr ~label:"b_attack_big" ~from_state:"B" (M.On_event "go") ~to_state:"X"
-          ~guard:(fun _ e -> E.arg_int e "n" > 10)
+          ~guard:(Ir.Cmp (Ir.Gt, Ir.Int_of (Ir.Field "n"), Ir.Int_const 10))
           ();
         tr ~label:"b_done" ~from_state:"B" (M.On_event "done") ~to_state:"C" ();
       ];
@@ -178,7 +185,8 @@ let machine_final () =
 let machine_guard_type_error_is_false () =
   let m = M.instantiate toy_spec ~globals:(Env.globals ()) in
   ignore (M.step m (ev ~args:[ ("n", V.Int 1) ] "go"));
-  (* "go" without an int n: both guards raise Type_error -> no transition. *)
+  (* "go" without an int n: the opaque guard raises Type_error and the IR
+     comparison is false -> no transition. *)
   match M.step m (ev ~args:[ ("n", V.Str "oops") ] "go") with
   | M.Rejected -> ()
   | _ -> Alcotest.fail "expected rejection on type error"
@@ -257,13 +265,13 @@ let ping_spec =
     transitions =
       [
         tr ~label:"fwd" ~from_state:"S" (M.On_event "ping") ~to_state:"S"
-          ~action:(fun _ e ->
-            [ M.Send_sync { target = "Q"; event_name = "delta"; args = e.E.args } ])
+          ~acts:[ Ir.Send_sync { target = "Q"; event_name = "delta"; args = [] } ]
           ();
       ];
   }
 
 let pong_spec =
+  let count = Ir.Int_or0 (Ir.Var (Env.Local, "count")) in
   {
     M.spec_name = "Q";
     initial = "S";
@@ -272,16 +280,11 @@ let pong_spec =
     transitions =
       [
         tr ~label:"recv" ~from_state:"S" (M.On_sync "delta") ~to_state:"S"
-          ~guard:(fun env _ ->
-            (match Env.get env Env.Local "count" with V.Int n -> n | _ -> 0) < 2)
-          ~action:(fun env _ ->
-            let n = match Env.get env Env.Local "count" with V.Int n -> n | _ -> 0 in
-            Env.set env Env.Local "count" (V.Int (n + 1));
-            [])
+          ~guard:(Ir.Cmp (Ir.Lt, count, Ir.Int_const 2))
+          ~acts:[ Ir.Assign ((Env.Local, "count"), Ir.Of_int (Ir.Add (count, Ir.Int_const 1))) ]
           ();
         tr ~label:"boom" ~from_state:"S" (M.On_sync "delta") ~to_state:"X"
-          ~guard:(fun env _ ->
-            (match Env.get env Env.Local "count" with V.Int n -> n | _ -> 0) >= 2)
+          ~guard:(Ir.Cmp (Ir.Ge, count, Ir.Int_const 2))
           ();
       ];
   }
@@ -334,10 +337,10 @@ let timer_spec =
     transitions =
       [
         tr ~label:"arm" ~from_state:"S" (M.On_event "arm") ~to_state:"WAIT"
-          ~action:(fun _ _ -> [ M.Set_timer { id = "t"; delay = Dsim.Time.of_ms 100.0 } ])
+          ~acts:[ Ir.Set_timer { id = "t"; delay = Dsim.Time.of_ms 100.0 } ]
           ();
         tr ~label:"disarm" ~from_state:"WAIT" (M.On_event "disarm") ~to_state:"S"
-          ~action:(fun _ _ -> [ M.Cancel_timer "t" ])
+          ~acts:[ Ir.Cancel_timer "t" ]
           ();
         tr ~label:"fire" ~from_state:"WAIT" (M.On_timer "t") ~to_state:"LATE" ();
       ];
@@ -369,9 +372,13 @@ let system_release_cancels_timers () =
   Dsim.Scheduler.run_until sched (Dsim.Time.of_ms 500.0);
   check "released timers do not fire" true (!alerts = [])
 
-(* Arms and cancels the timer named by the event's "id" argument. *)
+(* Arms and cancels the timer named by the event's "id" argument, t1 or
+   t2. *)
 let rearm_spec =
   let delay = Dsim.Time.of_ms 100.0 in
+  let by_id act =
+    Ir.If (Ir.Eq (Ir.Field "id", Ir.Const (V.Str "t1")), [ act "t1" ], [ act "t2" ])
+  in
   let fired id = tr ~label:("fire_" ^ id) ~from_state:"S" (M.On_timer id) ~to_state:"S" () in
   {
     M.spec_name = "R";
@@ -381,10 +388,10 @@ let rearm_spec =
     transitions =
       [
         tr ~label:"arm" ~from_state:"S" (M.On_event "arm") ~to_state:"S"
-          ~action:(fun _ e -> [ M.Set_timer { id = E.arg_str e "id"; delay } ])
+          ~acts:[ by_id (fun id -> Ir.Set_timer { id; delay }) ]
           ();
         tr ~label:"disarm" ~from_state:"S" (M.On_event "disarm") ~to_state:"S"
-          ~action:(fun _ e -> [ M.Cancel_timer (E.arg_str e "id") ])
+          ~acts:[ by_id (fun id -> Ir.Cancel_timer id) ]
           ();
         fired "t1";
         fired "t2";

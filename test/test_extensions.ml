@@ -151,7 +151,7 @@ let register_flag_can_be_disabled () =
 (* EFSM static analysis                                                *)
 (* ------------------------------------------------------------------ *)
 
-let tr = Efsm.Machine.transition
+let tr = Efsm.Machine.ir_transition
 
 let analysis_flags_unreachable () =
   let spec =

@@ -317,11 +317,6 @@ let playout_counts_consistent =
       && Rtp.Playout.late_fraction p >= 0.0
       && Rtp.Playout.late_fraction p <= 1.0)
 
-let rule_lang_never_crashes =
-  q ~count:400 "rule_lang: parse total on junk" QCheck.(string_of_size (Gen.int_range 0 120))
-    (fun junk ->
-      match Baseline.Rule_lang.parse_rule junk with Ok _ -> true | Error _ -> true)
-
 let suite =
   [
     ( "properties",
@@ -349,6 +344,5 @@ let suite =
         mos_monotone_in_loss;
         mos_bounded;
         playout_counts_consistent;
-        rule_lang_never_crashes;
       ] );
   ]

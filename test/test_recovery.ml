@@ -1,6 +1,6 @@
-(* Crash-safety tests: snapshot/journal codecs (round-trip + fuzz), the
-   recovery convergence property (checkpoint ∘ crash ∘ recover ≡ no-crash),
-   and the supervisor's restart/backoff/standby accounting. *)
+(* Crash-safety tests: snapshot/journal codecs (round-trip + fuzz) and the
+   recovery convergence property (checkpoint ∘ crash ∘ recover ≡ no-crash).
+   The daemon's kill -9 path is exercised in test_ingest and the benches. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -528,103 +528,6 @@ let merge_idempotent () =
   check_int "no suppression counted" 0 (Vids.Engine.counters engine).Vids.Engine.alerts_suppressed
 
 (* ------------------------------------------------------------------ *)
-(* Supervisor                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let base_policy =
-  {
-    Vids.Supervisor.default_policy with
-    Vids.Supervisor.checkpoint_every = ms 500.;
-    backoff_initial = ms 200.;
-  }
-
-let supervised_clean_run () =
-  let trace = make_trace ~calls:20 in
-  let report = Vids.Supervisor.run ~policy:base_policy ~trace ~kill_at:[] () in
-  check_int "no crashes" 0 report.Vids.Supervisor.crashes;
-  check_int "no packets missed" 0 report.Vids.Supervisor.packets_missed;
-  check "checkpoints taken" true (report.Vids.Supervisor.checkpoints > 1);
-  check "not given up" true (not report.Vids.Supervisor.gave_up)
-
-let supervised_crash_and_recover () =
-  let trace = make_trace ~calls:20 in
-  let report = Vids.Supervisor.run ~policy:base_policy ~trace ~kill_at:[ ms 433. ] () in
-  check_int "one crash" 1 report.Vids.Supervisor.crashes;
-  check_int "one restart" 1 report.Vids.Supervisor.restarts;
-  check "packets missed during outage" true (report.Vids.Supervisor.packets_missed > 0);
-  check "downtime accounted" true
-    (Dsim.Time.( >= ) report.Vids.Supervisor.downtime_total (ms 200.));
-  (* The outage is on the recovered engine's record, surfaced by reports. *)
-  check_int "downtime interval recorded" 1
-    (List.length (Vids.Engine.downtime_intervals report.Vids.Supervisor.engine));
-  (* Exactly-once: journal merge + replay never duplicates an alert. *)
-  let alerts = Vids.Engine.alerts report.Vids.Supervisor.engine in
-  let keys = List.map Vids.Alert.dedup_key alerts in
-  check_int "alert log free of duplicates" (List.length keys)
-    (List.length (List.sort_uniq compare keys))
-
-let supervised_restart_budget () =
-  let trace = make_trace ~calls:20 in
-  let policy = { base_policy with Vids.Supervisor.max_restarts = 2 } in
-  (* The second outage runs 700–1100 ms (backoff doubled to 400 ms), so the
-     third kill must land after it — kills inside an outage are absorbed. *)
-  let kills = [ ms 433.; ms 700.; ms 1150. ] in
-  let report = Vids.Supervisor.run ~policy ~trace ~kill_at:kills () in
-  check "gave up" true report.Vids.Supervisor.gave_up;
-  check_int "budget spent" 2 report.Vids.Supervisor.restarts;
-  check "remaining trace missed" true (report.Vids.Supervisor.packets_missed > 0)
-
-(* Restart-budget boundary: a budget of 3 must survive exactly three
-   crashes — the third restart is the last allowed one, and only a fourth
-   crash exhausts it. *)
-let supervised_budget_exact_edge () =
-  let trace = make_trace ~calls:20 in
-  let policy = { base_policy with Vids.Supervisor.max_restarts = 3 } in
-  (* Outages: 433–633 (200 ms), 933–1333 (doubled), 1433–2233 (doubled
-     again) — each later kill lands after the previous restart. *)
-  let at_budget =
-    Vids.Supervisor.run ~policy ~trace ~kill_at:[ ms 433.; ms 933.; ms 1433. ] ()
-  in
-  check "exactly at budget: still alive" true (not at_budget.Vids.Supervisor.gave_up);
-  check_int "all three restarts spent" 3 at_budget.Vids.Supervisor.restarts;
-  check_int "three crashes" 3 at_budget.Vids.Supervisor.crashes;
-  let over_budget =
-    Vids.Supervisor.run ~policy ~trace ~kill_at:[ ms 433.; ms 933.; ms 1433.; ms 2333. ] ()
-  in
-  check "one past budget: gave up" true over_budget.Vids.Supervisor.gave_up;
-  check_int "restarts never exceed the budget" 3 over_budget.Vids.Supervisor.restarts;
-  check_int "the fourth crash is final" 4 over_budget.Vids.Supervisor.crashes
-
-(* Backoff cap: an absurd growth factor (1e200 overflows to infinity by
-   the third consecutive crash) must clamp at the cap instead of stalling
-   the sensor for the rest of the horizon — the downtime ledger comes out
-   exact. *)
-let supervised_backoff_cap () =
-  (* 30 calls put the horizon (last record + drain) past 3 s, so even the
-     outage of the last kill at 2150 ms runs its full 400 ms instead of
-     being clipped by the end of the run. *)
-  let trace = make_trace ~calls:30 in
-  let policy =
-    {
-      base_policy with
-      Vids.Supervisor.max_restarts = 200;
-      (* No checkpoint inside the horizon, so the consecutive-crash
-         streak never resets and the exponent keeps growing. *)
-      checkpoint_every = sec 1000.;
-      backoff_factor = 1e200;
-      backoff_cap = ms 400.;
-    }
-  in
-  let kills = [ ms 100.; ms 350.; ms 800.; ms 1250.; ms 1700.; ms 2150. ] in
-  let report = Vids.Supervisor.run ~policy ~trace ~kill_at:kills () in
-  check "never gave up" true (not report.Vids.Supervisor.gave_up);
-  check_int "every kill produced a restart" 6 report.Vids.Supervisor.restarts;
-  (* First outage at the initial backoff, the five others clamped at the
-     cap: 200 + 5 x 400 ms, to the microsecond. *)
-  check "downtime exactly 200 + 5*400 ms" true
-    (Dsim.Time.equal report.Vids.Supervisor.downtime_total (ms 2200.))
-
-(* ------------------------------------------------------------------ *)
 (* Durable-file corruption fuzz                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -726,20 +629,6 @@ let trace_corruption_fuzz =
                (List.map Vids.Trace.record_to_line records)
                trace_fixture_lines intact)))
 
-let supervised_warm_standby () =
-  let trace = make_trace ~calls:20 in
-  let kills = [ ms 733.; ms 1433. ] in
-  let cold = Vids.Supervisor.run ~policy:base_policy ~trace ~kill_at:kills () in
-  let warm_policy =
-    { base_policy with Vids.Supervisor.warm_standby = true; failover_delay = ms 20. }
-  in
-  let warm = Vids.Supervisor.run ~policy:warm_policy ~trace ~kill_at:kills () in
-  check "standby promoted" true (warm.Vids.Supervisor.standby_promotions >= 1);
-  check "warm misses no more than cold" true
-    (warm.Vids.Supervisor.packets_missed <= cold.Vids.Supervisor.packets_missed);
-  check "warm downtime below cold" true
-    (Dsim.Time.( < ) warm.Vids.Supervisor.downtime_total cold.Vids.Supervisor.downtime_total)
-
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -763,13 +652,7 @@ let suite =
         tc "trace lenient load" trace_lenient_load;
         tc "checkpoint rotation and fallback" rotation_and_fallback;
         tc "journal merge idempotent" merge_idempotent;
-        tc "supervised clean run" supervised_clean_run;
-        tc "supervised crash and recover" supervised_crash_and_recover;
-        tc "supervised restart budget" supervised_restart_budget;
-        tc "supervised budget exact edge" supervised_budget_exact_edge;
-        tc "supervised backoff cap" supervised_backoff_cap;
         journal_corruption_fuzz;
         trace_corruption_fuzz;
-        tc "supervised warm standby" supervised_warm_standby;
       ] );
   ]

@@ -337,9 +337,8 @@ let fingerprint (spec : Efsm.Machine.spec) =
   List.map snd spec.Efsm.Machine.attack_states
   @ List.concat_map
       (fun (t : Efsm.Machine.transition) ->
-        match t.Efsm.Machine.syntax with
-        | Some { Efsm.Ir.guard; acts } -> Efsm.Ir.pred_to_string guard :: delays acts
-        | None -> [])
+        let { Efsm.Ir.guard; acts } = t.Efsm.Machine.syntax in
+        Efsm.Ir.pred_to_string guard :: delays acts)
       spec.Efsm.Machine.transitions
 
 (* Each of the seven Config fields a param binds changes the builtin that
