@@ -148,6 +148,40 @@ let t_content_length_lies () =
        (String.concat "\r\n"
           (("OPTIONS sip:b@y SIP/2.0" :: base_headers) @ [ "Content-Length: -5"; ""; "body" ])))
 
+(* RFC 3261 numbers are 1*DIGIT (Status-Code is 3DIGIT).  A sensor that
+   reads OCaml integer literals where its endpoints read garbage can be
+   evaded, so each of these is rejected. *)
+let t_integer_literal_syntax () =
+  let with_length v =
+    String.concat "\r\n"
+      (("OPTIONS sip:b@y SIP/2.0" :: base_headers) @ [ "Content-Length: " ^ v; ""; "body" ])
+  in
+  check "hex status code" true (rejects (crlf ("SIP/2.0 0xC8 OK" :: base_headers)));
+  check "signed status code" true (rejects (crlf ("SIP/2.0 +200 OK" :: base_headers)));
+  check "hex status line" true (rejects (crlf ("SIP/2.0 0xC8" :: base_headers)));
+  check "hex content-length" true (rejects (with_length "0x2"));
+  check "signed content-length" true (rejects (with_length "+3"));
+  check "overflowing content-length" true (rejects (with_length (String.make 30 '9')));
+  check "cseq with separator" true (Result.is_error (Sip.Cseq.parse "1_0 INVITE"));
+  check "hex uri port" true (Result.is_error (Sip.Uri.parse "sip:b@h:0x13c4"));
+  check "hex via port" true (Result.is_error (Sip.Via.parse "SIP/2.0/UDP h:0x13c4"));
+  check "via port out of range" true (Result.is_error (Sip.Via.parse "SIP/2.0/UDP h:65536"));
+  let m =
+    Result.get_ok
+      (Sip.Msg.parse
+         (msg ~headers:("CSeq: 1_0 INVITE" :: "Max-Forwards: 0x46" :: "Expires: +60" :: base_headers) ()))
+  in
+  check "message cseq with separator" true (Result.is_error (Sip.Msg.cseq m));
+  check "hex max-forwards" true (Sip.Msg.max_forwards m = None);
+  check "signed expires" true (Sip.Msg.expires m = None);
+  let session = "o=x 1 1 IN IP4 h\r\ns=-\r\nt=0 0\r\n" in
+  check "hex sdp version" true (Result.is_error (Sdp.parse ("v=0x0\r\n" ^ session)));
+  check "hex media port" true
+    (Result.is_error (Sdp.parse ("v=0\r\n" ^ session ^ "m=audio 0x4000 RTP/AVP 0\r\n")));
+  match Sdp.parse ("v=0\r\n" ^ session ^ "m=audio 16384 RTP/AVP 0x12 1_8 +0 8\r\n") with
+  | Ok d -> check "only decimal formats" true ((List.hd d.Sdp.media).Sdp.formats = [ 8 ])
+  | Error e -> Alcotest.fail e
+
 let t_binary_garbage () =
   (* Arbitrary binary on the SIP port must be rejected, not crash. *)
   let garbage = String.init 64 (fun i -> Char.chr (255 - i)) in
@@ -289,6 +323,7 @@ let suite =
         tc "malformed start lines" t_malformed_start_lines;
         tc "malformed headers" t_malformed_headers;
         tc "content-length lies" t_content_length_lies;
+        tc "integer literal syntax" t_integer_literal_syntax;
         tc "binary garbage" t_binary_garbage;
         tc "uri torture" t_uri_torture;
       ] );
