@@ -973,18 +973,17 @@ let parse_file path =
         (fun name value () -> Format.printf "  %s: %s@." name value)
         msg.Sip.Msg.headers ();
       if msg.Sip.Msg.body <> "" then begin
-        match Sip.Msg.content_type msg with
-        | Some "application/sdp" -> (
-            match Sdp.parse msg.Sip.Msg.body with
-            | Ok d ->
-                List.iter
-                  (fun m ->
-                    Format.printf "  sdp media: %s port %d formats %s@." m.Sdp.media_type
-                      m.Sdp.port
-                      (String.concat "," (List.map string_of_int m.Sdp.formats)))
-                  d.Sdp.media
-            | Error e -> Format.printf "  sdp parse error: %s@." e)
-        | _ -> Format.printf "  body: %d bytes@." (String.length msg.Sip.Msg.body)
+        if Sip.Msg.content_type_is msg "application/sdp" then (
+          match Sdp.parse msg.Sip.Msg.body with
+          | Ok d ->
+              List.iter
+                (fun m ->
+                  Format.printf "  sdp media: %s port %d formats %s@." m.Sdp.media_type
+                    m.Sdp.port
+                    (String.concat "," (List.map string_of_int m.Sdp.formats)))
+                d.Sdp.media
+          | Error e -> Format.printf "  sdp parse error: %s@." e)
+        else Format.printf "  body: %d bytes@." (String.length msg.Sip.Msg.body)
       end;
       0
 

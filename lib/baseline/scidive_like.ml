@@ -49,21 +49,20 @@ let alert t session ~kind ~subject detail =
   end
 
 let register_media t session call_id msg =
-  match (Sip.Msg.content_type msg, msg.Sip.Msg.body) with
-  | Some "application/sdp", body when body <> "" -> (
-      match Sdp.parse body with
-      | Error _ -> ()
-      | Ok d -> (
-          match Sdp.first_audio d with
-          | None -> ()
-          | Some m -> (
-              match Sdp.media_addr d m with
-              | None -> ()
-              | Some (host, port) ->
-                  let addr = Dsim.Addr.v host port in
-                  session.media <- addr :: session.media;
-                  Hashtbl.replace t.media_index (Dsim.Addr.to_string addr) call_id)))
-  | _ -> ()
+  let body = msg.Sip.Msg.body in
+  if body <> "" && Sip.Msg.content_type_is msg "application/sdp" then
+    match Sdp.parse body with
+    | Error _ -> ()
+    | Ok d -> (
+        match Sdp.first_audio d with
+        | None -> ()
+        | Some m -> (
+            match Sdp.media_addr d m with
+            | None -> ()
+            | Some (host, port) ->
+                let addr = Dsim.Addr.v host port in
+                session.media <- addr :: session.media;
+                Hashtbl.replace t.media_index (Dsim.Addr.to_string addr) call_id))
 
 let on_sip t (packet : Dsim.Packet.t) msg =
   match Sip.Msg.call_id msg with

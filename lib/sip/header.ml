@@ -2,55 +2,63 @@ type t = (string * string) list
 
 let empty = []
 
-let compact_table =
-  [
-    ("v", "Via");
-    ("f", "From");
-    ("t", "To");
-    ("i", "Call-ID");
-    ("m", "Contact");
-    ("c", "Content-Type");
-    ("l", "Content-Length");
-    ("e", "Content-Encoding");
-    ("s", "Subject");
-    ("k", "Supported");
-  ]
+(* The canonical spelling of each known field; a name matches one when
+   they are equal ignoring case. *)
+let known_names =
+  [|
+    "Via";
+    "From";
+    "To";
+    "Call-ID";
+    "CSeq";
+    "Contact";
+    "Content-Type";
+    "Content-Length";
+    "Max-Forwards";
+    "Content-Encoding";
+    "Route";
+    "Record-Route";
+    "Expires";
+    "User-Agent";
+    "Server";
+    "Allow";
+    "Supported";
+    "Require";
+    "Subject";
+    "Authorization";
+    "WWW-Authenticate";
+    "Proxy-Authorization";
+    "Warning";
+    "Timestamp";
+    "Organization";
+    "Priority";
+    "Retry-After";
+    "Min-Expires";
+    "Event";
+    "Refer-To";
+    "RAck";
+    "RSeq";
+  |]
 
-let known_table =
-  [
-    ("via", "Via");
-    ("from", "From");
-    ("to", "To");
-    ("call-id", "Call-ID");
-    ("cseq", "CSeq");
-    ("contact", "Contact");
-    ("max-forwards", "Max-Forwards");
-    ("content-type", "Content-Type");
-    ("content-length", "Content-Length");
-    ("content-encoding", "Content-Encoding");
-    ("route", "Route");
-    ("record-route", "Record-Route");
-    ("expires", "Expires");
-    ("user-agent", "User-Agent");
-    ("server", "Server");
-    ("allow", "Allow");
-    ("supported", "Supported");
-    ("require", "Require");
-    ("subject", "Subject");
-    ("authorization", "Authorization");
-    ("www-authenticate", "WWW-Authenticate");
-    ("proxy-authorization", "Proxy-Authorization");
-    ("warning", "Warning");
-    ("timestamp", "Timestamp");
-    ("organization", "Organization");
-    ("priority", "Priority");
-    ("retry-after", "Retry-After");
-    ("min-expires", "Min-Expires");
-    ("event", "Event");
-    ("refer-to", "Refer-To");
-    ("rack", "RAck");
-    ("rseq", "RSeq");
-  ]
+(* RFC 3261 §7.3.3 compact forms. *)
+let compact = function
+  | 'v' -> "Via"
+  | 'f' -> "From"
+  | 't' -> "To"
+  | 'i' -> "Call-ID"
+  | 'm' -> "Contact"
+  | 'c' -> "Content-Type"
+  | 'l' -> "Content-Length"
+  | 'e' -> "Content-Encoding"
+  | 's' -> "Subject"
+  | 'k' -> "Supported"
+  | _ -> ""
+
+let rec known s start stop i =
+  if i = Array.length known_names then ""
+  else
+    let name = known_names.(i) in
+    if Scan.equal_ci s start stop name then name else known s start stop (i + 1)
 
 (* Title-case each '-'-separated word: "x-custom-header" -> "X-Custom-Header". *)
 let title_case s =
@@ -62,56 +70,45 @@ let title_case s =
            ^ String.lowercase_ascii (String.sub word 1 (String.length word - 1)))
   |> String.concat "-"
 
-let canonical_name name =
-  let lower = String.lowercase_ascii name in
-  match List.assoc_opt lower compact_table with
-  | Some canon -> canon
-  | None -> (
-      match List.assoc_opt lower known_table with
-      | Some canon -> canon
-      | None -> title_case lower)
+(* Compact and known names come from the tables without allocating. *)
+let canonical_slice s start stop =
+  let canon =
+    if stop - start = 1 then compact (Char.lowercase_ascii s.[start]) else known s start stop 0
+  in
+  if canon <> "" then canon
+  else title_case (String.lowercase_ascii (Scan.sub s start stop))
+
+let canonical_name name = canonical_slice name 0 (String.length name)
 
 let add t name value = t @ [ (canonical_name name, value) ]
 let add_first t name value = (canonical_name name, value) :: t
 
 let same name (field, _) = String.equal field name
 
-let get t name =
-  let name = canonical_name name in
-  match List.find_opt (same name) t with None -> None | Some (_, v) -> Some v
+let rec find name = function
+  | [] -> None
+  | (field, value) :: rest -> if String.equal field name then Some value else find name rest
 
-(* Split "a, b, c" while ignoring commas inside "..." and <...>. *)
-let split_list_value value =
-  let parts = ref [] in
-  let buffer = Buffer.create 16 in
-  let in_quotes = ref false in
-  let in_brackets = ref false in
-  let flush () =
-    let piece = String.trim (Buffer.contents buffer) in
-    Buffer.clear buffer;
-    if piece <> "" then parts := piece :: !parts
-  in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' ->
-          in_quotes := not !in_quotes;
-          Buffer.add_char buffer c
-      | '<' when not !in_quotes ->
-          in_brackets := true;
-          Buffer.add_char buffer c
-      | '>' when not !in_quotes ->
-          in_brackets := false;
-          Buffer.add_char buffer c
-      | ',' when (not !in_quotes) && not !in_brackets -> flush ()
-      | _ -> Buffer.add_char buffer c)
-    value;
-  flush ();
-  List.rev !parts
+let get t name = find (canonical_name name) t
 
-let get_all t name =
-  let name = canonical_name name in
-  List.concat_map (fun (field, v) -> if String.equal field name then split_list_value v else []) t
+(* The trimmed, non-empty items of [s.[start .. stop-1]], consed onto [acc]
+   last first. *)
+let rec items s start stop acc =
+  let e = Scan.item_end s start stop in
+  let a = Scan.skip_space s start e in
+  let b = Scan.trim_end s a e in
+  let acc = if a < b then Scan.sub s a b :: acc else acc in
+  if e < stop then items s (e + 1) stop acc else acc
+
+let split_list_value value = List.rev (items value 0 (String.length value) [])
+
+let rec all_items name acc = function
+  | [] -> List.rev acc
+  | (field, v) :: rest ->
+      let acc = if String.equal field name then items v 0 (String.length v) acc else acc in
+      all_items name acc rest
+
+let get_all t name = all_items (canonical_name name) [] t
 
 let remove t name =
   let name = canonical_name name in
@@ -131,3 +128,37 @@ let mem t name = Option.is_some (get t name)
 let fold f t init = List.fold_left (fun acc (name, value) -> f name value acc) init t
 let to_list t = t
 let of_list fields = List.map (fun (name, value) -> (canonical_name name, value)) fields
+
+(* ------------------------------------------------------------------ *)
+(* Parsing                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* One pass over the lines of [s.[start .. stop-1]]: each field is consed
+   onto [acc] and the list reversed once at the end.  A folded line is the
+   only one copied before it is split. *)
+let rec fields s start stop acc =
+  let nl = Scan.line_end s start stop in
+  if Scan.folded s (nl + 1) stop || Scan.folded s start stop then
+    let line, nl = Scan.unfold s start stop in
+    field line 0 (String.length line) s nl stop acc
+  else field s start (Scan.content_end s start nl) s nl stop acc
+
+(* The field on line [l.[a .. b-1]], then the lines after [nl]. *)
+and field l a b s nl stop acc =
+  let name_start = Scan.skip_space l a b in
+  if name_start = b then next s nl stop acc
+  else
+    let colon = Scan.index l a b ':' in
+    if colon < 0 then Error (Printf.sprintf "bad header line %S" (Scan.sub l a b))
+    else
+      let name_stop = Scan.trim_end l name_start colon in
+      if name_start = name_stop then
+        Error (Printf.sprintf "empty header name in %S" (Scan.sub l a b))
+      else
+        let value_start = Scan.skip_space l (colon + 1) b in
+        let value = Scan.sub l value_start (Scan.trim_end l value_start b) in
+        next s nl stop ((canonical_slice l name_start name_stop, value) :: acc)
+
+and next s nl stop acc = if nl < stop then fields s (nl + 1) stop acc else Ok (List.rev acc)
+
+let parse_range s start stop = fields s start stop []

@@ -44,3 +44,9 @@ val of_list : (string * string) list -> t
 
 val split_list_value : string -> string list
 (** Splits a comma-separated header value, honouring quotes and [<>]. *)
+
+val parse_range : string -> int -> int -> (t, string) result
+(** The header fields on the lines of [s.\[start .. stop - 1\]], one per
+    line, with LF or CRLF line ends.  A line that starts with white space
+    continues the one before it (RFC 3261 §7.3.1); blank lines are
+    skipped.  Names are canonicalised and values trimmed. *)

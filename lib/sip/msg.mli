@@ -84,6 +84,12 @@ val max_forwards : t -> int option
 
 val content_type : t -> string option
 
+val content_type_is : t -> string -> bool
+(** [content_type_is t "application/sdp"] holds when the Content-Type names
+    that media type: type and subtype compare case-insensitively, and
+    parameters and white space around them are ignored (RFC 3261 §20.15,
+    RFC 2045 §5.1). *)
+
 val expires : t -> int option
 
 (** {1 Proxy helpers} *)

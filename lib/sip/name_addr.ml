@@ -2,53 +2,37 @@ type t = { display : string option; uri : Uri.t; params : (string * string optio
 
 let make ?display ?(params = []) uri = { display; uri; params }
 
-let parse_params s =
-  String.split_on_char ';' s
-  |> List.filter (fun p -> String.trim p <> "")
-  |> List.map (fun p ->
-         let p = String.trim p in
-         match String.index_opt p '=' with
-         | None -> (p, None)
-         | Some i -> (String.sub p 0 i, Some (String.sub p (i + 1) (String.length p - i - 1))))
+let params_after s i stop =
+  match Scan.index s i stop ';' with -1 -> [] | semi -> Scan.params s (semi + 1) stop
 
-let parse s =
-  let s = String.trim s in
-  match String.index_opt s '<' with
-  | Some lt -> (
-      match String.index_opt s '>' with
-      | None -> Error "name-addr: unmatched '<'"
-      | Some gt when gt < lt -> Error "name-addr: '>' before '<'"
-      | Some gt -> (
-          let display_raw = String.trim (String.sub s 0 lt) in
-          let display =
-            if display_raw = "" then None
-            else if
-              String.length display_raw >= 2
-              && display_raw.[0] = '"'
-              && display_raw.[String.length display_raw - 1] = '"'
-            then Some (String.sub display_raw 1 (String.length display_raw - 2))
-            else Some display_raw
-          in
-          let uri_text = String.sub s (lt + 1) (gt - lt - 1) in
-          let after = String.sub s (gt + 1) (String.length s - gt - 1) in
-          let params =
-            match String.index_opt after ';' with
-            | None -> []
-            | Some i -> parse_params (String.sub after (i + 1) (String.length after - i - 1))
-          in
-          match Uri.parse uri_text with
-          | Error e -> Error e
-          | Ok uri -> Ok { display; uri; params }))
-  | None -> (
+(* The display name before '<', trimmed and unquoted. *)
+let display s a lt =
+  let b = Scan.trim_end s a lt in
+  if a = b then None
+  else if b - a >= 2 && s.[a] = '"' && s.[b - 1] = '"' then Some (Scan.sub s (a + 1) (b - 1))
+  else Some (Scan.sub s a b)
+
+let parse_range s start stop =
+  let a = Scan.skip_space s start stop in
+  let b = Scan.trim_end s a stop in
+  match Scan.index s a b '<' with
+  | -1 -> (
       (* Bare addr-spec: per RFC 3261 §20.10, parameters after the URI belong
          to the header, not the URI. *)
-      let uri_text, params =
-        match String.index_opt s ';' with
-        | None -> (s, [])
-        | Some i ->
-            (String.sub s 0 i, parse_params (String.sub s (i + 1) (String.length s - i - 1)))
-      in
-      match Uri.parse uri_text with Error e -> Error e | Ok uri -> Ok { display = None; uri; params })
+      let semi = Scan.index s a b ';' in
+      match Uri.parse_range s a (if semi < 0 then b else semi) with
+      | Error e -> Error e
+      | Ok uri -> Ok { display = None; uri; params = params_after s a b })
+  | lt -> (
+      match Scan.index s a b '>' with
+      | -1 -> Error "name-addr: unmatched '<'"
+      | gt when gt < lt -> Error "name-addr: '>' before '<'"
+      | gt -> (
+          match Uri.parse_range s (lt + 1) gt with
+          | Error e -> Error e
+          | Ok uri -> Ok { display = display s a lt; uri; params = params_after s (gt + 1) b }))
+
+let parse s = parse_range s 0 (String.length s)
 
 let to_string t =
   let buffer = Buffer.create 48 in
@@ -80,7 +64,12 @@ let param t name =
   | None -> None
   | Some (_, v) -> Some v
 
-let tag t = match param t "tag" with Some (Some v) -> Some v | Some None | None -> None
+(* The first parameter's own option, so a lookup allocates nothing. *)
+let rec value_of name = function
+  | [] -> None
+  | (n, v) :: rest -> if String.equal n name then v else value_of name rest
+
+let tag t = value_of "tag" t.params
 
 let with_tag t tag_value =
   let params = List.filter (fun (n, _) -> n <> "tag") t.params in

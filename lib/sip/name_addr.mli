@@ -12,6 +12,10 @@ val make : ?display:string -> ?params:(string * string option) list -> Uri.t -> 
 
 val parse : string -> (t, string) result
 
+val parse_range : string -> int -> int -> (t, string) result
+(** [parse_range s start stop] is [parse (String.sub s start (stop - start))]
+    without the copy; the URI is parsed in place. *)
+
 val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit

@@ -26,6 +26,10 @@ val make :
 
 val parse : string -> (t, string) result
 
+val parse_range : string -> int -> int -> (t, string) result
+(** [parse_range s start stop] is [parse (String.sub s start (stop - start))]
+    without the copy. *)
+
 val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
