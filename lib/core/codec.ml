@@ -112,21 +112,22 @@ let channel_of_token tok =
 (* [<name-hex> <at_us> <chan> <argc> (<key-hex> <value>)*] — the explicit
    argument count makes the encoding self-delimiting inside a longer
    token list. *)
-let add_event buf (e : Efsm.Event.t) =
-  add_hex buf e.Efsm.Event.name;
+let add_event buf e =
+  let args = Efsm.Event.args e in
+  add_hex buf (Efsm.Event.name e);
   sp buf;
-  add_int buf (Dsim.Time.to_us e.Efsm.Event.at);
+  add_int buf (Dsim.Time.to_us (Efsm.Event.at e));
   sp buf;
-  add_channel buf e.Efsm.Event.channel;
+  add_channel buf (Efsm.Event.channel e);
   sp buf;
-  add_int buf (List.length e.Efsm.Event.args);
+  add_int buf (List.length args);
   List.iter
     (fun (k, v) ->
       sp buf;
       add_hex buf k;
       sp buf;
       Efsm.Value.add_token buf v)
-    e.Efsm.Event.args
+    args
 
 let event_of_tokens tokens =
   let* name_hex, rest = take tokens in

@@ -249,7 +249,7 @@ let create ?(config = Config.default) ?(overrides = []) sched =
     with_engine (fun t ->
         t.anomalies <- t.anomalies + 1;
         tick t (fun i -> i.i_anomalies);
-        let subject = Printf.sprintf "%s/%s@%s" subject event.Efsm.Event.name state in
+        let subject = Printf.sprintf "%s/%s@%s" subject (Efsm.Event.name event) state in
         raise_alert t
           (Alert.make ~kind:Alert.Spec_deviation ~at:(now t) ~subject
              (Printf.sprintf "machine %s: %s" machine detail)))
@@ -440,12 +440,8 @@ let feed_flood_detector t msg event =
   | Some key -> feed_detector t `Flood ~key event
 
 let feed_drdos_detector t (packet : Dsim.Packet.t) event =
-  let orphan =
-    Efsm.Event.make
-      ~args:event.Efsm.Event.args (Efsm.Event.Data "SIP") ~at:event.Efsm.Event.at
-      Keys.orphan_response
-  in
-  feed_detector t `Drdos ~key:(Dsim.Addr.host packet.dst) orphan
+  feed_detector t `Drdos ~key:(Dsim.Addr.host packet.dst)
+    (Efsm.Event.rename event Keys.orphan_response)
 
 (* A REGISTER crossing the boundary sensor: intra-enterprise registrations
    never reach this vantage point, so someone outside is rebinding a
@@ -527,21 +523,20 @@ let handle_sip t (packet : Dsim.Packet.t) msg =
 (* --------------------------------------------------------------- *)
 
 let rtp_event ~at ~src ~dst (p : Rtp.Rtp_packet.t) =
+  let module E = Efsm.Event in
+  let module F = Keys.Field in
   let module V = Efsm.Value in
-  Efsm.Event.make
-    ~args:
-      [
-        (Keys.src_ip, V.Str (Dsim.Addr.host src));
-        (Keys.src_port, V.Int (Dsim.Addr.port src));
-        (Keys.dst_ip, V.Str (Dsim.Addr.host dst));
-        (Keys.dst_port, V.Int (Dsim.Addr.port dst));
-        (Keys.ssrc, V.Int (Int32.to_int p.Rtp.Rtp_packet.ssrc));
-        (Keys.seq, V.Int p.Rtp.Rtp_packet.sequence);
-        (Keys.ts, V.Int (Int32.to_int p.Rtp.Rtp_packet.timestamp));
-        (Keys.payload_type, V.Int p.Rtp.Rtp_packet.payload_type);
-        (Keys.size, V.Int (String.length p.Rtp.Rtp_packet.payload));
-      ]
-    (Efsm.Event.Data "RTP") ~at Keys.rtp_packet
+  let e = E.blank (E.Data "RTP") ~at ~last:F.size Keys.rtp_packet in
+  E.set e F.src_ip (V.Str (Dsim.Addr.host src));
+  E.set e F.src_port (V.Int (Dsim.Addr.port src));
+  E.set e F.dst_ip (V.Str (Dsim.Addr.host dst));
+  E.set e F.dst_port (V.Int (Dsim.Addr.port dst));
+  E.set e F.ssrc (V.Int (Int32.to_int p.Rtp.Rtp_packet.ssrc));
+  E.set e F.seq (V.Int p.Rtp.Rtp_packet.sequence);
+  E.set e F.ts (V.Int (Int32.to_int p.Rtp.Rtp_packet.timestamp));
+  E.set e F.payload_type (V.Int p.Rtp.Rtp_packet.payload_type);
+  E.set e F.size (V.Int (String.length p.Rtp.Rtp_packet.payload));
+  e
 
 let handle_rtp t (packet : Dsim.Packet.t) decoded =
   t.rtp_packets <- t.rtp_packets + 1;

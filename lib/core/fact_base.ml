@@ -33,13 +33,13 @@ module Addr_tbl = Hashtbl.Make (Dsim.Addr)
 
 type t = {
   config : Config.t;
-  (* The machine specs, shared by every record of this base: a record owns
-     only its machines' state, variable cells, history and timers. *)
-  sip_spec : Efsm.Machine.spec Lazy.t;
-  rtp_spec : Efsm.Machine.spec Lazy.t;
-  flood_spec : Efsm.Machine.spec Lazy.t;
-  spam_spec : Efsm.Machine.spec Lazy.t;
-  drdos_spec : Efsm.Machine.spec Lazy.t;
+  (* The compiled machines, shared by every record of this base: a record
+     owns only its machines' state, variable arrays, history and timers. *)
+  sip_program : Efsm.Machine.program Lazy.t;
+  rtp_program : Efsm.Machine.program Lazy.t;
+  flood_program : Efsm.Machine.program Lazy.t;
+  spam_program : Efsm.Machine.program Lazy.t;
+  drdos_program : Efsm.Machine.program Lazy.t;
   timer_host : Efsm.System.timer_host;
   on_alert : machine:string -> state:string -> subject:string -> detail:string -> unit;
   on_anomaly :
@@ -79,25 +79,27 @@ type t = {
   mutable sweep_next : Dsim.Time.t option;
 }
 
-(* A spec depends only on the config, so it is elaborated once per base:
-   on first use, which keeps engine set-up cheap.  A [.vspec] override,
-   keyed by machine name (e.g. "SIP"), replaces the builtin. *)
-let shared_spec ~overrides ~config name =
+(* A spec depends only on the config, so it is elaborated and compiled
+   once per base: on first use, which keeps engine set-up cheap.  A
+   [.vspec] override, keyed by machine name (e.g. "SIP"), replaces the
+   builtin. *)
+let shared_program ~overrides ~config name =
   lazy
-    (match List.assoc_opt name overrides with
-    | Some spec -> spec
-    | None -> Spec_load.spec config name)
+    (Efsm.Machine.compile
+       (match List.assoc_opt name overrides with
+       | Some spec -> spec
+       | None -> Spec_load.spec config name))
 
 let create ?(on_pressure = fun ~subject:_ ~detail:_ -> ()) ?(overrides = []) ~config
     ~timer_host ~on_alert ~on_anomaly () =
-  let spec = shared_spec ~overrides ~config in
+  let program = shared_program ~overrides ~config in
   {
     config;
-    sip_spec = spec Keys.sip_machine;
-    rtp_spec = spec Keys.rtp_machine;
-    flood_spec = spec Keys.flood_machine;
-    spam_spec = spec Keys.spam_machine;
-    drdos_spec = spec Keys.drdos_machine;
+    sip_program = program Keys.sip_machine;
+    rtp_program = program Keys.rtp_machine;
+    flood_program = program Keys.flood_machine;
+    spam_program = program Keys.spam_machine;
+    drdos_program = program Keys.drdos_machine;
     timer_host;
     on_alert;
     on_anomaly;
@@ -197,13 +199,13 @@ let rec evict_oldest_call t =
                  t.config.Config.max_calls)
       | Some _ | None -> evict_oldest_call t)
 
-(* Builds a call record on the shared specs and registers it; creation
+(* Builds a call record on the shared programs and registers it; creation
    counters and the cap are the caller's business. *)
 let add_call t ~call_id ~key ~created_at =
   let on_alert, on_anomaly = system_callbacks t ~subject:call_id in
   let system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
-  let sip = Efsm.System.add_machine system (Lazy.force t.sip_spec) in
-  let rtp = Efsm.System.add_machine system (Lazy.force t.rtp_spec) in
+  let sip = Efsm.System.add_machine system (Lazy.force t.sip_program) in
+  let rtp = Efsm.System.add_machine system (Lazy.force t.rtp_program) in
   let call =
     {
       call_id;
@@ -303,20 +305,20 @@ let rec evict_oldest_detector t =
                  t.config.Config.max_detectors)
       | Some _ | None -> evict_oldest_detector t)
 
-let detector_spec t = function
-  | `Flood -> Lazy.force t.flood_spec
-  | `Spam -> Lazy.force t.spam_spec
-  | `Drdos -> Lazy.force t.drdos_spec
+let detector_program t = function
+  | `Flood -> Lazy.force t.flood_program
+  | `Spam -> Lazy.force t.spam_program
+  | `Drdos -> Lazy.force t.drdos_program
 
 let detector_subject kind key =
   (match kind with `Flood -> "dst:" | `Spam -> "stream:" | `Drdos -> "victim:") ^ key
 
-(* Builds a detector on the shared spec and registers it; the cap is the
-   caller's business. *)
+(* Builds a detector on the shared program and registers it; the cap is
+   the caller's business. *)
 let add_detector t kind ~key ~created_at ~touched =
   let on_alert, on_anomaly = system_callbacks t ~subject:(detector_subject kind key) in
   let d_system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
-  let d_machine = Efsm.System.add_machine d_system (detector_spec t kind) in
+  let d_machine = Efsm.System.add_machine d_system (detector_program t kind) in
   let d_serial = fresh_serial t in
   Hashtbl.replace (detector_table t kind) key
     { d_system; d_machine; d_created = created_at; d_serial; d_touched = touched };

@@ -18,6 +18,40 @@ let seq = "seq"
 let ts = "ts"
 let payload_type = "payload_type"
 let size = "size"
+let bye_sender_ip = "bye_sender_ip"
+let src_matched = "src_matched"
+
+module Field = struct
+  let f = Efsm.Event.field
+
+  (* Registered at start-up, before any spec is compiled, so the order
+     here is the slot order: an RTP event's fields come first and its
+     value array stops at [size]; a SIP event's stops at [media_pt].  The
+     arguments of each builtin sync event are in the order the SIP machine
+     sends them, which is the order [Efsm.Event.args] lists them. *)
+  let src_ip = f src_ip
+  let src_port = f src_port
+  let dst_ip = f dst_ip
+  let dst_port = f dst_port
+  let ssrc = f ssrc
+  let seq = f seq
+  let ts = f ts
+  let payload_type = f payload_type
+  let size = f size
+  let code = f code
+  let cseq_method = f cseq_method
+  let cseq_number = f cseq_number
+  let call_id = f call_id
+  let from_tag = f from_tag
+  let to_tag = f to_tag
+  let branch = f branch
+  let contact_host = f contact_host
+  let media_host = f media_host
+  let media_port = f media_port
+  let media_pt = f media_pt
+  let bye_sender_ip = f bye_sender_ip
+  let src_matched = f src_matched
+end
 let response = "RESPONSE"
 let rtp_packet = "RTP"
 let orphan_response = "ORPHAN_RESPONSE"

@@ -48,6 +48,34 @@ val payload_type : string
 
 val size : string
 
+(** The same parameters as slots of {!Efsm.Event}'s field registry, and
+    the two arguments of the SIP machine's [delta_bye] sync event.  An RTP
+    event has room up to [size], a SIP event up to [media_pt]. *)
+module Field : sig
+  val src_ip : Efsm.Event.field
+  val src_port : Efsm.Event.field
+  val dst_ip : Efsm.Event.field
+  val dst_port : Efsm.Event.field
+  val ssrc : Efsm.Event.field
+  val seq : Efsm.Event.field
+  val ts : Efsm.Event.field
+  val payload_type : Efsm.Event.field
+  val size : Efsm.Event.field
+  val code : Efsm.Event.field
+  val cseq_method : Efsm.Event.field
+  val cseq_number : Efsm.Event.field
+  val call_id : Efsm.Event.field
+  val from_tag : Efsm.Event.field
+  val to_tag : Efsm.Event.field
+  val branch : Efsm.Event.field
+  val contact_host : Efsm.Event.field
+  val media_host : Efsm.Event.field
+  val media_port : Efsm.Event.field
+  val media_pt : Efsm.Event.field
+  val bye_sender_ip : Efsm.Event.field
+  val src_matched : Efsm.Event.field
+end
+
 (** {1 Event names} *)
 
 val response : string

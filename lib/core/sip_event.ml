@@ -1,9 +1,10 @@
+module E = Efsm.Event
+module F = Keys.Field
 module V = Efsm.Value
 
-let sdp_args ?prof msg =
+let set_sdp ?prof event msg =
   let body = msg.Sip.Msg.body in
-  if String.length body = 0 || not (Sip.Msg.content_type_is msg "application/sdp") then []
-  else
+  if String.length body > 0 && Sip.Msg.content_type_is msg "application/sdp" then
     let parsed =
       match prof with
       | None -> Sdp.parse body
@@ -14,82 +15,63 @@ let sdp_args ?prof msg =
           r
     in
     match parsed with
-    | Error _ -> []
+    | Error _ -> ()
     | Ok description -> (
         match Sdp.first_audio description with
-        | None -> []
+        | None -> ()
         | Some media -> (
             match Sdp.media_addr description media with
-            | None -> []
+            | None -> ()
             | Some (host, port) ->
                 let pt = match media.Sdp.formats with pt :: _ -> pt | [] -> -1 in
-                [
-                  (Keys.media_host, V.Str host);
-                  (Keys.media_port, V.Int port);
-                  (Keys.media_pt, V.Int pt);
-                ]))
+                E.set event F.media_host (V.Str host);
+                E.set event F.media_port (V.Int port);
+                E.set event F.media_pt (V.Int pt)))
 
-let tag_arg key field args =
-  match field with
-  | Ok na -> ( match Sip.Name_addr.tag na with Some t -> (key, V.Str t) :: args | None -> args)
-  | Error _ -> args
+let set_tag event field header =
+  match header with
+  | Ok na -> (
+      match Sip.Name_addr.tag na with Some t -> E.set event field (V.Str t) | None -> ())
+  | Error _ -> ()
 
-(* Arguments in the order the machines have always seen them: branch,
-   Contact host, To and From tags, the addresses, the status code, CSeq,
-   Call-ID and the SDP media.  Consed from the tail, never appended. *)
+(* Each header the machines read goes to its slot; a header that is
+   missing or does not parse leaves its field absent. *)
 let of_msg ?prof ~at ~src ~dst msg =
-  let args = sdp_args ?prof msg in
-  let args =
-    match Sip.Msg.call_id msg with Ok cid -> (Keys.call_id, V.Str cid) :: args | Error _ -> args
-  in
-  let args =
-    match Sip.Msg.cseq msg with
-    | Ok c ->
-        (Keys.cseq_method, V.Str (Sip.Msg_method.to_string c.Sip.Cseq.meth))
-        :: (Keys.cseq_number, V.Int c.Sip.Cseq.number)
-        :: args
-    | Error _ -> args
-  in
-  let args =
-    match msg.Sip.Msg.start with
-    | Sip.Msg.Request _ -> args
-    | Sip.Msg.Response { code; _ } -> (Keys.code, V.Int code) :: args
-  in
-  let args =
-    (Keys.src_ip, V.Str (Dsim.Addr.host src))
-    :: (Keys.src_port, V.Int (Dsim.Addr.port src))
-    :: (Keys.dst_ip, V.Str (Dsim.Addr.host dst))
-    :: (Keys.dst_port, V.Int (Dsim.Addr.port dst))
-    :: args
-  in
-  let args = tag_arg Keys.from_tag (Sip.Msg.from_ msg) args in
-  let args = tag_arg Keys.to_tag (Sip.Msg.to_ msg) args in
-  let args =
-    match Sip.Msg.contact msg with
-    | Ok na -> (Keys.contact_host, V.Str na.Sip.Name_addr.uri.Sip.Uri.host) :: args
-    | Error _ -> args
-  in
-  let args =
-    match Sip.Msg.top_via msg with
-    | Ok via -> (
-        match Sip.Via.branch via with Some b -> (Keys.branch, V.Str b) :: args | None -> args)
-    | Error _ -> args
-  in
   let name =
     match msg.Sip.Msg.start with
     | Sip.Msg.Request { meth; _ } -> Sip.Msg_method.to_string meth
     | Sip.Msg.Response _ -> Keys.response
   in
-  Efsm.Event.make ~args (Efsm.Event.Data "SIP") ~at name
+  let event = E.blank (E.Data "SIP") ~at ~last:F.media_pt name in
+  set_sdp ?prof event msg;
+  (match Sip.Msg.call_id msg with Ok cid -> E.set event F.call_id (V.Str cid) | Error _ -> ());
+  (match Sip.Msg.cseq msg with
+  | Ok c ->
+      E.set event F.cseq_method (V.Str (Sip.Msg_method.to_string c.Sip.Cseq.meth));
+      E.set event F.cseq_number (V.Int c.Sip.Cseq.number)
+  | Error _ -> ());
+  (match msg.Sip.Msg.start with
+  | Sip.Msg.Request _ -> ()
+  | Sip.Msg.Response { code; _ } -> E.set event F.code (V.Int code));
+  E.set event F.src_ip (V.Str (Dsim.Addr.host src));
+  E.set event F.src_port (V.Int (Dsim.Addr.port src));
+  E.set event F.dst_ip (V.Str (Dsim.Addr.host dst));
+  E.set event F.dst_port (V.Int (Dsim.Addr.port dst));
+  set_tag event F.from_tag (Sip.Msg.from_ msg);
+  set_tag event F.to_tag (Sip.Msg.to_ msg);
+  (match Sip.Msg.contact msg with
+  | Ok na -> E.set event F.contact_host (V.Str na.Sip.Name_addr.uri.Sip.Uri.host)
+  | Error _ -> ());
+  (match Sip.Msg.top_via msg with
+  | Ok via -> (
+      match Sip.Via.branch via with Some b -> E.set event F.branch (V.Str b) | None -> ())
+  | Error _ -> ());
+  event
 
 let media_of_event event =
-  if Efsm.Event.has_arg event Keys.media_host then
-    match
-      (Efsm.Event.arg event Keys.media_host, Efsm.Event.arg event Keys.media_port)
-    with
-    | V.Str host, V.Int port -> Some (Dsim.Addr.v host port)
-    | _ -> None
-  else None
+  match (E.get event F.media_host, E.get event F.media_port) with
+  | V.Str host, V.Int port -> Some (Dsim.Addr.v host port)
+  | _ -> None
 
 let flood_key msg =
   match msg.Sip.Msg.start with

@@ -32,14 +32,18 @@ let get_int env name = match Env.get env Env.Local name with V.Int n -> n | _ ->
    [pred_name] between the [spam] and [in_order] guards is what lets the
    solver still discharge their disjointness propositionally. *)
 let is_spam config env event =
-  let ssrc_mismatch = not (V.equal (E.arg event Keys.ssrc) (Env.get env Env.Local l_ssrc)) in
+  let ssrc_mismatch =
+    not (V.equal (E.get event Keys.Field.ssrc) (Env.get env Env.Local l_ssrc))
+  in
   ssrc_mismatch
   ||
-  let seq_jump = Rtp.Rtp_packet.seq_delta (get_int env l_seq) (E.arg_int event Keys.seq) in
+  let seq_jump =
+    Rtp.Rtp_packet.seq_delta (get_int env l_seq) (V.as_int (E.get event Keys.Field.seq))
+  in
   let ts_jump =
     Rtp.Rtp_packet.ts_delta
       (Int32.of_int (get_int env l_ts))
-      (Int32.of_int (E.arg_int event Keys.ts))
+      (Int32.of_int (V.as_int (E.get event Keys.Field.ts)))
   in
   let ts_limit =
     if seq_jump >= 1 && seq_jump <= 2 then config.Config.spam_silence_ts_gap
@@ -60,8 +64,8 @@ let advance_baseline =
     act_emits = [];
     run =
       (fun env event ->
-        let seq = E.arg_int event Keys.seq in
-        let ts = E.arg_int event Keys.ts in
+        let seq = V.as_int (E.get event Keys.Field.seq) in
+        let ts = V.as_int (E.get event Keys.Field.ts) in
         if Rtp.Rtp_packet.seq_delta (get_int env l_seq) seq > 0 then begin
           Env.set env Env.Local l_seq (V.Int seq);
           Env.set env Env.Local l_ts (V.Int ts)

@@ -4,7 +4,11 @@
     variables ([v.l_*]) belong to one machine, while global variables
     ([v.g_*]) live in a store shared by all machines of the same call, which
     is how the SIP machine hands the negotiated media endpoint to the RTP
-    machine. *)
+    machine.
+
+    A machine's locals are numbered once per spec (a {!layout}), so its
+    store is one value array and compiled guards read a slot; the global
+    store stays keyed by name. *)
 
 type scope = Local | Global
 
@@ -13,20 +17,35 @@ type globals
 
 val globals : unit -> globals
 
+type layout
+(** The local variables of one machine, numbered in name order. *)
+
+val layout : string list -> layout
+(** Duplicates are dropped. *)
+
+val slot : layout -> string -> int option
+
 type t
 
-val create : globals -> t
-(** Fresh local store bound to a shared global store. *)
+val create : layout -> globals -> t
+(** Fresh local store for the layout's variables, bound to a shared
+    global store. *)
 
 val get : t -> scope -> string -> Value.t
 (** [Value.Unset] for never-written variables. *)
 
 val set : t -> scope -> string -> Value.t -> unit
+(** @raise Invalid_argument on a local the layout does not number. *)
+
+val get_slot : t -> int -> Value.t
+(** The local in that slot of the layout; [Value.Unset] if never written. *)
+
+val set_slot : t -> int -> Value.t -> unit
 
 val mem : t -> scope -> string -> bool
 
 val local_bindings : t -> (string * Value.t) list
-(** Sorted by name. *)
+(** The locals ever written, sorted by name. *)
 
 val global_bindings : t -> (string * Value.t) list
 

@@ -86,7 +86,7 @@ let apply_cmp cmp a b =
 let rec eval_expr env event = function
   | Const v -> v
   | Var (scope, name) -> Env.get env scope name
-  | Field name -> Event.arg event name
+  | Field name -> Event.get event (Event.field name)
   | Mk_addr (h, p) -> (
       match (eval_expr env event h, eval_expr env event p) with
       | Value.Str host, Value.Int port -> Value.Addr (host, port)
@@ -124,7 +124,7 @@ and eval_pred env event = function
       match (eval_iexpr env event a, eval_iexpr env event b) with
       | Some x, Some y -> apply_cmp cmp x y
       | _ -> false)
-  | Has_field f -> Event.has_arg event f
+  | Has_field f -> Event.has event (Event.field f)
   | Opaque o -> o.holds env event
 
 let rec run_act builders env event = function
@@ -147,102 +147,157 @@ and run_acts builders acts env event =
 (* Staged compiler                                                  *)
 (* --------------------------------------------------------------- *)
 
-let rec compile_expr e =
+(* An integer expression compiles to a closure returning an unboxed int;
+   an undefined operand unwinds to the nearest comparison or [Of_int]. *)
+exception Undefined
+
+(* The walkers below are top-level functions that take everything they
+   use as arguments: a local closure over [env] and [event] would be
+   allocated on every evaluation. *)
+let rec all fs env event i =
+  i = Array.length fs || ((Array.unsafe_get fs i) env event && all fs env event (i + 1))
+
+let rec any fs env event i =
+  i < Array.length fs && ((Array.unsafe_get fs i) env event || any fs env event (i + 1))
+
+let rec mem_value v = function [] -> false | x :: rest -> Value.equal v x || mem_value v rest
+
+(* Both operands are evaluated, right one first, as the interpreter's
+   tuple does: an exception from either side still escapes. *)
+let undefined_after fa env event =
+  ignore (fa env event : int);
+  raise_notrace Undefined
+
+let cmp_at cmp fa fb env event =
+  match fb env event with
+  | y -> ( match fa env event with x -> apply_cmp cmp x y | exception Undefined -> false)
+  | exception Undefined -> ( match fa env event with _ -> false | exception Undefined -> false)
+
+let local_slot layout name =
+  match Env.slot layout name with
+  | Some i -> i
+  | None -> invalid_arg (Printf.sprintf "Ir: local %S is missing from the layout" name)
+
+let rec compile_expr layout e =
   match e with
   | Const v -> fun _ _ -> v
-  | Var (scope, name) -> fun env _ -> Env.get env scope name
-  | Field name -> fun _ event -> Event.arg event name
+  | Var (Env.Local, name) ->
+      let i = local_slot layout name in
+      fun env _ -> Env.get_slot env i
+  | Var (Env.Global, name) -> fun env _ -> Env.get env Env.Global name
+  | Field name ->
+      let f = Event.field name in
+      fun _ event -> Event.get event f
   | Mk_addr (h, p) ->
-      let fh = compile_expr h and fp = compile_expr p in
+      let fh = compile_expr layout h and fp = compile_expr layout p in
       fun env event ->
         (match (fh env event, fp env event) with
         | Value.Str host, Value.Int port -> Value.Addr (host, port)
         | _ -> Value.Unset)
   | Addr_host e ->
-      let f = compile_expr e in
+      let f = compile_expr layout e in
       fun env event ->
         (match f env event with Value.Addr (h, _) -> Value.Str h | _ -> Value.Str "")
   | Of_int ie ->
-      let f = compile_iexpr ie in
-      fun env event -> (match f env event with Some n -> Value.Int n | None -> Value.Unset)
+      let f = compile_iexpr layout ie in
+      fun env event -> (match f env event with n -> Value.Int n | exception Undefined -> Value.Unset)
   | Of_pred p ->
-      let f = compile_pred p in
+      let f = compile_pred layout p in
       fun env event -> Value.Bool (f env event)
 
-and compile_iexpr ie =
+and compile_iexpr layout ie =
   match ie with
-  | Int_const n ->
-      let r = Some n in
-      fun _ _ -> r
+  | Int_const n -> fun _ _ -> n
   | Int_of e ->
-      let f = compile_expr e in
-      fun env event -> (match f env event with Value.Int n -> Some n | _ -> None)
+      let f = compile_expr layout e in
+      fun env event -> (match f env event with Value.Int n -> n | _ -> raise_notrace Undefined)
   | Int_or0 e ->
-      let f = compile_expr e in
-      fun env event -> (match f env event with Value.Int n -> Some n | _ -> Some 0)
+      let f = compile_expr layout e in
+      fun env event -> (match f env event with Value.Int n -> n | _ -> 0)
   | Add (a, b) ->
-      let fa = compile_iexpr a and fb = compile_iexpr b in
+      let fa = compile_iexpr layout a and fb = compile_iexpr layout b in
       fun env event ->
-        (match (fa env event, fb env event) with Some x, Some y -> Some (x + y) | _ -> None)
+        (match fb env event with
+        | y -> fa env event + y
+        | exception Undefined -> undefined_after fa env event)
   | Sub (a, b) ->
-      let fa = compile_iexpr a and fb = compile_iexpr b in
+      let fa = compile_iexpr layout a and fb = compile_iexpr layout b in
       fun env event ->
-        (match (fa env event, fb env event) with Some x, Some y -> Some (x - y) | _ -> None)
+        (match fb env event with
+        | y -> fa env event - y
+        | exception Undefined -> undefined_after fa env event)
 
-and compile_pred p =
+and compile_pred layout p =
   match p with
   | True -> fun _ _ -> true
   | False -> fun _ _ -> false
   | Not p ->
-      let f = compile_pred p in
+      let f = compile_pred layout p in
       fun env event -> not (f env event)
   | And ps ->
-      let fs = List.map compile_pred ps in
-      fun env event -> List.for_all (fun f -> f env event) fs
+      let fs = Array.of_list (List.map (compile_pred layout) ps) in
+      fun env event -> all fs env event 0
   | Or ps ->
-      let fs = List.map compile_pred ps in
-      fun env event -> List.exists (fun f -> f env event) fs
+      let fs = Array.of_list (List.map (compile_pred layout) ps) in
+      fun env event -> any fs env event 0
   | Eq (a, b) ->
-      let fa = compile_expr a and fb = compile_expr b in
+      let fa = compile_expr layout a and fb = compile_expr layout b in
       fun env event -> Value.equal (fa env event) (fb env event)
   | Member (e, vs) ->
-      let f = compile_expr e in
-      fun env event ->
-        let v = f env event in
-        List.exists (Value.equal v) vs
+      let f = compile_expr layout e in
+      fun env event -> mem_value (f env event) vs
   | Cmp (cmp, a, b) ->
-      let fa = compile_iexpr a and fb = compile_iexpr b in
-      fun env event ->
-        (match (fa env event, fb env event) with
-        | Some x, Some y -> apply_cmp cmp x y
-        | _ -> false)
-  | Has_field f -> fun _ event -> Event.has_arg event f
+      let fa = compile_iexpr layout a and fb = compile_iexpr layout b in
+      fun env event -> cmp_at cmp fa fb env event
+  | Has_field name ->
+      let f = Event.field name in
+      fun _ event -> Event.has event f
   | Opaque o -> o.holds
 
-let compile_acts builders acts =
+(* A compiled action prepends its effects, newest first, to the effects
+   of the actions before it; the list is put in order once, at the end. *)
+let rec run_seq fs env event acc i =
+  if i = Array.length fs then acc
+  else run_seq fs env event ((Array.unsafe_get fs i) env event acc) (i + 1)
+
+let rec eval_args env event = function
+  | [] -> []
+  | (k, f) :: rest ->
+      let v = f env event in
+      (k, v) :: eval_args env event rest
+
+let compile_acts builders layout acts =
   let rec compile_act = function
-    | Assign ((scope, name), e) ->
-        let f = compile_expr e in
-        fun env event ->
-          Env.set env scope name (f env event);
-          []
+    | Assign ((Env.Local, name), e) ->
+        let i = local_slot layout name and f = compile_expr layout e in
+        fun env event acc ->
+          Env.set_slot env i (f env event);
+          acc
+    | Assign ((Env.Global, name), e) ->
+        let f = compile_expr layout e in
+        fun env event acc ->
+          Env.set env Env.Global name (f env event);
+          acc
     | If (p, then_, else_) ->
-        let fp = compile_pred p and ft = compile_list then_ and fe = compile_list else_ in
-        fun env event -> if fp env event then ft env event else fe env event
+        let fp = compile_pred layout p and ft = compile_seq then_ and fe = compile_seq else_ in
+        fun env event acc -> if fp env event then ft env event acc else fe env event acc
     | Send_sync { target; event_name; args } ->
-        let fargs = List.map (fun (k, e) -> (k, compile_expr e)) args in
-        fun env event ->
-          [ builders.build_sync ~target ~event_name
-              ~args:(List.map (fun (k, f) -> (k, f env event)) fargs);
-          ]
-    | Set_timer { id; delay } -> fun _ _ -> [ builders.build_set_timer ~id ~delay ]
-    | Cancel_timer id -> fun _ _ -> [ builders.build_cancel_timer id ]
-    | Opaque_act o -> o.run
-  and compile_list acts =
-    let fs = List.map compile_act acts in
-    fun env event -> List.fold_left (fun acc f -> acc @ f env event) [] fs
+        let fargs = List.map (fun (k, e) -> (k, compile_expr layout e)) args in
+        fun env event acc ->
+          builders.build_sync ~target ~event_name ~args:(eval_args env event fargs) :: acc
+    | Set_timer { id; delay } ->
+        let effect = builders.build_set_timer ~id ~delay in
+        fun _ _ acc -> effect :: acc
+    | Cancel_timer id ->
+        let effect = builders.build_cancel_timer id in
+        fun _ _ acc -> effect :: acc
+    | Opaque_act o -> fun env event acc -> List.rev_append (o.run env event) acc
+  and compile_seq acts =
+    let fs = Array.of_list (List.map compile_act acts) in
+    fun env event acc -> run_seq fs env event acc 0
   in
-  compile_list acts
+  let f = compile_seq acts in
+  fun env event -> List.rev (f env event [])
 
 (* --------------------------------------------------------------- *)
 (* Introspection                                                    *)

@@ -2,16 +2,16 @@
 
     Guards are boolean {!pred} trees over machine variables ({!Env}) and
     event fields ({!Event}); actions are assignment lists plus the
-    machine-level effects (sync sends, timer operations).  Transitions
-    built from the IR carry their syntax alongside a compiled closure, so
-    the static verifier in [lib/analyze] can reason about disjointness,
-    dataflow and channel usage while the engine hot path keeps calling an
-    ordinary [Env.t -> Event.t -> bool].
+    machine-level effects (sync sends, timer operations).  A transition
+    carries only this syntax, which the static verifier in [lib/analyze]
+    reasons over (disjointness, dataflow, channel usage);
+    [Machine.compile] turns it into closures once per spec, so the engine
+    hot path calls an ordinary [Env.t -> Event.t -> bool].
 
     Semantics are total: no IR evaluation raises.  In particular an
     integer comparison whose operand is not an [Int] is simply false —
-    mirroring how [Machine.guard_holds] treats a [Value.Type_error]
-    escaping a hand-written closure guard.  The two disagree only on
+    mirroring how [Machine.step] treats a [Value.Type_error] escaping an
+    opaque guard.  The two disagree only on
     events that bind an expected field to a value of the wrong type,
     which the packet classifiers never produce; the digest-transparency
     test pins the end-to-end equivalence.
@@ -117,12 +117,19 @@ val run_acts : 'eff builders -> 'eff act list -> Env.t -> Event.t -> 'eff list
 
 (** {1 Staged compiler}
 
-    Builds a closure tree once at spec-construction time; the returned
-    closures perform no IR-tree traversal.  Behaviour is pointwise equal
-    to the reference interpreter (qcheck-pinned). *)
+    Builds a closure tree once per spec; the returned closures perform no
+    IR-tree traversal and find nothing by name.  A field reads its slot of
+    the {!Event} registry, a local its slot of [layout], an integer
+    expression evaluates to an unboxed int, and [And], [Or] and action
+    sequences run without allocating.  Behaviour is pointwise equal to the
+    reference interpreter (qcheck-pinned).
 
-val compile_pred : pred -> Env.t -> Event.t -> bool
-val compile_acts : 'eff builders -> 'eff act list -> Env.t -> Event.t -> 'eff list
+    @raise Invalid_argument when a local is missing from [layout]. *)
+
+val compile_pred : Env.layout -> pred -> Env.t -> Event.t -> bool
+
+val compile_acts :
+  'eff builders -> Env.layout -> 'eff act list -> Env.t -> Event.t -> 'eff list
 
 (** {1 Introspection}
 

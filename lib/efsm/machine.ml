@@ -9,8 +9,6 @@ type transition = {
   label : string;
   from_state : string;
   trigger : trigger;
-  guard : Env.t -> Event.t -> bool;
-  action : Env.t -> Event.t -> effect list;
   to_state : string;
   syntax : effect Ir.t;
 }
@@ -23,15 +21,7 @@ let builders : effect Ir.builders =
   }
 
 let ir_transition ?(guard = Ir.True) ?(acts = []) ~label ~from_state trigger ~to_state () =
-  {
-    label;
-    from_state;
-    trigger;
-    guard = Ir.compile_pred guard;
-    action = Ir.compile_acts builders acts;
-    to_state;
-    syntax = { Ir.guard; acts };
-  }
+  { label; from_state; trigger; to_state; syntax = { Ir.guard; acts } }
 
 type spec = {
   spec_name : string;
@@ -98,9 +88,83 @@ let states spec =
   let acc = List.fold_left add acc spec.finals in
   List.sort String.compare acc
 
+(* --------------------------------------------------------------- *)
+(* Programs                                                         *)
+(* --------------------------------------------------------------- *)
+
+(* A numbered state.  Its edges point straight at their target nodes, so
+   [n_out] is filled in once every node exists. *)
+type node = {
+  n_name : string;
+  n_final : bool;
+  n_attack : string option;
+  mutable n_out : edge array; (* outgoing transitions, in spec order *)
+}
+
+and edge = {
+  e_transition : transition;
+  e_guard : Env.t -> Event.t -> bool;
+  e_action : Env.t -> Event.t -> effect list;
+  e_target : node;
+}
+
+type program = { p_spec : spec; p_layout : Env.layout; p_nodes : node array; p_initial : node }
+
+let locals spec =
+  List.concat_map
+    (fun tr ->
+      let { Ir.guard; acts } = tr.syntax in
+      Ir.pred_vars guard @ Ir.acts_reads acts @ Ir.acts_writes acts)
+    spec.transitions
+  |> List.filter_map (function Env.Local, name -> Some name | Env.Global, _ -> None)
+
+let find_node nodes name = Array.find_opt (fun n -> String.equal n.n_name name) nodes
+
+let compile spec =
+  let layout = Env.layout (locals spec) in
+  let nodes =
+    Array.of_list
+      (List.map
+         (fun name ->
+           {
+             n_name = name;
+             n_final = List.exists (String.equal name) spec.finals;
+             n_attack =
+               List.find_map
+                 (fun (s, desc) -> if String.equal s name then Some desc else None)
+                 spec.attack_states;
+             n_out = [||];
+           })
+         (states spec))
+  in
+  (* [states] lists every endpoint, so the lookups cannot fail. *)
+  let node name = Option.get (find_node nodes name) in
+  Array.iter
+    (fun n ->
+      n.n_out <-
+        Array.of_list
+          (List.filter_map
+             (fun tr ->
+               if String.equal tr.from_state n.n_name then
+                 Some
+                   {
+                     e_transition = tr;
+                     e_guard = Ir.compile_pred layout tr.syntax.Ir.guard;
+                     e_action = Ir.compile_acts builders layout tr.syntax.Ir.acts;
+                     e_target = node tr.to_state;
+                   }
+               else None)
+             spec.transitions))
+    nodes;
+  { p_spec = spec; p_layout = layout; p_nodes = nodes; p_initial = node spec.initial }
+
+(* --------------------------------------------------------------- *)
+(* Instances                                                        *)
+(* --------------------------------------------------------------- *)
+
 type t = {
-  spec : spec;
-  mutable state : string;
+  program : program;
+  mutable node : node;
   env : Env.t;
   mutable trace : (Dsim.Time.t * string) list;
   mutable trace_len : int;
@@ -122,60 +186,88 @@ type outcome =
   | Rejected
   | Nondeterministic of string list
 
-let instantiate spec ~globals =
-  { spec; state = spec.initial; env = Env.create globals; trace = []; trace_len = 0 }
-let spec t = t.spec
-let name t = t.spec.spec_name
-let state t = t.state
-let env t = t.env
-let is_final t = List.mem t.state t.spec.finals
-let in_attack_state t = List.assoc_opt t.state t.spec.attack_states
+let instantiate program ~globals =
+  {
+    program;
+    node = program.p_initial;
+    env = Env.create program.p_layout globals;
+    trace = [];
+    trace_len = 0;
+  }
 
-let trigger_matches trigger (event : Event.t) =
-  match (trigger, event.channel) with
-  | On_event n, _ -> String.equal n event.name
+let spec t = t.program.p_spec
+let name t = t.program.p_spec.spec_name
+let state t = t.node.n_name
+let env t = t.env
+let is_final t = t.node.n_final
+let in_attack_state t = t.node.n_attack
+
+let trigger_matches trigger event =
+  match (trigger, Event.channel event) with
+  | On_event n, _ -> String.equal n (Event.name event)
   | On_channel proto, Event.Data p -> String.equal proto p
   | On_channel _, (Event.Sync _ | Event.Timer) -> false
-  | On_sync n, Event.Sync _ -> String.equal n event.name
+  | On_sync n, Event.Sync _ -> String.equal n (Event.name event)
   | On_sync _, (Event.Data _ | Event.Timer) -> false
-  | On_timer id, Event.Timer -> String.equal id event.name
+  | On_timer id, Event.Timer -> String.equal id (Event.name event)
   | On_timer _, (Event.Data _ | Event.Sync _) -> false
 
-let guard_holds transition env event =
-  try transition.guard env event with Value.Type_error _ -> false
+let enabled edge env event =
+  trigger_matches edge.e_transition.trigger event
+  && try edge.e_guard env event with Value.Type_error _ -> false
 
+(* Top-level scans: a local recursive function capturing the instance
+   would be allocated on every step. *)
+let rec first_enabled out env event i =
+  if i = Array.length out then -1
+  else if enabled out.(i) env event then i
+  else first_enabled out env event (i + 1)
+
+let rec enabled_labels out env event i =
+  if i = Array.length out then []
+  else if enabled out.(i) env event then
+    out.(i).e_transition.label :: enabled_labels out env event (i + 1)
+  else enabled_labels out env event (i + 1)
+
+let take t edge event =
+  let effects = edge.e_action t.env event in
+  t.node <- edge.e_target;
+  t.trace <- (Event.at event, edge.e_transition.label) :: t.trace;
+  t.trace_len <- t.trace_len + 1;
+  if t.trace_len > hist_max then begin
+    t.trace <- List.filteri (fun i _ -> i < hist_keep) t.trace;
+    t.trace_len <- hist_keep
+  end;
+  Moved { transition = edge.e_transition; effects; attack = edge.e_target.n_attack }
+
+(* Every triggered guard runs, in spec order, even after a second one
+   holds: opaque guards see the same calls whichever outcome results. *)
 let step t event =
-  let candidates =
-    List.filter
-      (fun tr -> String.equal tr.from_state t.state && trigger_matches tr.trigger event)
-      t.spec.transitions
-  in
-  let enabled = List.filter (fun tr -> guard_holds tr t.env event) candidates in
-  match enabled with
-  | [] -> Rejected
-  | [ tr ] ->
-      let effects = tr.action t.env event in
-      t.state <- tr.to_state;
-      t.trace <- (event.Event.at, tr.label) :: t.trace;
-      t.trace_len <- t.trace_len + 1;
-      if t.trace_len > hist_max then begin
-        t.trace <- List.filteri (fun i _ -> i < hist_keep) t.trace;
-        t.trace_len <- hist_keep
-      end;
-      Moved { transition = tr; effects; attack = List.assoc_opt tr.to_state t.spec.attack_states }
-  | many -> Nondeterministic (List.map (fun tr -> tr.label) many)
+  let out = t.node.n_out in
+  match first_enabled out t.env event 0 with
+  | -1 -> Rejected
+  | i -> (
+      match first_enabled out t.env event (i + 1) with
+      | -1 -> take t out.(i) event
+      | j ->
+          Nondeterministic
+            (out.(i).e_transition.label :: out.(j).e_transition.label
+            :: enabled_labels out t.env event (j + 1)))
 
 let trace t = List.rev t.trace
-let configuration t = (t.state, Env.local_bindings t.env)
+let configuration t = (state t, Env.local_bindings t.env)
 
 let restore t ~state ~vars ~trace =
-  if not (List.mem state (states t.spec)) then
-    Error (Printf.sprintf "%s: unknown state %S in snapshot" t.spec.spec_name state)
-  else begin
-    t.state <- state;
-    Env.reset_locals t.env;
-    List.iter (fun (name, value) -> Env.set t.env Local name value) vars;
-    t.trace <- List.rev trace;
-    t.trace_len <- List.length trace;
-    Ok ()
-  end
+  let fail fmt = Printf.ksprintf (fun m -> Error (name t ^ ": " ^ m)) fmt in
+  match find_node t.program.p_nodes state with
+  | None -> fail "unknown state %S in snapshot" state
+  | Some node -> (
+      match List.find_opt (fun (v, _) -> Option.is_none (Env.slot t.program.p_layout v)) vars with
+      | Some (v, _) -> fail "unknown variable %S in snapshot" v
+      | None ->
+          t.node <- node;
+          Env.reset_locals t.env;
+          List.iter (fun (v, value) -> Env.set t.env Env.Local v value) vars;
+          t.trace <- List.rev trace;
+          t.trace_len <- List.length trace;
+          Ok ())

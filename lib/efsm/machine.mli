@@ -31,13 +31,11 @@ type transition = {
   label : string;  (** Unique within the spec; used in traces and tests. *)
   from_state : string;
   trigger : trigger;
-  guard : Env.t -> Event.t -> bool;
-  action : Env.t -> Event.t -> effect list;
   to_state : string;
   syntax : effect Ir.t;
-      (** The declarative source [guard]/[action] were compiled from.  The
-          static verifier ([lib/analyze]) reasons over this; the engine only
-          ever calls the compiled closures. *)
+      (** The guard [P_t] and action [A_t].  The static verifier
+          ([lib/analyze]) reasons over this; {!compile} builds the closures
+          the engine runs from it. *)
 }
 
 val builders : effect Ir.builders
@@ -52,10 +50,7 @@ val ir_transition :
   to_state:string ->
   unit ->
   transition
-(** Builds a transition from IR syntax: the guard/action closures are
-    compiled once here ({!Ir.compile_pred} / {!Ir.compile_acts}) and the
-    syntax is retained in [syntax] for static analysis.  Guard defaults to
-    [Ir.True], actions to none. *)
+(** Guard defaults to [Ir.True], actions to none. *)
 
 type spec = {
   spec_name : string;
@@ -76,6 +71,20 @@ val validate_spec : spec -> (unit, string) result
 val states : spec -> string list
 (** All states mentioned, sorted. *)
 
+(** {1 Programs}
+
+    What the engine runs.  {!compile} numbers a spec's states and local
+    variables once: each state keeps its outgoing transitions in spec
+    order, with compiled guards and actions and their target states, its
+    final flag and its attack description.  A step then scans only the
+    current state's transitions and finds nothing else by name. *)
+
+type program
+
+val compile : spec -> program
+(** The locals it numbers are every local the transitions read or write,
+    including the declared reads and writes of opaque guards and actions. *)
+
 (** {1 Instances} *)
 
 type t
@@ -88,7 +97,7 @@ type outcome =
   | Rejected  (** No transition enabled: a deviation from the specification. *)
   | Nondeterministic of string list  (** Labels of simultaneously enabled transitions. *)
 
-val instantiate : spec -> globals:Env.globals -> t
+val instantiate : program -> globals:Env.globals -> t
 
 val spec : t -> spec
 
@@ -103,8 +112,10 @@ val is_final : t -> bool
 val in_attack_state : t -> string option
 
 val step : t -> Event.t -> outcome
-(** Guards that raise [Value.Type_error] count as false (a malformed event
-    cannot satisfy a well-typed predicate). *)
+(** Evaluates the guard of every transition the event triggers from the
+    current state, in spec order.  Guards that raise [Value.Type_error]
+    count as false (a malformed event cannot satisfy a well-typed
+    predicate). *)
 
 val trace : t -> (Dsim.Time.t * string) list
 (** Transition labels taken, oldest first.  Bounded: only a recent window
@@ -123,6 +134,7 @@ val restore :
   trace:(Dsim.Time.t * string) list ->
   (unit, string) result
 (** Overwrites the instance's configuration from a snapshot: current state
-    (validated against the spec's state set), local variables and transition
-    history ([trace] oldest first).  Global variables belong to the system
-    and are restored separately. *)
+    (validated against the spec's state set), local variables (each one a
+    local the program numbers) and transition history ([trace] oldest
+    first).  Global variables belong to the system and are restored
+    separately.  On [Error] the instance is unchanged. *)

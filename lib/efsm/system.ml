@@ -48,11 +48,11 @@ let rec find_machine name = function
   | [] -> None
   | m :: rest -> if String.equal (Machine.name m) name then Some m else find_machine name rest
 
-let add_machine t spec =
-  let name = spec.Machine.spec_name in
+let add_machine t program =
+  let m = Machine.instantiate program ~globals:t.shared in
+  let name = Machine.name m in
   if Option.is_some (find_machine name t.machines) then
     invalid_arg (Printf.sprintf "System.add_machine: duplicate machine %S" name);
-  let m = Machine.instantiate spec ~globals:t.shared in
   t.machines <- t.machines @ [ m ];
   m
 
@@ -87,10 +87,10 @@ let rec arm_timer t machine_name id ~delay =
   in
   t.timers <- { owner = machine_name; id; handle } :: t.timers
 
-and apply_effects t machine_name effects =
-  List.iter
-    (fun effect ->
-      match effect with
+and apply_effects t machine_name = function
+  | [] -> ()
+  | effect :: rest ->
+      (match effect with
       | Machine.Send_sync { target; event_name; args } ->
           let event =
             Event.make ~args (Event.Sync { from_machine = machine_name })
@@ -98,8 +98,8 @@ and apply_effects t machine_name effects =
           in
           Queue.add (target, event) t.sync_queue
       | Machine.Set_timer { id; delay } -> arm_timer t machine_name id ~delay
-      | Machine.Cancel_timer id -> cancel_timer t machine_name id)
-    effects
+      | Machine.Cancel_timer id -> cancel_timer t machine_name id);
+      apply_effects t machine_name rest
 
 and feed t machine_name event ~is_data =
   match find_machine machine_name t.machines with
@@ -148,7 +148,6 @@ let inject t ~machine event =
   drain_sync t
 
 let queued_sync t = Queue.length t.sync_queue
-let all_final t = List.for_all Machine.is_final t.machines
 
 (* --------------------------------------------------------------- *)
 (* Checkpoint support                                               *)

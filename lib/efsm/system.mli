@@ -37,8 +37,8 @@ val create :
 val globals : t -> Env.globals
 (** The shared global-variable store of this call's machines. *)
 
-val add_machine : t -> Machine.spec -> Machine.t
-(** Instantiates the spec bound to this system's global store.  Machine
+val add_machine : t -> Machine.program -> Machine.t
+(** Instantiates the program bound to this system's global store.  Machine
     names must be unique within the system. *)
 
 val machine : t -> string -> Machine.t option
@@ -50,8 +50,6 @@ val inject : t -> machine:string -> Event.t -> unit
 
 val queued_sync : t -> int
 (** Outstanding synchronization events (should be 0 between injections). *)
-
-val all_final : t -> bool
 
 val estimated_bytes : t -> int
 (** Sum of the machines' local variable footprints. *)

@@ -3,10 +3,9 @@
     The elaborator is syntax-directed and total: it assumes {!Check}
     already rejected ill-formed input, and maps anything unexpected to a
     harmless default (an unresolvable guard becomes [Ir.False], an
-    unresolvable action is dropped) instead of raising.  Transitions are
-    built with {!Efsm.Machine.ir_transition}, so loaded specs are
-    compiled by the same staged closure compiler as the builtin machines
-    and run on the unchanged hot path.
+    unresolvable action is dropped) instead of raising.  It builds syntax
+    only ({!Efsm.Machine.ir_transition}); the engine compiles loaded specs
+    and builtins alike with {!Efsm.Machine.compile}.
 
     Elaboration rules (also in DESIGN.md §13): [==]/[!=] are structural
     {!Efsm.Value.equal} ([Ir.Eq]); [<] [<=] [>] [>=] [=] [<>] are integer

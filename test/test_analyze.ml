@@ -389,8 +389,14 @@ let bindings_gen =
 
 let args_gen = QCheck.Gen.(list_size (int_range 0 4) (pair (oneofl fields_pool) value_gen))
 
+(* Every local of [vars_pool], numbered as a compiled machine numbers
+   them. *)
+let layout =
+  Env.layout
+    (List.filter_map (function Env.Local, n -> Some n | Env.Global, _ -> None) vars_pool)
+
 let mk_env bindings =
-  let env = Env.create (Env.globals ()) in
+  let env = Env.create layout (Env.globals ()) in
   List.iter (fun ((scope, name), v) -> Env.set env scope name v) bindings;
   env
 
@@ -403,7 +409,7 @@ let pred_equiv =
        QCheck.Gen.(triple (pred_gen 4) bindings_gen args_gen))
     (fun (p, bindings, args) ->
       let env = mk_env bindings and event = mk_event args in
-      let compiled = I.compile_pred p in
+      let compiled = I.compile_pred layout p in
       Bool.equal (compiled env event) (I.eval_pred env event p))
 
 let acts_equiv =
@@ -413,7 +419,7 @@ let acts_equiv =
       let env_i = mk_env bindings and env_c = mk_env bindings in
       let event = mk_event args in
       let effs_i = I.run_acts M.builders acts env_i event in
-      let effs_c = (I.compile_acts M.builders acts) env_c event in
+      let effs_c = (I.compile_acts M.builders layout acts) env_c event in
       effs_i = effs_c
       && Env.local_bindings env_i = Env.local_bindings env_c
       && Env.global_bindings env_i = Env.global_bindings env_c)

@@ -37,7 +37,8 @@ let value_coercions () =
 
 let env_scopes () =
   let g = Env.globals () in
-  let e1 = Env.create g and e2 = Env.create g in
+  let layout = Env.layout [ "x"; "nope" ] in
+  let e1 = Env.create layout g and e2 = Env.create layout g in
   Env.set e1 Env.Local "x" (V.Int 1);
   Env.set e1 Env.Global "shared" (V.Str "both");
   check "local not visible to peer" true (Env.get e2 Env.Local "x" = V.Unset);
@@ -48,7 +49,7 @@ let env_scopes () =
 
 let env_bytes () =
   let g = Env.globals () in
-  let e = Env.create g in
+  let e = Env.create (Env.layout [ "tag" ]) g in
   Env.set e Env.Local "tag" (V.Str "abcdef");
   check "estimate counts names+values" true (Env.estimated_bytes e >= 9)
 
@@ -79,7 +80,7 @@ let env_matches_model =
        (QCheck.make QCheck.Gen.(list_size (int_range 0 40) env_op_gen))
        (fun ops ->
          let g = Env.globals () in
-         let e = Env.create g in
+         let e = Env.create (Env.layout [ "e"; "c"; "a"; "d"; "b" ]) g in
          let locals = Hashtbl.create 8 and globals = Hashtbl.create 8 in
          let model = function Env.Local -> locals | Env.Global -> globals in
          let sorted tbl =
@@ -129,7 +130,7 @@ let toy_spec =
         tr ~label:"a_to_b" ~from_state:"A" (M.On_event "go") ~to_state:"B"
           ~acts:[ Ir.Assign ((Env.Local, "n"), Ir.Field "n") ]
           ();
-        (* An escape-hatch guard: [E.arg_int] raises on a non-int n. *)
+        (* An escape-hatch guard: [V.as_int] raises on a non-int n. *)
         tr ~label:"b_self_small" ~from_state:"B" (M.On_event "go") ~to_state:"B"
           ~guard:
             (Ir.Opaque
@@ -137,7 +138,7 @@ let toy_spec =
                  pred_name = "n_small";
                  pred_reads = [];
                  pred_fields = [ "n" ];
-                 holds = (fun _ e -> E.arg_int e "n" <= 10);
+                 holds = (fun _ e -> V.as_int (E.get e (E.field "n")) <= 10);
                })
           ();
         tr ~label:"b_attack_big" ~from_state:"B" (M.On_event "go") ~to_state:"X"
@@ -148,7 +149,7 @@ let toy_spec =
   }
 
 let machine_moves () =
-  let m = M.instantiate toy_spec ~globals:(Env.globals ()) in
+  let m = M.instantiate (M.compile toy_spec) ~globals:(Env.globals ()) in
   check_str "initial" "A" (M.state m);
   (match M.step m (ev ~args:[ ("n", V.Int 3) ] "go") with
   | M.Moved { transition; attack; _ } ->
@@ -159,7 +160,7 @@ let machine_moves () =
   check "var stored" true (Env.get (M.env m) Env.Local "n" = V.Int 3)
 
 let machine_guards_select () =
-  let m = M.instantiate toy_spec ~globals:(Env.globals ()) in
+  let m = M.instantiate (M.compile toy_spec) ~globals:(Env.globals ()) in
   ignore (M.step m (ev ~args:[ ("n", V.Int 1) ] "go"));
   (match M.step m (ev ~args:[ ("n", V.Int 99) ] "go") with
   | M.Moved { attack = Some detail; _ } -> check_str "attack detail" "boom" detail
@@ -167,14 +168,14 @@ let machine_guards_select () =
   check "in attack state" true (M.in_attack_state m = Some "boom")
 
 let machine_rejects () =
-  let m = M.instantiate toy_spec ~globals:(Env.globals ()) in
+  let m = M.instantiate (M.compile toy_spec) ~globals:(Env.globals ()) in
   (match M.step m (ev "unknown") with
   | M.Rejected -> ()
   | _ -> Alcotest.fail "expected rejection");
   check_str "state unchanged" "A" (M.state m)
 
 let machine_final () =
-  let m = M.instantiate toy_spec ~globals:(Env.globals ()) in
+  let m = M.instantiate (M.compile toy_spec) ~globals:(Env.globals ()) in
   ignore (M.step m (ev ~args:[ ("n", V.Int 1) ] "go"));
   ignore (M.step m (ev "done"));
   check "final" true (M.is_final m);
@@ -183,13 +184,24 @@ let machine_final () =
   check_str "configuration state" "C" state
 
 let machine_guard_type_error_is_false () =
-  let m = M.instantiate toy_spec ~globals:(Env.globals ()) in
+  let m = M.instantiate (M.compile toy_spec) ~globals:(Env.globals ()) in
   ignore (M.step m (ev ~args:[ ("n", V.Int 1) ] "go"));
   (* "go" without an int n: the opaque guard raises Type_error and the IR
      comparison is false -> no transition. *)
   match M.step m (ev ~args:[ ("n", V.Str "oops") ] "go") with
   | M.Rejected -> ()
   | _ -> Alcotest.fail "expected rejection on type error"
+
+(* A snapshot may only name the variables the machine uses: an unknown
+   one is refused, and the instance keeps its configuration. *)
+let restore_rejects_unknown_variable () =
+  let m = M.instantiate (M.compile toy_spec) ~globals:(Env.globals ()) in
+  ignore (M.step m (ev ~args:[ ("n", V.Int 3) ] "go"));
+  (match M.restore m ~state:"A" ~vars:[ ("n", V.Int 1); ("ghost", V.Int 2) ] ~trace:[] with
+  | Error e -> check_str "error" "toy: unknown variable \"ghost\" in snapshot" e
+  | Ok () -> Alcotest.fail "restore accepted a variable the machine does not use");
+  check "configuration kept" true (M.configuration m = ("B", [ ("n", V.Int 3) ]));
+  check_int "trace kept" 1 (List.length (M.trace m))
 
 let nondeterminism_detected () =
   let bad =
@@ -205,7 +217,7 @@ let nondeterminism_detected () =
         ];
     }
   in
-  let m = M.instantiate bad ~globals:(Env.globals ()) in
+  let m = M.instantiate (M.compile bad) ~globals:(Env.globals ()) in
   match M.step m (ev "e") with
   | M.Nondeterministic labels ->
       Alcotest.(check (list string)) "labels" [ "t1"; "t2" ] (List.sort String.compare labels)
@@ -236,7 +248,7 @@ let trigger_kinds () =
         ];
     }
   in
-  let m = M.instantiate spec ~globals:(Env.globals ()) in
+  let m = M.instantiate (M.compile spec) ~globals:(Env.globals ()) in
   let step_label e =
     match M.step m e with
     | M.Moved { transition; _ } -> transition.M.label
@@ -302,8 +314,8 @@ let make_system () =
 
 let system_sync_delivery () =
   let _sched, sys, alerts, _ = make_system () in
-  ignore (Efsm.System.add_machine sys ping_spec);
-  let q = Efsm.System.add_machine sys pong_spec in
+  ignore (Efsm.System.add_machine sys (M.compile ping_spec));
+  let q = Efsm.System.add_machine sys (M.compile pong_spec) in
   Efsm.System.inject sys ~machine:"P" (ev "ping");
   Efsm.System.inject sys ~machine:"P" (ev "ping");
   check "no alert yet" true (!alerts = []);
@@ -315,14 +327,14 @@ let system_sync_delivery () =
 
 let system_anomaly_on_rejected_data () =
   let _sched, sys, _, anomalies = make_system () in
-  ignore (Efsm.System.add_machine sys ping_spec);
-  ignore (Efsm.System.add_machine sys pong_spec);
+  ignore (Efsm.System.add_machine sys (M.compile ping_spec));
+  ignore (Efsm.System.add_machine sys (M.compile pong_spec));
   Efsm.System.inject sys ~machine:"P" (ev "garbage");
   check_int "anomaly" 1 (List.length !anomalies)
 
 let system_sync_rejection_silent () =
   let _sched, sys, _, anomalies = make_system () in
-  ignore (Efsm.System.add_machine sys ping_spec);
+  ignore (Efsm.System.add_machine sys (M.compile ping_spec));
   (* No machine Q: sync goes to an unknown machine -> anomaly is reported
      for the missing machine, not silently lost. *)
   Efsm.System.inject sys ~machine:"P" (ev "ping");
@@ -348,7 +360,7 @@ let timer_spec =
 
 let system_timer_fires () =
   let sched, sys, alerts, _ = make_system () in
-  ignore (Efsm.System.add_machine sys timer_spec);
+  ignore (Efsm.System.add_machine sys (M.compile timer_spec));
   Efsm.System.inject sys ~machine:"T" (ev "arm");
   Dsim.Scheduler.run_until sched (Dsim.Time.of_ms 50.0);
   check "not yet" true (!alerts = []);
@@ -357,7 +369,7 @@ let system_timer_fires () =
 
 let system_timer_cancelled () =
   let sched, sys, alerts, _ = make_system () in
-  let m = Efsm.System.add_machine sys timer_spec in
+  let m = Efsm.System.add_machine sys (M.compile timer_spec) in
   Efsm.System.inject sys ~machine:"T" (ev "arm");
   Efsm.System.inject sys ~machine:"T" (ev "disarm");
   Dsim.Scheduler.run_until sched (Dsim.Time.of_ms 500.0);
@@ -366,7 +378,7 @@ let system_timer_cancelled () =
 
 let system_release_cancels_timers () =
   let sched, sys, alerts, _ = make_system () in
-  ignore (Efsm.System.add_machine sys timer_spec);
+  ignore (Efsm.System.add_machine sys (M.compile timer_spec));
   Efsm.System.inject sys ~machine:"T" (ev "arm");
   Efsm.System.release sys;
   Dsim.Scheduler.run_until sched (Dsim.Time.of_ms 500.0);
@@ -414,7 +426,7 @@ let system_timers_match_model =
                  [ (4, map (fun i -> Arm i) id); (2, map (fun i -> Disarm i) id); (1, return Expire) ])))
        (fun ops ->
          let sched, sys, _, _ = make_system () in
-         ignore (Efsm.System.add_machine sys rearm_spec);
+         ignore (Efsm.System.add_machine sys (M.compile rearm_spec));
          let armed = ref [] in
          let agrees () =
            let ids = List.map (fun (_, id, _) -> id) (Efsm.System.pending_timers sys) in
@@ -445,10 +457,10 @@ let system_timers_match_model =
 
 let system_duplicate_machine () =
   let _sched, sys, _, _ = make_system () in
-  ignore (Efsm.System.add_machine sys ping_spec);
+  ignore (Efsm.System.add_machine sys (M.compile ping_spec));
   check "duplicate rejected" true
     (try
-       ignore (Efsm.System.add_machine sys ping_spec);
+       ignore (Efsm.System.add_machine sys (M.compile ping_spec));
        false
      with Invalid_argument _ -> true)
 
@@ -481,6 +493,7 @@ let suite =
         tc "rejects" machine_rejects;
         tc "final + trace + configuration" machine_final;
         tc "guard type error = false" machine_guard_type_error_is_false;
+        tc "restore rejects unknown variables" restore_rejects_unknown_variable;
         tc "nondeterminism detected" nondeterminism_detected;
         tc "spec validation" spec_validation;
         tc "spec states" spec_states;

@@ -1,0 +1,309 @@
+(* Differential tests of the compiled EFSM stepper against the reference
+   model in [Efsm_reference]: on random event sequences over each builtin
+   machine and a toy machine with overlapping guards, both must agree
+   after every step on the outcome, the configuration, the global
+   variables and the transition history. *)
+
+module M = Efsm.Machine
+module E = Efsm.Event
+module V = Efsm.Value
+module Env = Efsm.Env
+module Ir = Efsm.Ir
+module R = Efsm_reference
+
+(* Small thresholds, so that short sequences reach the flood states. *)
+let config =
+  {
+    Vids.Config.default with
+    Vids.Config.invite_flood_threshold = 3;
+    rtp_flood_threshold = 3;
+    drdos_threshold = 3;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* A toy machine with overlapping guards                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [calls] logs every opaque guard evaluation, so the two steppers can be
+   held to the same calls, in the same order. *)
+let toy_spec calls =
+  let x = Ir.Int_of (Ir.Field "x") and n = Ir.Int_or0 (Ir.Var (Env.Local, "n")) in
+  let counted name holds =
+    Ir.Opaque
+      {
+        Ir.pred_name = name;
+        pred_reads = [ (Env.Local, "n") ];
+        pred_fields = [ "x" ];
+        holds =
+          (fun env event ->
+            calls := name :: !calls;
+            holds env event);
+      }
+  in
+  (* Raises [Type_error] on a string x, like a hand-written guard would. *)
+  let odd =
+    counted "odd" (fun _ event ->
+        match E.get event (E.field "x") with
+        | V.Int v -> v land 1 = 1
+        | V.Str _ -> raise (V.Type_error "x")
+        | _ -> false)
+  in
+  let stamp =
+    {
+      Ir.act_name = "stamp";
+      act_reads = [];
+      act_writes = [ (Env.Local, "m") ];
+      act_emits = [ Ir.Emits_cancel_timer "t"; Ir.Emits_set_timer "t" ];
+      run =
+        (fun env event ->
+          Env.set env Env.Local "m" (E.get event (E.field "y"));
+          [ M.Cancel_timer "t"; M.Set_timer { id = "t"; delay = 5 } ]);
+    }
+  in
+  let tr = M.ir_transition in
+  let y_copy = Ir.Var (Env.Local, "y_copy") in
+  {
+    M.spec_name = "TOY";
+    initial = "A";
+    finals = [ "DONE" ];
+    attack_states = [ ("BAD", "toy attack") ];
+    transitions =
+      [
+        tr ~label:"small" ~from_state:"A" (M.On_event "e") ~to_state:"A"
+          ~guard:(Ir.Cmp (Ir.Lt, x, Ir.Int_const 5))
+          ~acts:
+            [
+              Ir.Assign ((Env.Local, "n"), Ir.Of_int (Ir.Add (n, Ir.Int_const 1)));
+              Ir.If
+                ( Ir.Cmp (Ir.Gt, x, Ir.Int_const 2),
+                  [ Ir.Set_timer { id = "t"; delay = 10 } ],
+                  [ Ir.Cancel_timer "t" ] );
+            ]
+          ();
+        tr ~label:"big" ~from_state:"A" (M.On_event "e") ~to_state:"B"
+          ~guard:(Ir.Cmp (Ir.Gt, x, Ir.Int_const 3))
+          ();
+        tr ~label:"odd" ~from_state:"A" (M.On_event "e") ~to_state:"BAD" ~guard:odd ();
+        tr ~label:"chan" ~from_state:"A" (M.On_channel "RTP") ~to_state:"B"
+          ~guard:(Ir.Has_field "y")
+          ~acts:
+            [
+              Ir.Assign ((Env.Local, "y_copy"), Ir.Field "y");
+              Ir.Send_sync
+                {
+                  target = "PEER";
+                  event_name = "ping";
+                  args = [ ("y", Ir.Field "y"); ("x", Ir.Of_int x) ];
+                };
+            ]
+          ();
+        tr ~label:"sync_in" ~from_state:"B" (M.On_sync "ping") ~to_state:"A"
+          ~guard:(Ir.Cmp (Ir.Ieq, n, Ir.Int_const 2))
+          ~acts:
+            [
+              Ir.Assign ((Env.Local, "n"), Ir.Const (V.Int 0));
+              Ir.Assign
+                ( (Env.Global, "total"),
+                  Ir.Of_int (Ir.Add (Ir.Int_or0 (Ir.Var (Env.Global, "total")), Ir.Int_const 1)) );
+            ]
+          ();
+        tr ~label:"tick" ~from_state:"B" (M.On_timer "t") ~to_state:"DONE"
+          ~guard:(Ir.Or [ Ir.Eq (y_copy, Ir.Const (V.Str "a")); Ir.Not (Ir.Has_field "x") ])
+          ();
+        tr ~label:"tick_b" ~from_state:"B" (M.On_timer "t") ~to_state:"BAD"
+          ~guard:(Ir.Member (y_copy, [ V.Str "a"; V.Str "b" ]))
+          ();
+        tr ~label:"loop" ~from_state:"B" (M.On_event "e") ~to_state:"B"
+          ~guard:
+            (Ir.And
+               [
+                 Ir.Cmp (Ir.Ge, x, Ir.Int_const 0);
+                 Ir.Not odd;
+                 Ir.Cmp (Ir.Le, Ir.Add (x, n), Ir.Int_const 100);
+               ])
+          ~acts:
+            [
+              Ir.Assign ((Env.Local, "n"), Ir.Of_int (Ir.Sub (n, x)));
+              Ir.Opaque_act stamp;
+              Ir.Assign ((Env.Local, "k"), Ir.Of_pred (Ir.Has_field "y"));
+            ]
+          ();
+        tr ~label:"loop_bare" ~from_state:"B" (M.On_event "e") ~to_state:"B"
+          ~guard:(counted "bare" (fun _ event -> not (E.has event (E.field "y"))))
+          ();
+        tr ~label:"done_more" ~from_state:"DONE" (M.On_event "e") ~to_state:"DONE" ();
+        tr ~label:"bad_more" ~from_state:"BAD" (M.On_channel "RTP") ~to_state:"BAD" ();
+      ];
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Event sequences                                                     *)
+(* ------------------------------------------------------------------ *)
+
+type ev = { name : string; channel : E.channel; args : (string * V.t) list }
+
+let sync = E.Sync { from_machine = "SIP" }
+
+(* Every trigger of the spec, as the event that fires it. *)
+let triggers (spec : M.spec) =
+  List.concat_map
+    (fun (tr : M.transition) ->
+      match tr.M.trigger with
+      | M.On_event n -> [ (E.Data "SIP", n); (E.Data "RTP", n) ]
+      | M.On_channel p -> [ (E.Data p, "any") ]
+      | M.On_sync n -> [ (sync, n) ]
+      | M.On_timer id -> [ (E.Timer, id) ])
+    spec.M.transitions
+  |> List.sort_uniq compare
+
+(* Names no transition accepts, and accepted names on the wrong
+   channel. *)
+let strays (spec : M.spec) =
+  [ (E.Data "SIP", "NO_SUCH_EVENT"); (sync, "delta_none"); (E.Timer, "no_timer") ]
+  @ List.filter_map
+      (fun (tr : M.transition) ->
+        match tr.M.trigger with
+        | M.On_event n -> Some (E.Timer, n)
+        | M.On_sync n -> Some (E.Data "SIP", n)
+        | M.On_timer id -> Some (sync, id)
+        | M.On_channel _ -> None)
+      spec.M.transitions
+
+(* Every field a guard or action of the spec reads. *)
+let fields (spec : M.spec) =
+  let of_expr e = Ir.pred_fields (Ir.Eq (e, Ir.Const V.Unset)) in
+  List.concat_map
+    (fun (tr : M.transition) ->
+      let { Ir.guard; acts } = tr.M.syntax in
+      Ir.pred_fields guard
+      @ Ir.acts_fold
+          (fun acc -> function
+            | Ir.Assign (_, e) -> of_expr e @ acc
+            | Ir.If (p, _, _) -> Ir.pred_fields p @ acc
+            | Ir.Send_sync { args; _ } -> List.concat_map (fun (_, e) -> of_expr e) args @ acc
+            | Ir.Set_timer _ | Ir.Cancel_timer _ | Ir.Opaque_act _ -> acc)
+          [] acts)
+    spec.M.transitions
+  |> List.sort_uniq String.compare
+
+(* Values of a small pool per field, so that the guards that compare a
+   field with a constant or a remembered value hold often; one time in
+   eight a value of any type, or a present [Unset]. *)
+let plausible field =
+  let ints l = List.map (fun n -> V.Int n) l and strs l = List.map (fun s -> V.Str s) l in
+  match field with
+  | "code" -> ints [ 100; 180; 200; 299; 300; 487; 699; 700 ]
+  | "cseq_method" -> strs [ "INVITE"; "BYE"; "ACK"; "CANCEL" ]
+  | "src_ip" | "dst_ip" | "contact_host" | "media_host" | "bye_sender_ip" ->
+      strs [ "10.0.0.1"; "10.0.0.2" ]
+  | "call_id" | "from_tag" | "to_tag" | "branch" | "y" -> strs [ "a"; "b" ]
+  | "src_port" | "dst_port" | "media_port" -> ints [ 5060; 16384 ]
+  | "media_pt" | "ssrc" -> ints [ 7; 18 ]
+  | "seq" | "x" -> ints [ 0; 1; 2; 3; 4; 5; 6; 7; 65535 ]
+  | "ts" -> ints [ 0; 160; 320; 480; 5000; 700_000 ]
+  | "src_matched" -> [ V.Bool true; V.Bool false ]
+  | _ -> strs [ "a" ] @ ints [ 0 ]
+
+let any_value =
+  QCheck.Gen.oneofl
+    [ V.Int 1; V.Int 200; V.Str "a"; V.Str ""; V.Bool true; V.Addr ("10.0.0.1", 16384); V.Unset ]
+
+let value_gen field =
+  QCheck.Gen.(frequency [ (7, oneofl (plausible field)); (1, any_value) ])
+
+let event_gen spec =
+  let triggers = triggers spec and strays = strays spec in
+  let fields = "unread" :: fields spec in
+  QCheck.Gen.(
+    let* channel, name = frequency [ (8, oneofl triggers); (1, oneofl strays) ] in
+    let* args =
+      flatten_l
+        (List.map
+           (fun f ->
+             frequency
+               [ (3, map (fun v -> Some (f, v)) (value_gen f)); (1, return None) ])
+           fields)
+    in
+    return { name; channel; args = List.filter_map Fun.id args })
+
+let show_channel = function
+  | E.Data p -> p
+  | E.Sync { from_machine } -> "sync<" ^ from_machine ^ ">"
+  | E.Timer -> "timer"
+
+let show_args args =
+  String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ V.to_token v) args)
+
+let show_ev ev = Printf.sprintf "%s?%s(%s)" (show_channel ev.channel) ev.name (show_args ev.args)
+
+let arb spec =
+  QCheck.make
+    ~print:(fun evs -> String.concat "\n" (List.map show_ev evs))
+    QCheck.Gen.(list_size (int_range 1 100) (event_gen spec))
+
+(* ------------------------------------------------------------------ *)
+(* Agreement                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let show_effect = function
+  | M.Send_sync { target; event_name; args } ->
+      Printf.sprintf "sync %s.%s(%s)" target event_name (show_args args)
+  | M.Set_timer { id; delay } -> Printf.sprintf "set %s %d" id delay
+  | M.Cancel_timer id -> "cancel " ^ id
+
+let show_outcome = function
+  | Ok (M.Moved { transition; effects; attack }) ->
+      Printf.sprintf "moved %s [%s] %s" transition.M.label
+        (String.concat "; " (List.map show_effect effects))
+        (Option.value attack ~default:"-")
+  | Ok M.Rejected -> "rejected"
+  | Ok (M.Nondeterministic labels) -> "nondeterministic " ^ String.concat "," labels
+  | Error e -> "raised " ^ e
+
+let show_trace trace =
+  String.concat " " (List.map (fun (at, label) -> Printf.sprintf "%d:%s" at label) trace)
+
+let agree what show got want =
+  String.equal (show got) (show want)
+  || QCheck.Test.fail_reportf "%s differs:\n  compiled:  %s\n  reference: %s" what (show got)
+       (show want)
+
+let attempt f = match f () with o -> Ok o | exception e -> Error (Printexc.to_string e)
+
+(* Each stepper gets its own copy of the spec, so that opaque guards log
+   into separate buffers. *)
+let agrees make_spec evs =
+  let calls_c = ref [] and calls_r = ref [] in
+  let m = M.instantiate (M.compile (make_spec calls_c)) ~globals:(Env.globals ()) in
+  let r = R.create (make_spec calls_r) ~globals:(Env.globals ()) in
+  List.for_all
+    (fun (i, ev) ->
+      let event = E.make ~args:ev.args ev.channel ~at:(1000 * i) ev.name in
+      let got = attempt (fun () -> M.step m event) in
+      let want = attempt (fun () -> R.step r event) in
+      agree ("outcome of event " ^ string_of_int i) show_outcome got want
+      && agree "opaque guard calls" (String.concat ",") !calls_c !calls_r
+      && agree "configuration"
+           (fun (state, vars) -> state ^ " " ^ show_args vars)
+           (M.configuration m) (R.configuration r)
+      && agree "globals" show_args (Env.global_bindings (M.env m)) (R.global_bindings r)
+      && agree "trace" show_trace (M.trace m) (R.trace r))
+    (List.mapi (fun i ev -> (i, ev)) evs)
+
+let builtin name = Vids.Spec_load.spec config name
+
+let differential ~count name make_spec =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count (arb (make_spec (ref []))) (agrees make_spec))
+
+let suite =
+  [
+    ( "efsm.differential",
+      List.map
+        (fun machine ->
+          differential ~count:200
+            (machine ^ " steps agree with the reference")
+            (fun _ -> builtin machine))
+        Vids.Keys.[ sip_machine; rtp_machine; flood_machine; spam_machine; drdos_machine ]
+      @ [ differential ~count:300 "toy steps agree with the reference" toy_spec ] );
+  ]

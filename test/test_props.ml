@@ -180,7 +180,7 @@ let sip_machine_deterministic =
     (fun events ->
       let m =
         Efsm.Machine.instantiate
-          (Vids.Spec_load.spec Vids.Config.default Vids.Keys.sip_machine)
+          (Efsm.Machine.compile (Vids.Spec_load.spec Vids.Config.default Vids.Keys.sip_machine))
           ~globals:(Efsm.Env.globals ())
       in
       List.for_all
@@ -207,7 +207,7 @@ let spam_machine_deterministic =
     (fun packets ->
       let m =
         Efsm.Machine.instantiate
-          (Vids.Spec_load.spec Vids.Config.default Vids.Keys.spam_machine)
+          (Efsm.Machine.compile (Vids.Spec_load.spec Vids.Config.default Vids.Keys.spam_machine))
           ~globals:(Efsm.Env.globals ())
       in
       List.for_all

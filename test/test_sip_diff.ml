@@ -294,8 +294,8 @@ let accessors_agree (m : Sip.Msg.t) (r : R.msg) =
   &&
   let got = Vids.Sip_event.of_msg ~at:Dsim.Time.zero ~src ~dst m in
   let want = R.of_msg ~at:Dsim.Time.zero ~src ~dst r in
-  agree "event name" Fun.id got.Efsm.Event.name want.Efsm.Event.name
-  && agree "event args" show_args got.Efsm.Event.args want.Efsm.Event.args
+  agree "event name" Fun.id (Efsm.Event.name got) (Efsm.Event.name want)
+  && agree "event args" show_args (Efsm.Event.args got) (Efsm.Event.args want)
 
 let message_agrees text =
   match (Sip.Msg.parse text, R.parse text) with

@@ -31,8 +31,8 @@ let make_rig () =
       ~on_anomaly:(fun n -> anomalies := n :: !anomalies)
       (Efsm.System.timer_host_of_scheduler sched)
   in
-  let sip = Efsm.System.add_machine sys (Vids.Spec_load.spec config Vids.Keys.sip_machine) in
-  let rtp = Efsm.System.add_machine sys (Vids.Spec_load.spec config Vids.Keys.rtp_machine) in
+  let sip = Efsm.System.add_machine sys (M.compile (Vids.Spec_load.spec config Vids.Keys.sip_machine)) in
+  let rtp = Efsm.System.add_machine sys (M.compile (Vids.Spec_load.spec config Vids.Keys.rtp_machine)) in
   { sched; sys; sip; rtp; alerts; anomalies }
 
 let now rig = Dsim.Scheduler.now rig.sched
@@ -341,7 +341,7 @@ let flood_rig () =
       ~on_alert:(fun n -> alerts := n :: !alerts)
       (Efsm.System.timer_host_of_scheduler sched)
   in
-  let m = Efsm.System.add_machine sys (Vids.Spec_load.spec config Vids.Keys.flood_machine) in
+  let m = Efsm.System.add_machine sys (M.compile (Vids.Spec_load.spec config Vids.Keys.flood_machine)) in
   let send () =
     Efsm.System.inject sys ~machine:Vids.Keys.flood_machine
       (E.make (E.Data "SIP") ~at:(Dsim.Scheduler.now sched) "INVITE")
@@ -394,7 +394,7 @@ let spam_rig () =
       ~on_alert:(fun n -> alerts := n :: !alerts)
       (Efsm.System.timer_host_of_scheduler sched)
   in
-  let m = Efsm.System.add_machine sys (Vids.Spec_load.spec config Vids.Keys.spam_machine) in
+  let m = Efsm.System.add_machine sys (M.compile (Vids.Spec_load.spec config Vids.Keys.spam_machine)) in
   let send ?(ssrc = 7) ~seq ~ts () =
     Efsm.System.inject sys ~machine:Vids.Keys.spam_machine
       (E.make
@@ -516,7 +516,7 @@ let drdos_detector () =
       ~on_alert:(fun n -> alerts := n :: !alerts)
       (Efsm.System.timer_host_of_scheduler sched)
   in
-  let m = Efsm.System.add_machine sys (Vids.Spec_load.spec config Vids.Keys.drdos_machine) in
+  let m = Efsm.System.add_machine sys (M.compile (Vids.Spec_load.spec config Vids.Keys.drdos_machine)) in
   let send () =
     Efsm.System.inject sys ~machine:Vids.Keys.drdos_machine
       (E.make (E.Data "SIP") ~at:(Dsim.Scheduler.now sched) Vids.Keys.orphan_response)
@@ -536,7 +536,7 @@ let drdos_detector () =
       ~on_alert:(fun n -> alerts2 := n :: !alerts2)
       (Efsm.System.timer_host_of_scheduler sched2)
   in
-  ignore (Efsm.System.add_machine sys2 (Vids.Spec_load.spec config Vids.Keys.drdos_machine));
+  ignore (Efsm.System.add_machine sys2 (M.compile (Vids.Spec_load.spec config Vids.Keys.drdos_machine)));
   for _ = 1 to 100 do
     Efsm.System.inject sys2 ~machine:Vids.Keys.drdos_machine
       (E.make (E.Data "SIP") ~at:(Dsim.Scheduler.now sched2) Vids.Keys.orphan_response);
