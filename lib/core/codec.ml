@@ -6,6 +6,7 @@
 
 let hex = Efsm.Value.hex_of_string
 let add_hex = Efsm.Value.add_hex
+let add_int = Efsm.Value.add_decimal
 let unhex = Efsm.Value.string_of_hex
 
 (* --------------------------------------------------------------- *)
@@ -36,11 +37,11 @@ let crc_tables =
      done;
      t)
 
-let crc32_sub s ~off ~len =
-  if off < 0 || len < 0 || off > String.length s - len then invalid_arg "Codec.crc32_sub";
+let crc32_update crc b ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Codec.crc32_update";
   let t = Lazy.force crc_tables in
-  let byte i = Char.code (String.unsafe_get s i) in
-  let c = ref 0xFFFFFFFF in
+  let byte i = Char.code (Bytes.unsafe_get b i) in
+  let c = ref (crc lxor 0xFFFFFFFF) in
   let i = ref off in
   let stop8 = off + (len land lnot 7) in
   while !i < stop8 do
@@ -62,6 +63,11 @@ let crc32_sub s ~off ~len =
   done;
   !c lxor 0xFFFFFFFF
 
+(* The string is only read. *)
+let crc32_sub s ~off ~len =
+  if off < 0 || len < 0 || off > String.length s - len then invalid_arg "Codec.crc32_sub";
+  crc32_update 0 (Bytes.unsafe_of_string s) ~off ~len
+
 let crc32 s = crc32_sub s ~off:0 ~len:(String.length s)
 
 let crc32_hex s = Printf.sprintf "%08x" (crc32 s)
@@ -79,7 +85,9 @@ let opt_time_tok = function
   | "-" -> Ok None
   | s -> Result.map (fun t -> Some t) (time_tok s)
 
-let opt_time_str = function None -> "-" | Some t -> string_of_int (Dsim.Time.to_us t)
+let add_opt_time buf = function
+  | None -> Buffer.add_char buf '-'
+  | Some t -> add_int buf (Dsim.Time.to_us t)
 
 let take = function [] -> Error "truncated record" | tok :: rest -> Ok (tok, rest)
 
@@ -88,7 +96,6 @@ let take = function [] -> Error "truncated record" | tok :: rest -> Ok (tok, res
 (* --------------------------------------------------------------- *)
 
 let sp buf = Buffer.add_char buf ' '
-let add_int buf n = Buffer.add_string buf (string_of_int n)
 
 let add_channel buf = function
   | Efsm.Event.Data proto ->

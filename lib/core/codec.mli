@@ -9,6 +9,9 @@ val hex : string -> string
 val add_hex : Buffer.t -> string -> unit
 (** Appends [hex s]. *)
 
+val add_int : Buffer.t -> int -> unit
+(** Appends [string_of_int n] without allocating ({!Efsm.Value.add_decimal}). *)
+
 val unhex : string -> (string, string) result
 
 val crc32 : string -> int
@@ -17,6 +20,11 @@ val crc32 : string -> int
 val crc32_sub : string -> off:int -> len:int -> int
 (** [crc32 (String.sub s off len)] without the copy.  Raises
     [Invalid_argument] if the range is not within [s]. *)
+
+val crc32_update : int -> Bytes.t -> off:int -> len:int -> int
+(** [crc32_update (crc32 a) b ~off ~len] is the CRC-32 of [a] followed by
+    those bytes of [b], so a stream is checksummed chunk by chunk from
+    [0].  Raises [Invalid_argument] if the range is not within [b]. *)
 
 val crc32_hex : string -> string
 (** Zero-padded 8-digit lowercase hex. *)
@@ -28,7 +36,8 @@ val time_tok : string -> (Dsim.Time.t, string) result
 val opt_time_tok : string -> (Dsim.Time.t option, string) result
 (** ["-"] denotes [None]. *)
 
-val opt_time_str : Dsim.Time.t option -> string
+val add_opt_time : Buffer.t -> Dsim.Time.t option -> unit
+(** Appends the microseconds, or ["-"] for [None]. *)
 
 val take : string list -> (string * string list, string) result
 (** Pops the next token or fails on a truncated record. *)

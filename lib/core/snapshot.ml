@@ -24,7 +24,7 @@ type machine_snap = {
   m_name : string;
   m_state : string;
   m_vars : (string * Efsm.Value.t) list;
-  m_hist : (Dsim.Time.t * string) list; (* oldest first *)
+  m_hist : Dsim.Time.t array * string array; (* times and labels, oldest first *)
 }
 
 type system_snap = {
@@ -91,7 +91,7 @@ let snap_machine m =
     m_name = Efsm.Machine.name m;
     m_state = Efsm.Machine.state m;
     m_vars = Efsm.Env.local_bindings (Efsm.Machine.env m);
-    m_hist = Efsm.Machine.trace m;
+    m_hist = Efsm.Machine.history m;
   }
 
 let snap_system sys machines =
@@ -164,17 +164,18 @@ let capture ?(seq = 0) ?(ext = []) ~at engine =
 (* Serialization                                                    *)
 (* --------------------------------------------------------------- *)
 
-(* Every record is appended straight into one buffer: a checkpoint of a
-   few thousand open calls is megabytes of text, and the daemon's
-   dispatch loop stalls while it is written.  Each field appender writes
-   the separating space before its field. *)
+(* Every record is appended straight into a buffer, and no field builds
+   a string of its own: a checkpoint of a few thousand open calls is
+   megabytes of text, and the daemon's dispatch loop stalls while it is
+   written.  Each field appender writes the separating space before its
+   field. *)
 
 let us = Dsim.Time.to_us
 let word buf s = Buffer.add_char buf ' '; Buffer.add_string buf s
-let int buf n = word buf (string_of_int n)
+let int buf n = Buffer.add_char buf ' '; Codec.add_int buf n
 let time buf t = int buf (us t)
 let flag buf b = word buf (if b then "1" else "0")
-let opt_time buf t = word buf (Codec.opt_time_str t)
+let opt_time buf t = Buffer.add_char buf ' '; Codec.add_opt_time buf t
 let hex buf s = Buffer.add_char buf ' '; Codec.add_hex buf s
 let token buf v = Buffer.add_char buf ' '; Efsm.Value.add_token buf v
 let eol buf = Buffer.add_char buf '\n'
@@ -216,16 +217,19 @@ let add_system buf ss =
           token buf v;
           eol buf)
         ms.m_vars;
-      List.iter
-        (fun (t, label) ->
+      let ats, labels = ms.m_hist in
+      Array.iteri
+        (fun i at ->
           Buffer.add_string buf "H";
-          time buf t;
-          hex buf label;
+          time buf at;
+          hex buf labels.(i);
           eol buf)
-        ms.m_hist)
+        ats)
     ss.s_machines
 
-let add_body buf t =
+(* [flush buf] runs after each alert, call, detector and extension
+   record; {!save} uses it to stream the body out. *)
+let add_body buf t ~flush =
   let p = t.engine in
   let c = p.Engine.Persist.p_counters in
   Buffer.add_string buf "EC";
@@ -258,7 +262,8 @@ let add_body buf t =
     (fun alert ->
       Buffer.add_string buf "EA ";
       Codec.add_alert buf alert;
-      eol buf)
+      eol buf;
+      flush buf)
     p.Engine.Persist.p_alerts;
   Buffer.add_string buf "FB";
   List.iter (int buf)
@@ -284,7 +289,8 @@ let add_body buf t =
           token buf (Efsm.Value.Addr (Dsim.Addr.host addr, Dsim.Addr.port addr));
           eol buf)
         cs.c_media;
-      add_system buf cs.c_system)
+      add_system buf cs.c_system;
+      flush buf)
     t.calls;
   List.iter
     (fun ds ->
@@ -294,29 +300,28 @@ let add_body buf t =
       time buf ds.d_created;
       time buf ds.d_touched;
       eol buf;
-      add_system buf ds.d_system)
+      add_system buf ds.d_system;
+      flush buf)
     t.detectors;
   List.iter
     (fun (tag, payload) ->
       Buffer.add_string buf "X";
       hex buf tag;
       hex buf payload;
-      eol buf)
+      eol buf;
+      flush buf)
     t.ext
 
 (* The file is a header line, the body, and a trailer line carrying the
    body's CRC-32 and length. *)
-let parts t =
-  let buf = Buffer.create 65536 in
-  add_body buf t;
-  let body = Buffer.contents buf in
-  [
-    Printf.sprintf "%s %d %d %d\n" magic version t.seq (us t.at);
-    body;
-    Printf.sprintf "END %s %d\n" (Codec.crc32_hex body) (String.length body);
-  ]
+let header t = Printf.sprintf "%s %d %d %d\n" magic version t.seq (us t.at)
+let trailer ~crc ~len = Printf.sprintf "END %08x %d\n" crc len
 
-let to_string t = String.concat "" (parts t)
+let to_string t =
+  let buf = Buffer.create 65536 in
+  add_body buf t ~flush:ignore;
+  let body = Buffer.contents buf in
+  String.concat "" [ header t; body; trailer ~crc:(Codec.crc32 body) ~len:(String.length body) ]
 
 (* --------------------------------------------------------------- *)
 (* Parsing                                                          *)
@@ -326,7 +331,8 @@ type machine_builder = {
   mb_name : string;
   mb_state : string;
   mutable mb_vars : (string * Efsm.Value.t) list; (* reversed *)
-  mutable mb_hist : (Dsim.Time.t * string) list; (* reversed *)
+  mutable mb_at : Dsim.Time.t list; (* reversed *)
+  mutable mb_labels : string list; (* reversed *)
 }
 
 type system_builder = {
@@ -338,12 +344,21 @@ type system_builder = {
 
 let new_system_builder () = { sb_globals = []; sb_syncs = []; sb_timers = []; sb_machines = [] }
 
+(* [Array.of_list (List.rev l)], without the reversed list. *)
+let array_of_rev = function
+  | [] -> [||]
+  | x :: _ as l ->
+      let n = List.length l in
+      let a = Array.make n x in
+      List.iteri (fun i v -> a.(n - 1 - i) <- v) l;
+      a
+
 let finish_machine mb =
   {
     m_name = mb.mb_name;
     m_state = mb.mb_state;
     m_vars = List.rev mb.mb_vars;
-    m_hist = List.rev mb.mb_hist;
+    m_hist = (array_of_rev mb.mb_at, array_of_rev mb.mb_labels);
   }
 
 let finish_system sb =
@@ -561,7 +576,8 @@ let of_body text ~off ~len =
         let* sb = current_system () in
         let* mb_name = Codec.unhex name_hex in
         let* mb_state = Codec.unhex state_hex in
-        sb.sb_machines <- { mb_name; mb_state; mb_vars = []; mb_hist = [] } :: sb.sb_machines;
+        sb.sb_machines <-
+          { mb_name; mb_state; mb_vars = []; mb_at = []; mb_labels = [] } :: sb.sb_machines;
         Ok ()
     | [ "V"; k_hex; v_tok ] ->
         let* mb = current_machine () in
@@ -573,7 +589,8 @@ let of_body text ~off ~len =
         let* mb = current_machine () in
         let* at = Codec.time_tok at in
         let* label = Codec.unhex label_hex in
-        mb.mb_hist <- (at, label) :: mb.mb_hist;
+        mb.mb_at <- at :: mb.mb_at;
+        mb.mb_labels <- label :: mb.mb_labels;
         Ok ()
     | [ "X"; tag_hex; payload_hex ] ->
         let* tag = Codec.unhex tag_hex in
@@ -686,7 +703,7 @@ let apply_machine sys ms =
   match Efsm.System.machine sys ms.m_name with
   | None -> fail "snapshot references unknown machine %S" ms.m_name
   | Some m -> (
-      match Efsm.Machine.restore m ~state:ms.m_state ~vars:ms.m_vars ~trace:ms.m_hist with
+      match Efsm.Machine.restore m ~state:ms.m_state ~vars:ms.m_vars ~history:ms.m_hist with
       | Ok () -> ()
       | Error e -> fail "%s" e)
 
@@ -769,10 +786,41 @@ let fsync_dir path =
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       ( try Unix.close fd with Unix.Unix_error _ -> ())
 
+(* [save] streams the body: once the buffer holds [chunk] bytes they are
+   copied through one reusable [Bytes] into the file and the running
+   CRC, and the buffer is cleared, so neither the body nor a copy of it
+   is ever built whole. *)
+let chunk = 32768
+
+type sink = { oc : out_channel; mutable scratch : Bytes.t; mutable crc : int; mutable len : int }
+
+(* The first drain sizes the scratch: it is a whole chunk only for a body
+   that fills one. *)
+let drain sink buf =
+  let n = Buffer.length buf in
+  if Bytes.length sink.scratch = 0 then sink.scratch <- Bytes.create (min chunk n);
+  let off = ref 0 in
+  while !off < n do
+    let k = min (Bytes.length sink.scratch) (n - !off) in
+    Buffer.blit buf !off sink.scratch 0 k;
+    sink.crc <- Codec.crc32_update sink.crc sink.scratch ~off:0 ~len:k;
+    output sink.oc sink.scratch 0 k;
+    off := !off + k
+  done;
+  sink.len <- sink.len + n;
+  Buffer.clear buf
+
 let save ~path t =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  List.iter (output_string oc) (parts t);
+  output_string oc (header t);
+  let sink = { oc; scratch = Bytes.empty; crc = 0; len = 0 } in
+  (* Drained between records, the buffer holds a chunk plus at most one
+     record. *)
+  let buf = Buffer.create (2 * chunk) in
+  add_body buf t ~flush:(fun buf -> if Buffer.length buf >= chunk then drain sink buf);
+  drain sink buf;
+  output_string oc (trailer ~crc:sink.crc ~len:sink.len);
   flush oc;
   (* fsync BEFORE the rename: without it, a power loss can leave the
      rename durable but the data not — a zero-length or torn file sitting

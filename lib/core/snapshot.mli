@@ -54,13 +54,16 @@ val restore :
     restored timer is re-armed: recovery uses it to schedule the trace
     replay suffix so that, at equal virtual times, packets still fire before
     timers exactly as in an uninterrupted run (where all packets are
-    scheduled up front).  Internal inconsistencies (unknown machine or
-    state names — possible only if the file was hand-edited yet still
-    checksums) come back as [Error]. *)
+    scheduled up front).  Internal inconsistencies (unknown machine,
+    state, variable or transition names, or a history longer than the
+    64 entries an engine keeps — possible only if the file was
+    hand-edited yet still checksums) come back as [Error]. *)
 
 val save : path:string -> t -> unit
-(** Writes the bytes of {!to_string}, without building them as one
-    string first.  Atomic durable write: the temp file is fsynced
+(** Writes the bytes of {!to_string}, streamed: the header, then the body
+    32 KB at a time through one reusable chunk that also feeds a running
+    CRC-32, then the trailer, so neither the body nor a copy of it is
+    built whole.  Atomic durable write: the temp file is fsynced
     {e before} the rename
     (so a power loss cannot publish a zero-length or torn snapshot), the
     containing directory after it (so the rename itself survives).  An

@@ -31,6 +31,9 @@ type spec = {
   transitions : transition list;
 }
 
+(* A history entry stores its transition's spec index as a [uint16]. *)
+let max_transitions = 0xFFFF
+
 let validate_spec spec =
   let labels = List.map (fun t -> t.label) spec.transitions in
   let sorted = List.sort String.compare labels in
@@ -41,6 +44,9 @@ let validate_spec spec =
   let err fmt = Printf.ksprintf (fun m -> Error (spec.spec_name ^ ": " ^ m)) fmt in
   match dup sorted with
   | Some label -> err "duplicate transition label %S" label
+  | None when List.length labels > max_transitions ->
+      err "%d transitions, more than the %d a machine can number" (List.length labels)
+        max_transitions
   | None ->
       if not (List.exists (fun t -> String.equal t.from_state spec.initial) spec.transitions)
       then err "initial state %S has no transitions" spec.initial
@@ -103,12 +109,22 @@ type node = {
 
 and edge = {
   e_transition : transition;
+  e_index : int; (* position in the spec's transition list *)
   e_guard : Env.t -> Event.t -> bool;
   e_action : Env.t -> Event.t -> effect list;
   e_target : node;
 }
 
-type program = { p_spec : spec; p_layout : Env.layout; p_nodes : node array; p_initial : node }
+module Labels = Hashtbl.Make (String)
+
+type program = {
+  p_spec : spec;
+  p_layout : Env.layout;
+  p_nodes : node array;
+  p_initial : node;
+  p_labels : string array; (* by transition index *)
+  p_index : int Labels.t; (* label -> transition index *)
+}
 
 let locals spec =
   List.concat_map
@@ -139,45 +155,62 @@ let compile spec =
   in
   (* [states] lists every endpoint, so the lookups cannot fail. *)
   let node name = Option.get (find_node nodes name) in
+  let numbered = List.mapi (fun i tr -> (i, tr)) spec.transitions in
   Array.iter
     (fun n ->
       n.n_out <-
         Array.of_list
           (List.filter_map
-             (fun tr ->
+             (fun (i, tr) ->
                if String.equal tr.from_state n.n_name then
                  Some
                    {
                      e_transition = tr;
+                     e_index = i;
                      e_guard = Ir.compile_pred layout tr.syntax.Ir.guard;
                      e_action = Ir.compile_acts builders layout tr.syntax.Ir.acts;
                      e_target = node tr.to_state;
                    }
                else None)
-             spec.transitions))
+             numbered))
     nodes;
-  { p_spec = spec; p_layout = layout; p_nodes = nodes; p_initial = node spec.initial }
+  let labels = Array.of_list (List.map (fun tr -> tr.label) spec.transitions) in
+  let index = Labels.create (Array.length labels) in
+  Array.iteri (fun i label -> Labels.replace index label i) labels;
+  {
+    p_spec = spec;
+    p_layout = layout;
+    p_nodes = nodes;
+    p_initial = node spec.initial;
+    p_labels = labels;
+    p_index = index;
+  }
 
 (* --------------------------------------------------------------- *)
 (* Instances                                                        *)
 (* --------------------------------------------------------------- *)
 
+(* The transition history is a ring: entry [k] of [h_at] is the time of
+   a transition and bytes [2k], [2k + 1] of [h_tr] its index, as a
+   little-endian [uint16].  [h_next] is the slot the next entry goes to
+   and [h_len] the number held, the newest ending just before [h_next]. *)
 type t = {
   program : program;
   mutable node : node;
   env : Env.t;
-  mutable trace : (Dsim.Time.t * string) list;
-  mutable trace_len : int;
+  mutable h_at : Dsim.Time.t array;
+  mutable h_tr : Bytes.t;
+  mutable h_next : int;
+  mutable h_len : int;
 }
 
 (* Transition history is diagnostic, not analysis state — but a long-lived
    detector machine (a spam/flood detector survives for the whole run)
    appends to it on every packet, which is unbounded growth.  Bound it to
-   the newest [hist_keep] entries, truncating amortized (only once the list
-   doubles) so the steady-state cost stays one cons per transition.  The
-   retained window is a pure function of the transition count, so a live
-   run and a replay of its capture keep identical histories and snapshots
-   stay canonical. *)
+   the newest [hist_keep] entries, truncating amortized (only once
+   [hist_max] are held), so the retained window is a pure function of
+   the transition count: a live run and a replay of its capture keep
+   identical histories and snapshots stay canonical. *)
 let hist_keep = 32
 let hist_max = 2 * hist_keep
 
@@ -191,8 +224,10 @@ let instantiate program ~globals =
     program;
     node = program.p_initial;
     env = Env.create program.p_layout globals;
-    trace = [];
-    trace_len = 0;
+    h_at = [||];
+    h_tr = Bytes.empty;
+    h_next = 0;
+    h_len = 0;
   }
 
 let spec t = t.program.p_spec
@@ -229,15 +264,40 @@ let rec enabled_labels out env event i =
     out.(i).e_transition.label :: enabled_labels out env event (i + 1)
   else enabled_labels out env event (i + 1)
 
+(* Slot of the [i]th oldest entry. *)
+let slot t i =
+  let cap = Array.length t.h_at in
+  let j = t.h_next - t.h_len + i in
+  if j < 0 then j + cap else j
+
+(* A full ring below [hist_max] doubles, from 4, keeping its entries
+   oldest first. *)
+let grow t =
+  let cap = max 4 (2 * Array.length t.h_at) in
+  let at = Array.make cap 0 and tr = Bytes.create (2 * cap) in
+  for i = 0 to t.h_len - 1 do
+    let k = slot t i in
+    at.(i) <- t.h_at.(k);
+    Bytes.blit t.h_tr (2 * k) tr (2 * i) 2
+  done;
+  t.h_at <- at;
+  t.h_tr <- tr;
+  t.h_next <- t.h_len
+
+(* Past [hist_max] entries only the newest [hist_keep] stay. *)
+let push t at index =
+  if t.h_len = hist_max then t.h_len <- hist_keep - 1
+  else if t.h_len = Array.length t.h_at then grow t;
+  let k = t.h_next in
+  t.h_at.(k) <- at;
+  Bytes.set_uint16_le t.h_tr (2 * k) index;
+  t.h_next <- (if k + 1 = Array.length t.h_at then 0 else k + 1);
+  t.h_len <- t.h_len + 1
+
 let take t edge event =
   let effects = edge.e_action t.env event in
   t.node <- edge.e_target;
-  t.trace <- (Event.at event, edge.e_transition.label) :: t.trace;
-  t.trace_len <- t.trace_len + 1;
-  if t.trace_len > hist_max then begin
-    t.trace <- List.filteri (fun i _ -> i < hist_keep) t.trace;
-    t.trace_len <- hist_keep
-  end;
+  push t (Event.at event) edge.e_index;
   Moved { transition = edge.e_transition; effects; attack = edge.e_target.n_attack }
 
 (* Every triggered guard runs, in spec order, even after a second one
@@ -254,20 +314,54 @@ let step t event =
             (out.(i).e_transition.label :: out.(j).e_transition.label
             :: enabled_labels out t.env event (j + 1)))
 
-let trace t = List.rev t.trace
+let history t =
+  let labels = t.program.p_labels in
+  ( Array.init t.h_len (fun i -> t.h_at.(slot t i)),
+    Array.init t.h_len (fun i -> labels.(Bytes.get_uint16_le t.h_tr (2 * slot t i))) )
+
 let configuration t = (state t, Env.local_bindings t.env)
 
-let restore t ~state ~vars ~trace =
+(* The capacity [push] grows to for [n] entries. *)
+let rec capacity n cap = if cap >= n then cap else capacity n (2 * cap)
+
+(* Writes each label's transition index into [tr], oldest first, and
+   returns the first label that names no transition, if one does. *)
+let rec write_indices index labels tr i =
+  if i = Array.length labels then None
+  else
+    match Labels.find index labels.(i) with
+    | k ->
+        Bytes.set_uint16_le tr (2 * i) k;
+        write_indices index labels tr (i + 1)
+    | exception Not_found -> Some labels.(i)
+
+let restore t ~state ~vars ~history:(ats, labels) =
   let fail fmt = Printf.ksprintf (fun m -> Error (name t ^ ": " ^ m)) fmt in
+  let n = Array.length ats in
   match find_node t.program.p_nodes state with
   | None -> fail "unknown state %S in snapshot" state
   | Some node -> (
       match List.find_opt (fun (v, _) -> Option.is_none (Env.slot t.program.p_layout v)) vars with
       | Some (v, _) -> fail "unknown variable %S in snapshot" v
-      | None ->
-          t.node <- node;
-          Env.reset_locals t.env;
-          List.iter (fun (v, value) -> Env.set t.env Env.Local v value) vars;
-          t.trace <- List.rev trace;
-          t.trace_len <- List.length trace;
-          Ok ())
+      | None when Array.length labels <> n ->
+          fail "history of %d times and %d transitions in snapshot" n (Array.length labels)
+      | None when n > hist_max ->
+          fail "history of %d entries in snapshot exceeds the %d-entry window" n hist_max
+      | None -> (
+          (* The ring [push] would build from empty, built aside so that an
+             unknown label leaves the instance as it was. *)
+          let cap = if n = 0 then 0 else capacity n 4 in
+          let h_at = Array.make cap 0 in
+          let h_tr = if n = 0 then Bytes.empty else Bytes.create (2 * cap) in
+          Array.blit ats 0 h_at 0 n;
+          match write_indices t.program.p_index labels h_tr 0 with
+          | Some label -> fail "unknown transition %S in snapshot" label
+          | None ->
+              t.node <- node;
+              Env.reset_locals t.env;
+              List.iter (fun (v, value) -> Env.set t.env Env.Local v value) vars;
+              t.h_at <- h_at;
+              t.h_tr <- h_tr;
+              t.h_next <- (if n = cap then 0 else n);
+              t.h_len <- n;
+              Ok ()))

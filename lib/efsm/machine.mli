@@ -61,22 +61,24 @@ type spec = {
 }
 
 val validate_spec : spec -> (unit, string) result
-(** Structural well-formedness: label uniqueness, the initial state has
-    outgoing transitions, no state is both final and attack, attack states
-    carry non-empty alert descriptions, and every transition endpoint is
-    anchored in the graph (a [from_state] must be reachable by some edge or
-    be the initial state; a [to_state] must have outgoing edges or be
-    final/attack — lone endpoints are typo'd state names). *)
+(** Structural well-formedness: label uniqueness, at most 65 535
+    transitions (a history entry numbers its transition in 16 bits), the
+    initial state has outgoing transitions, no state is both final and
+    attack, attack states carry non-empty alert descriptions, and every
+    transition endpoint is anchored in the graph (a [from_state] must be
+    reachable by some edge or be the initial state; a [to_state] must have
+    outgoing edges or be final/attack — lone endpoints are typo'd state
+    names). *)
 
 val states : spec -> string list
 (** All states mentioned, sorted. *)
 
 (** {1 Programs}
 
-    What the engine runs.  {!compile} numbers a spec's states and local
-    variables once: each state keeps its outgoing transitions in spec
-    order, with compiled guards and actions and their target states, its
-    final flag and its attack description.  A step then scans only the
+    What the engine runs.  {!compile} numbers a spec's states, transitions
+    and local variables once: each state keeps its outgoing transitions in
+    spec order, with compiled guards and actions and their target states,
+    its final flag and its attack description.  A step then scans only the
     current state's transitions and finds nothing else by name. *)
 
 type program
@@ -117,12 +119,15 @@ val step : t -> Event.t -> outcome
     count as false (a malformed event cannot satisfy a well-typed
     predicate). *)
 
-val trace : t -> (Dsim.Time.t * string) list
-(** Transition labels taken, oldest first.  Bounded: only a recent window
-    (last 32–64 transitions, truncated amortized) is retained, so a
-    long-lived detector machine cannot grow without limit.  The retained
-    window is a pure function of the transition count, keeping snapshots
-    canonical across a live run and a replay of its capture. *)
+val history : t -> Dsim.Time.t array * string array
+(** The transitions taken, oldest first: their times, and their labels
+    (the program's own strings).  Bounded: only a recent window is
+    retained, the last 32–64 transitions, truncated amortized: once 64 are
+    held, the next transition keeps only the newest 32.  The window is
+    therefore a pure function of the transition count, keeping snapshots
+    canonical across a live run and a replay of its capture.  The instance
+    holds it as a ring of unboxed times and 16-bit transition indices
+    that grows 4, 8, … 64 entries, so a step allocates nothing for it. *)
 
 val configuration : t -> string * (string * Value.t) list
 (** Current state and local variable bindings. *)
@@ -131,10 +136,12 @@ val restore :
   t ->
   state:string ->
   vars:(string * Value.t) list ->
-  trace:(Dsim.Time.t * string) list ->
+  history:Dsim.Time.t array * string array ->
   (unit, string) result
 (** Overwrites the instance's configuration from a snapshot: current state
     (validated against the spec's state set), local variables (each one a
-    local the program numbers) and transition history ([trace] oldest
-    first).  Global variables belong to the system and are restored
-    separately.  On [Error] the instance is unchanged. *)
+    local the program numbers) and transition history (as {!history}
+    returns it: every label one of the spec's transitions, at most 64
+    entries, as many times as labels).  Global variables belong to the
+    system and are restored separately.  On [Error] the instance is
+    unchanged. *)

@@ -74,6 +74,20 @@ let add_hex buf s =
     Buffer.add_char buf hex_digits.[c land 0xf]
   done
 
+(* Digits of [n <= 0], most significant first.  Working on the
+   non-positive side covers [min_int], whose negation overflows; a
+   top-level function, unlike a local closure, allocates nothing. *)
+let rec add_nonpos_digits buf n =
+  if n <= -10 then add_nonpos_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let add_decimal buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_nonpos_digits buf n
+  end
+  else add_nonpos_digits buf (-n)
+
 (* Exactly [0-9a-fA-F]; -1 for anything else.  [int_of_string] would
    also take a sign or a '_' separator. *)
 let nibble = function
@@ -104,7 +118,7 @@ let string_of_hex h = unhex_sub h ~off:0 ~len:(String.length h)
 let add_token buf = function
   | Int n ->
       Buffer.add_char buf 'i';
-      Buffer.add_string buf (string_of_int n)
+      add_decimal buf n
   | Str s ->
       Buffer.add_char buf 's';
       add_hex buf s
@@ -114,7 +128,7 @@ let add_token buf = function
       Buffer.add_char buf 'a';
       add_hex buf h;
       Buffer.add_char buf ':';
-      Buffer.add_string buf (string_of_int p)
+      add_decimal buf p
   | Unset -> Buffer.add_char buf 'u'
 
 let to_token v =

@@ -38,6 +38,10 @@ val hex_of_string : string -> string
 val add_hex : Buffer.t -> string -> unit
 (** Appends [hex_of_string s]. *)
 
+val add_decimal : Buffer.t -> int -> unit
+(** Appends [string_of_int n], allocating nothing beyond the buffer's own
+    growth. *)
+
 val string_of_hex : string -> (string, string) result
 (** Accepts exactly [[0-9a-fA-F]] digits, in pairs. *)
 

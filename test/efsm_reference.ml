@@ -79,4 +79,13 @@ let step t event =
 
 let trace t = List.rev t.trace
 let configuration t = (t.state, Env.local_bindings t.env)
+
+(* A snapshot's configuration, with its history oldest first. *)
+let restore t ~state ~vars ~trace =
+  t.state <- state;
+  Env.reset_locals t.env;
+  List.iter (fun (v, value) -> Env.set t.env Env.Local v value) vars;
+  t.trace <- List.rev trace;
+  t.trace_len <- List.length trace
+
 let global_bindings t = Env.global_bindings t.env

@@ -115,6 +115,25 @@ let env_matches_model =
              && Env.globals_bindings g = sorted globals)
            ops))
 
+(* The checkpoint writer's integers: the same digits as [string_of_int],
+   at the extremes too. *)
+let decimal_matches_string_of_int =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"value: add_decimal = string_of_int" ~count:1000
+       (QCheck.make ~print:string_of_int
+          QCheck.Gen.(
+            frequency
+              [
+                (4, int);
+                (2, int_range (-1000) 1000);
+                (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1; 1; -10; 10 ]);
+              ]))
+       (fun n ->
+         let buf = Buffer.create 4 in
+         Buffer.add_char buf 'x';
+         V.add_decimal buf n;
+         String.equal (Buffer.contents buf) ("x" ^ string_of_int n)))
+
 (* ------------------------------------------------------------------ *)
 (* Machine stepping                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -179,7 +198,7 @@ let machine_final () =
   ignore (M.step m (ev ~args:[ ("n", V.Int 1) ] "go"));
   ignore (M.step m (ev "done"));
   check "final" true (M.is_final m);
-  check_int "trace length" 2 (List.length (M.trace m));
+  check_int "history length" 2 (Array.length (fst (M.history m)));
   let state, _vars = M.configuration m in
   check_str "configuration state" "C" state
 
@@ -197,11 +216,64 @@ let machine_guard_type_error_is_false () =
 let restore_rejects_unknown_variable () =
   let m = M.instantiate (M.compile toy_spec) ~globals:(Env.globals ()) in
   ignore (M.step m (ev ~args:[ ("n", V.Int 3) ] "go"));
-  (match M.restore m ~state:"A" ~vars:[ ("n", V.Int 1); ("ghost", V.Int 2) ] ~trace:[] with
+  (match
+     M.restore m ~state:"A" ~vars:[ ("n", V.Int 1); ("ghost", V.Int 2) ] ~history:([||], [||])
+   with
   | Error e -> check_str "error" "toy: unknown variable \"ghost\" in snapshot" e
   | Ok () -> Alcotest.fail "restore accepted a variable the machine does not use");
   check "configuration kept" true (M.configuration m = ("B", [ ("n", V.Int 3) ]));
-  check_int "trace kept" 1 (List.length (M.trace m))
+  check_int "history kept" 1 (Array.length (fst (M.history m)))
+
+(* A snapshot's history may only name the machine's transitions and hold
+   at most the 64 entries an engine keeps; anything else is refused, and
+   the instance keeps its configuration and history. *)
+let restore_rejects_foreign_history () =
+  let m = M.instantiate (M.compile toy_spec) ~globals:(Env.globals ()) in
+  ignore (M.step m (ev ~at:5 ~args:[ ("n", V.Int 3) ] "go"));
+  let kept () =
+    check "configuration kept" true (M.configuration m = ("B", [ ("n", V.Int 3) ]));
+    check "history kept" true (M.history m = ([| 5 |], [| "a_to_b" |]))
+  in
+  (match M.restore m ~state:"A" ~vars:[] ~history:([| 1; 2 |], [| "a_to_b"; "ghost" |]) with
+  | Error e -> check_str "error" "toy: unknown transition \"ghost\" in snapshot" e
+  | Ok () -> Alcotest.fail "restore accepted a transition the machine does not have");
+  kept ();
+  (match
+     M.restore m ~state:"B" ~vars:[] ~history:(Array.init 65 Fun.id, Array.make 65 "b_self_small")
+   with
+  | Error e ->
+      check_str "error" "toy: history of 65 entries in snapshot exceeds the 64-entry window" e
+  | Ok () -> Alcotest.fail "restore accepted a history longer than the window");
+  kept ();
+  (match M.restore m ~state:"B" ~vars:[] ~history:([| 1 |], [||]) with
+  | Error e -> check_str "error" "toy: history of 1 times and 0 transitions in snapshot" e
+  | Ok () -> Alcotest.fail "restore accepted more times than transitions");
+  kept ();
+  (* The whole window is accepted, and read back as written. *)
+  let full =
+    (Array.init 64 Fun.id, Array.init 64 (fun i -> if i = 0 then "a_to_b" else "b_self_small"))
+  in
+  (match M.restore m ~state:"B" ~vars:[] ~history:full with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "restore refused a full window: %s" e);
+  check "full window restored" true (M.history m = full)
+
+(* The window is a function of the transition count alone: all of the
+   first 64, then the newest 32 to 64, cut back to 32 on every 33rd
+   transition after that. *)
+let history_window () =
+  let m = M.instantiate (M.compile toy_spec) ~globals:(Env.globals ()) in
+  ignore (M.step m (ev ~at:1 ~args:[ ("n", V.Int 1) ] "go"));
+  for n = 2 to 300 do
+    ignore (M.step m (ev ~at:n ~args:[ ("n", V.Int 1) ] "go"));
+    let len = if n <= 64 then n else 32 + ((n - 65) mod 33) in
+    let first = n - len + 1 in
+    let want =
+      ( Array.init len (fun i -> first + i),
+        Array.init len (fun i -> if first + i = 1 then "a_to_b" else "b_self_small") )
+    in
+    if M.history m <> want then Alcotest.failf "history after %d transitions differs" n
+  done
 
 let nondeterminism_detected () =
   let bad =
@@ -228,7 +300,22 @@ let spec_validation () =
   let dup = { toy_spec with M.transitions = toy_spec.M.transitions @ toy_spec.M.transitions } in
   check "duplicate labels rejected" true (Result.is_error (M.validate_spec dup));
   let orphan = { toy_spec with M.initial = "Z" } in
-  check "dead initial rejected" true (Result.is_error (M.validate_spec orphan))
+  check "dead initial rejected" true (Result.is_error (M.validate_spec orphan));
+  (* A history entry numbers its transition in 16 bits. *)
+  let loops n =
+    {
+      toy_spec with
+      M.transitions =
+        List.init n (fun i ->
+            tr ~label:(string_of_int i) ~from_state:"A" (M.On_event "go") ~to_state:"A" ());
+    }
+  in
+  check "65 535 transitions accepted" true (Result.is_ok (M.validate_spec (loops 0xFFFF)));
+  match M.validate_spec (loops 0x10000) with
+  | Error e ->
+      check_str "too many transitions"
+        "toy: 65536 transitions, more than the 65535 a machine can number" e
+  | Ok () -> Alcotest.fail "a spec of 65 536 transitions accepted"
 
 let spec_states () =
   Alcotest.(check (list string)) "states" [ "A"; "B"; "C"; "X" ] (M.states toy_spec)
@@ -485,6 +572,7 @@ let suite =
         tc "env scopes" env_scopes;
         tc "env bytes" env_bytes;
         env_matches_model;
+        decimal_matches_string_of_int;
       ] );
     ( "efsm.machine",
       [
@@ -494,6 +582,8 @@ let suite =
         tc "final + trace + configuration" machine_final;
         tc "guard type error = false" machine_guard_type_error_is_false;
         tc "restore rejects unknown variables" restore_rejects_unknown_variable;
+        tc "restore rejects a history no engine writes" restore_rejects_foreign_history;
+        tc "history window" history_window;
         tc "nondeterminism detected" nondeterminism_detected;
         tc "spec validation" spec_validation;
         tc "spec states" spec_states;

@@ -2,7 +2,9 @@
    model in [Efsm_reference]: on random event sequences over each builtin
    machine and a toy machine with overlapping guards, both must agree
    after every step on the outcome, the configuration, the global
-   variables and the transition history. *)
+   variables and the transition history.  Long sequences through the
+   machines that step on every RTP packet, and restores at every window
+   length, hold the history's ring to the reference's list. *)
 
 module M = Efsm.Machine
 module E = Efsm.Event
@@ -211,11 +213,15 @@ let any_value =
 let value_gen field =
   QCheck.Gen.(frequency [ (7, oneofl (plausible field)); (1, any_value) ])
 
-let event_gen spec =
+(* [rtp] weighs an RTP packet against the 8 of any trigger. *)
+let event_gen ?(rtp = 0) spec =
   let triggers = triggers spec and strays = strays spec in
   let fields = "unread" :: fields spec in
   QCheck.Gen.(
-    let* channel, name = frequency [ (8, oneofl triggers); (1, oneofl strays) ] in
+    let* channel, name =
+      frequency
+        [ (rtp, return (E.Data "RTP", "RTP")); (8, oneofl triggers); (1, oneofl strays) ]
+    in
     let* args =
       flatten_l
         (List.map
@@ -236,10 +242,10 @@ let show_args args =
 
 let show_ev ev = Printf.sprintf "%s?%s(%s)" (show_channel ev.channel) ev.name (show_args ev.args)
 
-let arb spec =
+let arb ?rtp ~length spec =
   QCheck.make
     ~print:(fun evs -> String.concat "\n" (List.map show_ev evs))
-    QCheck.Gen.(list_size (int_range 1 100) (event_gen spec))
+    QCheck.Gen.(list_size length (event_gen ?rtp spec))
 
 (* ------------------------------------------------------------------ *)
 (* Agreement                                                           *)
@@ -263,6 +269,8 @@ let show_outcome = function
 let show_trace trace =
   String.concat " " (List.map (fun (at, label) -> Printf.sprintf "%d:%s" at label) trace)
 
+let trace_of (ats, labels) = List.combine (Array.to_list ats) (Array.to_list labels)
+
 let agree what show got want =
   String.equal (show got) (show want)
   || QCheck.Test.fail_reportf "%s differs:\n  compiled:  %s\n  reference: %s" what (show got)
@@ -270,31 +278,106 @@ let agree what show got want =
 
 let attempt f = match f () with o -> Ok o | exception e -> Error (Printexc.to_string e)
 
+let event_at i ev = E.make ~args:ev.args ev.channel ~at:(1000 * i) ev.name
+
+(* One event through both steppers, which must agree after it ([agree]
+   fails the test otherwise); true when it took a transition. *)
+let step_agrees ?(calls = (ref [], ref [])) m r i event =
+  let calls_c, calls_r = calls in
+  let got = attempt (fun () -> M.step m event) in
+  let want = attempt (fun () -> R.step r event) in
+  agree ("outcome of event " ^ string_of_int i) show_outcome got want
+  && agree "opaque guard calls" (String.concat ",") !calls_c !calls_r
+  && agree "configuration"
+       (fun (state, vars) -> state ^ " " ^ show_args vars)
+       (M.configuration m) (R.configuration r)
+  && agree "globals" show_args (Env.global_bindings (M.env m)) (R.global_bindings r)
+  && agree "trace" show_trace (trace_of (M.history m)) (R.trace r)
+  && match got with Ok (M.Moved _) -> true | Ok _ | Error _ -> false
+
 (* Each stepper gets its own copy of the spec, so that opaque guards log
-   into separate buffers. *)
-let agrees make_spec evs =
-  let calls_c = ref [] and calls_r = ref [] in
-  let m = M.instantiate (M.compile (make_spec calls_c)) ~globals:(Env.globals ()) in
-  let r = R.create (make_spec calls_r) ~globals:(Env.globals ()) in
-  List.for_all
-    (fun (i, ev) ->
-      let event = E.make ~args:ev.args ev.channel ~at:(1000 * i) ev.name in
-      let got = attempt (fun () -> M.step m event) in
-      let want = attempt (fun () -> R.step r event) in
-      agree ("outcome of event " ^ string_of_int i) show_outcome got want
-      && agree "opaque guard calls" (String.concat ",") !calls_c !calls_r
-      && agree "configuration"
-           (fun (state, vars) -> state ^ " " ^ show_args vars)
-           (M.configuration m) (R.configuration r)
-      && agree "globals" show_args (Env.global_bindings (M.env m)) (R.global_bindings r)
-      && agree "trace" show_trace (M.trace m) (R.trace r))
-    (List.mapi (fun i ev -> (i, ev)) evs)
+   into separate buffers.  The sequence must take at least [min_moves]
+   transitions. *)
+let agrees ?(min_moves = 0) make_spec evs =
+  let calls = (ref [], ref []) in
+  let m = M.instantiate (M.compile (make_spec (fst calls))) ~globals:(Env.globals ()) in
+  let r = R.create (make_spec (snd calls)) ~globals:(Env.globals ()) in
+  let moves =
+    List.fold_left
+      (fun (i, moves) ev ->
+        (i + 1, if step_agrees ~calls m r i (event_at i ev) then moves + 1 else moves))
+      (0, 0) evs
+    |> snd
+  in
+  moves >= min_moves
+  || QCheck.Test.fail_reportf "%d transitions taken, fewer than %d" moves min_moves
 
-let builtin name = Vids.Spec_load.spec config name
+let builtin ?(config = config) name = Vids.Spec_load.spec config name
 
-let differential ~count name make_spec =
+let differential ?rtp ?min_moves ?(length = QCheck.Gen.int_range 1 100) ~count name make_spec =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name ~count (arb (make_spec (ref []))) (agrees make_spec))
+    (QCheck.Test.make ~name ~count
+       (arb ?rtp ~length (make_spec (ref [])))
+       (agrees ?min_moves make_spec))
+
+(* ------------------------------------------------------------------ *)
+(* Restores at every window length                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Every event of these streams takes a transition: RTP opens the call
+   and carries packets, the answer interleaved; MEDIA_SPAM sees in-order
+   packets, its window timer firing after every second one so that the
+   flood threshold of 3 is never passed. *)
+let accepted_stream machine i =
+  let rtp k =
+    {
+      name = "RTP";
+      channel = E.Data "RTP";
+      args =
+        [ ("seq", V.Int k); ("ts", V.Int (160 * k)); ("ssrc", V.Int 7); ("src_ip", V.Str "10.0.0.1") ];
+    }
+  in
+  let sync name = { name; channel = sync; args = [] } in
+  if String.equal machine Vids.Keys.rtp_machine then
+    if i = 0 then sync "delta_media_offer"
+    else if i mod 5 = 3 then sync "delta_media_answer"
+    else rtp i
+  else if i mod 3 = 2 then { name = "rate_window"; channel = E.Timer; args = [] }
+  else rtp (1 + i - (i / 3))
+
+(* A machine restored from another's configuration and history carries on
+   as the reference restored from the same: at every window length a
+   snapshot can hold, both agree with each other and with the machine
+   they were captured from over the next 70 steps, long enough for the
+   window to be cut back once more. *)
+let restore_round_trip machine () =
+  let spec = builtin machine in
+  let program = M.compile spec in
+  let ev = accepted_stream machine in
+  for len = 0 to 64 do
+    let original = M.instantiate program ~globals:(Env.globals ()) in
+    for i = 0 to len - 1 do
+      ignore (M.step original (event_at i (ev i)))
+    done;
+    let held = Array.length (fst (M.history original)) in
+    if held <> len then Alcotest.failf "%d transitions held, not %d" held len;
+    let state, vars = M.configuration original in
+    let history = M.history original in
+    let m = M.instantiate program ~globals:(Env.globals ()) in
+    (match M.restore m ~state ~vars ~history with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "window of %d refused: %s" len e);
+    let r = R.create spec ~globals:(Env.globals ()) in
+    R.restore r ~state ~vars ~trace:(trace_of history);
+    for i = len to len + 69 do
+      let event = event_at i (ev i) in
+      ignore (M.step original event);
+      if not (step_agrees m r i event) then
+        Alcotest.failf "window of %d: event %d took no transition" len i;
+      if M.history m <> M.history original then
+        Alcotest.failf "window of %d: step %d differs from the unrestored machine" len i
+    done
+  done
 
 let suite =
   [
@@ -305,5 +388,21 @@ let suite =
             (machine ^ " steps agree with the reference")
             (fun _ -> builtin machine))
         Vids.Keys.[ sip_machine; rtp_machine; flood_machine; spam_machine; drdos_machine ]
-      @ [ differential ~count:300 "toy steps agree with the reference" toy_spec ] );
+      @ [ differential ~count:300 "toy steps agree with the reference" toy_spec ]
+      (* A flood threshold of 40 lets the spam detector stay in
+         PACKET_RCVD for a while before it floods. *)
+      @ List.map
+          (fun machine ->
+            differential ~count:40 ~rtp:24 ~min_moves:200
+              ~length:(QCheck.Gen.int_range 400 600)
+              (machine ^ " agrees over 200+ transitions")
+              (fun _ ->
+                builtin ~config:{ config with Vids.Config.rtp_flood_threshold = 40 } machine))
+          Vids.Keys.[ rtp_machine; spam_machine ]
+      @ List.map
+          (fun machine ->
+            Alcotest.test_case
+              (machine ^ " restored at every window length agrees")
+              `Quick (restore_round_trip machine))
+          Vids.Keys.[ rtp_machine; spam_machine ] );
   ]

@@ -402,12 +402,47 @@ let open_call_footprint () =
   check_int "no alerts" 0 (List.length (Vids.Engine.alerts p.engine));
   if per_call >= 8192 then Alcotest.failf "%d B live per open call, limit 8192" per_call
 
-(* No address is formatted and no name is resolved on the per-packet
-   path: 2 000 RTP packets of an established call, each through the spam
-   detector and the call's RTP machine, allocate at most 1 800 B apiece.
-   Formatting the media-index key, the stream key and both containment
-   subjects through [Format] cost ≈12 KB; an event as a list of named
-   arguments, stepped by searching the spec's transitions, ≈2.4 KB. *)
+(* A media call steps three machines on every packet: its RTP machine and
+   a spam detector per direction.  Holding 200 calls after 300 in-order
+   RTP packets each way must stay within 7 000 B of live heap per call;
+   keeping each machine's last 32–64 transitions as a list of
+   [(time, label)] tuples, 48 B an entry, cost ≈10 200 B. *)
+let media_call_footprint () =
+  let n = 200 and packets = 300 in
+  Gc.full_major ();
+  let live0 = (Gc.stat ()).Gc.live_words in
+  let p = make_pipeline () in
+  hold_calls p n;
+  (* [held_call_texts] gives both ends of call [i] this media port. *)
+  let port i = 16384 + (2 * (i mod 4096)) in
+  let start = Dsim.Scheduler.now p.sched in
+  for k = 0 to packets - 1 do
+    Dsim.Scheduler.run_until p.sched (Dsim.Time.add start (Dsim.Time.of_ms (20. *. float k)));
+    let rtp = rtp_bytes ~seq:(k + 1) ~ts:(160 * (k + 1)) () in
+    for i = 1 to n do
+      let caller = Dsim.Addr.v "10.1.0.10" (port i) and callee = Dsim.Addr.v "10.2.0.10" (port i) in
+      feed p ~src:caller ~dst:callee rtp;
+      feed p ~src:callee ~dst:caller rtp
+    done
+  done;
+  Gc.full_major ();
+  let per_call = 8 * ((Gc.stat ()).Gc.live_words - live0) / n in
+  let stats = Vids.Engine.memory_stats p.engine in
+  check_int "calls held" n stats.Vids.Fact_base.active_calls;
+  (* A flood detector per callee, a spam detector per direction. *)
+  check_int "detectors" (3 * n) stats.Vids.Fact_base.detectors;
+  check_int "rtp seen" (2 * n * packets) (Vids.Engine.counters p.engine).Vids.Engine.rtp_packets;
+  check_int "no alerts" 0 (List.length (Vids.Engine.alerts p.engine));
+  if per_call > 7000 then Alcotest.failf "%d B live per media call, limit 7000" per_call
+
+(* No address is formatted, no name is resolved and no history entry is
+   allocated on the per-packet path: 2 000 RTP packets of an established
+   call, each through the spam detector and the call's RTP machine,
+   allocate at most 1 200 B apiece.  Formatting the media-index key, the
+   stream key and both containment subjects through [Format] cost
+   ≈12 KB; an event as a list of named arguments, stepped by searching
+   the spec's transitions, ≈2.4 KB; a history entry per step as a cons
+   and a tuple, ≈1 280 B. *)
 let rtp_packet_allocation () =
   let p = make_pipeline () in
   run_call p;
@@ -430,8 +465,8 @@ let rtp_packet_allocation () =
   check_int "rtp seen" n (Vids.Engine.counters p.engine).Vids.Engine.rtp_packets;
   check_int "no alerts" 0 (List.length (Vids.Engine.alerts p.engine));
   let per_packet = 8. *. !words /. float_of_int n in
-  if per_packet > 1800. then
-    Alcotest.failf "%.0f B allocated per RTP packet, limit 1800" per_packet
+  if per_packet > 1200. then
+    Alcotest.failf "%.0f B allocated per RTP packet, limit 1200" per_packet
 
 (* Words allocated so far, exactly: [Gc.minor_words] counts the minor heap
    (OCaml 5.1's [Gc.allocated_bytes] lags between minor collections), and
@@ -479,8 +514,10 @@ let sip_path_allocation () =
 
 (* A checkpoint of 1 000 held calls is ≈870 KB of text.  Encoding it
    must allocate at most 16 B per output byte (one Printf per hex byte
-   cost ≈154), and [save], which does not go through [to_string], must
-   write exactly its bytes. *)
+   cost ≈154).  [save], which streams the body through one chunk instead
+   of going through [to_string], must allocate at most 1 B per byte
+   (growing one buffer to the whole body and copying it out, with a
+   string per integer, cost ≈4) and write exactly its bytes. *)
 let snapshot_encoding_cost () =
   let p = make_pipeline () in
   hold_calls p 1000;
@@ -498,7 +535,12 @@ let snapshot_encoding_cost () =
         (fun f -> if Sys.file_exists f then Sys.remove f)
         [ path; Vids.Snapshot.previous_path path ])
     (fun () ->
+      let w0 = allocated_words () in
       Vids.Snapshot.save ~path snap;
+      let per_byte = 8. *. (allocated_words () -. w0) /. float_of_int (String.length text) in
+      if per_byte > 1. then
+        Alcotest.failf "save allocated %.2f B per byte of %d, limit 1" per_byte
+          (String.length text);
       check "save writes the bytes of to_string" true
         (String.equal text (In_channel.with_open_bin path In_channel.input_all)))
 
@@ -638,6 +680,7 @@ let suite =
         tc "specs shared per base" fact_base_shares_specs;
         tc "thresholds stay per engine" thresholds_stay_per_engine;
         tc "open-call footprint" open_call_footprint;
+        tc "media-call footprint" media_call_footprint;
         tc "snapshot encoding cost" snapshot_encoding_cost;
         tc "intern: ids, find, hash" intern_basics;
       ] );

@@ -185,7 +185,15 @@ let crc32_matches_reference () =
         (Printf.sprintf "crc32_sub ~off:%d ~len:%d" off len)
         (reference_crc32 (String.sub data off len))
         (Vids.Codec.crc32_sub data ~off ~len)
-    done
+    done;
+    (* Folded in two pieces, as [Snapshot.save] folds its chunks. *)
+    let cut = Random.State.int rng (len + 1) and b = Bytes.of_string s in
+    check_int
+      (Printf.sprintf "crc32_update of %d bytes cut at %d" len cut)
+      (reference_crc32 s)
+      (Vids.Codec.crc32_update
+         (Vids.Codec.crc32_update 0 b ~off:0 ~len:cut)
+         b ~off:cut ~len:(len - cut))
   done;
   check "range past the end rejected" true
     (match Vids.Codec.crc32_sub data ~off:250 ~len:7 with
