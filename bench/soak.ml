@@ -374,8 +374,8 @@ let () =
     r.Ingest.Daemon.dispatched a.soak_wall_s
     (float_of_int r.Ingest.Daemon.dispatched /. a.soak_wall_s)
     r.Ingest.Daemon.checkpoints (1e6 *. p99_s);
-  (* The first quarter of samples is warmup: arenas, interning tables and
-     the governance-capped fact base filling to their plateaus. *)
+  (* The first quarter of samples is warmup: arenas and the
+     governance-capped fact base filling to their plateaus. *)
   let warm = List.filteri (fun i _ -> i >= List.length a.samples / 4) a.samples in
   let first_live = match warm with (_, w) :: _ -> w | [] -> 1 in
   let final_live = match List.rev warm with (_, w) :: _ -> w | [] -> 1 in

@@ -421,9 +421,9 @@ let feed_detector t kind ~key event =
         | `Drdos -> i.i_inject_drdos));
   trace_dispatch t (Fact_base.kind_label kind) key;
   penter t Obs.Prof.Detect;
-  let system, machine = Fact_base.detector t.base kind ~key in
-  let machine = Efsm.Machine.name machine in
-  let escaped = contain (fun () -> checked_inject t system ~machine event) in
+  let d = Fact_base.detector t.base kind ~key in
+  let machine = Efsm.Machine.name d.Fact_base.d_machine in
+  let escaped = contain (fun () -> checked_inject t d.Fact_base.d_system ~machine event) in
   pexit t Obs.Prof.Detect;
   match escaped with
   | None -> ()

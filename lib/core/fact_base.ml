@@ -1,7 +1,6 @@
 type call = {
   call_id : string;
-  key : int; (* interned Call-ID id; all secondary structures use this *)
-  serial : int; (* unique per record: disambiguates a recycled [key] *)
+  serial : int; (* unique per record: tells a reused Call-ID's records apart *)
   system : Efsm.System.t;
   sip : Efsm.Machine.t;
   rtp : Efsm.Machine.t;
@@ -29,6 +28,26 @@ type detector = {
 
 type detector_kind = [ `Flood | `Spam | `Drdos ]
 
+(* Calls and detectors are keyed by attacker-controlled strings.  FNV-1a
+   reads every byte, so Call-IDs that share a long prefix still spread
+   over the table; over native ints it keeps the low 63 bits of the 64-bit
+   FNV product, and allocates nothing. *)
+module Key = struct
+  type t = string
+
+  let equal = String.equal
+  let offset = Int64.to_int 0xcbf29ce484222325L
+  let prime = 0x100000001b3
+
+  let hash s =
+    let h = ref offset in
+    for i = 0 to String.length s - 1 do
+      h := (!h lxor Char.code (String.unsafe_get s i)) * prime
+    done;
+    !h land max_int
+end
+
+module Key_tbl = Hashtbl.Make (Key)
 module Addr_tbl = Hashtbl.Make (Dsim.Addr)
 
 type t = {
@@ -41,31 +60,26 @@ type t = {
   spam_program : Efsm.Machine.program Lazy.t;
   drdos_program : Efsm.Machine.program Lazy.t;
   timer_host : Efsm.System.timer_host;
-  on_alert : machine:string -> state:string -> subject:string -> detail:string -> unit;
-  on_anomaly :
-    machine:string ->
-    state:string ->
-    subject:string ->
-    event:Efsm.Event.t ->
-    detail:string ->
-    unit;
+  (* One hooks record per record kind, shared by all its systems; a
+     detector's alert subject is built from its key when the alert fires. *)
+  call_hooks : Efsm.System.hooks;
+  flood_hooks : Efsm.System.hooks;
+  spam_hooks : Efsm.System.hooks;
+  drdos_hooks : Efsm.System.hooks;
   on_pressure : subject:string -> detail:string -> unit;
-  (* Call-ID strings are interned to dense ints ({!Intern}): the string is
-     hashed once per lookup, and the call table, media index and eviction
-     queue all key on the cheap int instead of rehashing the string. *)
-  ids : Intern.t;
-  calls : (int, call) Hashtbl.t;
-  media_index : int Addr_tbl.t; (* media addr -> interned call id *)
-  floods : (string, detector) Hashtbl.t;
-  spams : (string, detector) Hashtbl.t;
-  drdoses : (string, detector) Hashtbl.t;
+  calls : call Key_tbl.t; (* by Call-ID *)
+  media_index : call Addr_tbl.t;
+  floods : detector Key_tbl.t;
+  spams : detector Key_tbl.t;
+  drdoses : detector Key_tbl.t;
   (* Creation-order queues back oldest-first eviction in O(1) amortized:
      entries are validated lazily against the live tables, so a record
      deleted through the normal lifecycle just leaves a stale entry to be
-     skipped.  The per-record serial disambiguates a key recycled after
-     deletion; amortized compaction keeps the queues proportional to the
-     live record count under sustained churn. *)
-  call_order : (int * int) Queue.t; (* key, serial *)
+     skipped.  The per-record serial tells a key reused after deletion
+     apart; amortized compaction keeps the queues proportional to the
+     live record count under sustained churn.  Entries hold the key, not
+     the record, so a deleted record's machines are not kept alive. *)
+  call_order : (string * int) Queue.t; (* Call-ID, serial *)
   detector_order : (detector_kind * string * int) Queue.t; (* kind, key, serial *)
   mutable next_serial : int;
   mutable peak : int;
@@ -90,9 +104,26 @@ let shared_program ~overrides ~config name =
        | Some spec -> spec
        | None -> Spec_load.spec config name))
 
+let detector_subject kind key =
+  (match kind with `Flood -> "dst:" | `Spam -> "stream:" | `Drdos -> "victim:") ^ key
+
+(* The hooks of one record kind: [subject] turns a system's owner (a
+   Call-ID or a detector key) into its alerts' subject. *)
+let hooks ~on_alert ~on_anomaly subject =
+  {
+    Efsm.System.on_alert =
+      (fun owner (n : Efsm.System.notification) ->
+        on_alert ~machine:n.machine ~state:n.state ~subject:(subject owner) ~detail:n.detail);
+    on_anomaly =
+      (fun owner (n : Efsm.System.notification) ->
+        on_anomaly ~machine:n.machine ~state:n.state ~subject:(subject owner) ~event:n.event
+          ~detail:n.detail);
+  }
+
 let create ?(on_pressure = fun ~subject:_ ~detail:_ -> ()) ?(overrides = []) ~config
     ~timer_host ~on_alert ~on_anomaly () =
   let program = shared_program ~overrides ~config in
+  let hooks = hooks ~on_alert ~on_anomaly in
   {
     config;
     sip_program = program Keys.sip_machine;
@@ -101,15 +132,16 @@ let create ?(on_pressure = fun ~subject:_ ~detail:_ -> ()) ?(overrides = []) ~co
     spam_program = program Keys.spam_machine;
     drdos_program = program Keys.drdos_machine;
     timer_host;
-    on_alert;
-    on_anomaly;
+    call_hooks = hooks Fun.id;
+    flood_hooks = hooks (detector_subject `Flood);
+    spam_hooks = hooks (detector_subject `Spam);
+    drdos_hooks = hooks (detector_subject `Drdos);
     on_pressure;
-    ids = Intern.create ();
-    calls = Hashtbl.create 256;
+    calls = Key_tbl.create 256;
     media_index = Addr_tbl.create 256;
-    floods = Hashtbl.create 64;
-    spams = Hashtbl.create 256;
-    drdoses = Hashtbl.create 64;
+    floods = Key_tbl.create 64;
+    spams = Key_tbl.create 256;
+    drdoses = Key_tbl.create 64;
     call_order = Queue.create ();
     detector_order = Queue.create ();
     next_serial = 0;
@@ -124,21 +156,7 @@ let create ?(on_pressure = fun ~subject:_ ~detail:_ -> ()) ?(overrides = []) ~co
     sweep_next = None;
   }
 
-let find_call t call_id =
-  match Intern.find t.ids call_id with
-  | None -> None
-  | Some key -> Hashtbl.find_opt t.calls key
-
-let system_callbacks t ~subject =
-  let on_alert (n : Efsm.System.notification) =
-    t.on_alert ~machine:n.Efsm.System.machine ~state:n.Efsm.System.state ~subject
-      ~detail:n.Efsm.System.detail
-  in
-  let on_anomaly (n : Efsm.System.notification) =
-    t.on_anomaly ~machine:n.Efsm.System.machine ~state:n.Efsm.System.state ~subject
-      ~event:n.Efsm.System.event ~detail:n.Efsm.System.detail
-  in
-  (on_alert, on_anomaly)
+let find_call t call_id = Key_tbl.find_opt t.calls call_id
 
 let fresh_serial t =
   let s = t.next_serial in
@@ -149,11 +167,11 @@ let fresh_serial t =
    skip debt itself is a leak: rebuild the queue once it outgrows twice the
    live population (amortized O(1) per deletion). *)
 let compact_call_order t =
-  if Queue.length t.call_order > (2 * Hashtbl.length t.calls) + 64 then begin
+  if Queue.length t.call_order > (2 * Key_tbl.length t.calls) + 64 then begin
     let keep = Queue.create () in
     Queue.iter
-      (fun ((key, serial) as entry) ->
-        match Hashtbl.find_opt t.calls key with
+      (fun ((call_id, serial) as entry) ->
+        match Key_tbl.find_opt t.calls call_id with
         | Some call when call.serial = serial -> Queue.add entry keep
         | Some _ | None -> ())
       t.call_order;
@@ -162,31 +180,27 @@ let compact_call_order t =
   end
 
 let delete_call t call =
-  match Hashtbl.find_opt t.calls call.key with
+  match Key_tbl.find_opt t.calls call.call_id with
   | Some live when live == call ->
       Efsm.System.release call.system;
       List.iter
         (fun addr ->
           match Addr_tbl.find_opt t.media_index addr with
-          | Some k when k = call.key -> Addr_tbl.remove t.media_index addr
+          | Some c when c == call -> Addr_tbl.remove t.media_index addr
           | Some _ | None -> ())
         call.media_addrs;
-      Hashtbl.remove t.calls call.key;
+      Key_tbl.remove t.calls call.call_id;
       t.deleted <- t.deleted + 1;
-      (* Recycle the interned Call-ID: without this, every distinct id ever
-         seen pins a string + table entry forever — the live-word creep the
-         soak bench observed under call churn. *)
-      Intern.release t.ids call.key;
       compact_call_order t
-  | Some _ | None -> () (* already deleted, or the key was recycled *)
+  | Some _ | None -> () (* already deleted, or the Call-ID was reused *)
 
 (* Drop the oldest live call; stale queue entries (normal deletions,
    Call-ID reuse) are skipped. *)
 let rec evict_oldest_call t =
   match Queue.take_opt t.call_order with
   | None -> ()
-  | Some (key, serial) -> (
-      match Hashtbl.find_opt t.calls key with
+  | Some (call_id, serial) -> (
+      match Key_tbl.find_opt t.calls call_id with
       | Some call when call.serial = serial ->
           delete_call t call;
           t.calls_evicted <- t.calls_evicted + 1;
@@ -201,15 +215,13 @@ let rec evict_oldest_call t =
 
 (* Builds a call record on the shared programs and registers it; creation
    counters and the cap are the caller's business. *)
-let add_call t ~call_id ~key ~created_at =
-  let on_alert, on_anomaly = system_callbacks t ~subject:call_id in
-  let system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
+let add_call t ~call_id ~created_at =
+  let system = Efsm.System.create ~hooks:t.call_hooks ~owner:call_id t.timer_host in
   let sip = Efsm.System.add_machine system (Lazy.force t.sip_program) in
   let rtp = Efsm.System.add_machine system (Lazy.force t.rtp_program) in
   let call =
     {
       call_id;
-      key;
       serial = fresh_serial t;
       system;
       sip;
@@ -222,36 +234,32 @@ let add_call t ~call_id ~key ~created_at =
       recheck_at = None;
     }
   in
-  Hashtbl.replace t.calls key call;
-  Queue.add (key, call.serial) t.call_order;
+  Key_tbl.replace t.calls call_id call;
+  Queue.add (call_id, call.serial) t.call_order;
   call
 
 let create_call t ~call_id =
-  let key = Intern.intern t.ids call_id in
-  match Hashtbl.find_opt t.calls key with
+  match Key_tbl.find_opt t.calls call_id with
   | Some call ->
       (* Attacker-controlled input must never raise: a duplicate Call-ID
          resumes the existing record. *)
       call
   | None ->
       let cap = t.config.Config.max_calls in
-      if cap > 0 && Hashtbl.length t.calls >= cap then evict_oldest_call t;
-      let call = add_call t ~call_id ~key ~created_at:(t.timer_host.Efsm.System.now ()) in
+      if cap > 0 && Key_tbl.length t.calls >= cap then evict_oldest_call t;
+      let call = add_call t ~call_id ~created_at:(t.timer_host.Efsm.System.now ()) in
       t.created <- t.created + 1;
-      let active = Hashtbl.length t.calls in
+      let active = Key_tbl.length t.calls in
       if active > t.peak then t.peak <- active;
       call
 
 let register_media t call addr =
   if not (List.exists (Dsim.Addr.equal addr) call.media_addrs) then begin
     call.media_addrs <- addr :: call.media_addrs;
-    Addr_tbl.replace t.media_index addr call.key
+    Addr_tbl.replace t.media_index addr call
   end
 
-let call_for_media t addr =
-  match Addr_tbl.find t.media_index addr with
-  | key -> Hashtbl.find_opt t.calls key
-  | exception Not_found -> None
+let call_for_media t addr = Addr_tbl.find_opt t.media_index addr
 
 let known_media t addr = Addr_tbl.mem t.media_index addr
 
@@ -261,9 +269,9 @@ let detector_table t = function
   | `Drdos -> t.drdoses
 
 let detector_count t =
-  Hashtbl.length t.floods + Hashtbl.length t.spams + Hashtbl.length t.drdoses
+  Key_tbl.length t.floods + Key_tbl.length t.spams + Key_tbl.length t.drdoses
 
-let occupancy t = Hashtbl.length t.calls + detector_count t
+let occupancy t = Key_tbl.length t.calls + detector_count t
 
 let kind_label = function `Flood -> "flood" | `Spam -> "spam" | `Drdos -> "drdos"
 
@@ -272,7 +280,7 @@ let compact_detector_order t =
     let keep = Queue.create () in
     Queue.iter
       (fun ((kind, key, serial) as entry) ->
-        match Hashtbl.find_opt (detector_table t kind) key with
+        match Key_tbl.find_opt (detector_table t kind) key with
         | Some d when d.d_serial = serial -> Queue.add entry keep
         | Some _ | None -> ())
       t.detector_order;
@@ -282,11 +290,11 @@ let compact_detector_order t =
 
 let remove_detector t kind ~key =
   let table = detector_table t kind in
-  match Hashtbl.find_opt table key with
+  match Key_tbl.find_opt table key with
   | None -> false
   | Some d ->
       Efsm.System.release d.d_system;
-      Hashtbl.remove table key;
+      Key_tbl.remove table key;
       compact_detector_order t;
       true
 
@@ -294,7 +302,7 @@ let rec evict_oldest_detector t =
   match Queue.take_opt t.detector_order with
   | None -> ()
   | Some (kind, key, serial) -> (
-      match Hashtbl.find_opt (detector_table t kind) key with
+      match Key_tbl.find_opt (detector_table t kind) key with
       | Some d when d.d_serial = serial ->
           ignore (remove_detector t kind ~key);
           t.detectors_evicted <- t.detectors_evicted + 1;
@@ -310,26 +318,28 @@ let detector_program t = function
   | `Spam -> Lazy.force t.spam_program
   | `Drdos -> Lazy.force t.drdos_program
 
-let detector_subject kind key =
-  (match kind with `Flood -> "dst:" | `Spam -> "stream:" | `Drdos -> "victim:") ^ key
+let detector_hooks t = function
+  | `Flood -> t.flood_hooks
+  | `Spam -> t.spam_hooks
+  | `Drdos -> t.drdos_hooks
 
 (* Builds a detector on the shared program and registers it; the cap is
    the caller's business. *)
 let add_detector t kind ~key ~created_at ~touched =
-  let on_alert, on_anomaly = system_callbacks t ~subject:(detector_subject kind key) in
-  let d_system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
+  let d_system = Efsm.System.create ~hooks:(detector_hooks t kind) ~owner:key t.timer_host in
   let d_machine = Efsm.System.add_machine d_system (detector_program t kind) in
-  let d_serial = fresh_serial t in
-  Hashtbl.replace (detector_table t kind) key
-    { d_system; d_machine; d_created = created_at; d_serial; d_touched = touched };
-  Queue.add (kind, key, d_serial) t.detector_order;
-  (d_system, d_machine)
+  let d =
+    { d_system; d_machine; d_created = created_at; d_serial = fresh_serial t; d_touched = touched }
+  in
+  Key_tbl.replace (detector_table t kind) key d;
+  Queue.add (kind, key, d.d_serial) t.detector_order;
+  d
 
 let detector t kind ~key =
-  match Hashtbl.find_opt (detector_table t kind) key with
+  match Key_tbl.find_opt (detector_table t kind) key with
   | Some d ->
       d.d_touched <- t.timer_host.Efsm.System.now ();
-      (d.d_system, d.d_machine)
+      d
   | None ->
       let cap = t.config.Config.max_detectors in
       if cap > 0 && detector_count t >= cap then evict_oldest_detector t;
@@ -390,7 +400,7 @@ let maybe_finish t call =
 let sweep t ~max_age =
   let now = t.timer_host.Efsm.System.now () in
   let stale =
-    Hashtbl.fold
+    Key_tbl.fold
       (fun _ call acc ->
         if Dsim.Time.( > ) (Dsim.Time.sub now call.created_at) max_age then call :: acc else acc)
       t.calls []
@@ -409,7 +419,7 @@ let sweep_detectors t ~max_age =
   let stale =
     List.concat_map
       (fun kind ->
-        Hashtbl.fold
+        Key_tbl.fold
           (fun key d acc ->
             if Dsim.Time.( > ) (Dsim.Time.sub now d.d_touched) max_age then (kind, key) :: acc
             else acc)
@@ -481,8 +491,8 @@ let kind_of_label = function
    processed the same traffic serialize identically. *)
 let calls_in_creation_order t =
   Queue.fold
-    (fun acc (key, serial) ->
-      match Hashtbl.find_opt t.calls key with
+    (fun acc (call_id, serial) ->
+      match Key_tbl.find_opt t.calls call_id with
       | Some call when call.serial = serial -> call :: acc
       | Some _ | None -> acc)
     [] t.call_order
@@ -491,9 +501,8 @@ let calls_in_creation_order t =
 let detectors_in_creation_order t =
   Queue.fold
     (fun acc (kind, key, serial) ->
-      match Hashtbl.find_opt (detector_table t kind) key with
-      | Some d when d.d_serial = serial ->
-          (kind, key, d.d_system, d.d_machine, d.d_created, d.d_touched) :: acc
+      match Key_tbl.find_opt (detector_table t kind) key with
+      | Some d when d.d_serial = serial -> (kind, key, d) :: acc
       | Some _ | None -> acc)
     [] t.detector_order
   |> List.rev
@@ -503,13 +512,12 @@ let detectors_in_creation_order t =
    restored separately and a snapshot never exceeds the caps it was taken
    under. *)
 let restore_call t ~call_id ~created_at =
-  let key = Intern.intern t.ids call_id in
-  if Hashtbl.mem t.calls key then
+  if Key_tbl.mem t.calls call_id then
     invalid_arg (Printf.sprintf "Fact_base.restore_call: duplicate call %S" call_id);
-  add_call t ~call_id ~key ~created_at
+  add_call t ~call_id ~created_at
 
 let restore_detector t kind ~key ~created_at ~touched =
-  if Hashtbl.mem (detector_table t kind) key then
+  if Key_tbl.mem (detector_table t kind) key then
     invalid_arg
       (Printf.sprintf "Fact_base.restore_detector: duplicate %s detector %S" (kind_label kind) key);
   add_detector t kind ~key ~created_at ~touched
@@ -539,10 +547,10 @@ type stats = {
 }
 
 let stats t =
-  let active = Hashtbl.length t.calls in
+  let active = Key_tbl.length t.calls in
   let per_call = t.config.Config.sip_state_bytes + t.config.Config.rtp_state_bytes in
   let measured =
-    Hashtbl.fold (fun _ call acc -> acc + Efsm.System.estimated_bytes call.system) t.calls 0
+    Key_tbl.fold (fun _ call acc -> acc + Efsm.System.estimated_bytes call.system) t.calls 0
   in
   {
     active_calls = active;

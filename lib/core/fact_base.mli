@@ -11,7 +11,10 @@
     under the config (or taken from the [overrides]; see {!Spec_load})
     once per base, when the first record needs them, and
     every record shares them: a record owns only its machines' state,
-    variables, history and timers.
+    variables, history and timers.  Likewise every system of one record
+    kind reports through one shared {!Efsm.System.hooks} record, naming
+    itself by a string its record already holds: the Call-ID, or the
+    detector's key.
 
     Because every record here is created by attacker-controlled input, the
     base governs its own size: optional caps on calls and detectors evict
@@ -22,13 +25,11 @@
 
 type call = {
   call_id : string;
-  key : int;
-      (** Interned Call-ID id ({!Intern.intern}); the call table, media index
-          and eviction queue all key on this instead of the string.  Released
-          (and possibly recycled) when the call is deleted. *)
+      (** The call table's key: one lookup per SIP message, hashed with
+          FNV-1a over every byte. *)
   serial : int;
-      (** Unique per record, never reused: disambiguates a recycled [key] in
-          the eviction queue and in stale timer closures. *)
+      (** Unique per record, never reused: tells apart two records of one
+          Call-ID (deleted, then seen again) in the creation-order queue. *)
   system : Efsm.System.t;
   sip : Efsm.Machine.t;
   rtp : Efsm.Machine.t;
@@ -44,6 +45,15 @@ type call = {
 }
 
 type detector_kind = [ `Flood | `Spam | `Drdos ]
+
+type detector = private {
+  d_system : Efsm.System.t;
+  d_machine : Efsm.Machine.t;
+  d_created : Dsim.Time.t;
+  d_serial : int;  (** Unique per record, like a call's [serial]. *)
+  mutable d_touched : Dsim.Time.t;
+      (** Last lookup: the ageing sweep reclaims idle detectors. *)
+}
 
 type t
 
@@ -73,13 +83,13 @@ val call_for_media : t -> Dsim.Addr.t -> call option
 
 val known_media : t -> Dsim.Addr.t -> bool
 
-val detector : t -> detector_kind -> key:string -> Efsm.System.t * Efsm.Machine.t
+val detector : t -> detector_kind -> key:string -> detector
 (** The detector of that kind for [key] (created on first use): INVITE
     flood per destination, media spam per stream, DRDoS per victim host. *)
 
 val detector_subject : detector_kind -> string -> string
 (** The subject its alerts carry: ["dst:"], ["stream:"] or ["victim:"]
-    followed by the key. *)
+    followed by the key.  Built when an alert fires; no record stores it. *)
 
 val occupancy : t -> int
 (** Active calls plus detectors — the engine's degradation signal. *)
@@ -124,10 +134,8 @@ val calls_in_creation_order : t -> call list
 (** Live calls, oldest first — the canonical serialization order (and the
     eviction order, so restoring in this order preserves both). *)
 
-val detectors_in_creation_order :
-  t ->
-  (detector_kind * string * Efsm.System.t * Efsm.Machine.t * Dsim.Time.t * Dsim.Time.t) list
-(** Kind, key, system, machine, created-at, last-touched. *)
+val detectors_in_creation_order : t -> (detector_kind * string * detector) list
+(** Kind, key and record. *)
 
 val restore_call : t -> call_id:string -> created_at:Dsim.Time.t -> call
 (** Rebuilds an empty call record (machines in their initial states) under
@@ -139,7 +147,7 @@ val restore_detector :
   key:string ->
   created_at:Dsim.Time.t ->
   touched:Dsim.Time.t ->
-  Efsm.System.t * Efsm.Machine.t
+  detector
 
 val arm_delete_at : t -> call -> Dsim.Time.t -> unit
 (** Marks the call closing and schedules its deletion at the absolute time

@@ -73,9 +73,16 @@ let media_of_event event =
   | V.Str host, V.Int port -> Some (Dsim.Addr.v host port)
   | _ -> None
 
+(* Hosts compare case-insensitively (RFC 3261 §19.1.4), so one
+   destination must key one detector however its host is spelled.  Hosts
+   on the wire are almost always lowercase already: copy only the rare
+   mixed-case one. *)
+let lowercase_host h =
+  if String.exists (fun c -> c >= 'A' && c <= 'Z') h then String.lowercase_ascii h else h
+
 let flood_key msg =
   match msg.Sip.Msg.start with
   | Sip.Msg.Request { meth = Sip.Msg_method.INVITE; uri } ->
       let user = Option.value uri.Sip.Uri.user ~default:"" in
-      Some (user ^ "@" ^ uri.Sip.Uri.host)
+      Some (user ^ "@" ^ lowercase_host uri.Sip.Uri.host)
   | Sip.Msg.Request _ | Sip.Msg.Response _ -> None

@@ -17,5 +17,5 @@ val media_of_event : Efsm.Event.t -> Dsim.Addr.t option
 (** The SDP media endpoint the event advertises, if any. *)
 
 val flood_key : Sip.Msg.t -> string option
-(** The destination identity an INVITE targets (request-URI user\@host),
-    keying the per-destination flood detector. *)
+(** The destination identity an INVITE targets (request-URI user\@host,
+    host lowercased), keying the per-destination flood detector. *)

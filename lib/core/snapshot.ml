@@ -148,13 +148,13 @@ let capture ?(seq = 0) ?(ext = []) ~at engine =
         (Fact_base.calls_in_creation_order base);
     detectors =
       List.map
-        (fun (kind, key, sys, machine, created, touched) ->
+        (fun (kind, key, (d : Fact_base.detector)) ->
           {
             d_kind = kind;
             d_key = key;
-            d_created = created;
-            d_touched = touched;
-            d_system = snap_system sys [ machine ];
+            d_created = d.d_created;
+            d_touched = d.d_touched;
+            d_system = snap_system d.d_system [ d.d_machine ];
           })
         (Fact_base.detectors_in_creation_order base);
     ext;
@@ -749,11 +749,11 @@ let apply engine snap ~before_timers ~sched =
     snap.calls;
   List.iter
     (fun ds ->
-      let sys, _ =
+      let d =
         Fact_base.restore_detector base ds.d_kind ~key:ds.d_key ~created_at:ds.d_created
           ~touched:ds.d_touched
       in
-      apply_system sys ds.d_system ~defer)
+      apply_system d.Fact_base.d_system ds.d_system ~defer)
     snap.detectors;
   (match snap.fb.fb_sweep_at with
   | Some at -> defer (fun () -> Fact_base.set_next_sweep base (Some at))

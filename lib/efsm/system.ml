@@ -13,31 +13,38 @@ let timer_host_of_scheduler sched =
 
 type notification = { machine : string; state : string; event : Event.t; detail : string }
 
-(* An armed timer, at most one per (machine, timer id). *)
-type armed = { owner : string; id : string; handle : Dsim.Scheduler.timer }
+type hooks = {
+  on_alert : string -> notification -> unit;
+  on_anomaly : string -> notification -> unit;
+}
 
-(* A system holds one or two machines and a few armed timers, so both are
-   plain lists: a hash table per system cost more than the machines' own
-   state. *)
+(* An armed timer, at most one per (machine, timer id). *)
+type armed = { machine_name : string; id : string; handle : Dsim.Scheduler.timer }
+
+(* A system holds one or two machines, a few armed timers and rarely more
+   than one pending sync event, so all three are plain lists: a hash table
+   or a [Queue] per system cost more than the machines' own state.  The
+   hooks are shared by every system of a kind; the owner is a string its
+   record already holds. *)
 type t = {
   timer_host : timer_host;
-  on_alert : notification -> unit;
-  on_anomaly : notification -> unit;
+  hooks : hooks;
+  owner : string;
   shared : Env.globals;
   mutable machines : Machine.t list; (* in creation order *)
-  sync_queue : (string * Event.t) Queue.t; (* target machine, event — FIFO across the system *)
+  mutable pending : (string * Event.t) list; (* target machine, event — newest first *)
   mutable timers : armed list;
   mutable released : bool;
 }
 
-let create ?(on_alert = fun _ -> ()) ?(on_anomaly = fun _ -> ()) timer_host =
+let create ~hooks ~owner timer_host =
   {
     timer_host;
-    on_alert;
-    on_anomaly;
+    hooks;
+    owner;
     shared = Env.globals ();
     machines = [];
-    sync_queue = Queue.create ();
+    pending = [];
     timers = [];
     released = false;
   }
@@ -59,15 +66,16 @@ let add_machine t program =
 let machine t name = find_machine name t.machines
 let machines t = t.machines
 
-let is_timer owner id a = String.equal a.owner owner && String.equal a.id id
+let is_timer machine_name id a = String.equal a.machine_name machine_name && String.equal a.id id
 
-let rec find_timer owner id = function
+let rec find_timer machine_name id = function
   | [] -> None
-  | a :: rest -> if is_timer owner id a then Some a else find_timer owner id rest
+  | a :: rest -> if is_timer machine_name id a then Some a else find_timer machine_name id rest
 
-let rec without_timer owner id = function
+let rec without_timer machine_name id = function
   | [] -> []
-  | a :: rest -> if is_timer owner id a then rest else a :: without_timer owner id rest
+  | a :: rest ->
+      if is_timer machine_name id a then rest else a :: without_timer machine_name id rest
 
 let cancel_timer t machine_name id =
   match find_timer machine_name id t.timers with
@@ -85,7 +93,7 @@ let rec arm_timer t machine_name id ~delay =
         feed t machine_name event ~is_data:false;
         drain_sync t)
   in
-  t.timers <- { owner = machine_name; id; handle } :: t.timers
+  t.timers <- { machine_name; id; handle } :: t.timers
 
 and apply_effects t machine_name = function
   | [] -> ()
@@ -96,7 +104,7 @@ and apply_effects t machine_name = function
             Event.make ~args (Event.Sync { from_machine = machine_name })
               ~at:(t.timer_host.now ()) event_name
           in
-          Queue.add (target, event) t.sync_queue
+          t.pending <- (target, event) :: t.pending
       | Machine.Set_timer { id; delay } -> arm_timer t machine_name id ~delay
       | Machine.Cancel_timer id -> cancel_timer t machine_name id);
       apply_effects t machine_name rest
@@ -104,7 +112,7 @@ and apply_effects t machine_name = function
 and feed t machine_name event ~is_data =
   match find_machine machine_name t.machines with
   | None ->
-      t.on_anomaly
+      t.hooks.on_anomaly t.owner
         { machine = machine_name; state = "?"; event; detail = "no such machine in system" }
   | Some m -> (
       match Machine.step m event with
@@ -113,13 +121,14 @@ and feed t machine_name event ~is_data =
           match attack with
           | None -> ()
           | Some detail ->
-              t.on_alert { machine = machine_name; state = Machine.state m; event; detail })
+              t.hooks.on_alert t.owner
+                { machine = machine_name; state = Machine.state m; event; detail })
       | Machine.Rejected ->
           (* Unmatched timers and sync messages are absorbed silently (a
              machine past the relevant state no longer cares); an unmatched
              data packet is a specification deviation. *)
           if is_data then
-            t.on_anomaly
+            t.hooks.on_anomaly t.owner
               {
                 machine = machine_name;
                 state = Machine.state m;
@@ -127,7 +136,7 @@ and feed t machine_name event ~is_data =
                 detail = "event rejected: no enabled transition";
               }
       | Machine.Nondeterministic labels ->
-          t.on_anomaly
+          t.hooks.on_anomaly t.owner
             {
               machine = machine_name;
               state = Machine.state m;
@@ -136,28 +145,40 @@ and feed t machine_name event ~is_data =
                 "nondeterministic specification: " ^ String.concat ", " labels;
             })
 
+(* Takes every pending event, feeds them oldest first and repeats until
+   none is left: an event sent while a batch drains runs after that batch,
+   the order one FIFO queue gives.  A machine that raises abandons the
+   rest of its batch; the engine quarantines a record whose machine
+   faults on a packet. *)
 and drain_sync t =
-  while not (Queue.is_empty t.sync_queue) do
-    let target, event = Queue.take t.sync_queue in
-    feed t target event ~is_data:false
-  done
+  match t.pending with
+  | [] -> ()
+  | batch ->
+      t.pending <- [];
+      feed_batch t batch;
+      drain_sync t
+
+(* A newest-first batch, fed oldest first without reversing it. *)
+and feed_batch t = function
+  | [] -> ()
+  | (target, event) :: older ->
+      feed_batch t older;
+      feed t target event ~is_data:false
 
 let inject t ~machine event =
   drain_sync t;
   feed t machine event ~is_data:true;
   drain_sync t
 
-let queued_sync t = Queue.length t.sync_queue
-
 (* --------------------------------------------------------------- *)
 (* Checkpoint support                                               *)
 (* --------------------------------------------------------------- *)
 
-let pending_sync t = List.of_seq (Queue.to_seq t.sync_queue)
-let push_sync t ~target event = Queue.add (target, event) t.sync_queue
+let pending_sync t = List.rev t.pending
+let push_sync t ~target event = t.pending <- (target, event) :: t.pending
 
 let pending_timers t =
-  List.map (fun a -> (a.owner, a.id, Dsim.Scheduler.fire_time a.handle)) t.timers
+  List.map (fun a -> (a.machine_name, a.id, Dsim.Scheduler.fire_time a.handle)) t.timers
   |> List.sort compare
 
 let restore_timer t ~machine ~id ~fire_at =

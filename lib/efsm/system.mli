@@ -23,16 +23,22 @@ type notification = {
   detail : string;
 }
 
+type hooks = {
+  on_alert : string -> notification -> unit;
+      (** A machine entered an attack state. *)
+  on_anomaly : string -> notification -> unit;
+      (** A data event was rejected (specification deviation), or a
+          nondeterminism bug was detected. *)
+}
+(** What a system reports to, given its owner first.  One record serves
+    every system of a kind: a system holds its hooks and owner string, not
+    closures of its own. *)
+
 type t
 
-val create :
-  ?on_alert:(notification -> unit) ->
-  ?on_anomaly:(notification -> unit) ->
-  timer_host ->
-  t
-(** [on_alert] fires when a machine enters an attack state; [on_anomaly]
-    when a data event is rejected (specification deviation) or a
-    nondeterminism bug is detected. *)
+val create : hooks:hooks -> owner:string -> timer_host -> t
+(** A system with no machines, reporting as [owner] (a Call-ID, or a
+    detector's key) to [hooks]. *)
 
 val globals : t -> Env.globals
 (** The shared global-variable store of this call's machines. *)
@@ -46,10 +52,9 @@ val machine : t -> string -> Machine.t option
 val machines : t -> Machine.t list
 
 val inject : t -> machine:string -> Event.t -> unit
-(** Delivers a data event (sync queues drain first, and again after). *)
-
-val queued_sync : t -> int
-(** Outstanding synchronization events (should be 0 between injections). *)
+(** Delivers a data event (sync queues drain first, and again after).
+    Sync events are delivered in the order they were sent: one sent while
+    others drain runs after all of them. *)
 
 val estimated_bytes : t -> int
 (** Sum of the machines' local variable footprints. *)
@@ -61,7 +66,8 @@ val estimated_bytes : t -> int
     converge with an uninterrupted run. *)
 
 val pending_sync : t -> (string * Event.t) list
-(** Queued synchronization events in FIFO order, with their target machine. *)
+(** Queued synchronization events in FIFO order, with their target machine
+    (none between injections). *)
 
 val push_sync : t -> target:string -> Event.t -> unit
 (** Re-enqueues a synchronization event during restore (appends in call

@@ -90,6 +90,7 @@ let rec find name = function
   | (field, value) :: rest -> if String.equal field name then Some value else find name rest
 
 let get t name = find (canonical_name name) t
+let get_canonical t name = find name t
 
 (* The trimmed, non-empty items of [s.[start .. stop-1]], consed onto [acc]
    last first. *)

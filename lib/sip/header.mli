@@ -21,6 +21,10 @@ val add_first : t -> string -> string -> t
 val get : t -> string -> string option
 (** First value of the field, if any. *)
 
+val get_canonical : t -> string -> string option
+(** [get] for a name already in canonical form ([canonical_name name =
+    name], e.g. ["Call-ID"]), which it does not canonicalise again. *)
+
 val get_all : t -> string -> string list
 (** All values in order, comma-separated list values split apart.  Splitting
     respects quoted strings and angle brackets. *)

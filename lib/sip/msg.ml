@@ -150,7 +150,7 @@ let decimal_value v =
 
 let with_body start headers text body_start =
   let available = String.length text - body_start in
-  match Header.get headers "Content-Length" with
+  match Header.get_canonical headers "Content-Length" with
   | None -> Ok { start; headers; body = String.sub text body_start available }
   | Some len_str ->
       let len = decimal_value len_str in
@@ -215,10 +215,10 @@ let pp ppf t =
   match t.start with
   | Request { meth; uri } ->
       Format.fprintf ppf "%a %s (cid=%s)" Msg_method.pp meth (Uri.to_string uri)
-        (Option.value (Header.get t.headers "Call-ID") ~default:"?")
+        (Option.value (Header.get_canonical t.headers "Call-ID") ~default:"?")
   | Response { code; reason } ->
       Format.fprintf ppf "%d %s (cid=%s)" code reason
-        (Option.value (Header.get t.headers "Call-ID") ~default:"?")
+        (Option.value (Header.get_canonical t.headers "Call-ID") ~default:"?")
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
@@ -227,8 +227,11 @@ let pp ppf t =
 let is_request t = match t.start with Request _ -> true | Response _ -> false
 let is_response t = not (is_request t)
 
+(* The accessors name fields by their canonical spelling, so they look
+   them up with [Header.get_canonical]. *)
+
 let cseq t =
-  match Header.get t.headers "CSeq" with
+  match Header.get_canonical t.headers "CSeq" with
   | None -> Error "missing CSeq"
   | Some v -> Cseq.parse v
 
@@ -240,10 +243,12 @@ let method_of t =
 let status_of t = match t.start with Response { code; _ } -> Some code | Request _ -> None
 
 let call_id t =
-  match Header.get t.headers "Call-ID" with Some v -> Ok v | None -> Error "missing Call-ID"
+  match Header.get_canonical t.headers "Call-ID" with
+  | Some v -> Ok v
+  | None -> Error "missing Call-ID"
 
 let name_addr_field t name =
-  match Header.get t.headers name with
+  match Header.get_canonical t.headers name with
   | None -> Error (Printf.sprintf "missing %s" name)
   | Some v -> Name_addr.parse v
 
@@ -260,7 +265,7 @@ let vias t =
 (* The first item of the first Via, parsed where it lies.  Only a first Via
    with no item before its first comma needs the whole list. *)
 let top_via t =
-  match Header.get t.headers "Via" with
+  match Header.get_canonical t.headers "Via" with
   | None -> Error "missing Via"
   | Some v -> (
       let e = Scan.item_end v 0 (String.length v) in
@@ -275,7 +280,7 @@ let top_via t =
 let contact t = name_addr_field t "Contact"
 
 let decimal_field t name =
-  match Header.get t.headers name with
+  match Header.get_canonical t.headers name with
   | None -> None
   | Some v ->
       let n = decimal_value v in
@@ -283,7 +288,7 @@ let decimal_field t name =
 
 let max_forwards t = decimal_field t "Max-Forwards"
 
-let content_type t = Header.get t.headers "Content-Type"
+let content_type t = Header.get_canonical t.headers "Content-Type"
 
 let content_type_is t media_type =
   match content_type t with

@@ -393,8 +393,12 @@ let make_system () =
   let alerts = ref [] and anomalies = ref [] in
   let sys =
     Efsm.System.create
-      ~on_alert:(fun n -> alerts := n :: !alerts)
-      ~on_anomaly:(fun n -> anomalies := n :: !anomalies)
+      ~hooks:
+        {
+          Efsm.System.on_alert = (fun _ n -> alerts := n :: !alerts);
+          on_anomaly = (fun _ n -> anomalies := n :: !anomalies);
+        }
+      ~owner:"test"
       (Efsm.System.timer_host_of_scheduler sched)
   in
   (sched, sys, alerts, anomalies)
@@ -410,7 +414,7 @@ let system_sync_delivery () =
   Efsm.System.inject sys ~machine:"P" (ev "ping");
   check_int "alert raised" 1 (List.length !alerts);
   check_str "attack machine" "Q" (List.hd !alerts).Efsm.System.machine;
-  check_int "sync queues drained" 0 (Efsm.System.queued_sync sys)
+  check_int "sync queues drained" 0 (List.length (Efsm.System.pending_sync sys))
 
 let system_anomaly_on_rejected_data () =
   let _sched, sys, _, anomalies = make_system () in
@@ -426,6 +430,79 @@ let system_sync_rejection_silent () =
      for the missing machine, not silently lost. *)
   Efsm.System.inject sys ~machine:"P" (ev "ping");
   check_int "missing machine reported" 1 (List.length !anomalies)
+
+(* On "go" Fan sends Relay "a" then "b"; on "mix", Relay "a" then Order
+   "second".  Relay syncs Order "first" on "a" and "second" on "b". *)
+let fan_spec =
+  let send ?(target = "Relay") event_name = Ir.Send_sync { target; event_name; args = [] } in
+  {
+    M.spec_name = "Fan";
+    initial = "S";
+    finals = [];
+    attack_states = [];
+    transitions =
+      [
+        tr ~label:"go" ~from_state:"S" (M.On_event "go") ~to_state:"S"
+          ~acts:[ send "a"; send "b" ]
+          ();
+        tr ~label:"mix" ~from_state:"S" (M.On_event "mix") ~to_state:"S"
+          ~acts:[ send "a"; send ~target:"Order" "second" ]
+          ();
+      ];
+  }
+
+(* A machine whose state spells the order it was sent [x] and [y] (X
+   then XY, or Y then YX); on each it runs [acts] of that event. *)
+let order_spec name ~x ~y ~acts =
+  let seen from_state event to_state =
+    tr ~label:(from_state ^ event) ~from_state (M.On_sync event) ~to_state ~acts:(acts event) ()
+  in
+  {
+    M.spec_name = name;
+    initial = "S";
+    finals = [];
+    attack_states = [];
+    transitions = [ seen "S" x "X"; seen "S" y "Y"; seen "X" y "XY"; seen "Y" x "YX" ];
+  }
+
+let relay_spec =
+  order_spec "Relay" ~x:"a" ~y:"b" ~acts:(fun event ->
+      let event_name = if event = "a" then "first" else "second" in
+      [ Ir.Send_sync { target = "Order"; event_name; args = [] } ])
+
+let receiver_spec = order_spec "Order" ~x:"first" ~y:"second" ~acts:(fun _ -> [])
+
+let fan_system () =
+  let _sched, sys, _, _ = make_system () in
+  List.iter
+    (fun spec -> ignore (Efsm.System.add_machine sys (M.compile spec)))
+    [ fan_spec; relay_spec; receiver_spec ];
+  let machine name = Option.get (Efsm.System.machine sys name) in
+  (sys, machine "Relay", machine "Order")
+
+(* Sync events are delivered in the order they were sent, as through one
+   FIFO queue: Relay's two syncs reach Order in the order Relay got "a"
+   and "b"; one sent while others drain runs after them; and a restored
+   system lists and drains its pushed events in push order. *)
+let system_sync_order () =
+  let sys, relay, order = fan_system () in
+  Efsm.System.inject sys ~machine:"Fan" (ev "go");
+  check_str "Relay saw a, then b" "XY" (M.state relay);
+  check_str "Order saw first, then second" "XY" (M.state order);
+  check_int "drained" 0 (List.length (Efsm.System.pending_sync sys));
+  let sys, _, order = fan_system () in
+  Efsm.System.inject sys ~machine:"Fan" (ev "mix");
+  check_str "Relay's sync runs after Fan's" "YX" (M.state order);
+  let sys, _, order = fan_system () in
+  let sync name = E.make (E.Sync { from_machine = "Relay" }) ~at:0 name in
+  Efsm.System.push_sync sys ~target:"Order" (sync "first");
+  Efsm.System.push_sync sys ~target:"Order" (sync "second");
+  check "pending in push order" true
+    (List.map (fun (target, e) -> (target, E.name e)) (Efsm.System.pending_sync sys)
+    = [ ("Order", "first"); ("Order", "second") ]);
+  Efsm.System.inject sys ~machine:"Fan" (ev "go");
+  check_str "pushed events drain in push order" "XY" (M.state order);
+  check_int "drained after restore" 0 (List.length (Efsm.System.pending_sync sys))
 
 let timer_spec =
   {
@@ -594,6 +671,7 @@ let suite =
         tc "sync delivery + priority" system_sync_delivery;
         tc "anomaly on rejected data" system_anomaly_on_rejected_data;
         tc "missing machine reported" system_sync_rejection_silent;
+        tc "sync events delivered in sending order" system_sync_order;
         tc "timer fires" system_timer_fires;
         tc "timer cancelled" system_timer_cancelled;
         tc "release cancels timers" system_release_cancels_timers;

@@ -339,6 +339,35 @@ let field st =
   | 4 -> cseq st
   | _ -> word st
 
+(* A header block whose names are the known fields and their compact
+   forms, each in a random case. *)
+let known_fields st =
+  let names = Array.of_list (List.map fst (R.Header.known_table @ R.Header.compact_table)) in
+  let spell name =
+    String.map (fun c -> if chance st 2 then Char.uppercase_ascii c else c) name
+  in
+  concat_map_n st (Random.State.int st 12) (fun st ->
+      spell (pick st names) ^ ": " ^ word st ^ "\r\n")
+
+(* [get_canonical] on a canonical name finds what [get] finds under any
+   spelling of it: the name itself, all upper or lower case, or its
+   compact form. *)
+let canonical_lookup_agrees text =
+  match Sip.Header.parse_range text 0 (String.length text) with
+  | Error _ -> true
+  | Ok h ->
+      let same spelling canon =
+        agree ("Header.get " ^ spelling) (show_opt show_str)
+          (Sip.Header.get_canonical h canon) (Sip.Header.get h spelling)
+      in
+      List.for_all
+        (fun (lower, canon) ->
+          same canon canon && same lower canon && same (String.uppercase_ascii canon) canon)
+        R.Header.known_table
+      && List.for_all
+           (fun (short, canon) -> same short canon && same (String.uppercase_ascii short) canon)
+           R.Header.compact_table
+
 let q ~count name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count (arb gen) prop)
 
@@ -352,6 +381,8 @@ let suite =
           field_agrees;
         q ~count:1000 "sdp agrees with the reference" (fun st -> mutated st sdp) (fun text ->
             agree "Sdp.parse" show_sdp (Sdp.parse text) (R.sdp text));
+        q ~count:1000 "canonical-name lookup agrees with get" known_fields
+          canonical_lookup_agrees;
         q ~count:1000 "range parsers agree with whole-string parsers"
           (fun st -> mutated st (fun st -> if chance st 3 then sdp st else field st))
           ranges_agree;

@@ -12,6 +12,18 @@ module V = Efsm.Value
 
 let config = Vids.Config.default
 
+(* A system on [sched] whose notifications are consed onto [alerts] and
+   [anomalies]. *)
+let recording_system ?(anomalies = ref []) sched alerts =
+  Efsm.System.create
+    ~hooks:
+      {
+        Efsm.System.on_alert = (fun _ n -> alerts := n :: !alerts);
+        on_anomaly = (fun _ n -> anomalies := n :: !anomalies);
+      }
+    ~owner:"test"
+    (Efsm.System.timer_host_of_scheduler sched)
+
 (* A call-machine pair wired into one system, with a controllable clock. *)
 type rig = {
   sched : Dsim.Scheduler.t;
@@ -25,12 +37,7 @@ type rig = {
 let make_rig () =
   let sched = Dsim.Scheduler.create () in
   let alerts = ref [] and anomalies = ref [] in
-  let sys =
-    Efsm.System.create
-      ~on_alert:(fun n -> alerts := n :: !alerts)
-      ~on_anomaly:(fun n -> anomalies := n :: !anomalies)
-      (Efsm.System.timer_host_of_scheduler sched)
-  in
+  let sys = recording_system ~anomalies sched alerts in
   let sip = Efsm.System.add_machine sys (M.compile (Vids.Spec_load.spec config Vids.Keys.sip_machine)) in
   let rtp = Efsm.System.add_machine sys (M.compile (Vids.Spec_load.spec config Vids.Keys.rtp_machine)) in
   { sched; sys; sip; rtp; alerts; anomalies }
@@ -336,11 +343,7 @@ let grace_timer_uses_config () =
 let flood_rig () =
   let sched = Dsim.Scheduler.create () in
   let alerts = ref [] in
-  let sys =
-    Efsm.System.create
-      ~on_alert:(fun n -> alerts := n :: !alerts)
-      (Efsm.System.timer_host_of_scheduler sched)
-  in
+  let sys = recording_system sched alerts in
   let m = Efsm.System.add_machine sys (M.compile (Vids.Spec_load.spec config Vids.Keys.flood_machine)) in
   let send () =
     Efsm.System.inject sys ~machine:Vids.Keys.flood_machine
@@ -389,11 +392,7 @@ let flood_spread_out_no_alert () =
 let spam_rig () =
   let sched = Dsim.Scheduler.create () in
   let alerts = ref [] in
-  let sys =
-    Efsm.System.create
-      ~on_alert:(fun n -> alerts := n :: !alerts)
-      (Efsm.System.timer_host_of_scheduler sched)
-  in
+  let sys = recording_system sched alerts in
   let m = Efsm.System.add_machine sys (M.compile (Vids.Spec_load.spec config Vids.Keys.spam_machine)) in
   let send ?(ssrc = 7) ~seq ~ts () =
     Efsm.System.inject sys ~machine:Vids.Keys.spam_machine
@@ -511,11 +510,7 @@ let spam_dormant_resume () =
 let drdos_detector () =
   let sched = Dsim.Scheduler.create () in
   let alerts = ref [] in
-  let sys =
-    Efsm.System.create
-      ~on_alert:(fun n -> alerts := n :: !alerts)
-      (Efsm.System.timer_host_of_scheduler sched)
-  in
+  let sys = recording_system sched alerts in
   let m = Efsm.System.add_machine sys (M.compile (Vids.Spec_load.spec config Vids.Keys.drdos_machine)) in
   let send () =
     Efsm.System.inject sys ~machine:Vids.Keys.drdos_machine
@@ -531,11 +526,7 @@ let drdos_detector () =
   (* Occasional orphans spread over windows never alert. *)
   let sched2 = Dsim.Scheduler.create () in
   let alerts2 = ref [] in
-  let sys2 =
-    Efsm.System.create
-      ~on_alert:(fun n -> alerts2 := n :: !alerts2)
-      (Efsm.System.timer_host_of_scheduler sched2)
-  in
+  let sys2 = recording_system sched2 alerts2 in
   ignore (Efsm.System.add_machine sys2 (M.compile (Vids.Spec_load.spec config Vids.Keys.drdos_machine)));
   for _ = 1 to 100 do
     Efsm.System.inject sys2 ~machine:Vids.Keys.drdos_machine
