@@ -444,10 +444,11 @@ let microbench () =
     |> List.sort compare
   in
   List.iter (fun (name, value) -> Format.printf "%28s %16s@." name value) rows;
-  Format.printf
-    "@.(The calibrated cost model in Vids.Config uses 2 ms CPU per SIP message and@.";
-  Format.printf
-    " 35 us per RTP packet — 2006-era hardware; the measured numbers above show@.";
+  let cost = Vids.Config.default in
+  Format.printf "@.(The calibrated cost model in Vids.Config uses %g ms CPU per SIP message and@."
+    (Dsim.Time.to_ms cost.Vids.Config.sip_cpu_cost);
+  Format.printf " %d us per RTP packet — 2006-era hardware; the measured numbers above show@."
+    (Dsim.Time.to_us cost.Vids.Config.rtp_cpu_cost);
   Format.printf " today's per-packet analysis cost for reference.)@."
 
 (* ------------------------------------------------------------------ *)

@@ -2,9 +2,6 @@
 
 type severity = Error | Warning | Info
 
-val severity_rank : severity -> int
-(** [Error] = 0 (most severe) … [Info] = 2. *)
-
 val severity_to_string : severity -> string
 
 type t = {

@@ -3,18 +3,11 @@
 val summary : Verifier.report -> string
 (** One line: machine and per-severity finding counts. *)
 
-val render_machine_text : Verifier.machine_report -> string
-
 val render_text : Verifier.report -> string
 
 val render_json : Verifier.report -> string
 (** Single JSON object: per-machine reports with findings, system-level
     findings, and severity totals. *)
-
-val dot_annotations :
-  Verifier.report -> Verifier.machine_report -> (string * string) list * (string * string) list
-(** (state notes, edge notes) for {!Efsm.Dot.of_spec}, including system
-    findings that name the machine. *)
 
 val render_dot : Verifier.report -> Efsm.Machine.spec -> string
 (** The spec's DOT diagram with this report's findings attached to the

@@ -84,6 +84,7 @@ let rec linearize (ie : Ir.iexpr) =
       | L_const x, L_const y -> L_const (x - y)
       | L_base (k, v, t, o), L_const c -> L_base (k, v, t, o - c)
       | _ -> L_hard)
+  | Wrap _ -> L_hard
 
 let flip = function Ir.Lt -> Ir.Gt | Le -> Ge | Gt -> Lt | Ge -> Le | Ieq -> Ieq | Ine -> Ine
 
@@ -253,6 +254,7 @@ let feasible_assignment ~domains atoms assignment =
 (* Entry point                                                        *)
 (* ----------------------------------------------------------------- *)
 
+(* Atom budget; beyond it [satisfiable] answers [Unknown]. *)
 let max_atoms = 16
 
 let satisfiable ?(domains = []) preds =

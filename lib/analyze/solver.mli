@@ -16,9 +16,6 @@ type verdict =
   | Sat of string  (** Human-readable witness, e.g. ["$code=Int 200"]. *)
   | Unknown of string  (** Formula exceeded the enumeration budget. *)
 
-val max_atoms : int
-(** Atom budget; beyond it [satisfiable] answers [Unknown]. *)
-
 val satisfiable : ?domains:(Efsm.Ir.var * Efsm.Ir.domain) list -> Efsm.Ir.pred list -> verdict
 (** Satisfiability of the conjunction of [preds].  [domains] restricts the
     values declared variables may take (besides [Unset], which is always

@@ -52,8 +52,7 @@ let triggers_overlap a b =
 
 let may_writes acts = VarSet.of_list (Ir.acts_writes acts)
 
-(* Variables assigned on *every* execution of [acts].  Opaque actions
-   declare may-writes only, so they contribute nothing here. *)
+(* Variables assigned on *every* execution of [acts]. *)
 let rec must_writes acts =
   List.fold_left
     (fun acc act ->
@@ -290,12 +289,6 @@ let verify_spec ?vars (spec : Machine.spec) =
               | Ir.Send_sync { args; _ } ->
                   List.iter (fun (_, e) -> check_expr e) args;
                   (assigned, seen_may)
-              | Ir.Opaque_act o ->
-                  List.iter
-                    (report_read ~where:"action" ~state ~transition ~may_in:seen_may
-                       ~assigned)
-                    o.Ir.act_reads;
-                  (assigned, VarSet.union seen_may (VarSet.of_list o.Ir.act_writes))
               | Ir.Set_timer _ | Ir.Cancel_timer _ -> (assigned, seen_may))
             (assigned, seen_may) acts
         in

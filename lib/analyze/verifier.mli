@@ -39,9 +39,6 @@ val machine_errors : machine_report -> Finding.t list
 val all_findings : report -> Finding.t list
 val has_errors : report -> bool
 
-val triggers_overlap : Efsm.Machine.trigger -> Efsm.Machine.trigger -> bool
-(** Can a single concrete event match both triggers? *)
-
 val verify_spec : ?vars:Efsm.Ir.decl list -> Efsm.Machine.spec -> machine_report
 (** [vars], when given, declares the spec's variable domains and enables
     the undeclared-assignment and domain-mismatch checks (and sharpens

@@ -71,9 +71,6 @@ let default =
     chaos_inject_every = 0;
   }
 
-let passive t =
-  { t with sip_transit_delay = Dsim.Time.zero; rtp_transit_delay = Dsim.Time.zero }
-
 let governed t =
   {
     t with

@@ -78,9 +78,6 @@ type t = {
 
 val default : t
 
-val passive : t -> t
-(** Same thresholds, zero transit delay — vIDS as a pure monitor. *)
-
 val governed : t -> t
 (** Same thresholds with resource governance enabled: caps on tracked calls
     and detectors, a periodic ageing sweep, and degradation watermarks. *)

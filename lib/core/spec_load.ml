@@ -4,15 +4,14 @@ module Env = Efsm.Env
 module V = Efsm.Value
 
 (* ------------------------------------------------------------------ *)
-(* Host registry: the media-spam machine's externs and the params     *)
+(* Host registry: the media-spam machine's extern and the params      *)
 (* ------------------------------------------------------------------ *)
 
-(* The media-spam machine's variables (media_spam.vspec) the externs
-   read and write. *)
+(* The media-spam machine's variables (media_spam.vspec) the extern
+   reads. *)
 let l_ssrc = "l_ssrc"
 let l_seq = "l_sequence_number"
 let l_ts = "l_time_stamp"
-let l_count = "l_window_count"
 let local n = (Env.Local, n)
 let get_int env name = match Env.get env Env.Local name with V.Int n -> n | _ -> 0
 
@@ -27,24 +26,20 @@ let get_int env name = match Env.get env Env.Local name with V.Int n -> n | _ ->
    refinement without giving up the sequence-number advance it needs for
    its packets to win the receiver's playout.
 
-   The wraparound deltas are beyond the IR's linear arithmetic, so the
-   predicate stays an opaque escape hatch with declared reads; sharing one
-   [pred_name] between the [spam] and [in_order] guards is what lets the
-   solver still discharge their disjointness propositionally. *)
+   The predicate stays an opaque escape hatch with declared reads: spelled
+   in the IR, its compiled guard would evaluate both wraparound deltas
+   in every comparison, once for [spam] and again for [in_order].  Sharing
+   one [pred_name] between those two guards is what lets the solver still
+   discharge their disjointness propositionally.  The deltas are the
+   IR's own serial-number arithmetic ([Ir.wrap]) on native ints. *)
 let is_spam config env event =
   let ssrc_mismatch =
     not (V.equal (E.get event Keys.Field.ssrc) (Env.get env Env.Local l_ssrc))
   in
   ssrc_mismatch
   ||
-  let seq_jump =
-    Rtp.Rtp_packet.seq_delta (get_int env l_seq) (V.as_int (E.get event Keys.Field.seq))
-  in
-  let ts_jump =
-    Rtp.Rtp_packet.ts_delta
-      (Int32.of_int (get_int env l_ts))
-      (Int32.of_int (V.as_int (E.get event Keys.Field.ts)))
-  in
+  let seq_jump = I.wrap 16 (V.as_int (E.get event Keys.Field.seq) - get_int env l_seq) in
+  let ts_jump = I.wrap 32 (V.as_int (E.get event Keys.Field.ts) - get_int env l_ts) in
   let ts_limit =
     if seq_jump >= 1 && seq_jump <= 2 then config.Config.spam_silence_ts_gap
     else config.Config.spam_ts_gap
@@ -53,26 +48,6 @@ let is_spam config env event =
   || seq_jump < -config.Config.spam_reorder_tolerance
   || ts_jump > ts_limit
   || ts_jump < -(config.Config.spam_ts_gap * 4)
-
-(* Only move the baseline forward so reordered packets cannot drag it
-   backwards.  The seq_delta comparison wraps, hence opaque. *)
-let advance_baseline =
-  {
-    I.act_name = "advance_baseline";
-    act_reads = [ local l_seq; local l_count ];
-    act_writes = [ local l_seq; local l_ts; local l_count ];
-    act_emits = [];
-    run =
-      (fun env event ->
-        let seq = V.as_int (E.get event Keys.Field.seq) in
-        let ts = V.as_int (E.get event Keys.Field.ts) in
-        if Rtp.Rtp_packet.seq_delta (get_int env l_seq) seq > 0 then begin
-          Env.set env Env.Local l_seq (V.Int seq);
-          Env.set env Env.Local l_ts (V.Int ts)
-        end;
-        Env.set env Env.Local l_count (V.Int (get_int env l_count + 1));
-        []);
-  }
 
 (* Each [param] a builtin declares is bound by name to the Config field
    of the same name. *)
@@ -99,7 +74,6 @@ let externs config =
               holds = (fun env event -> is_spam config env event);
             }
       | _ -> None);
-    find_act = (function "advance_baseline" -> Some advance_baseline | _ -> None);
     find_param = param config;
   }
 

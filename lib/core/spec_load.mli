@@ -4,19 +4,19 @@
     sources in [lib/core/specs/*.vspec], embedded in the binary, parsed
     and checked once at start-up.  Each engine elaborates them under its
     own {!Config.t}: the host registry binds every [param] to the Config
-    field of the same name and supplies the two opaque escape hatches of
-    the media-spam machine. *)
+    field of the same name and supplies the media-spam machine's opaque
+    guard. *)
 
 val known_machines : string list
 (** Machine names the engine instantiates — valid [sync] targets and the
     only names an override may use. *)
 
 val externs : Config.t -> Spec.Elaborate.externs
-(** The host registry under [config]: [extern is_spam] and [extern
-    advance_baseline] (the media-spam machine's wraparound arithmetic),
-    and the seven params [invite_flood_threshold], [invite_flood_window],
-    [rtp_flood_threshold], [rtp_flood_window], [drdos_threshold],
-    [drdos_window] and [bye_inflight_timer]. *)
+(** The host registry under [config]: [extern is_spam] (the media-spam
+    machine's stream-discontinuity test), and the seven params
+    [invite_flood_threshold], [invite_flood_window], [rtp_flood_threshold],
+    [rtp_flood_window], [drdos_threshold], [drdos_window] and
+    [bye_inflight_timer]. *)
 
 val sources : (string * string) list
 (** CLI key (e.g. ["media-spam"]) to embedded [.vspec] source, in the

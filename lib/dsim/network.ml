@@ -17,7 +17,6 @@ type node = {
   mutable handler : Packet.t -> unit;
   mutable tap : (Packet.t -> unit) option;
   mutable transit_delay : (Packet.t -> Time.t) option;
-  mutable bytes_seen : int;
 }
 
 and t = {
@@ -94,7 +93,6 @@ let add_node t ~name ~hosts =
       handler = (fun _ -> ());
       tap = None;
       transit_delay = None;
-      bytes_seen = 0;
     }
   in
   List.iter
@@ -113,8 +111,6 @@ let add_node t ~name ~hosts =
   t.count <- t.count + 1;
   t.routes_dirty <- true;
   node
-
-let node_name node = node.name
 
 let find_node t ~host =
   match Hashtbl.find_opt t.host_owner host with
@@ -171,7 +167,6 @@ let link_to node peer_id = List.find_opt (fun link -> link.peer = peer_id) node.
 (* Forwarding: each hop serializes the packet on the outgoing link (FIFO
    behind earlier packets), suffers propagation delay, and may be lost. *)
 let rec arrive_at t node packet =
-  node.bytes_seen <- node.bytes_seen + Packet.size packet;
   (match node.tap with None -> () | Some tap -> tap packet);
   let dst_host = (packet : Packet.t).dst.host in
   match Hashtbl.find_opt t.host_owner dst_host with
@@ -320,7 +315,6 @@ let link_stats t =
   List.rev !stats
 let packets_delivered t = Stat.Counter.get t.delivered
 let packets_dropped t = Stat.Counter.get t.dropped
-let bytes_forwarded _t node = node.bytes_seen
 
 let set_fault_profile t profile =
   t.faults <- profile;

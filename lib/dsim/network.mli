@@ -20,8 +20,6 @@ val add_node : t -> name:string -> hosts:string list -> node
 (** [hosts] are the IP-like host strings this node answers for.  A host may
     belong to at most one node. *)
 
-val node_name : node -> string
-
 val find_node : t -> host:string -> node option
 
 val connect :
@@ -50,9 +48,6 @@ val packets_delivered : t -> int
 
 val packets_dropped : t -> int
 (** Link losses plus unroutable packets. *)
-
-val bytes_forwarded : t -> node -> int
-(** Total bytes that transited or terminated at this node. *)
 
 (** Per-direction link usage, for utilization reports. *)
 type link_stats = {

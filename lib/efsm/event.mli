@@ -23,8 +23,6 @@ val field : string -> field
 (** The slot of a parameter name, registered on first use.  Slots are
     numbered in registration order and never reused. *)
 
-val field_name : field -> string
-
 (** {1 Events} *)
 
 type t

@@ -21,6 +21,7 @@ and iexpr =
   | Int_or0 of expr
   | Add of iexpr * iexpr
   | Sub of iexpr * iexpr
+  | Wrap of int * iexpr
 
 and pred =
   | True
@@ -41,28 +42,14 @@ and opaque_pred = {
   holds : Env.t -> Event.t -> bool;
 }
 
-type emission =
-  | Emits_sync of { target : string; event_name : string }
-  | Emits_set_timer of string
-  | Emits_cancel_timer of string
-
-type 'eff act =
+type act =
   | Assign of var * expr
-  | If of pred * 'eff act list * 'eff act list
+  | If of pred * act list * act list
   | Send_sync of { target : string; event_name : string; args : (string * expr) list }
   | Set_timer of { id : string; delay : Dsim.Time.t }
   | Cancel_timer of string
-  | Opaque_act of 'eff opaque_act
 
-and 'eff opaque_act = {
-  act_name : string;
-  act_reads : var list;
-  act_writes : var list;
-  act_emits : emission list;
-  run : Env.t -> Event.t -> 'eff list;
-}
-
-type 'eff t = { guard : pred; acts : 'eff act list }
+type t = { guard : pred; acts : act list }
 
 type 'eff builders = {
   build_sync : target:string -> event_name:string -> args:(string * Value.t) list -> 'eff;
@@ -78,6 +65,12 @@ let apply_cmp cmp a b =
   | Ge -> a >= b
   | Ieq -> Int.equal a b
   | Ine -> not (Int.equal a b)
+
+(* The sign bit of an [n]-bit integer moved to the native sign bit and
+   back: the low [n] bits, sign-extended. *)
+let wrap bits x =
+  let shift = Sys.int_size - bits in
+  (x lsl shift) asr shift
 
 (* --------------------------------------------------------------- *)
 (* Reference interpreter                                            *)
@@ -109,6 +102,7 @@ and eval_iexpr env event = function
       match (eval_iexpr env event a, eval_iexpr env event b) with
       | Some x, Some y -> Some (x - y)
       | _ -> None)
+  | Wrap (bits, a) -> Option.map (wrap bits) (eval_iexpr env event a)
 
 and eval_pred env event = function
   | True -> true
@@ -138,7 +132,6 @@ let rec run_act builders env event = function
       [ builders.build_sync ~target ~event_name ~args ]
   | Set_timer { id; delay } -> [ builders.build_set_timer ~id ~delay ]
   | Cancel_timer id -> [ builders.build_cancel_timer id ]
-  | Opaque_act o -> o.run env event
 
 and run_acts builders acts env event =
   List.fold_left (fun acc act -> acc @ run_act builders env event act) [] acts
@@ -226,6 +219,9 @@ and compile_iexpr layout ie =
         (match fb env event with
         | y -> fa env event - y
         | exception Undefined -> undefined_after fa env event)
+  | Wrap (bits, a) ->
+      let fa = compile_iexpr layout a in
+      fun env event -> wrap bits (fa env event)
 
 and compile_pred layout p =
   match p with
@@ -291,7 +287,6 @@ let compile_acts builders layout acts =
     | Cancel_timer id ->
         let effect = builders.build_cancel_timer id in
         fun _ _ acc -> effect :: acc
-    | Opaque_act o -> fun env event acc -> List.rev_append (o.run env event) acc
   and compile_seq acts =
     let fs = Array.of_list (List.map compile_act acts) in
     fun env event acc -> run_seq fs env event acc 0
@@ -317,6 +312,7 @@ and iexpr_vars acc = function
   | Int_const _ -> acc
   | Int_of e | Int_or0 e -> expr_vars acc e
   | Add (a, b) | Sub (a, b) -> iexpr_vars (iexpr_vars acc a) b
+  | Wrap (_, a) -> iexpr_vars acc a
 
 and pred_vars_acc acc = function
   | True | False | Has_field _ -> acc
@@ -339,6 +335,7 @@ and iexpr_fields acc = function
   | Int_const _ -> acc
   | Int_of e | Int_or0 e -> expr_fields acc e
   | Add (a, b) | Sub (a, b) -> iexpr_fields (iexpr_fields acc a) b
+  | Wrap (_, a) -> iexpr_fields acc a
 
 and pred_fields_acc acc = function
   | True | False -> acc
@@ -371,13 +368,7 @@ and act_fold f acc act =
   match act with If (_, then_, else_) -> acts_fold f (acts_fold f acc then_) else_ | _ -> acc
 
 let acts_writes acts =
-  dedup
-    (acts_fold
-       (fun acc -> function
-         | Assign (v, _) -> v :: acc
-         | Opaque_act o -> List.rev_append o.act_writes acc
-         | _ -> acc)
-       [] acts)
+  dedup (acts_fold (fun acc -> function Assign (v, _) -> v :: acc | _ -> acc) [] acts)
 
 let acts_reads acts =
   dedup
@@ -386,7 +377,6 @@ let acts_reads acts =
          | Assign (_, e) -> expr_vars acc e
          | If (p, _, _) -> pred_vars_acc acc p
          | Send_sync { args; _ } -> List.fold_left (fun acc (_, e) -> expr_vars acc e) acc args
-         | Opaque_act o -> List.rev_append o.act_reads acc
          | Set_timer _ | Cancel_timer _ -> acc)
        [] acts)
 
@@ -395,47 +385,14 @@ let acts_syncs acts =
     (acts_fold
        (fun acc -> function
          | Send_sync { target; event_name; _ } -> (target, event_name) :: acc
-         | Opaque_act o ->
-             List.fold_left
-               (fun acc -> function
-                 | Emits_sync { target; event_name } -> (target, event_name) :: acc
-                 | _ -> acc)
-               acc o.act_emits
          | _ -> acc)
        [] acts)
 
 let acts_timers_set acts =
-  dedup
-    (acts_fold
-       (fun acc -> function
-         | Set_timer { id; _ } -> id :: acc
-         | Opaque_act o ->
-             List.fold_left
-               (fun acc -> function Emits_set_timer id -> id :: acc | _ -> acc)
-               acc o.act_emits
-         | _ -> acc)
-       [] acts)
+  dedup (acts_fold (fun acc -> function Set_timer { id; _ } -> id :: acc | _ -> acc) [] acts)
 
 let acts_timers_cancelled acts =
-  dedup
-    (acts_fold
-       (fun acc -> function
-         | Cancel_timer id -> id :: acc
-         | Opaque_act o ->
-             List.fold_left
-               (fun acc -> function Emits_cancel_timer id -> id :: acc | _ -> acc)
-               acc o.act_emits
-         | _ -> acc)
-       [] acts)
-
-let acts_opaque_names acts =
-  dedup
-    (acts_fold
-       (fun acc -> function
-         | Opaque_act o -> o.act_name :: acc
-         | If (p, _, _) -> List.rev_append (pred_opaque_names p) acc
-         | _ -> acc)
-       [] acts)
+  dedup (acts_fold (fun acc -> function Cancel_timer id -> id :: acc | _ -> acc) [] acts)
 
 let domain_of_value = function
   | Value.Int _ -> Some D_int
@@ -491,6 +448,7 @@ and iexpr_to_string = function
   | Int_or0 e -> Printf.sprintf "int0(%s)" (expr_to_string e)
   | Add (a, b) -> Printf.sprintf "(%s + %s)" (iexpr_to_string a) (iexpr_to_string b)
   | Sub (a, b) -> Printf.sprintf "(%s - %s)" (iexpr_to_string a) (iexpr_to_string b)
+  | Wrap (bits, a) -> Printf.sprintf "wrap%d(%s)" bits (iexpr_to_string a)
 
 and pred_to_string = function
   | True -> "true"

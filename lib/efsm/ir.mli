@@ -16,10 +16,10 @@
     which the packet classifiers never produce; the digest-transparency
     test pins the end-to-end equivalence.
 
-    Guards that genuinely cannot be expressed (e.g. RTP sequence-number
-    wraparound deltas) use {!Opaque} / [Opaque_act] escape hatches that
-    declare their reads/writes/emissions so analyses degrade gracefully
-    instead of silently losing soundness. *)
+    A guard that cannot be expressed here (the media-spam machine's
+    stream-discontinuity test) uses the {!Opaque} escape hatch, which
+    declares its reads so that analyses degrade gracefully instead of
+    silently losing soundness.  Actions have no escape hatch. *)
 
 (** Value domain of a variable, used for declarations and bounded
     enumeration in the solver. *)
@@ -51,6 +51,10 @@ and iexpr =
   | Int_or0 of expr  (** Non-[Int] operands read as [0] (counter idiom). *)
   | Add of iexpr * iexpr
   | Sub of iexpr * iexpr
+  | Wrap of int * iexpr
+      (** [Wrap (n, e)]: [e] as an [n]-bit two's-complement integer
+          ([1 <= n <= Sys.int_size]), the serial-number difference of RTP
+          sequence numbers ([n = 16]) and timestamps ([n = 32]). *)
 
 and pred =
   | True
@@ -71,32 +75,18 @@ and opaque_pred = {
   holds : Env.t -> Event.t -> bool;
 }
 
-(** What an opaque action declares it may emit. *)
-type emission =
-  | Emits_sync of { target : string; event_name : string }
-  | Emits_set_timer of string
-  | Emits_cancel_timer of string
-
-type 'eff act =
+type act =
   | Assign of var * expr
-  | If of pred * 'eff act list * 'eff act list
+  | If of pred * act list * act list
   | Send_sync of { target : string; event_name : string; args : (string * expr) list }
   | Set_timer of { id : string; delay : Dsim.Time.t }
   | Cancel_timer of string
-  | Opaque_act of 'eff opaque_act
 
-and 'eff opaque_act = {
-  act_name : string;
-  act_reads : var list;
-  act_writes : var list;
-  act_emits : emission list;
-  run : Env.t -> Event.t -> 'eff list;
-}
+type t = { guard : pred; acts : act list }
+(** A transition's declarative payload. *)
 
-type 'eff t = { guard : pred; acts : 'eff act list }
-(** A transition's declarative payload. ['eff] is abstract here to avoid a
-    cycle with {!Machine.effect}; {!Machine.builders} instantiates it. *)
-
+(** How an action's effects are built.  ['eff] is abstract here to avoid
+    a cycle with {!Machine.effect}; {!Machine.builders} instantiates it. *)
 type 'eff builders = {
   build_sync : target:string -> event_name:string -> args:(string * Value.t) list -> 'eff;
   build_set_timer : id:string -> delay:Dsim.Time.t -> 'eff;
@@ -105,13 +95,16 @@ type 'eff builders = {
 
 val apply_cmp : cmp -> int -> int -> bool
 
+val wrap : int -> int -> int
+(** [wrap n x] is [x] as an [n]-bit two's-complement integer, the value
+    of [Wrap (n, _)]: [wrap 16 (b - a)] is RTP's sequence-number distance
+    from [a] to [b], [wrap 32 (b - a)] its timestamp distance. *)
+
 (** {1 Reference interpreter} *)
 
-val eval_expr : Env.t -> Event.t -> expr -> Value.t
-val eval_iexpr : Env.t -> Event.t -> iexpr -> int option
 val eval_pred : Env.t -> Event.t -> pred -> bool
 
-val run_acts : 'eff builders -> 'eff act list -> Env.t -> Event.t -> 'eff list
+val run_acts : 'eff builders -> act list -> Env.t -> Event.t -> 'eff list
 (** Executes assignments in order (side-effecting the [Env]) and returns
     emitted effects in order. *)
 
@@ -128,35 +121,29 @@ val run_acts : 'eff builders -> 'eff act list -> Env.t -> Event.t -> 'eff list
 
 val compile_pred : Env.layout -> pred -> Env.t -> Event.t -> bool
 
-val compile_acts :
-  'eff builders -> Env.layout -> 'eff act list -> Env.t -> Event.t -> 'eff list
+val compile_acts : 'eff builders -> Env.layout -> act list -> Env.t -> Event.t -> 'eff list
 
 (** {1 Introspection}
 
     All results are deduplicated.  Action walks visit both branches of
-    every [If] (may-analysis) and trust opaque declarations. *)
+    every [If] (may-analysis); guard walks trust opaque declarations. *)
 
 val pred_vars : pred -> var list
 val pred_fields : pred -> string list
 val pred_opaque_names : pred -> string list
 val vars_of_expr : expr -> var list
 
-val acts_fold : ('a -> 'eff act -> 'a) -> 'a -> 'eff act list -> 'a
+val acts_fold : ('a -> act -> 'a) -> 'a -> act list -> 'a
 (** Folds over every action node, descending into both branches of each
     [If]. *)
 
-
-val acts_writes : 'eff act list -> var list
-val acts_reads : 'eff act list -> var list
-val acts_syncs : 'eff act list -> (string * string) list
+val acts_writes : act list -> var list
+val acts_reads : act list -> var list
+val acts_syncs : act list -> (string * string) list
 (** Possible sync sends as (target machine, event name) pairs. *)
 
-val acts_timers_set : 'eff act list -> string list
-val acts_timers_cancelled : 'eff act list -> string list
-val acts_opaque_names : 'eff act list -> string list
-
-val domain_of_value : Value.t -> domain option
-(** [None] for [Unset]. *)
+val acts_timers_set : act list -> string list
+val acts_timers_cancelled : act list -> string list
 
 val type_of_expr : expr -> domain option
 (** Static type when syntactically evident ([None] for variables/fields). *)

@@ -10,7 +10,7 @@ type transition = {
   from_state : string;
   trigger : trigger;
   to_state : string;
-  syntax : effect Ir.t;
+  syntax : Ir.t;
 }
 
 let builders : effect Ir.builders =

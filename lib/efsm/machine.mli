@@ -32,7 +32,7 @@ type transition = {
   from_state : string;
   trigger : trigger;
   to_state : string;
-  syntax : effect Ir.t;
+  syntax : Ir.t;
       (** The guard [P_t] and action [A_t].  The static verifier
           ([lib/analyze]) reasons over this; {!compile} builds the closures
           the engine runs from it. *)
@@ -43,7 +43,7 @@ val builders : effect Ir.builders
 
 val ir_transition :
   ?guard:Ir.pred ->
-  ?acts:effect Ir.act list ->
+  ?acts:Ir.act list ->
   label:string ->
   from_state:string ->
   trigger ->
@@ -85,7 +85,7 @@ type program
 
 val compile : spec -> program
 (** The locals it numbers are every local the transitions read or write,
-    including the declared reads and writes of opaque guards and actions. *)
+    including the declared reads of opaque guards. *)
 
 (** {1 Instances} *)
 

@@ -170,6 +170,4 @@ let of_token token =
 
 let as_int = function Int n -> n | v -> type_error "int" v
 let as_str = function Str s -> s | v -> type_error "string" v
-let as_bool = function Bool b -> b | v -> type_error "bool" v
 let as_float = function Float f -> f | Int n -> float_of_int n | v -> type_error "float" v
-let as_addr = function Addr (h, p) -> (h, p) | v -> type_error "addr" v

@@ -53,8 +53,5 @@ val as_int : t -> int
 
 val as_str : t -> string
 
-val as_bool : t -> bool
-
 val as_float : t -> float
 
-val as_addr : t -> string * int

@@ -39,8 +39,6 @@ type reader = {
 let stats r =
   { frames = r.frames; records = r.records; skipped = r.skipped; truncated_tail = r.truncated }
 
-let link_type r = r.link
-
 (* Bounded read: [None] when fewer than [n] bytes remain. *)
 let read_exact ic n =
   match really_input_string ic n with

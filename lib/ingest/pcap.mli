@@ -42,8 +42,6 @@ type stats = {
 
 val stats : reader -> stats
 
-val link_type : reader -> int
-
 val read_file : string -> (Vids.Trace.record list * (int * string) list, string) result
 (** Loads a whole capture leniently: skipped frames come back as
     [(frame_index, reason)] diagnostics.  [Error] only when the file

@@ -1,4 +1,4 @@
-(** Minimal JSON emission helpers for the telemetry exporters.
+(** Minimal JSON writing helpers for the telemetry exporters.
 
     Emission only — the observability layer writes machine-readable files
     but never parses them back, so no decoder lives here.  Strings are

@@ -97,7 +97,6 @@ let gauge t ?(help = "") ?(labels = []) name =
     (function G g -> Some g | C _ | H _ -> None)
 
 let set g x = g.g <- x
-let gauge_value g = g.g
 
 let histogram t ?(help = "") ?(labels = []) name =
   register t ~help ~labels name

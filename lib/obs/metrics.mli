@@ -49,8 +49,6 @@ val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gau
 
 val set : gauge -> float -> unit
 
-val gauge_value : gauge -> float
-
 type histogram
 
 val histogram : t -> ?help:string -> ?labels:(string * string) list -> string -> histogram

@@ -110,6 +110,3 @@ let entry_to_json e =
   Json.obj
     [ ("seq", Json.int e.seq); ("at_us", Json.int (Dsim.Time.to_us e.at));
       ("event", event_to_json e.ev) ]
-
-let pp_entry ppf e =
-  Format.fprintf ppf "#%d @%a %s" e.seq Dsim.Time.pp e.at (event_to_json e.ev)

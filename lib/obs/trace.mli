@@ -84,5 +84,3 @@ val event_to_json : event -> string
 
 val entry_to_json : entry -> string
 (** One JSON object: [{"seq": …, "at_us": …, "event": …, …}]. *)
-
-val pp_entry : Format.formatter -> entry -> unit

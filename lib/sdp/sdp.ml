@@ -230,9 +230,20 @@ let to_string (t : t) =
   Buffer.contents buffer
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
-let first_audio t = List.find_opt (fun m -> m.media_type = "audio") t.media
 
+(* Port 0 declines a stream (RFC 3264 §6). *)
+let first_audio t = List.find_opt (fun m -> m.media_type = "audio" && m.port <> 0) t.media
+
+(* The block's own c= line, kept among its attributes, overrides the
+   session's (RFC 4566 §5.7). *)
 let media_addr (t : t) m =
-  match t.connection with Some addr -> Some (addr, m.port) | None -> None
+  let media_level =
+    match List.assoc_opt "c" m.attributes with
+    | Some (Some line) -> connection_addr line 0 (String.length line)
+    | Some None | None -> None
+  in
+  match media_level with
+  | Some addr -> Some (addr, m.port)
+  | None -> Option.map (fun addr -> (addr, m.port)) t.connection
 
 module Payload_type = Payload_type

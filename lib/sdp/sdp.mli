@@ -8,7 +8,9 @@ type media = {
   port : int;
   transport : string;  (** ["RTP/AVP"]. *)
   formats : int list;  (** RTP payload type numbers, preference order. *)
-  attributes : (string * string option) list;  (** [a=] lines for this m-block. *)
+  attributes : (string * string option) list;
+      (** [a=] lines for this m-block, and its own [c=] line, if any, as
+          [("c", Some line)]. *)
 }
 
 type t = {
@@ -45,9 +47,11 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 val first_audio : t -> media option
+(** The first [m=audio] block that is not declined (port 0). *)
 
 val media_addr : t -> media -> (string * int) option
-(** Connection host and port for a media block (session-level [c=] only). *)
+(** Connection host and port for a media block: the block's own [c=]
+    line when it has one (RFC 4566 §5.7), else the session-level one. *)
 
 (** Re-export of the payload-type registry, since this module is the
     library's sole entry point. *)

@@ -39,7 +39,7 @@ and exp_node =
   | Lit of lit
   | Ident of string  (* declared variable; scope resolved by Check *)
   | Fieldref of string  (* $name: event field *)
-  | Call of string * exp list  (* addr/2 host/1 int/1 int0/1 has/1 *)
+  | Call of string * exp list  (* addr/2 host/1 int/1 int0/1 wrap16/1 has/1 *)
   | Extern_ref of string  (* opaque predicate escape hatch *)
   | Not of exp
   | Bin of binop * exp * exp
@@ -57,7 +57,6 @@ and act_node =
   | Sync of { target : string; event : string; args : (string * exp) list }
   | Set_timer of string * delay
   | Cancel_timer of string
-  | Extern_act of string
 
 type trigger_kind = Tg_event | Tg_channel | Tg_sync | Tg_timer
 
@@ -129,7 +128,6 @@ let rec equal_act a b =
            s1.args s2.args
   | Set_timer (i, d), Set_timer (j, e) -> String.equal i j && equal_delay d e
   | Cancel_timer i, Cancel_timer j -> String.equal i j
-  | Extern_act i, Extern_act j -> String.equal i j
   | _ -> false
 
 and equal_acts a b = List.length a = List.length b && List.for_all2 equal_act a b

@@ -106,9 +106,9 @@ let rec check_pred ctx (e : Ast.exp) =
 and check_iexpr ctx (e : Ast.exp) =
   match e.Ast.e with
   | Ast.Lit (Ast.L_int _) -> ()
-  | Ast.Call (("int" | "int0") as f, args) -> (
+  | Ast.Call (("int" | "int0" | "wrap16") as f, args) -> (
       match args with
-      | [ a ] -> ignore (check_expr ctx a)
+      | [ a ] -> if f = "wrap16" then check_iexpr ctx a else ignore (check_expr ctx a)
       | _ ->
           err ctx Diag.Type_mismatch e.Ast.e_span
             (Printf.sprintf "%s(...) takes 1 argument, got %d" f (List.length args)))
@@ -158,7 +158,7 @@ and check_expr ctx (e : Ast.exp) : Ast.ty option =
           err ctx Diag.Type_mismatch e.Ast.e_span
             (Printf.sprintf "host(...) takes 1 argument, got %d" (List.length args));
           Some Ast.T_str)
-  | Ast.Call (("int" | "int0"), _) ->
+  | Ast.Call (("int" | "int0" | "wrap16"), _) ->
       check_iexpr ctx e;
       Some Ast.T_int
   | Ast.Bin ((Ast.B_add | Ast.B_sub), _, _) ->
@@ -169,7 +169,8 @@ and check_expr ctx (e : Ast.exp) : Ast.ty option =
       Some Ast.T_bool
   | Ast.Call (f, _) ->
       err ctx Diag.Type_mismatch e.Ast.e_span
-        (Printf.sprintf "unknown function %s (expected addr, host, int, int0 or has)" f);
+        (Printf.sprintf "unknown function %s (expected addr, host, int, int0, wrap16 or has)"
+           f);
       None
   | _ ->
       err ctx Diag.Type_mismatch e.Ast.e_span "expected a value expression";
@@ -220,10 +221,6 @@ let rec check_act ctx (act : Ast.act) =
             (Printf.sprintf "%s is an int param: set_timer needs a duration" name)
       | None -> err ctx Diag.Unbound_var span (Printf.sprintf "undeclared param %s" name))
   | Ast.Set_timer (_, Ast.Delay_us _) | Ast.Cancel_timer _ -> ()
-  | Ast.Extern_act name ->
-      if ctx.externs.Elaborate.find_act name = None then
-        err ctx Diag.Unknown_extern act.Ast.a_span
-          (Printf.sprintf "no extern action %s is registered" name)
 
 (* Declaration-level structure: duplicates, missing initial, params the
    host does not bind and description placeholders naming no param. *)

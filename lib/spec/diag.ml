@@ -80,9 +80,6 @@ let render ?source d =
         let caret = String.make (col - 1) ' ' ^ String.make width '^' in
         Printf.sprintf "%s\n  | %s\n  | %s" head text caret
 
-let render_all ~source ds =
-  String.concat "\n" (List.map (render ~source) ds)
-
 let quote s =
   let b = Buffer.create (String.length s + 2) in
   Buffer.add_char b '"';

@@ -44,6 +44,4 @@ val render : ?source:string -> t -> string
 (** {!to_string} plus, when [source] is available, a caret-underlined
     snippet of the offending source line, GCC-style. *)
 
-val render_all : source:string -> t list -> string
-
 val to_json : t -> string

@@ -4,12 +4,10 @@ module V = Efsm.Value
 
 type externs = {
   find_pred : string -> I.opaque_pred option;
-  find_act : string -> M.effect I.opaque_act option;
   find_param : string -> (Ast.param_ty * int) option;
 }
 
-let no_externs =
-  { find_pred = (fun _ -> None); find_act = (fun _ -> None); find_param = (fun _ -> None) }
+let no_externs = { find_pred = (fun _ -> None); find_param = (fun _ -> None) }
 
 type elaborated = {
   el_spec : M.spec;
@@ -37,7 +35,7 @@ let domain_of_ty = function
 let is_int_shaped (e : Ast.exp) =
   match e.Ast.e with
   | Ast.Bin ((Ast.B_add | Ast.B_sub), _, _) -> true
-  | Ast.Call (("int" | "int0"), _) -> true
+  | Ast.Call (("int" | "int0" | "wrap16"), _) -> true
   | _ -> false
 
 let is_pred_shaped (e : Ast.exp) =
@@ -94,6 +92,7 @@ and elab_iexpr env (e : Ast.exp) : I.iexpr =
   | Ast.Ident name -> I.Int_const (Option.value (env.param_of name) ~default:0)
   | Ast.Call ("int", [ a ]) -> I.Int_of (elab_expr env a)
   | Ast.Call ("int0", [ a ]) -> I.Int_or0 (elab_expr env a)
+  | Ast.Call ("wrap16", [ a ]) -> I.Wrap (16, elab_iexpr env a)
   | Ast.Bin (Ast.B_add, a, b) -> I.Add (elab_iexpr env a, elab_iexpr env b)
   | Ast.Bin (Ast.B_sub, a, b) -> I.Sub (elab_iexpr env a, elab_iexpr env b)
   | _ -> I.Int_const 0
@@ -112,7 +111,7 @@ and elab_expr env (e : Ast.exp) : I.expr =
   | _ when is_pred_shaped e -> I.Of_pred (elab_pred env e)
   | _ -> I.Const V.Unset
 
-let rec elab_act env (act : Ast.act) : M.effect I.act list =
+let rec elab_act env (act : Ast.act) : I.act list =
   match act.Ast.a with
   | Ast.Assign (name, e) -> [ I.Assign ((env.scope_of name, name), elab_expr env e) ]
   | Ast.If (p, then_acts, else_acts) ->
@@ -130,8 +129,6 @@ let rec elab_act env (act : Ast.act) : M.effect I.act list =
   | Ast.Set_timer (id, Ast.Delay_param (name, _)) ->
       [ I.Set_timer { id; delay = Option.value (env.param_of name) ~default:0 } ]
   | Ast.Cancel_timer id -> [ I.Cancel_timer id ]
-  | Ast.Extern_act name -> (
-      match env.externs.find_act name with Some o -> [ I.Opaque_act o ] | None -> [])
 
 and elab_acts env acts = List.concat_map (elab_act env) acts
 

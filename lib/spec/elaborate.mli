@@ -10,7 +10,9 @@
     Elaboration rules (also in DESIGN.md §13): [==]/[!=] are structural
     {!Efsm.Value.equal} ([Ir.Eq]); [<] [<=] [>] [>=] [=] [<>] are integer
     comparisons ([Ir.Cmp]) whose operands must be integer-shaped (an
-    integer literal, [int(e)], [int0(e)], or [+]/[-] arithmetic); an
+    integer literal, [int(e)], [int0(e)], [+]/[-] arithmetic, or
+    [wrap16(e)], its integer operand as a 16-bit two's-complement
+    number, [Ir.Wrap]); an
     integer-shaped expression in value position is wrapped in [Of_int], a
     predicate-shaped one in [Of_pred].  A [param] is replaced by the
     value its host binding gives it: an [int] param by an integer
@@ -19,14 +21,13 @@
 
 type externs = {
   find_pred : string -> Efsm.Ir.opaque_pred option;
-  find_act : string -> Efsm.Machine.effect Efsm.Ir.opaque_act option;
   find_param : string -> (Ast.param_ty * int) option;
       (** A param's type and value (microseconds for a duration). *)
 }
-(** The host registry: [extern] escape hatches — guards and actions
-    (like the RTP wraparound arithmetic of the media-spam machine) that
-    the linear IR cannot express — and the values [param]s are bound
-    to.  Supplied by the host at load time. *)
+(** The host registry: [extern] guards — predicates the IR cannot
+    express, like the media-spam machine's stream-discontinuity test —
+    and the values [param]s are bound to.  Supplied by the host at load
+    time. *)
 
 val no_externs : externs
 
@@ -36,9 +37,6 @@ type elaborated = {
   el_state_spans : (string * Loc.span) list;  (** First mention of each state. *)
   el_trans_spans : (string * Loc.span) list;  (** Label -> declaration site. *)
 }
-
-val is_int_shaped : Ast.exp -> bool
-(** Elaborates into the [Ir.iexpr] fragment when in value position. *)
 
 val is_pred_shaped : Ast.exp -> bool
 (** Elaborates into the [Ir.pred] fragment when in value position. *)

@@ -21,8 +21,5 @@ val make : file:string -> line:int -> col:int -> end_line:int -> end_col:int -> 
 val merge : span -> span -> span
 (** Covers both spans (assumes same file). *)
 
-val pos_to_string : pos -> string
-(** [file:line:col]. *)
-
 val to_string : span -> string
 (** The start position as [file:line:col] — the conventional anchor. *)

@@ -356,15 +356,6 @@ let rec parse_act st : Ast.act option =
       | Some (id, _) ->
           ignore (eat st L.SEMI "';'");
           Some { Ast.a = Ast.Cancel_timer id; a_span = sp })
-  | L.IDENT "extern" -> (
-      bump st;
-      match ident st "an extern name" with
-      | None ->
-          recover st;
-          None
-      | Some (name, _) ->
-          ignore (eat st L.SEMI "';'");
-          Some { Ast.a = Ast.Extern_act name; a_span = sp })
   | L.IDENT _ -> (
       match ident st "a variable name" with
       | None ->

@@ -111,7 +111,6 @@ let rec print_act buf indent (act : Ast.act) =
       in
       Buffer.add_string buf (Printf.sprintf "%sset_timer %s %s;\n" pad id delay)
   | Ast.Cancel_timer id -> Buffer.add_string buf (Printf.sprintf "%scancel_timer %s;\n" pad id)
-  | Ast.Extern_act n -> Buffer.add_string buf (Printf.sprintf "%sextern %s;\n" pad n)
 
 let trigger_keyword = function
   | Ast.Tg_event -> "event"

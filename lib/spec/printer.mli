@@ -6,12 +6,8 @@
     canonical print.  Comments are not part of the AST, so they do not
     survive a print. *)
 
-val print_exp : Ast.exp -> string
-
 val print_duration : int -> string
 (** Microseconds as a duration literal in the largest exact unit:
     [250ms], [1s], [7us]. *)
-
-val print_machine : Ast.machine -> string
 
 val print_file : Ast.file -> string

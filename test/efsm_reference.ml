@@ -12,9 +12,11 @@ module M = Efsm.Machine
 module E = Efsm.Event
 module Env = Efsm.Env
 module Ir = Efsm.Ir
+module V = Efsm.Value
 
 type t = {
   spec : M.spec;
+  host : (string * (Env.t -> E.t -> unit)) list; (* label -> host action *)
   mutable state : string;
   env : Env.t;
   mutable trace : (Dsim.Time.t * string) list; (* newest first *)
@@ -31,9 +33,12 @@ let locals spec =
     spec.M.transitions
   |> List.filter_map (function Env.Local, name -> Some name | Env.Global, _ -> None)
 
-let create spec ~globals =
+(* [host] maps a transition label to host code run after the
+   transition's own actions. *)
+let create ?(host = []) spec ~globals =
   {
     spec;
+    host;
     state = spec.M.initial;
     env = Env.create (Env.layout (locals spec)) globals;
     trace = [];
@@ -66,6 +71,7 @@ let step t event =
   | [] -> M.Rejected
   | [ tr ] ->
       let effects = Ir.run_acts M.builders tr.M.syntax.Ir.acts t.env event in
+      Option.iter (fun act -> act t.env event) (List.assoc_opt tr.M.label t.host);
       t.state <- tr.M.to_state;
       t.trace <- (E.at event, tr.M.label) :: t.trace;
       t.trace_len <- t.trace_len + 1;
@@ -89,3 +95,18 @@ let restore t ~state ~vars ~trace =
   t.trace_len <- List.length trace
 
 let global_bindings t = Env.global_bindings t.env
+
+(* The media-spam machine's baseline update as the host code that ran
+   it before [media_spam.vspec] spelled it as assignments: only a packet
+   ahead of the baseline in sequence-number order moves it, so that
+   reordered packets cannot drag it backwards, and every packet counts
+   towards the rate window. *)
+let advance_baseline env event =
+  let get_int name = match Env.get env Env.Local name with V.Int n -> n | _ -> 0 in
+  let seq = V.as_int (E.get event (E.field "seq")) in
+  let ts = V.as_int (E.get event (E.field "ts")) in
+  if Rtp.Rtp_packet.seq_delta (get_int "l_sequence_number") seq > 0 then begin
+    Env.set env Env.Local "l_sequence_number" (V.Int seq);
+    Env.set env Env.Local "l_time_stamp" (V.Int ts)
+  end;
+  Env.set env Env.Local "l_window_count" (V.Int (get_int "l_window_count" + 1))

@@ -334,6 +334,7 @@ and iexpr_gen n =
           map (fun e -> I.Int_or0 e) (expr_gen (n - 1));
           map2 (fun a b -> I.Add (a, b)) (iexpr_gen (n - 1)) (iexpr_gen (n - 1));
           map2 (fun a b -> I.Sub (a, b)) (iexpr_gen (n - 1)) (iexpr_gen (n - 1));
+          map2 (fun bits a -> I.Wrap (bits, a)) (oneofl [ 2; 16; 32 ]) (iexpr_gen (n - 1));
         ])
 
 and pred_gen n =

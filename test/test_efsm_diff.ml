@@ -4,7 +4,9 @@
    after every step on the outcome, the configuration, the global
    variables and the transition history.  Long sequences through the
    machines that step on every RTP packet, and restores at every window
-   length, hold the history's ring to the reference's list. *)
+   length, hold the history's ring to the reference's list.  Random RTP
+   streams hold the media-spam machine's baseline update to the host code
+   it replaced, and the IR's wrap to RTP's serial-number arithmetic. *)
 
 module M = Efsm.Machine
 module E = Efsm.Event
@@ -49,18 +51,6 @@ let toy_spec calls =
         | V.Int v -> v land 1 = 1
         | V.Str _ -> raise (V.Type_error "x")
         | _ -> false)
-  in
-  let stamp =
-    {
-      Ir.act_name = "stamp";
-      act_reads = [];
-      act_writes = [ (Env.Local, "m") ];
-      act_emits = [ Ir.Emits_cancel_timer "t"; Ir.Emits_set_timer "t" ];
-      run =
-        (fun env event ->
-          Env.set env Env.Local "m" (E.get event (E.field "y"));
-          [ M.Cancel_timer "t"; M.Set_timer { id = "t"; delay = 5 } ]);
-    }
   in
   let tr = M.ir_transition in
   let y_copy = Ir.Var (Env.Local, "y_copy") in
@@ -126,7 +116,9 @@ let toy_spec calls =
           ~acts:
             [
               Ir.Assign ((Env.Local, "n"), Ir.Of_int (Ir.Sub (n, x)));
-              Ir.Opaque_act stamp;
+              Ir.Assign ((Env.Local, "m"), Ir.Field "y");
+              Ir.Cancel_timer "t";
+              Ir.Set_timer { id = "t"; delay = 5 };
               Ir.Assign ((Env.Local, "k"), Ir.Of_pred (Ir.Has_field "y"));
             ]
           ();
@@ -183,7 +175,7 @@ let fields (spec : M.spec) =
             | Ir.Assign (_, e) -> of_expr e @ acc
             | Ir.If (p, _, _) -> Ir.pred_fields p @ acc
             | Ir.Send_sync { args; _ } -> List.concat_map (fun (_, e) -> of_expr e) args @ acc
-            | Ir.Set_timer _ | Ir.Cancel_timer _ | Ir.Opaque_act _ -> acc)
+            | Ir.Set_timer _ | Ir.Cancel_timer _ -> acc)
           [] acts)
     spec.M.transitions
   |> List.sort_uniq String.compare
@@ -379,6 +371,138 @@ let restore_round_trip machine () =
     done
   done
 
+(* ------------------------------------------------------------------ *)
+(* Serial-number arithmetic                                            *)
+(* ------------------------------------------------------------------ *)
+
+let wrap_layout = Env.layout [ "d" ]
+
+(* [wrap<bits>($b - $a)] assigned to a local, compiled and interpreted. *)
+let wrapped bits a b =
+  let acts =
+    [
+      Ir.Assign
+        ( (Env.Local, "d"),
+          Ir.Of_int
+            (Ir.Wrap (bits, Ir.Sub (Ir.Int_of (Ir.Field "b"), Ir.Int_of (Ir.Field "a")))) );
+    ]
+  in
+  let event = E.make ~args:[ ("a", V.Int a); ("b", V.Int b) ] (E.Data "RTP") ~at:0 "RTP" in
+  let run action =
+    let env = Env.create wrap_layout (Env.globals ()) in
+    ignore (action env event : M.effect list);
+    Env.get env Env.Local "d"
+  in
+  (run (Ir.compile_acts M.builders wrap_layout acts), run (Ir.run_acts M.builders acts))
+
+(* Over the full 16-bit sequence-number and signed 32-bit timestamp
+   ranges, boundary values one time in three. *)
+let wrap_is_serial_arithmetic =
+  let serial edges range = QCheck.Gen.frequency [ (1, QCheck.Gen.oneofl edges); (2, range) ] in
+  let seq = serial [ 0; 1; 0x7FFF; 0x8000; 0xFFFE; 0xFFFF ] (QCheck.Gen.int_range 0 0xFFFF) in
+  let ts = serial [ Int32.min_int; -1l; 0l; 1l; Int32.max_int ] QCheck.Gen.int32 in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"wrap = Rtp_packet.seq_delta and ts_delta" ~count:2000
+       (QCheck.make
+          ~print:QCheck.Print.(pair (pair int int) (pair int32 int32))
+          QCheck.Gen.(pair (pair seq seq) (pair ts ts)))
+       (fun ((a, b), (x, y)) ->
+         let seq_delta = Rtp.Rtp_packet.seq_delta a b and ts_delta = Rtp.Rtp_packet.ts_delta x y in
+         let x = Int32.to_int x and y = Int32.to_int y in
+         Ir.wrap 16 (b - a) = seq_delta
+         && wrapped 16 a b = (V.Int seq_delta, V.Int seq_delta)
+         && Ir.wrap 32 (y - x) = ts_delta
+         && wrapped 32 x y = (V.Int ts_delta, V.Int ts_delta)))
+
+(* ------------------------------------------------------------------ *)
+(* The media-spam machine's baseline update                            *)
+(* ------------------------------------------------------------------ *)
+
+(* RTP streams as the engine builds their events: a 16-bit sequence
+   number and a signed 32-bit timestamp.  A sender walks forward from a
+   start near the wrap points or anywhere; on the way it goes silent,
+   reorders within and beyond the tolerance, repeats a sequence number
+   with a nearby timestamp, skips ahead and changes SSRC, and the rate window fires, twice in a row
+   now and then so that the machine goes dormant. *)
+let rtp_stream =
+  let open QCheck.Gen in
+  let packet seq ts ssrc =
+    {
+      name = "RTP";
+      channel = E.Data "RTP";
+      args =
+        [
+          ("seq", V.Int (seq land 0xFFFF));
+          ("ts", V.Int (Int32.to_int (Int32.of_int ts)));
+          ("ssrc", V.Int ssrc);
+        ];
+    }
+  in
+  let window = { name = "rate_window"; channel = E.Timer; args = [] } in
+  let tolerance = Vids.Config.default.Vids.Config.spam_reorder_tolerance in
+  let rec walk n ((seq, ts, ssrc) as at) acc =
+    let next seq ts ssrc = walk (n - 1) (seq, ts, ssrc) (packet seq ts ssrc :: acc) in
+    if n = 0 then return (List.rev acc)
+    else
+      let* move =
+        frequency
+          [
+            (40, return `Next);
+            (3, map (fun k -> `Silence k) (int_range 2 3200));
+            (3, map (fun d -> `Late d) (int_range 1 tolerance));
+            (1, map (fun d -> `Late d) (int_range (tolerance + 1) 64));
+            (1, map (fun r -> `Repeat r) (int_range (-3) 3));
+            (2, map (fun j -> `Skip j) (int_range 2 60));
+            (1, return `Ssrc);
+            (2, map (fun k -> `Window k) (int_range 1 2));
+          ]
+      in
+      match move with
+      | `Next -> next (seq + 1) (ts + 160) ssrc
+      | `Silence k -> next (seq + 1) (ts + (160 * k)) ssrc
+      | `Skip j -> next (seq + j) (ts + (160 * j)) ssrc
+      | `Ssrc -> next (seq + 1) (ts + 160) (ssrc + 1)
+      | `Late d -> walk (n - 1) at (packet (seq - d) (ts - (160 * d)) ssrc :: acc)
+      | `Repeat r -> walk (n - 1) at (packet seq (ts + (160 * r)) ssrc :: acc)
+      | `Window k -> walk (n - 1) at (List.init k (fun _ -> window) @ acc)
+  in
+  let* seq = frequency [ (1, int_range (0xFFFF - 40) 0xFFFF); (1, int_range 0 0xFFFF) ] in
+  let* ts =
+    frequency
+      [
+        (1, map (fun k -> Int32.to_int Int32.max_int - (160 * k)) (int_range 0 40));
+        (1, map (fun k -> -160 * k) (int_range 0 40));
+        (1, map Int32.to_int int32);
+      ]
+  in
+  let* n = int_range 20 200 in
+  walk n (seq, ts, 7) []
+
+(* The reference runs MEDIA_SPAM with [in_order]'s actions taken out and
+   the host code they replaced run in their place. *)
+let baseline_agrees evs =
+  let spec = builtin ~config:Vids.Config.default Vids.Keys.spam_machine in
+  let without_baseline (tr : M.transition) =
+    if String.equal tr.M.label "in_order" then
+      { tr with M.syntax = { tr.M.syntax with Ir.acts = [] } }
+    else tr
+  in
+  let m = M.instantiate (M.compile spec) ~globals:(Env.globals ()) in
+  let r =
+    R.create
+      ~host:[ ("in_order", R.advance_baseline) ]
+      { spec with M.transitions = List.map without_baseline spec.M.transitions }
+      ~globals:(Env.globals ())
+  in
+  List.iteri (fun i ev -> ignore (step_agrees m r i (event_at i ev) : bool)) evs;
+  true
+
+let baseline_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"MEDIA_SPAM baseline agrees with the host update" ~count:300
+       (QCheck.make ~print:(fun evs -> String.concat "\n" (List.map show_ev evs)) rtp_stream)
+       baseline_agrees)
+
 let suite =
   [
     ( "efsm.differential",
@@ -404,5 +528,6 @@ let suite =
             Alcotest.test_case
               (machine ^ " restored at every window length agrees")
               `Quick (restore_round_trip machine))
-          Vids.Keys.[ rtp_machine; spam_machine ] );
+          Vids.Keys.[ rtp_machine; spam_machine ]
+      @ [ wrap_is_serial_arithmetic; baseline_differential ] );
   ]

@@ -20,7 +20,22 @@ let sip_addr host = Dsim.Addr.v host 5060
 
 let no_media _ = false
 
-let invite_with ~content_type =
+(* An SDP body from its origin, its session-level c= address, if any,
+   and its m= blocks. *)
+let sdp ~user ~origin ?session blocks =
+  Printf.sprintf "v=0\r\no=%s 0 0 IN IP4 %s\r\ns=-\r\n%st=0 0\r\n%s" user origin
+    (match session with Some host -> "c=IN IP4 " ^ host ^ "\r\n" | None -> "")
+    (String.concat "" blocks)
+
+(* An m=audio block with its own c= address, if any. *)
+let audio ?c port =
+  Printf.sprintf "m=audio %d RTP/AVP 18\r\n%s" port
+    (match c with Some host -> "c=IN IP4 " ^ host ^ "\r\n" | None -> "")
+
+let caller_sdp = sdp ~user:"alice" ~origin:"10.1.0.10" ~session:"10.1.0.10" [ audio 16384 ]
+let callee_sdp = sdp ~user:"bob" ~origin:"10.2.0.10" ~session:"10.2.0.10" [ audio 20000 ]
+
+let invite ~content_type body =
   "INVITE sip:bob@b.example SIP/2.0\r\n\
    Via: SIP/2.0/UDP 10.1.0.2:5060;branch=z9hG4bKc1\r\n\
    From: <sip:alice@a.example>;tag=ta\r\n\
@@ -28,12 +43,9 @@ let invite_with ~content_type =
    Call-ID: c-1\r\n\
    CSeq: 1 INVITE\r\n\
    Contact: <sip:alice@10.1.0.10:5060>\r\n\
-   Content-Type: " ^ content_type
-  ^ "\r\n\
-     \r\n\
-     v=0\r\no=alice 0 0 IN IP4 10.1.0.10\r\ns=-\r\nc=IN IP4 10.1.0.10\r\nt=0 0\r\nm=audio 16384 RTP/AVP 18\r\n"
+   Content-Type: " ^ content_type ^ "\r\n\r\n" ^ body
 
-let invite_text = invite_with ~content_type:"application/sdp"
+let invite_text = invite ~content_type:"application/sdp" caller_sdp
 
 let classify_sip () =
   let p = packet ~src:(sip_addr "10.1.0.2") ~dst:(sip_addr "10.2.0.2") invite_text in
@@ -103,12 +115,8 @@ let feed p ~src ~dst payload =
     (packet ~at:(Dsim.Scheduler.now p.sched) ~src ~dst payload)
 
 let response_text ?(code = 200) ?(cseq = "1 INVITE") ?(to_tag = "tb") ?(sdp = true)
-    ?(content_type = "application/sdp") () =
-  let body =
-    if sdp then
-      "v=0\r\no=bob 0 0 IN IP4 10.2.0.10\r\ns=-\r\nc=IN IP4 10.2.0.10\r\nt=0 0\r\nm=audio 20000 RTP/AVP 18\r\n"
-    else ""
-  in
+    ?(content_type = "application/sdp") ?(body = callee_sdp) () =
+  let body = if sdp then body else "" in
   Printf.sprintf
     "SIP/2.0 %d X\r\nVia: SIP/2.0/UDP 10.1.0.2:5060;branch=z9hG4bKc1\r\nFrom: <sip:alice@a.example>;tag=ta\r\nTo: <sip:bob@b.example>;tag=%s\r\nCall-ID: c-1\r\nCSeq: %s\r\nContact: <sip:bob@10.2.0.10:5060>\r\n%sContent-Length: %d\r\n\r\n%s"
     code to_tag cseq
@@ -128,10 +136,11 @@ let rtp_bytes ?(ssrc = 77l) ~seq ~ts () =
     (Rtp.Rtp_packet.make ~payload_type:18 ~sequence:seq ~timestamp:(Int32.of_int ts) ~ssrc
        (String.make 20 'v'))
 
-let run_call ?(content_type = "application/sdp") p =
-  feed p ~src:(sip_addr "10.1.0.2") ~dst:(sip_addr "10.2.0.2") (invite_with ~content_type);
+let run_call ?(content_type = "application/sdp") ?(caller = caller_sdp) ?(callee = callee_sdp) p =
+  feed p ~src:(sip_addr "10.1.0.2") ~dst:(sip_addr "10.2.0.2") (invite ~content_type caller);
   feed p ~src:(sip_addr "10.2.0.2") ~dst:(sip_addr "10.1.0.2") (response_text ~code:180 ~sdp:false ());
-  feed p ~src:(sip_addr "10.2.0.2") ~dst:(sip_addr "10.1.0.2") (response_text ~content_type ());
+  feed p ~src:(sip_addr "10.2.0.2") ~dst:(sip_addr "10.1.0.2")
+    (response_text ~content_type ~body:callee ());
   feed p ~src:(sip_addr "10.1.0.10") ~dst:(sip_addr "10.2.0.10") ack_text
 
 let engine_tracks_call () =
@@ -162,24 +171,39 @@ let engine_routes_rtp_to_call () =
   check_str "rtp active" "RTP_RCVD"
     (Efsm.Machine.state call.Vids.Fact_base.rtp)
 
+(* A spoofed BYE (right tags, wrong network source) while the caller's
+   RTP keeps flowing; the BYE DoS alerts it raises. *)
+let spoofed_bye p =
+  feed p ~src:(Dsim.Addr.v "10.1.0.10" 16384) ~dst:(Dsim.Addr.v "10.2.0.10" 20000)
+    (rtp_bytes ~seq:1 ~ts:160 ());
+  feed p ~src:(sip_addr "203.0.113.66") ~dst:(sip_addr "10.2.0.10") (bye_text ());
+  Dsim.Scheduler.run_until p.sched (Dsim.Time.of_sec 1.0);
+  feed p ~src:(Dsim.Addr.v "10.1.0.10" 16384) ~dst:(Dsim.Addr.v "10.2.0.10" 20000)
+    (rtp_bytes ~seq:30 ~ts:4800 ());
+  Vids.Engine.alerts_of_kind p.engine Vids.Alert.Bye_dos
+
 (* Media types are case-insensitive and may carry parameters (RFC 3261
-   §20.15), so every spelling of the SDP type registers the call's media. *)
+   §20.15), so every spelling of the SDP type registers the call's media;
+   so does an address given only by each m= block's own c= line (RFC 4566
+   §5.7). *)
 let engine_detects_bye_dos_end_to_end () =
   List.iter
-    (fun content_type ->
+    (fun (what, start) ->
       let p = make_pipeline () in
-      run_call ~content_type p;
-      feed p ~src:(Dsim.Addr.v "10.1.0.10" 16384) ~dst:(Dsim.Addr.v "10.2.0.10" 20000)
-        (rtp_bytes ~seq:1 ~ts:160 ());
-      (* Spoofed BYE: right tags, wrong network source. *)
-      feed p ~src:(sip_addr "203.0.113.66") ~dst:(sip_addr "10.2.0.10") (bye_text ());
-      Dsim.Scheduler.run_until p.sched (Dsim.Time.of_sec 1.0);
-      feed p ~src:(Dsim.Addr.v "10.1.0.10" 16384) ~dst:(Dsim.Addr.v "10.2.0.10" 20000)
-        (rtp_bytes ~seq:30 ~ts:4800 ());
-      let alerts = Vids.Engine.alerts_of_kind p.engine Vids.Alert.Bye_dos in
-      check_int ("bye dos alert, " ^ content_type) 1 (List.length alerts);
+      start p;
+      let alerts = spoofed_bye p in
+      check_int ("bye dos alert, " ^ what) 1 (List.length alerts);
       check_str "subject is the call" "c-1" (List.hd alerts).Vids.Alert.subject)
-    [ "application/sdp"; "Application/SDP"; "application/sdp;charset=utf-8" ]
+    (List.map
+       (fun content_type -> (content_type, fun p -> run_call ~content_type p))
+       [ "application/sdp"; "Application/SDP"; "application/sdp;charset=utf-8" ]
+    @ [
+        ( "media-level c= only",
+          fun p ->
+            run_call p
+              ~caller:(sdp ~user:"alice" ~origin:"10.1.0.10" [ audio ~c:"10.1.0.10" 16384 ])
+              ~callee:(sdp ~user:"bob" ~origin:"10.2.0.10" [ audio ~c:"10.2.0.10" 20000 ]) );
+      ])
 
 let engine_clean_teardown_no_alert () =
   let p = make_pipeline () in
@@ -293,16 +317,34 @@ let fact_base_sweep () =
   check_int "swept" 1 swept;
   check_int "gone" 0 (Vids.Engine.memory_stats p.engine).Vids.Fact_base.active_calls
 
+(* The same media addresses whether the SDP gives them at the session
+   level, at both levels over a decoy session address (the media level
+   wins, RFC 4566 §5.7), or after a stream declined with port 0 (RFC 3264
+   §6). *)
 let fact_base_media_index () =
-  let p = make_pipeline () in
-  run_call p;
-  let base = Vids.Engine.fact_base p.engine in
-  check "caller media known" true (Vids.Fact_base.known_media base (Dsim.Addr.v "10.1.0.10" 16384));
-  check "callee media known" true (Vids.Fact_base.known_media base (Dsim.Addr.v "10.2.0.10" 20000));
-  check "unknown" false (Vids.Fact_base.known_media base (Dsim.Addr.v "10.9.9.9" 1000));
-  match Vids.Fact_base.call_for_media base (Dsim.Addr.v "10.2.0.10" 20000) with
-  | Some call -> check_str "routes to call" "c-1" call.Vids.Fact_base.call_id
-  | None -> Alcotest.fail "media not indexed"
+  List.iter
+    (fun (what, caller, callee) ->
+      let p = make_pipeline () in
+      run_call p ~caller ~callee;
+      let base = Vids.Engine.fact_base p.engine in
+      let known host port = Vids.Fact_base.known_media base (Dsim.Addr.v host port) in
+      check ("caller media known, " ^ what) true (known "10.1.0.10" 16384);
+      check ("callee media known, " ^ what) true (known "10.2.0.10" 20000);
+      check "unknown" false (known "10.9.9.9" 1000);
+      check "decoy session address" false (known "10.9.9.9" 20000);
+      check "declined stream" false (known "10.2.0.10" 0);
+      match Vids.Fact_base.call_for_media base (Dsim.Addr.v "10.2.0.10" 20000) with
+      | Some call -> check_str "routes to call" "c-1" call.Vids.Fact_base.call_id
+      | None -> Alcotest.fail "media not indexed")
+    [
+      ("session level", caller_sdp, callee_sdp);
+      ( "both levels",
+        sdp ~user:"alice" ~origin:"10.1.0.10" ~session:"10.9.9.9" [ audio ~c:"10.1.0.10" 16384 ],
+        sdp ~user:"bob" ~origin:"10.2.0.10" ~session:"10.9.9.9" [ audio ~c:"10.2.0.10" 20000 ] );
+      ( "declined first stream",
+        sdp ~user:"alice" ~origin:"10.1.0.10" ~session:"10.1.0.10" [ audio 0; audio 16384 ],
+        sdp ~user:"bob" ~origin:"10.2.0.10" ~session:"10.2.0.10" [ audio 0; audio 20000 ] );
+    ]
 
 let memory_scales_linearly () =
   let p = make_pipeline () in

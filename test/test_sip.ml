@@ -491,61 +491,8 @@ let server_request_retransmission_replays () =
   ignore loop
 
 (* ------------------------------------------------------------------ *)
-(* Dialogs                                                             *)
+(* Identifiers                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let dialog_uac () =
-  let invite = sample_invite () in
-  let resp =
-    Sip.Msg.response_to invite ~code:200 ~to_tag:"t-bob"
-      ~headers:[ ("Contact", "<sip:bob@10.2.0.10:5060>") ]
-      ()
-  in
-  let d = ok (Sip.Dialog.uac_of_response ~request:invite ~response:resp) in
-  check "confirmed" true (d.Sip.Dialog.state = Sip.Dialog.Confirmed);
-  check_str "local tag" "t-alice" d.Sip.Dialog.id.Sip.Dialog.local_tag;
-  check_str "remote tag" "t-bob" d.Sip.Dialog.id.Sip.Dialog.remote_tag;
-  check_str "remote target from contact" "10.2.0.10" d.Sip.Dialog.remote_target.Sip.Uri.host;
-  let c = Sip.Dialog.next_cseq d Sip.Msg_method.BYE in
-  check_int "next cseq" 2 c.Sip.Cseq.number
-
-let dialog_uas () =
-  let invite = sample_invite () in
-  let d =
-    ok
-      (Sip.Dialog.uas_of_request ~request:invite ~local_tag:"t-bob"
-         ~contact:(ok (Sip.Uri.parse "sip:alice@10.1.0.10")))
-  in
-  check "early" true (d.Sip.Dialog.state = Sip.Dialog.Early);
-  check_str "remote tag is caller's" "t-alice" d.Sip.Dialog.id.Sip.Dialog.remote_tag;
-  check "remote cseq learned" true (Sip.Dialog.validate_remote_cseq d 2);
-  check "stale cseq rejected" false (Sip.Dialog.validate_remote_cseq d 2);
-  Sip.Dialog.confirm d;
-  check "confirmed" true (d.Sip.Dialog.state = Sip.Dialog.Confirmed);
-  Sip.Dialog.terminate d;
-  check "terminated" true (d.Sip.Dialog.state = Sip.Dialog.Terminated)
-
-let dialog_request_matching () =
-  let invite = sample_invite () in
-  let d =
-    ok
-      (Sip.Dialog.uas_of_request ~request:invite ~local_tag:"t-bob"
-         ~contact:(ok (Sip.Uri.parse "sip:alice@10.1.0.10")))
-  in
-  let bye_text =
-    "BYE sip:bob@b.example SIP/2.0\r\nVia: SIP/2.0/UDP h;branch=z9hG4bK9\r\nFrom: <sip:alice@a.example>;tag=t-alice\r\nTo: <sip:bob@b.example>;tag=t-bob\r\nCall-ID: cid-1@10.1.0.10\r\nCSeq: 2 BYE\r\n\r\n"
-  in
-  check "matches" true (Sip.Dialog.request_matches d (ok (Sip.Msg.parse bye_text)));
-  let foreign =
-    "BYE sip:bob@b.example SIP/2.0\r\nVia: SIP/2.0/UDP h;branch=z9hG4bK9\r\nFrom: <sip:alice@a.example>;tag=WRONG\r\nTo: <sip:bob@b.example>;tag=t-bob\r\nCall-ID: cid-1@10.1.0.10\r\nCSeq: 2 BYE\r\n\r\n"
-  in
-  check "foreign tag rejected" false (Sip.Dialog.request_matches d (ok (Sip.Msg.parse foreign)))
-
-let dialog_needs_tags () =
-  let invite = sample_invite () in
-  let untagged_resp = Sip.Msg.response_to invite ~code:200 () in
-  check "response without to-tag rejected" true
-    (Result.is_error (Sip.Dialog.uac_of_response ~request:invite ~response:untagged_resp))
 
 let ident_unique () =
   let id = Sip.Ident.create (Dsim.Rng.create 1) in
@@ -624,10 +571,6 @@ let suite =
       ] );
     ( "sip.dialog",
       [
-        tc "uac dialog" dialog_uac;
-        tc "uas dialog" dialog_uas;
-        tc "request matching" dialog_request_matching;
-        tc "needs tags" dialog_needs_tags;
         tc "ident uniqueness" ident_unique;
       ] );
   ]

@@ -49,9 +49,13 @@ let lex_error () =
     "machine M {\n  initial A;\n  trans t : A -> A on event e\n    do { set_timer t 9300000000000s; }\n  trans u : A -> A on timer t;\n}\n"
     ()
 
-let parse_error =
-  expect_error ~code:"parse" ~line:2 ~col:11
-    "machine M {\n  initial ;\n}\n"
+(* The second fixture is an extern in action position: only guards have
+   an escape hatch. *)
+let parse_error () =
+  expect_error ~code:"parse" ~line:2 ~col:11 "machine M {\n  initial ;\n}\n" ();
+  expect_error ~code:"parse" ~line:4 ~col:17
+    "machine M {\n  initial A;\n  trans t : A -> A on event e\n    do { extern stamp; }\n}\n"
+    ()
 
 (* Params: [limit] is bound to an int, [window] to a duration. *)
 let host =
@@ -189,7 +193,7 @@ let rec exp_gen n =
         ( 1,
           map2
             (fun f args -> dexp (A.Call (f, args)))
-            (oneofl [ "addr"; "host"; "int"; "int0"; "has"; "f" ])
+            (oneofl [ "addr"; "host"; "int"; "int0"; "wrap16"; "has"; "f" ])
             (list_size (int_range 0 2) (exp_gen (n - 1))) );
       ]
 
@@ -214,7 +218,6 @@ let rec act_gen n =
                map (fun p -> A.Delay_param (p, Spec.Loc.dummy)) (oneofl param_pool);
              ]);
         map (fun id -> dact (A.Cancel_timer id)) (oneofl label_pool);
-        map (fun nm -> dact (A.Extern_act nm)) (oneofl [ "advance_baseline"; "a_ext" ]);
       ]
   in
   if n = 0 then base
