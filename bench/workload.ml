@@ -3,11 +3,7 @@
    starts; two in three run a full dialog with a media burst, one in
    three is abandoned after the INVITE.  Three rogue RTP floods ride on
    top so the media-spam detector (and its alerts) exercise the
-   instrumented paths too.
-
-   Benches that need a *different* traffic shape (the soak bench's pcap
-   fixtures) keep their own builders; this is the common "instrumentation
-   cost" workload. *)
+   instrumented paths too. *)
 
 let ms = Dsim.Time.of_ms
 let sip_addr host = Dsim.Addr.v host 5060

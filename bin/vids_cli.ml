@@ -148,51 +148,6 @@ let finish_prof ?records ?total_s ~json prof =
           None)
 
 (* ------------------------------------------------------------------ *)
-(* Attack scheduling shared by [detect], [record] and [profile]        *)
-(* ------------------------------------------------------------------ *)
-
-let launch_attack atk tb ~at ~pair name =
-  let ua_a = List.nth tb.T.uas_a pair and ua_b = List.nth tb.T.uas_b pair in
-  match name with
-  | "bye-dos" ->
-      Attack.Scenarios.spoofed_bye_call atk ~caller:ua_a ~callee:ua_b ~at;
-      true
-  | "cancel-dos" ->
-      Attack.Scenarios.cancel_dos_call atk ~caller:ua_a ~callee:ua_b ~at;
-      true
-  | "hijack" ->
-      Attack.Scenarios.hijack_call atk ~caller:ua_a ~callee:ua_b ~at;
-      true
-  | "media-spam" ->
-      Attack.Scenarios.media_spam_call atk ~caller:ua_a ~callee:ua_b ~at;
-      true
-  | "billing-fraud" ->
-      Attack.Scenarios.billing_fraud_call atk ~caller:ua_a ~callee:ua_b ~at;
-      true
-  | "invite-flood" ->
-      Attack.Scenarios.invite_flood atk ~target:(Voip.Ua.aor ua_b) ~via_proxy:true ~count:25
-        ~interval:(Dsim.Time.of_ms 40.0) ~at;
-      true
-  | "rtp-flood" ->
-      Attack.Scenarios.rtp_flood atk ~target:(Dsim.Addr.v (T.ua_b_host tb pair) 16500)
-        ~rate_pps:400 ~duration:(sec 2.0) ~at;
-      true
-  | "drdos" ->
-      Attack.Scenarios.drdos atk ~victim_host:(T.ua_b_host tb pair) ~reflectors:20 ~responses:60
-        ~at;
-      true
-  | _ -> false
-
-(* One attack every 25 s starting at t=5 s, cycling through the eight UA
-   pairs — the cadence every consumer of the scenario list uses. *)
-let schedule_attacks atk tb ~on_unknown names =
-  List.iteri
-    (fun i name ->
-      let at = sec (5.0 +. (25.0 *. float_of_int i)) in
-      if not (launch_attack atk tb ~at ~pair:(i mod 8) name) then on_unknown name)
-    names
-
-(* ------------------------------------------------------------------ *)
 (* simulate                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -348,11 +303,8 @@ let simulate seed n_ua mode_str minutes mean_gap mean_talk governance checkpoint
 (* detect                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let all_attacks = [ "bye-dos"; "cancel-dos"; "hijack"; "media-spam"; "billing-fraud";
-                    "invite-flood"; "rtp-flood"; "drdos" ]
-
 let detect seed attacks governance checkpointing obs enforce_policy profile json specs =
-  let attacks = if attacks = [] then all_attacks else attacks in
+  let attacks = if attacks = [] then Attack.Scenarios.names else attacks in
   let config = apply_governance governance Vids.Config.default in
   match load_spec_overrides config specs with
   | Error () -> 1
@@ -388,11 +340,11 @@ let detect seed attacks governance checkpointing obs enforce_policy profile json
   in
   let atk = Attack.Scenarios.create tb ~host:"203.0.113.66" in
   let unknown = ref [] in
-  schedule_attacks atk tb ~on_unknown:(fun name -> unknown := name :: !unknown) attacks;
+  Attack.Scenarios.schedule atk ~on_unknown:(fun name -> unknown := name :: !unknown) attacks;
   match !unknown with
   | _ :: _ ->
       Format.eprintf "unknown attacks: %s (choose from %s)@."
-        (String.concat ", " !unknown) (String.concat ", " all_attacks);
+        (String.concat ", " !unknown) (String.concat ", " Attack.Scenarios.names);
       1
   | [] -> (
       (* Wrapping the whole simulation in a Drive span makes the profile
@@ -443,13 +395,13 @@ let detect seed attacks governance checkpointing obs enforce_policy profile json
 
 let record seed attacks workload no_attacks path =
   let attacks =
-    if no_attacks then [] else if attacks = [] then all_attacks else attacks
+    if no_attacks then [] else if attacks = [] then Attack.Scenarios.names else attacks
   in
   let tb = T.make ~seed ~vids:T.Off () in
   let recorder = Vids.Trace.recorder () in
   Dsim.Network.set_tap tb.T.vids_node (Some (Vids.Trace.tap recorder tb.T.sched));
   let atk = Attack.Scenarios.create tb ~host:"203.0.113.66" in
-  schedule_attacks atk tb
+  Attack.Scenarios.schedule atk
     ~on_unknown:(fun other -> Format.eprintf "skipping unknown attack %S@." other)
     attacks;
   let attack_horizon =
@@ -735,17 +687,17 @@ let analyze path checkpointing obs profile json specs =
    under [Drive] spans — so the per-stage self times are disjoint and sum
    to the measured end-to-end wall time. *)
 let profile_workload seed minutes attacks json obs =
-  let attacks = if attacks = [] then all_attacks else attacks in
+  let attacks = if attacks = [] then Attack.Scenarios.names else attacks in
   let tb = T.make ~seed ~vids:T.Off () in
   let recorder = Vids.Trace.recorder () in
   Dsim.Network.set_tap tb.T.vids_node (Some (Vids.Trace.tap recorder tb.T.sched));
   let atk = Attack.Scenarios.create tb ~host:"203.0.113.66" in
   let unknown = ref [] in
-  schedule_attacks atk tb ~on_unknown:(fun n -> unknown := n :: !unknown) attacks;
+  Attack.Scenarios.schedule atk ~on_unknown:(fun n -> unknown := n :: !unknown) attacks;
   match !unknown with
   | _ :: _ ->
       Format.eprintf "unknown attacks: %s (choose from %s)@." (String.concat ", " !unknown)
-        (String.concat ", " all_attacks);
+        (String.concat ", " Attack.Scenarios.names);
       1
   | [] ->
       let horizon =

@@ -255,3 +255,40 @@ let billing_fraud_call t ~caller ~callee ~at =
   at_time t at (fun () ->
       Voip.Ua.set_fraudulent caller true;
       Voip.Ua.call caller ~callee:(Voip.Ua.aor callee) ~duration:(Time.of_sec 8.0))
+
+(* ------------------------------------------------------------------ *)
+(* The named scenario list                                             *)
+(* ------------------------------------------------------------------ *)
+
+let names =
+  [ "bye-dos"; "cancel-dos"; "hijack"; "media-spam"; "billing-fraud"; "invite-flood";
+    "rtp-flood"; "drdos" ]
+
+let launch t ~at ~pair name =
+  let tb = t.tb in
+  let caller = List.nth tb.Voip.Testbed.uas_a pair
+  and callee = List.nth tb.Voip.Testbed.uas_b pair in
+  let victim_host = Voip.Testbed.ua_b_host tb pair in
+  match name with
+  | "bye-dos" -> spoofed_bye_call t ~caller ~callee ~at; true
+  | "cancel-dos" -> cancel_dos_call t ~caller ~callee ~at; true
+  | "hijack" -> hijack_call t ~caller ~callee ~at; true
+  | "media-spam" -> media_spam_call t ~caller ~callee ~at; true
+  | "billing-fraud" -> billing_fraud_call t ~caller ~callee ~at; true
+  | "invite-flood" ->
+      invite_flood t ~target:(Voip.Ua.aor callee) ~via_proxy:true ~count:25
+        ~interval:(Time.of_ms 40.0) ~at;
+      true
+  | "rtp-flood" ->
+      rtp_flood t ~target:(Dsim.Addr.v victim_host 16500) ~rate_pps:400
+        ~duration:(Time.of_sec 2.0) ~at;
+      true
+  | "drdos" -> drdos t ~victim_host ~reflectors:20 ~responses:60 ~at; true
+  | _ -> false
+
+let schedule t ~on_unknown names =
+  List.iteri
+    (fun i name ->
+      let at = Time.of_sec (5.0 +. (25.0 *. float_of_int i)) in
+      if not (launch t ~at ~pair:(i mod 8) name) then on_unknown name)
+    names

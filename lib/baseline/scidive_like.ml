@@ -122,5 +122,4 @@ let process t (packet : Dsim.Packet.t) =
   else if dst_port >= 16384 && dst_port <= 32767 && dst_port land 1 = 0 then on_rtp t packet
   else []
 
-let sessions t = Hashtbl.length t.sessions
 let alerts_total t = t.alerts

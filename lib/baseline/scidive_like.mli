@@ -15,6 +15,4 @@ val create : ?bye_grace:Dsim.Time.t -> Dsim.Scheduler.t -> unit -> t
 
 val process : t -> Dsim.Packet.t -> Vids.Alert.t list
 
-val sessions : t -> int
-
 val alerts_total : t -> int

@@ -20,8 +20,6 @@ val classify :
     tried as media.  With [prof], the wire-parse calls run inside
     [Sip_parse] / [Rtp_parse] spans. *)
 
-val sip_port : int
-
 val rtp_port_range : int * int
 (** Dynamic range used by the simulated endpoints; even = RTP, odd = RTCP. *)
 

@@ -113,12 +113,6 @@ val sweep : t -> max_age:Dsim.Time.t -> int
 (** Forcibly deletes calls older than [max_age]; returns how many.  Covers
     abandoned setups that never reach a final state. *)
 
-val sweep_detectors : t -> max_age:Dsim.Time.t -> int
-(** Deletes detectors whose last lookup is older than [max_age]; returns
-    how many.  Detector keys are attacker-controlled (streams, victims),
-    so idle records must age out or the base grows without bound under key
-    churn.  The scheduled sweep runs this alongside {!sweep}. *)
-
 val schedule_sweep : t -> unit
 (** Starts the periodic ageing sweep on the base's timer host, driven by
     [sweep_interval] and [call_max_age]; a no-op when either is zero. *)

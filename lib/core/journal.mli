@@ -23,8 +23,6 @@ type entry =
           an alert; recovery hands the post-checkpoint suffix back to the
           owning subsystem ({!Recovery.recover}'s [on_ext]). *)
 
-val entry_at : entry -> Dsim.Time.t
-
 val entry_to_line : entry -> string
 (** One line, no newline: [<crc32> <tag> <fields…>] with strings
     hex-armored. *)
@@ -57,10 +55,6 @@ val attach : writer -> Engine.t -> unit
     every subsequent event is journaled write-ahead. *)
 
 (** {1 Reading} *)
-
-val load_lenient_channel : in_channel -> entry list * (int * string) list
-(** Reads every line; undecodable lines come back as [(line_no, reason)]
-    diagnostics instead of aborting the load. *)
 
 val load_lenient : string -> (entry list * (int * string) list, string) result
 (** [Error] only when the file itself cannot be opened. *)

@@ -1,10 +1,10 @@
 (* Deterministic recovery: snapshot + journal suffix + trace replay.
 
-   The convergence contract (proved by the property tests and measured by
-   bench/recovery): restoring the latest valid snapshot, merging journal
-   entries recorded after its checkpoint marker, and replaying the trace
-   records timestamped strictly after it yields an engine whose canonical
-   digest equals that of a run that never crashed.
+   The convergence contract (held by the property tests and by fixed cuts
+   under the default and governed presets): restoring the latest valid
+   snapshot, merging journal entries recorded after its checkpoint marker,
+   and replaying the trace records timestamped strictly after it yields an
+   engine whose canonical digest equals that of a run that never crashed.
 
    Ordering is the delicate part.  Journal alerts are merged first (their
    dedup keys go pending, so replay re-raising them stays exactly-once),

@@ -80,9 +80,50 @@ let media_of_event event =
 let lowercase_host h =
   if String.exists (fun c -> c >= 'A' && c <= 'Z') h then String.lowercase_ascii h else h
 
+let hex_digit c =
+  match c with
+  | '0' .. '9' -> Char.code c - 48
+  | 'a' .. 'f' -> Char.code c - 87
+  | 'A' .. 'F' -> Char.code c - 55
+  | _ -> -1
+
+(* An escaped unreserved character is the character itself (RFC 3261
+   §19.1.4, unreserved = alphanum / mark), so one user must key one
+   detector however it is escaped.  A reserved one ([%40], [%3B]) is not
+   equivalent to the raw character and stays escaped, its hex digits
+   uppercased.  Escapes are rare on the wire: copy only a user with a
+   [%]. *)
+let unescape_user u =
+  if not (String.contains u '%') then u
+  else begin
+    let n = String.length u in
+    let b = Buffer.create n in
+    let i = ref 0 in
+    while !i < n do
+      let hi = if u.[!i] = '%' && !i + 2 < n then hex_digit u.[!i + 1] else -1 in
+      let lo = if hi < 0 then -1 else hex_digit u.[!i + 2] in
+      if lo < 0 then begin
+        Buffer.add_char b u.[!i];
+        incr i
+      end
+      else begin
+        (match Char.chr ((16 * hi) + lo) with
+        | ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' | '!' | '~' | '*' | '\'' | '('
+          | ')') as c ->
+            Buffer.add_char b c
+        | _ ->
+            Buffer.add_char b '%';
+            Buffer.add_char b (Char.uppercase_ascii u.[!i + 1]);
+            Buffer.add_char b (Char.uppercase_ascii u.[!i + 2]));
+        i := !i + 3
+      end
+    done;
+    Buffer.contents b
+  end
+
 let flood_key msg =
   match msg.Sip.Msg.start with
   | Sip.Msg.Request { meth = Sip.Msg_method.INVITE; uri } ->
-      let user = Option.value uri.Sip.Uri.user ~default:"" in
+      let user = match uri.Sip.Uri.user with Some u -> unescape_user u | None -> "" in
       Some (user ^ "@" ^ lowercase_host uri.Sip.Uri.host)
   | Sip.Msg.Request _ | Sip.Msg.Response _ -> None

@@ -18,4 +18,5 @@ val media_of_event : Efsm.Event.t -> Dsim.Addr.t option
 
 val flood_key : Sip.Msg.t -> string option
 (** The destination identity an INVITE targets (request-URI user\@host,
-    host lowercased), keying the per-destination flood detector. *)
+    host lowercased, escaped unreserved characters of the user decoded),
+    keying the per-destination flood detector. *)

@@ -14,8 +14,6 @@ type record = {
   payload : string;  (** Raw wire bytes. *)
 }
 
-val record_of_packet : at:Dsim.Time.t -> Dsim.Packet.t -> record
-
 (** {1 Text serialization}
 
     One record per line: [<at_us> <src> <dst> <hex payload>]. *)

@@ -16,8 +16,6 @@ module Summary : sig
   val variance : t -> float
   (** Sample variance; 0 with fewer than two observations. *)
 
-  val stddev : t -> float
-
   val min : t -> float
   (** +inf when empty. *)
 

@@ -120,9 +120,6 @@ val decide : t -> now:Dsim.Time.t -> src:Dsim.Addr.t -> dst:Dsim.Addr.t -> verdi
     before any scope is built; otherwise the only string built is the
     bucket key of a matching [Dst] rate limit. *)
 
-val purge_expired : t -> now:Dsim.Time.t -> int
-(** Reclaims every expired rule; returns how many. *)
-
 val rules : t -> now:Dsim.Time.t -> rule list
 (** Active rules in install order (purges first). *)
 

@@ -16,9 +16,10 @@
       the gate dropped live are dropped again instead of reaching the
       engine.
 
-    The convergence property (checked by [bench/prevent] and the qcheck
-    properties): the recovered engine digest {e and} the recovered
-    enforcement digest equal those of a run that never crashed. *)
+    The convergence property (checked by the enforcing daemon's kill -9
+    test and the qcheck properties): the recovered engine digest {e and}
+    the recovered enforcement digest equal those of a run that never
+    crashed. *)
 
 val recover_files :
   ?config:Vids.Config.t ->

@@ -46,7 +46,7 @@ type config = {
   quarantine_threshold : int;
   quarantine_window_s : float;
   quarantine_ttl_s : float;
-  max_runtime_s : float option;  (** Wall-clock deadline (soak harness). *)
+  max_runtime_s : float option;  (** Wall-clock deadline ([run --max-runtime]). *)
   batch : int;  (** Max records pulled per source per loop turn. *)
   poll_interval_s : float;  (** Idle nap when every source is dry. *)
   enforce : Enforce.Enforcer.policy option;
@@ -98,10 +98,11 @@ val run :
   source list ->
   (report, string) result
 (** Runs the ingestion loop until a {!stop_reason} occurs.  [clock]
-    defaults to {!Clock.system}; benches pass {!Clock.manual} to soak at
-    memory speed.  [on_batch] fires once per loop turn — the soak
-    harness's sampling hook.  [prof] attaches an {!Obs.Prof} hot-path
-    profiler: the daemon wraps source polling ([Ingest_poll] — includes
+    defaults to {!Clock.system}; the tests and the benchmark pass
+    {!Clock.manual} to run at memory speed.  [on_batch] fires once per
+    loop turn — the tests' hook for sampling, stopping and killing.
+    [prof] attaches an {!Obs.Prof} hot-path profiler: the daemon wraps
+    source polling ([Ingest_poll] — includes
     pacing sleeps), each record dispatch ([Drive]), the enforcement gate
     ([Enforce_gate]), checkpoints ([Checkpoint]) and the journal's
     durability sync ([Journal_fsync]); the engine's parse/dispatch/detect

@@ -58,9 +58,6 @@ val read_file : string -> (Vids.Trace.record list * (int * string) list, string)
 
 type writer
 
-val to_channel : out_channel -> writer
-(** Writes the global header immediately. *)
-
 val write : writer -> Vids.Trace.record -> unit
 (** Appends one record.  Raises [Invalid_argument] if the payload exceeds
     the 65507-byte UDP maximum. *)

@@ -22,16 +22,13 @@ val metrics_json : Metrics.snapshot -> string
 (** The whole snapshot as a single JSON object
     [{"at_us": …, "metrics": [row, …]}]. *)
 
-val trace_jsonl : ?reason:string -> Trace.entry list -> string
-(** One JSON object per entry, newline-terminated, oldest first.  When
-    [reason] is given, a leading [{"type": "dump", "reason": …}] marker
-    object precedes the entries, so several dumps can share one file and
-    stay attributable. *)
-
 val write_metrics : path:string -> Metrics.snapshot -> unit
 (** Writes the snapshot to [path], truncating: JSONL when the extension
     is [.json] or [.jsonl], Prometheus text otherwise. *)
 
 val append_trace : ?reason:string -> path:string -> Trace.entry list -> unit
-(** Appends {!trace_jsonl} output to [path] (creating it if missing) —
-    append, not truncate, because one run can dump several times. *)
+(** Appends the entries to [path] (creating it if missing), one JSON
+    object per line, oldest first — append, not truncate, because one run
+    can dump several times.  When [reason] is given, a leading
+    [{"type": "dump", "reason": …}] marker object precedes the entries, so
+    several dumps can share one file and stay attributable. *)

@@ -80,7 +80,5 @@ val dump : t -> reason:string -> entry list
     entries (oldest first).  The ring is not cleared — overlapping dumps
     are fine. *)
 
-val event_to_json : event -> string
-
 val entry_to_json : entry -> string
 (** One JSON object: [{"seq": …, "at_us": …, "event": …, …}]. *)

@@ -7,15 +7,11 @@
     of added media delay "will not be perceived by VoIP service
     subscribers". *)
 
-val r_factor : one_way_delay:float -> loss_fraction:float -> float
+val mos : one_way_delay:float -> loss_fraction:float -> float
 (** [one_way_delay] in seconds (mouth-to-ear), [loss_fraction] in [0,1].
     Base R for G.729 is ≈ 82.2 (R0 94.2 − Ie 11 − Is 1); delay starts to
-    hurt beyond ≈ 177 ms per the E-model's Id curve. *)
-
-val mos_of_r : float -> float
-(** ITU-T G.107 Annex B mapping, clamped to [1.0, 4.5]. *)
-
-val mos : one_way_delay:float -> loss_fraction:float -> float
+    hurt beyond ≈ 177 ms per the E-model's Id curve.  R maps to MOS by
+    ITU-T G.107 Annex B, clamped to [1.0, 4.5]. *)
 
 val verdict : float -> string
 (** Conventional MOS bands: ≥4.0 "good", ≥3.6 "fair", ≥3.1 "poor",

@@ -12,15 +12,6 @@ val pcmu : info
 val gsm : info
 (** Payload type 3. *)
 
-val pcma : info
-(** Payload type 8: G.711 A-law. *)
-
-val g722 : info
-(** Payload type 9. *)
-
-val g728 : info
-(** Payload type 15. *)
-
 val g729 : info
 (** Payload type 18 — the codec the paper's testbed uses. *)
 

@@ -356,6 +356,10 @@ let rec parse_act st : Ast.act option =
       | Some (id, _) ->
           ignore (eat st L.SEMI "';'");
           Some { Ast.a = Ast.Cancel_timer id; a_span = sp })
+  | L.IDENT "extern" ->
+      err st sp "actions have no escape hatch: extern NAME is only valid in a guard";
+      recover st;
+      None
   | L.IDENT _ -> (
       match ident st "a variable name" with
       | None ->

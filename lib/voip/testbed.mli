@@ -52,9 +52,6 @@ val make :
 
 val engine_exn : t -> Vids.Engine.t
 
-val ua_b_uris : t -> Sip.Uri.t array
-(** AORs of network B's phones — the callees of the standard workload. *)
-
 val ua_b_host : t -> int -> string
 (** IP address of network B's i-th UA (0-based). *)
 

@@ -441,41 +441,10 @@ let golden_engine_digest = "2c0697a823b6fd8e149cdfd513a0242a"
 
 let digest_transparency () =
   let module T = Voip.Testbed in
-  let all_attacks =
-    [
-      "bye-dos"; "cancel-dos"; "hijack"; "media-spam"; "billing-fraud"; "invite-flood";
-      "rtp-flood"; "drdos";
-    ]
-  in
   let tb = T.make ~seed:42 ~vids:T.Monitor () in
   let atk = Attack.Scenarios.create tb ~host:"203.0.113.66" in
-  let ua_a n = List.nth tb.T.uas_a n and ua_b n = List.nth tb.T.uas_b n in
-  List.iteri
-    (fun i name ->
-      let at = sec (5.0 +. (25.0 *. float_of_int i)) in
-      let pair = i mod 8 in
-      match name with
-      | "bye-dos" -> Attack.Scenarios.spoofed_bye_call atk ~caller:(ua_a pair) ~callee:(ua_b pair) ~at
-      | "cancel-dos" ->
-          Attack.Scenarios.cancel_dos_call atk ~caller:(ua_a pair) ~callee:(ua_b pair) ~at
-      | "hijack" -> Attack.Scenarios.hijack_call atk ~caller:(ua_a pair) ~callee:(ua_b pair) ~at
-      | "media-spam" ->
-          Attack.Scenarios.media_spam_call atk ~caller:(ua_a pair) ~callee:(ua_b pair) ~at
-      | "billing-fraud" ->
-          Attack.Scenarios.billing_fraud_call atk ~caller:(ua_a pair) ~callee:(ua_b pair) ~at
-      | "invite-flood" ->
-          Attack.Scenarios.invite_flood atk ~target:(Voip.Ua.aor (ua_b pair)) ~via_proxy:true
-            ~count:25 ~interval:(Dsim.Time.of_ms 40.0) ~at
-      | "rtp-flood" ->
-          Attack.Scenarios.rtp_flood atk
-            ~target:(Dsim.Addr.v (T.ua_b_host tb pair) 16500)
-            ~rate_pps:400 ~duration:(sec 2.0) ~at
-      | "drdos" ->
-          Attack.Scenarios.drdos atk ~victim_host:(T.ua_b_host tb pair) ~reflectors:20
-            ~responses:60 ~at
-      | _ -> assert false)
-    all_attacks;
-  let horizon = sec (40.0 +. (25.0 *. float_of_int (List.length all_attacks))) in
+  Attack.Scenarios.schedule atk ~on_unknown:Alcotest.fail Attack.Scenarios.names;
+  let horizon = sec (40.0 +. (25.0 *. float_of_int (List.length Attack.Scenarios.names))) in
   T.run_until tb horizon;
   let engine = T.engine_exn tb in
   let lines =

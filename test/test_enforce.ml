@@ -2,7 +2,10 @@
    boundaries, token buckets, refresh semantics), the qcheck property
    that checkpoint ∘ crash ∘ recover preserves the table — rules, TTLs
    and bucket levels — and the enforcer end-to-end: an INVITE flood
-   blocked at the gate while a bystander still passes. *)
+   blocked at the gate while a bystander still passes, the enforcing
+   daemon under legitimate churn (containment, zero false blocks, offline
+   replay, kill -9), and every attack scenario's mapped response on the
+   Figure-7 testbed. *)
 
 let q ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count gen prop)
@@ -452,6 +455,162 @@ let test_fail_closed_on_corrupt_restore () =
   Alcotest.(check bool) "lockdown flagged" true
     (BT.lockdown (Enforce.Enforcer.table closed_e))
 
+(* ------------------------------------------------------------------ *)
+(* Enforcing daemon: containment, replay, kill -9                      *)
+(* ------------------------------------------------------------------ *)
+
+(* 400 legitimate calls, each to its own callee so that nothing benign
+   resembles a flood, and from 1 s in 60 INVITEs 40 ms apart from one
+   host to one victim. *)
+let flood_capture () =
+  let flood =
+    List.init 60 (fun i ->
+        {
+          Vids.Trace.at = Dsim.Time.add (sec 1.0) (Dsim.Time.of_ms (40. *. float_of_int i));
+          src = attacker;
+          dst = victim;
+          payload =
+            invite ~call_id:(Printf.sprintf "flood-%d" i) ~from_host:"198.51.100.99"
+              ~callee:"victim@b.example";
+        })
+  in
+  Test_ingest.by_time
+    (Test_recovery.make_calls ~callee:(Printf.sprintf "peer%d") ~calls:400 @ flood)
+
+let test_enforcing_daemon () =
+  let records = flood_capture () in
+  let path = Test_ingest.tmp_path ".pcap" in
+  let snap = Test_ingest.tmp_path ".ck" and capture = Test_ingest.tmp_path ".trace" in
+  Ingest.Pcap.write_file path records;
+  let policy = Enforce.Enforcer.default_policy in
+  let config = { Ingest.Daemon.default with Ingest.Daemon.enforce = Some policy; batch = 64 } in
+  let source = [ Ingest.Daemon.Pcap_file { path; pace = false } ] in
+  let clean = Test_ingest.run_daemon ~config source in
+  let e = Option.get clean.Ingest.Daemon.enforcer in
+  let s = Enforce.Enforcer.stats e in
+  let horizon = clean.Ingest.Daemon.horizon in
+  Alcotest.(check bool) "flood detected" true
+    (Vids.Engine.alerts_of_kind clean.Ingest.Daemon.engine Vids.Alert.Invite_flood <> []);
+  (* The detection window lets a few INVITEs through before the alert
+     trips; everything after the rule lands dies at the gate. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 60 flood INVITEs blocked, at least 48" s.Enforce.Enforcer.blocked)
+    true
+    (s.Enforce.Enforcer.blocked >= 48 && s.Enforce.Enforcer.blocked > 0);
+  (* Zero false blocks: every rule names the attacker, and only flood
+     packets were stopped. *)
+  List.iter
+    (fun (r : BT.rule) ->
+      match r.BT.scope with
+      | BT.Src k | BT.Dst k ->
+          Alcotest.(check string) "rule names the attacker" "198.51.100.99" (SK.to_string k))
+    (BT.rules (Enforce.Enforcer.table e) ~now:horizon);
+  Alcotest.(check bool) "blocked at most the flood" true (s.Enforce.Enforcer.blocked <= 60);
+  Alcotest.(check int) "passed + blocked = every record" (List.length records)
+    (s.Enforce.Enforcer.passed + s.Enforce.Enforcer.blocked);
+  (* A cold offline replay of the capture through a fresh gate lands on
+     the same engine state and the same rule table. *)
+  let sched = Dsim.Scheduler.create () in
+  let engine = Vids.Engine.create sched in
+  let gate = Enforce.Enforcer.create ~policy sched engine in
+  ignore
+    (Vids.Trace.schedule_into
+       ~inject:(fun p -> ignore (Enforce.Enforcer.ingest gate p))
+       sched engine records);
+  Dsim.Scheduler.run_until sched horizon;
+  let md5 engine = Digest.to_hex (Digest.string (Vids.Snapshot.digest ~at:horizon engine)) in
+  Alcotest.(check string) "replay: engine digest" (md5 clean.Ingest.Daemon.engine) (md5 engine);
+  Alcotest.(check string) "replay: enforcement digest" (Enforce.Enforcer.digest e)
+    (Enforce.Enforcer.digest gate);
+  (* kill -9 at 70% of the batches, with the block live: recovery from
+     snapshot + journal + capture restores the clean run's rules (their
+     TTL outlives the capture, and none is installed after the flood) and
+     its alerts. *)
+  let config =
+    {
+      config with
+      Ingest.Daemon.checkpoint_every_s = 2.0;
+      snapshot_path = Some snap;
+      journal_path = Some (snap ^ ".journal");
+      record_path = Some capture;
+    }
+  in
+  let kill_batch = ((List.length records / 64) + 1) * 7 / 10 in
+  let hard_kill = ref false and batches = ref 0 in
+  let killed =
+    Test_ingest.run_daemon ~config ~hard_kill
+      ~on_batch:(fun () ->
+        incr batches;
+        if !batches = kill_batch then hard_kill := true)
+      source
+  in
+  let active e = (Enforce.Enforcer.stats e).Enforce.Enforcer.table.BT.active in
+  Alcotest.(check bool) "killed mid-capture" true
+    (killed.Ingest.Daemon.stop_reason = Ingest.Daemon.Killed);
+  Alcotest.(check bool) "a rule live at the kill" true
+    (active (Option.get killed.Ingest.Daemon.enforcer) > 0);
+  let recovered =
+    Enforce.Recover.recover_files ~policy ~journal_path:(snap ^ ".journal") ~trace_path:capture
+      ~until:killed.Ingest.Daemon.horizon ~snapshot_path:snap ()
+  in
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ path; snap; snap ^ ".1"; snap ^ ".journal"; capture ];
+  match recovered with
+  | Error err -> Alcotest.failf "recovery: %s" err
+  | Ok (fr, recovered) ->
+      Alcotest.(check string) "recovered enforcement digest" (Enforce.Enforcer.digest e)
+        (Enforce.Enforcer.digest recovered);
+      Alcotest.(check (list string)) "recovered alert set"
+        (Test_ingest.alert_keys clean.Ingest.Daemon.engine)
+        (Test_ingest.alert_keys fr.Vids.Recovery.outcome.Vids.Recovery.engine);
+      Alcotest.(check bool) "a rule still active" true (active recovered > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Response coverage on the Figure-7 testbed                           *)
+(* ------------------------------------------------------------------ *)
+
+(* What the response map owes each scenario's alert: a forced teardown,
+   a rule, both, or a rule after which packets die at the gate. *)
+let owed_responses =
+  [
+    ("bye-dos", Vids.Alert.Bye_dos, `Teardown);
+    ("cancel-dos", Vids.Alert.Cancel_dos, `Both);
+    ("hijack", Vids.Alert.Call_hijack, `Both);
+    ("media-spam", Vids.Alert.Media_spam, `Rule_stops);
+    ("billing-fraud", Vids.Alert.Billing_fraud, `Teardown);
+    ("invite-flood", Vids.Alert.Invite_flood, `Rule_stops);
+    ("rtp-flood", Vids.Alert.Rtp_flood, `Rule_stops);
+    ("drdos", Vids.Alert.Drdos, `Rule);
+  ]
+
+let test_response_coverage () =
+  let module T = Voip.Testbed in
+  Alcotest.(check (list string)) "every scenario owes a response" Attack.Scenarios.names
+    (List.map (fun (name, _, _) -> name) owed_responses);
+  List.iter
+    (fun (name, kind, owed) ->
+      let tb = T.make ~seed:11 ~vids:T.Monitor () in
+      let engine = T.engine_exn tb in
+      let e = Enforce.Enforcer.create tb.T.sched engine in
+      Dsim.Network.set_tap tb.T.vids_node
+        (Some (fun pkt -> ignore (Enforce.Enforcer.ingest e pkt)));
+      let check what = Alcotest.(check bool) (Printf.sprintf "%s: %s" name what) true in
+      let atk = Attack.Scenarios.create tb ~host:"203.0.113.66" in
+      check "launched" (Attack.Scenarios.launch atk ~at:(sec 5.0) ~pair:0 name);
+      T.run_until tb (sec 40.0);
+      let s = Enforce.Enforcer.stats e in
+      let rules = s.Enforce.Enforcer.table.BT.installed
+      and teardowns = s.Enforce.Enforcer.teardowns in
+      check "alert" (Vids.Engine.alerts_of_kind engine kind <> []);
+      (match owed with
+      | `Teardown -> check "teardown" (teardowns > 0)
+      | `Rule -> check "rule" (rules > 0)
+      | `Both -> check "teardown and rule" (teardowns > 0 && rules > 0)
+      | `Rule_stops ->
+          check "rule and blocked packets" (rules > 0 && s.Enforce.Enforcer.blocked > 0)))
+    owed_responses
+
 let suite =
   [
     ( "enforce.source_key",
@@ -487,5 +646,9 @@ let suite =
           test_journal_replay_is_scheduled;
         Alcotest.test_case "fail-open vs fail-closed on corrupt state" `Quick
           test_fail_closed_on_corrupt_restore;
+        Alcotest.test_case "enforcing daemon contains a flood, replays and recovers" `Quick
+          test_enforcing_daemon;
+        Alcotest.test_case "every attack scenario gets its mapped response" `Quick
+          test_response_coverage;
       ] );
   ]

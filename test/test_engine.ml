@@ -386,10 +386,10 @@ let fact_base_shares_specs () =
         (same d1.F.d_machine d2.F.d_machine && same d1.F.d_machine d3.F.d_machine))
     [ `Flood; `Spam; `Drdos ]
 
-let flood_invite ?(host = "b.example") i =
+let flood_invite ?(user = "bob") ?(host = "b.example") i =
   Printf.sprintf
-    "INVITE sip:bob@%s SIP/2.0\r\nVia: SIP/2.0/UDP 10.1.0.2:5060;branch=z9hG4bKf%d\r\nFrom: <sip:a@a.example>;tag=f%d\r\nTo: <sip:bob@%s>\r\nCall-ID: flood-%d\r\nCSeq: 1 INVITE\r\n\r\n"
-    host i i host i
+    "INVITE sip:%s@%s SIP/2.0\r\nVia: SIP/2.0/UDP 10.1.0.2:5060;branch=z9hG4bKf%d\r\nFrom: <sip:a@a.example>;tag=f%d\r\nTo: <sip:%s@%s>\r\nCall-ID: flood-%d\r\nCSeq: 1 INVITE\r\n\r\n"
+    user host i i user host i
 
 (* Specs are shared within an engine, never across engines: two engines
    tuned differently, fed the same INVITE burst side by side, disagree. *)
@@ -411,10 +411,14 @@ let thresholds_stay_per_engine () =
   check "strict engine alerts" true (flooded strict);
   check "lax engine stays quiet" false (flooded lax)
 
-(* Hosts compare case-insensitively (RFC 3261 §19.1.4): forty INVITEs to
-   one callee in 0.4 s are one flood however the request-URI host is
-   spelled.  Keyed on the host as sent, a new spelling per INVITE raised
-   no alert, and two alternating spellings raised two. *)
+(* Hosts compare case-insensitively and an escaped unreserved character
+   of the user is the character itself (RFC 3261 §19.1.4): forty INVITEs
+   to one callee in 0.4 s are one flood however the request-URI is
+   spelled.  Keyed on the URI as sent, a new host spelling per INVITE
+   raised no alert, two alternating host spellings raised two, and a new
+   spelling per INVITE with the user escaped raised none.  An escaped
+   reserved character is not the raw one: [bob%40x] and [bob@x] (whose
+   host reads [x@b.example]) stay two callees. *)
 let flood_key_ignores_host_case () =
   (* Spelling [i] of "b.example": letter [k] uppercase when bit [k] of [i]
      is set. *)
@@ -426,18 +430,46 @@ let flood_key_ignores_host_case () =
     in
     String.sub s 0 1 ^ "." ^ String.sub s 1 7
   in
+  (* The twelve spellings of "bob": each 'b' raw or %62, the 'o' raw,
+     %6F or %6f. *)
+  let escaped i =
+    let b k = if i land (1 lsl k) <> 0 then "%62" else "b" in
+    b 0 ^ [| "o"; "%6F"; "%6f" |].(i / 4 mod 3) ^ b 1
+  in
   List.iter
-    (fun (what, host) ->
+    (fun (what, uri, alerts) ->
       let p = make_pipeline () in
       for i = 0 to 39 do
         Dsim.Scheduler.run_until p.sched (Dsim.Time.of_ms (10. *. float i));
-        feed p ~src:(sip_addr "10.1.0.2") ~dst:(sip_addr "10.2.0.2") (flood_invite ~host:(host i) i)
+        let user, host = uri i in
+        feed p ~src:(sip_addr "10.1.0.2") ~dst:(sip_addr "10.2.0.2") (flood_invite ~user ~host i)
       done;
-      check_int what 1 (List.length (Vids.Engine.alerts_of_kind p.engine Vids.Alert.Invite_flood)))
+      check_int what alerts
+        (List.length (Vids.Engine.alerts_of_kind p.engine Vids.Alert.Invite_flood)))
     [
-      ("one spelling", fun _ -> "b.example");
-      ("a new spelling per INVITE", spelling);
-      ("two alternating spellings", fun i -> spelling (i mod 2));
+      ("one spelling", (fun _ -> ("bob", "b.example")), 1);
+      ("a new host spelling per INVITE", (fun i -> ("bob", spelling i)), 1);
+      ("two alternating host spellings", (fun i -> ("bob", spelling (i mod 2))), 1);
+      ( "a new spelling per INVITE, the user escaped",
+        (fun i -> (escaped (i mod 12), spelling i)),
+        1 );
+      ( "%40 and a raw '@' alternating",
+        (fun i -> if i mod 2 = 0 then ("bob%40x", "b.example") else ("bob", "x@b.example")),
+        2 );
+    ];
+  List.iter
+    (fun (user, key) ->
+      let msg = ok (Sip.Msg.parse (flood_invite ~user 0)) in
+      Alcotest.(check (option string))
+        ("flood key of " ^ user) (Some key) (Vids.Sip_event.flood_key msg))
+    [
+      ("%62%6fb", "bob@b.example");
+      ("b%6Fb", "bob@b.example");
+      ("bob%40x", "bob%40x@b.example");
+      ("bob%3bx", "bob%3Bx@b.example");
+      ("bob%3B%7e", "bob%3B~@b.example");
+      ("bob%4", "bob%4@b.example");
+      ("bob%zz%", "bob%zz%@b.example");
     ]
 
 let held_call_texts i =

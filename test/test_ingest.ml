@@ -2,8 +2,9 @@
    shed queue's watermark discipline, per-source quarantine, backoff
    arithmetic, the UDP listener over a real loopback socket, and the
    daemon's convergence contract — a live run digests equal to an offline
-   replay of the same capture, and a SIGTERM mid-ingest loses no alert
-   already earned. *)
+   replay of the same capture, a SIGTERM mid-ingest loses no alert
+   already earned, and an 8 000-call soak under a memory ceiling keeps
+   its live heap flat. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -421,7 +422,7 @@ let flood_then_benign () =
           ~at:(ms (200.0 +. (5.0 *. float_of_int i)))
           ~src:(Dsim.Addr.v "203.0.113.66" 5060)
           ~dst:(Dsim.Addr.v "10.2.0.2" 5060)
-          (Test_recovery.invite ~call_id:(Printf.sprintf "flood-%d" i) ~port:20000))
+          (Test_recovery.invite ~callee:"bob" ~call_id:(Printf.sprintf "flood-%d" i) ~port:20000))
   in
   let benign =
     List.map
@@ -504,6 +505,51 @@ let enforced_recovery_skips_out_of_range_port () =
         "the line is skipped as a bad address" [ "bad source address" ]
         (List.map snd fr.Vids.Recovery.trace_skipped)
 
+(* The flood's rule lands 30 ms in, after the 20 ms checkpoint, and the
+   kill follows the first batch, before the next checkpoint: only the
+   journal carries the rule, so recovery must apply the journaled
+   decision to reach the killed gate's table. *)
+let enforced_recovery_applies_journaled_rule () =
+  let path = tmp_path ".pcap" and snap = tmp_path ".ck" and capture = tmp_path ".trace" in
+  Ingest.Pcap.write_file path (flood_then_benign ());
+  let policy = Enforce.Enforcer.default_policy in
+  let config =
+    {
+      daemon_config with
+      Ingest.Daemon.batch = 8;
+      checkpoint_every_s = 0.02;
+      snapshot_path = Some snap;
+      journal_path = Some (snap ^ ".journal");
+      record_path = Some capture;
+      enforce = Some policy;
+    }
+  in
+  let hard_kill = ref false in
+  let killed =
+    run_daemon ~config ~hard_kill
+      ~on_batch:(fun () -> hard_kill := true)
+      [ Ingest.Daemon.Pcap_file { path; pace = false } ]
+  in
+  let live = Option.get killed.Ingest.Daemon.enforcer in
+  check_int "one checkpoint before the kill" 1 killed.Ingest.Daemon.checkpoints;
+  check "a rule live at the kill" true
+    (Enforce.Block_table.rules (Enforce.Enforcer.table live) ~now:killed.Ingest.Daemon.horizon
+    <> []);
+  let recovered =
+    Enforce.Recover.recover_files ~policy ~journal_path:(snap ^ ".journal") ~trace_path:capture
+      ~until:killed.Ingest.Daemon.horizon ~snapshot_path:snap ()
+  in
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ path; snap; snap ^ ".journal"; capture ];
+  match recovered with
+  | Error e -> Alcotest.failf "recovery: %s" e
+  | Ok (fr, e) ->
+      check_int "one journaled decision after the checkpoint" 1
+        fr.Vids.Recovery.outcome.Vids.Recovery.journal_exts;
+      check_str "recovered enforcement digest" (Enforce.Enforcer.digest live)
+        (Enforce.Enforcer.digest e)
+
 let daemon_hard_kill_recovers () =
   let records = flood_then_benign () in
   let path = tmp_path ".pcap" in
@@ -561,63 +607,163 @@ let daemon_hard_kill_recovers () =
     [ path; snap; snap ^ ".1"; journal; capture ]
 
 (* ------------------------------------------------------------------ *)
+(* Daemon: soak under a memory ceiling                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The governed preset ages calls out after 30 minutes, longer than the
+   soak itself, so its ceiling is scaled down until the steady state
+   arrives inside the run, with every mechanism (caps, ageing, periodic
+   sweep, degradation) live.  At 20 calls/s the pools plateau around 90 s
+   in: closed calls linger 32 s, abandoned setups age out at 60 s. *)
+let soak_ceiling =
+  {
+    (Vids.Config.governed Vids.Config.default) with
+    Vids.Config.call_max_age = Dsim.Time.of_sec 60.0;
+    sweep_interval = Dsim.Time.of_sec 10.0;
+    max_calls = 4_000;
+    max_detectors = 4_000;
+    degrade_high_water = 3_600;
+    degrade_low_water = 3_200;
+  }
+
+(* 8 000 calls of churn (6.7 simulated minutes, ≈54 000 records) through
+   the daemon with 30 s checkpoints.  Live words are sampled 24 times
+   after a full collection; the first quarter is warm-up, while the
+   capped fact base fills to its plateau. *)
+let daemon_soak_holds_memory_flat () =
+  let records = by_time (Test_recovery.make_trace ~calls:8000) in
+  let path = tmp_path ".pcap" and snap = tmp_path ".ck" in
+  Ingest.Pcap.write_file path records;
+  let config =
+    {
+      Ingest.Daemon.default with
+      Ingest.Daemon.engine_config = Some soak_ceiling;
+      batch = 256;
+      checkpoint_every_s = 30.0;
+      snapshot_path = Some snap;
+      journal_path = Some (snap ^ ".journal");
+    }
+  in
+  let sample_every = max 1 (((List.length records / config.Ingest.Daemon.batch) + 1) / 24) in
+  let batches = ref 0 and samples = ref [] in
+  let report =
+    run_daemon ~config
+      ~on_batch:(fun () ->
+        incr batches;
+        if !batches mod sample_every = 0 then begin
+          Gc.full_major ();
+          samples := (Gc.stat ()).Gc.live_words :: !samples
+        end)
+      [ Ingest.Daemon.Pcap_file { path; pace = false } ]
+  in
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ path; snap; snap ^ ".1"; snap ^ ".journal" ];
+  check_int "every record dispatched" (List.length records) report.Ingest.Daemon.dispatched;
+  check "checkpoints taken" true (report.Ingest.Daemon.checkpoints >= 10);
+  let samples = List.rev !samples in
+  let warm = List.filteri (fun i _ -> i >= List.length samples / 4) samples in
+  let growth =
+    float_of_int (List.nth warm (List.length warm - 1)) /. float_of_int (List.hd warm)
+  in
+  check (Printf.sprintf "live words grow %.3fx after warm-up, at most 1.05x" growth) true
+    (growth <= 1.05);
+  let p99 = Dsim.Stat.Quantiles.p99 report.Ingest.Daemon.dispatch in
+  check (Printf.sprintf "p99 dispatch %.0f us, at most 5 ms" (1e6 *. p99)) true (p99 <= 0.005);
+  let horizon = report.Ingest.Daemon.horizon in
+  let _sched, offline = Vids.Trace.replay_until ~config:soak_ceiling ~until:horizon records in
+  let md5 engine = Digest.to_hex (Digest.string (Vids.Snapshot.digest ~at:horizon engine)) in
+  check_str "digest equals offline replay" (md5 offline) (md5 report.Ingest.Daemon.engine)
+
+(* ------------------------------------------------------------------ *)
 (* Daemon: live UDP with a hostile source (real loopback)              *)
 (* ------------------------------------------------------------------ *)
 
+(* INVITEs pushed through a two-node Dsim.Network whose fault layer
+   truncates (p 0.6) and flips bytes (p 0.8): whatever reaches the far
+   end is what a hostile wire would deliver. *)
+let mangled_invites ~count =
+  let sched = Dsim.Scheduler.create () in
+  let net = Dsim.Network.create sched (Dsim.Rng.create 4242) in
+  let atk = Dsim.Network.add_node net ~name:"atk" ~hosts:[ "198.51.100.1" ] in
+  let ids = Dsim.Network.add_node net ~name:"ids" ~hosts:[ "198.51.100.2" ] in
+  Dsim.Network.connect net atk ids ~rate_bps:0.0 ~prop_delay:(ms 1.0) ~loss_prob:0.0;
+  Dsim.Network.set_fault_profile net
+    (Some { Dsim.Network.pristine with Dsim.Network.truncate_prob = 0.6; corrupt_prob = 0.8 });
+  let out = ref [] in
+  Dsim.Network.set_handler ids (fun p -> out := p.Dsim.Packet.payload :: !out);
+  let src = Dsim.Addr.v "198.51.100.1" 5060 and dst = Dsim.Addr.v "198.51.100.2" 5060 in
+  for i = 1 to count do
+    Dsim.Network.send net ~from:atk
+      (Dsim.Network.make_packet net ~src ~dst
+         (Test_recovery.invite ~callee:"bob" ~call_id:(Printf.sprintf "mangle-%d" i) ~port:20000))
+  done;
+  Dsim.Scheduler.run sched;
+  List.rev !out
+
+(* A hostile source sends [first] and, well after it, [second], while a
+   distinct source floods INVITEs: once with plain garbage, once with
+   mangled INVITEs. *)
 let daemon_udp_quarantine_and_detection () =
-  (* The classifier keys SIP on port 5060, so the listener must own it;
-     if another process does, fail loudly rather than silently skip. *)
-  match Ingest.Udp_source.listen ~host:"127.0.0.1" ~port:5060 () with
-  | Error e -> Alcotest.failf "cannot bind 127.0.0.1:5060 (%s)" e
-  | Ok u ->
-      let daemon_addr = Ingest.Udp_source.local_addr u in
-      with_sender @@ fun hostile ->
-      with_sender @@ fun attacker ->
-      let stop = ref false in
-      let batches = ref 0 in
-      let send_invite i =
-        sendto attacker daemon_addr
-          (Test_recovery.invite ~call_id:(Printf.sprintf "udp-flood-%d" i) ~port:20000)
-      in
-      let report =
-        run_daemon
-          ~config:{ daemon_config with Ingest.Daemon.quarantine_threshold = 5 }
-          ~stop
-          ~on_batch:(fun () ->
-            incr batches;
-            (* Batch 1: a hostile source sprays garbage while a distinct
-               source floods INVITEs — the attack the sensor must still
-               see.  The loop then gets a generous number of turns to
-               drain the kernel buffer before the stop flag trips. *)
-            if !batches = 1 then begin
-              for i = 1 to 12 do
-                sendto hostile daemon_addr (Printf.sprintf "GARBAGE not sip %d" i)
-              done;
-              for i = 1 to 10 do
-                send_invite i
-              done
-            end;
-            (* A second burst well after the first: by now the source is
-               quarantined, so these must die at the door — the drop
-               counter is the proof the filter is load-bearing. *)
-            if !batches = 50 then
-              for i = 1 to 6 do
-                sendto hostile daemon_addr (Printf.sprintf "GARBAGE again %d" i)
-              done;
-            if !batches = 200 then stop := true)
-          [ Ingest.Daemon.Udp u ]
-      in
-      check "stopped by the test flag" true
-        (report.Ingest.Daemon.stop_reason = Ingest.Daemon.Signalled);
-      (* The garbage was counted and its source quarantined... *)
-      check "parse errors counted" true (report.Ingest.Daemon.parse_errors >= 5);
-      check "hostile source quarantined" true
-        (report.Ingest.Daemon.quarantine.Ingest.Quarantine.quarantines >= 1);
-      check "datagrams dropped at the door" true
-        (report.Ingest.Daemon.quarantine.Ingest.Quarantine.dropped >= 1);
-      (* ...while the concurrent legitimate detection still fired. *)
-      check "INVITE flood still detected" true
-        (Vids.Engine.alerts_of_kind report.Ingest.Daemon.engine Vids.Alert.Invite_flood <> [])
+  let garbage what n = List.init n (fun i -> Printf.sprintf "GARBAGE %s %d" what (i + 1)) in
+  let mangled = mangled_invites ~count:30 in
+  List.iter
+    (fun (label, first, second) ->
+      (* The classifier keys SIP on port 5060, so the listener must own
+         it; if another process does, fail loudly rather than silently
+         skip. *)
+      match Ingest.Udp_source.listen ~host:"127.0.0.1" ~port:5060 () with
+      | Error e -> Alcotest.failf "cannot bind 127.0.0.1:5060 (%s)" e
+      | Ok u ->
+          let daemon_addr = Ingest.Udp_source.local_addr u in
+          with_sender @@ fun hostile ->
+          with_sender @@ fun attacker ->
+          let stop = ref false in
+          let batches = ref 0 in
+          let send_invite i =
+            sendto attacker daemon_addr
+              (Test_recovery.invite ~callee:"bob" ~call_id:(Printf.sprintf "udp-flood-%d" i)
+                 ~port:20000)
+          in
+          let report =
+            run_daemon
+              ~config:{ daemon_config with Ingest.Daemon.quarantine_threshold = 5 }
+              ~stop
+              ~on_batch:(fun () ->
+                incr batches;
+                (* Batch 1: the hostile burst while a distinct source
+                   floods INVITEs — the attack the sensor must still see.
+                   The loop then gets a generous number of turns to drain
+                   the kernel buffer before the stop flag trips. *)
+                if !batches = 1 then begin
+                  List.iter (sendto hostile daemon_addr) first;
+                  for i = 1 to 10 do
+                    send_invite i
+                  done
+                end;
+                (* A second burst well after the first: by now the source
+                   is quarantined, so these must die at the door — the
+                   drop counter is the proof the filter is load-bearing. *)
+                if !batches = 50 then List.iter (sendto hostile daemon_addr) second;
+                if !batches = 200 then stop := true)
+              [ Ingest.Daemon.Udp u ]
+          in
+          let check what = check (label ^ ": " ^ what) in
+          check "stopped by the test flag" true
+            (report.Ingest.Daemon.stop_reason = Ingest.Daemon.Signalled);
+          (* The hostile datagrams were counted and their source
+             quarantined... *)
+          check "parse errors counted" true (report.Ingest.Daemon.parse_errors >= 5);
+          check "hostile source quarantined" true
+            (report.Ingest.Daemon.quarantine.Ingest.Quarantine.quarantines >= 1);
+          check "datagrams dropped at the door" true
+            (report.Ingest.Daemon.quarantine.Ingest.Quarantine.dropped >= 1);
+          (* ...while the concurrent legitimate detection still fired. *)
+          check "INVITE flood still detected" true
+            (Vids.Engine.alerts_of_kind report.Ingest.Daemon.engine Vids.Alert.Invite_flood <> []))
+    [
+      ("garbage", garbage "not sip" 12, garbage "again" 6);
+      ("mangled INVITEs", mangled, mangled);
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -646,6 +792,8 @@ let suite =
         tc "daemon SIGTERM preserves earned alerts" daemon_sigterm_preserves_alerts;
         tc "daemon hard kill recovers through Recovery" daemon_hard_kill_recovers;
         tc "enforced recovery skips an out-of-range port" enforced_recovery_skips_out_of_range_port;
+        tc "enforced recovery applies a journaled rule" enforced_recovery_applies_journaled_rule;
         tc "daemon quarantines hostile UDP source, still detects" daemon_udp_quarantine_and_detection;
+        tc "daemon soak holds memory flat under a ceiling" daemon_soak_holds_memory_flat;
       ] );
   ]

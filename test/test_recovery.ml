@@ -1,6 +1,7 @@
 (* Crash-safety tests: snapshot/journal codecs (round-trip + fuzz) and the
    recovery convergence property (checkpoint ∘ crash ∘ recover ≡ no-crash).
-   The daemon's kill -9 path is exercised in test_ingest and the benches. *)
+   The daemon's kill -9 path is exercised in test_ingest and, with
+   enforcement, in test_enforce. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -14,30 +15,31 @@ let sec = Dsim.Time.of_sec
 let sip_addr host = Dsim.Addr.v host 5060
 
 (* ------------------------------------------------------------------ *)
-(* A dialog-rich scenario trace (mirrors bench/recovery.ml): full       *)
-(* dialogs with media, abandoned INVITEs, calls left open — machines    *)
-(* mid-state, armed timers and queued syncs at any cut point.           *)
+(* A dialog-rich scenario trace: full dialogs with media, abandoned     *)
+(* INVITEs, calls left open — machines mid-state, armed timers and      *)
+(* queued syncs at any cut point.  [callee] is the user part of the     *)
+(* callee's address of record.                                          *)
 (* ------------------------------------------------------------------ *)
 
-let invite ~call_id ~port =
+let invite ~callee ~call_id ~port =
   let body =
     Printf.sprintf
       "v=0\r\no=alice 0 0 IN IP4 10.1.0.10\r\ns=-\r\nc=IN IP4 10.1.0.10\r\nt=0 0\r\nm=audio %d RTP/AVP 18\r\n"
       port
   in
   Printf.sprintf
-    "INVITE sip:bob@b.example SIP/2.0\r\n\
+    "INVITE sip:%s@b.example SIP/2.0\r\n\
      Via: SIP/2.0/UDP 10.1.0.2:5060;branch=z9hG4bK%s\r\n\
      From: <sip:alice@a.example>;tag=ta-%s\r\n\
-     To: <sip:bob@b.example>\r\n\
+     To: <sip:%s@b.example>\r\n\
      Call-ID: %s\r\n\
      CSeq: 1 INVITE\r\n\
      Contact: <sip:alice@10.1.0.10:5060>\r\n\
      Content-Type: application/sdp\r\n\
      Content-Length: %d\r\n\r\n%s"
-    call_id call_id call_id (String.length body) body
+    callee call_id call_id callee call_id (String.length body) body
 
-let response ~call_id ~code ~cseq ~sdp ~port =
+let response ~callee ~call_id ~code ~cseq ~sdp ~port =
   let body =
     if sdp then
       Printf.sprintf
@@ -46,52 +48,58 @@ let response ~call_id ~code ~cseq ~sdp ~port =
     else ""
   in
   Printf.sprintf
-    "SIP/2.0 %d X\r\nVia: SIP/2.0/UDP 10.1.0.2:5060;branch=z9hG4bK%s\r\nFrom: <sip:alice@a.example>;tag=ta-%s\r\nTo: <sip:bob@b.example>;tag=tb-%s\r\nCall-ID: %s\r\nCSeq: %s\r\n%sContent-Length: %d\r\n\r\n%s"
-    code call_id call_id call_id call_id cseq
+    "SIP/2.0 %d X\r\nVia: SIP/2.0/UDP 10.1.0.2:5060;branch=z9hG4bK%s\r\nFrom: <sip:alice@a.example>;tag=ta-%s\r\nTo: <sip:%s@b.example>;tag=tb-%s\r\nCall-ID: %s\r\nCSeq: %s\r\n%sContent-Length: %d\r\n\r\n%s"
+    code call_id call_id callee call_id call_id cseq
     (if sdp then "Content-Type: application/sdp\r\n" else "")
     (String.length body) body
 
-let ack ~call_id =
+let ack ~callee ~call_id =
   Printf.sprintf
-    "ACK sip:bob@10.2.0.10 SIP/2.0\r\nVia: SIP/2.0/UDP 10.1.0.10:5060;branch=z9hG4bKa-%s\r\nFrom: <sip:alice@a.example>;tag=ta-%s\r\nTo: <sip:bob@b.example>;tag=tb-%s\r\nCall-ID: %s\r\nCSeq: 1 ACK\r\n\r\n"
-    call_id call_id call_id call_id
+    "ACK sip:%s@10.2.0.10 SIP/2.0\r\nVia: SIP/2.0/UDP 10.1.0.10:5060;branch=z9hG4bKa-%s\r\nFrom: <sip:alice@a.example>;tag=ta-%s\r\nTo: <sip:%s@b.example>;tag=tb-%s\r\nCall-ID: %s\r\nCSeq: 1 ACK\r\n\r\n"
+    callee call_id call_id callee call_id call_id
 
-let bye ~call_id =
+let bye ~callee ~call_id =
   Printf.sprintf
-    "BYE sip:bob@10.2.0.10 SIP/2.0\r\nVia: SIP/2.0/UDP 10.1.0.10:5060;branch=z9hG4bKb-%s\r\nFrom: <sip:alice@a.example>;tag=ta-%s\r\nTo: <sip:bob@b.example>;tag=tb-%s\r\nCall-ID: %s\r\nCSeq: 2 BYE\r\n\r\n"
-    call_id call_id call_id call_id
+    "BYE sip:%s@10.2.0.10 SIP/2.0\r\nVia: SIP/2.0/UDP 10.1.0.10:5060;branch=z9hG4bKb-%s\r\nFrom: <sip:alice@a.example>;tag=ta-%s\r\nTo: <sip:%s@b.example>;tag=tb-%s\r\nCall-ID: %s\r\nCSeq: 2 BYE\r\n\r\n"
+    callee call_id call_id callee call_id call_id
 
 let rtp_bytes ~seq =
   Rtp.Rtp_packet.encode
     (Rtp.Rtp_packet.make ~payload_type:18 ~sequence:seq ~timestamp:(Int32.of_int (160 * seq))
        ~ssrc:77l (String.make 20 'v'))
 
-let make_trace ~calls =
+(* One call every 50 ms, all to [callee i] (call [i]'s user part). *)
+let make_calls ~callee ~calls =
   let records = ref [] in
   let add at src dst payload = records := { Vids.Trace.at; src; dst; payload } :: !records in
   let a_sig = sip_addr "10.1.0.2" and b_sig = sip_addr "10.2.0.2" in
   for i = 0 to calls - 1 do
-    let call_id = Printf.sprintf "rec-%d" i in
+    let call_id = Printf.sprintf "rec-%d" i and callee = callee i in
     let t0 = ms (float_of_int (50 * i)) in
     let port = 16384 + (2 * (i mod 2048)) in
     let ( +& ) a b = Dsim.Time.add a b in
-    add t0 a_sig b_sig (invite ~call_id ~port);
+    add t0 a_sig b_sig (invite ~callee ~call_id ~port);
     if i mod 3 <> 2 then begin
-      add (t0 +& ms 20.) b_sig a_sig (response ~call_id ~code:180 ~cseq:"1 INVITE" ~sdp:false ~port);
-      add (t0 +& ms 40.) b_sig a_sig (response ~call_id ~code:200 ~cseq:"1 INVITE" ~sdp:true ~port);
-      add (t0 +& ms 60.) a_sig b_sig (ack ~call_id);
+      add (t0 +& ms 20.) b_sig a_sig
+        (response ~callee ~call_id ~code:180 ~cseq:"1 INVITE" ~sdp:false ~port);
+      add (t0 +& ms 40.) b_sig a_sig
+        (response ~callee ~call_id ~code:200 ~cseq:"1 INVITE" ~sdp:true ~port);
+      add (t0 +& ms 60.) a_sig b_sig (ack ~callee ~call_id);
       let media_src = Dsim.Addr.v "10.1.0.10" port in
       let media_dst = Dsim.Addr.v "10.2.0.10" port in
       for s = 0 to 3 do
         add (t0 +& ms (80. +. (20. *. float_of_int s))) media_src media_dst (rtp_bytes ~seq:s)
       done;
       if i mod 5 <> 4 then begin
-        add (t0 +& ms 600.) a_sig b_sig (bye ~call_id);
-        add (t0 +& ms 620.) b_sig a_sig (response ~call_id ~code:200 ~cseq:"2 BYE" ~sdp:false ~port)
+        add (t0 +& ms 600.) a_sig b_sig (bye ~callee ~call_id);
+        add (t0 +& ms 620.) b_sig a_sig
+          (response ~callee ~call_id ~code:200 ~cseq:"2 BYE" ~sdp:false ~port)
       end
     end
   done;
   List.rev !records
+
+let make_trace ~calls = make_calls ~callee:(fun _ -> "bob") ~calls
 
 let trace_horizon ~calls = ms (float_of_int ((50 * calls) + 700))
 
@@ -298,13 +306,13 @@ let snapshot_restore_digest () =
 (* The convergence property: checkpoint ∘ crash ∘ recover ≡ no-crash   *)
 (* ------------------------------------------------------------------ *)
 
-let converges ~governed ~calls ~frac =
-  let config = if governed then Some sweepy_config else None in
+let cut_at ~calls frac =
+  Dsim.Time.of_us
+    (max 1 (int_of_float (frac *. float_of_int (Dsim.Time.to_us (trace_horizon ~calls)))))
+
+let converges ?config ~calls cut =
   let trace = make_trace ~calls in
   let horizon = trace_horizon ~calls in
-  let cut =
-    Dsim.Time.of_us (max 1 (int_of_float (frac *. float_of_int (Dsim.Time.to_us horizon))))
-  in
   let _, straight = Vids.Trace.replay_until ?config ~until:horizon trace in
   let reference = Vids.Snapshot.digest ~at:horizon straight in
   let sched, engine = Vids.Trace.replay_until ?config ~until:cut trace in
@@ -326,16 +334,32 @@ let convergence_prop =
          Printf.sprintf "calls=%d frac=%.2f governed=%b" calls frac governed)
        QCheck.Gen.(
          triple (int_range 6 18) (float_range 0.05 0.95) bool))
-    (fun (calls, frac, governed) -> converges ~governed ~calls ~frac)
+    (fun (calls, frac, governed) ->
+      let config = if governed then Some sweepy_config else None in
+      converges ?config ~calls (cut_at ~calls frac))
 
+(* Off-grid sweeps at two cuts of 15 calls, then the default and governed
+   presets over 20 calls at a quarter, half and three quarters of the
+   trace and 100 ms before its end. *)
 let convergence_fixed () =
+  let quarters ~calls =
+    List.map (cut_at ~calls) [ 0.25; 0.5; 0.75 ]
+    @ [ Dsim.Time.sub (trace_horizon ~calls) (ms 100.) ]
+  in
   List.iter
-    (fun (governed, frac) ->
-      check
-        (Printf.sprintf "converges governed=%b frac=%.2f" governed frac)
-        true
-        (converges ~governed ~calls:15 ~frac))
-    [ (false, 0.3); (false, 0.85); (true, 0.3); (true, 0.85) ]
+    (fun (label, config, calls, cuts) ->
+      List.iter
+        (fun cut ->
+          check
+            (Printf.sprintf "converges %s calls=%d cut=%.3fs" label calls (Dsim.Time.to_sec cut))
+            true (converges ?config ~calls cut))
+        cuts)
+    [
+      ("default", None, 15, List.map (cut_at ~calls:15) [ 0.3; 0.85 ]);
+      ("sweepy", Some sweepy_config, 15, List.map (cut_at ~calls:15) [ 0.3; 0.85 ]);
+      ("default", None, 20, quarters ~calls:20);
+      ("governed", Some (Vids.Config.governed Vids.Config.default), 20, quarters ~calls:20);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Corruption fuzzing: damaged snapshots are rejected, never escape    *)

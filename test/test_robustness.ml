@@ -71,22 +71,33 @@ let t_duplicate_invite_via_engine () =
 
 (* --- cap eviction ----------------------------------------------------- *)
 
+(* A cap of 5 under 20 INVITEs, and the governed preset (10 000 calls)
+   under 20 000 distinct Call-IDs.  The preset also degrades at 9 000
+   calls, which raises the second pressure alert. *)
 let t_call_cap_eviction () =
-  let config = { Vids.Config.default with Vids.Config.max_calls = 5 } in
-  let r = rig ~config () in
-  for i = 0 to 19 do
-    feed_invite r ~call_id:(Printf.sprintf "cap-%d" i)
-  done;
-  let stats = Vids.Engine.memory_stats r.engine in
-  check_int "active at cap" 5 stats.Vids.Fact_base.active_calls;
-  check_int "peak at cap" 5 stats.Vids.Fact_base.peak_calls;
-  check_int "evicted" 15 stats.Vids.Fact_base.calls_evicted;
-  let base = Vids.Engine.fact_base r.engine in
-  check "oldest gone" true (Vids.Fact_base.find_call base "cap-0" = None);
-  check "newest kept" true (Vids.Fact_base.find_call base "cap-19" <> None);
-  check "pressure alert raised" true (pressure_alerts r <> []);
-  (* The alert log must not grow with the flood: dedup by kind|subject. *)
-  check_int "one pressure alert" 1 (List.length (pressure_alerts r))
+  List.iter
+    (fun (config, n, pressure) ->
+      let cap = config.Vids.Config.max_calls in
+      let what label = Printf.sprintf "%s (cap %d, %d INVITEs)" label cap n in
+      let r = rig ~config () in
+      for i = 0 to n - 1 do
+        feed_invite r ~call_id:(Printf.sprintf "cap-%d" i)
+      done;
+      let stats = Vids.Engine.memory_stats r.engine in
+      check_int (what "active at cap") cap stats.Vids.Fact_base.active_calls;
+      check_int (what "peak at cap") cap stats.Vids.Fact_base.peak_calls;
+      check_int (what "evicted") (n - cap) stats.Vids.Fact_base.calls_evicted;
+      let base = Vids.Engine.fact_base r.engine in
+      check (what "oldest gone") true (Vids.Fact_base.find_call base "cap-0" = None);
+      check (what "newest kept") true
+        (Vids.Fact_base.find_call base (Printf.sprintf "cap-%d" (n - 1)) <> None);
+      check (what "pressure alert raised") true (pressure_alerts r <> []);
+      (* The alert log must not grow with the flood: dedup by kind|subject. *)
+      check_int (what "pressure alerts") pressure (List.length (pressure_alerts r)))
+    [
+      ({ Vids.Config.default with Vids.Config.max_calls = 5 }, 20, 1);
+      (Vids.Config.governed Vids.Config.default, 20_000, 2);
+    ]
 
 let t_detector_cap_eviction () =
   let config = { Vids.Config.default with Vids.Config.max_detectors = 3 } in

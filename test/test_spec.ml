@@ -26,7 +26,7 @@ let sec = Dsim.Time.of_sec
 let lint_src ?(externs = Spec.Elaborate.no_externs) src =
   Analyze.Speclint.lint_sources ~externs [ ("fixture.vspec", src) ]
 
-let expect_error ?externs ~code ~line ~col src () =
+let expect_error ?externs ?message ~code ~line ~col src () =
   let r = lint_src ?externs src in
   check "lint rejects" false (Analyze.Speclint.ok r);
   check "front-end errors" true (Spec.Diag.has_errors r.Analyze.Speclint.diags);
@@ -36,7 +36,8 @@ let expect_error ?externs ~code ~line ~col src () =
       check_str "diagnostic class" code (Spec.Diag.code_to_string d.Spec.Diag.code);
       check_str "file" "fixture.vspec" d.Spec.Diag.span.Spec.Loc.s.Spec.Loc.file;
       check_int "line" line d.Spec.Diag.span.Spec.Loc.s.Spec.Loc.line;
-      check_int "col" col d.Spec.Diag.span.Spec.Loc.s.Spec.Loc.col
+      check_int "col" col d.Spec.Diag.span.Spec.Loc.s.Spec.Loc.col;
+      Option.iter (fun m -> check_str "message" m d.Spec.Diag.message) message
 
 (* An out-of-range number is an error at its own position, not a
    silently different number. *)
@@ -50,10 +51,11 @@ let lex_error () =
     ()
 
 (* The second fixture is an extern in action position: only guards have
-   an escape hatch. *)
+   an escape hatch, and the error says so at [extern]. *)
 let parse_error () =
   expect_error ~code:"parse" ~line:2 ~col:11 "machine M {\n  initial ;\n}\n" ();
-  expect_error ~code:"parse" ~line:4 ~col:17
+  expect_error ~code:"parse" ~line:4 ~col:10
+    ~message:"actions have no escape hatch: extern NAME is only valid in a guard"
     "machine M {\n  initial A;\n  trans t : A -> A on event e\n    do { extern stamp; }\n}\n"
     ()
 
@@ -426,41 +428,10 @@ let dsl_digest_transparency () =
     | Error e -> Alcotest.fail e
   in
   check_int "five overrides" 5 (List.length overrides);
-  let all_attacks =
-    [
-      "bye-dos"; "cancel-dos"; "hijack"; "media-spam"; "billing-fraud"; "invite-flood";
-      "rtp-flood"; "drdos";
-    ]
-  in
   let tb = T.make ~seed:42 ~vids:T.Monitor ~overrides () in
   let atk = Attack.Scenarios.create tb ~host:"203.0.113.66" in
-  let ua_a n = List.nth tb.T.uas_a n and ua_b n = List.nth tb.T.uas_b n in
-  List.iteri
-    (fun i name ->
-      let at = sec (5.0 +. (25.0 *. float_of_int i)) in
-      let pair = i mod 8 in
-      match name with
-      | "bye-dos" -> Attack.Scenarios.spoofed_bye_call atk ~caller:(ua_a pair) ~callee:(ua_b pair) ~at
-      | "cancel-dos" ->
-          Attack.Scenarios.cancel_dos_call atk ~caller:(ua_a pair) ~callee:(ua_b pair) ~at
-      | "hijack" -> Attack.Scenarios.hijack_call atk ~caller:(ua_a pair) ~callee:(ua_b pair) ~at
-      | "media-spam" ->
-          Attack.Scenarios.media_spam_call atk ~caller:(ua_a pair) ~callee:(ua_b pair) ~at
-      | "billing-fraud" ->
-          Attack.Scenarios.billing_fraud_call atk ~caller:(ua_a pair) ~callee:(ua_b pair) ~at
-      | "invite-flood" ->
-          Attack.Scenarios.invite_flood atk ~target:(Voip.Ua.aor (ua_b pair)) ~via_proxy:true
-            ~count:25 ~interval:(Dsim.Time.of_ms 40.0) ~at
-      | "rtp-flood" ->
-          Attack.Scenarios.rtp_flood atk
-            ~target:(Dsim.Addr.v (T.ua_b_host tb pair) 16500)
-            ~rate_pps:400 ~duration:(sec 2.0) ~at
-      | "drdos" ->
-          Attack.Scenarios.drdos atk ~victim_host:(T.ua_b_host tb pair) ~reflectors:20
-            ~responses:60 ~at
-      | _ -> assert false)
-    all_attacks;
-  let horizon = sec (40.0 +. (25.0 *. float_of_int (List.length all_attacks))) in
+  Attack.Scenarios.schedule atk ~on_unknown:Alcotest.fail Attack.Scenarios.names;
+  let horizon = sec (40.0 +. (25.0 *. float_of_int (List.length Attack.Scenarios.names))) in
   T.run_until tb horizon;
   let engine = T.engine_exn tb in
   let lines =
