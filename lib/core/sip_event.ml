@@ -28,14 +28,12 @@ let set_sdp ?prof event msg =
                 E.set event F.media_port (V.Int port);
                 E.set event F.media_pt (V.Int pt)))
 
-let set_tag event field header =
-  match header with
-  | Ok na -> (
-      match Sip.Name_addr.tag na with Some t -> E.set event field (V.Str t) | None -> ())
-  | Error _ -> ()
+let set_str event field = function Some v -> E.set event field (V.Str v) | None -> ()
 
 (* Each header the machines read goes to its slot; a header that is
-   missing or does not parse leaves its field absent. *)
+   missing or does not parse leaves its field absent.  Tags, the Contact
+   host and the branch are located in their header values, so the only
+   strings built are the ones the event keeps. *)
 let of_msg ?prof ~at ~src ~dst msg =
   let name =
     match msg.Sip.Msg.start with
@@ -57,15 +55,10 @@ let of_msg ?prof ~at ~src ~dst msg =
   E.set event F.src_port (V.Int (Dsim.Addr.port src));
   E.set event F.dst_ip (V.Str (Dsim.Addr.host dst));
   E.set event F.dst_port (V.Int (Dsim.Addr.port dst));
-  set_tag event F.from_tag (Sip.Msg.from_ msg);
-  set_tag event F.to_tag (Sip.Msg.to_ msg);
-  (match Sip.Msg.contact msg with
-  | Ok na -> E.set event F.contact_host (V.Str na.Sip.Name_addr.uri.Sip.Uri.host)
-  | Error _ -> ());
-  (match Sip.Msg.top_via msg with
-  | Ok via -> (
-      match Sip.Via.branch via with Some b -> E.set event F.branch (V.Str b) | None -> ())
-  | Error _ -> ());
+  set_str event F.from_tag (Sip.Msg.from_tag msg);
+  set_str event F.to_tag (Sip.Msg.to_tag msg);
+  set_str event F.contact_host (Sip.Msg.contact_host msg);
+  set_str event F.branch (Sip.Msg.branch msg);
   event
 
 let media_of_event event =

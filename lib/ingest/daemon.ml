@@ -203,7 +203,7 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
           (* Never move the clock backwards: a wall-timestamped datagram
              can land behind a capture that raced ahead of real time. *)
           let at = Dsim.Time.max r.Vids.Trace.at (Dsim.Scheduler.now sched) in
-          let r = { r with Vids.Trace.at } in
+          let r = if at = r.Vids.Trace.at then r else { r with Vids.Trace.at } in
           let before = Vids.Engine.malformed_packets engine in
           let t0 = Unix.gettimeofday () in
           Dsim.Scheduler.advance_to sched at;

@@ -262,22 +262,38 @@ let vias t =
   in
   match Header.get_all t.headers "Via" with [] -> Error "missing Via" | vs -> all [] vs
 
-(* The first item of the first Via, parsed where it lies.  Only a first Via
-   with no item before its first comma needs the whole list. *)
-let top_via t =
+(* [read] of the first item of the first Via, where it lies.  Only a first
+   Via with no item before its first comma needs the whole list. *)
+let read_top_via t ~missing read =
   match Header.get_canonical t.headers "Via" with
-  | None -> Error "missing Via"
+  | None -> missing
   | Some v -> (
       let e = Scan.item_end v 0 (String.length v) in
       let a = Scan.skip_space v 0 e in
       let b = Scan.trim_end v a e in
-      if a < b then Via.parse_range v a b
+      if a < b then read v a b
       else
         match Header.get_all t.headers "Via" with
-        | [] -> Error "missing Via"
-        | v :: _ -> Via.parse v)
+        | [] -> missing
+        | v :: _ -> read v 0 (String.length v))
 
+let top_via t = read_top_via t ~missing:(Error "missing Via") Via.parse_range
 let contact t = name_addr_field t "Contact"
+
+(* The span [locate] finds in a field's value, copied. *)
+let copy_span v locate start stop =
+  let p = locate v start stop in
+  if p < 0 then None else Some (Scan.sub_span v p)
+
+let located_field t name locate =
+  match Header.get_canonical t.headers name with
+  | None -> None
+  | Some v -> copy_span v locate 0 (String.length v)
+
+let from_tag t = located_field t "From" Name_addr.tag_span
+let to_tag t = located_field t "To" Name_addr.tag_span
+let contact_host t = located_field t "Contact" Name_addr.host_span
+let branch t = read_top_via t ~missing:None (fun v a b -> copy_span v Via.branch_span a b)
 
 let decimal_field t name =
   match Header.get_canonical t.headers name with

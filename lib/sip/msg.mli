@@ -80,6 +80,24 @@ val top_via : t -> (Via.t, string) result
 
 val contact : t -> (Name_addr.t, string) result
 
+(** {1 Located fields}
+
+    One part of a header, found by the allocation-free locators of
+    {!Name_addr} and {!Via}: only the part itself is copied.  Each is
+    [None] where the typed accessor fails or has no such part. *)
+
+val from_tag : t -> string option
+(** [Name_addr.tag] of {!from_}. *)
+
+val to_tag : t -> string option
+(** [Name_addr.tag] of {!to_}. *)
+
+val contact_host : t -> string option
+(** The host of {!contact}'s URI. *)
+
+val branch : t -> string option
+(** [Via.branch] of {!top_via}. *)
+
 val max_forwards : t -> int option
 
 val content_type : t -> string option

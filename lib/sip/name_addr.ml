@@ -2,8 +2,9 @@ type t = { display : string option; uri : Uri.t; params : (string * string optio
 
 let make ?display ?(params = []) uri = { display; uri; params }
 
-let params_after s i stop =
-  match Scan.index s i stop ';' with -1 -> [] | semi -> Scan.params s (semi + 1) stop
+(* The header parameters after the URI that ends at [u]. *)
+let params_after s u stop =
+  match Scan.index s u stop ';' with -1 -> [] | semi -> Scan.params s (semi + 1) stop
 
 (* The display name before '<', trimmed and unquoted. *)
 let display s a lt =
@@ -12,25 +13,54 @@ let display s a lt =
   else if b - a >= 2 && s.[a] = '"' && s.[b - 1] = '"' then Some (Scan.sub s (a + 1) (b - 1))
   else Some (Scan.sub s a b)
 
-let parse_range s start stop =
+let unmatched_lt = -1
+let gt_before_lt = -2
+
+(* The span of the URI, or a negative error code; the URI itself is not
+   checked. *)
+let uri_span s start stop =
   let a = Scan.skip_space s start stop in
   let b = Scan.trim_end s a stop in
   match Scan.index s a b '<' with
-  | -1 -> (
+  | -1 ->
       (* Bare addr-spec: per RFC 3261 §20.10, parameters after the URI belong
          to the header, not the URI. *)
-      let semi = Scan.index s a b ';' in
-      match Uri.parse_range s a (if semi < 0 then b else semi) with
-      | Error e -> Error e
-      | Ok uri -> Ok { display = None; uri; params = params_after s a b })
+      Scan.span a (Scan.until s a b ';')
   | lt -> (
       match Scan.index s a b '>' with
-      | -1 -> Error "name-addr: unmatched '<'"
-      | gt when gt < lt -> Error "name-addr: '>' before '<'"
-      | gt -> (
-          match Uri.parse_range s (lt + 1) gt with
-          | Error e -> Error e
-          | Ok uri -> Ok { display = display s a lt; uri; params = params_after s (gt + 1) b }))
+      | -1 -> unmatched_lt
+      | gt when gt < lt -> gt_before_lt
+      | gt -> Scan.span (lt + 1) gt)
+
+let host_span s start stop =
+  let u = uri_span s start stop in
+  if u < 0 then u else Uri.host_span s (Scan.span_start u) (Scan.span_stop u)
+
+let tag_span s start stop =
+  let u = uri_span s start stop in
+  if u < 0 || Uri.host_span s (Scan.span_start u) (Scan.span_stop u) < 0 then -1
+  else
+    match Scan.index s (Scan.span_stop u) stop ';' with
+    | -1 -> -1
+    | semi -> Scan.param_value s (semi + 1) stop "tag"
+
+let parse_range s start stop =
+  let u = uri_span s start stop in
+  if u = unmatched_lt then Error "name-addr: unmatched '<'"
+  else if u = gt_before_lt then Error "name-addr: '>' before '<'"
+  else
+    let u_start = Scan.span_start u and u_stop = Scan.span_stop u in
+    match Uri.parse_range s u_start u_stop with
+    | Error e -> Error e
+    | Ok uri ->
+        let bracketed = u_stop < stop && s.[u_stop] = '>' in
+        Ok
+          {
+            display =
+              (if bracketed then display s (Scan.skip_space s start stop) (u_start - 1) else None);
+            uri;
+            params = params_after s u_stop stop;
+          }
 
 let parse s = parse_range s 0 (String.length s)
 

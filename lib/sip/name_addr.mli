@@ -16,6 +16,18 @@ val parse_range : string -> int -> int -> (t, string) result
 (** [parse_range s start stop] is [parse (String.sub s start (stop - start))]
     without the copy; the URI is parsed in place. *)
 
+(** {1 Locators}
+
+    Each finds one part of the name-addr in [s.\[start .. stop - 1\]]
+    without allocating: its {!Scan.span} when [parse_range s start stop]
+    would succeed and hold that part, negative otherwise. *)
+
+val tag_span : string -> int -> int -> int
+(** The value of the [tag] parameter, as {!tag} of the parse reads it. *)
+
+val host_span : string -> int -> int -> int
+(** The host of the URI. *)
+
 val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit

@@ -44,6 +44,22 @@ let rec params s i stop =
     | -1 -> (sub s a b, None) :: rest
     | eq -> (sub s a eq, Some (sub s (eq + 1) b)) :: rest
 
+(* Each end takes 31 bits, so both fit one immediate [int]. *)
+let span i j = (i lsl 31) lor j
+let span_start p = p lsr 31
+let span_stop p = p land 0x7FFF_FFFF
+let sub_span s p = sub s (span_start p) (span_stop p)
+
+(* The items as [params] reads them, searched instead of listed. *)
+let rec param_value s i stop name =
+  let e = until s i stop ';' in
+  let a = skip_space s i e in
+  let b = trim_end s a e in
+  let eq = index s a b '=' in
+  if equal s a (if eq < 0 then b else eq) name then if eq < 0 then -1 else span (eq + 1) b
+  else if e < stop then param_value s (e + 1) stop name
+  else -1
+
 let rec line_end s i stop = if i < stop && s.[i] <> '\n' then line_end s (i + 1) stop else i
 let content_end s start nl = if nl > start && s.[nl - 1] = '\r' then nl - 1 else nl
 let folded s i stop = i < stop && (s.[i] = ' ' || s.[i] = '\t')

@@ -1,5 +1,6 @@
 (** Index scanners over a range [\[start, stop)] of a string, shared by the
-    SIP and SDP parsers.  Only {!sub}, {!params} and {!unfold} allocate: a
+    SIP and SDP parsers.  Only {!sub}, {!sub_span}, {!params} and {!unfold}
+    allocate: a
     parser built on them copies only the fields it returns, one
     [String.sub] each. *)
 
@@ -49,6 +50,30 @@ val params : string -> int -> int -> (string * string option) list
     [';']-separated, each trimmed, empty ones dropped, in order; [name] is
     [(name, None)] and [name=value] is [(name, Some value)].  Name-addr and
     Via parameters are read this way; URI parameters are not trimmed. *)
+
+(** {1 Spans}
+
+    A locator returns the range [\[i, j)] it finds packed into one
+    immediate [int], so finding a field allocates nothing; a negative
+    result means none.  Both ends must be below [2{^31}], which every SIP
+    datagram is. *)
+
+val span : int -> int -> int
+(** [span i j] packs [\[i, j)]. *)
+
+val span_start : int -> int
+
+val span_stop : int -> int
+
+val sub_span : string -> int -> string
+(** [sub_span s p] is [sub s (span_start p) (span_stop p)]. *)
+
+val param_value : string -> int -> int -> string -> int
+(** [param_value s start stop name] is the span of the value of the first
+    of the {!params} in [\[start, stop)] named [name], and negative when
+    there is none or it is a flag: what looking [name] up in
+    [params s start stop] finds, without the list.  [name] is not
+    empty. *)
 
 (** {1 Lines}
 

@@ -15,6 +15,12 @@ val parse_range : string -> int -> int -> (t, string) result
 (** [parse_range s start stop] is [parse (String.sub s start (stop - start))]
     without the copy. *)
 
+val branch_span : string -> int -> int -> int
+(** [branch_span s start stop] finds the value of the [branch] parameter
+    without allocating: its {!Scan.span} when [parse_range s start stop]
+    would succeed and hold one, as {!branch} of the parse reads it, and
+    negative otherwise. *)
+
 val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
