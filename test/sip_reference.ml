@@ -160,22 +160,23 @@ let uri s : (Sip.Uri.t, string) result =
           Ok (scheme, String.sub s (i + 1) (String.length s - i - 1))
         else Error (Printf.sprintf "URI: unsupported scheme %S" scheme)
   in
+  (* The user may hold ';' and '?', so it is split off first. *)
+  let user, rest =
+    match String.index_opt rest '@' with
+    | None -> (None, rest)
+    | Some i -> (Some (String.sub rest 0 i), String.sub rest (i + 1) (String.length rest - i - 1))
+  in
   let rest, headers =
     match String.index_opt rest '?' with
     | None -> (rest, None)
     | Some i ->
         (String.sub rest 0 i, Some (String.sub rest (i + 1) (String.length rest - i - 1)))
   in
-  let rest, params =
+  let hostport, params =
     match String.index_opt rest ';' with
     | None -> (rest, [])
     | Some i ->
         (String.sub rest 0 i, uri_params (String.sub rest (i + 1) (String.length rest - i - 1)))
-  in
-  let user, hostport =
-    match String.index_opt rest '@' with
-    | None -> (None, rest)
-    | Some i -> (Some (String.sub rest 0 i), String.sub rest (i + 1) (String.length rest - i - 1))
   in
   let* host, port =
     match String.index_opt hostport ':' with
