@@ -29,9 +29,12 @@ val of_channel : in_channel -> (reader, string) result
     truncated header. *)
 
 val next : reader -> item option
-(** The next frame, [None] at end of file.  A record header torn by a
-    crash mid-write ends the stream ([None]) and sets
-    {!stats}[.truncated_tail] rather than raising. *)
+(** The next frame, [None] at end of file.  A frame torn by a crash
+    mid-write ends the stream ([None]) and sets {!stats}[.truncated_tail]
+    rather than raising; a torn 16-byte record header ends it too, but
+    without the flag.  The frame is decoded
+    in the reader's own buffer, so a record's payload is its one copy of
+    the frame's bytes; records of one stream share their addresses. *)
 
 type stats = {
   frames : int;  (** Frames read, decoded or not. *)

@@ -3,7 +3,8 @@
    messages truncated, bit-flipped, folded, case-changed or with
    separators inserted, both must agree on every parse result (error
    strings included), every typed accessor, every SDP body and the EFSM
-   event each message becomes. *)
+   event each message becomes.  The allocation-free locators are held to
+   the record parsers they share a grammar with. *)
 
 module R = Sip_reference
 
@@ -320,6 +321,28 @@ let field_agrees text =
   && agree "Header.canonical_name" Fun.id (Sip.Header.canonical_name text)
        (R.Header.canonical_name text)
 
+(* Each locator finds the part its record parser reads, and fails where
+   that parser fails or reads no such part, on the text alone and on a
+   slice of padding. *)
+let locators_agree text =
+  let padded = "<<" ^ text ^ ">>" and n = String.length text in
+  let locator_agrees what locate want =
+    let find s start =
+      let p = locate s start (start + n) in
+      if p < 0 then None else Some (Sip.Scan.sub_span s p)
+    in
+    agree what (show_opt show_str) (find text 0) want
+    && agree (what ^ " in a slice") (show_opt show_str) (find padded 2) want
+  in
+  let read parse part = match parse text with Ok v -> part v | Error _ -> None in
+  locator_agrees "Uri.host_span" Sip.Uri.host_span
+    (read Sip.Uri.parse (fun u -> Some u.Sip.Uri.host))
+  && locator_agrees "Name_addr.host_span" Sip.Name_addr.host_span
+       (read Sip.Name_addr.parse (fun na -> Some na.Sip.Name_addr.uri.Sip.Uri.host))
+  && locator_agrees "Name_addr.tag_span" Sip.Name_addr.tag_span
+       (read Sip.Name_addr.parse Sip.Name_addr.tag)
+  && locator_agrees "Via.branch_span" Sip.Via.branch_span (read Sip.Via.parse Sip.Via.branch)
+
 (* Range parsers agree with the whole-string ones on a slice of padding. *)
 let ranges_agree text =
   let padded = "<<" ^ text ^ ">>" and start = 2 and stop = 2 + String.length text in
@@ -379,6 +402,8 @@ let suite =
           message_agrees;
         q ~count:3000 "field parsers agree with the reference" (fun st -> mutated st field)
           field_agrees;
+        q ~count:3000 "locators agree with the record parsers" (fun st -> mutated st field)
+          locators_agree;
         q ~count:1000 "sdp agrees with the reference" (fun st -> mutated st sdp) (fun text ->
             agree "Sdp.parse" show_sdp (Sdp.parse text) (R.sdp text));
         q ~count:1000 "canonical-name lookup agrees with get" known_fields
