@@ -1001,7 +1001,7 @@ let lint_vspec json dot_dir files =
   let cfg = Vids.Config.default in
   match
     Analyze.Speclint.lint_files ~known_machines:Vids.Spec_load.known_machines
-      ~externs:(Vids.Spec_load.externs cfg) files
+      ~params:(Vids.Spec_load.params cfg) files
   with
   | Error e ->
       Format.eprintf "%s@." e;

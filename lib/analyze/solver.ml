@@ -11,11 +11,12 @@ type verdict = Unsat | Sat of string | Unknown of string
    single-value predicate (pin / membership / integer bound), so a
    satisfying value exists iff one exists among the mentioned constants,
    their integer neighbours, and one fresh representative per value
-   type.  Anything outside the decidable fragment (opaque predicates,
-   non-linear comparisons, compound expressions) becomes an uninterpreted
+   type.  A let stands for its body, so guards that share one share its
+   atoms.  Anything outside the decidable fragment (non-linear or
+   wrapped comparisons, compound expressions) becomes an uninterpreted
    atom, which over-approximates satisfiability: the solver may answer
-   [Sat] for an unsatisfiable formula (so a determinism check degrades to
-   a warning) but never [Unsat] for a satisfiable one. *)
+   [Sat] for an unsatisfiable formula but never [Unsat] for a satisfiable
+   one. *)
 
 (* ----------------------------------------------------------------- *)
 (* Atoms                                                              *)
@@ -85,6 +86,7 @@ let rec linearize (ie : Ir.iexpr) =
       | L_base (k, v, t, o), L_const c -> L_base (k, v, t, o - c)
       | _ -> L_hard)
   | Wrap _ -> L_hard
+  | Int_let (_, body) -> linearize body
 
 let flip = function Ir.Lt -> Ir.Gt | Le -> Ge | Gt -> Lt | Ge -> Le | Ieq -> Ieq | Ine -> Ine
 
@@ -144,7 +146,7 @@ let rec abstract table (p : Ir.pred) =
   | Has_field f ->
       (* has($f) <=> the field's value is not Unset. *)
       P_not (P_atom (intern table { key = "$" ^ f; constr = C_pin Value.Unset; var = None; ints_only = false }))
-  | Opaque o -> free_atom table ("opaque:" ^ o.pred_name)
+  | Pred_let (_, body) -> abstract table body
 
 let rec eval_prop assignment = function
   | P_true -> true
@@ -284,5 +286,3 @@ let satisfiable ?(domains = []) preds =
     done;
     match !found with Some w -> Sat w | None -> Unsat
   end
-
-let has_opaque pred = Ir.pred_opaque_names pred <> []

@@ -4,12 +4,12 @@
     variable/field subjects under comparisons, equalities against
     constants, set membership, and boolean structure — by propositional
     enumeration over a canonical atom table plus per-subject candidate
-    checking.  Everything else (opaque predicates, compound-subject
-    comparisons, variable-to-variable equalities) becomes an
-    uninterpreted atom.
+    checking.  A let reads as its body.  Everything else
+    (compound-subject comparisons, variable-to-variable equalities)
+    becomes an uninterpreted atom.
 
-    The over-approximation is one-sided: [Sat] may be spurious (the
-    caller degrades to a warning), [Unsat] is trustworthy. *)
+    The over-approximation is one-sided: [Sat] may be spurious, [Unsat]
+    is trustworthy. *)
 
 type verdict =
   | Unsat
@@ -20,5 +20,3 @@ val satisfiable : ?domains:(Efsm.Ir.var * Efsm.Ir.domain) list -> Efsm.Ir.pred l
 (** Satisfiability of the conjunction of [preds].  [domains] restricts the
     values declared variables may take (besides [Unset], which is always
     possible). *)
-
-val has_opaque : Efsm.Ir.pred -> bool

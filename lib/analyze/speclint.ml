@@ -23,8 +23,8 @@ let attach_spans loaded (report : Verifier.report) =
     system_findings = List.map place report.Verifier.system_findings;
   }
 
-let lint_sources ?known_machines ~externs sources =
-  let loaded, diags = Spec.Front_end.load_sources ?known_machines ~externs sources in
+let lint_sources ?known_machines ~params sources =
+  let loaded, diags = Spec.Front_end.load_sources ?known_machines ~params sources in
   let report =
     Verifier.verify_system
       (List.map
@@ -34,8 +34,8 @@ let lint_sources ?known_machines ~externs sources =
   in
   { loaded; diags; report = attach_spans loaded report; sources }
 
-let lint_files ?known_machines ~externs paths =
-  match Spec.Front_end.load_files ?known_machines ~externs paths with
+let lint_files ?known_machines ~params paths =
+  match Spec.Front_end.load_files ?known_machines ~params paths with
   | Error _ as e -> e
   | Ok (loaded, diags, sources) ->
       let report =

@@ -14,14 +14,14 @@ type result = {
 
 val lint_sources :
   ?known_machines:string list ->
-  externs:Spec.Elaborate.externs ->
+  params:Spec.Elaborate.params ->
   (string * string) list ->
   result
 (** [(filename, source)] pairs; never raises. *)
 
 val lint_files :
   ?known_machines:string list ->
-  externs:Spec.Elaborate.externs ->
+  params:Spec.Elaborate.params ->
   string list ->
   (result, string) Stdlib.result
 (** Reads each path; [Error] only for I/O failures. *)

@@ -122,13 +122,10 @@ let verify_spec ?vars (spec : Machine.spec) =
         | Solver.Unsat -> ()
         | Solver.Sat witness ->
             all_disjoint := false;
-            let opaque = Solver.has_opaque g1 || Solver.has_opaque g2 in
-            let severity = if opaque then Finding.Warning else Finding.Error in
-            let qualifier = if opaque then "may both fire" else "both fire" in
             emit ~state:t.Machine.from_state
-              ~transition:(t.Machine.label ^ "/" ^ u.Machine.label) severity "determinism"
-              (Printf.sprintf "guards are not disjoint: %S and %S %s on %s" t.Machine.label
-                 u.Machine.label qualifier witness)
+              ~transition:(t.Machine.label ^ "/" ^ u.Machine.label) Finding.Error "determinism"
+              (Printf.sprintf "guards are not disjoint: %S and %S both fire on %s"
+                 t.Machine.label u.Machine.label witness)
         | Solver.Unknown why ->
             all_disjoint := false;
             emit ~state:t.Machine.from_state

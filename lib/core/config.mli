@@ -1,5 +1,7 @@
 (** vIDS tunables: detection thresholds (the timers of paper §6/§7.5) and the
-    calibrated per-packet cost model (paper §7.2–§7.4). *)
+    calibrated per-packet cost model (paper §7.2–§7.4).  Each detection
+    threshold and timer reaches its machine only as the [param] of the
+    same name in the machine's [.vspec] ({!Spec_load.params}). *)
 
 type t = {
   (* --- INVITE flooding (Figure 4) --- *)
@@ -11,7 +13,7 @@ type t = {
   bye_inflight_timer : Dsim.Time.t;
       (** Timer T: grace period for in-flight RTP after a BYE; the paper
           recommends about one round-trip time. *)
-  (* --- Media spamming (Figure 6) --- *)
+  (* --- Media spamming (Figure 6): MEDIA_SPAM's four spam_* params --- *)
   spam_ts_gap : int;
       (** Δt: allowed forward jump in RTP timestamp ticks between
           consecutive packets of a stream. *)
@@ -20,7 +22,10 @@ type t = {
       (** Allowed timestamp jump when the sequence number is consecutive —
           a talkspurt after silence suppression (RFC 3550 marker
           semantics).  The paper's raw Figure-6 rule (ts gap alone) would
-          false-alarm on the G.729 VAD its own testbed enables. *)
+          false-alarm on the G.729 VAD its own testbed enables.  An
+          injector cannot hide behind it without giving up the
+          sequence-number advance its packets need to win the receiver's
+          playout. *)
   spam_reorder_tolerance : int;
       (** Allowed backward distance before a packet counts as replay. *)
   (* --- RTP flooding --- *)

@@ -12,9 +12,10 @@ type entry =
   | Eviction of { at : Dsim.Time.t; subject : string; detail : string }
   | Checkpoint of { at : Dsim.Time.t; seq : int }
   | Ext of { at : Dsim.Time.t; tag : string; payload : string }
-      (* Opaque record for a subsystem layered on top of the engine (e.g.
-         an enforcement decision): journaled like an alert so a crash loses
-         none, replayed to the owning subsystem during recovery. *)
+      (* A record for a subsystem layered on top of the engine (e.g. an
+         enforcement decision), uninterpreted here: journaled like an alert
+         so a crash loses none, replayed to the owning subsystem during
+         recovery. *)
 
 let ( let* ) = Result.bind
 

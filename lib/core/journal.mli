@@ -18,10 +18,11 @@ type entry =
       (** Written right after a snapshot with this sequence number is
           durably saved. *)
   | Ext of { at : Dsim.Time.t; tag : string; payload : string }
-      (** Opaque record for a subsystem layered on top of the engine (e.g.
-          an enforcement decision).  Journaled with the same durability as
-          an alert; recovery hands the post-checkpoint suffix back to the
-          owning subsystem ({!Recovery.recover}'s [on_ext]). *)
+      (** A record for a subsystem layered on top of the engine (e.g. an
+          enforcement decision), uninterpreted here.  Journaled with the
+          same durability as an alert; recovery hands the post-checkpoint
+          suffix back to the owning subsystem ({!Recovery.recover}'s
+          [on_ext]). *)
 
 val entry_to_line : entry -> string
 (** One line, no newline: [<crc32> <tag> <fields…>] with strings

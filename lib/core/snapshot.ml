@@ -72,10 +72,11 @@ type t = {
   calls : call_snap list; (* creation order *)
   detectors : detector_snap list; (* creation order *)
   ext : (string * string) list;
-      (* Opaque (tag, payload) records for subsystems layered on top of the
-         engine (e.g. enforcement rules): carried in the checkpoint and its
-         CRC, ignored by [restore], surfaced through [ext] for the owning
-         subsystem to re-apply.  Serialization order is the given order. *)
+      (* Uninterpreted (tag, payload) records for subsystems layered on top
+         of the engine (e.g. enforcement rules): carried in the checkpoint
+         and its CRC, ignored by [restore], surfaced through [ext] for the
+         owning subsystem to re-apply.  Serialization order is the given
+         order. *)
 }
 
 let seq t = t.seq

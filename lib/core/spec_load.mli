@@ -3,20 +3,20 @@
     The five machines the engine instantiates are defined only by their
     sources in [lib/core/specs/*.vspec], embedded in the binary, parsed
     and checked once at start-up.  Each engine elaborates them under its
-    own {!Config.t}: the host registry binds every [param] to the Config
-    field of the same name and supplies the media-spam machine's opaque
-    guard. *)
+    own {!Config.t}, which binds every [param] to the Config field of the
+    same name.  The machines hold no host code. *)
 
 val known_machines : string list
 (** Machine names the engine instantiates — valid [sync] targets and the
     only names an override may use. *)
 
-val externs : Config.t -> Spec.Elaborate.externs
-(** The host registry under [config]: [extern is_spam] (the media-spam
-    machine's stream-discontinuity test), and the seven params
+val params : Config.t -> Spec.Elaborate.params
+(** The param bindings under [config]: the eleven params
     [invite_flood_threshold], [invite_flood_window], [rtp_flood_threshold],
-    [rtp_flood_window], [drdos_threshold], [drdos_window] and
-    [bye_inflight_timer]. *)
+    [rtp_flood_window], [spam_seq_gap], [spam_reorder_tolerance],
+    [spam_ts_gap], [spam_silence_ts_gap], [drdos_threshold],
+    [drdos_window] and [bye_inflight_timer], each the Config field of the
+    same name. *)
 
 val sources : (string * string) list
 (** CLI key (e.g. ["media-spam"]) to embedded [.vspec] source, in the

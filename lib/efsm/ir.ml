@@ -22,6 +22,7 @@ and iexpr =
   | Add of iexpr * iexpr
   | Sub of iexpr * iexpr
   | Wrap of int * iexpr
+  | Int_let of string * iexpr
 
 and pred =
   | True
@@ -33,14 +34,7 @@ and pred =
   | Member of expr * Value.t list
   | Cmp of cmp * iexpr * iexpr
   | Has_field of string
-  | Opaque of opaque_pred
-
-and opaque_pred = {
-  pred_name : string;
-  pred_reads : var list;
-  pred_fields : string list;
-  holds : Env.t -> Event.t -> bool;
-}
+  | Pred_let of string * pred
 
 type act =
   | Assign of var * expr
@@ -103,6 +97,7 @@ and eval_iexpr env event = function
       | Some x, Some y -> Some (x - y)
       | _ -> None)
   | Wrap (bits, a) -> Option.map (wrap bits) (eval_iexpr env event a)
+  | Int_let (_, body) -> eval_iexpr env event body
 
 and eval_pred env event = function
   | True -> true
@@ -119,7 +114,7 @@ and eval_pred env event = function
       | Some x, Some y -> apply_cmp cmp x y
       | _ -> false)
   | Has_field f -> Event.has event (Event.field f)
-  | Opaque o -> o.holds env event
+  | Pred_let (_, body) -> eval_pred env event body
 
 let rec run_act builders env event = function
   | Assign ((scope, name), e) ->
@@ -144,6 +139,45 @@ and run_acts builders acts env event =
    an undefined operand unwinds to the nearest comparison or [Of_int]. *)
 exception Undefined
 
+(* The lets of one program, each compiled once into a reader of its
+   cell.  A cell holds what the let's body evaluated to at step [at]:
+   [value] and [holds] for an integer, [holds] false when it is
+   undefined; [holds] alone for a predicate.  A guard that reads the let
+   again within that step reads the cell. *)
+type cell = { mutable at : int; mutable value : int; mutable holds : bool }
+
+type lets = {
+  mutable step : int;
+  mutable ints : (string * (iexpr * (Env.t -> Event.t -> int))) list;
+  mutable preds : (string * (pred * (Env.t -> Event.t -> bool))) list;
+}
+
+let lets () = { step = 0; ints = []; preds = [] }
+
+let next_step lets = lets.step <- lets.step + 1
+
+let int_reader lets f =
+  let c = { at = -1; value = 0; holds = false } in
+  fun env event ->
+    if c.at <> lets.step then begin
+      c.at <- lets.step;
+      c.holds <- false;
+      c.value <- f env event;
+      c.holds <- true
+    end;
+    if c.holds then c.value else raise_notrace Undefined
+
+let pred_reader lets f =
+  let c = { at = -1; value = 0; holds = false } in
+  fun env event ->
+    if c.at <> lets.step then begin
+      c.at <- lets.step;
+      c.holds <- f env event
+    end;
+    c.holds
+
+let two_bodies name = invalid_arg (Printf.sprintf "Ir: let %S is bound to two bodies" name)
+
 (* The walkers below are top-level functions that take everything they
    use as arguments: a local closure over [env] and [event] would be
    allocated on every evaluation. *)
@@ -155,23 +189,14 @@ let rec any fs env event i =
 
 let rec mem_value v = function [] -> false | x :: rest -> Value.equal v x || mem_value v rest
 
-(* Both operands are evaluated, right one first, as the interpreter's
-   tuple does: an exception from either side still escapes. *)
-let undefined_after fa env event =
-  ignore (fa env event : int);
-  raise_notrace Undefined
-
-let cmp_at cmp fa fb env event =
-  match fb env event with
-  | y -> ( match fa env event with x -> apply_cmp cmp x y | exception Undefined -> false)
-  | exception Undefined -> ( match fa env event with _ -> false | exception Undefined -> false)
-
 let local_slot layout name =
   match Env.slot layout name with
   | Some i -> i
   | None -> invalid_arg (Printf.sprintf "Ir: local %S is missing from the layout" name)
 
-let rec compile_expr layout e =
+(* [lets] is [None] in actions, which read a let's body afresh: only
+   guards share its value. *)
+let rec compile_expr lets layout e =
   match e with
   | Const v -> fun _ _ -> v
   | Var (Env.Local, name) ->
@@ -182,73 +207,86 @@ let rec compile_expr layout e =
       let f = Event.field name in
       fun _ event -> Event.get event f
   | Mk_addr (h, p) ->
-      let fh = compile_expr layout h and fp = compile_expr layout p in
+      let fh = compile_expr lets layout h and fp = compile_expr lets layout p in
       fun env event ->
         (match (fh env event, fp env event) with
         | Value.Str host, Value.Int port -> Value.Addr (host, port)
         | _ -> Value.Unset)
   | Addr_host e ->
-      let f = compile_expr layout e in
+      let f = compile_expr lets layout e in
       fun env event ->
         (match f env event with Value.Addr (h, _) -> Value.Str h | _ -> Value.Str "")
   | Of_int ie ->
-      let f = compile_iexpr layout ie in
+      let f = compile_iexpr lets layout ie in
       fun env event -> (match f env event with n -> Value.Int n | exception Undefined -> Value.Unset)
   | Of_pred p ->
-      let f = compile_pred layout p in
+      let f = compile_pred lets layout p in
       fun env event -> Value.Bool (f env event)
 
-and compile_iexpr layout ie =
+and compile_iexpr lets layout ie =
   match ie with
   | Int_const n -> fun _ _ -> n
   | Int_of e ->
-      let f = compile_expr layout e in
+      let f = compile_expr lets layout e in
       fun env event -> (match f env event with Value.Int n -> n | _ -> raise_notrace Undefined)
   | Int_or0 e ->
-      let f = compile_expr layout e in
+      let f = compile_expr lets layout e in
       fun env event -> (match f env event with Value.Int n -> n | _ -> 0)
   | Add (a, b) ->
-      let fa = compile_iexpr layout a and fb = compile_iexpr layout b in
-      fun env event ->
-        (match fb env event with
-        | y -> fa env event + y
-        | exception Undefined -> undefined_after fa env event)
+      let fa = compile_iexpr lets layout a and fb = compile_iexpr lets layout b in
+      fun env event -> fa env event + fb env event
   | Sub (a, b) ->
-      let fa = compile_iexpr layout a and fb = compile_iexpr layout b in
-      fun env event ->
-        (match fb env event with
-        | y -> fa env event - y
-        | exception Undefined -> undefined_after fa env event)
+      let fa = compile_iexpr lets layout a and fb = compile_iexpr lets layout b in
+      fun env event -> fa env event - fb env event
   | Wrap (bits, a) ->
-      let fa = compile_iexpr layout a in
+      let fa = compile_iexpr lets layout a in
       fun env event -> wrap bits (fa env event)
+  | Int_let (name, body) -> (
+      match lets with
+      | None -> compile_iexpr None layout body
+      | Some l -> (
+          match List.assoc_opt name l.ints with
+          | Some (b, f) -> if b = body then f else two_bodies name
+          | None ->
+              let f = int_reader l (compile_iexpr lets layout body) in
+              l.ints <- (name, (body, f)) :: l.ints;
+              f))
 
-and compile_pred layout p =
+and compile_pred lets layout p =
   match p with
   | True -> fun _ _ -> true
   | False -> fun _ _ -> false
   | Not p ->
-      let f = compile_pred layout p in
+      let f = compile_pred lets layout p in
       fun env event -> not (f env event)
   | And ps ->
-      let fs = Array.of_list (List.map (compile_pred layout) ps) in
+      let fs = Array.of_list (List.map (fun p -> compile_pred lets layout p) ps) in
       fun env event -> all fs env event 0
   | Or ps ->
-      let fs = Array.of_list (List.map (compile_pred layout) ps) in
+      let fs = Array.of_list (List.map (fun p -> compile_pred lets layout p) ps) in
       fun env event -> any fs env event 0
   | Eq (a, b) ->
-      let fa = compile_expr layout a and fb = compile_expr layout b in
+      let fa = compile_expr lets layout a and fb = compile_expr lets layout b in
       fun env event -> Value.equal (fa env event) (fb env event)
   | Member (e, vs) ->
-      let f = compile_expr layout e in
+      let f = compile_expr lets layout e in
       fun env event -> mem_value (f env event) vs
   | Cmp (cmp, a, b) ->
-      let fa = compile_iexpr layout a and fb = compile_iexpr layout b in
-      fun env event -> cmp_at cmp fa fb env event
+      let fa = compile_iexpr lets layout a and fb = compile_iexpr lets layout b in
+      fun env event -> ( try apply_cmp cmp (fa env event) (fb env event) with Undefined -> false)
   | Has_field name ->
       let f = Event.field name in
       fun _ event -> Event.has event f
-  | Opaque o -> o.holds
+  | Pred_let (name, body) -> (
+      match lets with
+      | None -> compile_pred None layout body
+      | Some l -> (
+          match List.assoc_opt name l.preds with
+          | Some (b, f) -> if b = body then f else two_bodies name
+          | None ->
+              let f = pred_reader l (compile_pred lets layout body) in
+              l.preds <- (name, (body, f)) :: l.preds;
+              f))
 
 (* A compiled action prepends its effects, newest first, to the effects
    of the actions before it; the list is put in order once, at the end. *)
@@ -265,20 +303,20 @@ let rec eval_args env event = function
 let compile_acts builders layout acts =
   let rec compile_act = function
     | Assign ((Env.Local, name), e) ->
-        let i = local_slot layout name and f = compile_expr layout e in
+        let i = local_slot layout name and f = compile_expr None layout e in
         fun env event acc ->
           Env.set_slot env i (f env event);
           acc
     | Assign ((Env.Global, name), e) ->
-        let f = compile_expr layout e in
+        let f = compile_expr None layout e in
         fun env event acc ->
           Env.set env Env.Global name (f env event);
           acc
     | If (p, then_, else_) ->
-        let fp = compile_pred layout p and ft = compile_seq then_ and fe = compile_seq else_ in
+        let fp = compile_pred None layout p and ft = compile_seq then_ and fe = compile_seq else_ in
         fun env event acc -> if fp env event then ft env event acc else fe env event acc
     | Send_sync { target; event_name; args } ->
-        let fargs = List.map (fun (k, e) -> (k, compile_expr layout e)) args in
+        let fargs = List.map (fun (k, e) -> (k, compile_expr None layout e)) args in
         fun env event acc ->
           builders.build_sync ~target ~event_name ~args:(eval_args env event fargs) :: acc
     | Set_timer { id; delay } ->
@@ -293,6 +331,8 @@ let compile_acts builders layout acts =
   in
   let f = compile_seq acts in
   fun env event -> List.rev (f env event [])
+
+let compile_pred lets layout p = compile_pred (Some lets) layout p
 
 (* --------------------------------------------------------------- *)
 (* Introspection                                                    *)
@@ -312,7 +352,7 @@ and iexpr_vars acc = function
   | Int_const _ -> acc
   | Int_of e | Int_or0 e -> expr_vars acc e
   | Add (a, b) | Sub (a, b) -> iexpr_vars (iexpr_vars acc a) b
-  | Wrap (_, a) -> iexpr_vars acc a
+  | Wrap (_, a) | Int_let (_, a) -> iexpr_vars acc a
 
 and pred_vars_acc acc = function
   | True | False | Has_field _ -> acc
@@ -321,7 +361,7 @@ and pred_vars_acc acc = function
   | Eq (a, b) -> expr_vars (expr_vars acc a) b
   | Member (e, _) -> expr_vars acc e
   | Cmp (_, a, b) -> iexpr_vars (iexpr_vars acc a) b
-  | Opaque o -> List.rev_append o.pred_reads acc
+  | Pred_let (_, p) -> pred_vars_acc acc p
 
 let rec expr_fields acc = function
   | Const _ | Var _ -> acc
@@ -335,7 +375,7 @@ and iexpr_fields acc = function
   | Int_const _ -> acc
   | Int_of e | Int_or0 e -> expr_fields acc e
   | Add (a, b) | Sub (a, b) -> iexpr_fields (iexpr_fields acc a) b
-  | Wrap (_, a) -> iexpr_fields acc a
+  | Wrap (_, a) | Int_let (_, a) -> iexpr_fields acc a
 
 and pred_fields_acc acc = function
   | True | False -> acc
@@ -345,19 +385,11 @@ and pred_fields_acc acc = function
   | Eq (a, b) -> expr_fields (expr_fields acc a) b
   | Member (e, _) -> expr_fields acc e
   | Cmp (_, a, b) -> iexpr_fields (iexpr_fields acc a) b
-  | Opaque o -> List.rev_append o.pred_fields acc
+  | Pred_let (_, p) -> pred_fields_acc acc p
 
 let pred_vars p = dedup (pred_vars_acc [] p)
 let pred_fields p = dedup (pred_fields_acc [] p)
 let vars_of_expr e = dedup (expr_vars [] e)
-
-let rec pred_opaques acc = function
-  | True | False | Has_field _ | Eq _ | Member _ | Cmp _ -> acc
-  | Not p -> pred_opaques acc p
-  | And ps | Or ps -> List.fold_left pred_opaques acc ps
-  | Opaque o -> o.pred_name :: acc
-
-let pred_opaque_names p = dedup (pred_opaques [] p)
 
 (* Action folds walk both branches of every [If]: the analyses want what an
    action *may* do, not what one execution did. *)
@@ -449,6 +481,7 @@ and iexpr_to_string = function
   | Add (a, b) -> Printf.sprintf "(%s + %s)" (iexpr_to_string a) (iexpr_to_string b)
   | Sub (a, b) -> Printf.sprintf "(%s - %s)" (iexpr_to_string a) (iexpr_to_string b)
   | Wrap (bits, a) -> Printf.sprintf "wrap%d(%s)" bits (iexpr_to_string a)
+  | Int_let (_, a) -> iexpr_to_string a
 
 and pred_to_string = function
   | True -> "true"
@@ -463,4 +496,4 @@ and pred_to_string = function
   | Cmp (c, a, b) ->
       Printf.sprintf "%s %s %s" (iexpr_to_string a) (cmp_to_string c) (iexpr_to_string b)
   | Has_field f -> Printf.sprintf "has($%s)" f
-  | Opaque o -> Printf.sprintf "<%s>" o.pred_name
+  | Pred_let (_, p) -> pred_to_string p

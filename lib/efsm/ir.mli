@@ -8,18 +8,13 @@
     [Machine.compile] turns it into closures once per spec, so the engine
     hot path calls an ordinary [Env.t -> Event.t -> bool].
 
-    Semantics are total: no IR evaluation raises.  In particular an
-    integer comparison whose operand is not an [Int] is simply false —
-    mirroring how [Machine.step] treats a [Value.Type_error] escaping an
-    opaque guard.  The two disagree only on
-    events that bind an expected field to a value of the wrong type,
-    which the packet classifiers never produce; the digest-transparency
-    test pins the end-to-end equivalence.
+    Semantics are total: no IR evaluation raises.  An integer comparison
+    whose operand is not an [Int] is simply false.
 
-    A guard that cannot be expressed here (the media-spam machine's
-    stream-discontinuity test) uses the {!Opaque} escape hatch, which
-    declares its reads so that analyses degrade gracefully instead of
-    silently losing soundness.  Actions have no escape hatch. *)
+    A let ({!Int_let}, {!Pred_let}) names a value that several guards
+    share.  It means its body: the interpreter and the verifier read
+    through it, and a compiled program evaluates it at most once per
+    step. *)
 
 (** Value domain of a variable, used for declarations and bounded
     enumeration in the solver. *)
@@ -55,6 +50,8 @@ and iexpr =
       (** [Wrap (n, e)]: [e] as an [n]-bit two's-complement integer
           ([1 <= n <= Sys.int_size]), the serial-number difference of RTP
           sequence numbers ([n = 16]) and timestamps ([n = 32]). *)
+  | Int_let of string * iexpr
+      (** A named integer: its body.  Within a spec a name has one body. *)
 
 and pred =
   | True
@@ -66,14 +63,8 @@ and pred =
   | Member of expr * Value.t list
   | Cmp of cmp * iexpr * iexpr  (** False when either side is undefined. *)
   | Has_field of string
-  | Opaque of opaque_pred
-
-and opaque_pred = {
-  pred_name : string;  (** Identity for the solver: same name = same truth value. *)
-  pred_reads : var list;  (** Declared variable reads (trusted). *)
-  pred_fields : string list;  (** Declared event-field reads (trusted). *)
-  holds : Env.t -> Event.t -> bool;
-}
+  | Pred_let of string * pred
+      (** A named predicate: its body.  Within a spec a name has one body. *)
 
 type act =
   | Assign of var * expr
@@ -95,11 +86,6 @@ type 'eff builders = {
 
 val apply_cmp : cmp -> int -> int -> bool
 
-val wrap : int -> int -> int
-(** [wrap n x] is [x] as an [n]-bit two's-complement integer, the value
-    of [Wrap (n, _)]: [wrap 16 (b - a)] is RTP's sequence-number distance
-    from [a] to [b], [wrap 32 (b - a)] its timestamp distance. *)
-
 (** {1 Reference interpreter} *)
 
 val eval_pred : Env.t -> Event.t -> pred -> bool
@@ -117,20 +103,32 @@ val run_acts : 'eff builders -> act list -> Env.t -> Event.t -> 'eff list
     sequences run without allocating.  Behaviour is pointwise equal to the
     reference interpreter (qcheck-pinned).
 
-    @raise Invalid_argument when a local is missing from [layout]. *)
+    @raise Invalid_argument when a local is missing from [layout], or
+    when [lets] already binds a let's name to another body. *)
 
-val compile_pred : Env.layout -> pred -> Env.t -> Event.t -> bool
+type lets
+(** The let cells of one program.  A guard compiled against it evaluates
+    each let's body at most once between two {!next_step}s and keeps its
+    value in the cell, which allocates nothing.  Actions read a let's body
+    afresh. *)
+
+val lets : unit -> lets
+
+val next_step : lets -> unit
+(** Starts a step: the guards evaluated after it see the step's state and
+    event, not the values kept from the last step. *)
+
+val compile_pred : lets -> Env.layout -> pred -> Env.t -> Event.t -> bool
 
 val compile_acts : 'eff builders -> Env.layout -> act list -> Env.t -> Event.t -> 'eff list
 
 (** {1 Introspection}
 
     All results are deduplicated.  Action walks visit both branches of
-    every [If] (may-analysis); guard walks trust opaque declarations. *)
+    every [If] (may-analysis); every walk reads through lets. *)
 
 val pred_vars : pred -> var list
 val pred_fields : pred -> string list
-val pred_opaque_names : pred -> string list
 val vars_of_expr : expr -> var list
 
 val acts_fold : ('a -> act -> 'a) -> 'a -> act list -> 'a
@@ -148,7 +146,11 @@ val acts_timers_cancelled : act list -> string list
 val type_of_expr : expr -> domain option
 (** Static type when syntactically evident ([None] for variables/fields). *)
 
-(** {1 Rendering} *)
+(** {1 Rendering}
+
+    A let renders as its body, so that the solver, which keys atoms by
+    their text, reads a condition the same whether a let names it or a
+    guard spells it. *)
 
 val domain_to_string : domain -> string
 val var_to_string : var -> string

@@ -120,6 +120,7 @@ module Labels = Hashtbl.Make (String)
 type program = {
   p_spec : spec;
   p_layout : Env.layout;
+  p_lets : Ir.lets; (* the cells of the lets its guards share *)
   p_nodes : node array;
   p_initial : node;
   p_labels : string array; (* by transition index *)
@@ -138,6 +139,7 @@ let find_node nodes name = Array.find_opt (fun n -> String.equal n.n_name name) 
 
 let compile spec =
   let layout = Env.layout (locals spec) in
+  let lets = Ir.lets () in
   let nodes =
     Array.of_list
       (List.map
@@ -167,7 +169,7 @@ let compile spec =
                    {
                      e_transition = tr;
                      e_index = i;
-                     e_guard = Ir.compile_pred layout tr.syntax.Ir.guard;
+                     e_guard = Ir.compile_pred lets layout tr.syntax.Ir.guard;
                      e_action = Ir.compile_acts builders layout tr.syntax.Ir.acts;
                      e_target = node tr.to_state;
                    }
@@ -180,6 +182,7 @@ let compile spec =
   {
     p_spec = spec;
     p_layout = layout;
+    p_lets = lets;
     p_nodes = nodes;
     p_initial = node spec.initial;
     p_labels = labels;
@@ -248,8 +251,7 @@ let trigger_matches trigger event =
   | On_timer _, (Event.Data _ | Event.Sync _) -> false
 
 let enabled edge env event =
-  trigger_matches edge.e_transition.trigger event
-  && try edge.e_guard env event with Value.Type_error _ -> false
+  trigger_matches edge.e_transition.trigger event && edge.e_guard env event
 
 (* Top-level scans: a local recursive function capturing the instance
    would be allocated on every step. *)
@@ -300,9 +302,8 @@ let take t edge event =
   push t (Event.at event) edge.e_index;
   Moved { transition = edge.e_transition; effects; attack = edge.e_target.n_attack }
 
-(* Every triggered guard runs, in spec order, even after a second one
-   holds: opaque guards see the same calls whichever outcome results. *)
 let step t event =
+  Ir.next_step t.program.p_lets;
   let out = t.node.n_out in
   match first_enabled out t.env event 0 with
   | -1 -> Rejected

@@ -85,7 +85,7 @@ type program
 
 val compile : spec -> program
 (** The locals it numbers are every local the transitions read or write,
-    including the declared reads of opaque guards. *)
+    including those the bodies of their guards' lets read. *)
 
 (** {1 Instances} *)
 
@@ -115,9 +115,8 @@ val in_attack_state : t -> string option
 
 val step : t -> Event.t -> outcome
 (** Evaluates the guard of every transition the event triggers from the
-    current state, in spec order.  Guards that raise [Value.Type_error]
-    count as false (a malformed event cannot satisfy a well-typed
-    predicate). *)
+    current state, in spec order.  They share each let's value for the
+    step. *)
 
 val history : t -> Dsim.Time.t array * string array
 (** The transitions taken, oldest first: their times, and their labels

@@ -6,8 +6,6 @@ type t =
   | Addr of string * int
   | Unset
 
-exception Type_error of string
-
 let equal a b =
   match (a, b) with
   | Int x, Int y -> Int.equal x y
@@ -46,9 +44,6 @@ let pp ppf = function
   | Unset -> Format.fprintf ppf "<unset>"
 
 let to_string t = Format.asprintf "%a" pp t
-
-let type_error expected got =
-  raise (Type_error (Printf.sprintf "expected %s, got %s" expected (to_string got)))
 
 (* Wire tokens for checkpointing: compact, space-free, and exact (floats
    round-trip through their bit pattern, strings through hex).  A
@@ -167,7 +162,3 @@ let of_token token =
             | _, None -> Error "bad addr port"))
     | 'u' -> if n = 1 then Ok Unset else Error "bad unset token"
     | _ -> Error "unknown value token"
-
-let as_int = function Int n -> n | v -> type_error "int" v
-let as_str = function Str s -> s | v -> type_error "string" v
-let as_float = function Float f -> f | Int n -> float_of_int n | v -> type_error "float" v

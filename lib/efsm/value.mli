@@ -44,14 +44,3 @@ val add_decimal : Buffer.t -> int -> unit
 
 val string_of_hex : string -> (string, string) result
 (** Accepts exactly [[0-9a-fA-F]] digits, in pairs. *)
-
-(** Coercions; raise [Type_error] with a descriptive message. *)
-
-exception Type_error of string
-
-val as_int : t -> int
-
-val as_str : t -> string
-
-val as_float : t -> float
-

@@ -3,11 +3,12 @@
    The reader is written as a total function over arbitrary bytes: every
    length is checked before use, every arithmetic result is bounded, and
    anything surprising becomes [Skipped] (bad frame) or ends the stream
-   with [truncated_tail] (bad file).
+   with [truncated_tail] (bad file): a length past [max_frame], or an end
+   of file anywhere but on a record boundary.
 
    A reader owns two buffers: the 16-byte record header and a frame buffer
    that grows to the largest frame seen, never past [max_frame].  [next]
-   fills both with [really_input] and decodes the frame where it lies, so
+   fills both from the channel and decodes the frame where it lies, so
    the UDP payload is the only per-record copy.  Source and destination
    come from a direct-mapped cache of [addr_slots] addresses keyed by IPv4
    address and port: the records of one stream share one [Dsim.Addr.t] and
@@ -61,12 +62,15 @@ type reader = {
 let stats r =
   { frames = r.frames; records = r.records; skipped = r.skipped; truncated_tail = r.truncated }
 
-(* Bounded read into [buf]: [false] when fewer than [n] bytes remain. *)
-let read_into ic buf n =
-  match really_input ic buf 0 n with
-  | () -> true
-  | exception End_of_file -> false
-  | exception Sys_error _ -> false
+(* Reads [n] bytes into [buf] from [off] on, fewer only when the file ends
+   (or fails) first; the count of bytes in [buf]. *)
+let rec fill ic buf off n =
+  if off = n then n
+  else
+    match input ic buf off (n - off) with
+    | 0 -> off
+    | k -> fill ic buf (off + k) n
+    | exception Sys_error _ -> off
 
 let u32 ~swapped b off =
   let v = if swapped then Bytes.get_int32_be b off else Bytes.get_int32_le b off in
@@ -74,7 +78,7 @@ let u32 ~swapped b off =
 
 let of_channel ic =
   let hdr = Bytes.create 24 in
-  if not (read_into ic hdr 24) then Error "not a pcap file: header shorter than 24 bytes"
+  if fill ic hdr 0 24 < 24 then Error "not a pcap file: header shorter than 24 bytes"
   else
     let magic = Bytes.get_int32_le hdr 0 in
     let order =
@@ -215,35 +219,28 @@ let decode_udp r ~at len =
 
 let next r =
   if r.eof then None
-  else if not (read_into r.ic r.hdr 16) then begin
-    r.eof <- true;
-    (* A clean end of file lands exactly on a record boundary.  The probe
-       flags a tail only when bytes remain past where the read stopped;
-       [really_input] consumes the part of a header it finds before it
-       fails, so a header torn mid-write is not flagged. *)
-    (try if pos_in r.ic < in_channel_length r.ic then r.truncated <- true
-     with Sys_error _ -> ());
-    None
-  end
   else
-    let swapped = r.swapped in
-    let ts_sec = u32 ~swapped r.hdr 0 in
-    let ts_frac = u32 ~swapped r.hdr 4 in
-    let incl_len = u32 ~swapped r.hdr 8 in
-    if incl_len > max_frame then begin
+    let got = fill r.ic r.hdr 0 16 in
+    let incl_len = u32 ~swapped:r.swapped r.hdr 8 in
+    if got < 16 || incl_len > max_frame then begin
+      (* The stream ends at a length past [max_frame], a corrupt header, or
+         at the end of the file.  A clean end lands exactly on a record
+         boundary: any header byte before it is a record torn mid-write. *)
       r.eof <- true;
-      r.truncated <- true;
+      r.truncated <- got > 0;
       None
     end
     else begin
       if incl_len > Bytes.length r.frame then r.frame <- Bytes.create incl_len;
-      if not (read_into r.ic r.frame incl_len) then begin
+      if fill r.ic r.frame 0 incl_len < incl_len then begin
         r.eof <- true;
         r.truncated <- true;
         None
       end
       else begin
         r.frames <- r.frames + 1;
+        let ts_sec = u32 ~swapped:r.swapped r.hdr 0 in
+        let ts_frac = u32 ~swapped:r.swapped r.hdr 4 in
         let us = if r.nanos then ts_frac / 1000 else ts_frac in
         let at = (ts_sec * 1_000_000) + us in
         match decode_udp r ~at incl_len with

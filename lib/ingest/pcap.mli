@@ -29,18 +29,19 @@ val of_channel : in_channel -> (reader, string) result
     truncated header. *)
 
 val next : reader -> item option
-(** The next frame, [None] at end of file.  A frame torn by a crash
-    mid-write ends the stream ([None]) and sets {!stats}[.truncated_tail]
-    rather than raising; a torn 16-byte record header ends it too, but
-    without the flag.  The frame is decoded
-    in the reader's own buffer, so a record's payload is its one copy of
-    the frame's bytes; records of one stream share their addresses. *)
+(** The next frame, [None] at end of file.  A record torn by a crash
+    mid-write, in its 16-byte header or in its frame, ends the stream
+    ([None]) and sets {!stats}[.truncated_tail] rather than raising; a
+    file that ends on a record boundary does not set it.  The frame is
+    decoded in the reader's own buffer, so a record's payload is its one
+    copy of the frame's bytes; records of one stream share their
+    addresses. *)
 
 type stats = {
   frames : int;  (** Frames read, decoded or not. *)
   records : int;  (** UDP datagrams successfully decoded. *)
   skipped : int;  (** Frames rejected by the decoder. *)
-  truncated_tail : bool;  (** File ended inside a frame. *)
+  truncated_tail : bool;  (** File ended inside a record, or at a corrupt length. *)
 }
 
 val stats : reader -> stats

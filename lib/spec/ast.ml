@@ -37,10 +37,9 @@ type exp = { e : exp_node; e_span : Loc.span }
 
 and exp_node =
   | Lit of lit
-  | Ident of string  (* declared variable; scope resolved by Check *)
+  | Ident of string  (* variable, param or let; resolved by Check *)
   | Fieldref of string  (* $name: event field *)
-  | Call of string * exp list  (* addr/2 host/1 int/1 int0/1 wrap16/1 has/1 *)
-  | Extern_ref of string  (* opaque predicate escape hatch *)
+  | Call of string * exp list  (* addr/2 host/1 int/1 int0/1 wrap16/1 wrap32/1 has/1 *)
   | Not of exp
   | Bin of binop * exp * exp
   | In_set of exp * lit list
@@ -75,6 +74,8 @@ type scope = S_local | S_global
 type item =
   | I_param of { p_name : string; p_ty : param_ty; p_span : Loc.span }
   | I_var of { v_name : string; v_scope : scope; v_ty : ty; v_span : Loc.span }
+  | I_let of { let_name : string; let_body : exp; let_span : Loc.span }
+      (* a named integer or predicate that guards share *)
   | I_initial of string * Loc.span
   | I_final of (string * Loc.span) list
   | I_attack of {
@@ -99,8 +100,7 @@ let equal_ty (a : ty) (b : ty) = a = b
 let rec equal_exp a b =
   match (a.e, b.e) with
   | Lit x, Lit y -> equal_lit x y
-  | Ident x, Ident y | Fieldref x, Fieldref y | Extern_ref x, Extern_ref y ->
-      String.equal x y
+  | Ident x, Ident y | Fieldref x, Fieldref y -> String.equal x y
   | Call (f, xs), Call (g, ys) ->
       String.equal f g && List.length xs = List.length ys && List.for_all2 equal_exp xs ys
   | Not x, Not y -> equal_exp x y
@@ -148,6 +148,7 @@ let equal_item a b =
   | I_param x, I_param y -> String.equal x.p_name y.p_name && x.p_ty = y.p_ty
   | I_var x, I_var y ->
       String.equal x.v_name y.v_name && x.v_scope = y.v_scope && equal_ty x.v_ty y.v_ty
+  | I_let x, I_let y -> String.equal x.let_name y.let_name && equal_exp x.let_body y.let_body
   | I_initial (x, _), I_initial (y, _) -> String.equal x y
   | I_final xs, I_final ys ->
       List.length xs = List.length ys

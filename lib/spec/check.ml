@@ -1,8 +1,12 @@
 type ctx = {
   known_machines : string list;
-  externs : Elaborate.externs;
+  bound : Elaborate.params;
   vars : (string * (Ast.scope * Ast.ty)) list;
   params : (string * Ast.param_ty) list;
+  lets : (string * Ast.ty) list;  (* every let: [T_int] or [T_bool] *)
+  mutable scope : (string * Ast.ty) list;
+      (* the lets readable here: a let's body reads the lets above it, a
+         guard every let, an action none *)
   mutable diags : Diag.t list;  (* reversed *)
 }
 
@@ -35,20 +39,27 @@ let lookup_var ctx name = List.assoc_opt name ctx.vars
 
 let is_param ctx name = List.mem_assoc name ctx.params
 
+let is_let ctx name = List.mem_assoc name ctx.lets
+
 (* An int param reads as an int value; a duration param is only a
-   [set_timer] delay. *)
+   [set_timer] delay.  A let reads as its shape, where it is in scope. *)
 let resolve ctx span name =
-  match lookup_var ctx name with
-  | Some (_, ty) -> Some ty
-  | None -> (
-      match List.assoc_opt name ctx.params with
-      | Some Ast.P_int -> Some Ast.T_int
-      | Some Ast.P_duration ->
-          err ctx Diag.Type_mismatch span
-            (Printf.sprintf "%s is a duration param: it can only be a set_timer delay" name);
-          None
+  match (lookup_var ctx name, List.assoc_opt name ctx.params) with
+  | Some (_, ty), _ -> Some ty
+  | None, Some Ast.P_int -> Some Ast.T_int
+  | None, Some Ast.P_duration ->
+      err ctx Diag.Type_mismatch span
+        (Printf.sprintf "%s is a duration param: it can only be a set_timer delay" name);
+      None
+  | None, None -> (
+      match List.assoc_opt name ctx.scope with
+      | Some ty -> Some ty
       | None ->
-          err ctx Diag.Unbound_var span (Printf.sprintf "undeclared variable %s" name);
+          err ctx Diag.Unbound_var span
+            (if is_let ctx name then
+               Printf.sprintf
+                 "let %s is not in scope: a let reads only the lets above it, an action none" name
+             else Printf.sprintf "undeclared variable %s" name);
           None)
 
 let is_pred_shaped = Elaborate.is_pred_shaped
@@ -92,10 +103,10 @@ let rec check_pred ctx (e : Ast.exp) =
       | _ ->
           err ctx Diag.Type_mismatch e.Ast.e_span
             (Printf.sprintf "has(...) takes 1 argument, got %d" (List.length args)))
-  | Ast.Extern_ref name ->
-      if ctx.externs.Elaborate.find_pred name = None then
-        err ctx Diag.Unknown_extern e.Ast.e_span
-          (Printf.sprintf "no extern predicate %s is registered" name)
+  | Ast.Ident name when is_let ctx name ->
+      if resolve ctx e.Ast.e_span name = Some Ast.T_int then
+        err ctx Diag.Type_mismatch e.Ast.e_span
+          (Printf.sprintf "%s is an integer, not a predicate" name)
   | Ast.Ident name ->
       ignore (resolve ctx e.Ast.e_span name);
       err ctx Diag.Type_mismatch e.Ast.e_span
@@ -106,16 +117,19 @@ let rec check_pred ctx (e : Ast.exp) =
 and check_iexpr ctx (e : Ast.exp) =
   match e.Ast.e with
   | Ast.Lit (Ast.L_int _) -> ()
-  | Ast.Call (("int" | "int0" | "wrap16") as f, args) -> (
+  | Ast.Call (("int" | "int0" | "wrap16" | "wrap32") as f, args) -> (
       match args with
-      | [ a ] -> if f = "wrap16" then check_iexpr ctx a else ignore (check_expr ctx a)
+      | [ a ] -> if f = "int" || f = "int0" then ignore (check_expr ctx a) else check_iexpr ctx a
       | _ ->
           err ctx Diag.Type_mismatch e.Ast.e_span
             (Printf.sprintf "%s(...) takes 1 argument, got %d" f (List.length args)))
   | Ast.Bin ((Ast.B_add | Ast.B_sub), a, b) ->
       check_iexpr ctx a;
       check_iexpr ctx b
-  | Ast.Ident name when is_param ctx name -> ignore (resolve ctx e.Ast.e_span name)
+  | Ast.Ident name when is_param ctx name || is_let ctx name ->
+      if resolve ctx e.Ast.e_span name = Some Ast.T_bool then
+        err ctx Diag.Type_mismatch e.Ast.e_span
+          (Printf.sprintf "%s is a predicate, not an integer" name)
   | Ast.Ident name ->
       ignore (resolve ctx e.Ast.e_span name);
       err ctx Diag.Type_mismatch e.Ast.e_span
@@ -158,7 +172,7 @@ and check_expr ctx (e : Ast.exp) : Ast.ty option =
           err ctx Diag.Type_mismatch e.Ast.e_span
             (Printf.sprintf "host(...) takes 1 argument, got %d" (List.length args));
           Some Ast.T_str)
-  | Ast.Call (("int" | "int0" | "wrap16"), _) ->
+  | Ast.Call (("int" | "int0" | "wrap16" | "wrap32"), _) ->
       check_iexpr ctx e;
       Some Ast.T_int
   | Ast.Bin ((Ast.B_add | Ast.B_sub), _, _) ->
@@ -169,8 +183,8 @@ and check_expr ctx (e : Ast.exp) : Ast.ty option =
       Some Ast.T_bool
   | Ast.Call (f, _) ->
       err ctx Diag.Type_mismatch e.Ast.e_span
-        (Printf.sprintf "unknown function %s (expected addr, host, int, int0, wrap16 or has)"
-           f);
+        (Printf.sprintf
+           "unknown function %s (expected addr, host, int, int0, wrap16, wrap32 or has)" f);
       None
   | _ ->
       err ctx Diag.Type_mismatch e.Ast.e_span "expected a value expression";
@@ -180,9 +194,10 @@ let lit_in_enum lit lits = List.exists (fun l -> l = lit) lits
 
 let check_assign ctx span name (rhs : Ast.exp) =
   match lookup_var ctx name with
-  | None when is_param ctx name ->
+  | None when is_param ctx name || is_let ctx name ->
+      let kind = if is_param ctx name then "param" else "let" in
       err ctx Diag.Type_mismatch span
-        (Printf.sprintf "cannot assign to param %s: params are read-only" name)
+        (Printf.sprintf "cannot assign to %s %s: %ss are read-only" kind name kind)
   | None -> err ctx Diag.Unbound_var span (Printf.sprintf "undeclared variable %s" name)
   | Some (_, declared) -> (
       let inferred = check_expr ctx rhs in
@@ -223,7 +238,8 @@ let rec check_act ctx (act : Ast.act) =
   | Ast.Set_timer (_, Ast.Delay_us _) | Ast.Cancel_timer _ -> ()
 
 (* Declaration-level structure: duplicates, missing initial, params the
-   host does not bind and description placeholders naming no param. *)
+   host does not bind and description placeholders naming no param.
+   Variables, params and lets share one namespace. *)
 let check_structure ctx (m : Ast.machine) =
   let seen_vars = Hashtbl.create 8 in
   let seen_labels = Hashtbl.create 8 in
@@ -238,20 +254,20 @@ let check_structure ctx (m : Ast.machine) =
             err ctx Diag.Dup_label p_span
               (Printf.sprintf "variable %s is declared twice" p_name)
           else Hashtbl.add seen_vars p_name ();
-          match ctx.externs.Elaborate.find_param p_name with
+          match ctx.bound p_name with
           | None ->
-              err ctx Diag.Unknown_extern p_span
+              err ctx Diag.Unknown_param p_span
                 (Printf.sprintf "no host binding for param %s" p_name)
           | Some (bound, _) when bound <> p_ty ->
               err ctx Diag.Type_mismatch p_span
                 (Printf.sprintf "param %s is declared %s but the host binds a %s" p_name
                    (param_ty_name p_ty) (param_ty_name bound))
           | Some _ -> ())
-      | Ast.I_var { v_name; v_span; _ } ->
-          if Hashtbl.mem seen_vars v_name then
-            err ctx Diag.Dup_label v_span
-              (Printf.sprintf "variable %s is declared twice" v_name)
-          else Hashtbl.add seen_vars v_name ()
+      | Ast.I_var { v_name = name; v_span = span; _ }
+      | Ast.I_let { let_name = name; let_span = span; _ } ->
+          if Hashtbl.mem seen_vars name then
+            err ctx Diag.Dup_label span (Printf.sprintf "variable %s is declared twice" name)
+          else Hashtbl.add seen_vars name ()
       | Ast.I_initial (s, sp) ->
           if !initials <> [] then
             err ctx Diag.Dup_state sp
@@ -296,7 +312,13 @@ let check_structure ctx (m : Ast.machine) =
     err ctx Diag.Structure m.Ast.m_span
       (Printf.sprintf "machine %s has no initial state" m.Ast.m_name)
 
-let machine ~known_machines ~externs (m : Ast.machine) =
+(* A let's body is an integer expression or a predicate. *)
+let let_ty body =
+  if Elaborate.is_int_shaped body then Some Ast.T_int
+  else if Elaborate.is_pred_shaped body then Some Ast.T_bool
+  else None
+
+let machine ~known_machines ~params:bound (m : Ast.machine) =
   let vars =
     List.filter_map
       (function
@@ -309,34 +331,35 @@ let machine ~known_machines ~externs (m : Ast.machine) =
       (function Ast.I_param { p_name; p_ty; _ } -> Some (p_name, p_ty) | _ -> None)
       m.Ast.m_items
   in
-  let ctx = { known_machines; externs; vars; params; diags = [] } in
+  let lets =
+    List.filter_map
+      (function
+        | Ast.I_let { let_name; let_body; _ } ->
+            Option.map (fun ty -> (let_name, ty)) (let_ty let_body)
+        | _ -> None)
+      m.Ast.m_items
+  in
+  let ctx = { known_machines; bound; vars; params; lets; scope = []; diags = [] } in
   check_structure ctx m;
   List.iter
-    (fun item ->
-      match item with
+    (function
+      | Ast.I_let { let_name; let_body; _ } ->
+          (match let_ty let_body with
+          | Some Ast.T_int -> check_iexpr ctx let_body
+          | Some _ -> check_pred ctx let_body
+          | None ->
+              err ctx Diag.Type_mismatch let_body.Ast.e_span
+                (Printf.sprintf "let %s must be an integer expression or a predicate" let_name));
+          ctx.scope <- List.filter (fun (name, _) -> String.equal name let_name) lets @ ctx.scope
+      | _ -> ())
+    m.Ast.m_items;
+  List.iter
+    (function
       | Ast.I_trans t ->
+          ctx.scope <- lets;
           Option.iter (check_pred ctx) t.Ast.t_guard;
+          ctx.scope <- [];
           List.iter (check_act ctx) t.Ast.t_acts
       | _ -> ())
     m.Ast.m_items;
   List.rev ctx.diags
-
-let file ~known_machines ~externs (machines : Ast.file) =
-  let local_names = List.map (fun m -> m.Ast.m_name) machines in
-  let known = List.sort_uniq String.compare (known_machines @ local_names) in
-  (* Duplicate machine names across the file. *)
-  let dup_diags =
-    let seen = Hashtbl.create 4 in
-    List.filter_map
-      (fun m ->
-        if Hashtbl.mem seen m.Ast.m_name then
-          Some
-            (Diag.error Diag.Dup_label m.Ast.m_span
-               (Printf.sprintf "machine %s is defined twice" m.Ast.m_name))
-        else begin
-          Hashtbl.add seen m.Ast.m_name ();
-          None
-        end)
-      machines
-  in
-  dup_diags @ List.concat_map (machine ~known_machines:known ~externs) machines

@@ -2,20 +2,12 @@
 
     Validates everything the elaborator will rely on — declared
     variables, operator typing over the {!Efsm.Ir} linear-int/value
-    fragment, duplicate states and labels, sync targets, extern
-    references and param bindings, enum domains — and reports each
-    defect as a positioned {!Diag.t}.  Never raises. *)
+    fragment, the shape and scope of lets, duplicate states and labels,
+    sync targets, param bindings, enum domains — and reports each defect
+    as a positioned {!Diag.t}.  Never raises. *)
 
 val machine :
   known_machines:string list ->
-  externs:Elaborate.externs ->
+  params:Elaborate.params ->
   Ast.machine ->
   Diag.t list
-
-val file :
-  known_machines:string list ->
-  externs:Elaborate.externs ->
-  Ast.file ->
-  Diag.t list
-(** Checks every machine; machines defined in the file are themselves
-    valid sync targets in addition to [known_machines]. *)

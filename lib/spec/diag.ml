@@ -7,7 +7,7 @@ type code =
   | Type_mismatch
   | Dup_state
   | Unknown_sync
-  | Unknown_extern
+  | Unknown_param
   | Out_of_domain
   | Dup_label
   | Structure
@@ -16,8 +16,6 @@ type t = { severity : severity; code : code; span : Loc.span; message : string }
 
 let error code span message = { severity = Error; code; span; message }
 
-let warning code span message = { severity = Warning; code; span; message }
-
 let code_to_string = function
   | Lex -> "lex"
   | Parse -> "parse"
@@ -25,7 +23,7 @@ let code_to_string = function
   | Type_mismatch -> "type-mismatch"
   | Dup_state -> "dup-state"
   | Unknown_sync -> "unknown-sync"
-  | Unknown_extern -> "unknown-extern"
+  | Unknown_param -> "unknown-param"
   | Out_of_domain -> "out-of-domain"
   | Dup_label -> "dup-label"
   | Structure -> "structure"

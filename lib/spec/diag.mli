@@ -14,22 +14,18 @@ type code =
       (** Unrecognized character, unterminated string, bad escape,
           out-of-range number. *)
   | Parse  (** Grammar violation. *)
-  | Unbound_var  (** Reference to an undeclared variable. *)
+  | Unbound_var  (** Reference to an undeclared variable, or to a let out of scope. *)
   | Type_mismatch  (** Operand/assignment type conflict, arity errors. *)
   | Dup_state  (** State declared twice (initial/final/attack). *)
   | Unknown_sync  (** [sync] target machine that exists nowhere. *)
-  | Unknown_extern
-      (** [extern] name with no registered implementation, or a [param]
-          the host does not bind. *)
+  | Unknown_param  (** A [param] the host does not bind. *)
   | Out_of_domain  (** Constant outside a variable's declared domain. *)
-  | Dup_label  (** Duplicate transition label or machine name. *)
+  | Dup_label  (** Duplicate transition label, machine name or variable name. *)
   | Structure  (** Missing initial state, [Machine.validate_spec] failures. *)
 
 type t = { severity : severity; code : code; span : Loc.span; message : string }
 
 val error : code -> Loc.span -> string -> t
-
-val warning : code -> Loc.span -> string -> t
 
 val code_to_string : code -> string
 

@@ -2,12 +2,7 @@ module I = Efsm.Ir
 module M = Efsm.Machine
 module V = Efsm.Value
 
-type externs = {
-  find_pred : string -> I.opaque_pred option;
-  find_param : string -> (Ast.param_ty * int) option;
-}
-
-let no_externs = { find_pred = (fun _ -> None); find_param = (fun _ -> None) }
+type params = string -> (Ast.param_ty * int) option
 
 type elaborated = {
   el_spec : M.spec;
@@ -35,12 +30,12 @@ let domain_of_ty = function
 let is_int_shaped (e : Ast.exp) =
   match e.Ast.e with
   | Ast.Bin ((Ast.B_add | Ast.B_sub), _, _) -> true
-  | Ast.Call (("int" | "int0" | "wrap16"), _) -> true
+  | Ast.Call (("int" | "int0" | "wrap16" | "wrap32"), _) -> true
   | _ -> false
 
 let is_pred_shaped (e : Ast.exp) =
   match e.Ast.e with
-  | Ast.Not _ | Ast.In_set _ | Ast.Extern_ref _ -> true
+  | Ast.Not _ | Ast.In_set _ -> true
   | Ast.Bin
       ( ( Ast.B_and | Ast.B_or | Ast.B_eq | Ast.B_ne | Ast.B_lt | Ast.B_le | Ast.B_gt
         | Ast.B_ge | Ast.B_ieq | Ast.B_ine ),
@@ -51,9 +46,10 @@ let is_pred_shaped (e : Ast.exp) =
   | _ -> false
 
 type env = {
-  externs : externs;
   scope_of : string -> Efsm.Env.scope;
   param_of : string -> int option;  (* a declared param's bound value *)
+  lets : (string * I.expr) list;
+      (* each let above, as [Of_int (Int_let _)] or [Of_pred (Pred_let _)] *)
 }
 
 (* Left-associative chains of the same operator flatten back into the
@@ -82,17 +78,21 @@ let rec elab_pred env (e : Ast.exp) : I.pred =
   | Ast.Bin (Ast.B_ine, a, b) -> I.Cmp (I.Ine, elab_iexpr env a, elab_iexpr env b)
   | Ast.In_set (e, lits) -> I.Member (elab_expr env e, List.map value_of_lit lits)
   | Ast.Call ("has", [ { Ast.e = Ast.Fieldref f; _ } ]) -> I.Has_field f
-  | Ast.Extern_ref name -> (
-      match env.externs.find_pred name with Some o -> I.Opaque o | None -> I.False)
+  | Ast.Ident name -> (
+      match List.assoc_opt name env.lets with Some (I.Of_pred p) -> p | _ -> I.False)
   | _ -> I.False
 
 and elab_iexpr env (e : Ast.exp) : I.iexpr =
   match e.Ast.e with
   | Ast.Lit (Ast.L_int n) -> I.Int_const n
-  | Ast.Ident name -> I.Int_const (Option.value (env.param_of name) ~default:0)
+  | Ast.Ident name -> (
+      match List.assoc_opt name env.lets with
+      | Some (I.Of_int ie) -> ie
+      | _ -> I.Int_const (Option.value (env.param_of name) ~default:0))
   | Ast.Call ("int", [ a ]) -> I.Int_of (elab_expr env a)
   | Ast.Call ("int0", [ a ]) -> I.Int_or0 (elab_expr env a)
   | Ast.Call ("wrap16", [ a ]) -> I.Wrap (16, elab_iexpr env a)
+  | Ast.Call ("wrap32", [ a ]) -> I.Wrap (32, elab_iexpr env a)
   | Ast.Bin (Ast.B_add, a, b) -> I.Add (elab_iexpr env a, elab_iexpr env b)
   | Ast.Bin (Ast.B_sub, a, b) -> I.Sub (elab_iexpr env a, elab_iexpr env b)
   | _ -> I.Int_const 0
@@ -101,9 +101,10 @@ and elab_expr env (e : Ast.exp) : I.expr =
   match e.Ast.e with
   | Ast.Lit l -> I.Const (value_of_lit l)
   | Ast.Ident name -> (
-      match env.param_of name with
-      | Some n -> I.Const (V.Int n)
-      | None -> I.Var (env.scope_of name, name))
+      match (env.param_of name, List.assoc_opt name env.lets) with
+      | Some n, _ -> I.Const (V.Int n)
+      | None, Some e -> e
+      | None, None -> I.Var (env.scope_of name, name))
   | Ast.Fieldref f -> I.Field f
   | Ast.Call ("addr", [ h; p ]) -> I.Mk_addr (elab_expr env h, elab_expr env p)
   | Ast.Call ("host", [ a ]) -> I.Addr_host (elab_expr env a)
@@ -138,7 +139,7 @@ let trigger_of = function
   | Ast.Tg_sync, name -> M.On_sync name
   | Ast.Tg_timer, name -> M.On_timer name
 
-let machine ~externs (m : Ast.machine) =
+let machine ~params:bound (m : Ast.machine) =
   let decls =
     List.filter_map
       (function
@@ -161,12 +162,26 @@ let machine ~externs (m : Ast.machine) =
     List.filter_map
       (function
         | Ast.I_param { p_name; _ } ->
-            Option.map (fun binding -> (p_name, binding)) (externs.find_param p_name)
+            Option.map (fun binding -> (p_name, binding)) (bound p_name)
         | _ -> None)
       m.Ast.m_items
   in
   let param_of name = Option.map snd (List.assoc_opt name params) in
-  let env = { externs; scope_of; param_of } in
+  (* Each let's body is elaborated once, with the lets above it in
+     scope, and every reference shares the node. *)
+  let env =
+    List.fold_left
+      (fun env -> function
+        | Ast.I_let { let_name; let_body; _ } ->
+            let node =
+              if is_int_shaped let_body then
+                I.Of_int (I.Int_let (let_name, elab_iexpr env let_body))
+              else I.Of_pred (I.Pred_let (let_name, elab_pred env let_body))
+            in
+            { env with lets = (let_name, node) :: env.lets }
+        | _ -> env)
+      { scope_of; param_of; lets = [] } m.Ast.m_items
+  in
   let describe desc =
     Ast.expand_placeholders
       (fun name ->
@@ -219,7 +234,7 @@ let machine ~externs (m : Ast.machine) =
         | Ast.I_final states -> List.fold_left add acc states
         | Ast.I_attack { at_state; at_span; _ } -> add acc (at_state, at_span)
         | Ast.I_trans t -> add (add acc (t.Ast.t_from, t.Ast.t_span)) (t.Ast.t_to, t.Ast.t_span)
-        | Ast.I_param _ | Ast.I_var _ -> acc)
+        | Ast.I_param _ | Ast.I_var _ | Ast.I_let _ -> acc)
       [] m.Ast.m_items
     |> List.rev
   in

@@ -11,25 +11,19 @@
     {!Efsm.Value.equal} ([Ir.Eq]); [<] [<=] [>] [>=] [=] [<>] are integer
     comparisons ([Ir.Cmp]) whose operands must be integer-shaped (an
     integer literal, [int(e)], [int0(e)], [+]/[-] arithmetic, or
-    [wrap16(e)], its integer operand as a 16-bit two's-complement
-    number, [Ir.Wrap]); an
-    integer-shaped expression in value position is wrapped in [Of_int], a
-    predicate-shaped one in [Of_pred].  A [param] is replaced by the
-    value its host binding gives it: an [int] param by an integer
-    constant, a [duration] param by a [set_timer] delay, and [{NAME}] in
-    an attack description by the value's literal text ([6], [250ms]). *)
+    [wrap16(e)] and [wrap32(e)], the integer operand as a 16- or 32-bit
+    two's-complement number, [Ir.Wrap]); an integer-shaped expression in
+    value position is wrapped in [Of_int], a predicate-shaped one in
+    [Of_pred].  A [param] is replaced by the value its host binding gives
+    it: an [int] param by an integer constant, a [duration] param by a
+    [set_timer] delay, and [{NAME}] in an attack description by the
+    value's literal text ([6], [250ms]).  A [let] elaborates once into an
+    [Ir.Int_let] (an integer-shaped body) or an [Ir.Pred_let] (a
+    predicate-shaped one), which every guard that names it shares. *)
 
-type externs = {
-  find_pred : string -> Efsm.Ir.opaque_pred option;
-  find_param : string -> (Ast.param_ty * int) option;
-      (** A param's type and value (microseconds for a duration). *)
-}
-(** The host registry: [extern] guards — predicates the IR cannot
-    express, like the media-spam machine's stream-discontinuity test —
-    and the values [param]s are bound to.  Supplied by the host at load
-    time. *)
-
-val no_externs : externs
+type params = string -> (Ast.param_ty * int) option
+(** The host's binding of a [param]: its type and value (microseconds for
+    a duration), or [None] when the host binds no param of that name. *)
 
 type elaborated = {
   el_spec : Efsm.Machine.spec;
@@ -38,7 +32,10 @@ type elaborated = {
   el_trans_spans : (string * Loc.span) list;  (** Label -> declaration site. *)
 }
 
+val is_int_shaped : Ast.exp -> bool
+(** Elaborates into the [Ir.iexpr] fragment when in value position. *)
+
 val is_pred_shaped : Ast.exp -> bool
 (** Elaborates into the [Ir.pred] fragment when in value position. *)
 
-val machine : externs:externs -> Ast.machine -> elaborated
+val machine : params:params -> Ast.machine -> elaborated

@@ -7,7 +7,7 @@ type loaded = {
   l_trans_spans : (string * Loc.span) list;
 }
 
-let load_sources ?(known_machines = []) ~externs sources =
+let load_sources ?(known_machines = []) ~params sources =
   let parsed =
     List.map (fun (file, src) -> (file, Parser.parse ~file src)) sources
   in
@@ -23,10 +23,10 @@ let load_sources ?(known_machines = []) ~externs sources =
       (fun (loaded, diags) (file, (machines, _)) ->
         List.fold_left
           (fun (loaded, diags) m ->
-            let ds = Check.machine ~known_machines:known ~externs m in
+            let ds = Check.machine ~known_machines:known ~params m in
             if Diag.has_errors ds then (loaded, diags @ ds)
             else
-              let el = Elaborate.machine ~externs m in
+              let el = Elaborate.machine ~params m in
               match Efsm.Machine.validate_spec el.Elaborate.el_spec with
               | Error msg ->
                   ( loaded,
@@ -83,7 +83,7 @@ let read_file path =
       close_in ic;
       Ok s
 
-let load_files ?known_machines ~externs paths =
+let load_files ?known_machines ~params paths =
   let rec read acc = function
     | [] -> Ok (List.rev acc)
     | path :: rest -> (
@@ -94,7 +94,7 @@ let load_files ?known_machines ~externs paths =
   match read [] paths with
   | Error _ as e -> e
   | Ok sources ->
-      let loaded, diags = load_sources ?known_machines ~externs sources in
+      let loaded, diags = load_sources ?known_machines ~params sources in
       Ok (loaded, diags, sources)
 
 let span_for loaded ~machine ~state ~transition =

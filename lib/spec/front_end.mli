@@ -16,7 +16,7 @@ type loaded = {
 
 val load_sources :
   ?known_machines:string list ->
-  externs:Elaborate.externs ->
+  params:Elaborate.params ->
   (string * string) list ->
   loaded list * Diag.t list
 (** [(filename, source)] pairs.  Machines defined anywhere in the batch
@@ -27,7 +27,7 @@ val load_sources :
 
 val load_files :
   ?known_machines:string list ->
-  externs:Elaborate.externs ->
+  params:Elaborate.params ->
   string list ->
   (loaded list * Diag.t list * (string * string) list, string) result
 (** Reads and loads each path.  The third component returns the sources

@@ -235,11 +235,6 @@ and parse_primary st =
   | L.IDENT "unset" ->
       bump st;
       { Ast.e = Ast.Lit Ast.L_unset; e_span = sp }
-  | L.IDENT "extern" -> (
-      bump st;
-      match ident st "an extern name" with
-      | Some (name, sp2) -> { Ast.e = Ast.Extern_ref name; e_span = Loc.merge sp sp2 }
-      | None -> { Ast.e = Ast.Extern_ref "?"; e_span = sp })
   | L.IDENT name -> (
       bump st;
       match cur_kind st with
@@ -356,10 +351,6 @@ let rec parse_act st : Ast.act option =
       | Some (id, _) ->
           ignore (eat st L.SEMI "';'");
           Some { Ast.a = Ast.Cancel_timer id; a_span = sp })
-  | L.IDENT "extern" ->
-      err st sp "actions have no escape hatch: extern NAME is only valid in a guard";
-      recover st;
-      None
   | L.IDENT _ -> (
       match ident st "a variable name" with
       | None ->
@@ -477,6 +468,21 @@ let parse_var st ~scope sp =
               (Ast.I_var
                  { v_name = name; v_scope = scope; v_ty = ty; v_span = Loc.merge sp nsp }))
 
+let parse_let st sp =
+  match ident st "a let name" with
+  | None ->
+      recover st;
+      None
+  | Some (name, nsp) ->
+      if not (eat st L.EQ "'='") then begin
+        recover st;
+        None
+      end
+      else
+        let body = parse_exp st in
+        ignore (eat st L.SEMI "';'");
+        Some (Ast.I_let { let_name = name; let_body = body; let_span = Loc.merge sp nsp })
+
 let parse_trans st sp =
   match ident st "a transition label" with
   | None ->
@@ -530,6 +536,7 @@ let parse_item st : Ast.item option =
   if eat_keyword st "param" then parse_param st sp
   else if eat_keyword st "var" then parse_var st ~scope:Ast.S_local sp
   else if eat_keyword st "global" then parse_var st ~scope:Ast.S_global sp
+  else if eat_keyword st "let" then parse_let st sp
   else if eat_keyword st "initial" then (
     match ident st "a state name" with
     | None ->
@@ -577,7 +584,7 @@ let parse_item st : Ast.item option =
             None))
   else if eat_keyword st "trans" then parse_trans st sp
   else begin
-    expected st "a declaration (param, var, global, initial, final, attack or trans)";
+    expected st "a declaration (param, var, global, let, initial, final, attack or trans)";
     recover st;
     None
   end

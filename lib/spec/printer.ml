@@ -54,7 +54,7 @@ let prec (e : Ast.exp) =
   | Ast.Bin (op, _, _) -> binop_prec op
   | Ast.In_set _ -> 3
   | Ast.Not _ -> 5
-  | Ast.Lit _ | Ast.Ident _ | Ast.Fieldref _ | Ast.Call _ | Ast.Extern_ref _ -> 6
+  | Ast.Lit _ | Ast.Ident _ | Ast.Fieldref _ | Ast.Call _ -> 6
 
 let rec print_at level e =
   let s = print_node e in
@@ -67,7 +67,6 @@ and print_node (e : Ast.exp) =
   | Ast.Fieldref f -> "$" ^ f
   | Ast.Call (f, args) ->
       Printf.sprintf "%s(%s)" f (String.concat ", " (List.map (print_at 1) args))
-  | Ast.Extern_ref n -> "extern " ^ n
   | Ast.Not e -> "!" ^ print_at 5 e
   | Ast.Bin (op, a, b) ->
       let p = binop_prec op in
@@ -143,6 +142,8 @@ let print_item buf = function
         (Printf.sprintf "  %s %s : %s;\n"
            (match v_scope with Ast.S_local -> "var" | Ast.S_global -> "global")
            v_name (print_ty v_ty))
+  | Ast.I_let { let_name; let_body; _ } ->
+      Buffer.add_string buf (Printf.sprintf "  let %s = %s;\n" let_name (print_exp let_body))
   | Ast.I_initial (s, _) -> Buffer.add_string buf (Printf.sprintf "  initial %s;\n" s)
   | Ast.I_final states ->
       Buffer.add_string buf

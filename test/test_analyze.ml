@@ -302,6 +302,9 @@ let value_gen =
         return V.Unset;
       ])
 
+(* A let named after its body, so that one name never stands for two. *)
+let named body = "l" ^ String.sub (Digest.to_hex (Digest.string (Marshal.to_string body []))) 0 8
+
 let rec expr_gen n =
   let open QCheck.Gen in
   let base =
@@ -335,6 +338,7 @@ and iexpr_gen n =
           map2 (fun a b -> I.Add (a, b)) (iexpr_gen (n - 1)) (iexpr_gen (n - 1));
           map2 (fun a b -> I.Sub (a, b)) (iexpr_gen (n - 1)) (iexpr_gen (n - 1));
           map2 (fun bits a -> I.Wrap (bits, a)) (oneofl [ 2; 16; 32 ]) (iexpr_gen (n - 1));
+          map (fun a -> I.Int_let (named a, a)) (iexpr_gen (n - 1));
         ])
 
 and pred_gen n =
@@ -359,6 +363,7 @@ and pred_gen n =
           map (fun ps -> I.Or ps) (list_size (int_range 0 3) (pred_gen (n - 1)));
           map2 (fun a b -> I.Eq (a, b)) (expr_gen (n - 1)) (expr_gen (n - 1));
           map3 (fun c a b -> I.Cmp (c, a, b)) cmp_gen (iexpr_gen (n - 1)) (iexpr_gen (n - 1));
+          map (fun p -> I.Pred_let (named p, p)) (pred_gen (n - 1));
         ])
 
 let rec act_gen n =
@@ -403,15 +408,23 @@ let mk_env bindings =
 
 let mk_event args = Efsm.Event.make ~args (Efsm.Event.Data "SIP") ~at:(sec 0.0) "e"
 
+(* Two steps of one compiled guard, read twice in each: its lets keep a
+   value for a step and no longer. *)
 let pred_equiv =
   q "ir: compiled guard = interpreted guard"
     (QCheck.make
-       ~print:(fun (p, _, _) -> I.pred_to_string p)
-       QCheck.Gen.(triple (pred_gen 4) bindings_gen args_gen))
-    (fun (p, bindings, args) ->
-      let env = mk_env bindings and event = mk_event args in
-      let compiled = I.compile_pred layout p in
-      Bool.equal (compiled env event) (I.eval_pred env event p))
+       ~print:(fun (p, _) -> I.pred_to_string p)
+       QCheck.Gen.(pair (pred_gen 4) (list_repeat 2 (pair bindings_gen args_gen))))
+    (fun (p, steps) ->
+      let lets = I.lets () in
+      let compiled = I.compile_pred lets layout p in
+      List.for_all
+        (fun (bindings, args) ->
+          let env = mk_env bindings and event = mk_event args in
+          let want = I.eval_pred env event p in
+          I.next_step lets;
+          Bool.equal (compiled env event) want && Bool.equal (compiled env event) want)
+        steps)
 
 let acts_equiv =
   q "ir: compiled actions = interpreted actions (effects and env)"

@@ -25,16 +25,6 @@ let value_equality () =
   check "unset" true (V.equal V.Unset V.Unset);
   check "compare total" true (V.compare (V.Int 1) (V.Str "a") <> 0)
 
-let value_coercions () =
-  check_int "as_int" 5 (V.as_int (V.Int 5));
-  check_str "as_str" "x" (V.as_str (V.Str "x"));
-  check "as_float from int" true (V.as_float (V.Int 2) = 2.0);
-  check "type error" true
-    (try
-       ignore (V.as_int (V.Str "no"));
-       false
-     with V.Type_error _ -> true)
-
 let env_scopes () =
   let g = Env.globals () in
   let layout = Env.layout [ "x"; "nope" ] in
@@ -149,16 +139,8 @@ let toy_spec =
         tr ~label:"a_to_b" ~from_state:"A" (M.On_event "go") ~to_state:"B"
           ~acts:[ Ir.Assign ((Env.Local, "n"), Ir.Field "n") ]
           ();
-        (* An escape-hatch guard: [V.as_int] raises on a non-int n. *)
         tr ~label:"b_self_small" ~from_state:"B" (M.On_event "go") ~to_state:"B"
-          ~guard:
-            (Ir.Opaque
-               {
-                 pred_name = "n_small";
-                 pred_reads = [];
-                 pred_fields = [ "n" ];
-                 holds = (fun _ e -> V.as_int (E.get e (E.field "n")) <= 10);
-               })
+          ~guard:(Ir.Cmp (Ir.Le, Ir.Int_of (Ir.Field "n"), Ir.Int_const 10))
           ();
         tr ~label:"b_attack_big" ~from_state:"B" (M.On_event "go") ~to_state:"X"
           ~guard:(Ir.Cmp (Ir.Gt, Ir.Int_of (Ir.Field "n"), Ir.Int_const 10))
@@ -205,8 +187,8 @@ let machine_final () =
 let machine_guard_type_error_is_false () =
   let m = M.instantiate (M.compile toy_spec) ~globals:(Env.globals ()) in
   ignore (M.step m (ev ~args:[ ("n", V.Int 1) ] "go"));
-  (* "go" without an int n: the opaque guard raises Type_error and the IR
-     comparison is false -> no transition. *)
+  (* "go" without an int n: both comparisons are false -> no
+     transition. *)
   match M.step m (ev ~args:[ ("n", V.Str "oops") ] "go") with
   | M.Rejected -> ()
   | _ -> Alcotest.fail "expected rejection on type error"
@@ -645,7 +627,6 @@ let suite =
     ( "efsm.value+env",
       [
         tc "value equality" value_equality;
-        tc "value coercions" value_coercions;
         tc "env scopes" env_scopes;
         tc "env bytes" env_bytes;
         env_matches_model;

@@ -1,12 +1,13 @@
 (* Differential tests of the compiled EFSM stepper against the reference
    model in [Efsm_reference]: on random event sequences over each builtin
-   machine and a toy machine with overlapping guards, both must agree
-   after every step on the outcome, the configuration, the global
-   variables and the transition history.  Long sequences through the
-   machines that step on every RTP packet, and restores at every window
-   length, hold the history's ring to the reference's list.  Random RTP
-   streams hold the media-spam machine's baseline update to the host code
-   it replaced, and the IR's wrap to RTP's serial-number arithmetic. *)
+   machine and a toy machine with overlapping guards and shared lets,
+   both must agree after every step on the outcome, the configuration,
+   the global variables and the transition history.  Long sequences
+   through the machines that step on every RTP packet, and restores at
+   every window length, hold the history's ring to the reference's list.
+   Random RTP streams hold the media-spam machine's spam guard and
+   baseline update to the host code they replaced, and the IR's wrap to
+   RTP's serial-number arithmetic. *)
 
 module M = Efsm.Machine
 module E = Efsm.Event
@@ -28,30 +29,17 @@ let config =
 (* A toy machine with overlapping guards                               *)
 (* ------------------------------------------------------------------ *)
 
-(* [calls] logs every opaque guard evaluation, so the two steppers can be
-   held to the same calls, in the same order. *)
-let toy_spec calls =
+(* The guards of A share the lets [xv] and [odd], those of B [odd] and
+   [bare]; a compiled program evaluates each once per step, the
+   reference on every read.  [xv] is undefined on a non-int x, and so are
+   the comparisons that read it.  [odd] is x's low bit, through a 1-bit
+   wrap.  [small]'s guard reads [nv] and its actions read it again after
+   assigning n: an action reads a let's body afresh. *)
+let toy_spec =
   let x = Ir.Int_of (Ir.Field "x") and n = Ir.Int_or0 (Ir.Var (Env.Local, "n")) in
-  let counted name holds =
-    Ir.Opaque
-      {
-        Ir.pred_name = name;
-        pred_reads = [ (Env.Local, "n") ];
-        pred_fields = [ "x" ];
-        holds =
-          (fun env event ->
-            calls := name :: !calls;
-            holds env event);
-      }
-  in
-  (* Raises [Type_error] on a string x, like a hand-written guard would. *)
-  let odd =
-    counted "odd" (fun _ event ->
-        match E.get event (E.field "x") with
-        | V.Int v -> v land 1 = 1
-        | V.Str _ -> raise (V.Type_error "x")
-        | _ -> false)
-  in
+  let xv = Ir.Int_let ("xv", x) and nv = Ir.Int_let ("nv", n) in
+  let odd = Ir.Pred_let ("odd", Ir.Cmp (Ir.Ine, Ir.Wrap (1, xv), Ir.Int_const 0)) in
+  let bare = Ir.Pred_let ("bare", Ir.Not (Ir.Has_field "y")) in
   let tr = M.ir_transition in
   let y_copy = Ir.Var (Env.Local, "y_copy") in
   {
@@ -62,18 +50,19 @@ let toy_spec calls =
     transitions =
       [
         tr ~label:"small" ~from_state:"A" (M.On_event "e") ~to_state:"A"
-          ~guard:(Ir.Cmp (Ir.Lt, x, Ir.Int_const 5))
+          ~guard:
+            (Ir.And [ Ir.Cmp (Ir.Lt, xv, Ir.Int_const 5); Ir.Cmp (Ir.Le, nv, Ir.Int_const 1000) ])
           ~acts:
             [
-              Ir.Assign ((Env.Local, "n"), Ir.Of_int (Ir.Add (n, Ir.Int_const 1)));
+              Ir.Assign ((Env.Local, "n"), Ir.Of_int (Ir.Add (nv, Ir.Int_const 1)));
               Ir.If
-                ( Ir.Cmp (Ir.Gt, x, Ir.Int_const 2),
+                ( Ir.Cmp (Ir.Gt, nv, Ir.Int_const 2),
                   [ Ir.Set_timer { id = "t"; delay = 10 } ],
                   [ Ir.Cancel_timer "t" ] );
             ]
           ();
         tr ~label:"big" ~from_state:"A" (M.On_event "e") ~to_state:"B"
-          ~guard:(Ir.Cmp (Ir.Gt, x, Ir.Int_const 3))
+          ~guard:(Ir.Cmp (Ir.Gt, xv, Ir.Int_const 3))
           ();
         tr ~label:"odd" ~from_state:"A" (M.On_event "e") ~to_state:"BAD" ~guard:odd ();
         tr ~label:"chan" ~from_state:"A" (M.On_channel "RTP") ~to_state:"B"
@@ -90,7 +79,7 @@ let toy_spec calls =
             ]
           ();
         tr ~label:"sync_in" ~from_state:"B" (M.On_sync "ping") ~to_state:"A"
-          ~guard:(Ir.Cmp (Ir.Ieq, n, Ir.Int_const 2))
+          ~guard:(Ir.Cmp (Ir.Ieq, nv, Ir.Int_const 2))
           ~acts:
             [
               Ir.Assign ((Env.Local, "n"), Ir.Const (V.Int 0));
@@ -109,9 +98,9 @@ let toy_spec calls =
           ~guard:
             (Ir.And
                [
-                 Ir.Cmp (Ir.Ge, x, Ir.Int_const 0);
+                 Ir.Cmp (Ir.Ge, xv, Ir.Int_const 0);
                  Ir.Not odd;
-                 Ir.Cmp (Ir.Le, Ir.Add (x, n), Ir.Int_const 100);
+                 Ir.Cmp (Ir.Le, Ir.Add (xv, nv), Ir.Int_const 100);
                ])
           ~acts:
             [
@@ -123,7 +112,7 @@ let toy_spec calls =
             ]
           ();
         tr ~label:"loop_bare" ~from_state:"B" (M.On_event "e") ~to_state:"B"
-          ~guard:(counted "bare" (fun _ event -> not (E.has event (E.field "y"))))
+          ~guard:bare
           ();
         tr ~label:"done_more" ~from_state:"DONE" (M.On_event "e") ~to_state:"DONE" ();
         tr ~label:"bad_more" ~from_state:"BAD" (M.On_channel "RTP") ~to_state:"BAD" ();
@@ -274,12 +263,10 @@ let event_at i ev = E.make ~args:ev.args ev.channel ~at:(1000 * i) ev.name
 
 (* One event through both steppers, which must agree after it ([agree]
    fails the test otherwise); true when it took a transition. *)
-let step_agrees ?(calls = (ref [], ref [])) m r i event =
-  let calls_c, calls_r = calls in
+let step_agrees m r i event =
   let got = attempt (fun () -> M.step m event) in
   let want = attempt (fun () -> R.step r event) in
   agree ("outcome of event " ^ string_of_int i) show_outcome got want
-  && agree "opaque guard calls" (String.concat ",") !calls_c !calls_r
   && agree "configuration"
        (fun (state, vars) -> state ^ " " ^ show_args vars)
        (M.configuration m) (R.configuration r)
@@ -287,17 +274,14 @@ let step_agrees ?(calls = (ref [], ref [])) m r i event =
   && agree "trace" show_trace (trace_of (M.history m)) (R.trace r)
   && match got with Ok (M.Moved _) -> true | Ok _ | Error _ -> false
 
-(* Each stepper gets its own copy of the spec, so that opaque guards log
-   into separate buffers.  The sequence must take at least [min_moves]
-   transitions. *)
-let agrees ?(min_moves = 0) make_spec evs =
-  let calls = (ref [], ref []) in
-  let m = M.instantiate (M.compile (make_spec (fst calls))) ~globals:(Env.globals ()) in
-  let r = R.create (make_spec (snd calls)) ~globals:(Env.globals ()) in
+(* The sequence must take at least [min_moves] transitions. *)
+let agrees ?(min_moves = 0) spec evs =
+  let m = M.instantiate (M.compile spec) ~globals:(Env.globals ()) in
+  let r = R.create spec ~globals:(Env.globals ()) in
   let moves =
     List.fold_left
       (fun (i, moves) ev ->
-        (i + 1, if step_agrees ~calls m r i (event_at i ev) then moves + 1 else moves))
+        (i + 1, if step_agrees m r i (event_at i ev) then moves + 1 else moves))
       (0, 0) evs
     |> snd
   in
@@ -306,11 +290,9 @@ let agrees ?(min_moves = 0) make_spec evs =
 
 let builtin ?(config = config) name = Vids.Spec_load.spec config name
 
-let differential ?rtp ?min_moves ?(length = QCheck.Gen.int_range 1 100) ~count name make_spec =
+let differential ?rtp ?min_moves ?(length = QCheck.Gen.int_range 1 100) ~count name spec =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name ~count
-       (arb ?rtp ~length (make_spec (ref [])))
-       (agrees ?min_moves make_spec))
+    (QCheck.Test.make ~name ~count (arb ?rtp ~length spec) (agrees ?min_moves spec))
 
 (* ------------------------------------------------------------------ *)
 (* Restores at every window length                                     *)
@@ -396,7 +378,8 @@ let wrapped bits a b =
   (run (Ir.compile_acts M.builders wrap_layout acts), run (Ir.run_acts M.builders acts))
 
 (* Over the full 16-bit sequence-number and signed 32-bit timestamp
-   ranges, boundary values one time in three. *)
+   ranges, boundary values one time in three; the reference's [wrap], on
+   which its [is_spam] rests, too. *)
 let wrap_is_serial_arithmetic =
   let serial edges range = QCheck.Gen.frequency [ (1, QCheck.Gen.oneofl edges); (2, range) ] in
   let seq = serial [ 0; 1; 0x7FFF; 0x8000; 0xFFFE; 0xFFFF ] (QCheck.Gen.int_range 0 0xFFFF) in
@@ -409,9 +392,9 @@ let wrap_is_serial_arithmetic =
        (fun ((a, b), (x, y)) ->
          let seq_delta = Rtp.Rtp_packet.seq_delta a b and ts_delta = Rtp.Rtp_packet.ts_delta x y in
          let x = Int32.to_int x and y = Int32.to_int y in
-         Ir.wrap 16 (b - a) = seq_delta
+         R.wrap 16 (b - a) = seq_delta
          && wrapped 16 a b = (V.Int seq_delta, V.Int seq_delta)
-         && Ir.wrap 32 (y - x) = ts_delta
+         && R.wrap 32 (y - x) = ts_delta
          && wrapped 32 x y = (V.Int ts_delta, V.Int ts_delta)))
 
 (* ------------------------------------------------------------------ *)
@@ -422,8 +405,10 @@ let wrap_is_serial_arithmetic =
    number and a signed 32-bit timestamp.  A sender walks forward from a
    start near the wrap points or anywhere; on the way it goes silent,
    reorders within and beyond the tolerance, repeats a sequence number
-   with a nearby timestamp, skips ahead and changes SSRC, and the rate window fires, twice in a row
-   now and then so that the machine goes dormant. *)
+   with a nearby timestamp, skips ahead, changes SSRC, and jumps in
+   sequence number and timestamp apart, often to a spam threshold or
+   just past it; and the rate window fires, twice in a row now and then
+   so that the machine goes dormant. *)
 let rtp_stream =
   let open QCheck.Gen in
   let packet seq ts ssrc =
@@ -439,7 +424,27 @@ let rtp_stream =
     }
   in
   let window = { name = "rate_window"; channel = E.Timer; args = [] } in
-  let tolerance = Vids.Config.default.Vids.Config.spam_reorder_tolerance in
+  let c = Vids.Config.default in
+  let tolerance = c.Vids.Config.spam_reorder_tolerance in
+  (* A threshold of [is_spam], and the first value past it. *)
+  let edge x = oneofl [ x; x + 1 ] in
+  let jump =
+    pair
+      (oneof
+         [
+           int_range (-12) 60;
+           int_range 0 3;
+           edge c.Vids.Config.spam_seq_gap;
+           edge (-tolerance - 1);
+         ])
+      (oneof
+         [
+           int_range (-20_000) 20_000;
+           edge c.Vids.Config.spam_ts_gap;
+           edge c.Vids.Config.spam_silence_ts_gap;
+           edge (-4 * c.Vids.Config.spam_ts_gap - 1);
+         ])
+  in
   let rec walk n ((seq, ts, ssrc) as at) acc =
     let next seq ts ssrc = walk (n - 1) (seq, ts, ssrc) (packet seq ts ssrc :: acc) in
     if n = 0 then return (List.rev acc)
@@ -453,6 +458,7 @@ let rtp_stream =
             (1, map (fun d -> `Late d) (int_range (tolerance + 1) 64));
             (1, map (fun r -> `Repeat r) (int_range (-3) 3));
             (2, map (fun j -> `Skip j) (int_range 2 60));
+            (3, map (fun (ds, dt) -> `Jump (ds, dt)) jump);
             (1, return `Ssrc);
             (2, map (fun k -> `Window k) (int_range 1 2));
           ]
@@ -461,6 +467,7 @@ let rtp_stream =
       | `Next -> next (seq + 1) (ts + 160) ssrc
       | `Silence k -> next (seq + 1) (ts + (160 * k)) ssrc
       | `Skip j -> next (seq + j) (ts + (160 * j)) ssrc
+      | `Jump (ds, dt) -> next (seq + ds) (ts + dt) ssrc
       | `Ssrc -> next (seq + 1) (ts + 160) (ssrc + 1)
       | `Late d -> walk (n - 1) at (packet (seq - d) (ts - (160 * d)) ssrc :: acc)
       | `Repeat r -> walk (n - 1) at (packet seq (ts + (160 * r)) ssrc :: acc)
@@ -497,11 +504,40 @@ let baseline_agrees evs =
   List.iteri (fun i ev -> ignore (step_agrees m r i (event_at i ev) : bool)) evs;
   true
 
+let show_stream evs = String.concat "\n" (List.map show_ev evs)
+
 let baseline_differential =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"MEDIA_SPAM baseline agrees with the host update" ~count:300
-       (QCheck.make ~print:(fun evs -> String.concat "\n" (List.map show_ev evs)) rtp_stream)
+       (QCheck.make ~print:show_stream rtp_stream)
        baseline_agrees)
+
+(* The reference runs MEDIA_SPAM with the guards of [spam] and [in_order]
+   as the host code they replaced: the rate test, then [is_spam]. *)
+let spam_guard_agrees evs =
+  let config = Vids.Config.default in
+  let spec = builtin ~config Vids.Keys.spam_machine in
+  let under_rate env =
+    R.get_int env "l_window_count" + 1 <= config.Vids.Config.rtp_flood_threshold
+  in
+  let m = M.instantiate (M.compile spec) ~globals:(Env.globals ()) in
+  let r =
+    R.create
+      ~guards:
+        [
+          ("spam", fun env event -> under_rate env && R.is_spam config env event);
+          ("in_order", fun env event -> under_rate env && not (R.is_spam config env event));
+        ]
+      spec ~globals:(Env.globals ())
+  in
+  List.iteri (fun i ev -> ignore (step_agrees m r i (event_at i ev) : bool)) evs;
+  true
+
+let spam_guard_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"MEDIA_SPAM spam guard agrees with the host is_spam" ~count:500
+       (QCheck.make ~print:show_stream rtp_stream)
+       spam_guard_agrees)
 
 let suite =
   [
@@ -510,7 +546,7 @@ let suite =
         (fun machine ->
           differential ~count:200
             (machine ^ " steps agree with the reference")
-            (fun _ -> builtin machine))
+            (builtin machine))
         Vids.Keys.[ sip_machine; rtp_machine; flood_machine; spam_machine; drdos_machine ]
       @ [ differential ~count:300 "toy steps agree with the reference" toy_spec ]
       (* A flood threshold of 40 lets the spam detector stay in
@@ -520,8 +556,7 @@ let suite =
             differential ~count:40 ~rtp:24 ~min_moves:200
               ~length:(QCheck.Gen.int_range 400 600)
               (machine ^ " agrees over 200+ transitions")
-              (fun _ ->
-                builtin ~config:{ config with Vids.Config.rtp_flood_threshold = 40 } machine))
+              (builtin ~config:{ config with Vids.Config.rtp_flood_threshold = 40 } machine))
           Vids.Keys.[ rtp_machine; spam_machine ]
       @ List.map
           (fun machine ->
@@ -529,5 +564,5 @@ let suite =
               (machine ^ " restored at every window length agrees")
               `Quick (restore_round_trip machine))
           Vids.Keys.[ rtp_machine; spam_machine ]
-      @ [ wrap_is_serial_arithmetic; baseline_differential ] );
+      @ [ wrap_is_serial_arithmetic; baseline_differential; spam_guard_differential ] );
   ]

@@ -177,6 +177,34 @@ let pcap_truncation_fuzz =
       Sys.remove path;
       ok)
 
+(* Two records, the file cut at the end, 8 bytes into the second
+   record's header, and inside its frame: only a cut on the boundary is
+   a clean end. *)
+let pcap_torn_tail () =
+  let path = tmp_path ".pcap" in
+  let host = Dsim.Addr.v "10.0.0.1" 5060 in
+  let first = record ~at:(ms 1.0) ~src:host ~dst:host "first" in
+  let capture records =
+    Ingest.Pcap.write_file path records;
+    read_bytes path
+  in
+  let first_end = String.length (capture [ first ]) in
+  let full = capture [ first; { first with Vids.Trace.payload = "second" } ] in
+  let read cut =
+    write_bytes path (String.sub full 0 cut);
+    let ic = open_in_bin path in
+    let r = Result.get_ok (Ingest.Pcap.of_channel ic) in
+    let rec count n = match Ingest.Pcap.next r with Some _ -> count (n + 1) | None -> n in
+    let n = count 0 in
+    close_in ic;
+    (n, (Ingest.Pcap.stats r).Ingest.Pcap.truncated_tail)
+  in
+  let case what cut want = check what true (read cut = want) in
+  case "clean end" (String.length full) (2, false);
+  case "torn record header" (first_end + 8) (1, true);
+  case "torn frame" (String.length full - 3) (1, true);
+  Sys.remove path
+
 let pcap_garbage_fuzz =
   q ~count:120 "pcap: random bytes never raise"
     QCheck.(string_gen_of_size (QCheck.Gen.int_range 0 512) QCheck.Gen.char)
@@ -776,6 +804,7 @@ let suite =
         tc "pcap round-trip" pcap_roundtrip;
         tc "pcap non-IP host mapping" pcap_nonip_hosts;
         tc "pcap every octet" pcap_every_octet;
+        tc "pcap torn record header flags the tail" pcap_torn_tail;
         pcap_dotted_quad_roundtrip;
         pcap_truncation_fuzz;
         pcap_garbage_fuzz;

@@ -23,11 +23,11 @@ let sec = Dsim.Time.of_sec
    positions a user would click on.  [Speclint.ok = false] is what makes
    [vids-cli lint] exit nonzero. *)
 
-let lint_src ?(externs = Spec.Elaborate.no_externs) src =
-  Analyze.Speclint.lint_sources ~externs [ ("fixture.vspec", src) ]
+let lint_src ?(params = fun _ -> None) src =
+  Analyze.Speclint.lint_sources ~params [ ("fixture.vspec", src) ]
 
-let expect_error ?externs ?message ~code ~line ~col src () =
-  let r = lint_src ?externs src in
+let expect_error ?params ?message ~code ~line ~col src () =
+  let r = lint_src ?params src in
   check "lint rejects" false (Analyze.Speclint.ok r);
   check "front-end errors" true (Spec.Diag.has_errors r.Analyze.Speclint.diags);
   match List.filter Spec.Diag.is_error r.Analyze.Speclint.diags with
@@ -50,25 +50,17 @@ let lex_error () =
     "machine M {\n  initial A;\n  trans t : A -> A on event e\n    do { set_timer t 9300000000000s; }\n  trans u : A -> A on timer t;\n}\n"
     ()
 
-(* The second fixture is an extern in action position: only guards have
-   an escape hatch, and the error says so at [extern]. *)
+(* The second fixture is a let without its [=]. *)
 let parse_error () =
   expect_error ~code:"parse" ~line:2 ~col:11 "machine M {\n  initial ;\n}\n" ();
-  expect_error ~code:"parse" ~line:4 ~col:10
-    ~message:"actions have no escape hatch: extern NAME is only valid in a guard"
-    "machine M {\n  initial A;\n  trans t : A -> A on event e\n    do { extern stamp; }\n}\n"
-    ()
+  expect_error ~code:"parse" ~line:2 ~col:12 ~message:"expected '=', found integer 1"
+    "machine M {\n  let next 1;\n  initial A;\n}\n" ()
 
 (* Params: [limit] is bound to an int, [window] to a duration. *)
-let host =
-  {
-    Spec.Elaborate.no_externs with
-    find_param =
-      (function
-      | "limit" -> Some (A.P_int, 5)
-      | "window" -> Some (A.P_duration, 1_000_000)
-      | _ -> None);
-  }
+let host = function
+  | "limit" -> Some (A.P_int, 5)
+  | "window" -> Some (A.P_duration, 1_000_000)
+  | _ -> None
 
 (* The second fixture names a param in an attack description that is not
    one. *)
@@ -76,7 +68,7 @@ let unbound_var () =
   expect_error ~code:"unbound-var" ~line:4 ~col:10
     "machine M {\n  initial A;\n  trans t : A -> A on event e\n    when missing == 1;\n}\n"
     ();
-  expect_error ~externs:host ~code:"unbound-var" ~line:4 ~col:12
+  expect_error ~params:host ~code:"unbound-var" ~line:4 ~col:12
     "machine M {\n  param limit : int;\n  initial A;\n  attack B \"more than {limt} tries\";\n  trans t : A -> B on event e;\n}\n"
     ()
 
@@ -92,16 +84,16 @@ let type_mismatch () =
       "machine M {\n%s  var n : int;\n  initial A;\n  trans t : A -> A on event e\n%s\n  trans u : A -> A on timer w;\n}\n"
       decls body
   in
-  expect_error ~externs:host ~code:"type-mismatch" ~line:6 ~col:24
+  expect_error ~params:host ~code:"type-mismatch" ~line:6 ~col:24
     (fixture "  param window : duration;\n" "    when int0(n) + 1 > window;")
     ();
-  expect_error ~externs:host ~code:"type-mismatch" ~line:6 ~col:22
+  expect_error ~params:host ~code:"type-mismatch" ~line:6 ~col:22
     (fixture "  param limit : int;\n" "    do { set_timer w limit; }")
     ();
-  expect_error ~externs:host ~code:"type-mismatch" ~line:2 ~col:3
+  expect_error ~params:host ~code:"type-mismatch" ~line:2 ~col:3
     (fixture "  param limit : duration;\n" "    do { set_timer w limit; }")
     ();
-  expect_error ~externs:host ~code:"type-mismatch" ~line:6 ~col:10
+  expect_error ~params:host ~code:"type-mismatch" ~line:6 ~col:10
     (fixture "  param limit : int;\n" "    do { limit := 1; }")
     ()
 
@@ -114,15 +106,58 @@ let unknown_sync =
     "machine M {\n  initial A;\n  trans t : A -> A on event e\n    do { sync NOPE.go(); }\n}\n"
 
 let param_unbound =
-  expect_error ~code:"unknown-extern" ~line:2 ~col:3
+  expect_error ~code:"unknown-param" ~line:2 ~col:3
     "machine M {\n  param limit : int;\n  initial A;\n}\n"
+
+(* A machine whose header declares [decls], with one transition on e;
+   [body] is its guard or actions. *)
+let let_fixture decls body =
+  Printf.sprintf
+    "machine M {\n  var n : int;\n%s  initial A;\n  trans t : A -> A on event e\n%s\n}\n" decls
+    body
+
+let let_declared_twice =
+  expect_error ~code:"dup-label" ~line:3 ~col:3 ~message:"variable n is declared twice"
+    (let_fixture "  let n = int0(n) + 1;\n" "    when n > 0;")
+
+(* A let reads only the lets above it: a later one, or itself. *)
+let let_read_early () =
+  let message = "let b is not in scope: a let reads only the lets above it, an action none" in
+  expect_error ~code:"unbound-var" ~line:3 ~col:11 ~message
+    (let_fixture "  let a = b + 1;\n  let b = int0(n);\n" "    when a > 0;")
+    ();
+  expect_error ~code:"unbound-var" ~line:3 ~col:11 ~message
+    (let_fixture "  let b = b + 1;\n" "    when b > 0;")
+    ()
+
+let let_read_in_action =
+  expect_error ~code:"unbound-var" ~line:6 ~col:15
+    ~message:"let next is not in scope: a let reads only the lets above it, an action none"
+    (let_fixture "  let next = int0(n) + 1;\n" "    do { n := next; }")
+
+(* A let is an integer or a predicate, and read as the one it is; like a
+   param, it is read-only. *)
+let let_wrong_kind () =
+  expect_error ~code:"type-mismatch" ~line:3 ~col:14
+    ~message:"let seen must be an integer expression or a predicate"
+    (let_fixture "  let seen = $x;\n" "    when seen == 1;")
+    ();
+  expect_error ~code:"type-mismatch" ~line:6 ~col:10 ~message:"next is an integer, not a predicate"
+    (let_fixture "  let next = int0(n) + 1;\n" "    when next;")
+    ();
+  expect_error ~code:"type-mismatch" ~line:6 ~col:10 ~message:"seen is a predicate, not an integer"
+    (let_fixture "  let seen = has($x);\n" "    when seen > 0;")
+    ();
+  expect_error ~code:"type-mismatch" ~line:6 ~col:10
+    (let_fixture "  let seen = has($x);\n" "    do { seen := 1; }")
+    ()
 
 (* A broken machine in a batch does not hide a clean one. *)
 let batch_isolation () =
   let broken = "machine BAD {\n  initial ;\n}\n" in
   let clean = "machine OK {\n  initial A;\n  trans t : A -> A on event e;\n}\n" in
   let r =
-    Analyze.Speclint.lint_sources ~externs:Spec.Elaborate.no_externs
+    Analyze.Speclint.lint_sources ~params:(fun _ -> None)
       [ ("broken.vspec", broken); ("clean.vspec", clean) ]
   in
   check "batch still rejects" false (Analyze.Speclint.ok r);
@@ -144,6 +179,7 @@ let machine_pool = [ "M0"; "M1"; "RTP" ]
 let field_pool = [ "from"; "tag"; "seq" ]
 let str_pool = [ ""; "a"; "b c"; "x\"y"; "line\nbreak"; "tab\there" ]
 let param_pool = [ "limit"; "window" ]
+let let_pool = [ "jump"; "burst" ]
 let desc_pool = str_pool @ [ "more than {limit} in {window}"; "{limit}"; "{ not a param }" ]
 
 let dexp e = { A.e; e_span = Spec.Loc.dummy }
@@ -172,9 +208,8 @@ let rec exp_gen n =
     oneof
       [
         map (fun l -> dexp (A.Lit l)) lit_gen;
-        map (fun v -> dexp (A.Ident v)) (oneofl (var_pool @ param_pool));
+        map (fun v -> dexp (A.Ident v)) (oneofl (var_pool @ param_pool @ let_pool));
         map (fun f -> dexp (A.Fieldref f)) (oneofl field_pool);
-        map (fun e -> dexp (A.Extern_ref e)) (oneofl [ "is_spam"; "p_ext" ]);
       ]
   in
   if n = 0 then atom
@@ -195,7 +230,7 @@ let rec exp_gen n =
         ( 1,
           map2
             (fun f args -> dexp (A.Call (f, args)))
-            (oneofl [ "addr"; "host"; "int"; "int0"; "wrap16"; "has"; "f" ])
+            (oneofl [ "addr"; "host"; "int"; "int0"; "wrap16"; "wrap32"; "has"; "f" ])
             (list_size (int_range 0 2) (exp_gen (n - 1))) );
       ]
 
@@ -259,6 +294,10 @@ let item_gen =
           (oneofl var_pool)
           (oneofl [ A.S_local; A.S_global ])
           ty_gen );
+      ( 1,
+        map2
+          (fun let_name let_body -> A.I_let { let_name; let_body; let_span = Spec.Loc.dummy })
+          (oneofl let_pool) (exp_gen 2) );
       (1, map (fun s -> A.I_initial (s, Spec.Loc.dummy)) (oneofl state_pool));
       ( 1,
         map
@@ -329,25 +368,16 @@ let builtin_sources_canonical () =
     Vids.Spec_load.sources
 
 (* What a config can change in an elaborated spec: its attack
-   descriptions, guards and timer delays. *)
+   descriptions, and its guards and actions (the lets and timer delays
+   in them). *)
 let fingerprint (spec : Efsm.Machine.spec) =
-  let rec delays acts =
-    List.concat_map
-      (function
-        | Efsm.Ir.Set_timer { delay; _ } -> [ string_of_int delay ]
-        | Efsm.Ir.If (_, a, b) -> delays a @ delays b
-        | _ -> [])
-      acts
-  in
-  List.map snd spec.Efsm.Machine.attack_states
-  @ List.concat_map
-      (fun (t : Efsm.Machine.transition) ->
-        let { Efsm.Ir.guard; acts } = t.Efsm.Machine.syntax in
-        Efsm.Ir.pred_to_string guard :: delays acts)
-      spec.Efsm.Machine.transitions
+  ( List.map snd spec.Efsm.Machine.attack_states,
+    List.map
+      (fun (t : Efsm.Machine.transition) -> t.Efsm.Machine.syntax)
+      spec.Efsm.Machine.transitions )
 
-(* Each of the seven Config fields a param binds changes the builtin that
-   reads it, and only that one. *)
+(* Each of the eleven Config fields a param binds changes the builtin
+   that reads it, and only that one. *)
 let params_bind_config () =
   let module C = Vids.Config in
   let d = C.default in
@@ -369,6 +399,10 @@ let params_bind_config () =
       ("invite_flood_window", "invite-flood", { d with C.invite_flood_window = 2_000_000 });
       ("rtp_flood_threshold", "media-spam", { d with C.rtp_flood_threshold = 151 });
       ("rtp_flood_window", "media-spam", { d with C.rtp_flood_window = 2_000_000 });
+      ("spam_seq_gap", "media-spam", { d with C.spam_seq_gap = 51 });
+      ("spam_reorder_tolerance", "media-spam", { d with C.spam_reorder_tolerance = 9 });
+      ("spam_ts_gap", "media-spam", { d with C.spam_ts_gap = 4001 });
+      ("spam_silence_ts_gap", "media-spam", { d with C.spam_silence_ts_gap = 480_001 });
       ("drdos_threshold", "drdos", { d with C.drdos_threshold = 31 });
       ("drdos_window", "drdos", { d with C.drdos_window = 20_000_000 });
       ("bye_inflight_timer", "rtp-call", { d with C.bye_inflight_timer = 300_000 });
@@ -387,7 +421,7 @@ let examples_lint_clean () =
   let files = List.map spec_path spec_files in
   match
     Analyze.Speclint.lint_files ~known_machines:Vids.Spec_load.known_machines
-      ~externs:(Vids.Spec_load.externs Vids.Config.default)
+      ~params:(Vids.Spec_load.params Vids.Config.default)
       files
   with
   | Error e -> Alcotest.fail e
@@ -460,6 +494,10 @@ let suite =
         tc "duplicate state positioned" dup_state;
         tc "unknown sync target positioned" unknown_sync;
         tc "param without host binding positioned" param_unbound;
+        tc "let declared twice positioned" let_declared_twice;
+        tc "let read before its declaration positioned" let_read_early;
+        tc "let read in an action positioned" let_read_in_action;
+        tc "let of the wrong kind positioned" let_wrong_kind;
         tc "broken file does not hide clean one" batch_isolation;
       ] );
     ("spec.roundtrip", [ round_trip ]);
