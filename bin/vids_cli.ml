@@ -1012,8 +1012,8 @@ let lint_vspec json dot_dir files =
       | Some dir ->
           ensure_dir dir;
           List.iter
-            (fun (l : Spec.Front_end.loaded) ->
-              write_dot dir r.Analyze.Speclint.report l.Spec.Front_end.l_spec)
+            (fun (el : Spec.Elaborate.elaborated) ->
+              write_dot dir r.Analyze.Speclint.report el.Spec.Elaborate.el_spec)
             r.Analyze.Speclint.loaded);
       if json then print_endline (Analyze.Speclint.render_json r)
       else print_string (Analyze.Speclint.render_text r);

@@ -1,5 +1,5 @@
 type result = {
-  loaded : Spec.Front_end.loaded list;
+  loaded : Spec.Elaborate.elaborated list;
   diags : Spec.Diag.t list;
   report : Verifier.report;
   sources : (string * string) list;
@@ -28,26 +28,16 @@ let lint_sources ?known_machines ~params sources =
   let report =
     Verifier.verify_system
       (List.map
-         (fun (l : Spec.Front_end.loaded) ->
-           (l.Spec.Front_end.l_spec, l.Spec.Front_end.l_vars))
+         (fun (el : Spec.Elaborate.elaborated) ->
+           (el.Spec.Elaborate.el_spec, el.Spec.Elaborate.el_vars))
          loaded)
   in
   { loaded; diags; report = attach_spans loaded report; sources }
 
 let lint_files ?known_machines ~params paths =
-  match Spec.Front_end.load_files ?known_machines ~params paths with
-  | Error _ as e -> e
-  | Ok (loaded, diags, sources) ->
-      let report =
-        Verifier.verify_system
-          (List.map
-             (fun (l : Spec.Front_end.loaded) ->
-               (l.Spec.Front_end.l_spec, l.Spec.Front_end.l_vars))
-             loaded)
-      in
-      Ok { loaded; diags; report = attach_spans loaded report; sources }
+  Result.map (lint_sources ?known_machines ~params) (Spec.Front_end.read_files paths)
 
-let ok r = (not (Spec.Diag.has_errors r.diags)) && not (Verifier.has_errors r.report)
+let ok r = r.diags = [] && not (Verifier.has_errors r.report)
 
 let render_text r =
   let buffer = Buffer.create 1024 in

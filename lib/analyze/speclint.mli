@@ -3,8 +3,8 @@
     and the test suite. *)
 
 type result = {
-  loaded : Spec.Front_end.loaded list;
-  diags : Spec.Diag.t list;  (** Lex/parse/check/structure diagnostics. *)
+  loaded : Spec.Elaborate.elaborated list;
+  diags : Spec.Diag.t list;  (** Lex/parse/elaboration/structure diagnostics. *)
   report : Verifier.report;
       (** Verifier report over the successfully loaded machines, composed
           as one system.  Findings carry source spans where the machine's
@@ -24,10 +24,11 @@ val lint_files :
   params:Spec.Elaborate.params ->
   string list ->
   (result, string) Stdlib.result
-(** Reads each path; [Error] only for I/O failures. *)
+(** Reads each path and calls {!lint_sources}; [Error] only for I/O
+    failures. *)
 
 val ok : result -> bool
-(** No error-severity diagnostics and no error-severity findings. *)
+(** No diagnostics and no error-severity findings. *)
 
 val render_text : result -> string
 (** Caret-snippet diagnostics followed by the verifier report. *)

@@ -15,11 +15,7 @@
       of a never-set id, expiry transitions for never-set timers;
     - {b sync channels} (system-level): orphan [Send_sync],
       receive-without-sender, unreachable receivers, send/receive cycles
-      between machines, cross-machine global dataflow.
-
-    Transitions built from raw closures (no [syntax]) degrade the
-    affected passes to warnings rather than silently assuming anything
-    about their guards. *)
+      between machines, cross-machine global dataflow. *)
 
 type machine_report = {
   spec_name : string;

@@ -24,10 +24,10 @@ let params config = function
 
 type builtin = { key : string; source : string; ast : Spec.Ast.machine }
 
-(* Parsed and checked at module initialisation, so that no engine pays
-   for the AST; each engine elaborates its own specs from it under its
-   config.  A builtin that does not parse or check stops every program
-   at start-up. *)
+(* Parsed at module initialisation, and checked by elaborating it under
+   [Config.default], so that no engine pays for the AST; each engine
+   elaborates its own specs from it under its config.  A builtin that
+   does not parse or elaborate stops every program at start-up. *)
 let all =
   let sources =
     List.map (fun (base, src) -> ("lib/core/specs/" ^ base, src)) Builtin_specs.all
@@ -52,10 +52,10 @@ let all =
   List.iter
     (fun (file, b) ->
       match
-        Spec.Check.machine ~known_machines ~params:(params Config.default) b.ast
+        Spec.Elaborate.machine ~known_machines ~params:(params Config.default) b.ast
       with
-      | [] -> ()
-      | diags -> reject file diags)
+      | Ok _ -> ()
+      | Error diags -> reject file diags)
     parsed;
   List.map snd parsed
 
@@ -68,9 +68,12 @@ let find name =
 
 let source_for name = Option.map (fun b -> b.source) (find name)
 
+(* Start-up elaborated every builtin under [Config.default], and a config
+   changes a param's value, never its type: this cannot fail. *)
 let elaborate config b =
-  let el = Spec.Elaborate.machine ~params:(params config) b.ast in
-  (el.Spec.Elaborate.el_spec, el.Spec.Elaborate.el_vars)
+  match Spec.Elaborate.machine ~known_machines ~params:(params config) b.ast with
+  | Ok el -> (el.Spec.Elaborate.el_spec, el.Spec.Elaborate.el_vars)
+  | Error _ -> assert false
 
 let builtins config = List.map (fun b -> (b.key, elaborate config b)) all
 
@@ -84,18 +87,17 @@ let spec config name =
 (* ------------------------------------------------------------------ *)
 
 let load_files config paths =
-  match
-    Spec.Front_end.load_files ~known_machines ~params:(params config) paths
-  with
+  match Spec.Front_end.read_files paths with
   | Error e -> Error e
-  | Ok (loaded, diags, sources) ->
-      let unknown =
-        List.filter
-          (fun (l : Spec.Front_end.loaded) ->
-            not (List.mem l.Spec.Front_end.l_name known_machines))
-          loaded
+  | Ok sources ->
+      let loaded, diags =
+        Spec.Front_end.load_sources ~known_machines ~params:(params config) sources
       in
-      if Spec.Diag.has_errors diags || unknown <> [] then
+      let name (el : Spec.Elaborate.elaborated) =
+        el.Spec.Elaborate.el_spec.Efsm.Machine.spec_name
+      in
+      let unknown = List.filter (fun el -> not (List.mem (name el) known_machines)) loaded in
+      if diags <> [] || unknown <> [] then
         let rendered =
           List.map
             (fun (d : Spec.Diag.t) ->
@@ -105,17 +107,12 @@ let load_files config paths =
               Spec.Diag.render ?source d)
             diags
           @ List.map
-              (fun (l : Spec.Front_end.loaded) ->
+              (fun el ->
                 Printf.sprintf
                   "%s: machine %s does not override a builtin (expected one of %s)"
-                  l.Spec.Front_end.l_file l.Spec.Front_end.l_name
+                  el.Spec.Elaborate.el_file (name el)
                   (String.concat ", " known_machines))
               unknown
         in
         Error (String.concat "\n" rendered)
-      else
-        Ok
-          (List.map
-             (fun (l : Spec.Front_end.loaded) ->
-               (l.Spec.Front_end.l_name, l.Spec.Front_end.l_spec))
-             loaded)
+      else Ok (List.map (fun el -> (name el, el.Spec.Elaborate.el_spec)) loaded)

@@ -38,5 +38,5 @@ val load_files :
   Config.t -> string list -> ((string * Efsm.Machine.spec) list, string) result
 (** Loads override machines for [--spec].  Every loaded machine must
     name a member of {!known_machines} (the engine only instantiates
-    those); front-end or verifier errors render into the [Error]
-    message with caret snippets. *)
+    those); front-end diagnostics render into the [Error] message with
+    caret snippets.  No verifier runs: [vids-cli lint] is the check. *)

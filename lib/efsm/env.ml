@@ -81,7 +81,7 @@ let globals_bindings (g : globals) = bindings g
 let globals_put (g : globals) name value = put g g.cells name value
 
 let value_bytes = function
-  | Value.Int _ | Value.Bool _ | Value.Float _ -> 8
+  | Value.Int _ | Value.Bool _ -> 8
   | Value.Str s -> String.length s
   | Value.Addr (h, _) -> String.length h + 8
   | Value.Unset -> 0

@@ -431,7 +431,6 @@ let domain_of_value = function
   | Value.Bool _ -> Some D_bool
   | Value.Str _ -> Some D_str
   | Value.Addr _ -> Some D_addr
-  | Value.Float _ -> None (* no float domain: specs do not compare floats *)
   | Value.Unset -> None
 
 let type_of_expr = function

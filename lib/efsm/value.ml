@@ -2,7 +2,6 @@ type t =
   | Int of int
   | Str of string
   | Bool of bool
-  | Float of float
   | Addr of string * int
   | Unset
 
@@ -11,25 +10,22 @@ let equal a b =
   | Int x, Int y -> Int.equal x y
   | Str x, Str y -> String.equal x y
   | Bool x, Bool y -> Bool.equal x y
-  | Float x, Float y -> Float.equal x y
   | Addr (h1, p1), Addr (h2, p2) -> String.equal h1 h2 && Int.equal p1 p2
   | Unset, Unset -> true
-  | (Int _ | Str _ | Bool _ | Float _ | Addr _ | Unset), _ -> false
+  | (Int _ | Str _ | Bool _ | Addr _ | Unset), _ -> false
 
 let rank = function
   | Int _ -> 0
   | Str _ -> 1
   | Bool _ -> 2
-  | Float _ -> 3
-  | Addr _ -> 4
-  | Unset -> 5
+  | Addr _ -> 3
+  | Unset -> 4
 
 let compare a b =
   match (a, b) with
   | Int x, Int y -> Int.compare x y
   | Str x, Str y -> String.compare x y
   | Bool x, Bool y -> Bool.compare x y
-  | Float x, Float y -> Float.compare x y
   | Addr (h1, p1), Addr (h2, p2) ->
       let c = String.compare h1 h2 in
       if c <> 0 then c else Int.compare p1 p2
@@ -39,14 +35,13 @@ let pp ppf = function
   | Int n -> Format.fprintf ppf "%d" n
   | Str s -> Format.fprintf ppf "%S" s
   | Bool b -> Format.fprintf ppf "%b" b
-  | Float f -> Format.fprintf ppf "%g" f
   | Addr (h, p) -> Format.fprintf ppf "%s:%d" h p
   | Unset -> Format.fprintf ppf "<unset>"
 
 let to_string t = Format.asprintf "%a" pp t
 
-(* Wire tokens for checkpointing: compact, space-free, and exact (floats
-   round-trip through their bit pattern, strings through hex).  A
+(* Wire tokens for checkpointing: compact, space-free, and exact (strings
+   round-trip through hex).  A
    checkpoint encodes and a recovery decodes megabytes of this, so hex
    goes through a digit table, never a formatting call per byte. *)
 
@@ -118,7 +113,6 @@ let add_token buf = function
       Buffer.add_char buf 's';
       add_hex buf s
   | Bool b -> Buffer.add_string buf (if b then "b1" else "b0")
-  | Float f -> Buffer.add_string buf (Printf.sprintf "f%Lx" (Int64.bits_of_float f))
   | Addr (h, p) ->
       Buffer.add_char buf 'a';
       add_hex buf h;
@@ -147,10 +141,6 @@ let of_token token =
         | "0" -> Ok (Bool false)
         | "1" -> Ok (Bool true)
         | _ -> Error "bad bool token")
-    | 'f' -> (
-        match Int64.of_string_opt ("0x" ^ body ()) with
-        | Some bits -> Ok (Float (Int64.float_of_bits bits))
-        | None -> Error "bad float token")
     | 'a' -> (
         match String.index_from_opt token 1 ':' with
         | None -> Error "bad addr token"

@@ -7,7 +7,6 @@ type t =
   | Int of int
   | Str of string
   | Bool of bool
-  | Float of float
   | Addr of string * int  (** host, port *)
   | Unset  (** A declared variable before initialization. *)
 
@@ -22,8 +21,8 @@ val to_string : t -> string
 (** {1 Checkpoint serialization}
 
     Space-free wire tokens: [of_token (to_token v) = Ok v] for every value,
-    exactly — floats round-trip through their IEEE bit pattern and strings
-    through hex, so arbitrary bytes survive. *)
+    exactly — strings round-trip through hex, so arbitrary bytes
+    survive. *)
 
 val add_token : Buffer.t -> t -> unit
 (** Appends the token for the value. *)

@@ -1,7 +1,7 @@
 (* Positioned surface syntax for [.vspec] machine specifications.
 
    The AST is deliberately untyped and context-free: one expression form
-   covers predicate, value and integer positions, and [Check] decides
+   covers predicate, value and integer positions, and [Elaborate] decides
    which {!Efsm.Ir} fragment each node elaborates into.  Every node
    carries the span of the text it was parsed from; generated trees (the
    round-trip property's) carry [Loc.dummy]. *)
@@ -37,7 +37,7 @@ type exp = { e : exp_node; e_span : Loc.span }
 
 and exp_node =
   | Lit of lit
-  | Ident of string  (* variable, param or let; resolved by Check *)
+  | Ident of string  (* variable, param or let; resolved by Elaborate *)
   | Fieldref of string  (* $name: event field *)
   | Call of string * exp list  (* addr/2 host/1 int/1 int0/1 wrap16/1 wrap32/1 has/1 *)
   | Not of exp
@@ -192,8 +192,3 @@ let expand_placeholders f s =
   in
   go 0;
   Buffer.contents b
-
-let placeholders s =
-  let names = ref [] in
-  ignore (expand_placeholders (fun name -> names := name :: !names; "") s);
-  List.rev !names

@@ -1,5 +1,3 @@
-type severity = Error | Warning
-
 type code =
   | Lex
   | Parse
@@ -12,9 +10,9 @@ type code =
   | Dup_label
   | Structure
 
-type t = { severity : severity; code : code; span : Loc.span; message : string }
+type t = { code : code; span : Loc.span; message : string }
 
-let error code span message = { severity = Error; code; span; message }
+let error code span message = { code; span; message }
 
 let code_to_string = function
   | Lex -> "lex"
@@ -28,15 +26,8 @@ let code_to_string = function
   | Dup_label -> "dup-label"
   | Structure -> "structure"
 
-let severity_to_string = function Error -> "error" | Warning -> "warning"
-
-let is_error d = d.severity = Error
-
-let has_errors ds = List.exists is_error ds
-
 let to_string d =
-  Printf.sprintf "%s: %s[%s]: %s" (Loc.to_string d.span)
-    (severity_to_string d.severity) (code_to_string d.code) d.message
+  Printf.sprintf "%s: error[%s]: %s" (Loc.to_string d.span) (code_to_string d.code) d.message
 
 (* The [n]th 1-based line of [source], without its terminator. *)
 let line_of_source source n =
@@ -96,8 +87,7 @@ let quote s =
 
 let to_json d =
   Printf.sprintf
-    "{\"severity\":%s,\"code\":%s,\"file\":%s,\"line\":%d,\"col\":%d,\"message\":%s}"
-    (quote (severity_to_string d.severity))
+    "{\"severity\":\"error\",\"code\":%s,\"file\":%s,\"line\":%d,\"col\":%d,\"message\":%s}"
     (quote (code_to_string d.code))
     (quote d.span.Loc.s.Loc.file) d.span.Loc.s.Loc.line d.span.Loc.s.Loc.col
     (quote d.message)

@@ -1,11 +1,10 @@
 (** Positioned diagnostics from the [.vspec] front end.
 
-    The lexer, parser, resolver and elaborator never raise on bad input:
-    they accumulate diagnostics, each anchored to a {!Loc.span}.  A
-    diagnostic carries a stable [code] naming its class, so tests and CI
-    can assert on the class rather than the message text. *)
-
-type severity = Error | Warning
+    The lexer, parser and elaborator never raise on bad input: they
+    accumulate diagnostics, each anchored to a {!Loc.span}.  Every
+    diagnostic is an error.  It carries a stable [code] naming its class,
+    so tests and CI can assert on the class rather than the message
+    text. *)
 
 (** Diagnostic classes.  One constructor per kind of defect the front
     end detects; {!code_to_string} gives the stable wire name. *)
@@ -23,15 +22,11 @@ type code =
   | Dup_label  (** Duplicate transition label, machine name or variable name. *)
   | Structure  (** Missing initial state, [Machine.validate_spec] failures. *)
 
-type t = { severity : severity; code : code; span : Loc.span; message : string }
+type t = { code : code; span : Loc.span; message : string }
 
 val error : code -> Loc.span -> string -> t
 
 val code_to_string : code -> string
-
-val is_error : t -> bool
-
-val has_errors : t list -> bool
 
 val to_string : t -> string
 (** One line: [file:line:col: error[code]: message]. *)

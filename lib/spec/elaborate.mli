@@ -1,11 +1,12 @@
-(** Lowering checked ASTs into {!Efsm.Ir} transitions.
+(** Checking parsed machines and lowering them into {!Efsm.Ir}
+    transitions, in one syntax-directed pass.
 
-    The elaborator is syntax-directed and total: it assumes {!Check}
-    already rejected ill-formed input, and maps anything unexpected to a
-    harmless default (an unresolvable guard becomes [Ir.False], an
-    unresolvable action is dropped) instead of raising.  It builds syntax
-    only ({!Efsm.Machine.ir_transition}); the engine compiles loaded specs
-    and builtins alike with {!Efsm.Machine.compile}.
+    Each construct resolves its names, checks its types and builds its IR
+    node, and each defect is a positioned {!Diag.t}.  The pass never
+    raises: it returns the elaborated machine or every diagnostic.  It
+    builds syntax only ({!Efsm.Machine.ir_transition}); the engine
+    compiles loaded specs and builtins alike with
+    {!Efsm.Machine.compile}.
 
     Elaboration rules (also in DESIGN.md §13): [==]/[!=] are structural
     {!Efsm.Value.equal} ([Ir.Eq]); [<] [<=] [>] [>=] [=] [<>] are integer
@@ -19,23 +20,27 @@
     [set_timer] delay, and [{NAME}] in an attack description by the
     value's literal text ([6], [250ms]).  A [let] elaborates once into an
     [Ir.Int_let] (an integer-shaped body) or an [Ir.Pred_let] (a
-    predicate-shaped one), which every guard that names it shares. *)
+    predicate-shaped one), which every guard that names it shares.  A
+    let's body reads the lets above it, a guard every let, an action
+    none. *)
 
 type params = string -> (Ast.param_ty * int) option
 (** The host's binding of a [param]: its type and value (microseconds for
     a duration), or [None] when the host binds no param of that name. *)
 
 type elaborated = {
+  el_file : string;  (** The source file the machine came from. *)
   el_spec : Efsm.Machine.spec;
   el_vars : Efsm.Ir.decl list;  (** Declared domains, for the verifier. *)
   el_state_spans : (string * Loc.span) list;  (** First mention of each state. *)
   el_trans_spans : (string * Loc.span) list;  (** Label -> declaration site. *)
 }
 
-val is_int_shaped : Ast.exp -> bool
-(** Elaborates into the [Ir.iexpr] fragment when in value position. *)
-
-val is_pred_shaped : Ast.exp -> bool
-(** Elaborates into the [Ir.pred] fragment when in value position. *)
-
-val machine : params:params -> Ast.machine -> elaborated
+val machine :
+  known_machines:string list -> params:params -> Ast.machine -> (elaborated, Diag.t list) result
+(** [known_machines] are the valid [sync] targets.  The diagnostics come
+    in this order: declarations (duplicate names, states and labels,
+    params the host does not bind or binds at another type, a missing
+    initial state, description placeholders naming no param), then let
+    bodies top to bottom, then each transition's guard and its
+    actions. *)

@@ -1,8 +1,8 @@
 (** Source positions and spans for [.vspec] files.
 
-    Every AST node carries a {!span} so the checker, the elaborator and
-    (through [Analyze.Finding]) the static verifier can point findings
-    back into the text the operator actually wrote.  Lines and columns
+    Every AST node carries a {!span} so the elaborator and (through
+    [Analyze.Finding]) the static verifier can point findings back into
+    the text the operator actually wrote.  Lines and columns
     are 1-based, like compilers and editors count them. *)
 
 type pos = { file : string; line : int; col : int }
