@@ -33,8 +33,6 @@ val is_error : t -> bool
 val compare : t -> t -> int
 (** Severity-major ordering for stable reports. *)
 
-val coordinates : t -> string
-
 val to_string : t -> string
 (** One line: [severity [pass] machine at state/transition: message],
     prefixed with [file:line:col:] when a span is attached. *)

@@ -1,8 +1,5 @@
 (** Rendering of verifier reports: text, JSON, annotated DOT. *)
 
-val summary : Verifier.report -> string
-(** One line: machine and per-severity finding counts. *)
-
 val render_text : Verifier.report -> string
 
 val render_json : Verifier.report -> string

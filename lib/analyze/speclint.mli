@@ -17,7 +17,9 @@ val lint_sources :
   params:Spec.Elaborate.params ->
   (string * string) list ->
   result
-(** [(filename, source)] pairs; never raises. *)
+(** Test seam: lints [(filename, source)] pairs as {!lint_files} lints
+    the files it reads, so the spec tests can pass their fixtures inline;
+    never raises. *)
 
 val lint_files :
   ?known_machines:string list ->

@@ -18,7 +18,6 @@ let create tb ~host =
     host;
   }
 
-let host t = t.host
 let sched t = t.tb.Voip.Testbed.sched
 let at_time t when_ f = ignore (Dsim.Scheduler.schedule_at (sched t) when_ f)
 let after t delay f = ignore (Dsim.Scheduler.schedule_after (sched t) delay f)

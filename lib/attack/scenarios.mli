@@ -12,8 +12,6 @@ type t
 
 val create : Voip.Testbed.t -> host:string -> t
 
-val host : t -> string
-
 (** {1 Signaling attacks (paper §3.1)} *)
 
 val invite_flood :
@@ -60,17 +58,13 @@ val billing_fraud_call : t -> caller:Voip.Ua.t -> callee:Voip.Ua.t -> at:Dsim.Ti
 (** {1 The named scenario list} *)
 
 val names : string list
-(** The eight attacks {!launch} knows, in the order [detect] runs them:
+(** The eight attacks {!schedule} knows, in the order [detect] runs them:
     bye-dos, cancel-dos, hijack, media-spam, billing-fraud, invite-flood,
     rtp-flood, drdos. *)
 
-val launch : t -> at:Dsim.Time.t -> pair:int -> string -> bool
-(** [launch t ~at ~pair name] schedules the attack [name] against UA pair
-    [pair] (caller in network A, callee in network B): 25 INVITEs 40 ms
-    apart for invite-flood, 2 s of 400 pps for rtp-flood, 60 responses
-    from 20 reflectors for drdos.  [false] when [name] is not in
-    {!names}. *)
-
 val schedule : t -> on_unknown:(string -> unit) -> string list -> unit
 (** One attack every 25 s from t = 5 s, cycling through the eight UA
-    pairs; [on_unknown] receives each name {!launch} refuses. *)
+    pairs (caller in network A, callee in network B): 25 INVITEs 40 ms
+    apart for invite-flood, 2 s of 400 pps for rtp-flood, 60 responses
+    from 20 reflectors for drdos.  [on_unknown] receives each name not in
+    {!names}. *)

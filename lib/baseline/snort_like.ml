@@ -1,8 +1,8 @@
 type rule = { name : string; kind : Vids.Alert.kind; matches : Dsim.Packet.t -> bool }
 
-type t = { rules : rule list; mutable packets : int; mutable alerts : int }
+type t = { rules : rule list; mutable alerts : int }
 
-let create rules = { rules; packets = 0; alerts = 0 }
+let create rules = { rules; alerts = 0 }
 
 let is_sip (packet : Dsim.Packet.t) =
   Dsim.Addr.port packet.dst = 5060 || Dsim.Addr.port packet.src = 5060
@@ -43,7 +43,6 @@ let default_rules =
   ]
 
 let process t packet =
-  t.packets <- t.packets + 1;
   List.filter_map
     (fun rule ->
       if rule.matches packet then begin
@@ -56,5 +55,4 @@ let process t packet =
       else None)
     t.rules
 
-let packets_processed t = t.packets
 let alerts_total t = t.alerts

@@ -25,6 +25,4 @@ val default_rules : rule list
 val process : t -> Dsim.Packet.t -> Vids.Alert.t list
 (** Alerts triggered by this packet (not deduplicated — stateless). *)
 
-val packets_processed : t -> int
-
 val alerts_total : t -> int

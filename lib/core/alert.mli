@@ -56,5 +56,3 @@ val make : kind:kind -> ?severity:severity -> at:Dsim.Time.t -> subject:string -
 val dedup_key : t -> string
 
 val pp : Format.formatter -> t -> unit
-
-val default_severity : kind -> severity

@@ -39,9 +39,6 @@ val opt_time_tok : string -> (Dsim.Time.t option, string) result
 val add_opt_time : Buffer.t -> Dsim.Time.t option -> unit
 (** Appends the microseconds, or ["-"] for [None]. *)
 
-val take : string list -> (string * string list, string) result
-(** Pops the next token or fails on a truncated record. *)
-
 val add_event : Buffer.t -> Efsm.Event.t -> unit
 (** Appends the event's space-separated tokens.  Self-delimiting: an
     explicit argument count precedes the key/value pairs, so the encoding

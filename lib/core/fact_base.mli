@@ -94,10 +94,6 @@ val detector_subject : detector_kind -> string -> string
 val occupancy : t -> int
 (** Active calls plus detectors — the engine's degradation signal. *)
 
-val delete_call : t -> call -> unit
-(** Releases the call's timers and removes it from the base and the media
-    index.  Idempotent. *)
-
 val quarantine_call : t -> call -> unit
 (** Removes a call whose machine faulted so the fault cannot recur; the
     engine raises the matching [Engine_fault] alert. *)
@@ -108,10 +104,6 @@ val quarantine_detector : t -> detector_kind -> key:string -> unit
 val maybe_finish : t -> call -> unit
 (** If both machines reached their final states, marks the call closing and
     schedules its deletion after the configured linger. *)
-
-val sweep : t -> max_age:Dsim.Time.t -> int
-(** Forcibly deletes calls older than [max_age]; returns how many.  Covers
-    abandoned setups that never reach a final state. *)
 
 val schedule_sweep : t -> unit
 (** Starts the periodic ageing sweep on the base's timer host, driven by

@@ -25,11 +25,13 @@ type entry =
           [on_ext]). *)
 
 val entry_to_line : entry -> string
-(** One line, no newline: [<crc32> <tag> <fields…>] with strings
+(** Test seam: one entry's line, which the corruption tests damage.  One
+    line, no newline: [<crc32> <tag> <fields…>] with strings
     hex-armored. *)
 
 val entry_of_line : string -> (entry, string) result
-(** Total: CRC mismatches and malformed fields are [Error]. *)
+(** Test seam: reads one line back, as the corruption tests do.  Total:
+    CRC mismatches and malformed fields are [Error]. *)
 
 (** {1 Writing} *)
 

@@ -1,25 +1,3 @@
-let src_ip = "src_ip"
-let src_port = "src_port"
-let dst_ip = "dst_ip"
-let dst_port = "dst_port"
-let code = "code"
-let cseq_method = "cseq_method"
-let cseq_number = "cseq_number"
-let call_id = "call_id"
-let from_tag = "from_tag"
-let to_tag = "to_tag"
-let branch = "branch"
-let contact_host = "contact_host"
-let media_host = "media_host"
-let media_port = "media_port"
-let media_pt = "media_pt"
-let ssrc = "ssrc"
-let seq = "seq"
-let ts = "ts"
-let payload_type = "payload_type"
-let size = "size"
-let bye_sender_ip = "bye_sender_ip"
-let src_matched = "src_matched"
 
 module Field = struct
   let f = Efsm.Event.field
@@ -29,28 +7,27 @@ module Field = struct
      value array stops at [size]; a SIP event's stops at [media_pt].  The
      arguments of each builtin sync event are in the order the SIP machine
      sends them, which is the order [Efsm.Event.args] lists them. *)
-  let src_ip = f src_ip
-  let src_port = f src_port
-  let dst_ip = f dst_ip
-  let dst_port = f dst_port
-  let ssrc = f ssrc
-  let seq = f seq
-  let ts = f ts
-  let payload_type = f payload_type
-  let size = f size
-  let code = f code
-  let cseq_method = f cseq_method
-  let cseq_number = f cseq_number
-  let call_id = f call_id
-  let from_tag = f from_tag
-  let to_tag = f to_tag
-  let branch = f branch
-  let contact_host = f contact_host
-  let media_host = f media_host
-  let media_port = f media_port
-  let media_pt = f media_pt
-  let bye_sender_ip = f bye_sender_ip
-  let src_matched = f src_matched
+  let src_ip = f "src_ip"
+  let src_port = f "src_port"
+  let dst_ip = f "dst_ip"
+  let dst_port = f "dst_port"
+  let ssrc = f "ssrc"
+  let seq = f "seq"
+  let ts = f "ts"
+  let payload_type = f "payload_type"
+  let size = f "size"
+  let code = f "code"
+  let cseq_method = f "cseq_method"
+  let cseq_number = f "cseq_number"
+  let call_id = f "call_id"
+  let from_tag = f "from_tag"
+  let to_tag = f "to_tag"
+  let branch = f "branch"
+  let contact_host = f "contact_host"
+  let media_host = f "media_host"
+  let media_port = f "media_port"
+  let media_pt = f "media_pt"
+  let () = List.iter (fun name -> ignore (f name)) [ "bye_sender_ip"; "src_matched" ]
 end
 let response = "RESPONSE"
 let rtp_packet = "RTP"

@@ -2,55 +2,11 @@
     parameters, event names, machine names and the states the engine
     maps to alerts. *)
 
-(** {1 Event parameter names (the input vector x̄)} *)
+(** {1 Event parameters (the input vector x̄)}
 
-val src_ip : string
-
-val src_port : string
-
-val dst_ip : string
-
-val dst_port : string
-
-val code : string
-(** Response status code (int). *)
-
-val cseq_method : string
-
-val cseq_number : string
-
-val call_id : string
-
-val from_tag : string
-
-val to_tag : string
-
-val branch : string
-
-val contact_host : string
-(** Host of the Contact header, when present. *)
-
-val media_host : string
-(** From an SDP body, when present. *)
-
-val media_port : string
-
-val media_pt : string
-(** First offered payload type. *)
-
-val ssrc : string
-
-val seq : string
-
-val ts : string
-
-val payload_type : string
-
-val size : string
-
-(** The same parameters as slots of {!Efsm.Event}'s field registry, and
-    the two arguments of the SIP machine's [delta_bye] sync event.  An RTP
-    event has room up to [size], a SIP event up to [media_pt]. *)
+    The parameters the distributor fills, as slots of {!Efsm.Event}'s
+    field registry.  An RTP event has room up to [size], a SIP event up to
+    [media_pt]. *)
 module Field : sig
   val src_ip : Efsm.Event.field
   val src_port : Efsm.Event.field
@@ -72,8 +28,6 @@ module Field : sig
   val media_host : Efsm.Event.field
   val media_port : Efsm.Event.field
   val media_pt : Efsm.Event.field
-  val bye_sender_ip : Efsm.Event.field
-  val src_matched : Efsm.Event.field
 end
 
 (** {1 Event names} *)

@@ -134,5 +134,3 @@ let full ppf engine =
   summary ppf engine;
   Format.fprintf ppf "@.";
   alerts ppf engine
-
-let to_string render engine = Format.asprintf "%a" render engine

@@ -40,9 +40,12 @@ val ext : t -> (string * string) list
     without any. *)
 
 val to_string : t -> string
+(** Test seam: the file's bytes in memory, which the corruption tests
+    damage. *)
 
 val of_string : string -> (t, string) result
-(** Total parse with header, CRC and length verification. *)
+(** Test seam: reads bytes as {!load} reads a file, for the corruption
+    tests.  Total parse with header, CRC and length verification. *)
 
 val restore :
   ?config:Config.t ->

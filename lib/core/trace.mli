@@ -19,11 +19,14 @@ type record = {
     One record per line: [<at_us> <src> <dst> <hex payload>]. *)
 
 val record_to_line : record -> string
+(** Test seam: one record's line, which the round-trip and damaged-capture
+    tests write. *)
 
 val add_record_line : Buffer.t -> record -> unit
 (** Appends [record_to_line r], for writers that reuse one buffer. *)
 
 val record_of_line : string -> (record, string) result
+(** Test seam: reads one line back, as the round-trip tests do. *)
 
 val save : out_channel -> record list -> unit
 
@@ -67,7 +70,8 @@ val replay : ?config:Config.t -> record list -> Engine.t
 
 val replay_until :
   ?config:Config.t -> until:Dsim.Time.t -> record list -> Dsim.Scheduler.t * Engine.t
-(** Like {!replay} but stops the clock at a fixed horizon instead of
-    draining the queue — required under configs whose periodic sweep
-    re-arms itself forever, and for digest comparison at a common instant
-    (see [Snapshot.digest]). *)
+(** Test oracle: the uninterrupted run that the recovery and daemon
+    digests are compared with.  Like {!replay} but stops the clock at a
+    fixed horizon instead of draining the queue — required under configs
+    whose periodic sweep re-arms itself forever, and for digest comparison
+    at a common instant (see [Snapshot.digest]). *)

@@ -11,7 +11,6 @@ let hash = Hashtbl.hash
 let host t = t.host
 let port t = t.port
 let to_string t = t.host ^ ":" ^ string_of_int t.port
-let pp ppf t = Format.fprintf ppf "%s:%d" t.host t.port
 
 let of_string s =
   match String.rindex_opt s ':' with

@@ -15,11 +15,8 @@ val host : t -> string
 
 val port : t -> int
 
-val pp : Format.formatter -> t -> unit
-(** Prints as ["host:port"]. *)
-
 val to_string : t -> string
-(** The bytes {!pp} prints, without going through [Format]. *)
+(** ["host:port"]. *)
 
 val of_string : string -> t option
 (** Parses ["host:port"]: [None] for an empty host or a port outside

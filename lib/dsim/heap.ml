@@ -5,8 +5,6 @@ type 'a t = {
 }
 
 let create ~cmp = { cmp; data = [||]; size = 0 }
-let length t = t.size
-let is_empty t = t.size = 0
 
 let grow t x =
   let capacity = Array.length t.data in
@@ -60,7 +58,3 @@ let pop t =
     end;
     Some top
   end
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0

@@ -4,15 +4,9 @@ type 'a t
 
 val create : cmp:('a -> 'a -> int) -> 'a t
 
-val length : 'a t -> int
-
-val is_empty : 'a t -> bool
-
 val push : 'a t -> 'a -> unit
 
 val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** Removes and returns the minimum element. *)
-
-val clear : 'a t -> unit

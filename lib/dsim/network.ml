@@ -28,8 +28,6 @@ and t = {
   host_owner : (string, int) Hashtbl.t;
   mutable next_hop : int array array; (* next_hop.(src).(dst) = peer id, -1 if unreachable *)
   mutable routes_dirty : bool;
-  delivered : Stat.Counter.t;
-  dropped : Stat.Counter.t;
   mutable faults : fault_profile option;
   mutable burst_remaining : int;
   mutable truncated : int;
@@ -70,8 +68,6 @@ let create sched rng =
     host_owner = Hashtbl.create 64;
     next_hop = [||];
     routes_dirty = true;
-    delivered = Stat.Counter.create ();
-    dropped = Stat.Counter.create ();
     faults = None;
     burst_remaining = 0;
     truncated = 0;
@@ -170,9 +166,7 @@ let rec arrive_at t node packet =
   (match node.tap with None -> () | Some tap -> tap packet);
   let dst_host = (packet : Packet.t).dst.host in
   match Hashtbl.find_opt t.host_owner dst_host with
-  | Some owner when owner = node.id ->
-      Stat.Counter.incr t.delivered;
-      node.handler packet
+  | Some owner when owner = node.id -> node.handler packet
   | Some _ | None -> (
       match node.transit_delay with
       | None -> forward t node packet
@@ -185,13 +179,11 @@ and forward t node packet =
   ensure_routes t;
   let dst_host = (packet : Packet.t).dst.host in
   match Hashtbl.find_opt t.host_owner dst_host with
-  | None -> Stat.Counter.incr t.dropped
-  | Some owner when t.next_hop.(node.id).(owner) = -1 -> Stat.Counter.incr t.dropped
+  | None -> ()
+  | Some owner when t.next_hop.(node.id).(owner) = -1 -> ()
   | Some owner -> (
       let hop = t.next_hop.(node.id).(owner) in
-      match link_to node hop with
-      | None -> Stat.Counter.incr t.dropped
-      | Some link -> transmit t link packet)
+      match link_to node hop with None -> () | Some link -> transmit t link packet)
 
 and transmit t link packet =
   let now = Scheduler.now t.sched in
@@ -206,9 +198,8 @@ and transmit t link packet =
   link.tx_packets <- link.tx_packets + 1;
   link.tx_bytes <- link.tx_bytes + Packet.size packet;
   let lost = link.loss_prob > 0.0 && Rng.bool t.rng link.loss_prob in
-  if lost then link.lost_packets <- link.lost_packets + 1;
   let peer = t.nodes.(link.peer) in
-  if lost then ignore (Scheduler.schedule_at t.sched arrival (fun () -> Stat.Counter.incr t.dropped))
+  if lost then link.lost_packets <- link.lost_packets + 1
   else
     match t.faults with
     | None -> ignore (Scheduler.schedule_at t.sched arrival (fun () -> arrive_at t peer packet))
@@ -230,10 +221,7 @@ and deliver_faulty t p ~arrival peer packet =
     end
     else false
   in
-  if drop then begin
-    t.burst_lost <- t.burst_lost + 1;
-    ignore (Scheduler.schedule_at t.sched arrival (fun () -> Stat.Counter.incr t.dropped))
-  end
+  if drop then t.burst_lost <- t.burst_lost + 1
   else begin
     let payload = (packet : Packet.t).payload in
     let payload =
@@ -313,8 +301,6 @@ let link_stats t =
       node.links
   done;
   List.rev !stats
-let packets_delivered t = Stat.Counter.get t.delivered
-let packets_dropped t = Stat.Counter.get t.dropped
 
 let set_fault_profile t profile =
   t.faults <- profile;

@@ -21,6 +21,8 @@ val add_node : t -> name:string -> hosts:string list -> node
     belong to at most one node. *)
 
 val find_node : t -> host:string -> node option
+(** Test seam: the node that owns a host, by which tests attach a host to
+    a node that a testbed does not expose. *)
 
 val connect :
   t -> node -> node -> rate_bps:float -> prop_delay:Time.t -> loss_prob:float -> unit
@@ -38,16 +40,11 @@ val set_transit_delay : node -> (Packet.t -> Time.t) option -> unit
     vIDS host uses this when deployed online). *)
 
 val send : t -> from:node -> Packet.t -> unit
-(** Injects a packet at [from]; it is forwarded toward [Packet.dst].  An
-    unroutable destination counts as a drop. *)
+(** Injects a packet at [from]; it is forwarded toward [Packet.dst].  A
+    packet for an unroutable destination is dropped. *)
 
 val make_packet : t -> src:Addr.t -> dst:Addr.t -> string -> Packet.t
 (** Allocates a packet stamped with the current simulation time. *)
-
-val packets_delivered : t -> int
-
-val packets_dropped : t -> int
-(** Link losses plus unroutable packets. *)
 
 (** Per-direction link usage, for utilization reports. *)
 type link_stats = {
@@ -82,10 +79,13 @@ type fault_profile = {
 }
 
 val pristine : fault_profile
-(** All probabilities zero — a convenient base for [{ pristine with ... }]. *)
+(** Test seam: the fault layer is driven only by the torture and soak
+    tests.  All probabilities zero — a convenient base for
+    [{ pristine with ... }]. *)
 
 val set_fault_profile : t -> fault_profile option -> unit
-(** Installs (or clears) the fault layer for the whole network. *)
+(** Test seam: installs (or clears) the fault layer for the whole
+    network, for the torture and soak tests. *)
 
 type fault_stats = {
   truncated : int;
@@ -96,3 +96,4 @@ type fault_stats = {
 }
 
 val fault_stats : t -> fault_stats
+(** Test seam: what the fault layer did, for the torture tests. *)

@@ -3,10 +3,6 @@ type t = { id : int; src : Addr.t; dst : Addr.t; payload : string; sent_at : Tim
 let header_overhead = 28
 let size t = String.length t.payload + header_overhead
 
-let pp ppf t =
-  Format.fprintf ppf "#%d %a -> %a (%dB @ %a)" t.id Addr.pp t.src Addr.pp t.dst (size t) Time.pp
-    t.sent_at
-
 type allocator = { mutable next : int }
 
 let allocator () = { next = 0 }

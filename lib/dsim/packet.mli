@@ -16,8 +16,6 @@ type t = {
 val size : t -> int
 (** Bytes on the wire: payload plus a 28-byte IPv4+UDP header estimate. *)
 
-val pp : Format.formatter -> t -> unit
-
 type allocator
 (** Hands out fresh packet ids. *)
 

@@ -42,7 +42,6 @@ let cancel timer =
       timer.owner.live <- timer.owner.live - 1
   | Fired | Cancelled -> ()
 
-let is_cancelled timer = timer.state = Cancelled
 let fire_time timer = timer.fire_at
 let pending t = t.live
 

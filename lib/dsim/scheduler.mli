@@ -24,17 +24,13 @@ val schedule_after : t -> Time.t -> (unit -> unit) -> timer
 val cancel : timer -> unit
 (** Cancelling an already-fired or already-cancelled timer is a no-op. *)
 
-val is_cancelled : timer -> bool
-
 val fire_time : timer -> Time.t
 (** Absolute time the timer is (or was) due to fire; used when
     checkpointing pending timers. *)
 
 val pending : t -> int
-(** Number of live (non-cancelled) queued events. *)
-
-val step : t -> bool
-(** Runs the next event; returns [false] when the queue is empty. *)
+(** Test oracle: the number of live (non-cancelled) queued events, which
+    the timer-model property holds to [Efsm.System.pending_timers]. *)
 
 val run : t -> unit
 (** Runs events until the queue is empty. *)

@@ -30,10 +30,9 @@ module Summary = struct
 end
 
 module Series = struct
-  type t = { name : string; mutable samples : (Time.t * float) list; mutable n : int }
+  type t = { mutable samples : (Time.t * float) list; mutable n : int }
 
-  let create ~name = { name; samples = []; n = 0 }
-  let name t = t.name
+  let create () = { samples = []; n = 0 }
 
   let add t at x =
     t.samples <- (at, x) :: t.samples;
@@ -113,52 +112,4 @@ module Quantiles = struct
     merged.seen <- a.seen + b.seen;
     merged
 
-  let pp ppf t =
-    Format.fprintf ppf "p50=%.6g p95=%.6g p99=%.6g (n=%d)" (p50 t) (p95 t) (p99 t) t.seen
-end
-
-module Histogram = struct
-  type t = { lo : float; hi : float; width : float; counts : int array; mutable total : int }
-
-  let create ~lo ~hi ~bins =
-    if bins <= 0 then invalid_arg "Histogram.create: bins must be positive";
-    if hi <= lo then invalid_arg "Histogram.create: empty range";
-    { lo; hi; width = (hi -. lo) /. float_of_int bins; counts = Array.make bins 0; total = 0 }
-
-  let add t x =
-    let n = Array.length t.counts in
-    let index =
-      if x < t.lo then 0
-      else if x >= t.hi then n - 1
-      else int_of_float ((x -. t.lo) /. t.width)
-    in
-    let index = Stdlib.min (n - 1) (Stdlib.max 0 index) in
-    t.counts.(index) <- t.counts.(index) + 1;
-    t.total <- t.total + 1
-
-  let count t = t.total
-
-  let bins t =
-    Array.to_list
-      (Array.mapi
-         (fun i c ->
-           (t.lo +. (float_of_int i *. t.width), t.lo +. (float_of_int (i + 1) *. t.width), c))
-         t.counts)
-
-  let pp ppf t =
-    let peak = Array.fold_left Stdlib.max 1 t.counts in
-    List.iter
-      (fun (lower, upper, c) ->
-        let bar = String.make (c * 40 / peak) '#' in
-        Format.fprintf ppf "%10.4f-%-10.4f %6d %s@." lower upper c bar)
-      (bins t)
-end
-
-module Counter = struct
-  type t = { mutable value : int }
-
-  let create () = { value = 0 }
-  let incr t = t.value <- t.value + 1
-  let add t n = t.value <- t.value + n
-  let get t = t.value
 end

@@ -13,25 +13,17 @@ module Summary : sig
   val mean : t -> float
   (** 0 when empty. *)
 
-  val variance : t -> float
-  (** Sample variance; 0 with fewer than two observations. *)
-
-  val min : t -> float
-  (** +inf when empty. *)
-
-  val max : t -> float
-  (** -inf when empty. *)
-
   val pp : Format.formatter -> t -> unit
+  (** ["n=… mean=… sd=… min=… max=…"]: [sd] is the sample standard
+      deviation, 0 with fewer than two observations; [min] is +inf and
+      [max] -inf when empty. *)
 end
 
 (** Timestamped samples, for reproducing the paper's per-time plots. *)
 module Series : sig
   type t
 
-  val create : name:string -> t
-
-  val name : t -> string
+  val create : unit -> t
 
   val add : t -> Time.t -> float -> unit
 
@@ -85,39 +77,4 @@ module Quantiles : sig
   val merge : t -> t -> t
   (** A fresh estimator over both retained sample sets.  Merging with an
       empty estimator is how a metrics snapshot takes a private copy. *)
-
-  val pp : Format.formatter -> t -> unit
-  (** ["p50=… p95=… p99=… (n=…)"]. *)
-end
-
-(** Fixed-width-bin histogram over a known range. *)
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> bins:int -> t
-  (** Raises [Invalid_argument] when [bins <= 0] or [hi <= lo]. *)
-
-  val add : t -> float -> unit
-  (** Out-of-range samples land in the first/last bin. *)
-
-  val count : t -> int
-
-  val bins : t -> (float * float * int) list
-  (** [(lower, upper, count)] per bin, in order. *)
-
-  val pp : Format.formatter -> t -> unit
-  (** A small ASCII bar chart. *)
-end
-
-(** Integer-valued event counter. *)
-module Counter : sig
-  type t
-
-  val create : unit -> t
-
-  val incr : t -> unit
-
-  val add : t -> int -> unit
-
-  val get : t -> int
 end

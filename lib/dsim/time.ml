@@ -10,7 +10,6 @@ let to_us t = t
 let add = ( + )
 let sub = ( - )
 let compare = Int.compare
-let equal = Int.equal
 let ( <= ) (a : t) b = Stdlib.( <= ) a b
 let ( < ) (a : t) b = Stdlib.( < ) a b
 let ( >= ) (a : t) b = Stdlib.( >= ) a b

@@ -30,8 +30,6 @@ val sub : t -> t -> t
 
 val compare : t -> t -> int
 
-val equal : t -> t -> bool
-
 val ( <= ) : t -> t -> bool
 
 val ( < ) : t -> t -> bool

@@ -58,11 +58,6 @@ let set t scope name value =
       | -1 -> invalid_arg (Printf.sprintf "Env.set: %S is not a local of this machine" name)
       | i -> set_slot t i value)
 
-let mem t scope name =
-  match scope with
-  | Global -> List.exists (fun c -> String.equal c.name name) t.shared.cells
-  | Local -> ( match find t.names name 0 with -1 -> false | i -> t.values.(i) != absent)
-
 let local_bindings t =
   let acc = ref [] in
   for i = Array.length t.values - 1 downto 0 do

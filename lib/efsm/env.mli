@@ -42,12 +42,12 @@ val get_slot : t -> int -> Value.t
 
 val set_slot : t -> int -> Value.t -> unit
 
-val mem : t -> scope -> string -> bool
-
 val local_bindings : t -> (string * Value.t) list
 (** The locals ever written, sorted by name. *)
 
 val global_bindings : t -> (string * Value.t) list
+(** Test oracle: the globals an instance sees, sorted by name, which the
+    differentials compare after every step. *)
 
 (** {1 Checkpoint support} *)
 

@@ -89,10 +89,13 @@ val apply_cmp : cmp -> int -> int -> bool
 (** {1 Reference interpreter} *)
 
 val eval_pred : Env.t -> Event.t -> pred -> bool
+(** Test oracle: the tree-walking reading of a guard, behind the
+    reference stepper that the compiled programs are held to. *)
 
 val run_acts : 'eff builders -> act list -> Env.t -> Event.t -> 'eff list
-(** Executes assignments in order (side-effecting the [Env]) and returns
-    emitted effects in order. *)
+(** Test oracle: the tree-walking reading of an action list, behind the
+    reference stepper.  Executes assignments in order (side-effecting the
+    [Env]) and returns emitted effects in order. *)
 
 (** {1 Staged compiler}
 
@@ -128,7 +131,11 @@ val compile_acts : 'eff builders -> Env.layout -> act list -> Env.t -> Event.t -
     every [If] (may-analysis); every walk reads through lets. *)
 
 val pred_vars : pred -> var list
+
 val pred_fields : pred -> string list
+(** Test seam: the event fields a guard reads, from which the
+    differential draws the fields of its random events. *)
+
 val vars_of_expr : expr -> var list
 
 val acts_fold : ('a -> act -> 'a) -> 'a -> act list -> 'a

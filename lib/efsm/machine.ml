@@ -238,7 +238,6 @@ let name t = t.program.p_spec.spec_name
 let state t = t.node.n_name
 let env t = t.env
 let is_final t = t.node.n_final
-let in_attack_state t = t.node.n_attack
 
 let trigger_matches trigger event =
   match (trigger, Event.channel event) with
@@ -319,8 +318,6 @@ let history t =
   let labels = t.program.p_labels in
   ( Array.init t.h_len (fun i -> t.h_at.(slot t i)),
     Array.init t.h_len (fun i -> labels.(Bytes.get_uint16_le t.h_tr (2 * slot t i))) )
-
-let configuration t = (state t, Env.local_bindings t.env)
 
 (* The capacity [push] grows to for [n] entries. *)
 let rec capacity n cap = if cap >= n then cap else capacity n (2 * cap)

@@ -39,7 +39,8 @@ type transition = {
 }
 
 val builders : effect Ir.builders
-(** Effect constructors used to compile IR actions for this machine type. *)
+(** Test seam: the effect constructors that compile IR actions for this
+    machine type, which the reference stepper passes to {!Ir.run_acts}. *)
 
 val ir_transition :
   ?guard:Ir.pred ->
@@ -102,6 +103,8 @@ type outcome =
 val instantiate : program -> globals:Env.globals -> t
 
 val spec : t -> spec
+(** Test oracle: the spec an instance runs, by which the fact-base tests
+    check that every record of a base shares one program. *)
 
 val name : t -> string
 
@@ -110,8 +113,6 @@ val state : t -> string
 val env : t -> Env.t
 
 val is_final : t -> bool
-
-val in_attack_state : t -> string option
 
 val step : t -> Event.t -> outcome
 (** Evaluates the guard of every transition the event triggers from the
@@ -127,9 +128,6 @@ val history : t -> Dsim.Time.t array * string array
     canonical across a live run and a replay of its capture.  The instance
     holds it as a ring of unboxed times and 16-bit transition indices
     that grows 4, 8, … 64 entries, so a step allocates nothing for it. *)
-
-val configuration : t -> string * (string * Value.t) list
-(** Current state and local variable bindings. *)
 
 val restore :
   t ->

@@ -64,7 +64,6 @@ let add_machine t program =
   m
 
 let machine t name = find_machine name t.machines
-let machines t = t.machines
 
 let is_timer machine_name id a = String.equal a.machine_name machine_name && String.equal a.id id
 

@@ -49,8 +49,6 @@ val add_machine : t -> Machine.program -> Machine.t
 
 val machine : t -> string -> Machine.t option
 
-val machines : t -> Machine.t list
-
 val inject : t -> machine:string -> Event.t -> unit
 (** Delivers a data event (sync queues drain first, and again after).
     Sync events are delivered in the order they were sent: one sent while

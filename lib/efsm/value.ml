@@ -14,23 +14,6 @@ let equal a b =
   | Unset, Unset -> true
   | (Int _ | Str _ | Bool _ | Addr _ | Unset), _ -> false
 
-let rank = function
-  | Int _ -> 0
-  | Str _ -> 1
-  | Bool _ -> 2
-  | Addr _ -> 3
-  | Unset -> 4
-
-let compare a b =
-  match (a, b) with
-  | Int x, Int y -> Int.compare x y
-  | Str x, Str y -> String.compare x y
-  | Bool x, Bool y -> Bool.compare x y
-  | Addr (h1, p1), Addr (h2, p2) ->
-      let c = String.compare h1 h2 in
-      if c <> 0 then c else Int.compare p1 p2
-  | _ -> Int.compare (rank a) (rank b)
-
 let pp ppf = function
   | Int n -> Format.fprintf ppf "%d" n
   | Str s -> Format.fprintf ppf "%S" s
@@ -119,11 +102,6 @@ let add_token buf = function
       Buffer.add_char buf ':';
       add_decimal buf p
   | Unset -> Buffer.add_char buf 'u'
-
-let to_token v =
-  let buf = Buffer.create 16 in
-  add_token buf v;
-  Buffer.contents buf
 
 let of_token token =
   let n = String.length token in

@@ -12,22 +12,16 @@ type t =
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string
 
 (** {1 Checkpoint serialization}
 
-    Space-free wire tokens: [of_token (to_token v) = Ok v] for every value,
-    exactly — strings round-trip through hex, so arbitrary bytes
-    survive. *)
+    Space-free wire tokens: {!of_token} reads back exactly the value that
+    {!add_token} wrote, for every value — strings round-trip through hex,
+    so arbitrary bytes survive. *)
 
 val add_token : Buffer.t -> t -> unit
 (** Appends the token for the value. *)
-
-val to_token : t -> string
 
 val of_token : string -> (t, string) result
 

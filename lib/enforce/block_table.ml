@@ -66,7 +66,6 @@ let create ?(max_rules = 4096) ?(on_expire = fun _ -> ()) () =
     s_limited = 0;
   }
 
-let max_rules t = t.t_max_rules
 let lockdown t = t.t_lockdown
 let set_lockdown t v = t.t_lockdown <- v
 

@@ -74,8 +74,6 @@ val create : ?max_rules:int -> ?on_expire:(scope -> unit) -> unit -> t
     exactly like the fact base does.  [on_expire] fires once per rule as
     lazy expiry reclaims it. *)
 
-val max_rules : t -> int
-
 val lockdown : t -> bool
 
 val set_lockdown : t -> bool -> unit

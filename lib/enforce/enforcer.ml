@@ -210,9 +210,7 @@ let create ?(policy = default_policy) ?journal sched eng =
   Engine.on_alert eng (fun a -> on_alert t a);
   t
 
-let policy t = t.p
 let table t = t.tbl
-let engine t = t.eng
 
 (* ---- the gate ----------------------------------------------------- *)
 

@@ -61,11 +61,7 @@ val create :
     every enforcement decision (installs, teardowns, lockdown) —
     write-ahead, exactly like alerts. *)
 
-val policy : t -> policy
-
 val table : t -> Block_table.t
-
-val engine : t -> Vids.Engine.t
 
 val ingest : t -> Dsim.Packet.t -> bool
 (** The gated tap: decides, then delivers to the engine only on [Pass].

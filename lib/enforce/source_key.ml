@@ -32,20 +32,3 @@ let of_string s =
             if h = "" then Error "Source_key.of_string: empty host" else Ok (endpoint h port)
         | Some _ -> Error "Source_key.of_string: port out of range"
         | None -> Ok (host s))
-
-let equal a b =
-  match (a, b) with
-  | Host x, Host y -> String.equal x y
-  | Endpoint (x, px), Endpoint (y, py) -> px = py && String.equal x y
-  | _ -> false
-
-let compare a b =
-  match (a, b) with
-  | Host x, Host y -> String.compare x y
-  | Host _, Endpoint _ -> -1
-  | Endpoint _, Host _ -> 1
-  | Endpoint (x, px), Endpoint (y, py) ->
-      let c = String.compare x y in
-      if c <> 0 then c else Stdlib.compare px py
-
-let pp ppf k = Format.pp_print_string ppf (to_string k)

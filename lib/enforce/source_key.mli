@@ -15,8 +15,6 @@ type t =
 val host : string -> t
 (** Normalizes (lowercases) the host. *)
 
-val endpoint : string -> int -> t
-
 val of_addr : Dsim.Addr.t -> t
 (** The endpoint key for a datagram's source address. *)
 
@@ -29,9 +27,3 @@ val of_string : string -> (t, string) result
 (** Total: a malformed port comes back as [Error].  A trailing [:]
     segment that parses as an integer makes an [Endpoint]; anything else
     is a [Host] (hosts here are simulation labels, not IPv6 literals). *)
-
-val equal : t -> t -> bool
-
-val compare : t -> t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -27,5 +27,3 @@ let next t =
   end
 
 let reset t = t.used <- 0
-
-let retries t = t.used

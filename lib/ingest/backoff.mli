@@ -17,6 +17,3 @@ val next : t -> float option
 
 val reset : t -> unit
 (** A success: the delay returns to [initial_s] and the budget refills. *)
-
-val retries : t -> int
-(** Retries consumed since the last {!reset}. *)

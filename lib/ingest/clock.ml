@@ -14,22 +14,7 @@ let system () =
   in
   { now; sleep = (fun d -> if d > 0.0 then Unix.sleepf d) }
 
-(* Manual clocks advance themselves when asked to sleep.  The cell backing
-   each one is kept in an association list under physical equality so
-   [advance] can find it without widening the public record type. *)
-let manual_cells : (t * float ref) list ref = ref []
-
+(* Manual clocks advance themselves when asked to sleep. *)
 let manual ?(start = 0.0) () =
   let cell = ref start in
-  let t =
-    { now = (fun () -> !cell); sleep = (fun d -> if d > 0.0 then cell := !cell +. d) }
-  in
-  manual_cells := (t, cell) :: !manual_cells;
-  t
-
-let advance t d =
-  match List.assq_opt t !manual_cells with
-  | None -> invalid_arg "Clock.advance: not a manual clock"
-  | Some cell ->
-      if d < 0.0 then invalid_arg "Clock.advance: negative delta";
-      cell := !cell +. d
+  { now = (fun () -> !cell); sleep = (fun d -> if d > 0.0 then cell := !cell +. d) }

@@ -23,9 +23,4 @@ val system : unit -> t
 
 val manual : ?start:float -> unit -> t
 (** A virtual wall clock for tests: [now] returns the current setting and
-    [sleep d] advances it by [d], so paced ingestion runs at memory speed.
-    Use {!advance} to model time passing while the daemon polls. *)
-
-val advance : t -> float -> unit
-(** Advances a {!manual} clock by the given seconds.  Raises
-    [Invalid_argument] on a {!system} clock or a negative delta. *)
+    [sleep d] advances it by [d], so paced ingestion runs at memory speed. *)

@@ -62,8 +62,4 @@ val read_file : string -> (Vids.Trace.record list * (int * string) list, string)
 
 type writer
 
-val write : writer -> Vids.Trace.record -> unit
-(** Appends one record.  Raises [Invalid_argument] if the payload exceeds
-    the 65507-byte UDP maximum. *)
-
 val write_file : string -> Vids.Trace.record list -> unit

@@ -70,10 +70,6 @@ let pop t = Queue.take_opt t.q
 
 let length t = Queue.length t.q
 
-let capacity (t : t) = t.capacity
-
-let high_water (t : t) = t.high_water
-
 let stats (t : t) =
   {
     enqueued = t.enqueued;

@@ -23,7 +23,13 @@ val create : ?high_water:int -> capacity:int -> unit -> t
 (** What happened to a pushed record. *)
 type verdict =
   | Enqueued
-  | Shed_media  (** Above high water and classified as media: refused. *)
+  | Shed_media
+      (** Above high water and classified as media: refused.  A payload
+          whose first byte is an ASCII letter is signaling (requests start
+          with a method token, responses with ["SIP/2.0"]); binary
+          payloads are media.  Deliberately cruder than the engine's
+          classifier — it runs before any parsing, on possibly hostile
+          bytes. *)
   | Displaced_oldest  (** At capacity: enqueued, evicting the head. *)
 
 val push : t -> Vids.Trace.record -> verdict
@@ -31,17 +37,6 @@ val push : t -> Vids.Trace.record -> verdict
 val pop : t -> Vids.Trace.record option
 
 val length : t -> int
-
-val capacity : t -> int
-
-val high_water : t -> int
-
-val is_signaling : string -> bool
-(** The admission-control classifier: a payload whose first byte is an
-    ASCII letter is treated as SIP signaling (requests start with a
-    method token, responses with ["SIP/2.0"]); binary payloads are
-    media.  Deliberately cruder than the engine's classifier — it runs
-    before any parsing, on possibly hostile bytes. *)
 
 type stats = {
   enqueued : int;

@@ -106,11 +106,6 @@ let row_json (r : Metrics.row) =
 let metrics_jsonl (snap : Metrics.snapshot) =
   String.concat "" (List.map (fun r -> row_json r ^ "\n") snap.rows)
 
-let metrics_json (snap : Metrics.snapshot) =
-  Json.obj
-    [ ("at_us", Json.int (Dsim.Time.to_us snap.at));
-      ("metrics", Json.arr (List.map row_json snap.rows)) ]
-
 let trace_jsonl ?reason entries =
   let buf = Buffer.create 1024 in
   (match reason with

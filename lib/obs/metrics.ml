@@ -87,7 +87,6 @@ let counter t ?(help = "") ?(labels = []) name =
 
 let incr c = c.c <- c.c + 1
 let add c n = if n > 0 then c.c <- c.c + n
-let counter_value c = c.c
 
 let gauge t ?(help = "") ?(labels = []) name =
   register t ~help ~labels name

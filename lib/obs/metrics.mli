@@ -41,8 +41,6 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 (** Negative increments are ignored — counters are monotone. *)
 
-val counter_value : counter -> int
-
 type gauge
 
 val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gauge

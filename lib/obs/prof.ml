@@ -48,9 +48,6 @@ let stage_name = function
   | Ingest_poll -> "ingest-poll"
   | Drive -> "drive"
 
-let stage_of_name name =
-  List.find_opt (fun s -> String.equal (stage_name s) name) all_stages
-
 (* Deep enough for every real nesting (driver > ingest > engine > parse is
    depth 4); a runaway recursion hits the overflow counter instead of
    growing state. *)
@@ -198,10 +195,6 @@ let exit t stage =
       end
     end
   end
-
-let span t stage f =
-  enter t stage;
-  Fun.protect ~finally:(fun () -> exit t stage) f
 
 let sample_gc t =
   let s = Gc.quick_stat () in

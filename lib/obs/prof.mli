@@ -50,14 +50,9 @@ type stage =
   | Ingest_poll  (** Daemon pulling datagrams from a source. *)
   | Drive  (** The driver loop itself: scheduling, clock bridging, glue. *)
 
-val all_stages : stage list
-(** Every stage, in declaration order. *)
-
 val stage_name : stage -> string
 (** The machine-stable label used in metric rows, reports and JSON
     ([sip-parse], [efsm-dispatch], …). *)
-
-val stage_of_name : string -> stage option
 
 type t
 
@@ -93,12 +88,9 @@ val exit : t -> stage -> unit
     [exit] with an empty stack or a stage different from the top frame's
     increments [vids_prof_mismatch_total] and accounts nothing. *)
 
-val span : t -> stage -> (unit -> 'a) -> 'a
-(** [span t s f] is [f ()] wrapped in {!enter}/{!exit}; the frame is
-    popped even when [f] raises. *)
-
 val depth : t -> int
-(** Current nesting depth (0 when idle) — for tests and invariants. *)
+(** Test oracle: the current nesting depth (0 when idle), which the
+    profiler tests hold to 0 after faulty and overflowing use. *)
 
 val sample_gc : t -> unit
 (** Samples [Gc.quick_stat] into gauges: [vids_gc_heap_words],

@@ -30,7 +30,6 @@ let create ?(capacity = 256) () =
   if capacity <= 0 then invalid_arg "Obs.Trace.create: capacity must be positive";
   { ring = Array.make capacity sentinel; cursor = 0; next = 0; sinks = [] }
 
-let capacity t = Array.length t.ring
 let recorded t = t.next
 
 let record t ~at ev =
@@ -44,11 +43,6 @@ let entries t =
   let n = Stdlib.min t.next cap in
   let first = if t.next < cap then 0 else t.cursor in
   List.init n (fun i -> t.ring.((first + i) mod cap))
-
-let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) sentinel;
-  t.cursor <- 0;
-  t.next <- 0
 
 let on_dump t sink = t.sinks <- sink :: t.sinks
 

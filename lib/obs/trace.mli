@@ -59,8 +59,6 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] defaults to 256 retained events; raises [Invalid_argument]
     when not positive. *)
 
-val capacity : t -> int
-
 val recorded : t -> int
 (** Total events ever recorded (≥ the number retained). *)
 
@@ -68,8 +66,6 @@ val record : t -> at:Dsim.Time.t -> event -> unit
 
 val entries : t -> entry list
 (** The retained tail, oldest first. *)
-
-val clear : t -> unit
 
 val on_dump : t -> (reason:string -> entry list -> unit) -> unit
 (** Registers a sink for {!dump}.  Sink exceptions are swallowed:

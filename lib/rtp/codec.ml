@@ -17,16 +17,6 @@ let g729 =
     bytes_per_frame = 10;
   }
 
-let g711u =
-  {
-    name = "G.711u";
-    payload_type = 0;
-    clock_rate = 8000;
-    frame_ms = 20.0;
-    frames_per_packet = 1;
-    bytes_per_frame = 160;
-  }
-
 let packet_interval t = Dsim.Time.of_ms (t.frame_ms *. float_of_int t.frames_per_packet)
 
 let timestamp_increment t =
@@ -34,4 +24,3 @@ let timestamp_increment t =
     (float_of_int t.clock_rate *. t.frame_ms *. float_of_int t.frames_per_packet /. 1000.0)
 
 let payload_size t = t.bytes_per_frame * t.frames_per_packet
-let of_payload_type pt = List.find_opt (fun c -> c.payload_type = pt) [ g729; g711u ]

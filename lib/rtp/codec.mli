@@ -17,9 +17,6 @@ val g729 : t
 (** 10 ms frames, 10 bytes per frame (8 kbit/s), 2 frames per packet
     (20 ms packetization, the common VoIP setting). *)
 
-val g711u : t
-(** G.711 µ-law: 20 ms packets, 160 bytes. *)
-
 val packet_interval : t -> Dsim.Time.t
 (** Wall-clock time between packets. *)
 
@@ -29,4 +26,3 @@ val timestamp_increment : t -> int
 val payload_size : t -> int
 (** Bytes of media per packet. *)
 
-val of_payload_type : int -> t option

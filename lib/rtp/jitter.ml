@@ -2,10 +2,9 @@ type t = {
   clock_rate : int;
   mutable jitter : float; (* in timestamp ticks *)
   mutable last : (Dsim.Time.t * int32) option;
-  mutable samples : int;
 }
 
-let create ~clock_rate = { clock_rate; jitter = 0.0; last = None; samples = 0 }
+let create ~clock_rate = { clock_rate; jitter = 0.0; last = None }
 
 let observe t ~arrival ~rtp_timestamp =
   (match t.last with
@@ -17,9 +16,6 @@ let observe t ~arrival ~rtp_timestamp =
       let ts_ticks = float_of_int (Rtp_packet.ts_delta prev_ts rtp_timestamp) in
       let d = Float.abs (arrival_ticks -. ts_ticks) in
       t.jitter <- t.jitter +. ((d -. t.jitter) /. 16.0));
-  t.last <- Some (arrival, rtp_timestamp);
-  t.samples <- t.samples + 1
+  t.last <- Some (arrival, rtp_timestamp)
 
-let jitter_ticks t = t.jitter
 let jitter_seconds t = t.jitter /. float_of_int t.clock_rate
-let samples t = t.samples

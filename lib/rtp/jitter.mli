@@ -9,9 +9,4 @@ val create : clock_rate:int -> t
 
 val observe : t -> arrival:Dsim.Time.t -> rtp_timestamp:int32 -> unit
 
-val jitter_ticks : t -> float
-(** Current estimate in RTP timestamp units. *)
-
 val jitter_seconds : t -> float
-
-val samples : t -> int

@@ -12,7 +12,6 @@ let offer t ~capture ~arrival =
   else `On_time
 
 let received t = t.received
-let late t = t.late
 
 let late_fraction t =
   if t.received = 0 then 0.0 else float_of_int t.late /. float_of_int t.received

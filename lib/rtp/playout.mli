@@ -19,7 +19,5 @@ val offer : t -> capture:Dsim.Time.t -> arrival:Dsim.Time.t -> [ `On_time | `Lat
 
 val received : t -> int
 
-val late : t -> int
-
 val late_fraction : t -> float
 (** 0 when nothing was received. *)

@@ -111,9 +111,3 @@ let decode s =
       else Error (Printf.sprintf "RTCP: unsupported packet type %d" pt)
     end
   end
-
-let pp ppf = function
-  | Sender_report { ssrc; packet_count; _ } ->
-      Format.fprintf ppf "RTCP SR ssrc=%08lx packets=%ld" ssrc packet_count
-  | Receiver_report { ssrc; blocks } ->
-      Format.fprintf ppf "RTCP RR ssrc=%08lx blocks=%d" ssrc (List.length blocks)

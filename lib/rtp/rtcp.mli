@@ -26,5 +26,3 @@ type t =
 val encode : t -> string
 
 val decode : string -> (t, string) result
-
-val pp : Format.formatter -> t -> unit

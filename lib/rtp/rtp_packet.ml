@@ -24,8 +24,6 @@ let make ?(marker = false) ~payload_type ~sequence ~timestamp ~ssrc payload =
     payload;
   }
 
-let header_size t = 12 + (4 * List.length t.csrc)
-
 let encode t =
   let n = List.length t.csrc in
   if n > 15 then invalid_arg "Rtp_packet.encode: too many CSRCs";
@@ -106,16 +104,9 @@ let decode s =
     end
   end
 
-let pp ppf t =
-  Format.fprintf ppf "RTP pt=%d seq=%d ts=%ld ssrc=%08lx len=%d%s" t.payload_type t.sequence
-    t.timestamp t.ssrc (String.length t.payload)
-    (if t.marker then " M" else "")
-
 let seq_delta a b =
   let d = (b - a) land 0xFFFF in
   if d >= 0x8000 then d - 0x10000 else d
-
-let seq_lt a b = seq_delta a b > 0
 
 let ts_delta a b =
   let d = Int32.sub b a in

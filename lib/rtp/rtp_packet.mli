@@ -24,17 +24,11 @@ val encode : t -> string
 
 val decode : string -> (t, string) result
 
-val header_size : t -> int
-
-val pp : Format.formatter -> t -> unit
-
-val seq_lt : int -> int -> bool
-(** [seq_lt a b]: does sequence number [a] precede [b] in RFC 1982 serial
-    number arithmetic (mod 2^16)? *)
-
 val seq_delta : int -> int -> int
-(** [seq_delta a b] is the signed distance from [a] to [b] (i.e. [b - a]
-    mod 2^16, in [-32768, 32767]). *)
+(** Test oracle: the RFC 1982 serial arithmetic that MEDIA_SPAM's
+    [wrap16] replaced, to which the differential holds it.  [seq_delta a
+    b] is the signed distance from [a] to [b] (i.e. [b - a] mod 2^16, in
+    [-32768, 32767]). *)
 
 val ts_delta : int32 -> int32 -> int
 (** Signed 32-bit timestamp distance, for gap detection. *)

@@ -19,7 +19,6 @@ module Sender = struct
     }
 
   let ssrc t = t.ssrc
-  let codec t = t.codec
 
   let next_packet t =
     let payload = String.make (Codec.payload_size t.codec) '\x55' in
@@ -47,41 +46,14 @@ module Sender = struct
 end
 
 module Receiver = struct
-  type t = {
-    mutable received : int;
-    mutable highest : int option;
-    mutable expected : int;
-    mutable out_of_order : int;
-    jitter : Jitter.t;
-  }
+  type t = { mutable received : int; jitter : Jitter.t }
 
-  let create ~clock_rate =
-    {
-      received = 0;
-      highest = None;
-      expected = 0;
-      out_of_order = 0;
-      jitter = Jitter.create ~clock_rate;
-    }
+  let create ~clock_rate = { received = 0; jitter = Jitter.create ~clock_rate }
 
   let observe t ~arrival (packet : Rtp_packet.t) =
     t.received <- t.received + 1;
-    Jitter.observe t.jitter ~arrival ~rtp_timestamp:packet.Rtp_packet.timestamp;
-    let seq = packet.Rtp_packet.sequence in
-    match t.highest with
-    | None ->
-        t.highest <- Some seq;
-        t.expected <- 1
-    | Some high ->
-        if Rtp_packet.seq_lt high seq then begin
-          t.expected <- t.expected + Rtp_packet.seq_delta high seq;
-          t.highest <- Some seq
-        end
-        else t.out_of_order <- t.out_of_order + 1
+    Jitter.observe t.jitter ~arrival ~rtp_timestamp:packet.Rtp_packet.timestamp
 
   let packets_received t = t.received
-  let lost t = Stdlib.max 0 (t.expected - t.received)
-  let out_of_order t = t.out_of_order
   let jitter t = t.jitter
-  let highest_seq t = t.highest
 end

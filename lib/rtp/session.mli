@@ -7,8 +7,6 @@ module Sender : sig
 
   val ssrc : t -> int32
 
-  val codec : t -> Codec.t
-
   val next_packet : t -> Rtp_packet.t
   (** Produces the next in-order media packet (synthetic payload bytes) and
       advances sequence and timestamp.  The first packet carries the
@@ -34,17 +32,9 @@ module Receiver : sig
   val create : clock_rate:int -> t
 
   val observe : t -> arrival:Dsim.Time.t -> Rtp_packet.t -> unit
-  (** Updates counters, loss tracking and the jitter estimator. *)
+  (** Counts the packet and feeds the jitter estimator. *)
 
   val packets_received : t -> int
 
-  val lost : t -> int
-  (** Expected-minus-received estimate from sequence numbers (never
-      negative). *)
-
-  val out_of_order : t -> int
-
   val jitter : t -> Jitter.t
-
-  val highest_seq : t -> int option
 end

@@ -1,12 +1,13 @@
 type info = { number : int; encoding : string; clock_rate : int }
 
-let pcmu = { number = 0; encoding = "PCMU"; clock_rate = 8000 }
-let gsm = { number = 3; encoding = "GSM"; clock_rate = 8000 }
-let pcma = { number = 8; encoding = "PCMA"; clock_rate = 8000 }
-let g722 = { number = 9; encoding = "G722"; clock_rate = 8000 }
-let g728 = { number = 15; encoding = "G728"; clock_rate = 8000 }
-let g729 = { number = 18; encoding = "G729"; clock_rate = 8000 }
-
-let all = [ pcmu; gsm; pcma; g722; g728; g729 ]
+let all =
+  [
+    { number = 0; encoding = "PCMU"; clock_rate = 8000 };
+    { number = 3; encoding = "GSM"; clock_rate = 8000 };
+    { number = 8; encoding = "PCMA"; clock_rate = 8000 };
+    { number = 9; encoding = "G722"; clock_rate = 8000 };
+    { number = 15; encoding = "G728"; clock_rate = 8000 };
+    { number = 18; encoding = "G729"; clock_rate = 8000 };
+  ]
 let find number = List.find_opt (fun i -> i.number = number) all
 let rtpmap i = Printf.sprintf "%d %s/%d" i.number i.encoding i.clock_rate

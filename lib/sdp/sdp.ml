@@ -229,8 +229,6 @@ let to_string (t : t) =
     t.media;
   Buffer.contents buffer
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 (* Port 0 declines a stream (RFC 3264 §6). *)
 let first_audio t = List.find_opt (fun m -> m.media_type = "audio" && m.port <> 0) t.media
 

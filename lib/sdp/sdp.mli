@@ -39,12 +39,11 @@ val audio_media : port:int -> formats:int list -> media
 val parse : string -> (t, string) result
 
 val parse_range : string -> int -> int -> (t, string) result
-(** [parse_range s start stop] is [parse (String.sub s start (stop - start))]
-    without the copy. *)
+(** Test seam: [parse_range s start stop] is
+    [parse (String.sub s start (stop - start))] without the copy, which the
+    SIP differential checks on a padded slice. *)
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit
 
 val first_audio : t -> media option
 (** The first [m=audio] block that is not declined (port 0). *)

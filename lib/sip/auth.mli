@@ -16,11 +16,6 @@ val challenge_header : challenge -> string
 
 val parse_challenge : string -> (challenge, string) result
 
-val response :
-  username:string -> password:string -> challenge:challenge -> meth:Msg_method.t ->
-  uri:Uri.t -> string
-(** The digest response token. *)
-
 val authorization_header :
   username:string -> password:string -> challenge:challenge -> meth:Msg_method.t ->
   uri:Uri.t -> string

@@ -19,6 +19,3 @@ let parse_range s start stop =
 let parse s = parse_range s 0 (String.length s)
 
 let to_string t = Printf.sprintf "%d %s" t.number (Msg_method.to_string t.meth)
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-let equal a b = Int.equal a.number b.number && Msg_method.equal a.meth b.meth
-let next t meth = { number = t.number + 1; meth }

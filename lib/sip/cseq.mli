@@ -7,14 +7,8 @@ val make : int -> Msg_method.t -> t
 val parse : string -> (t, string) result
 
 val parse_range : string -> int -> int -> (t, string) result
-(** [parse_range s start stop] is [parse (String.sub s start (stop - start))]
-    without the copy. *)
+(** Test seam: [parse_range s start stop] is
+    [parse (String.sub s start (stop - start))] without the copy, which the
+    SIP differential checks on a padded slice. *)
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool
-
-val next : t -> Msg_method.t -> t
-(** Same numbering space, incremented, with the new method. *)

@@ -101,8 +101,6 @@ let rec items s start stop acc =
   let acc = if a < b then Scan.sub s a b :: acc else acc in
   if e < stop then items s (e + 1) stop acc else acc
 
-let split_list_value value = List.rev (items value 0 (String.length value) [])
-
 let rec all_items name acc = function
   | [] -> List.rev acc
   | (field, v) :: rest ->
@@ -125,10 +123,8 @@ let remove_first t name =
   in
   drop t
 
-let mem t name = Option.is_some (get t name)
 let fold f t init = List.fold_left (fun acc (name, value) -> f name value acc) init t
 let to_list t = t
-let of_list fields = List.map (fun (name, value) -> (canonical_name name, value)) fields
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)

@@ -32,22 +32,13 @@ val get_all : t -> string -> string list
 val set : t -> string -> string -> t
 (** Replaces every occurrence with a single field. *)
 
-val remove : t -> string -> t
-
 val remove_first : t -> string -> t
 (** Removes only the first occurrence (used for Via popping). *)
-
-val mem : t -> string -> bool
 
 val fold : (string -> string -> 'a -> 'a) -> t -> 'a -> 'a
 (** In field order. *)
 
 val to_list : t -> (string * string) list
-
-val of_list : (string * string) list -> t
-
-val split_list_value : string -> string list
-(** Splits a comma-separated header value, honouring quotes and [<>]. *)
 
 val parse_range : string -> int -> int -> (t, string) result
 (** The header fields on the lines of [s.\[start .. stop - 1\]], one per

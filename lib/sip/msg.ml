@@ -255,13 +255,6 @@ let name_addr_field t name =
 let from_ t = name_addr_field t "From"
 let to_ t = name_addr_field t "To"
 
-let vias t =
-  let rec all acc = function
-    | [] -> Ok (List.rev acc)
-    | v :: rest -> ( match Via.parse v with Ok via -> all (via :: acc) rest | Error e -> Error e)
-  in
-  match Header.get_all t.headers "Via" with [] -> Error "missing Via" | vs -> all [] vs
-
 (* [read] of the first item of the first Via, where it lies.  Only a first
    Via with no item before its first comma needs the whole list. *)
 let read_top_via t ~missing read =

@@ -52,8 +52,6 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Predicates} *)
 
-val is_request : t -> bool
-
 val is_response : t -> bool
 
 val method_of : t -> Msg_method.t option
@@ -73,8 +71,6 @@ val cseq : t -> (Cseq.t, string) result
 val from_ : t -> (Name_addr.t, string) result
 
 val to_ : t -> (Name_addr.t, string) result
-
-val vias : t -> (Via.t list, string) result
 
 val top_via : t -> (Via.t, string) result
 
@@ -97,10 +93,6 @@ val contact_host : t -> string option
 
 val branch : t -> string option
 (** [Via.branch] of {!top_via}. *)
-
-val max_forwards : t -> int option
-
-val content_type : t -> string option
 
 val content_type_is : t -> string -> bool
 (** [content_type_is t "application/sdp"] holds when the Content-Type names

@@ -47,6 +47,4 @@ let of_string = function
   | s -> Extension s
 
 let equal a b = String.equal (to_string a) (to_string b)
-let compare a b = String.compare (to_string a) (to_string b)
 let pp ppf t = Format.pp_print_string ppf (to_string t)
-let is_standard = function Extension _ -> false | _ -> true

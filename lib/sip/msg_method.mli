@@ -25,8 +25,4 @@ val of_string : string -> t
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 val pp : Format.formatter -> t -> unit
-
-val is_standard : t -> bool

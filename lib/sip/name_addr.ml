@@ -87,13 +87,6 @@ let to_string t =
     t.params;
   Buffer.contents buffer
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
-let param t name =
-  match List.find_opt (fun (n, _) -> String.equal n name) t.params with
-  | None -> None
-  | Some (_, v) -> Some v
-
 (* The first parameter's own option, so a lookup allocates nothing. *)
 let rec value_of name = function
   | [] -> None

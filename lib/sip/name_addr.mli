@@ -13,8 +13,9 @@ val make : ?display:string -> ?params:(string * string option) list -> Uri.t -> 
 val parse : string -> (t, string) result
 
 val parse_range : string -> int -> int -> (t, string) result
-(** [parse_range s start stop] is [parse (String.sub s start (stop - start))]
-    without the copy; the URI is parsed in place. *)
+(** Test seam: [parse_range s start stop] is
+    [parse (String.sub s start (stop - start))] without the copy, which the
+    SIP differential checks on a padded slice; the URI is parsed in place. *)
 
 (** {1 Locators}
 
@@ -30,11 +31,7 @@ val host_span : string -> int -> int -> int
 
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 val tag : t -> string option
 
 val with_tag : t -> string -> t
 (** Replaces any existing tag. *)
-
-val param : t -> string -> string option option

@@ -2,17 +2,6 @@
 
 type t = int
 
-type klass =
-  | Provisional  (** 1xx *)
-  | Success  (** 2xx *)
-  | Redirection  (** 3xx *)
-  | Client_error  (** 4xx *)
-  | Server_error  (** 5xx *)
-  | Global_failure  (** 6xx *)
-
-val klass : t -> klass
-(** Raises [Invalid_argument] outside 100..699. *)
-
 val is_provisional : t -> bool
 
 val is_final : t -> bool
@@ -21,5 +10,3 @@ val is_success : t -> bool
 
 val reason_phrase : t -> string
 (** Default reason phrase for well-known codes; ["Unknown"] otherwise. *)
-
-val pp : Format.formatter -> t -> unit

@@ -23,9 +23,6 @@ module Client = struct
   }
 
   let state t = t.state
-  let request t = t.request
-  let branch t = t.branch
-  let retransmissions t = t.retransmissions
 
   let terminate t =
     if t.state <> Terminated then begin
@@ -168,7 +165,6 @@ module Server = struct
 
   let state t = t.state
   let request t = t.request
-  let key t = t.key
 
   let terminate t =
     if t.state <> Terminated then begin

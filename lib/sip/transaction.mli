@@ -34,14 +34,8 @@ module Client : sig
   (** Feed a response matched to this transaction. *)
 
   val state : t -> state
-
-  val request : t -> Msg.t
-
-  val branch : t -> string
-  (** Top Via branch of the request, used for response matching. *)
-
-  val retransmissions : t -> int
-  (** Number of request retransmissions performed so far. *)
+  (** Test oracle: the §17.1 state, which the transaction tests step
+      through. *)
 end
 
 (** {1 Server transactions} *)
@@ -68,9 +62,8 @@ module Server : sig
   (** Transaction user sends a response. *)
 
   val state : t -> state
+  (** Test oracle: the §17.2 state, which the transaction tests step
+      through. *)
 
   val request : t -> Msg.t
-
-  val key : t -> string
-  (** The §17.2.3 matching key of the original request. *)
 end

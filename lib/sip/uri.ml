@@ -129,22 +129,3 @@ let to_string t =
       Buffer.add_char buffer '?';
       Buffer.add_string buffer h);
   Buffer.contents buffer
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
-let equal a b =
-  String.equal (String.lowercase_ascii a.scheme) (String.lowercase_ascii b.scheme)
-  && Option.equal String.equal a.user b.user
-  && String.equal (String.lowercase_ascii a.host) (String.lowercase_ascii b.host)
-  && Option.equal Int.equal a.port b.port
-  && a.params = b.params
-  && Option.equal String.equal a.headers b.headers
-
-let param t name =
-  match List.find_opt (fun (n, _) -> String.equal n name) t.params with
-  | None -> None
-  | Some (_, v) -> Some v
-
-let with_param t name value =
-  let params = List.filter (fun (n, _) -> not (String.equal n name)) t.params in
-  { t with params = params @ [ (name, value) ] }

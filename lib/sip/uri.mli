@@ -38,16 +38,3 @@ val host_span : string -> int -> int -> int
     succeed, negative when it would fail. *)
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool
-(** Structural equality with case-insensitive scheme/host and order-sensitive
-    params — sufficient for the detector's identity checks. *)
-
-val param : t -> string -> string option option
-(** [param t name] is [None] when absent, [Some None] for a flag parameter,
-    [Some (Some v)] for [name=v]. *)
-
-val with_param : t -> string -> string option -> t
-(** Adds or replaces a parameter. *)

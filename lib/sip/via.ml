@@ -106,22 +106,11 @@ let to_string t =
     t.params;
   Buffer.contents buffer
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
-let param t name =
-  match List.find_opt (fun (n, _) -> String.equal n name) t.params with
-  | None -> None
-  | Some (_, v) -> Some v
-
 (* The first parameter's own option, so a lookup allocates nothing. *)
 let rec value_of name = function
   | [] -> None
   | (n, v) :: rest -> if String.equal n name then v else value_of name rest
 
 let branch t = value_of "branch" t.params
-
-let with_param t name value =
-  let params = List.filter (fun (n, _) -> not (String.equal n name)) t.params in
-  { t with params = params @ [ (name, value) ] }
 
 let sent_by t = Dsim.Addr.v t.host (Option.value t.port ~default:5060)

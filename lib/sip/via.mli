@@ -10,6 +10,8 @@ type t = {
 val make : ?transport:string -> ?port:int -> ?branch:string -> string -> t
 
 val parse : string -> (t, string) result
+(** Test seam: {!parse_range} over the whole string, which the Via tests
+    and the SIP differential read. *)
 
 val parse_range : string -> int -> int -> (t, string) result
 (** [parse_range s start stop] is [parse (String.sub s start (stop - start))]
@@ -23,13 +25,7 @@ val branch_span : string -> int -> int -> int
 
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 val branch : t -> string option
-
-val param : t -> string -> string option option
-
-val with_param : t -> string -> string option -> t
 
 val sent_by : t -> Dsim.Addr.t
 (** Host and port (5060 when absent). *)

@@ -4,7 +4,7 @@
    covers predicate, value and integer positions, and [Elaborate] decides
    which {!Efsm.Ir} fragment each node elaborates into.  Every node
    carries the span of the text it was parsed from; generated trees (the
-   round-trip property's) carry [Loc.dummy]. *)
+   round-trip property's) carry a span on line 0 ({!Loc.is_dummy}). *)
 
 type lit =
   | L_int of int

@@ -26,11 +26,6 @@ type t = { code : code; span : Loc.span; message : string }
 
 val error : code -> Loc.span -> string -> t
 
-val code_to_string : code -> string
-
-val to_string : t -> string
-(** One line: [file:line:col: error[code]: message]. *)
-
 val render : ?source:string -> t -> string
 (** {!to_string} plus, when [source] is available, a caret-underlined
     snippet of the offending source line, GCC-style. *)

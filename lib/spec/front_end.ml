@@ -5,6 +5,23 @@ let load_sources ?(known_machines = []) ~params sources =
     List.sort_uniq String.compare
       (known_machines @ List.map (fun m -> m.Ast.m_name) machines)
   in
+  (* A name defined again later in the batch is reported at each later
+     definition; only its first definition is elaborated. *)
+  let seen = Hashtbl.create 4 in
+  let firsts, dup_diags =
+    List.fold_left
+      (fun (firsts, diags) m ->
+        if Hashtbl.mem seen m.Ast.m_name then
+          ( firsts,
+            Diag.error Diag.Dup_label m.Ast.m_span
+              (Printf.sprintf "machine %s is defined twice in this batch" m.Ast.m_name)
+            :: diags )
+        else begin
+          Hashtbl.add seen m.Ast.m_name ();
+          (m :: firsts, diags)
+        end)
+      ([], []) machines
+  in
   (* Elaborate per machine so a broken one does not block its batch. *)
   let loaded, elab_diags =
     List.fold_left
@@ -21,30 +38,9 @@ let load_sources ?(known_machines = []) ~params sources =
                         (Printf.sprintf "invalid machine %s: %s" m.Ast.m_name msg);
                     ] )
             | Ok () -> (loaded @ [ el ], diags)))
-      ([], []) machines
+      ([], []) (List.rev firsts)
   in
-  (* Duplicate machine names across the whole batch. *)
-  let dup_diags =
-    let seen = Hashtbl.create 4 in
-    List.filter_map
-      (fun (machines, _) ->
-        let rec dups = function
-          | [] -> None
-          | m :: rest ->
-              if Hashtbl.mem seen m.Ast.m_name then
-                Some
-                  (Diag.error Diag.Dup_label m.Ast.m_span
-                     (Printf.sprintf "machine %s is defined twice in this batch"
-                        m.Ast.m_name))
-              else begin
-                Hashtbl.add seen m.Ast.m_name ();
-                dups rest
-              end
-        in
-        dups machines)
-      parsed
-  in
-  (loaded, List.concat_map snd parsed @ dup_diags @ elab_diags)
+  (loaded, List.concat_map snd parsed @ List.rev dup_diags @ elab_diags)
 
 let read_files paths =
   let rec read acc = function

@@ -13,8 +13,10 @@ val load_sources :
   Elaborate.elaborated list * Diag.t list
 (** [(filename, source)] pairs.  Machines defined anywhere in the batch
     are valid sync targets everywhere in it, on top of
-    [known_machines].  Elaborated specs additionally pass through
-    {!Efsm.Machine.validate_spec}; a failure is reported as a
+    [known_machines].  A machine name defined again later in the batch
+    is a [Diag.Dup_label] error at each later definition, and only its
+    first definition is loaded.  Elaborated specs additionally pass
+    through {!Efsm.Machine.validate_spec}; a failure is reported as a
     [Diag.Structure] error and the machine is dropped. *)
 
 val read_files : string list -> ((string * string) list, string) result

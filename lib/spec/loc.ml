@@ -2,14 +2,7 @@ type pos = { file : string; line : int; col : int }
 
 type span = { s : pos; e : pos }
 
-let dummy =
-  let p = { file = "<none>"; line = 0; col = 0 } in
-  { s = p; e = p }
-
 let is_dummy sp = sp.s.line = 0
-
-let make ~file ~line ~col ~end_line ~end_col =
-  { s = { file; line; col }; e = { file; line = end_line; col = end_col } }
 
 let merge a b =
   let before (p : pos) (q : pos) = p.line < q.line || (p.line = q.line && p.col <= q.col) in

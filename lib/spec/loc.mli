@@ -10,13 +10,9 @@ type pos = { file : string; line : int; col : int }
 type span = { s : pos; e : pos }
 (** Half-open: [e] is the position just past the last character. *)
 
-val dummy : span
-(** For synthesized nodes (e.g. generated ASTs); renders as
-    [<none>:0:0]. *)
-
 val is_dummy : span -> bool
-
-val make : file:string -> line:int -> col:int -> end_line:int -> end_col:int -> span
+(** A span on line 0: a synthesized node's (e.g. a generated AST's), which
+    renders no source line. *)
 
 val merge : span -> span -> span
 (** Covers both spans (assumes same file). *)

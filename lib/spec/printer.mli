@@ -11,3 +11,6 @@ val print_duration : int -> string
     [250ms], [1s], [7us]. *)
 
 val print_file : Ast.file -> string
+(** Test oracle: the canonical printer, to which the round-trip property
+    holds the parser, and through which generated machines reach the front
+    end as text. *)

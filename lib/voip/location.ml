@@ -7,5 +7,3 @@ let lookup t ~aor = Hashtbl.find_opt t aor
 
 let aor_of_uri (uri : Sip.Uri.t) =
   Option.value uri.Sip.Uri.user ~default:"" ^ "@" ^ uri.Sip.Uri.host
-
-let bindings t = Hashtbl.length t

@@ -12,5 +12,3 @@ val unbind : t -> aor:string -> unit
 val lookup : t -> aor:string -> Dsim.Addr.t option
 
 val aor_of_uri : Sip.Uri.t -> string
-
-val bindings : t -> int

@@ -12,25 +12,21 @@ type t = {
   mutable established : int;
   mutable completed : int;
   mutable failed : int;
-  mutable rtp_received : int;
-  mutable rtcp_received : int;
 }
 
 let create () =
   {
-    arrivals = Stat.Series.create ~name:"call-arrivals";
+    arrivals = Stat.Series.create ();
     setups = Hashtbl.create 32;
     setup_all = Stat.Summary.create ();
-    rtp_delay = Stat.Series.create ~name:"rtp-delay";
-    delay_variation = Stat.Series.create ~name:"rtp-delay-variation";
+    rtp_delay = Stat.Series.create ();
+    delay_variation = Stat.Series.create ();
     jitter = Stat.Summary.create ();
     playout_late = Stat.Summary.create ();
     attempted = 0;
     established = 0;
     completed = 0;
     failed = 0;
-    rtp_received = 0;
-    rtcp_received = 0;
   }
 
 let record_call_arrival t ~at ~duration =
@@ -43,7 +39,7 @@ let record_setup t ~caller ~at ~delay =
     match Hashtbl.find_opt t.setups caller with
     | Some s -> s
     | None ->
-        let s = Stat.Series.create ~name:("setup:" ^ caller) in
+        let s = Stat.Series.create () in
         Hashtbl.replace t.setups caller s;
         s
   in
@@ -70,7 +66,3 @@ let attempted t = t.attempted
 let established t = t.established
 let completed t = t.completed
 let failed t = t.failed
-let rtp_packets_received t = t.rtp_received
-let incr_rtp_received t = t.rtp_received <- t.rtp_received + 1
-let rtcp_packets_received t = t.rtcp_received
-let incr_rtcp_received t = t.rtcp_received <- t.rtcp_received + 1

@@ -59,11 +59,3 @@ val established : t -> int
 val completed : t -> int
 
 val failed : t -> int
-
-val rtp_packets_received : t -> int
-
-val incr_rtp_received : t -> unit
-
-val rtcp_packets_received : t -> int
-
-val incr_rtcp_received : t -> unit

@@ -8,9 +8,6 @@ type t = {
   nonces : (string, unit) Hashtbl.t;
   location : Location.t;
   mutable requests_forwarded : int;
-  mutable responses_forwarded : int;
-  mutable registrations : int;
-  mutable rejected : int;
 }
 
 let create ?(record_route = false) ?auth transport ~domain ~dns =
@@ -24,9 +21,6 @@ let create ?(record_route = false) ?auth transport ~domain ~dns =
     nonces = Hashtbl.create 16;
     location = Location.create ();
     requests_forwarded = 0;
-    responses_forwarded = 0;
-    registrations = 0;
-    rejected = 0;
   }
 
 let location t = t.location
@@ -46,9 +40,8 @@ let stateless_branch msg =
 
 let reply t msg code =
   match Sip.Msg.top_via msg with
-  | Error _ -> t.rejected <- t.rejected + 1
+  | Error _ -> ()
   | Ok via ->
-      t.rejected <- t.rejected + 1;
       Transport.send_msg t.transport
         (Sip.Msg.response_to msg ~code ~to_tag:"proxy" ())
         (Sip.Via.sent_by via)
@@ -67,7 +60,7 @@ let send_401 t msg =
   let nonce = Sip.Auth.fresh_nonce t.ident in
   Hashtbl.replace t.nonces nonce ();
   match Sip.Msg.top_via msg with
-  | Error _ -> t.rejected <- t.rejected + 1
+  | Error _ -> ()
   | Ok via ->
       Transport.send_msg t.transport
         (Sip.Msg.response_to msg ~code:401 ~to_tag:"auth"
@@ -92,7 +85,6 @@ let handle_register t msg =
       (match Sip.Msg.expires msg with
       | Some 0 -> Location.unbind t.location ~aor
       | Some _ | None -> Location.bind t.location ~aor ~contact:contact_addr);
-      t.registrations <- t.registrations + 1;
       (match Sip.Msg.top_via msg with
       | Ok via ->
           Transport.send_msg t.transport
@@ -173,14 +165,13 @@ let forward_response t msg =
   (* Pop our Via; the next Via names the previous hop to deliver to. *)
   let popped = Sip.Msg.pop_via msg in
   match Sip.Msg.top_via popped with
-  | Error _ -> t.rejected <- t.rejected + 1
+  | Error _ -> ()
   | Ok via ->
-      t.responses_forwarded <- t.responses_forwarded + 1;
       Transport.send_msg t.transport popped (Sip.Via.sent_by via)
 
 let handle_packet t (packet : Dsim.Packet.t) =
   match Sip.Msg.parse packet.payload with
-  | Error _ -> t.rejected <- t.rejected + 1
+  | Error _ -> ()
   | Ok msg -> (
       match msg.Sip.Msg.start with
       | Sip.Msg.Response _ -> forward_response t msg
@@ -190,6 +181,3 @@ let handle_packet t (packet : Dsim.Packet.t) =
       | Sip.Msg.Request _ -> forward_request t msg)
 
 let requests_forwarded t = t.requests_forwarded
-let responses_forwarded t = t.responses_forwarded
-let registrations t = t.registrations
-let rejected t = t.rejected

@@ -25,14 +25,11 @@ val create :
     401 digest challenge and only authenticated bindings are accepted. *)
 
 val location : t -> Location.t
+(** Test oracle: the registrar's bindings, which the registration and
+    authentication tests read. *)
 
 val handle_packet : t -> Dsim.Packet.t -> unit
 
 val requests_forwarded : t -> int
-
-val responses_forwarded : t -> int
-
-val registrations : t -> int
-
-val rejected : t -> int
-(** Requests answered with a failure (404/483/502) or dropped. *)
+(** Test oracle: requests relayed so far, by which the record-route and
+    proxy tests see that a request crossed this proxy. *)

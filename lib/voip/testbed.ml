@@ -146,19 +146,6 @@ let attacker t ~host =
     ~loss_prob:0.0;
   (node, Transport.create t.net node ~local:(Dsim.Addr.v host 5060))
 
-(* A compromised host behind the sensor: traffic to other B hosts never
-   crosses the vIDS node, demonstrating the placement blind spot. *)
-let inside_b_attacker t ~host =
-  let node = Dsim.Network.add_node t.net ~name:("insider-" ^ host) ~hosts:[ host ] in
-  let proxy_b_node =
-    match Dsim.Network.find_node t.net ~host:"10.2.0.2" with
-    | Some n -> n
-    | None -> failwith "Testbed: proxy B node missing"
-  in
-  Dsim.Network.connect t.net node proxy_b_node ~rate_bps:lan_rate ~prop_delay:lan_delay
-    ~loss_prob:0.0;
-  (node, Transport.create t.net node ~local:(Dsim.Addr.v host 5060))
-
 let run_until t time = Dsim.Scheduler.run_until t.sched time
 
 let run_workload t ?(profile = Call_generator.default_profile) ~duration () =

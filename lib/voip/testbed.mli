@@ -59,10 +59,6 @@ val attacker : t -> host:string -> Dsim.Network.node * Transport.t
 (** Attaches a host on the Internet side of the cloud; its traffic to
     network B crosses the vIDS host. *)
 
-val inside_b_attacker : t -> host:string -> Dsim.Network.node * Transport.t
-(** A compromised host inside network B (behind the sensor) — used to show
-    placement blind spots. *)
-
 val run_workload :
   t -> ?profile:Call_generator.profile -> duration:Dsim.Time.t -> unit -> unit
 (** Starts the Figure-8 workload on network A's UAs and runs the scheduler

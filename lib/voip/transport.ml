@@ -2,8 +2,6 @@ type t = { net : Dsim.Network.t; node : Dsim.Network.node; local : Dsim.Addr.t }
 
 let create net node ~local = { net; node; local }
 let local t = t.local
-let network t = t.net
-let node t = t.node
 let scheduler t = Dsim.Network.scheduler t.net
 
 let send_raw t ~src ~dst payload =

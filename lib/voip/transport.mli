@@ -6,10 +6,6 @@ val create : Dsim.Network.t -> Dsim.Network.node -> local:Dsim.Addr.t -> t
 
 val local : t -> Dsim.Addr.t
 
-val network : t -> Dsim.Network.t
-
-val node : t -> Dsim.Network.node
-
 val scheduler : t -> Dsim.Scheduler.t
 
 val send_msg : t -> Sip.Msg.t -> Dsim.Addr.t -> unit

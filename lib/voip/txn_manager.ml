@@ -10,7 +10,6 @@ type t = {
   callbacks : callbacks;
   clients : (string, Sip.Transaction.Client.t) Hashtbl.t;
   servers : (string, Sip.Transaction.Server.t) Hashtbl.t;
-  mutable dropped : int;
 }
 
 let create transport callbacks =
@@ -19,10 +18,8 @@ let create transport callbacks =
     callbacks;
     clients = Hashtbl.create 16;
     servers = Hashtbl.create 16;
-    dropped = 0;
   }
 
-let transport t = t.transport
 let client_key ~branch ~meth = branch ^ "|" ^ Sip.Msg_method.to_string meth
 
 let client_key_of_msg msg =
@@ -45,7 +42,7 @@ let request t msg ~dst ~on_response ~on_timeout =
 
 let handle_response t msg ~src =
   match client_key_of_msg msg with
-  | None -> t.dropped <- t.dropped + 1
+  | None -> ()
   | Some key -> (
       match Hashtbl.find_opt t.clients key with
       | Some txn -> Sip.Transaction.Client.receive txn msg
@@ -64,7 +61,7 @@ let new_server_txn t msg ~src ~key =
 
 let handle_request t msg ~src =
   match Sip.Msg.transaction_key msg with
-  | Error _ -> t.dropped <- t.dropped + 1
+  | Error _ -> ()
   | Ok key -> (
       let meth = match Sip.Msg.method_of msg with Some m -> m | None -> Sip.Msg_method.INFO in
       match Hashtbl.find_opt t.servers key with
@@ -93,11 +90,7 @@ let handle_request t msg ~src =
 
 let handle_packet t (packet : Dsim.Packet.t) =
   match Sip.Msg.parse packet.payload with
-  | Error _ -> t.dropped <- t.dropped + 1
+  | Error _ -> ()
   | Ok msg ->
       if Sip.Msg.is_response msg then handle_response t msg ~src:packet.src
       else handle_request t msg ~src:packet.src
-
-let dropped t = t.dropped
-let active_clients t = Hashtbl.length t.clients
-let active_servers t = Hashtbl.length t.servers

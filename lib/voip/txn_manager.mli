@@ -17,8 +17,6 @@ type t
 
 val create : Transport.t -> callbacks -> t
 
-val transport : t -> Transport.t
-
 val request :
   t ->
   Sip.Msg.t ->
@@ -31,9 +29,3 @@ val request :
 val handle_packet : t -> Dsim.Packet.t -> unit
 (** Feed every SIP datagram addressed to this entity here.  Unparsable
     messages are dropped (counted). *)
-
-val dropped : t -> int
-
-val active_clients : t -> int
-
-val active_servers : t -> int

@@ -53,9 +53,7 @@ type t = {
 
 let sched t = Transport.scheduler t.transport
 let now t = Dsim.Scheduler.now (sched t)
-let name t = t.name
 let addr t = t.local
-let transport t = t.transport
 let aor t = Sip.Uri.make ~user:t.name t.domain
 let set_fraudulent t flag = t.fraudulent <- flag
 
@@ -212,7 +210,6 @@ let handle_media t call (packet : Dsim.Packet.t) =
   match Rtp.Rtp_packet.decode packet.payload with
   | Error _ -> ()
   | Ok decoded ->
-      Metrics.incr_rtp_received t.metrics;
       let arrival = now t in
       (match call.receiver with
       | Some receiver -> Rtp.Session.Receiver.observe receiver ~arrival decoded
@@ -653,12 +650,7 @@ let handle_packet t (packet : Dsim.Packet.t) =
         match Hashtbl.find_opt t.calls call_id with
         | Some call -> handle_media t call packet
         | None -> ())
-    | None ->
-        (* RTCP rides on media port + 1. *)
-        if dst_port land 1 = 1 && Hashtbl.mem t.media_ports (dst_port - 1) then
-          match Rtp.Rtcp.decode packet.payload with
-          | Ok _ -> Metrics.incr_rtcp_received t.metrics
-          | Error _ -> ()
+    | None -> ()
 
 let register t =
   let local_tag = Sip.Ident.tag t.ident in

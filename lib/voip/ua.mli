@@ -44,14 +44,10 @@ val create :
     ["pw-<name>"]) answers the registrar's digest challenge when the proxy
     enforces authentication. *)
 
-val name : t -> string
-
 val aor : t -> Sip.Uri.t
 (** [sip:name\@domain]. *)
 
 val addr : t -> Dsim.Addr.t
-
-val transport : t -> Transport.t
 
 val register : t -> unit
 (** Sends REGISTER to the configured proxy. *)
@@ -63,14 +59,12 @@ val call : t -> callee:Sip.Uri.t -> duration:Dsim.Time.t -> unit
 val hangup_all : t -> unit
 
 val reinvite_all : t -> unit
-(** Renegotiates the media endpoint of every active call via an in-dialog
-    re-INVITE (a fresh RTP port is allocated and advertised in new SDP). *)
+(** Test seam: renegotiates the media endpoint of every active call via
+    an in-dialog re-INVITE (a fresh RTP port is allocated and advertised
+    in new SDP), for the mid-call renegotiation tests. *)
 
 val set_fraudulent : t -> bool -> unit
 (** When true, BYE does not stop this UA's RTP sender. *)
 
 val active_calls : t -> call_info list
 (** Snapshot, including recently ended calls not yet reaped. *)
-
-val handle_packet : t -> Dsim.Packet.t -> unit
-(** Exposed for tests; normally wired as the node handler by [create]. *)

@@ -406,13 +406,6 @@ let from_ t = name_addr_field t "From"
 let to_ t = name_addr_field t "To"
 let contact t = name_addr_field t "Contact"
 
-let vias t =
-  let rec all acc = function
-    | [] -> Ok (List.rev acc)
-    | v :: rest -> ( match via v with Ok v -> all (v :: acc) rest | Error e -> Error e)
-  in
-  match Header.get_all t.headers "Via" with [] -> Error "missing Via" | vs -> all [] vs
-
 let top_via t =
   match Header.get_all t.headers "Via" with [] -> Error "missing Via" | v :: _ -> via v
 
@@ -586,9 +579,9 @@ let sdp_args msg =
             | Some (host, port) ->
                 let pt = match media.Sdp.formats with pt :: _ -> pt | [] -> -1 in
                 [
-                  (Keys.media_host, V.Str host);
-                  (Keys.media_port, V.Int port);
-                  (Keys.media_pt, V.Int pt);
+                  ("media_host", V.Str host);
+                  ("media_port", V.Int port);
+                  ("media_pt", V.Int pt);
                 ]))
   else []
 
@@ -596,7 +589,7 @@ let of_msg ~at ~src ~dst msg =
   let name, extra =
     match msg.start with
     | Sip.Msg.Request { meth; _ } -> (Sip.Msg_method.to_string meth, [])
-    | Sip.Msg.Response { code; _ } -> (Keys.response, [ (Keys.code, V.Int code) ])
+    | Sip.Msg.Response { code; _ } -> (Keys.response, [ ("code", V.Int code) ])
   in
   let tag_of field =
     match field msg with
@@ -617,25 +610,25 @@ let of_msg ~at ~src ~dst msg =
     match msg_cseq msg with
     | Ok c ->
         [
-          (Keys.cseq_method, V.Str (Sip.Msg_method.to_string c.Sip.Cseq.meth));
-          (Keys.cseq_number, V.Int c.Sip.Cseq.number);
+          ("cseq_method", V.Str (Sip.Msg_method.to_string c.Sip.Cseq.meth));
+          ("cseq_number", V.Int c.Sip.Cseq.number);
         ]
     | Error _ -> []
   in
   let call_id =
-    match call_id msg with Ok cid -> [ (Keys.call_id, V.Str cid) ] | Error _ -> []
+    match call_id msg with Ok cid -> [ ("call_id", V.Str cid) ] | Error _ -> []
   in
   let args =
     [
-      (Keys.src_ip, V.Str (Dsim.Addr.host src));
-      (Keys.src_port, V.Int (Dsim.Addr.port src));
-      (Keys.dst_ip, V.Str (Dsim.Addr.host dst));
-      (Keys.dst_port, V.Int (Dsim.Addr.port dst));
+      ("src_ip", V.Str (Dsim.Addr.host src));
+      ("src_port", V.Int (Dsim.Addr.port src));
+      ("dst_ip", V.Str (Dsim.Addr.host dst));
+      ("dst_port", V.Int (Dsim.Addr.port dst));
     ]
     @ extra @ cseq @ call_id @ sdp_args msg
   in
-  let args = opt_arg Keys.from_tag (tag_of from_) args in
-  let args = opt_arg Keys.to_tag (tag_of to_) args in
-  let args = opt_arg Keys.contact_host contact_host args in
-  let args = opt_arg Keys.branch branch args in
+  let args = opt_arg "from_tag" (tag_of from_) args in
+  let args = opt_arg "to_tag" (tag_of to_) args in
+  let args = opt_arg "contact_host" contact_host args in
+  let args = opt_arg "branch" branch args in
   Efsm.Event.make ~args (Efsm.Event.Data "SIP") ~at name

@@ -158,7 +158,6 @@ let heap_sorts () =
 
 let heap_empty () =
   let h = Dsim.Heap.create ~cmp:Int.compare in
-  check "is_empty" true (Dsim.Heap.is_empty h);
   check "pop none" true (Dsim.Heap.pop h = None);
   check "peek none" true (Dsim.Heap.peek h = None)
 
@@ -166,7 +165,8 @@ let heap_peek_not_removing () =
   let h = Dsim.Heap.create ~cmp:Int.compare in
   Dsim.Heap.push h 3;
   check "peek" true (Dsim.Heap.peek h = Some 3);
-  check_int "length unchanged" 1 (Dsim.Heap.length h)
+  check "still there" true (Dsim.Heap.pop h = Some 3);
+  check "then empty" true (Dsim.Heap.pop h = None)
 
 let heap_large () =
   let h = Dsim.Heap.create ~cmp:Int.compare in
@@ -182,12 +182,6 @@ let heap_large () =
         drain x (n + 1)
   in
   check_int "all popped" 10_000 (drain min_int 0)
-
-let heap_clear () =
-  let h = Dsim.Heap.create ~cmp:Int.compare in
-  Dsim.Heap.push h 1;
-  Dsim.Heap.clear h;
-  check "empty after clear" true (Dsim.Heap.is_empty h)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler                                                           *)
@@ -217,7 +211,6 @@ let sched_cancel () =
   let fired = ref false in
   let timer = Dsim.Scheduler.schedule_at s 10 (fun () -> fired := true) in
   Dsim.Scheduler.cancel timer;
-  check "is_cancelled" true (Dsim.Scheduler.is_cancelled timer);
   Dsim.Scheduler.run s;
   check "not fired" false !fired
 
@@ -272,7 +265,7 @@ let sched_pending () =
 
 let advance_to_semantics () =
   let ms = Dsim.Time.of_ms in
-  let time = Alcotest.testable Dsim.Time.pp Dsim.Time.equal in
+  let time = Alcotest.testable Dsim.Time.pp (fun a b -> Dsim.Time.compare a b = 0) in
   let sched = Dsim.Scheduler.create () in
   let fired = ref [] in
   let note name () = fired := name :: !fired in
@@ -296,17 +289,20 @@ let summary_moments () =
   List.iter (Dsim.Stat.Summary.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
   check_float "mean" 5.0 (Dsim.Stat.Summary.mean s);
   check_int "count" 8 (Dsim.Stat.Summary.count s);
-  check_float "min" 2.0 (Dsim.Stat.Summary.min s);
-  check_float "max" 9.0 (Dsim.Stat.Summary.max s);
-  Alcotest.(check (float 1e-6)) "sample variance" (32.0 /. 7.0) (Dsim.Stat.Summary.variance s)
+  (* The sample standard deviation is sqrt (32 / 7). *)
+  Alcotest.(check string)
+    "pp" "n=8 mean=5 sd=2.13809 min=2 max=9"
+    (Format.asprintf "%a" Dsim.Stat.Summary.pp s)
 
 let summary_empty () =
   let s = Dsim.Stat.Summary.create () in
   check_float "mean 0" 0.0 (Dsim.Stat.Summary.mean s);
-  check_float "variance 0" 0.0 (Dsim.Stat.Summary.variance s)
+  Alcotest.(check string)
+    "pp" "n=0 mean=0 sd=0 min=inf max=-inf"
+    (Format.asprintf "%a" Dsim.Stat.Summary.pp s)
 
 let series_order_and_summary () =
-  let s = Dsim.Stat.Series.create ~name:"x" in
+  let s = Dsim.Stat.Series.create () in
   Dsim.Stat.Series.add s 100 1.0;
   Dsim.Stat.Series.add s 200 3.0;
   Alcotest.(check (list (pair int (float 0.0))))
@@ -316,7 +312,7 @@ let series_order_and_summary () =
   check_float "summary mean" 2.0 (Dsim.Stat.Summary.mean (Dsim.Stat.Series.summary s))
 
 let series_bucket_mean () =
-  let s = Dsim.Stat.Series.create ~name:"x" in
+  let s = Dsim.Stat.Series.create () in
   Dsim.Stat.Series.add s 100 1.0;
   Dsim.Stat.Series.add s 900 3.0;
   Dsim.Stat.Series.add s 1500 10.0;
@@ -333,29 +329,6 @@ let percentile_basics () =
   check_float "p25" 2.0 (Dsim.Stat.percentile xs 25.0);
   check "nan on empty" true (Float.is_nan (Dsim.Stat.percentile [||] 50.0))
 
-let histogram_basics () =
-  let h = Dsim.Stat.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  List.iter (Dsim.Stat.Histogram.add h) [ 0.5; 1.5; 2.5; 2.9; 9.9; -3.0; 42.0 ];
-  check_int "count" 7 (Dsim.Stat.Histogram.count h);
-  (match Dsim.Stat.Histogram.bins h with
-  | [ (_, _, b0); (_, _, b1); _; _; (_, _, b4) ] ->
-      check_int "first bin catches underflow" 3 b0;
-      check_int "second bin" 2 b1;
-      check_int "last bin catches overflow" 2 b4
-  | _ -> Alcotest.fail "expected 5 bins");
-  check "renders" true (String.length (Format.asprintf "%a" Dsim.Stat.Histogram.pp h) > 0);
-  check "bad args" true
-    (try
-       ignore (Dsim.Stat.Histogram.create ~lo:1.0 ~hi:1.0 ~bins:3);
-       false
-     with Invalid_argument _ -> true)
-
-let counter_ops () =
-  let c = Dsim.Stat.Counter.create () in
-  Dsim.Stat.Counter.incr c;
-  Dsim.Stat.Counter.add c 5;
-  check_int "value" 6 (Dsim.Stat.Counter.get c)
-
 (* ------------------------------------------------------------------ *)
 (* Network                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -370,18 +343,18 @@ let two_node_net () =
 
 let net_delivers () =
   let sched, net, a, b = two_node_net () in
-  let got = ref None in
-  Dsim.Network.set_handler b (fun p -> got := Some p);
+  let got = ref [] in
+  Dsim.Network.set_handler b (fun p -> got := p :: !got);
   let packet =
     Dsim.Network.make_packet net ~src:(Dsim.Addr.v "10.0.0.1" 1000)
       ~dst:(Dsim.Addr.v "10.0.0.2" 2000) "hello"
   in
   Dsim.Network.send net ~from:a packet;
   Dsim.Scheduler.run sched;
-  (match !got with
-  | None -> Alcotest.fail "not delivered"
-  | Some p -> Alcotest.(check string) "payload" "hello" p.Dsim.Packet.payload);
-  check_int "delivered count" 1 (Dsim.Network.packets_delivered net)
+  match !got with
+  | [] -> Alcotest.fail "not delivered"
+  | [ p ] -> Alcotest.(check string) "payload" "hello" p.Dsim.Packet.payload
+  | _ -> Alcotest.fail "delivered more than once"
 
 let net_delay_model () =
   let sched, net, a, b = two_node_net () in
@@ -430,7 +403,11 @@ let net_loss () =
   done;
   Dsim.Scheduler.run sched;
   check "about half lost" true (!received > 400 && !received < 600);
-  check_int "conservation" 1000 (!received + Dsim.Network.packets_dropped net)
+  let lost =
+    List.fold_left (fun n (l : Dsim.Network.link_stats) -> n + l.lost_packets) 0
+      (Dsim.Network.link_stats net)
+  in
+  check_int "conservation" 1000 (!received + lost)
 
 let net_multihop_and_tap () =
   let sched = Dsim.Scheduler.create () in
@@ -466,12 +443,16 @@ let net_transit_delay () =
   check_int "50ms added" (Dsim.Time.of_ms 50.0) !at
 
 let net_unroutable_drops () =
-  let sched, net, a, _ = two_node_net () in
+  let sched, net, a, b = two_node_net () in
+  let delivered = ref 0 in
+  Dsim.Network.set_handler b (fun _ -> incr delivered);
   Dsim.Network.send net ~from:a
     (Dsim.Network.make_packet net ~src:(Dsim.Addr.v "10.0.0.1" 1)
        ~dst:(Dsim.Addr.v "unknown-host" 1) "x");
   Dsim.Scheduler.run sched;
-  check_int "dropped" 1 (Dsim.Network.packets_dropped net)
+  check_int "not delivered" 0 !delivered;
+  check "never transmitted" true
+    (List.for_all (fun (l : Dsim.Network.link_stats) -> l.tx_packets = 0) (Dsim.Network.link_stats net))
 
 let net_duplicate_host_rejected () =
   let sched = Dsim.Scheduler.create () in
@@ -529,12 +510,12 @@ let addr_print (h, p) = Printf.sprintf "%S port %d" h p
 
 (* [to_string] skips [Format]; the bytes must not change, whatever the
    host holds (newlines, '@', beyond the 78-column margin) or the port. *)
-let prop_addr_to_string_is_pp =
-  q "addr: to_string = asprintf pp"
+let prop_addr_to_string =
+  q "addr: to_string prints host:port"
     (QCheck.set_print addr_print (QCheck.pair any_host QCheck.int))
     (fun (h, p) ->
       let a = Dsim.Addr.v h p in
-      String.equal (Dsim.Addr.to_string a) (Format.asprintf "%a" Dsim.Addr.pp a))
+      String.equal (Dsim.Addr.to_string a) (Printf.sprintf "%s:%d" h p))
 
 let prop_addr_of_string_inverts =
   q "addr: of_string inverts to_string for ports 0-65535"
@@ -595,7 +576,6 @@ let suite =
         tc "empty" heap_empty;
         tc "peek" heap_peek_not_removing;
         tc "large random" heap_large;
-        tc "clear" heap_clear;
       ] );
     ( "dsim.scheduler",
       [
@@ -616,8 +596,6 @@ let suite =
         tc "series order" series_order_and_summary;
         tc "series bucket mean" series_bucket_mean;
         tc "percentile" percentile_basics;
-        tc "histogram" histogram_basics;
-        tc "counter" counter_ops;
         tc "stat: quantiles exact and merged" quantiles_exact_and_merged;
       ] );
     ( "dsim.network",
@@ -632,7 +610,7 @@ let suite =
         tc "link stats" net_link_stats;
         tc "duplicate host rejected" net_duplicate_host_rejected;
         tc "addr parse" addr_parse;
-        prop_addr_to_string_is_pp;
+        prop_addr_to_string;
         prop_addr_of_string_inverts;
       ] );
   ]

@@ -219,7 +219,7 @@ let show_channel = function
   | E.Timer -> "timer"
 
 let show_args args =
-  String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ V.to_token v) args)
+  String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ V.to_string v) args)
 
 let show_ev ev = Printf.sprintf "%s?%s(%s)" (show_channel ev.channel) ev.name (show_args ev.args)
 
@@ -269,7 +269,7 @@ let step_agrees m r i event =
   agree ("outcome of event " ^ string_of_int i) show_outcome got want
   && agree "configuration"
        (fun (state, vars) -> state ^ " " ^ show_args vars)
-       (M.configuration m) (R.configuration r)
+       (M.state m, Env.local_bindings (M.env m)) (R.configuration r)
   && agree "globals" show_args (Env.global_bindings (M.env m)) (R.global_bindings r)
   && agree "trace" show_trace (trace_of (M.history m)) (R.trace r)
   && match got with Ok (M.Moved _) -> true | Ok _ | Error _ -> false
@@ -335,7 +335,7 @@ let restore_round_trip machine () =
     done;
     let held = Array.length (fst (M.history original)) in
     if held <> len then Alcotest.failf "%d transitions held, not %d" held len;
-    let state, vars = M.configuration original in
+    let state = M.state original and vars = Env.local_bindings (M.env original) in
     let history = M.history original in
     let m = M.instantiate program ~globals:(Env.globals ()) in
     (match M.restore m ~state ~vars ~history with

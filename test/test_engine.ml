@@ -308,14 +308,25 @@ let engine_transit_delay_queueing () =
   check_int "other free" 0 (Vids.Engine.transit_delay p.engine other)
 
 let fact_base_sweep () =
+  let calls p = (Vids.Engine.memory_stats p.engine).Vids.Fact_base.active_calls in
   let p = make_pipeline () in
   feed p ~src:(sip_addr "10.1.0.2") ~dst:(sip_addr "10.2.0.2") invite_text;
   Dsim.Scheduler.run_until p.sched (Dsim.Time.of_sec 3600.0);
-  check_int "still there (never finished)" 1
-    (Vids.Engine.memory_stats p.engine).Vids.Fact_base.active_calls;
-  let swept = Vids.Fact_base.sweep (Vids.Engine.fact_base p.engine) ~max_age:(Dsim.Time.of_sec 1800.0) in
-  check_int "swept" 1 swept;
-  check_int "gone" 0 (Vids.Engine.memory_stats p.engine).Vids.Fact_base.active_calls
+  check_int "still there (never finished, no sweep)" 1 (calls p);
+  (* A sweep every 600 s reclaims it once it is older than 1 800 s. *)
+  let config =
+    {
+      Vids.Config.default with
+      Vids.Config.sweep_interval = Dsim.Time.of_sec 600.0;
+      call_max_age = Dsim.Time.of_sec 1800.0;
+    }
+  in
+  let p = make_pipeline ~config () in
+  feed p ~src:(sip_addr "10.1.0.2") ~dst:(sip_addr "10.2.0.2") invite_text;
+  Dsim.Scheduler.run_until p.sched (Dsim.Time.of_sec 1800.0);
+  check_int "not yet older than the limit" 1 (calls p);
+  Dsim.Scheduler.run_until p.sched (Dsim.Time.of_sec 2400.0);
+  check_int "swept" 0 (calls p)
 
 (* The same media addresses whether the SDP gives them at the session
    level, at both levels over a decoy session address (the media level
@@ -868,7 +879,7 @@ let deleted_calls_keep_no_state () =
   let live0 = (Gc.stat ()).Gc.live_words in
   let n = 500 in
   for i = 1 to n do
-    F.delete_call base (F.create_call base ~call_id:(Printf.sprintf "gone-%d" i))
+    F.quarantine_call base (F.create_call base ~call_id:(Printf.sprintf "gone-%d" i))
   done;
   Gc.full_major ();
   let per_deleted = 8 * ((Gc.stat ()).Gc.live_words - live0) / n in
@@ -917,8 +928,7 @@ let snort_stateless_misses_bye_dos () =
     ]
   in
   let alerts = List.concat_map (Baseline.Snort_like.process snort) packets in
-  check_int "stateless baseline is blind" 0 (List.length alerts);
-  check_int "packets counted" 4 (Baseline.Snort_like.packets_processed snort)
+  check_int "stateless baseline is blind" 0 (List.length alerts)
 
 let snort_catches_malformed () =
   let snort = Baseline.Snort_like.create Baseline.Snort_like.default_rules in
@@ -964,7 +974,8 @@ let alert_formatting () =
   check_str "dedup key" "BYE-DoS|c-9" (Vids.Alert.dedup_key a);
   check "severity default" true (a.Vids.Alert.severity = Vids.Alert.Critical);
   check "spec deviation is warning" true
-    (Vids.Alert.default_severity Vids.Alert.Spec_deviation = Vids.Alert.Warning)
+    ((Vids.Alert.make ~kind:Vids.Alert.Spec_deviation ~at:0 ~subject:"c-9" "d").Vids.Alert.severity
+    = Vids.Alert.Warning)
 
 let sip_event_encoding () =
   let msg = ok (Sip.Msg.parse invite_text) in

@@ -95,14 +95,14 @@ let contains ~needle haystack =
 let report_rendering () =
   let sched = Dsim.Scheduler.create () in
   let engine = Vids.Engine.create sched in
-  let empty = Vids.Report.to_string Vids.Report.full engine in
+  let empty = Format.asprintf "%a" Vids.Report.full engine in
   check "empty report mentions no alerts" true (contains ~needle:"no alerts." empty);
   (* Inject a malformed message to generate one alert. *)
   let alloc = Dsim.Packet.allocator () in
   Vids.Engine.process_packet engine
     (Dsim.Packet.make alloc ~src:(Dsim.Addr.v "x" 5060) ~dst:(Dsim.Addr.v "y" 5060) ~sent_at:0
        "garbage");
-  let rendered = Vids.Report.to_string Vids.Report.full engine in
+  let rendered = Format.asprintf "%a" Vids.Report.full engine in
   check "summary counters" true (contains ~needle:"1 malformed" rendered);
   check "groups by kind" true (contains ~needle:"spec-deviation (1):" rendered);
   check "severity counted" true (contains ~needle:"1 warning" rendered)

@@ -37,7 +37,7 @@ let read_bytes path =
 let record ~at ~src ~dst payload = { Vids.Trace.at; src; dst; payload }
 
 let same_record (a : Vids.Trace.record) (b : Vids.Trace.record) =
-  Dsim.Time.equal a.Vids.Trace.at b.Vids.Trace.at
+  Dsim.Time.compare a.Vids.Trace.at b.Vids.Trace.at = 0
   && Dsim.Addr.equal a.Vids.Trace.src b.Vids.Trace.src
   && Dsim.Addr.equal a.Vids.Trace.dst b.Vids.Trace.dst
   && String.equal a.Vids.Trace.payload b.Vids.Trace.payload
@@ -51,8 +51,8 @@ let manual_clock () =
   check "manual start" true (c.Ingest.Clock.now () = 5.0);
   c.Ingest.Clock.sleep 1.5;
   check "sleep advances" true (c.Ingest.Clock.now () = 6.5);
-  Ingest.Clock.advance c 0.5;
-  check "advance advances" true (c.Ingest.Clock.now () = 7.0);
+  c.Ingest.Clock.sleep 0.5;
+  check "sleeps add up" true (c.Ingest.Clock.now () = 7.0);
   c.Ingest.Clock.sleep (-3.0);
   check "negative sleep is a no-op" true (c.Ingest.Clock.now () = 7.0)
 
@@ -60,11 +60,7 @@ let system_clock_monotone () =
   let c = Ingest.Clock.system () in
   let a = c.Ingest.Clock.now () in
   let b = c.Ingest.Clock.now () in
-  check "monotone" true (b >= a);
-  check "system clock cannot be advanced" true
-    (match Ingest.Clock.advance c 1.0 with
-    | exception Invalid_argument _ -> true
-    | () -> false)
+  check "monotone" true (b >= a)
 
 (* ------------------------------------------------------------------ *)
 (* Pcap                                                                *)
@@ -252,11 +248,19 @@ let shed_queue_watermarks () =
   check_int "shed oldest" 1 s.Ingest.Shed_queue.shed_oldest;
   check_int "peak depth" 6 s.Ingest.Shed_queue.peak_depth
 
+(* Above high water the queue admits only what it classifies as
+   signaling. *)
 let shed_queue_classifier () =
-  check "SIP request is signaling" true (Ingest.Shed_queue.is_signaling "INVITE sip:x");
-  check "SIP response is signaling" true (Ingest.Shed_queue.is_signaling "SIP/2.0 200 OK");
-  check "RTP is media" false (Ingest.Shed_queue.is_signaling "\x80\x12\x00\x01");
-  check "empty is media" false (Ingest.Shed_queue.is_signaling "")
+  let is_signaling payload =
+    let t = Ingest.Shed_queue.create ~high_water:1 ~capacity:4 () in
+    ignore (Ingest.Shed_queue.push t (rtp_rec 0));
+    Ingest.Shed_queue.push t (record ~at:(ms 1.0) ~src:addr ~dst:addr payload)
+    = Ingest.Shed_queue.Enqueued
+  in
+  check "SIP request is signaling" true (is_signaling "INVITE sip:x");
+  check "SIP response is signaling" true (is_signaling "SIP/2.0 200 OK");
+  check "RTP is media" false (is_signaling "\x80\x12\x00\x01");
+  check "empty is media" false (is_signaling "")
 
 (* ------------------------------------------------------------------ *)
 (* Quarantine                                                          *)
@@ -320,9 +324,7 @@ let backoff_doubles_caps_budgets () =
   check "5th capped" true (next () = Some 0.5);
   check "budget spent" true (next () = None);
   check "stays spent" true (next () = None);
-  check_int "retries counted" 5 (Ingest.Backoff.retries b);
   Ingest.Backoff.reset b;
-  check_int "reset clears retries" 0 (Ingest.Backoff.retries b);
   check "reset restores delay and budget" true (next () = Some 0.1)
 
 let backoff_no_overflow () =

@@ -74,10 +74,11 @@ let sdp_tolerated_lines () =
   check "b=/i= ignored" true (Result.is_ok (Sdp.parse text))
 
 let payload_registry () =
-  check "g729 is 18" true (Sdp.Payload_type.g729.Sdp.Payload_type.number = 18);
-  check "find 0" true (Sdp.Payload_type.find 0 = Some Sdp.Payload_type.pcmu);
+  let find n = Option.get (Sdp.Payload_type.find n) in
+  check "g729 is 18" true ((find 18).Sdp.Payload_type.encoding = "G729");
+  check "find 0" true ((find 0).Sdp.Payload_type.encoding = "PCMU");
   check "find unknown" true (Sdp.Payload_type.find 77 = None);
-  check_str "rtpmap" "18 G729/8000" (Sdp.Payload_type.rtpmap Sdp.Payload_type.g729)
+  check_str "rtpmap" "18 G729/8000" (Sdp.Payload_type.rtpmap (find 18))
 
 (* ------------------------------------------------------------------ *)
 (* RTP packet codec                                                    *)
@@ -99,8 +100,7 @@ let rtp_roundtrip () =
 
 let rtp_header_is_12_bytes () =
   let p = Rtp.Rtp_packet.make ~payload_type:0 ~sequence:0 ~timestamp:0l ~ssrc:1l "" in
-  check_int "wire size" 12 (String.length (Rtp.Rtp_packet.encode p));
-  check_int "header_size" 12 (Rtp.Rtp_packet.header_size p)
+  check_int "wire size" 12 (String.length (Rtp.Rtp_packet.encode p))
 
 let rtp_seq_wraps () =
   let p = Rtp.Rtp_packet.make ~payload_type:0 ~sequence:0x1FFFF ~timestamp:0l ~ssrc:1l "" in
@@ -128,9 +128,7 @@ let seq_arithmetic () =
   check_int "forward" 1 (Rtp.Rtp_packet.seq_delta 10 11);
   check_int "backward" (-1) (Rtp.Rtp_packet.seq_delta 11 10);
   check_int "wrap forward" 2 (Rtp.Rtp_packet.seq_delta 0xFFFF 1);
-  check_int "wrap backward" (-2) (Rtp.Rtp_packet.seq_delta 1 0xFFFF);
-  check "lt across wrap" true (Rtp.Rtp_packet.seq_lt 0xFFFF 1);
-  check "not lt" false (Rtp.Rtp_packet.seq_lt 1 0xFFFF)
+  check_int "wrap backward" (-2) (Rtp.Rtp_packet.seq_delta 1 0xFFFF)
 
 let ts_arithmetic () =
   check_int "forward" 160 (Rtp.Rtp_packet.ts_delta 0l 160l);
@@ -144,13 +142,7 @@ let codec_g729 () =
   let c = Rtp.Codec.g729 in
   check_int "20ms interval" (Dsim.Time.of_ms 20.0) (Rtp.Codec.packet_interval c);
   check_int "160 ticks" 160 (Rtp.Codec.timestamp_increment c);
-  check_int "20 bytes payload" 20 (Rtp.Codec.payload_size c);
-  check "lookup" true (Rtp.Codec.of_payload_type 18 = Some c)
-
-let codec_g711 () =
-  let c = Rtp.Codec.g711u in
-  check_int "160 bytes" 160 (Rtp.Codec.payload_size c);
-  check_int "160 ticks" 160 (Rtp.Codec.timestamp_increment c)
+  check_int "20 bytes payload" 20 (Rtp.Codec.payload_size c)
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
@@ -166,31 +158,12 @@ let sender_advances () =
   check_int "seq wraps" 0xFFFF p2.Rtp.Rtp_packet.sequence;
   check_int "seq wraps to 0" 0 p3.Rtp.Rtp_packet.sequence;
   check "ts advances" true (Int32.equal p2.Rtp.Rtp_packet.timestamp 260l);
-  check_int "sent" 3 (Rtp.Session.Sender.packets_sent s)
-
-let receiver_counts_loss () =
+  check_int "sent" 3 (Rtp.Session.Sender.packets_sent s);
   let r = Rtp.Session.Receiver.create ~clock_rate:8000 in
-  let packet seq ts =
-    Rtp.Rtp_packet.make ~payload_type:18 ~sequence:seq ~timestamp:(Int32.of_int ts) ~ssrc:7l "x"
-  in
-  Rtp.Session.Receiver.observe r ~arrival:0 (packet 100 0);
-  Rtp.Session.Receiver.observe r ~arrival:(Dsim.Time.of_ms 20.0) (packet 101 160);
-  (* seq 102 lost *)
-  Rtp.Session.Receiver.observe r ~arrival:(Dsim.Time.of_ms 60.0) (packet 103 480);
-  check_int "received" 3 (Rtp.Session.Receiver.packets_received r);
-  check_int "lost" 1 (Rtp.Session.Receiver.lost r);
-  check "highest" true (Rtp.Session.Receiver.highest_seq r = Some 103)
-
-let receiver_out_of_order () =
-  let r = Rtp.Session.Receiver.create ~clock_rate:8000 in
-  let packet seq =
-    Rtp.Rtp_packet.make ~payload_type:18 ~sequence:seq ~timestamp:0l ~ssrc:7l "x"
-  in
-  Rtp.Session.Receiver.observe r ~arrival:0 (packet 10);
-  Rtp.Session.Receiver.observe r ~arrival:10 (packet 12);
-  Rtp.Session.Receiver.observe r ~arrival:20 (packet 11);
-  check_int "out of order" 1 (Rtp.Session.Receiver.out_of_order r);
-  check_int "no loss once the straggler arrives" 0 (Rtp.Session.Receiver.lost r)
+  List.iteri
+    (fun i p -> Rtp.Session.Receiver.observe r ~arrival:(i * Dsim.Time.of_ms 20.0) p)
+    [ p1; p2; p3 ];
+  check_int "received" 3 (Rtp.Session.Receiver.packets_received r)
 
 (* ------------------------------------------------------------------ *)
 (* Jitter                                                              *)
@@ -203,8 +176,7 @@ let jitter_zero_when_perfect () =
       ~arrival:(i * Dsim.Time.of_ms 20.0)
       ~rtp_timestamp:(Int32.of_int (160 * i))
   done;
-  check "zero jitter" true (Rtp.Jitter.jitter_seconds j < 1e-9);
-  check_int "samples" 51 (Rtp.Jitter.samples j)
+  check "zero jitter" true (Rtp.Jitter.jitter_seconds j < 1e-9)
 
 let jitter_grows_with_variance () =
   let j = Rtp.Jitter.create ~clock_rate:8000 in
@@ -268,7 +240,6 @@ let playout_classifies () =
     (Rtp.Playout.offer p ~capture:0 ~arrival:(Dsim.Time.of_ms 60.0) = `On_time);
   check "late" true (Rtp.Playout.offer p ~capture:0 ~arrival:(Dsim.Time.of_ms 61.0) = `Late);
   check_int "received" 3 (Rtp.Playout.received p);
-  check_int "late count" 1 (Rtp.Playout.late p);
   Alcotest.(check (float 1e-9)) "fraction" (1.0 /. 3.0) (Rtp.Playout.late_fraction p)
 
 let mos_reference_points () =
@@ -308,12 +279,10 @@ let suite =
         tc "ts arithmetic" ts_arithmetic;
       ] );
     ( "rtp.codec",
-      [ tc "g729 model" codec_g729; tc "g711 model" codec_g711 ] );
+      [ tc "g729 model" codec_g729 ] );
     ( "rtp.session",
       [
         tc "sender advances + wraps" sender_advances;
-        tc "receiver loss" receiver_counts_loss;
-        tc "receiver reorder" receiver_out_of_order;
       ] );
     ( "rtp.jitter",
       [ tc "zero when perfect" jitter_zero_when_perfect; tc "grows with variance" jitter_grows_with_variance ] );

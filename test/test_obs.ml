@@ -80,12 +80,18 @@ let t_register_idempotent () =
   let b = M.counter m "hits" ~labels:[ ("class", "sip") ] in
   M.incr a;
   M.incr b;
-  check_int "one instrument behind both handles" 2 (M.counter_value a);
+  check "one instrument behind both handles" true
+    (M.find (M.snapshot m) ~labels:[ ("class", "sip") ] "hits" = Some (M.Counter 2));
   (* Label order must not mint a second instrument. *)
   let c = M.counter m "multi" ~labels:[ ("b", "2"); ("a", "1") ] in
   let d = M.counter m "multi" ~labels:[ ("a", "1"); ("b", "2") ] in
   M.incr c;
-  check_int "label order canonicalized" 1 (M.counter_value d)
+  M.incr d;
+  let snap = M.snapshot m in
+  check_int "label order canonicalized" 1
+    (List.length (List.filter (fun (r : M.row) -> r.name = "multi") snap.rows));
+  check "both handles count" true
+    (M.find snap ~labels:[ ("a", "1"); ("b", "2") ] "multi" = Some (M.Counter 2))
 
 let t_register_type_mismatch () =
   let m = M.create () in
@@ -100,7 +106,7 @@ let t_counter_monotone () =
   M.add c 5;
   M.add c (-3);
   M.add c 0;
-  check_int "negative and zero adds ignored" 5 (M.counter_value c)
+  check_int "negative and zero adds ignored" 5 (M.total (M.snapshot m) "n")
 
 let t_snapshot_values () =
   let m = M.create ~clock:(fun () -> sec 2.0) () in
@@ -155,7 +161,6 @@ let t_ring_wraparound () =
     Tr.record t ~at:(sec (float_of_int i)) (note i)
   done;
   check_int "recorded counts everything" 10 (Tr.recorded t);
-  check_int "capacity" 4 (Tr.capacity t);
   let tail = Tr.entries t in
   check_int "retains last capacity" 4 (List.length tail);
   check_int "oldest retained" 6 (List.hd tail).Tr.seq;
@@ -169,9 +174,8 @@ let t_ring_under_capacity () =
   Tr.record t ~at:(sec 1.0) (note 0);
   Tr.record t ~at:(sec 2.0) (note 1);
   check_int "all retained" 2 (List.length (Tr.entries t));
-  Tr.clear t;
-  check_int "clear empties" 0 (List.length (Tr.entries t));
-  check_int "clear resets recorded" 0 (Tr.recorded t)
+  check_int "recorded" 2 (Tr.recorded t);
+  check "oldest first" true (List.map (fun e -> e.Tr.seq) (Tr.entries t) = [ 0; 1 ])
 
 let t_ring_capacity_validated () =
   check "zero capacity rejected" true
@@ -211,13 +215,24 @@ let t_entry_json () =
 
 (* --- Exporters ---------------------------------------------------------- *)
 
+(* What [Obs.Export.write_metrics] writes for [snap] to a file with this
+   extension. *)
+let exported ~ext snap =
+  let path = Filename.temp_file "obs" ext in
+  Obs.Export.write_metrics ~path snap;
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  text
+
 let t_prometheus_format () =
   let m = M.create () in
   let c = M.counter m "vids_packets_total" ~help:"Packets" ~labels:[ ("class", "sip") ] in
   let h = M.histogram m "vids_lat" ~help:"Latency" in
   M.add c 12;
   List.iter (M.observe h) [ 0.5e-6; 3e-6; 1e6 ];
-  let text = Obs.Export.prometheus (M.snapshot m) in
+  let text = exported ~ext:".prom" (M.snapshot m) in
   check "help header" true (contains ~needle:"# HELP vids_packets_total Packets" text);
   check "type header" true (contains ~needle:"# TYPE vids_packets_total counter" text);
   check "labeled sample" true (contains ~needle:{|vids_packets_total{class="sip"} 12|} text);
@@ -246,11 +261,15 @@ let t_jsonl_and_json () =
   M.add (M.counter m "a") 1;
   M.set (M.gauge m "b") 2.0;
   let snap = M.snapshot m in
-  let jsonl = Obs.Export.metrics_jsonl snap in
-  check_int "one line per row" 2
-    (List.length (List.filter (fun l -> l <> "") (String.split_on_char '\n' jsonl)));
-  let json = Obs.Export.metrics_json snap in
-  check "single object" true (json.[0] = '{' && contains ~needle:{|"metrics"|} json)
+  List.iter
+    (fun ext ->
+      let lines =
+        List.filter (fun l -> l <> "") (String.split_on_char '\n' (exported ~ext snap))
+      in
+      check_int (ext ^ ": one line per row") 2 (List.length lines);
+      check (ext ^ ": one object per line") true
+        (List.for_all (fun l -> l.[0] = '{' && l.[String.length l - 1] = '}') lines))
+    [ ".jsonl"; ".json" ]
 
 let t_write_by_extension () =
   let dir = Filename.temp_file "obs" "" in
@@ -453,28 +472,36 @@ let t_prof_guards () =
   check_int "no mismatches from the unwind" 0 (M.total snap "vids_prof_mismatch_total");
   check_int "depth restored" 0 (P.depth p)
 
-let t_prof_span_protects () =
+(* Each stage's name labels its rows in the registry, and the report
+   reads each stage back under that name. *)
+let t_prof_stage_names () =
+  let stages =
+    P.[ Sip_parse; Sdp_parse; Rtp_parse; Efsm_dispatch; Detect; Enforce_gate; Journal_fsync;
+        Checkpoint; Ingest_poll; Drive ]
+  in
   let zero () = 0.0 in
   let p = P.create ~clock:zero ~alloc:zero () in
-  (try P.span p P.Checkpoint (fun () -> failwith "boom") with Failure _ -> ());
-  check_int "popped on raise" 0 (P.depth p);
-  let snap = M.snapshot (P.registry p) in
-  check_int "span still accounted" 1 (M.total snap "vids_stage_spans_total");
-  check_int "no mismatch" 0 (M.total snap "vids_prof_mismatch_total")
-
-let t_prof_stage_names () =
   List.iter
     (fun s ->
-      match P.stage_of_name (P.stage_name s) with
-      | Some s' -> check ("round-trips: " ^ P.stage_name s) true (s = s')
+      P.enter p s;
+      P.exit p s)
+    stages;
+  let report = P.report_of_snapshot (M.snapshot (P.registry p)) in
+  List.iter
+    (fun s ->
+      match List.find_opt (fun r -> r.P.r_stage = P.stage_name s) report with
+      | Some r -> check_int ("round-trips: " ^ P.stage_name s) 1 r.P.r_spans
       | None -> Alcotest.fail ("stage name lost: " ^ P.stage_name s))
-    P.all_stages
+    stages;
+  check_int "names distinct" (List.length stages)
+    (List.length (List.sort_uniq compare (List.map P.stage_name stages)))
 
 let t_prof_flight_sampling () =
   let fl = Tr.create ~capacity:8 () in
   let zero () = 0.0 in
   let p = P.create ~flight:fl ~sample_every:1 ~clock:zero ~alloc:zero () in
-  P.span p P.Detect (fun () -> ());
+  P.enter p P.Detect;
+  P.exit p P.Detect;
   check_int "span sampled into the flight recorder" 1 (Tr.recorded fl);
   match (List.hd (Tr.entries fl)).Tr.ev with
   | Tr.Span { stage; _ } -> check_str "sampled stage name" "detect" stage
@@ -514,10 +541,11 @@ let t_prof_export_formats () =
     !now
   in
   let p = P.create ~clock ~alloc:(fun () -> 0.0) () in
-  P.span p P.Sip_parse (fun () -> ());
+  P.enter p P.Sip_parse;
+  P.exit p P.Sip_parse;
   P.sample_gc p;
   let snap = M.snapshot (P.registry p) in
-  let text = Obs.Export.prometheus snap in
+  let text = exported ~ext:".prom" snap in
   check "stage histogram exported" true
     (contains ~needle:"# TYPE vids_stage_seconds histogram" text);
   check "stage label on buckets" true
@@ -526,7 +554,7 @@ let t_prof_export_formats () =
     (contains ~needle:{|vids_stage_spans_total{stage="sip-parse"} 1|} text);
   check "gc gauge typed" true (contains ~needle:"# TYPE vids_gc_heap_words gauge" text);
   check "gc gauge sampled" true (contains ~needle:"vids_gc_heap_words " text);
-  let jsonl = Obs.Export.metrics_jsonl snap in
+  let jsonl = exported ~ext:".jsonl" snap in
   check "jsonl carries the gc gauge" true (contains ~needle:"vids_gc_heap_words" jsonl);
   check "jsonl carries the stage rows" true (contains ~needle:"vids_stage_spans_total" jsonl);
   (* The report JSON names every field the trend gate reads. *)
@@ -554,7 +582,7 @@ let suite =
     ( "obs.trace",
       [
         tc "ring wraparound keeps last N" t_ring_wraparound;
-        tc "under capacity + clear" t_ring_under_capacity;
+        tc "under capacity" t_ring_under_capacity;
         tc "capacity validated" t_ring_capacity_validated;
         tc "dump sinks isolated and ordered" t_dump_sinks;
         tc "entry json" t_entry_json;
@@ -576,7 +604,6 @@ let suite =
       [
         tc "self time excludes nested children" t_prof_self_time;
         tc "mismatch and overflow guards" t_prof_guards;
-        tc "span pops on raise" t_prof_span_protects;
         tc "stage names round-trip" t_prof_stage_names;
         tc "sampled spans reach the flight recorder" t_prof_flight_sampling;
         q_prof_digest_transparent;

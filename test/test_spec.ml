@@ -23,6 +23,13 @@ let sec = Dsim.Time.of_sec
    positions a user would click on.  [Speclint.ok = false] is what makes
    [vids-cli lint] exit nonzero. *)
 
+(* A diagnostic's code, as [Diag.render] prints it: [… error[CODE]: …]. *)
+let code_of d =
+  let s = Spec.Diag.render d in
+  let rec find i = if String.sub s i 6 = "error[" then i + 6 else find (i + 1) in
+  let start = find 0 in
+  String.sub s start (String.index_from s start ']' - start)
+
 let lint_src ?(params = fun _ -> None) src =
   Analyze.Speclint.lint_sources ~params [ ("fixture.vspec", src) ]
 
@@ -32,7 +39,7 @@ let expect_error ?params ?message ~code ~line ~col src () =
   match r.Analyze.Speclint.diags with
   | [] -> Alcotest.fail "no diagnostics"
   | d :: _ ->
-      check_str "diagnostic class" code (Spec.Diag.code_to_string d.Spec.Diag.code);
+      check_str "diagnostic class" code (code_of d);
       check_str "file" "fixture.vspec" d.Spec.Diag.span.Spec.Loc.s.Spec.Loc.file;
       check_int "line" line d.Spec.Diag.span.Spec.Loc.s.Spec.Loc.line;
       check_int "col" col d.Spec.Diag.span.Spec.Loc.s.Spec.Loc.col;
@@ -156,7 +163,7 @@ let diag_lines ?(params = fun _ -> None) ?known_machines sources =
   let r = Analyze.Speclint.lint_sources ?known_machines ~params sources in
   List.map
     (fun (d : Spec.Diag.t) ->
-      Printf.sprintf "%s %d:%d %s" (Spec.Diag.code_to_string d.Spec.Diag.code)
+      Printf.sprintf "%s %d:%d %s" (code_of d)
         d.Spec.Diag.span.Spec.Loc.s.Spec.Loc.line d.Spec.Diag.span.Spec.Loc.s.Spec.Loc.col
         d.Spec.Diag.message)
     r.Analyze.Speclint.diags
@@ -231,6 +238,24 @@ let batch_isolation () =
   check_str "the clean one" "OK"
     (List.hd r.Analyze.Speclint.loaded).Spec.Elaborate.el_spec.Efsm.Machine.spec_name
 
+(* Every later definition of a machine name is an error, wherever it is
+   in the batch, and only the first definition loads. *)
+let batch_duplicates () =
+  let machine name = Printf.sprintf "machine %s {\n  initial S;\n  trans t : S -> S on event e;\n}\n" name in
+  let loaded, diags =
+    Spec.Front_end.load_sources ~params:(fun _ -> None)
+      [ ("a.vspec", machine "A" ^ machine "A" ^ machine "B"); ("b.vspec", machine "B") ]
+  in
+  check_lines "one error per later definition"
+    [ "dup-label a.vspec:5"; "dup-label b.vspec:1" ]
+    (List.map
+       (fun (d : Spec.Diag.t) ->
+         Printf.sprintf "%s %s:%d" (code_of d) d.Spec.Diag.span.Spec.Loc.s.Spec.Loc.file
+           d.Spec.Diag.span.Spec.Loc.s.Spec.Loc.line)
+       diags);
+  check_lines "first definitions loaded" [ "A"; "B" ]
+    (List.map (fun el -> el.Spec.Elaborate.el_spec.Efsm.Machine.spec_name) loaded)
+
 (* ------------------------------------------------------------------ *)
 (* Round trip: parse . print = id                                      *)
 (* ------------------------------------------------------------------ *)
@@ -248,8 +273,14 @@ let param_pool = [ "limit"; "window" ]
 let let_pool = [ "jump"; "burst" ]
 let desc_pool = str_pool @ [ "more than {limit} in {window}"; "{limit}"; "{ not a param }" ]
 
-let dexp e = { A.e; e_span = Spec.Loc.dummy }
-let dact a = { A.a; a_span = Spec.Loc.dummy }
+
+(* The span of a generated node. *)
+let dummy_span =
+  let p = { Spec.Loc.file = "<none>"; line = 0; col = 0 } in
+  { Spec.Loc.s = p; e = p }
+
+let dexp e = { A.e; e_span = dummy_span }
+let dact a = { A.a; a_span = dummy_span }
 
 let lit_gen =
   QCheck.Gen.(
@@ -318,7 +349,7 @@ let rec act_gen n =
                map
                  (fun us -> A.Delay_us us)
                  (oneofl [ 0; 7; 40_000; 250_000; 1_000_000; 10_000_000 ]);
-               map (fun p -> A.Delay_param (p, Spec.Loc.dummy)) (oneofl param_pool);
+               map (fun p -> A.Delay_param (p, dummy_span)) (oneofl param_pool);
              ]);
         map (fun id -> dact (A.Cancel_timer id)) (oneofl label_pool);
       ]
@@ -350,30 +381,30 @@ let item_gen =
     [
       ( 1,
         map2
-          (fun p_name p_ty -> A.I_param { p_name; p_ty; p_span = Spec.Loc.dummy })
+          (fun p_name p_ty -> A.I_param { p_name; p_ty; p_span = dummy_span })
           (oneofl param_pool)
           (oneofl [ A.P_int; A.P_duration ]) );
       ( 2,
         map3
           (fun v_name v_scope v_ty ->
-            A.I_var { v_name; v_scope; v_ty; v_span = Spec.Loc.dummy })
+            A.I_var { v_name; v_scope; v_ty; v_span = dummy_span })
           (oneofl var_pool)
           (oneofl [ A.S_local; A.S_global ])
           ty_gen );
       ( 1,
         map2
-          (fun let_name let_body -> A.I_let { let_name; let_body; let_span = Spec.Loc.dummy })
+          (fun let_name let_body -> A.I_let { let_name; let_body; let_span = dummy_span })
           (oneofl let_pool) (exp_gen 2) );
-      (1, map (fun s -> A.I_initial (s, Spec.Loc.dummy)) (oneofl state_pool));
+      (1, map (fun s -> A.I_initial (s, dummy_span)) (oneofl state_pool));
       ( 1,
         map
-          (fun ss -> A.I_final (List.map (fun s -> (s, Spec.Loc.dummy)) ss))
+          (fun ss -> A.I_final (List.map (fun s -> (s, dummy_span)) ss))
           (list_size (int_range 1 3) (oneofl state_pool)) );
       ( 1,
         map2
           (fun at_state at_desc ->
             A.I_attack
-              { at_state; at_desc; at_span = Spec.Loc.dummy; at_desc_span = Spec.Loc.dummy })
+              { at_state; at_desc; at_span = dummy_span; at_desc_span = dummy_span })
           (oneofl state_pool) (oneofl desc_pool) );
       ( 3,
         map
@@ -386,7 +417,7 @@ let item_gen =
                 t_trigger = (kind, name);
                 t_guard;
                 t_acts;
-                t_span = Spec.Loc.dummy;
+                t_span = dummy_span;
               })
           (pair
              (pair (oneofl label_pool) (pair (oneofl state_pool) (oneofl state_pool)))
@@ -401,7 +432,7 @@ let file_gen =
   QCheck.Gen.(
     list_size (int_range 1 2)
       (map2
-         (fun m_name m_items -> { A.m_name; m_items; m_span = Spec.Loc.dummy })
+         (fun m_name m_items -> { A.m_name; m_items; m_span = dummy_span })
          (oneofl machine_pool)
          (list_size (int_range 0 6) item_gen)))
 
@@ -584,6 +615,7 @@ let suite =
         tc "let that reads itself positioned" let_reads_itself;
         tc "every diagnostic, in order" every_diagnostic_in_order;
         tc "broken file does not hide clean one" batch_isolation;
+        tc "every duplicate machine reported, first one loaded" batch_duplicates;
       ] );
     ("spec.roundtrip", [ round_trip; front_end_total ]);
     ( "spec.examples",

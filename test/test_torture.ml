@@ -86,7 +86,9 @@ let t_multi_via_forms () =
          "Via: SIP/2.0/UDP p1;branch=z9hG4bKa, SIP/2.0/UDP p2;branch=z9hG4bKb" ]
       @ List.tl base_headers)
   in
-  let vias text = List.length (Result.get_ok (Sip.Msg.vias (Result.get_ok (Sip.Msg.parse text)))) in
+  let vias text =
+    List.length (Sip.Header.get_all (Result.get_ok (Sip.Msg.parse text)).Sip.Msg.headers "Via")
+  in
   Alcotest.(check int) "two lines" 2 (vias two_lines);
   Alcotest.(check int) "comma form" 2 (vias comma)
 
@@ -172,7 +174,10 @@ let t_integer_literal_syntax () =
          (msg ~headers:("CSeq: 1_0 INVITE" :: "Max-Forwards: 0x46" :: "Expires: +60" :: base_headers) ()))
   in
   check "message cseq with separator" true (Result.is_error (Sip.Msg.cseq m));
-  check "hex max-forwards" true (Sip.Msg.max_forwards m = None);
+  (* Read as 0x46 = 70, a proxy would forward it with 69. *)
+  check "hex max-forwards" true
+    (Sip.Header.get (Result.get_ok (Sip.Msg.decrement_max_forwards m)).Sip.Msg.headers "Max-Forwards"
+    <> Some "69");
   check "signed expires" true (Sip.Msg.expires m = None);
   let session = "o=x 1 1 IN IP4 h\r\ns=-\r\nt=0 0\r\n" in
   check "hex sdp version" true (Result.is_error (Sdp.parse ("v=0x0\r\n" ^ session)));

@@ -46,16 +46,16 @@ let now rig = Dsim.Scheduler.now rig.sched
 
 let base_args =
   [
-    (Vids.Keys.call_id, V.Str "cid-1");
-    (Vids.Keys.from_tag, V.Str "tag-a");
-    (Vids.Keys.branch, V.Str "z9hG4bK1");
-    (Vids.Keys.src_ip, V.Str "10.1.0.2");
-    (Vids.Keys.dst_ip, V.Str "10.2.0.2");
-    (Vids.Keys.src_port, V.Int 5060);
-    (Vids.Keys.dst_port, V.Int 5060);
-    (Vids.Keys.cseq_method, V.Str "INVITE");
-    (Vids.Keys.cseq_number, V.Int 1);
-    (Vids.Keys.contact_host, V.Str "10.1.0.10");
+    ("call_id", V.Str "cid-1");
+    ("from_tag", V.Str "tag-a");
+    ("branch", V.Str "z9hG4bK1");
+    ("src_ip", V.Str "10.1.0.2");
+    ("dst_ip", V.Str "10.2.0.2");
+    ("src_port", V.Int 5060);
+    ("dst_port", V.Int 5060);
+    ("cseq_method", V.Str "INVITE");
+    ("cseq_number", V.Int 1);
+    ("contact_host", V.Str "10.1.0.10");
   ]
 
 let sip_event rig ?(extra = []) name =
@@ -68,19 +68,19 @@ let invite_with_sdp rig =
   inject_sip rig
     ~extra:
       [
-        (Vids.Keys.media_host, V.Str "10.1.0.10");
-        (Vids.Keys.media_port, V.Int 16384);
-        (Vids.Keys.media_pt, V.Int 18);
+        ("media_host", V.Str "10.1.0.10");
+        ("media_port", V.Int 16384);
+        ("media_pt", V.Int 18);
       ]
     "INVITE"
 
 let resp rig ?(cseq_method = "INVITE") ?(extra = []) code =
   inject_sip rig
     ~extra:
-      ((Vids.Keys.code, V.Int code)
-      :: (Vids.Keys.cseq_method, V.Str cseq_method)
-      :: (Vids.Keys.to_tag, V.Str "tag-b")
-      :: (Vids.Keys.contact_host, V.Str "10.2.0.10")
+      (("code", V.Int code)
+      :: ("cseq_method", V.Str cseq_method)
+      :: ("to_tag", V.Str "tag-b")
+      :: ("contact_host", V.Str "10.2.0.10")
       :: extra)
     Vids.Keys.response
 
@@ -88,9 +88,9 @@ let resp_with_media rig code =
   resp rig
     ~extra:
       [
-        (Vids.Keys.media_host, V.Str "10.2.0.10");
-        (Vids.Keys.media_port, V.Int 20000);
-        (Vids.Keys.media_pt, V.Int 18);
+        ("media_host", V.Str "10.2.0.10");
+        ("media_port", V.Int 20000);
+        ("media_pt", V.Int 18);
       ]
     code
 
@@ -98,15 +98,15 @@ let rtp_event rig ~src ~dst =
   E.make
     ~args:
       [
-        (Vids.Keys.src_ip, V.Str src);
-        (Vids.Keys.dst_ip, V.Str dst);
-        (Vids.Keys.src_port, V.Int 17000);
-        (Vids.Keys.dst_port, V.Int 20000);
-        (Vids.Keys.ssrc, V.Int 1234);
-        (Vids.Keys.seq, V.Int 1);
-        (Vids.Keys.ts, V.Int 160);
-        (Vids.Keys.payload_type, V.Int 18);
-        (Vids.Keys.size, V.Int 20);
+        ("src_ip", V.Str src);
+        ("dst_ip", V.Str dst);
+        ("src_port", V.Int 17000);
+        ("dst_port", V.Int 20000);
+        ("ssrc", V.Int 1234);
+        ("seq", V.Int 1);
+        ("ts", V.Int 160);
+        ("payload_type", V.Int 18);
+        ("size", V.Int 20);
       ]
     (E.Data "RTP") ~at:(now rig) Vids.Keys.rtp_packet
 
@@ -118,15 +118,15 @@ let establish rig =
   invite_with_sdp rig;
   resp rig 180;
   resp_with_media rig 200;
-  inject_sip rig ~extra:[ (Vids.Keys.cseq_method, V.Str "ACK") ] "ACK"
+  inject_sip rig ~extra:[ ("cseq_method", V.Str "ACK") ] "ACK"
 
 let bye ?(src = "10.1.0.10") ?(from_tag = "tag-a") rig =
   inject_sip rig
     ~extra:
       [
-        (Vids.Keys.cseq_method, V.Str "BYE");
-        (Vids.Keys.src_ip, V.Str src);
-        (Vids.Keys.from_tag, V.Str from_tag);
+        ("cseq_method", V.Str "BYE");
+        ("src_ip", V.Str src);
+        ("from_tag", V.Str from_tag);
       ]
     "BYE"
 
@@ -143,7 +143,7 @@ let normal_setup_path () =
   check_str "proceeding" "PROCEEDING" (M.state rig.sip);
   resp_with_media rig 200;
   check_str "established" "ESTABLISHED" (M.state rig.sip);
-  inject_sip rig ~extra:[ (Vids.Keys.cseq_method, V.Str "ACK") ] "ACK";
+  inject_sip rig ~extra:[ ("cseq_method", V.Str "ACK") ] "ACK";
   check_str "confirmed" "CONFIRMED" (M.state rig.sip);
   check "no alerts" true (!(rig.alerts) = []);
   check "no anomalies" true (!(rig.anomalies) = [])
@@ -169,8 +169,8 @@ let retransmissions_absorbed () =
   check_str "proceeding" "PROCEEDING" (M.state rig.sip);
   resp_with_media rig 200;
   resp_with_media rig 200;
-  inject_sip rig ~extra:[ (Vids.Keys.cseq_method, V.Str "ACK") ] "ACK";
-  inject_sip rig ~extra:[ (Vids.Keys.cseq_method, V.Str "ACK") ] "ACK";
+  inject_sip rig ~extra:[ ("cseq_method", V.Str "ACK") ] "ACK";
+  inject_sip rig ~extra:[ ("cseq_method", V.Str "ACK") ] "ACK";
   check_str "confirmed" "CONFIRMED" (M.state rig.sip);
   check "no anomalies from retransmissions" true (!(rig.anomalies) = [])
 
@@ -186,7 +186,7 @@ let failed_setup_path () =
   resp rig 180;
   resp rig 486;
   check_str "failed" "FAILED" (M.state rig.sip);
-  inject_sip rig ~extra:[ (Vids.Keys.cseq_method, V.Str "ACK") ] "ACK";
+  inject_sip rig ~extra:[ ("cseq_method", V.Str "ACK") ] "ACK";
   check_str "closed" "CLOSED" (M.state rig.sip)
 
 let cancel_legitimate () =
@@ -194,11 +194,11 @@ let cancel_legitimate () =
   invite_with_sdp rig;
   resp rig 180;
   (* CANCEL from the same source as the INVITE. *)
-  inject_sip rig ~extra:[ (Vids.Keys.cseq_method, V.Str "CANCEL") ] "CANCEL";
+  inject_sip rig ~extra:[ ("cseq_method", V.Str "CANCEL") ] "CANCEL";
   check_str "cancelling" "CANCELLING" (M.state rig.sip);
   resp rig ~cseq_method:"CANCEL" 200;
   resp rig 487;
-  inject_sip rig ~extra:[ (Vids.Keys.cseq_method, V.Str "ACK") ] "ACK";
+  inject_sip rig ~extra:[ ("cseq_method", V.Str "ACK") ] "ACK";
   check_str "closed" "CLOSED" (M.state rig.sip);
   check "no alerts" true (!(rig.alerts) = [])
 
@@ -208,7 +208,7 @@ let cancel_dos_detected () =
   resp rig 180;
   inject_sip rig
     ~extra:
-      [ (Vids.Keys.cseq_method, V.Str "CANCEL"); (Vids.Keys.src_ip, V.Str "203.0.113.66") ]
+      [ ("cseq_method", V.Str "CANCEL"); ("src_ip", V.Str "203.0.113.66") ]
     "CANCEL";
   check_str "attack state" Vids.Keys.st_cancel_dos (M.state rig.sip);
   check_int "alert" 1 (List.length !(rig.alerts))
@@ -219,7 +219,7 @@ let reinvite_legitimate () =
   (* Re-INVITE from the caller with matching dialog tags and known source. *)
   inject_sip rig
     ~extra:
-      [ (Vids.Keys.to_tag, V.Str "tag-b"); (Vids.Keys.src_ip, V.Str "10.1.0.10") ]
+      [ ("to_tag", V.Str "tag-b"); ("src_ip", V.Str "10.1.0.10") ]
     "INVITE";
   check_str "reinvite pending" "REINVITE_PENDING" (M.state rig.sip);
   resp rig 200;
@@ -233,9 +233,9 @@ let hijack_detected () =
   inject_sip rig
     ~extra:
       [
-        (Vids.Keys.from_tag, V.Str "tag-mallory");
-        (Vids.Keys.to_tag, V.Str "tag-b");
-        (Vids.Keys.src_ip, V.Str "203.0.113.66");
+        ("from_tag", V.Str "tag-mallory");
+        ("to_tag", V.Str "tag-b");
+        ("src_ip", V.Str "203.0.113.66");
       ]
     "INVITE";
   check_str "hijack state" Vids.Keys.st_hijack (M.state rig.sip);
@@ -247,7 +247,7 @@ let hijack_matching_tags_wrong_source () =
   (* Correct tags but source that is neither participant's contact. *)
   inject_sip rig
     ~extra:
-      [ (Vids.Keys.to_tag, V.Str "tag-b"); (Vids.Keys.src_ip, V.Str "203.0.113.66") ]
+      [ ("to_tag", V.Str "tag-b"); ("src_ip", V.Str "203.0.113.66") ]
     "INVITE";
   check_str "hijack state" Vids.Keys.st_hijack (M.state rig.sip)
 
@@ -260,7 +260,7 @@ let bye_with_unknown_tag_is_anomaly () =
 
 let register_path () =
   let rig = make_rig () in
-  inject_sip rig ~extra:[ (Vids.Keys.cseq_method, V.Str "REGISTER") ] "REGISTER";
+  inject_sip rig ~extra:[ ("cseq_method", V.Str "REGISTER") ] "REGISTER";
   check_str "registering" "REGISTERING" (M.state rig.sip);
   resp rig ~cseq_method:"REGISTER" 200;
   check_str "closed" "CLOSED" (M.state rig.sip)
@@ -399,10 +399,10 @@ let spam_rig () =
       (E.make
          ~args:
            [
-             (Vids.Keys.ssrc, V.Int ssrc);
-             (Vids.Keys.seq, V.Int seq);
-             (Vids.Keys.ts, V.Int ts);
-             (Vids.Keys.src_ip, V.Str "10.1.0.10");
+             ("ssrc", V.Int ssrc);
+             ("seq", V.Int seq);
+             ("ts", V.Int ts);
+             ("src_ip", V.Str "10.1.0.10");
            ]
          (E.Data "RTP") ~at:(Dsim.Scheduler.now sched) Vids.Keys.rtp_packet)
   in

