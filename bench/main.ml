@@ -335,7 +335,7 @@ let ablation () =
   Dsim.Network.set_tap tb.T.vids_node
     (Some
        (fun packet ->
-         Vids.Engine.tap engine packet;
+         Vids.Engine.process_packet engine packet;
          ignore (Baseline.Snort_like.process snort packet);
          List.iter
            (fun a -> scidive_kinds := a.Vids.Alert.kind :: !scidive_kinds)

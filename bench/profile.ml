@@ -37,9 +37,9 @@ type run = {
   drive_s : float;
 }
 
-(* One replay over a private clock.  Event scheduling ([schedule_into])
-   allocates the whole timeline up front, so it stays outside the timed
-   window: every mode times only the drive phase the instruments see. *)
+(* One replay over a private clock.  Every mode times the whole replay,
+   including the building of each record's packet and the sort of the
+   call-by-call trace. *)
 let replay mode ~horizon trace =
   let sched = Dsim.Scheduler.create () in
   let engine = Vids.Engine.create sched in
@@ -60,11 +60,10 @@ let replay mode ~horizon trace =
       Some (metrics, flight)
     end
   in
-  ignore (Vids.Trace.schedule_into sched engine trace);
   let drive_s =
     Bench_common.time (fun () ->
         Option.iter (fun p -> Obs.Prof.enter p Obs.Prof.Drive) prof;
-        Dsim.Scheduler.run_until sched horizon;
+        Vids.Trace.play ~until:horizon (Vids.Trace.player sched engine) trace;
         Option.iter (fun p -> Obs.Prof.exit p Obs.Prof.Drive) prof)
   in
   { engine; prof; obs; drive_s }

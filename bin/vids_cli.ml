@@ -651,14 +651,10 @@ let analyze path checkpointing obs profile json specs =
         List.fold_left (fun acc r -> Dsim.Time.max acc r.Vids.Trace.at) Dsim.Time.zero records
       in
       let horizon = Dsim.Time.add last (sec 60.0) in
-      (* Packets first: at equal instants a packet must beat a checkpoint,
-         so a record at exactly the checkpoint time is inside the snapshot
-         rather than lost (recovery replays only strictly-later records). *)
-      ignore (Vids.Trace.schedule_into sched engine records);
       let ck = checkpoint_step checkpointing sched engine ~horizon in
       let t0 = Unix.gettimeofday () in
       Option.iter (fun p -> Obs.Prof.enter p Obs.Prof.Drive) prof;
-      Dsim.Scheduler.run_until sched horizon;
+      Vids.Trace.play ~until:horizon (Vids.Trace.player sched engine) records;
       Option.iter (fun p -> Obs.Prof.exit p Obs.Prof.Drive) prof;
       let total_s = Unix.gettimeofday () -. t0 in
       Vids.Checkpoint.close ck;
@@ -738,19 +734,17 @@ let profile_workload seed minutes attacks json obs =
         List.fold_left (fun _ (r : Vids.Trace.record) -> r.Vids.Trace.at) Dsim.Time.zero records
       in
       Vids.Checkpoint.arm ck ~every:(sec 15.0) ~until:last ();
-      let alloc = Dsim.Packet.allocator () in
+      let player =
+        Vids.Trace.player sched engine ~gate:(fun pkt ->
+            Obs.Prof.enter prof Obs.Prof.Enforce_gate;
+            ignore (Enforce.Enforcer.ingest enforcer pkt);
+            Obs.Prof.exit prof Obs.Prof.Enforce_gate)
+      in
       let t0 = Unix.gettimeofday () in
       List.iter
-        (fun (r : Vids.Trace.record) ->
+        (fun r ->
           Obs.Prof.enter prof Obs.Prof.Drive;
-          Dsim.Scheduler.advance_to sched r.Vids.Trace.at;
-          let pkt =
-            Dsim.Packet.make alloc ~src:r.Vids.Trace.src ~dst:r.Vids.Trace.dst
-              ~sent_at:r.Vids.Trace.at r.Vids.Trace.payload
-          in
-          Obs.Prof.enter prof Obs.Prof.Enforce_gate;
-          ignore (Enforce.Enforcer.ingest enforcer pkt);
-          Obs.Prof.exit prof Obs.Prof.Enforce_gate;
+          ignore (Vids.Trace.step player r);
           Obs.Prof.exit prof Obs.Prof.Drive)
         records;
       (* Close detector windows and grace timers under the same

@@ -21,7 +21,7 @@ let () =
   Dsim.Network.set_tap tb.T.vids_node
     (Some
        (fun packet ->
-         Vids.Engine.tap engine packet;
+         Vids.Engine.process_packet engine packet;
          ignore (Baseline.Snort_like.process snort packet);
          scidive_alerts := Baseline.Scidive_like.process scidive packet @ !scidive_alerts));
 

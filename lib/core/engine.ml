@@ -11,7 +11,6 @@ type counters = {
   anomalies : int;
   faults : int;
   rtp_shed : int;
-  backpressure_stalls : int;
 }
 
 (* Pre-resolved telemetry handles, so the per-packet cost of metrics is a
@@ -70,7 +69,6 @@ type t = {
   mutable faults : int;
   mutable injects : int; (* machine injections, for the chaos self-test knob *)
   mutable rtp_shed : int;
-  mutable backpressure_stalls : int; (* written only by snapshot restore; see engine.mli *)
   mutable degraded_since : Dsim.Time.t option;
   mutable degraded_log : (Dsim.Time.t * Dsim.Time.t) list; (* closed intervals, newest first *)
   mutable inline_free_at : Dsim.Time.t; (* single-CPU queueing for inline deployment *)
@@ -299,7 +297,6 @@ let create ?(config = Config.default) ?(overrides = []) sched =
       faults = 0;
       injects = 0;
       rtp_shed = 0;
-      backpressure_stalls = 0;
       degraded_since = None;
       degraded_log = [];
       inline_free_at = Dsim.Time.zero;
@@ -606,8 +603,6 @@ let process_packet t packet =
   | Some exn ->
       fault t ~subject:(Dsim.Addr.to_string packet.Dsim.Packet.src) ~origin:"packet pipeline" exn
 
-let tap t packet = process_packet t packet
-
 (* Inline forwarding latency: a fixed per-protocol pipeline latency plus
    time spent queued behind earlier packets on the single analysis CPU
    (whose occupancy per packet is the much smaller cpu cost).  The queueing
@@ -644,7 +639,6 @@ let counters t =
     anomalies = t.anomalies;
     faults = t.faults;
     rtp_shed = t.rtp_shed;
-    backpressure_stalls = t.backpressure_stalls;
   }
 
 let malformed_packets t = t.malformed_packets
@@ -701,7 +695,6 @@ module Persist = struct
     t.faults <- c.faults;
     t.injects <- d.p_injects;
     t.rtp_shed <- c.rtp_shed;
-    t.backpressure_stalls <- c.backpressure_stalls;
     t.busy <- d.p_busy;
     t.inline_free_at <- d.p_inline_free_at;
     t.degraded_since <- d.p_degraded_since;

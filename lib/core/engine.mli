@@ -28,11 +28,6 @@ type counters = {
       (** Exceptions contained at a boundary (machine, timer, listener,
           packet pipeline). *)
   rtp_shed : int;  (** RTP packets whose stream-level analysis was shed while degraded. *)
-  backpressure_stalls : int;
-      (** Nothing in the engine increments this; it is 0 unless restored
-          from a snapshot that recorded stalls.  It stays so that the
-          snapshot's 14-field [EC] line, which every engine digest hashes,
-          keeps its format. *)
 }
 
 type t
@@ -45,10 +40,8 @@ val create :
 val config : t -> Config.t
 
 val process_packet : t -> Dsim.Packet.t -> unit
-(** The tap entry point: classify, distribute, analyze. *)
-
-val tap : t -> Dsim.Packet.t -> unit
-(** Alias of {!process_packet} shaped for [Dsim.Network.set_tap]. *)
+(** The tap entry point: classify, distribute, analyze.  Shaped for
+    [Dsim.Network.set_tap] after partial application. *)
 
 val transit_delay : t -> Dsim.Packet.t -> Dsim.Time.t
 (** Inline forwarding latency for this packet per the cost model; shaped

@@ -178,7 +178,11 @@ type stats = {
   detectors_swept : int;  (** Idle detectors reclaimed by the ageing sweep. *)
   detectors : int;
   modeled_bytes : int;  (** Paper's per-call memory model. *)
-  measured_bytes : int;  (** Actual local-variable footprint. *)
+  measured_bytes : int;
+      (** An estimate, not a measurement: the sum of
+          [Efsm.Env.estimated_bytes] over every live call, a model of its
+          variables' size (about 178 B per media call, against about
+          4.4 KB on the live heap). *)
 }
 
 val stats : t -> stats

@@ -6,11 +6,11 @@
    and replaying the trace records timestamped strictly after it yields an
    engine whose canonical digest equals that of a run that never crashed.
 
-   Ordering is the delicate part.  Journal alerts are merged first (their
-   dedup keys go pending, so replay re-raising them stays exactly-once),
-   then the replay suffix is scheduled, and only then are restored timers
-   re-armed — packets scheduled before timers win same-instant ties, just
-   as in an uninterrupted run where every packet is scheduled up front. *)
+   Journal alerts are merged before the replay, so their dedup keys are
+   pending and a replay that re-raises one stays exactly-once.  The
+   replay is one [Trace.play] pass over the packets and the journaled
+   extension records, so ties at an instant follow [Trace]'s rule as
+   they did in the run that never crashed. *)
 
 type outcome = {
   engine : Engine.t;
@@ -23,7 +23,7 @@ type outcome = {
   replayed : int;
 }
 
-let recover ?config ?prepare ?on_ext ?inject ?(journal = []) ?(trace = []) ?until snapshot =
+let recover ?config ?prepare ?on_ext ?gate ?(journal = []) ?(trace = []) ?until snapshot =
   let snapshot_at = Snapshot.at snapshot in
   let snapshot_seq = Snapshot.seq snapshot in
   let suffix = Journal.suffix_after ~seq:snapshot_seq ~at:snapshot_at journal in
@@ -39,33 +39,23 @@ let recover ?config ?prepare ?on_ext ?inject ?(journal = []) ?(trace = []) ?unti
   let packets =
     List.filter (fun (r : Trace.record) -> Dsim.Time.( > ) r.Trace.at snapshot_at) trace
   in
-  let replayed = ref 0 in
-  let before_timers sched engine =
-    (* Caller hook first, before any packet or journal entry lands:
-       telemetry uses it to re-attach its registry; an enforcement layer
-       uses it to rebuild its state from the snapshot's extension
-       records. *)
-    (match prepare with None -> () | Some f -> f sched engine);
-    List.iter (Engine.merge_journal_alert engine) alerts;
-    replayed := Trace.schedule_into ?inject sched engine packets;
-    (* Journaled extension records recorded after the checkpoint, in
-       append order: replayed alerts are claimed (exactly-once) and never
-       re-notify listeners, so actions taken on them live must be restored
-       from the journal, not re-derived.  Applied after the replay suffix
-       is scheduled: an extension that re-arms a timer (e.g. a journaled
-       call teardown) must lose same-instant ties to packets, exactly as
-       live, where the packet that triggered the action was already
-       executing when the timer was armed. *)
-    (match on_ext with
-    | None -> ()
-    | Some f -> List.iter (fun (at, tag, payload) -> f ~at ~tag ~payload) exts)
-  in
-  match Snapshot.restore ?config ~before_timers snapshot with
+  match Snapshot.restore ?config snapshot with
   | Error e -> Error e
   | Ok (sched, engine) ->
-      (match until with
-      | Some limit -> Dsim.Scheduler.run_until sched limit
-      | None -> Dsim.Scheduler.run sched);
+      (* The caller's hook first, before any packet or journal entry
+         lands: telemetry re-attaches its registry; an enforcement layer
+         rebuilds its state from the snapshot's extension records. *)
+      Option.iter (fun f -> f sched engine) prepare;
+      List.iter (Engine.merge_journal_alert engine) alerts;
+      (* Replayed alerts are claimed and never re-notify listeners, so an
+         action taken on one live comes back from the journal, applied
+         when the pass reaches its instant. *)
+      let decisions =
+        match on_ext with
+        | None -> []
+        | Some f -> List.map (fun (at, tag, payload) -> (at, fun () -> f ~tag ~payload)) exts
+      in
+      Trace.play ~decisions ?until (Trace.player ?gate sched engine) packets;
       Ok
         {
           engine;
@@ -75,7 +65,7 @@ let recover ?config ?prepare ?on_ext ?inject ?(journal = []) ?(trace = []) ?unti
           journal_alerts = List.length alerts;
           journal_evictions = evictions;
           journal_exts = List.length exts;
-          replayed = !replayed;
+          replayed = List.length packets;
         }
 
 (* --------------------------------------------------------------- *)
@@ -102,7 +92,7 @@ let load_with_fallback path =
         | Ok snap -> Ok (snap, fallback, true, [ (path, primary_err) ])
         | Error fallback_err -> Error [ (path, primary_err); (fallback, fallback_err) ])
 
-let recover_files ?config ?prepare ?on_snapshot ?on_ext ?inject ?journal_path ?trace_path ?until
+let recover_files ?config ?prepare ?on_snapshot ?on_ext ?gate ?journal_path ?trace_path ?until
     ~snapshot_path () =
   match load_with_fallback snapshot_path with
   | Error rejected ->
@@ -131,7 +121,7 @@ let recover_files ?config ?prepare ?on_snapshot ?on_ext ?inject ?journal_path ?t
                 close_in ic;
                 r)
       in
-      match recover ?config ?prepare ?on_ext ?inject ~journal ~trace ?until snapshot with
+      match recover ?config ?prepare ?on_ext ?gate ~journal ~trace ?until snapshot with
       | Error e -> Error e
       | Ok outcome ->
           Ok

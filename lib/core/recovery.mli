@@ -3,7 +3,8 @@
     Composes the crash-safety pieces: restore the latest valid
     {!Snapshot}, merge the {!Journal} suffix recorded after its checkpoint
     marker (exactly-once: replayed alerts claim their journaled twins), and
-    replay the {!Trace} records timestamped strictly after the snapshot.
+    replay the {!Trace} records timestamped strictly after the snapshot,
+    with the journaled extension records, in one {!Trace.play} pass.
     The recovered engine's {!Snapshot.digest} equals that of a run that
     never crashed — the convergence property the test suite checks. *)
 
@@ -15,34 +16,37 @@ type outcome = {
   journal_alerts : int;  (** Journal alerts merged ahead of replay. *)
   journal_evictions : int;  (** Journaled reclamations in the suffix (informational). *)
   journal_exts : int;  (** Extension records handed to [on_ext]. *)
-  replayed : int;  (** Trace records replayed after the snapshot instant. *)
+  replayed : int;
+      (** Trace records stamped after the snapshot instant: the replay
+          suffix, counted whole even when [until] cuts it short. *)
 }
 
 val recover :
   ?config:Config.t ->
   ?prepare:(Dsim.Scheduler.t -> Engine.t -> unit) ->
-  ?on_ext:(at:Dsim.Time.t -> tag:string -> payload:string -> unit) ->
-  ?inject:(Dsim.Packet.t -> unit) ->
+  ?on_ext:(tag:string -> payload:string -> unit) ->
+  ?gate:(Dsim.Packet.t -> unit) ->
   ?journal:Journal.entry list ->
   ?trace:Trace.record list ->
   ?until:Dsim.Time.t ->
   Snapshot.t ->
   (outcome, string) result
-(** Pure-data recovery.  [prepare] runs on the restored engine before the
-    journal merge, the replay scheduling and the timer re-arm — the hook
-    telemetry uses to re-attach its registry before any replayed packet
-    lands, and an enforcement layer uses to rebuild its tables from the
-    snapshot's extension records.  [on_ext] receives every {!Journal.Ext}
-    entry recorded after the checkpoint, in append order, once the replay
-    suffix is scheduled (so a hook that re-arms a timer loses same-instant
-    ties to packets, exactly as live): replayed alerts are claimed
-    exactly-once and never re-notify listeners, so decisions taken on
-    them live must be restored from the journal, not re-derived.
-    [inject] replaces packet delivery during replay (see
-    {!Trace.schedule_into}) so a gate that dropped packets live drops the
-    same packets again.  [until] bounds the clock ([run_until]); omit it to
-    drain the queue — but beware that configs with a periodic sweep re-arm
-    it forever, so bound governed runs. *)
+(** Pure-data recovery, in order: restore the snapshot; run [prepare] on
+    the restored engine; merge the journal's alerts; then one
+    {!Trace.play} pass over the trace suffix and the journal's
+    {!Journal.Ext} entries in time order; then run the clock to [until].
+    [prepare] is the hook telemetry uses to re-attach its registry before
+    any replayed packet lands, and an enforcement layer uses to rebuild
+    its tables from the snapshot's extension records.  [on_ext] receives
+    each [Ext] entry when the pass reaches its instant, ordered by
+    {!Trace}'s rule.  Replayed alerts are claimed exactly-once and never
+    re-notify listeners, so decisions taken on them live must be
+    restored from the journal, not re-derived.  [gate] takes each
+    replayed delivery (see {!Trace.player}) so a gate that dropped
+    packets live drops the same packets again.  Nothing stamped after
+    [until] is replayed; omit it to drain the queue — but beware that
+    configs with a periodic sweep re-arm it forever, so bound governed
+    runs. *)
 
 type file_report = {
   outcome : outcome;
@@ -58,8 +62,8 @@ val recover_files :
   ?config:Config.t ->
   ?prepare:(Dsim.Scheduler.t -> Engine.t -> unit) ->
   ?on_snapshot:(Snapshot.t -> unit) ->
-  ?on_ext:(at:Dsim.Time.t -> tag:string -> payload:string -> unit) ->
-  ?inject:(Dsim.Packet.t -> unit) ->
+  ?on_ext:(tag:string -> payload:string -> unit) ->
+  ?gate:(Dsim.Packet.t -> unit) ->
   ?journal_path:string ->
   ?trace_path:string ->
   ?until:Dsim.Time.t ->

@@ -30,10 +30,10 @@ let summary ppf engine =
   Format.fprintf ppf "calls: %d active, %d created, %d deleted, peak %d@."
     stats.Fact_base.active_calls stats.Fact_base.calls_created stats.Fact_base.calls_deleted
     stats.Fact_base.peak_calls;
-  Format.fprintf ppf "memory: %d B modeled (%d B/call), %d B measured; %d detectors@."
+  Format.fprintf ppf "memory: %d B modeled (%d B/call); %d detectors@."
     stats.Fact_base.modeled_bytes
     ((Engine.config engine).Config.sip_state_bytes + (Engine.config engine).Config.rtp_state_bytes)
-    stats.Fact_base.measured_bytes stats.Fact_base.detectors;
+    stats.Fact_base.detectors;
   if
     stats.Fact_base.calls_evicted + stats.Fact_base.detectors_evicted
     + stats.Fact_base.calls_swept
@@ -43,9 +43,6 @@ let summary ppf engine =
       stats.Fact_base.calls_evicted stats.Fact_base.detectors_evicted stats.Fact_base.calls_swept;
   if c.Engine.faults > 0 then
     Format.fprintf ppf "faults contained: %d@." c.Engine.faults;
-  if c.Engine.backpressure_stalls > 0 then
-    Format.fprintf ppf "backpressure: %d producer stalls on the feed queue@."
-      c.Engine.backpressure_stalls;
   (match Engine.degraded_intervals engine with
   | [] -> ()
   | intervals ->
@@ -79,7 +76,6 @@ let json engine =
         ("anomalies", J.int c.Engine.anomalies);
         ("faults", J.int c.Engine.faults);
         ("rtp_shed", J.int c.Engine.rtp_shed);
-        ("backpressure_stalls", J.int c.Engine.backpressure_stalls);
       ]
   in
   let memory =
@@ -90,7 +86,6 @@ let json engine =
         ("calls_deleted", J.int stats.Fact_base.calls_deleted);
         ("peak_calls", J.int stats.Fact_base.peak_calls);
         ("modeled_bytes", J.int stats.Fact_base.modeled_bytes);
-        ("measured_bytes", J.int stats.Fact_base.measured_bytes);
         ("detectors", J.int stats.Fact_base.detectors);
         ("calls_evicted", J.int stats.Fact_base.calls_evicted);
         ("detectors_evicted", J.int stats.Fact_base.detectors_evicted);

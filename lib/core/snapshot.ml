@@ -234,12 +234,15 @@ let add_body buf t ~flush =
   let p = t.engine in
   let c = p.Engine.Persist.p_counters in
   Buffer.add_string buf "EC";
+  (* The 14th field counted the stalls of a feed queue that no longer
+     exists; it is written as 0 because every engine digest hashes this
+     line. *)
   List.iter (int buf)
     [
       c.Engine.sip_packets; c.Engine.rtp_packets; c.Engine.rtcp_packets; c.Engine.other_packets;
       c.Engine.malformed_packets; c.Engine.orphan_requests; c.Engine.orphan_responses;
       c.Engine.alerts_raised; c.Engine.alerts_suppressed; c.Engine.anomalies; c.Engine.faults;
-      p.Engine.Persist.p_injects; c.Engine.rtp_shed; c.Engine.backpressure_stalls;
+      p.Engine.Persist.p_injects; c.Engine.rtp_shed; 0;
     ];
   eol buf;
   Buffer.add_string buf "ET";
@@ -450,22 +453,12 @@ let of_body text ~off ~len =
     match String.split_on_char ' ' line with
     | [] | [ "" ] -> Ok ()
     | "EC" :: toks -> (
-        (* 13 fields through format version 1's first shape; a 14th
-           (backpressure_stalls) was appended later.  Read both: a missing
-           trailing field is zero, so old snapshots stay loadable. *)
+        (* 13 fields through format version 1's first shape; a 14th, now
+           always 0, was appended later.  Read both. *)
         match List.map int_of_string_opt toks with
-        | [
-            Some sip; Some rtp; Some rtcp; Some other; Some malformed; Some oreq; Some oresp;
-            Some raised; Some suppressed; Some anomalies; Some faults; Some injects; Some shed;
-          ]
-        | [
-            Some sip; Some rtp; Some rtcp; Some other; Some malformed; Some oreq; Some oresp;
-            Some raised; Some suppressed; Some anomalies; Some faults; Some injects; Some shed;
-            Some _;
-          ] as shape ->
-            let stalls =
-              match shape with [ _; _; _; _; _; _; _; _; _; _; _; _; _; Some s ] -> s | _ -> 0
-            in
+        | Some sip :: Some rtp :: Some rtcp :: Some other :: Some malformed :: Some oreq
+          :: Some oresp :: Some raised :: Some suppressed :: Some anomalies :: Some faults
+          :: Some injects :: Some shed :: ([] | [ Some _ ]) ->
             counters :=
               Some
                 ( {
@@ -481,7 +474,6 @@ let of_body text ~off ~len =
                     anomalies;
                     faults;
                     rtp_shed = shed;
-                    backpressure_stalls = stalls;
                   },
                   injects );
             Ok ()
@@ -708,16 +700,15 @@ let apply_machine sys ms =
       | Ok () -> ()
       | Error e -> fail "%s" e)
 
-let apply_system sys ss ~defer =
+let apply_system sys ss =
   List.iter (fun (k, v) -> Efsm.Env.globals_put (Efsm.System.globals sys) k v) ss.s_globals;
   List.iter (apply_machine sys) ss.s_machines;
   List.iter (fun (target, event) -> Efsm.System.push_sync sys ~target event) ss.s_syncs;
   List.iter
-    (fun (machine, id, fire_at) ->
-      defer (fun () -> Efsm.System.restore_timer sys ~machine ~id ~fire_at))
+    (fun (machine, id, fire_at) -> Efsm.System.restore_timer sys ~machine ~id ~fire_at)
     ss.s_timers
 
-let apply engine snap ~before_timers ~sched =
+let apply engine snap =
   let base = Engine.fact_base engine in
   Engine.Persist.restore engine snap.engine;
   Fact_base.set_counters base ~peak:snap.fb.fb_peak ~created:snap.fb.fb_created
@@ -727,25 +718,16 @@ let apply engine snap ~before_timers ~sched =
   (* Cancel the sweep armed by Engine.create; it is re-armed below at the
      snapshot's recorded phase. *)
   Fact_base.set_next_sweep base None;
-  (* Timers are armed only after [before_timers] has run so recovery can
-     schedule the replay suffix first: packets scheduled before timers at
-     the same virtual instant fire first, exactly as in an uninterrupted
-     run (where all trace packets are scheduled up front). *)
-  let deferred = ref [] in
-  let defer f = deferred := f :: !deferred in
   List.iter
     (fun cs ->
       let call = Fact_base.restore_call base ~call_id:cs.c_id ~created_at:cs.c_created in
-      apply_system call.Fact_base.system cs.c_system ~defer;
+      apply_system call.Fact_base.system cs.c_system;
       List.iter (fun addr -> Fact_base.register_media base call addr) cs.c_media;
       call.Fact_base.closing <- cs.c_closing;
       call.Fact_base.finish_pending <- cs.c_finish;
-      (match cs.c_delete_at with
-      | Some at -> defer (fun () -> Fact_base.arm_delete_at base call at)
-      | None -> ());
+      (match cs.c_delete_at with Some at -> Fact_base.arm_delete_at base call at | None -> ());
       match cs.c_recheck_at with
-      | Some at when cs.c_delete_at = None ->
-          defer (fun () -> Fact_base.arm_recheck_at base call at)
+      | Some at when cs.c_delete_at = None -> Fact_base.arm_recheck_at base call at
       | Some _ | None -> ())
     snap.calls;
   List.iter
@@ -754,19 +736,17 @@ let apply engine snap ~before_timers ~sched =
         Fact_base.restore_detector base ds.d_kind ~key:ds.d_key ~created_at:ds.d_created
           ~touched:ds.d_touched
       in
-      apply_system d.Fact_base.d_system ds.d_system ~defer)
+      apply_system d.Fact_base.d_system ds.d_system)
     snap.detectors;
-  (match snap.fb.fb_sweep_at with
-  | Some at -> defer (fun () -> Fact_base.set_next_sweep base (Some at))
-  | None -> ());
-  before_timers sched engine;
-  List.iter (fun f -> f ()) (List.rev !deferred)
+  match snap.fb.fb_sweep_at with
+  | Some at -> Fact_base.set_next_sweep base (Some at)
+  | None -> ()
 
-let restore ?(config = Config.default) ?(before_timers = fun _ _ -> ()) snap =
+let restore ?(config = Config.default) snap =
   let sched = Dsim.Scheduler.create () in
   Dsim.Scheduler.run_until sched snap.at;
   let engine = Engine.create ~config sched in
-  match apply engine snap ~before_timers ~sched with
+  match apply engine snap with
   | () -> Ok (sched, engine)
   | exception Restore_error e -> Error ("snapshot restore: " ^ e)
   | exception exn -> Error ("snapshot restore: " ^ Printexc.to_string exn)

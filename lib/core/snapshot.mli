@@ -47,20 +47,15 @@ val of_string : string -> (t, string) result
 (** Test seam: reads bytes as {!load} reads a file, for the corruption
     tests.  Total parse with header, CRC and length verification. *)
 
-val restore :
-  ?config:Config.t ->
-  ?before_timers:(Dsim.Scheduler.t -> Engine.t -> unit) ->
-  t ->
-  (Dsim.Scheduler.t * Engine.t, string) result
+val restore : ?config:Config.t -> t -> (Dsim.Scheduler.t * Engine.t, string) result
 (** Rebuilds a live engine on a fresh scheduler advanced to the snapshot's
-    time.  [before_timers] runs after all state is rebuilt but before any
-    restored timer is re-armed: recovery uses it to schedule the trace
-    replay suffix so that, at equal virtual times, packets still fire before
-    timers exactly as in an uninterrupted run (where all packets are
-    scheduled up front).  Internal inconsistencies (unknown machine,
-    state, variable or transition names, or a history longer than the
-    64 entries an engine keeps — possible only if the file was
-    hand-edited yet still checksums) come back as [Error]. *)
+    time, re-arming each recorded timer at its absolute deadline as its
+    call or detector is rebuilt, in the snapshot's order.  Replay then
+    orders them against packets by [Trace]'s rule, not by when they were
+    armed.  Internal inconsistencies (unknown machine, state, variable or
+    transition names, or a history longer than the 64 entries an engine
+    keeps — possible only if the file was hand-edited yet still checksums)
+    come back as [Error]. *)
 
 val save : path:string -> t -> unit
 (** Writes the bytes of {!to_string}, streamed: the header, then the body

@@ -50,23 +50,47 @@ val tap : recorder -> Dsim.Scheduler.t -> Dsim.Packet.t -> unit
 val records : recorder -> record list
 (** Chronological. *)
 
-(** {1 Replay} *)
+(** {1 Replay}
 
-val schedule_into :
-  ?inject:(Dsim.Packet.t -> unit) -> Dsim.Scheduler.t -> Engine.t -> record list -> int
-(** Schedules every record as a packet-arrival event on an existing
-    scheduler/engine pair (without running), returning how many were
-    scheduled.  [inject] replaces the default delivery
-    ([Engine.process_packet]) — an enforcement layer passes its own gate so
-    a replay drops exactly the packets the live run dropped.  {!replay} is
-    built on this; {!Recovery} uses it to queue the post-checkpoint suffix
-    before restored timers are re-armed.  Records at times before the
-    scheduler's clock raise [Invalid_argument] — filter first. *)
+    Every replay of a capture goes through {!step}: the daemon's dispatch,
+    {!replay} and {!replay_until}, recovery's suffix and its journaled
+    decisions, [vids-cli analyze] and [profile].  A step advances the
+    clock to just before the record's instant ([Dsim.Scheduler.advance_to])
+    and then delivers the record, so one rule orders every instant, however
+    and whenever its timers were armed:
+
+    + the packets recorded at it run first, in capture order;
+    + then the journaled decisions taken at it ({!play}'s [decisions]);
+    + then the timers due at it, once the clock moves past it. *)
+
+type player
+
+val player : ?gate:(Dsim.Packet.t -> unit) -> Dsim.Scheduler.t -> Engine.t -> player
+(** Replays onto an existing scheduler/engine pair.  [gate] takes each
+    delivery instead of [Engine.process_packet]: an enforcement layer
+    passes its own, so a replay drops the packets the live run dropped. *)
+
+val step : player -> record -> record
+(** Runs the timers due strictly before the record's instant, then
+    delivers it.  The clock never moves backwards: a record stamped
+    earlier is delivered at the current instant, and comes back with that
+    instant (what the daemon's tee writes). *)
+
+val play :
+  ?decisions:(Dsim.Time.t * (unit -> unit)) list ->
+  ?until:Dsim.Time.t ->
+  player ->
+  record list ->
+  unit
+(** One pass in time order over [records] (stably sorted) and
+    [decisions] (journaled actions, stably sorted), then runs the clock to
+    [until], or drains the queue without it — which never ends under a
+    config whose periodic sweep re-arms itself.  Nothing stamped after
+    [until] is delivered or run. *)
 
 val replay : ?config:Config.t -> record list -> Engine.t
-(** Runs an engine over the trace under virtual time and returns it (with
-    its alerts, counters and fact base) for inspection.  Records need not
-    be sorted. *)
+(** Runs a fresh engine over the trace, in any order, and returns it (with
+    its alerts, counters and fact base) for inspection. *)
 
 val replay_until :
   ?config:Config.t -> until:Dsim.Time.t -> record list -> Dsim.Scheduler.t * Engine.t

@@ -42,8 +42,7 @@ val run_until : t -> Time.t -> unit
 val advance_to : t -> Time.t -> unit
 (** [advance_to t target] runs events with timestamps strictly before
     [target], then sets the clock to [target], leaving events due exactly at
-    [target] queued.  This is the streaming counterpart of pre-scheduling a
-    packet trace: a consumer that advances to each packet's timestamp and
-    then processes the packet by hand reproduces the batch-replay ordering
-    where same-instant packets beat timers.  A [target] before the current
-    clock is a no-op (the clock never moves backwards). *)
+    [target] queued.  A replay calls it before delivering each packet, so
+    the packet runs before the timers due at its instant.  A [target]
+    before the current clock is a no-op (the clock never moves
+    backwards). *)

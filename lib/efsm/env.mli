@@ -61,5 +61,5 @@ val globals_bindings : globals -> (string * Value.t) list
 val globals_put : globals -> string -> Value.t -> unit
 
 val estimated_bytes : t -> int
-(** Rough memory footprint of the locals (strings dominate), used by the
-    fact base to report the paper's per-call memory cost. *)
+(** Rough model of the locals' size (strings dominate), not a heap
+    measurement; [Fact_base.stats] sums it over the live calls. *)

@@ -279,7 +279,7 @@ let restore t ~payload =
 let ( let* ) = Result.bind
 
 (* The payload self-describes (the teardown line carries its own absolute
-   time), so the entry timestamp only decides *when* to apply it. *)
+   time), so the entry timestamp only decides when recovery applies it. *)
 let apply_payload t payload =
   match String.split_on_char ' ' payload with
   | "R" :: _ -> Block_table.apply_rule_line t.tbl ~keep_hits:true payload
@@ -294,9 +294,5 @@ let apply_payload t payload =
       Ok ()
   | _ -> Error (Printf.sprintf "unrecognized enforcement journal payload %S" payload)
 
-let apply_journal t ~at ~payload =
-  ignore
-    (Dsim.Scheduler.schedule_at t.sched at (fun () ->
-         match apply_payload t payload with
-         | Ok () -> ()
-         | Error _ -> trace t "journal-skip" payload))
+let apply_journal t ~payload =
+  match apply_payload t payload with Ok () -> () | Error _ -> trace t "journal-skip" payload

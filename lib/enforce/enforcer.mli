@@ -102,12 +102,10 @@ val restore : t -> payload:string -> (unit, string) result
     policy a corrupt payload locks the gate down (and still returns the
     [Error]); fail-open starts empty. *)
 
-val apply_journal : t -> at:Dsim.Time.t -> payload:string -> unit
-(** Re-applies one journaled decision by {e scheduling} it at its
-    recorded time rather than applying it immediately: replayed packets
-    from before the decision must still see the pre-decision table, and
-    same-instant ties go to the packet (scheduled first), exactly as live
-    — where the packet that triggered the alert had already passed the
-    gate when the rule landed.  Call between replay scheduling and the
-    scheduler run, i.e. from [Recovery.recover]'s [on_ext].  Malformed
+val apply_journal : t -> payload:string -> unit
+(** Re-applies one journaled decision now.  Recovery calls it when its
+    replay reaches the decision's recorded instant, ordered by
+    {!Vids.Trace}'s rule, so the replayed packets up to that instant see
+    the pre-decision table, as live — where the packet that triggered the
+    alert had already passed the gate when the rule landed.  Malformed
     payloads are counted as faults and skipped, never raised. *)

@@ -15,13 +15,13 @@ let recover_files ?config ?policy ?journal ?journal_path ?trace_path ?until ~sna
         (match Enforcer.restore e ~payload with Ok () -> () | Error _ -> ()));
     enforcer := Some e
   in
-  let on_ext ~at ~tag ~payload =
+  let on_ext ~tag ~payload =
     if String.equal tag Enforcer.ext_tag then
-      match !enforcer with Some e -> Enforcer.apply_journal e ~at ~payload | None -> ()
+      match !enforcer with Some e -> Enforcer.apply_journal e ~payload | None -> ()
   in
-  let inject pkt = match !enforcer with Some e -> ignore (Enforcer.ingest e pkt) | None -> () in
+  let gate pkt = match !enforcer with Some e -> ignore (Enforcer.ingest e pkt) | None -> () in
   match
-    Vids.Recovery.recover_files ?config ~prepare ~on_snapshot ~on_ext ~inject ?journal_path
+    Vids.Recovery.recover_files ?config ~prepare ~on_snapshot ~on_ext ~gate ?journal_path
       ?trace_path ?until ~snapshot_path ()
   with
   | Error e -> Error e

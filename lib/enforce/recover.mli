@@ -6,13 +6,14 @@
     + the snapshot's [enforce] extension payload is stashed before any
       restore work ([on_snapshot]);
     + the enforcer is created and its table restored inside [prepare] —
-      before the journal merge and the replay scheduling, so the gate
-      exists (with the checkpoint's rules and token-bucket levels) when
-      the first replayed packet arrives;
-    + journaled enforcement decisions are {e scheduled} at their recorded
-      times ([on_ext], after replay scheduling) so replayed packets from
-      before each decision still see the pre-decision table;
-    + replay is routed through {!Enforcer.ingest} ([inject]) so packets
+      before the journal merge and the replay, so the gate exists (with
+      the checkpoint's rules and token-bucket levels) when the first
+      replayed packet arrives;
+    + each journaled enforcement decision is applied when the replay
+      reaches its recorded instant ([on_ext], {!Enforcer.apply_journal},
+      ordered by {!Vids.Trace}'s rule), so the replayed packets up to it
+      see the pre-decision table;
+    + replay is routed through {!Enforcer.ingest} ([gate]) so packets
       the gate dropped live are dropped again instead of reaching the
       engine.
 

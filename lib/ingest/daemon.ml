@@ -1,13 +1,8 @@
 (* The live-ingestion daemon: one loop from the wire to the engine.
 
-   Ordering is the whole trick.  Offline replay pre-schedules every packet
-   and lets the scheduler interleave them with timers (packets at an
-   instant beat timers at that instant).  Live, packets arrive one at a
-   time, so for each record the loop calls [advance_to] — which runs
-   events strictly before the record's timestamp and leaves same-instant
-   timers queued — and then injects the packet by hand.  That reproduces
-   the batch ordering exactly, which is why a live run's digest converges
-   with an offline replay of its own capture file. *)
+   Each record is dispatched through [Vids.Trace.step], the step every
+   offline replay and recovery goes through, which is why a live run's
+   digest converges with an offline replay of its own capture file. *)
 
 type source =
   | Pcap_file of { path : string; pace : bool }
@@ -194,31 +189,29 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
         let wall0 = clock.Clock.now () in
         let vat now_s = Dsim.Time.of_sec (now_s -. wall0) in
         let quantiles = Dsim.Stat.Quantiles.create () in
-        let alloc = Dsim.Packet.allocator () in
+        let player =
+          Vids.Trace.player sched engine
+            ?gate:
+              (Option.map
+                 (fun e pkt ->
+                   (* The gate's own verdict cost; the engine spans it
+                      forwards into nest underneath as children. *)
+                   penter Obs.Prof.Enforce_gate;
+                   ignore (Enforce.Enforcer.ingest e pkt);
+                   pexit Obs.Prof.Enforce_gate)
+                 enforcer)
+        in
         let dispatched = ref 0 in
         let parse_errors = ref 0 in
         Vids.Checkpoint.arm ck ~every:(Dsim.Time.of_sec config.checkpoint_every_s) ();
         let dispatch r =
           penter Obs.Prof.Drive;
-          (* Never move the clock backwards: a wall-timestamped datagram
-             can land behind a capture that raced ahead of real time. *)
-          let at = Dsim.Time.max r.Vids.Trace.at (Dsim.Scheduler.now sched) in
-          let r = if at = r.Vids.Trace.at then r else { r with Vids.Trace.at } in
           let before = Vids.Engine.malformed_packets engine in
           let t0 = Unix.gettimeofday () in
-          Dsim.Scheduler.advance_to sched at;
-          let pkt =
-            Dsim.Packet.make alloc ~src:r.Vids.Trace.src ~dst:r.Vids.Trace.dst
-              ~sent_at:at r.Vids.Trace.payload
-          in
-          (match enforcer with
-          | Some e ->
-              (* The gate's own verdict cost; the engine spans it forwards
-                 into nest underneath as children. *)
-              penter Obs.Prof.Enforce_gate;
-              ignore (Enforce.Enforcer.ingest e pkt);
-              pexit Obs.Prof.Enforce_gate
-          | None -> Vids.Engine.process_packet engine pkt);
+          (* A wall-timestamped datagram can land behind a capture that
+             raced ahead of real time; the step delivers it at the current
+             instant, and the tee records that instant. *)
+          let r = Vids.Trace.step player r in
           let dt = Unix.gettimeofday () -. t0 in
           Dsim.Stat.Quantiles.add quantiles dt;
           Option.iter (fun h -> Obs.Metrics.observe h dt) dispatch_h;
@@ -367,10 +360,10 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
           (* Drain what is already queued (a hard kill arriving mid-drain
              still aborts), then make the shutdown durable. *)
           ignore (drain max_int);
-          (* [advance_to] runs timers strictly before each packet, so a
-             timer due exactly at the last packet's instant is still
-             pending here; fire it, or the final state disagrees with an
-             offline [replay_until] of the same capture at this horizon. *)
+          (* A step runs timers strictly before its packet, so a timer
+             due exactly at the last packet's instant is still pending
+             here; fire it, or the final state disagrees with an offline
+             [replay_until] of the same capture at this horizon. *)
           Dsim.Scheduler.run_until sched (Dsim.Scheduler.now sched);
           note "shutdown"
             (match reason with

@@ -5,11 +5,10 @@
     ingestion loop that polls every source, admits datagrams through the
     per-source {!Quarantine} and the watermarked {!Shed_queue}, bridges
     the wall clock onto the virtual clock, and dispatches each record
-    into a {!Vids.Engine} with the exact ordering discipline offline
-    replay uses — [Dsim.Scheduler.advance_to] to the record's timestamp,
-    then [process_packet], so packets at an instant always beat timers
-    at that instant and a live run converges to the same digest as a
-    batch replay of its own capture.
+    into a {!Vids.Engine} through {!Vids.Trace.step}, the step offline
+    replay and recovery use, so a live run orders every instant as they
+    do and converges to the same digest as a replay of its own
+    capture.
 
     Robustness contract:
     - Parse failures are counted and charged to the sending transport
@@ -79,7 +78,8 @@ type report = {
   pcap : (string * Pcap.stats) list;  (** Per capture file, in source order. *)
   udp : Udp_source.stats list;  (** Per socket, in source order. *)
   dispatch : Dsim.Stat.Quantiles.t;
-      (** Wall-clock seconds per dispatch ([advance_to] + analysis). *)
+      (** Wall-clock seconds per dispatch ({!Vids.Trace.step}: timers
+          due before the record, then its analysis). *)
   horizon : Dsim.Time.t;  (** Final virtual time. *)
   engine : Vids.Engine.t;
   sched : Dsim.Scheduler.t;

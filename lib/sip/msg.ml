@@ -295,8 +295,6 @@ let decimal_field t name =
       let n = decimal_value v in
       if n < 0 then None else Some n
 
-let max_forwards t = decimal_field t "Max-Forwards"
-
 let content_type t = Header.get_canonical t.headers "Content-Type"
 
 let content_type_is t media_type =
@@ -327,10 +325,13 @@ let push_via t via = { t with headers = Header.add_first t.headers "Via" (Via.to
 let pop_via t = { t with headers = Header.remove_first t.headers "Via" }
 
 let decrement_max_forwards t =
-  match max_forwards t with
+  match Header.get_canonical t.headers "Max-Forwards" with
   | None -> Ok { t with headers = Header.set t.headers "Max-Forwards" "70" }
-  | Some 0 -> Error "Max-Forwards exhausted"
-  | Some n -> Ok { t with headers = Header.set t.headers "Max-Forwards" (string_of_int (n - 1)) }
+  | Some v -> (
+      match decimal_value v with
+      | 0 -> Error `Exhausted
+      | n when n < 0 -> Error `Malformed
+      | n -> Ok { t with headers = Header.set t.headers "Max-Forwards" (string_of_int (n - 1)) })
 
 let transaction_key t =
   let ( let* ) r f = Result.bind r f in

@@ -108,8 +108,11 @@ val push_via : t -> Via.t -> t
 
 val pop_via : t -> t
 
-val decrement_max_forwards : t -> (t, string) result
-(** [Error] when the hop count is exhausted (a 483 condition). *)
+val decrement_max_forwards : t -> (t, [ `Exhausted | `Malformed ]) result
+(** One hop fewer; an absent Max-Forwards becomes 70.  [`Exhausted] when
+    it is 0 (a 483 condition, RFC 3261 §16.3 step 3); [`Malformed] when it
+    is present but not 1*DIGIT (a 400, step 1), so a hop count nobody can
+    read is never forwarded as fresh. *)
 
 val transaction_key : t -> (string, string) result
 (** RFC 3261 §17.2.3 server-side matching key: top Via branch + sent-by +

@@ -112,7 +112,8 @@ let forward_request t msg =
   | Sip.Msg.Request { meth; uri } -> (
       let is_ack = Sip.Msg_method.equal meth Sip.Msg_method.ACK in
       match Sip.Msg.decrement_max_forwards msg with
-      | Error _ -> if not is_ack then reply t msg 483
+      | Error `Exhausted -> if not is_ack then reply t msg 483
+      | Error `Malformed -> if not is_ack then reply t msg 400
       | Ok msg -> (
           (* Loose routing (RFC 3261 §16.4): pop our own Route entry. *)
           let msg =

@@ -63,7 +63,7 @@ let make ?(seed = 42) ?(n_ua = 10) ?(vids = Monitor) ?config ?(overrides = [])
           | Some c -> Vids.Engine.create ~config:c ~overrides sched
           | None -> Vids.Engine.create ~overrides sched
         in
-        Dsim.Network.set_tap vids_node (Some (Vids.Engine.tap engine));
+        Dsim.Network.set_tap vids_node (Some (Vids.Engine.process_packet engine));
         if vids = Inline then
           Dsim.Network.set_transit_delay vids_node
             (Some (Vids.Engine.transit_delay engine));

@@ -402,13 +402,16 @@ let test_enforcer_block_expires () =
        (packet ~src:(addr "198.51.100.99" 5060) ~dst:victim
           (invite ~call_id:"postban-1" ~from_host:"198.51.100.99" ~callee:"late@b.example")))
 
-let test_journal_replay_is_scheduled () =
+let test_journal_replay_at_its_time () =
   (* A journaled install applied during recovery must not block replayed
-     packets that predate it: apply_journal schedules the rule at its
-     recorded time instead of installing it immediately. *)
+     packets that predate it, nor those recorded at its own instant:
+     recovery applies it when its replay reaches the install's time, after
+     the packets recorded there. *)
+  let snap = Test_ingest.tmp_path ".ck" and capture = Test_ingest.tmp_path ".trace" in
+  let journal = snap ^ ".journal" in
   let sched = Dsim.Scheduler.create () in
-  let engine = Vids.Engine.create sched in
-  let e = Enforce.Enforcer.create sched engine in
+  Vids.Snapshot.save ~path:snap
+    (Vids.Snapshot.capture ~seq:1 ~at:Dsim.Time.zero (Vids.Engine.create sched));
   let line =
     let t = BT.create () in
     ignore
@@ -416,23 +419,37 @@ let test_journal_replay_is_scheduled () =
          ~expires_at:(sec 62.0) ~reason:"INVITE-flood" ());
     BT.rule_to_line (Option.get (BT.find t (BT.Src (SK.host "198.51.100.99"))))
   in
-  Enforce.Enforcer.apply_journal e ~at:(sec 2.0) ~payload:line;
-  let verdict_at at =
-    Dsim.Scheduler.schedule_at sched at (fun () ->
-        ignore
-          (Enforce.Enforcer.ingest e
-             (packet ~src:(addr "198.51.100.99" 5060) ~dst:victim
-                (invite ~call_id:(Printf.sprintf "t-%d" at) ~from_host:"198.51.100.99"
-                   ~callee:"x@b.example"))))
-    |> ignore
+  let w = Vids.Journal.create_writer journal in
+  Vids.Journal.append w (Vids.Journal.Checkpoint { at = Dsim.Time.zero; seq = 1 });
+  Vids.Journal.append w
+    (Vids.Journal.Ext { at = sec 2.0; tag = Enforce.Enforcer.ext_tag; payload = line });
+  Vids.Journal.close_writer w;
+  let oc = open_out_bin capture in
+  Vids.Trace.save oc
+    (List.map
+       (fun s ->
+         {
+           Vids.Trace.at = sec s;
+           src = attacker;
+           dst = victim;
+           payload =
+             invite ~call_id:(Printf.sprintf "t-%g" s) ~from_host:"198.51.100.99"
+               ~callee:"x@b.example";
+         })
+       [ 1.0; 2.0; 3.0 ]);
+  close_out oc;
+  let recovered =
+    Enforce.Recover.recover_files ~journal_path:journal ~trace_path:capture ~until:(sec 4.0)
+      ~snapshot_path:snap ()
   in
-  verdict_at (sec 1.0);
-  verdict_at (sec 3.0);
-  Dsim.Scheduler.run sched;
-  let s = Enforce.Enforcer.stats e in
-  Alcotest.(check int) "packet before the journaled install passed" 1
-    s.Enforce.Enforcer.passed;
-  Alcotest.(check int) "packet after it was blocked" 1 s.Enforce.Enforcer.blocked
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ snap; journal; capture ];
+  match recovered with
+  | Error err -> Alcotest.failf "recovery: %s" err
+  | Ok (_, e) ->
+      let s = Enforce.Enforcer.stats e in
+      Alcotest.(check int) "packets at 1 s and at the install's 2 s passed" 2
+        s.Enforce.Enforcer.passed;
+      Alcotest.(check int) "packet at 3 s was blocked" 1 s.Enforce.Enforcer.blocked
 
 let test_fail_closed_on_corrupt_restore () =
   let open_policy = Enforce.Enforcer.default_policy in
@@ -513,11 +530,9 @@ let test_enforcing_daemon () =
   let sched = Dsim.Scheduler.create () in
   let engine = Vids.Engine.create sched in
   let gate = Enforce.Enforcer.create ~policy sched engine in
-  ignore
-    (Vids.Trace.schedule_into
-       ~inject:(fun p -> ignore (Enforce.Enforcer.ingest gate p))
-       sched engine records);
-  Dsim.Scheduler.run_until sched horizon;
+  Vids.Trace.play ~until:horizon
+    (Vids.Trace.player sched engine ~gate:(fun p -> ignore (Enforce.Enforcer.ingest gate p)))
+    records;
   let md5 engine = Digest.to_hex (Digest.string (Vids.Snapshot.digest ~at:horizon engine)) in
   Alcotest.(check string) "replay: engine digest" (md5 clean.Ingest.Daemon.engine) (md5 engine);
   Alcotest.(check string) "replay: enforcement digest" (Enforce.Enforcer.digest e)
@@ -644,7 +659,7 @@ let suite =
           test_enforcer_blocks_invite_flood;
         Alcotest.test_case "block lapses after its TTL" `Quick test_enforcer_block_expires;
         Alcotest.test_case "journaled installs replay at their time" `Quick
-          test_journal_replay_is_scheduled;
+          test_journal_replay_at_its_time;
         Alcotest.test_case "fail-open vs fail-closed on corrupt state" `Quick
           test_fail_closed_on_corrupt_restore;
         Alcotest.test_case "enforcing daemon contains a flood, replays and recovers" `Quick

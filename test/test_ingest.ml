@@ -409,23 +409,40 @@ let by_time =
       Dsim.Time.compare a.Vids.Trace.at b.Vids.Trace.at)
 
 let daemon_converges_with_replay () =
-  let records = by_time (Test_recovery.make_trace ~calls:12) in
-  let path = tmp_path ".pcap" in
-  Ingest.Pcap.write_file path records;
-  let report =
-    run_daemon ~config:daemon_config [ Ingest.Daemon.Pcap_file { path; pace = false } ]
+  (* Call [y] at 0 ms pins the capture's clock: the daemon rebases every
+     record onto its first one. *)
+  let y =
+    record ~at:Dsim.Time.zero ~src:(Dsim.Addr.v "10.1.0.2" 5060) ~dst:(Dsim.Addr.v "10.2.0.2" 5060)
+      (Test_recovery.invite ~callee:"bob" ~call_id:"y" ~port:16386)
   in
-  Sys.remove path;
-  check "stopped at end of file" true (report.Ingest.Daemon.stop_reason = Ingest.Daemon.Eof);
-  check_int "every record dispatched" (List.length records) report.Ingest.Daemon.dispatched;
-  (* The convergence contract: the live path (pcap bytes → queue → clock
-     bridge → advance_to/process) digests equal to the batch replay at
-     the same horizon. *)
-  let horizon = report.Ingest.Daemon.horizon in
-  let _sched, offline = Vids.Trace.replay_until ~until:horizon records in
-  check_str "digest equals offline replay"
-    (Vids.Snapshot.digest ~at:horizon offline)
-    (Vids.Snapshot.digest ~at:horizon report.Ingest.Daemon.engine)
+  List.iter
+    (fun (label, config, records) ->
+      let path = tmp_path ".pcap" in
+      Ingest.Pcap.write_file path records;
+      let report =
+        run_daemon
+          ~config:{ daemon_config with Ingest.Daemon.engine_config = config }
+          [ Ingest.Daemon.Pcap_file { path; pace = false } ]
+      in
+      Sys.remove path;
+      check (label ^ ": stopped at end of file") true
+        (report.Ingest.Daemon.stop_reason = Ingest.Daemon.Eof);
+      check_int (label ^ ": every record dispatched") (List.length records)
+        report.Ingest.Daemon.dispatched;
+      (* The convergence contract: the live path (pcap bytes → queue →
+         clock bridge → Trace.step) digests equal to the batch replay at
+         the same horizon. *)
+      let horizon = report.Ingest.Daemon.horizon in
+      let _sched, offline = Vids.Trace.replay_until ?config ~until:horizon records in
+      check_str (label ^ ": digest equals offline replay")
+        (Vids.Snapshot.digest ~at:horizon offline)
+        (Vids.Snapshot.digest ~at:horizon report.Ingest.Daemon.engine))
+    [
+      ("12 calls", None, by_time (Test_recovery.make_trace ~calls:12));
+      ( "sweep due with a CANCEL at 1 s",
+        Some (Test_recovery.grid_sweep ~every:(ms 1000.) ~max_age:(ms 500.)),
+        y :: Test_recovery.sweep_tie ~cancel_at:(ms 1000.) );
+    ]
 
 let daemon_paced_run () =
   (* Under the manual clock, pacing "sleeps" advance virtual wall time

@@ -68,6 +68,11 @@ let rtp_bytes ~seq =
     (Rtp.Rtp_packet.make ~payload_type:18 ~sequence:seq ~timestamp:(Int32.of_int (160 * seq))
        ~ssrc:77l (String.make 20 'v'))
 
+let cancel ~callee ~call_id =
+  Printf.sprintf
+    "CANCEL sip:%s@b.example SIP/2.0\r\nVia: SIP/2.0/UDP 10.1.0.2:5060;branch=z9hG4bK%s\r\nFrom: <sip:alice@a.example>;tag=ta-%s\r\nTo: <sip:%s@b.example>\r\nCall-ID: %s\r\nCSeq: 1 CANCEL\r\n\r\n"
+    callee call_id call_id callee call_id
+
 (* One call every 50 ms, all to [callee i] (call [i]'s user part). *)
 let make_calls ~callee ~calls =
   let records = ref [] in
@@ -103,10 +108,43 @@ let make_trace ~calls = make_calls ~callee:(fun _ -> "bob") ~calls
 
 let trace_horizon ~calls = ms (float_of_int ((50 * calls) + 700))
 
-(* A sweep period chosen off the packet grid (multiples of 10 ms) so sweep
-   firings never tie with packet arrivals. *)
+(* A sweep period longer than every trace these tests cut: the sweep never
+   fires, so recovery has only to carry its armed phase through the
+   snapshot.  Sweeps that fire, and tie with packets, come from
+   [grid_sweep] and [sweep_tie]. *)
 let sweepy_config =
   { (Vids.Config.governed Vids.Config.default) with Vids.Config.sweep_interval = sec 7.3 }
+
+(* The governed preset with a sweep every [every] that reclaims calls
+   older than [max_age]. *)
+let grid_sweep ~every ~max_age =
+  {
+    (Vids.Config.governed Vids.Config.default) with
+    Vids.Config.sweep_interval = every;
+    call_max_age = max_age;
+  }
+
+(* Call [x], INVITEd at 100 ms and CANCELled at [cancel_at], exactly when a
+   sweep that finds it too old is due.  The packet runs first at an
+   instant, so the CANCEL finds its call; were the sweep first, it would
+   reclaim the call and the CANCEL would raise "request for a call the
+   sensor never saw established". *)
+let sweep_tie ~cancel_at =
+  let a_sig = sip_addr "10.1.0.2" and b_sig = sip_addr "10.2.0.2" in
+  [
+    {
+      Vids.Trace.at = ms 100.;
+      src = a_sig;
+      dst = b_sig;
+      payload = invite ~callee:"bob" ~call_id:"x" ~port:16384;
+    };
+    {
+      Vids.Trace.at = cancel_at;
+      src = a_sig;
+      dst = b_sig;
+      payload = cancel ~callee:"bob" ~call_id:"x";
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Codec round-trips (qcheck)                                          *)
@@ -312,9 +350,7 @@ let cut_at ~calls frac =
   Dsim.Time.of_us
     (max 1 (int_of_float (frac *. float_of_int (Dsim.Time.to_us (trace_horizon ~calls)))))
 
-let converges ?config ~calls cut =
-  let trace = make_trace ~calls in
-  let horizon = trace_horizon ~calls in
+let converges ?config ~trace ~horizon cut =
   let _, straight = Vids.Trace.replay_until ?config ~until:horizon trace in
   let reference = Vids.Snapshot.digest ~at:horizon straight in
   let sched, engine = Vids.Trace.replay_until ?config ~until:cut trace in
@@ -329,20 +365,41 @@ let converges ?config ~calls cut =
           String.equal reference
             (Vids.Snapshot.digest ~at:horizon outcome.Vids.Recovery.engine))
 
+let converges_calls ?config ~calls cut =
+  converges ?config ~trace:(make_trace ~calls) ~horizon:(trace_horizon ~calls) cut
+
+(* Governed draws its sweep period on the 10 ms packet grid inside the
+   trace, and a [call_max_age] below it, so sweeps fire, reclaim calls and
+   tie with packets. *)
 let convergence_prop =
   q ~count:12 "recovery: checkpoint ∘ crash ∘ recover ≡ no-crash"
     (QCheck.make
        ~print:(fun (calls, frac, governed) ->
-         Printf.sprintf "calls=%d frac=%.2f governed=%b" calls frac governed)
+         Printf.sprintf "calls=%d frac=%.2f governed=%s" calls frac
+           (match governed with
+           | None -> "no"
+           | Some (every, age) -> Printf.sprintf "sweep %d0 ms, max age %d0 ms" every age))
        QCheck.Gen.(
-         triple (int_range 6 18) (float_range 0.05 0.95) bool))
+         int_range 6 18 >>= fun calls ->
+         let ticks = Dsim.Time.to_us (trace_horizon ~calls) / 10_000 in
+         triple (return calls) (float_range 0.05 0.95)
+           (opt ~ratio:0.5
+              ( int_range 2 ticks >>= fun every ->
+                pair (return every) (int_range 1 (every - 1)) ))))
     (fun (calls, frac, governed) ->
-      let config = if governed then Some sweepy_config else None in
-      converges ?config ~calls (cut_at ~calls frac))
+      let config =
+        Option.map
+          (fun (every, age) ->
+            let tick n = ms (10. *. float_of_int n) in
+            grid_sweep ~every:(tick every) ~max_age:(tick age))
+          governed
+      in
+      converges_calls ?config ~calls (cut_at ~calls frac))
 
-(* Off-grid sweeps at two cuts of 15 calls, then the default and governed
-   presets over 20 calls at a quarter, half and three quarters of the
-   trace and 100 ms before its end. *)
+(* A sweep that never fires at two cuts of 15 calls, then the default
+   and governed presets over 20 calls at a quarter, half and three
+   quarters of the trace and 100 ms before its end; last, a sweep due
+   with a CANCEL at 500 ms, cut before both. *)
 let convergence_fixed () =
   let quarters ~calls =
     List.map (cut_at ~calls) [ 0.25; 0.5; 0.75 ]
@@ -354,14 +411,19 @@ let convergence_fixed () =
         (fun cut ->
           check
             (Printf.sprintf "converges %s calls=%d cut=%.3fs" label calls (Dsim.Time.to_sec cut))
-            true (converges ?config ~calls cut))
+            true (converges_calls ?config ~calls cut))
         cuts)
     [
       ("default", None, 15, List.map (cut_at ~calls:15) [ 0.3; 0.85 ]);
       ("sweepy", Some sweepy_config, 15, List.map (cut_at ~calls:15) [ 0.3; 0.85 ]);
       ("default", None, 20, quarters ~calls:20);
       ("governed", Some (Vids.Config.governed Vids.Config.default), 20, quarters ~calls:20);
-    ]
+    ];
+  check "converges with a sweep and a CANCEL both due at 500 ms, cut at 250 ms" true
+    (converges
+       ~config:(grid_sweep ~every:(ms 500.) ~max_age:(ms 300.))
+       ~trace:(sweep_tie ~cancel_at:(ms 500.))
+       ~horizon:(sec 1.0) (ms 250.))
 
 (* ------------------------------------------------------------------ *)
 (* Corruption fuzzing: damaged snapshots are rejected, never escape    *)

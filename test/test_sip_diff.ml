@@ -271,13 +271,17 @@ let accessors_agree (m : Sip.Msg.t) (r : R.msg) =
   && agree "top_via" (show_result show_via) (Sip.Msg.top_via m) (R.top_via r)
   && agree "decrement_max_forwards"
        (show_result (show_opt show_str))
-       (Result.map
-          (fun m -> Sip.Header.get m.Sip.Msg.headers "Max-Forwards")
-          (Sip.Msg.decrement_max_forwards m))
-       (match R.max_forwards r with
-       | None -> Ok (Some "70")
-       | Some 0 -> Error "Max-Forwards exhausted"
-       | Some n -> Ok (Some (string_of_int (n - 1))))
+       (match Sip.Msg.decrement_max_forwards m with
+       | Ok m -> Ok (Sip.Header.get m.Sip.Msg.headers "Max-Forwards")
+       | Error `Exhausted -> Error "exhausted"
+       | Error `Malformed -> Error "malformed")
+       (* An absent value becomes 70; a present one that is not 1*DIGIT
+          is an error, not absent. *)
+       (match (R.Header.get r.headers "Max-Forwards", R.max_forwards r) with
+       | None, _ -> Ok (Some "70")
+       | Some _, None -> Error "malformed"
+       | Some _, Some 0 -> Error "exhausted"
+       | Some _, Some n -> Ok (Some (string_of_int (n - 1))))
   && agree "expires" (show_opt string_of_int) (Sip.Msg.expires m) (R.expires r)
   && agree "content_type_is" string_of_bool
        (Sip.Msg.content_type_is m "application/sdp")

@@ -277,6 +277,33 @@ let proxy_max_forwards_483 () =
       | Error _ -> Alcotest.fail "unparsable")
   | None -> Alcotest.fail "no response"
 
+(* RFC 3261 §16.3 step 1: a Max-Forwards that cannot be read is a 400,
+   never a fresh hop count of 70 that a forwarding loop would renew at
+   every hop. *)
+let proxy_bad_max_forwards_400 () =
+  List.iter
+    (fun value ->
+      let rig = make_proxy () in
+      let invite = invite_to "far.example" "bob" in
+      let bad =
+        { invite with Sip.Msg.headers = Sip.Header.set invite.Sip.Msg.headers "Max-Forwards" value }
+      in
+      let response = ref None and relayed = ref false in
+      Dsim.Network.set_handler rig.ua_node (fun p -> response := Some p);
+      Dsim.Network.set_handler rig.far_node (fun _ -> relayed := true);
+      send_to_proxy rig bad;
+      Dsim.Scheduler.run rig.p_sched;
+      check (Printf.sprintf "%S not relayed" value) false !relayed;
+      match !response with
+      | Some p -> (
+          match Sip.Msg.parse p.Dsim.Packet.payload with
+          | Ok msg ->
+              check (Printf.sprintf "%S answered 400" value) true
+                (Sip.Msg.status_of msg = Some 400)
+          | Error _ -> Alcotest.fail "unparsable")
+      | None -> Alcotest.failf "%S: no response" value)
+    [ "0x46"; "+5"; "abc"; "-1"; "" ]
+
 let proxy_record_route_inserts () =
   let rig = make_proxy ~record_route:true () in
   let delivered = ref None in
@@ -406,6 +433,7 @@ let suite =
         tc "foreign domain via dns" proxy_foreign_domain_via_dns;
         tc "unknown user 404" proxy_unknown_user_404;
         tc "max-forwards 483" proxy_max_forwards_483;
+        tc "unreadable max-forwards 400, not relayed" proxy_bad_max_forwards_400;
         tc "record-route inserted" proxy_record_route_inserts;
         tc "loose route forwarding" proxy_loose_route_forwarding;
       ] );
