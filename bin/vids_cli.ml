@@ -424,16 +424,8 @@ let record seed attacks workload no_attacks path =
   end
   else T.run_until tb horizon;
   let records = Vids.Trace.records recorder in
-  if Filename.check_suffix path ".pcap" then begin
-    Ingest.Pcap.write_file path records;
-    Format.printf "wrote %d packets to %s (pcap)@." (List.length records) path
-  end
-  else begin
-    let oc = open_out path in
-    Vids.Trace.save oc records;
-    close_out oc;
-    Format.printf "wrote %d packets to %s@." (List.length records) path
-  end;
+  Vids.Pcap.write_file path records;
+  Format.printf "wrote %d packets to %s@." (List.length records) path;
   0
 
 (* ------------------------------------------------------------------ *)
@@ -448,17 +440,11 @@ let stop_reason_string = function
   | Ingest.Daemon.Killed -> "killed"
 
 let parse_listen spec =
-  match String.rindex_opt spec ':' with
-  | None -> (
-      match int_of_string_opt spec with
-      | Some port when port >= 0 -> Ok ("127.0.0.1", port)
-      | _ -> Error (Printf.sprintf "bad --listen %S (HOST:PORT or PORT)" spec))
-  | Some i -> (
-      let host = String.sub spec 0 i in
-      let port = String.sub spec (i + 1) (String.length spec - i - 1) in
-      match int_of_string_opt port with
-      | Some port when port >= 0 && host <> "" -> Ok (host, port)
-      | _ -> Error (Printf.sprintf "bad --listen %S (HOST:PORT or PORT)" spec))
+  match
+    Dsim.Addr.of_string (if String.contains spec ':' then spec else "127.0.0.1:" ^ spec)
+  with
+  | Some a -> Ok (Dsim.Addr.host a, Dsim.Addr.port a)
+  | None -> Error (Printf.sprintf "bad --listen %S (HOST:PORT or PORT)" spec)
 
 let ingest_report_json ?profile (r : Ingest.Daemon.report) =
   let module J = Obs.Json in
@@ -494,6 +480,12 @@ let ingest_report_json ?profile (r : Ingest.Daemon.report) =
       | Some e -> [ ("enforcement", enforcement_json e) ])
     @ match profile with None -> [] | Some j -> [ ("profile", j) ])
 
+(* One capture file's frame counts, as [run] and [analyze] report them. *)
+let print_capture ppf path (s : Vids.Pcap.stats) =
+  Format.fprintf ppf "pcap %s: %d frames, %d records, %d skipped%s@." path s.Vids.Pcap.frames
+    s.Vids.Pcap.records s.Vids.Pcap.skipped
+    (if s.Vids.Pcap.truncated_tail then " (truncated tail)" else "")
+
 let print_ingest_report (r : Ingest.Daemon.report) =
   let q = r.Ingest.Daemon.queue in
   let quar = r.Ingest.Daemon.quarantine in
@@ -510,12 +502,7 @@ let print_ingest_report (r : Ingest.Daemon.report) =
     Format.printf "quarantine: %d errors charged, %d sources quarantined, %d datagrams dropped@."
       quar.Ingest.Quarantine.errors quar.Ingest.Quarantine.quarantines
       quar.Ingest.Quarantine.dropped;
-  List.iter
-    (fun (path, (s : Ingest.Pcap.stats)) ->
-      Format.printf "pcap %s: %d frames, %d records, %d skipped%s@." path s.Ingest.Pcap.frames
-        s.Ingest.Pcap.records s.Ingest.Pcap.skipped
-        (if s.Ingest.Pcap.truncated_tail then " (truncated tail)" else ""))
-    r.Ingest.Daemon.pcap;
+  List.iter (fun (path, s) -> print_capture Format.std_formatter path s) r.Ingest.Daemon.pcap;
   List.iter
     (fun (s : Ingest.Udp_source.stats) ->
       Format.printf "udp: %d received, %d recv errors, %d reopens%s@."
@@ -633,14 +620,14 @@ let analyze path checkpointing obs profile json specs =
     | Ok o -> o
     | Error () -> exit 1
   in
-  let ic = open_in path in
-  let loaded = Vids.Trace.load ic in
-  close_in ic;
-  match loaded with
+  match Vids.Pcap.read_file path with
   | Error e ->
-      Format.eprintf "trace error: %s@." e;
+      Format.eprintf "capture error: %s@." e;
       1
-  | Ok records ->
+  | Ok (records, _, stats) ->
+      (* Under --json stdout stays one parseable value. *)
+      if stats.Vids.Pcap.skipped > 0 || stats.Vids.Pcap.truncated_tail then
+        print_capture (if json then Format.err_formatter else Format.std_formatter) path stats;
       if not json then Format.printf "replaying %d packets...@." (List.length records);
       let sched = Dsim.Scheduler.create () in
       let engine = Vids.Engine.create ~overrides sched in
@@ -849,7 +836,7 @@ let recover snapshot_path journal_path trace_path until obs enforce_policy =
         (fun (line, reason) -> Format.printf "  journal line %d skipped: %s@." line reason)
         fr.Vids.Recovery.journal_skipped;
       List.iter
-        (fun (line, reason) -> Format.printf "  trace line %d skipped: %s@." line reason)
+        (fun (frame, reason) -> Format.printf "  trace frame %d skipped: %s@." frame reason)
         fr.Vids.Recovery.trace_skipped;
       Format.printf "replayed %d packet(s) recorded after the checkpoint@.@."
         o.Vids.Recovery.replayed;
@@ -1274,12 +1261,11 @@ let record_cmd =
   in
   let out =
     Arg.(
-      value & opt string "vids.trace"
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Trace file; a $(b,.pcap) suffix writes a libpcap capture instead of text.")
+      value & opt string "vids.pcap"
+      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Capture file to write (libpcap).")
   in
   Cmd.v
-    (Cmd.info "record" ~doc:"Capture sensor traffic (with attacks) to a trace file")
+    (Cmd.info "record" ~doc:"Capture sensor traffic (with attacks) to a pcap file")
     Term.(const record $ seed_arg $ attacks $ workload $ no_attacks $ out)
 
 let run_cmd =
@@ -1317,8 +1303,8 @@ let run_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "record" ] ~docv:"FILE"
-          ~doc:"Capture every dispatched packet to $(docv) (text trace), for offline replay \
-                and crash recovery.")
+          ~doc:"Capture every dispatched packet to $(docv) (libpcap), for offline replay and \
+                crash recovery.")
   in
   Cmd.v
     (Cmd.info "run"
@@ -1332,9 +1318,10 @@ let run_cmd =
       $ spec_term)
 
 let analyze_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE") in
+  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"CAPTURE") in
   Cmd.v
-    (Cmd.info "analyze" ~doc:"Replay a recorded trace through vIDS offline")
+    (Cmd.info "analyze"
+       ~doc:"Replay a pcap capture through vIDS offline, each packet at its recorded instant")
     Term.(
       const analyze $ file $ checkpoint_term $ obs_term $ profile_flag $ json_flag
       $ spec_term)
@@ -1378,7 +1365,9 @@ let recover_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Recorded packet trace; records after the checkpoint are replayed.")
+          ~doc:
+            "Packet capture (libpcap, e.g. $(b,run --record)'s); records after the checkpoint \
+             are replayed, and frames it skips are listed.")
   in
   let until =
     Arg.(
@@ -1388,7 +1377,7 @@ let recover_cmd =
   in
   Cmd.v
     (Cmd.info "recover"
-       ~doc:"Rebuild a crashed engine from checkpoint + journal + trace and print its report")
+       ~doc:"Rebuild a crashed engine from checkpoint + journal + capture and print its report")
     Term.(
       const recover $ snapshot $ journal $ trace $ until $ obs_term $ enforce_term)
 

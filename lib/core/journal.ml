@@ -131,7 +131,7 @@ let attach w engine =
 (* Loading                                                          *)
 (* --------------------------------------------------------------- *)
 
-let load_lenient_channel ic =
+let load_channel ic =
   let entries = ref [] in
   let skipped = ref [] in
   let line_no = ref 0 in
@@ -147,11 +147,11 @@ let load_lenient_channel ic =
    with End_of_file -> ());
   (List.rev !entries, List.rev !skipped)
 
-let load_lenient path =
+let load path =
   match open_in_bin path with
   | exception Sys_error e -> Error e
   | ic ->
-      let result = load_lenient_channel ic in
+      let result = load_channel ic in
       close_in ic;
       Ok result
 

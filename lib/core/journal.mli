@@ -59,8 +59,10 @@ val attach : writer -> Engine.t -> unit
 
 (** {1 Reading} *)
 
-val load_lenient : string -> (entry list * (int * string) list, string) result
-(** [Error] only when the file itself cannot be opened. *)
+val load : string -> (entry list * (int * string) list, string) result
+(** Loads leniently: a torn or corrupt line is skipped and reported as
+    [(line, reason)].  [Error] only when the file itself cannot be
+    opened. *)
 
 val suffix_after : seq:int -> at:Dsim.Time.t -> entry list -> entry list
 (** Entries recorded after the [Checkpoint] marker with the given sequence

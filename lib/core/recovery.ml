@@ -106,30 +106,27 @@ let recover_files ?config ?prepare ?on_snapshot ?on_ext ?gate ?journal_path ?tra
         | None -> ([], [])
         | Some p when not (Sys.file_exists p) -> ([], [])
         | Some p -> (
-            match Journal.load_lenient p with
+            match Journal.load p with
             | Ok (entries, skipped) -> (entries, skipped)
             | Error _ -> ([], []))
       in
-      let trace, trace_skipped =
+      let trace =
         match trace_path with
-        | None -> ([], [])
-        | Some p -> (
-            match open_in_bin p with
-            | exception Sys_error _ -> ([], [])
-            | ic ->
-                let r = Trace.load_lenient ic in
-                close_in ic;
-                r)
+        | Some p when Sys.file_exists p ->
+            Result.map (fun (records, skipped, _) -> (records, skipped)) (Pcap.read_file p)
+        | _ -> Ok ([], [])
       in
-      match recover ?config ?prepare ?on_ext ?gate ~journal ~trace ?until snapshot with
+      match trace with
       | Error e -> Error e
-      | Ok outcome ->
-          Ok
-            {
-              outcome;
-              snapshot_path = used_path;
-              used_fallback;
-              rejected;
-              journal_skipped;
-              trace_skipped;
-            })
+      | Ok (trace, trace_skipped) ->
+          Result.map
+            (fun outcome ->
+              {
+                outcome;
+                snapshot_path = used_path;
+                used_fallback;
+                rejected;
+                journal_skipped;
+                trace_skipped;
+              })
+            (recover ?config ?prepare ?on_ext ?gate ~journal ~trace ?until snapshot))

@@ -55,7 +55,10 @@ type file_report = {
   rejected : (string * string) list;
       (** Snapshots rejected before one loaded, with diagnostics. *)
   journal_skipped : (int * string) list;  (** Torn/corrupt journal lines skipped. *)
-  trace_skipped : (int * string) list;  (** Malformed trace lines skipped. *)
+  trace_skipped : (int * string) list;
+      (** Capture frames skipped, as [(frame, reason)]: each frame the
+          pcap decoder rejected, and a truncated tail (a record torn by
+          a crash mid-write) last.  See {!Pcap.read_file}. *)
 }
 
 val recover_files :
@@ -72,8 +75,10 @@ val recover_files :
   (file_report, string) result
 (** File-level recovery with fault tolerance end to end: a corrupted or
     truncated primary snapshot falls back to the rotated
-    [Snapshot.previous_path]; journal and trace files are loaded leniently
-    (missing files are treated as empty).  [on_snapshot] sees the loaded
-    snapshot (after fallback selection, before any restore) — the hook for
-    reading its {!Snapshot.ext} records.  [Error] only when no snapshot
-    at all can be validated. *)
+    [Snapshot.previous_path]; the journal and the capture (a pcap file,
+    read by {!Pcap.read_file}) are loaded leniently, and a missing one is
+    treated as empty.  [on_snapshot] sees the loaded snapshot (after
+    fallback selection, before any restore) — the hook for reading its
+    {!Snapshot.ext} records.  [Error] when no snapshot at all can be
+    validated, or when the capture cannot be read or is not a pcap file
+    (the message names it). *)

@@ -1,42 +1,23 @@
-(** Packet trace capture and offline replay.
+(** Packet capture and offline replay.
 
-    An online vIDS taps live traffic; this module gives it the pcap-style
-    workflow: record the packets crossing the sensor to a portable text
-    format, then re-run the full analysis pipeline over the file later.
-    Replay reconstructs virtual time from the recorded timestamps so every
-    timer-based pattern (flood windows, the BYE grace period T) behaves
-    exactly as it did live. *)
+    An online vIDS taps live traffic; this module gives it the pcap
+    workflow: record the packets crossing the sensor to a capture file
+    ({!Pcap}, the one format), then re-run the full analysis pipeline
+    over the file later.  Replay reconstructs virtual time from the
+    recorded timestamps so every timer-based pattern (flood windows, the
+    BYE grace period T) behaves exactly as it did live. *)
 
-type record = {
+type record = Pcap.record = {
   at : Dsim.Time.t;  (** Capture timestamp. *)
   src : Dsim.Addr.t;
   dst : Dsim.Addr.t;
   payload : string;  (** Raw wire bytes. *)
 }
 
-(** {1 Text serialization}
-
-    One record per line: [<at_us> <src> <dst> <hex payload>]. *)
-
-val record_to_line : record -> string
-(** Test seam: one record's line, which the round-trip and damaged-capture
-    tests write. *)
-
-val add_record_line : Buffer.t -> record -> unit
-(** Appends [record_to_line r], for writers that reuse one buffer. *)
-
-val record_of_line : string -> (record, string) result
-(** Test seam: reads one line back, as the round-trip tests do. *)
-
 val save : out_channel -> record list -> unit
-
-val load : in_channel -> (record list, string) result
-(** Stops at the first malformed line with its line number. *)
-
-val load_lenient : in_channel -> record list * (int * string) list
-(** Best-effort load for damaged captures (e.g. a file torn by a crash):
-    malformed lines are skipped and reported as [(line, reason)] instead of
-    aborting. *)
+(** Writes [records] to the channel as a pcap capture ({!Pcap.write},
+    which refuses what a frame cannot hold exactly); an empty list is the
+    24-byte global header alone.  Open the channel in binary mode. *)
 
 (** {1 Capture} *)
 

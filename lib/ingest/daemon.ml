@@ -17,9 +17,6 @@ type config = {
   snapshot_path : string option;
   journal_path : string option;
   record_path : string option;
-  quarantine_threshold : int;
-  quarantine_window_s : float;
-  quarantine_ttl_s : float;
   max_runtime_s : float option;
   batch : int;
   poll_interval_s : float;
@@ -36,9 +33,6 @@ let default =
     snapshot_path = None;
     journal_path = None;
     record_path = None;
-    quarantine_threshold = 8;
-    quarantine_window_s = 10.0;
-    quarantine_ttl_s = 30.0;
     max_runtime_s = None;
     batch = 256;
     poll_interval_s = 0.01;
@@ -54,7 +48,7 @@ type report = {
   checkpoints : int;
   queue : Shed_queue.stats;
   quarantine : Quarantine.stats;
-  pcap : (string * Pcap.stats) list;
+  pcap : (string * Vids.Pcap.stats) list;
   udp : Udp_source.stats list;
   dispatch : Dsim.Stat.Quantiles.t;
   horizon : Dsim.Time.t;
@@ -71,7 +65,7 @@ type pcap_state = {
   p_path : string;
   p_pace : bool;
   p_ic : in_channel;
-  p_reader : Pcap.reader;
+  p_reader : Vids.Pcap.reader;
   mutable p_base : Dsim.Time.t option;
   mutable p_eof : bool;
 }
@@ -100,7 +94,7 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
                   match open_in_bin path with
                   | exception Sys_error e -> Error e
                   | ic -> (
-                      match Pcap.of_channel ic with
+                      match Vids.Pcap.of_channel ic with
                       | Error e ->
                           close_in_noerr ic;
                           Error (path ^ ": " ^ e)
@@ -132,8 +126,18 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
         Vids.Engine.set_profiler engine prof;
         let record_oc =
           Option.map
-            (fun p -> open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 p)
+            (fun p -> open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 p)
             config.record_path
+        in
+        (* The tee's pcap header is on disk before the first record, so a
+           kill at any point leaves a capture recovery can read. *)
+        let tee =
+          Option.map
+            (fun oc ->
+              let w = Vids.Pcap.to_channel oc in
+              flush oc;
+              w)
+            record_oc
         in
         let ctr name help =
           Option.map (fun m -> Obs.Metrics.counter m name ~help) metrics
@@ -159,15 +163,11 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
               e)
             config.enforce
         in
-        let record_line = Buffer.create 512 in
         let queue =
           Shed_queue.create ?high_water:config.queue_high_water
             ~capacity:config.queue_capacity ()
         in
-        let quar =
-          Quarantine.create ~threshold:config.quarantine_threshold
-            ~window_s:config.quarantine_window_s ~ttl_s:config.quarantine_ttl_s ()
-        in
+        let quar = Quarantine.create () in
         let packets_c = ctr "vids_ingest_packets_total" "Records dispatched to the engine" in
         let shed_c = ctr "vids_ingest_shed_total" "Records refused or displaced by the ingest queue" in
         let quarantines_c = ctr "vids_ingest_quarantines_total" "Sources entering quarantine" in
@@ -217,13 +217,7 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
           Option.iter (fun h -> Obs.Metrics.observe h dt) dispatch_h;
           incr dispatched;
           tick packets_c;
-          (match record_oc with
-          | None -> ()
-          | Some oc ->
-              Buffer.clear record_line;
-              Vids.Trace.add_record_line record_line r;
-              Buffer.add_char record_line '\n';
-              Buffer.output_buffer oc record_line);
+          (match tee with None -> () | Some w -> Vids.Pcap.write w r);
           let after = Vids.Engine.malformed_packets engine in
           if after > before then begin
             parse_errors := !parse_errors + (after - before);
@@ -251,13 +245,13 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
               let consumed = ref 0 in
               let continue = ref true in
               while !continue && !consumed < config.batch && not !stop && not !hard_kill do
-                match Pcap.next p.p_reader with
+                match Vids.Pcap.next p.p_reader with
                 | None ->
                     p.p_eof <- true;
                     close_in_noerr p.p_ic;
                     continue := false
-                | Some (Pcap.Skipped _) -> incr consumed
-                | Some (Pcap.Record r) ->
+                | Some (Vids.Pcap.Skipped _) -> incr consumed
+                | Some (Vids.Pcap.Record r) ->
                     incr consumed;
                     let base =
                       match p.p_base with
@@ -395,7 +389,7 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
             pcap =
               List.filter_map
                 (function
-                  | S_pcap p -> Some (p.p_path, Pcap.stats p.p_reader)
+                  | S_pcap p -> Some (p.p_path, Vids.Pcap.stats p.p_reader)
                   | S_udp _ -> None)
                 states;
             udp =

@@ -41,10 +41,11 @@ type config = {
   checkpoint_every_s : float;  (** <= 0 disables periodic checkpoints. *)
   snapshot_path : string option;
   journal_path : string option;
-  record_path : string option;  (** Capture every dispatched record ({!Vids.Trace} text). *)
-  quarantine_threshold : int;
-  quarantine_window_s : float;
-  quarantine_ttl_s : float;
+  record_path : string option;
+      (** Capture every dispatched record to this pcap file ({!Vids.Pcap}),
+          stamped with the instant it was dispatched at: the header is
+          written and flushed at start, each checkpoint flushes the
+          frames before it. *)
   max_runtime_s : float option;  (** Wall-clock deadline ([run --max-runtime]). *)
   batch : int;  (** Max records pulled per source per loop turn. *)
   poll_interval_s : float;  (** Idle nap when every source is dry. *)
@@ -59,7 +60,9 @@ type config = {
 
 val default : config
 (** 4096-deep queue, 5 s checkpoints (when [snapshot_path] is set),
-    quarantine 8 errors / 10 s / 30 s TTL, batch 256, 10 ms poll. *)
+    batch 256, 10 ms poll.  Quarantine always runs at
+    {!Quarantine.create}'s defaults: 8 errors in 10 s, then a 30 s
+    block. *)
 
 type stop_reason =
   | Eof  (** Every file source exhausted (and no socket still alive). *)
@@ -75,7 +78,7 @@ type report = {
   checkpoints : int;
   queue : Shed_queue.stats;
   quarantine : Quarantine.stats;
-  pcap : (string * Pcap.stats) list;  (** Per capture file, in source order. *)
+  pcap : (string * Vids.Pcap.stats) list;  (** Per capture file, in source order. *)
   udp : Udp_source.stats list;  (** Per socket, in source order. *)
   dispatch : Dsim.Stat.Quantiles.t;
       (** Wall-clock seconds per dispatch ({!Vids.Trace.step}: timers

@@ -819,12 +819,12 @@ let pcap_read_allocation () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Ingest.Pcap.write_file path records;
+      Vids.Pcap.write_file path records;
       In_channel.with_open_bin path (fun ic ->
-          let r = match Ingest.Pcap.of_channel ic with Ok r -> r | Error e -> Alcotest.fail e in
+          let r = match Vids.Pcap.of_channel ic with Ok r -> r | Error e -> Alcotest.fail e in
           let read () =
-            match Ingest.Pcap.next r with
-            | Some (Ingest.Pcap.Record record) -> record
+            match Vids.Pcap.next r with
+            | Some (Vids.Pcap.Record record) -> record
             | _ -> Alcotest.fail "expected a record"
           in
           (* The first record sizes the frame buffer and fills the cache. *)

@@ -69,10 +69,10 @@ let system_clock_monotone () =
 let pcap_roundtrip () =
   let records = Test_recovery.make_trace ~calls:6 in
   let path = tmp_path ".pcap" in
-  Ingest.Pcap.write_file path records;
-  match Ingest.Pcap.read_file path with
+  Vids.Pcap.write_file path records;
+  match Vids.Pcap.read_file path with
   | Error e -> Alcotest.failf "read_file: %s" e
-  | Ok (records', skipped) ->
+  | Ok (records', skipped, _) ->
       Sys.remove path;
       check_int "no skipped frames" 0 (List.length skipped);
       check_int "same count" (List.length records) (List.length records');
@@ -80,32 +80,32 @@ let pcap_roundtrip () =
         (fun a b -> check "record preserved" true (same_record a b))
         records records'
 
-let pcap_nonip_hosts () =
-  let src = Dsim.Addr.v "nodeA" 5060 and dst = Dsim.Addr.v "nodeB" 5060 in
-  let records =
-    [ record ~at:(ms 1.) ~src ~dst "OPTIONS sip:x SIP/2.0\r\n\r\n";
-      record ~at:(ms 2.) ~src ~dst "second" ]
+(* The writer writes exactly what it is given or refuses, before a byte
+   of the frame: a host the reader would spell differently, or a port no
+   UDP header holds, would make a replay differ from the live run. *)
+let pcap_refuses_unwritable_addresses () =
+  let host = Dsim.Addr.v "10.0.0.1" 5060 in
+  let refused what src dst =
+    let path = tmp_path ".pcap" in
+    let oc = open_out_bin path in
+    let w = Vids.Pcap.to_channel oc in
+    let raised =
+      match Vids.Pcap.write w (record ~at:(ms 1.) ~src ~dst "x") with
+      | () -> false
+      | exception Invalid_argument _ -> true
+    in
+    close_out oc;
+    let written = String.length (read_bytes path) in
+    Sys.remove path;
+    check (what ^ ": refused") true raised;
+    check_int (what ^ ": only the global header written") 24 written
   in
-  let path = tmp_path ".pcap" in
-  Ingest.Pcap.write_file path records;
-  match Ingest.Pcap.read_file path with
-  | Error e -> Alcotest.failf "read_file: %s" e
-  | Ok (records', _) ->
-      Sys.remove path;
-      check_int "both read" 2 (List.length records');
-      let r0 = List.nth records' 0 and r1 = List.nth records' 1 in
-      (* Host strings are not preserved, but the mapping is deterministic
-         and lands in the RFC 2544 benchmark range. *)
-      check_str "same mapped host" (Dsim.Addr.host r0.Vids.Trace.src)
-        (Dsim.Addr.host r1.Vids.Trace.src);
-      check "mapped into 198.18/15" true
-        (String.length (Dsim.Addr.host r0.Vids.Trace.src) >= 7
-        && String.sub (Dsim.Addr.host r0.Vids.Trace.src) 0 7 = "198.18."
-           || String.sub (Dsim.Addr.host r0.Vids.Trace.src) 0 7 = "198.19.");
-      check_int "port preserved" 5060 (Dsim.Addr.port r0.Vids.Trace.src);
-      check_str "payload preserved" "second" r1.Vids.Trace.payload;
-      check "distinct hosts stay distinct" true
-        (Dsim.Addr.host r0.Vids.Trace.src <> Dsim.Addr.host r0.Vids.Trace.dst)
+  refused "simulator node name" (Dsim.Addr.v "nodeA" 5060) host;
+  refused "octet above 255" host (Dsim.Addr.v "10.0.0.256" 5060);
+  refused "octet with a leading zero" (Dsim.Addr.v "10.0.0.01" 5060) host;
+  refused "five octets" host (Dsim.Addr.v "10.0.0.1.1" 5060);
+  refused "source port above 65535" (Dsim.Addr.v "10.0.0.2" 70_000) host;
+  refused "destination port above 65535" host (Dsim.Addr.v "10.0.0.2" 65_536)
 
 (* The reader builds hosts from an octet table: every octet value must
    come back in every position, with the ports and payload intact. *)
@@ -113,12 +113,12 @@ let dotted a b c d = Printf.sprintf "%d.%d.%d.%d" a b c d
 
 let pcap_reads_back records =
   let path = tmp_path ".pcap" in
-  Ingest.Pcap.write_file path records;
-  let read = Ingest.Pcap.read_file path in
+  Vids.Pcap.write_file path records;
+  let read = Vids.Pcap.read_file path in
   Sys.remove path;
   match read with
   | Error _ -> false
-  | Ok (records', skipped) ->
+  | Ok (records', skipped, _) ->
       skipped = [] && List.length records' = List.length records
       && List.for_all2 same_record records records'
 
@@ -131,6 +131,11 @@ let pcap_every_octet () =
           (String.make (i mod 7) 'p'))
   in
   check "every octet in every position round-trips" true (pcap_reads_back records)
+
+let show_record (r : Vids.Trace.record) =
+  Printf.sprintf "%d %s %s %S" (Dsim.Time.to_us r.Vids.Trace.at)
+    (Dsim.Addr.to_string r.Vids.Trace.src) (Dsim.Addr.to_string r.Vids.Trace.dst)
+    r.Vids.Trace.payload
 
 let pcap_dotted_quad_roundtrip =
   let open QCheck.Gen in
@@ -146,14 +151,14 @@ let pcap_dotted_quad_roundtrip =
   in
   q ~count:100 "pcap: random dotted quads survive write -> read"
     (QCheck.make
-       ~print:(fun rs -> String.concat "\n" (List.map Vids.Trace.record_to_line rs))
+       ~print:(fun rs -> String.concat "\n" (List.map show_record rs))
        capture)
     pcap_reads_back
 
 let pcap_truncation_fuzz =
   let records = Test_recovery.make_trace ~calls:3 in
   let path = tmp_path ".pcap" in
-  Ingest.Pcap.write_file path records;
+  Vids.Pcap.write_file path records;
   let full = read_bytes path in
   Sys.remove path;
   let n = List.length records in
@@ -163,9 +168,9 @@ let pcap_truncation_fuzz =
       let path = tmp_path ".pcap" in
       write_bytes path (String.sub full 0 cut);
       let ok =
-        match Ingest.Pcap.read_file path with
+        match Vids.Pcap.read_file path with
         | Error _ -> cut < 24 (* only a torn global header is fatal *)
-        | Ok (records', _) ->
+        | Ok (records', _, _) ->
             List.length records' <= n
             && List.for_all2 same_record records'
                  (List.filteri (fun i _ -> i < List.length records') records)
@@ -181,7 +186,7 @@ let pcap_torn_tail () =
   let host = Dsim.Addr.v "10.0.0.1" 5060 in
   let first = record ~at:(ms 1.0) ~src:host ~dst:host "first" in
   let capture records =
-    Ingest.Pcap.write_file path records;
+    Vids.Pcap.write_file path records;
     read_bytes path
   in
   let first_end = String.length (capture [ first ]) in
@@ -189,11 +194,11 @@ let pcap_torn_tail () =
   let read cut =
     write_bytes path (String.sub full 0 cut);
     let ic = open_in_bin path in
-    let r = Result.get_ok (Ingest.Pcap.of_channel ic) in
-    let rec count n = match Ingest.Pcap.next r with Some _ -> count (n + 1) | None -> n in
+    let r = Result.get_ok (Vids.Pcap.of_channel ic) in
+    let rec count n = match Vids.Pcap.next r with Some _ -> count (n + 1) | None -> n in
     let n = count 0 in
     close_in ic;
-    (n, (Ingest.Pcap.stats r).Ingest.Pcap.truncated_tail)
+    (n, (Vids.Pcap.stats r).Vids.Pcap.truncated_tail)
   in
   let case what cut want = check what true (read cut = want) in
   case "clean end" (String.length full) (2, false);
@@ -208,7 +213,7 @@ let pcap_garbage_fuzz =
       let path = tmp_path ".pcap" in
       write_bytes path junk;
       let ok =
-        match Ingest.Pcap.read_file path with Error _ -> true | Ok _ -> true
+        match Vids.Pcap.read_file path with Error _ -> true | Ok _ -> true
       in
       Sys.remove path;
       ok)
@@ -449,7 +454,7 @@ let daemon_paced_run () =
      instantly — the paced daemon is deterministic and fast. *)
   let records = Test_recovery.make_trace ~calls:4 in
   let path = tmp_path ".pcap" in
-  Ingest.Pcap.write_file path records;
+  Vids.Pcap.write_file path records;
   let report =
     run_daemon ~config:daemon_config [ Ingest.Daemon.Pcap_file { path; pace = true } ]
   in
@@ -484,7 +489,7 @@ let alert_keys engine =
 let daemon_sigterm_preserves_alerts () =
   let records = flood_then_benign () in
   let path = tmp_path ".pcap" in
-  Ingest.Pcap.write_file path records;
+  Vids.Pcap.write_file path records;
   (* Clean end-of-capture baseline. *)
   let clean =
     run_daemon ~config:daemon_config [ Ingest.Daemon.Pcap_file { path; pace = false } ]
@@ -515,13 +520,14 @@ let daemon_sigterm_preserves_alerts () =
     (alert_keys clean.Ingest.Daemon.engine)
     (alert_keys interrupted.Ingest.Daemon.engine)
 
-(* A capture line whose port no datagram can carry is skipped as a bad
-   address.  It used to parse, and enforced recovery then raised from the
-   block table's key builder, which runs outside the engine's
-   containment. *)
-let enforced_recovery_skips_out_of_range_port () =
-  let path = tmp_path ".pcap" and snap = tmp_path ".ck" and capture = tmp_path ".trace" in
-  Ingest.Pcap.write_file path (flood_then_benign ());
+(* A capture frame the decoder cannot read, here an IPv4 frame that is
+   not UDP, is skipped with the decoder's reason, and enforced recovery
+   still restores the rules.  The gate runs outside the engine's
+   containment, so a record recovery cannot decode must never reach
+   it. *)
+let enforced_recovery_skips_a_non_udp_frame () =
+  let path = tmp_path ".pcap" and snap = tmp_path ".ck" and capture = tmp_path ".pcap" in
+  Vids.Pcap.write_file path (flood_then_benign ());
   let config =
     {
       daemon_config with
@@ -531,26 +537,33 @@ let enforced_recovery_skips_out_of_range_port () =
     }
   in
   let report = run_daemon ~config [ Ingest.Daemon.Pcap_file { path; pace = false } ] in
-  check "the flood left a rule" true
-    (Enforce.Block_table.rules
-       (Enforce.Enforcer.table (Option.get report.Ingest.Daemon.enforcer))
-       ~now:report.Ingest.Daemon.horizon
-    <> []);
-  let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 capture in
-  Printf.fprintf oc "%d 10.9.9.9:70000 10.0.0.1:5060 %s\n"
-    (Dsim.Time.to_us report.Ingest.Daemon.horizon + 1000)
-    (Efsm.Value.hex_of_string "x");
+  let horizon = report.Ingest.Daemon.horizon in
+  let rules e = Enforce.Block_table.rules (Enforce.Enforcer.table e) ~now:horizon in
+  check "the flood left a rule" true (rules (Option.get report.Ingest.Daemon.enforcer) <> []);
+  (* One frame as the writer frames it, made TCP: byte 9 of its IPv4
+     header, past the global, record and Ethernet headers. *)
+  let one = tmp_path ".pcap" in
+  Vids.Pcap.write_file one
+    [
+      record ~at:(Dsim.Time.add horizon (ms 1.)) ~src:(Dsim.Addr.v "10.9.9.9" 5060)
+        ~dst:(Dsim.Addr.v "10.0.0.1" 5060) "x";
+    ];
+  let frame = Bytes.of_string (read_bytes one) in
+  Bytes.set frame (24 + 16 + 14 + 9) '\006';
+  let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 capture in
+  output_string oc (Bytes.sub_string frame 24 (Bytes.length frame - 24));
   close_out oc;
   let recovered = Enforce.Recover.recover_files ~trace_path:capture ~snapshot_path:snap () in
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; snap; Vids.Snapshot.previous_path snap; capture ];
+    [ path; snap; Vids.Snapshot.previous_path snap; capture; one ];
   match recovered with
   | Error e -> Alcotest.failf "recovery: %s" e
-  | Ok (fr, _) ->
+  | Ok (fr, e) ->
       Alcotest.(check (list string))
-        "the line is skipped as a bad address" [ "bad source address" ]
-        (List.map snd fr.Vids.Recovery.trace_skipped)
+        "the frame is skipped with the decoder's reason" [ "not udp" ]
+        (List.map snd fr.Vids.Recovery.trace_skipped);
+      check "the rules are restored" true (rules e <> [])
 
 (* The flood's rule lands 30 ms in, after the 20 ms checkpoint, and the
    kill follows the first batch, before the next checkpoint: only the
@@ -558,7 +571,7 @@ let enforced_recovery_skips_out_of_range_port () =
    decision to reach the killed gate's table. *)
 let enforced_recovery_applies_journaled_rule () =
   let path = tmp_path ".pcap" and snap = tmp_path ".ck" and capture = tmp_path ".trace" in
-  Ingest.Pcap.write_file path (flood_then_benign ());
+  Vids.Pcap.write_file path (flood_then_benign ());
   let policy = Enforce.Enforcer.default_policy in
   let config =
     {
@@ -596,6 +609,77 @@ let enforced_recovery_applies_journaled_rule () =
         fr.Vids.Recovery.outcome.Vids.Recovery.journal_exts;
       check_str "recovered enforcement digest" (Enforce.Enforcer.digest live)
         (Enforce.Enforcer.digest e)
+
+(* The tee as a crash tears it.  The daemon's channel spills to disk in
+   buffer-sized chunks between checkpoints, so records after the last
+   checkpoint can be on disk, the last of them cut short.  Here 160
+   kilobyte datagrams land just after a checkpoint, on a port the sensor
+   does not analyse (so none raises an alert that the journal would carry
+   past the cut); the daemon is killed once they are dispatched, and the
+   tee is then cut inside its last whole frame. *)
+let hard_kill_torn_tee () =
+  let benign = flood_then_benign () in
+  let first = (List.hd benign).Vids.Trace.at in
+  let last = (List.nth benign (List.length benign - 1)).Vids.Trace.at in
+  (* The daemon rebases onto the first record and checkpoints every
+     500 ms from there. *)
+  let next_checkpoint = ((Dsim.Time.to_us (Dsim.Time.sub last first) / 500_000) + 1) * 500_000 in
+  let other i =
+    record
+      ~at:(Dsim.Time.add first (Dsim.Time.of_us (next_checkpoint + 1000 + (1000 * i))))
+      ~src:(Dsim.Addr.v "10.1.0.10" 9) ~dst:(Dsim.Addr.v "10.2.0.10" 9) (String.make 1000 'x')
+  in
+  let records = benign @ List.init (160 + 64) other in
+  let path = tmp_path ".pcap" and snap = tmp_path ".ck" and capture = tmp_path ".pcap" in
+  let journal = snap ^ ".journal" in
+  Vids.Pcap.write_file path records;
+  let config =
+    {
+      daemon_config with
+      Ingest.Daemon.checkpoint_every_s = 0.5;
+      snapshot_path = Some snap;
+      journal_path = Some journal;
+      record_path = Some capture;
+    }
+  in
+  let kill_batch = (List.length benign + 160 + 31) / 32 in
+  let hard_kill = ref false and batches = ref 0 in
+  let killed =
+    run_daemon ~config ~hard_kill
+      ~on_batch:(fun () ->
+        incr batches;
+        if !batches = kill_batch then hard_kill := true)
+      [ Ingest.Daemon.Pcap_file { path; pace = false } ]
+  in
+  check "torn tee: killed" true (killed.Ingest.Daemon.stop_reason = Ingest.Daemon.Killed);
+  let tee = read_bytes capture in
+  let whole =
+    match Vids.Pcap.read_file capture with
+    | Ok (rs, _, _) -> rs
+    | Error e -> Alcotest.failf "torn tee: %s" e
+  in
+  let before_cut = List.filteri (fun i _ -> i < List.length whole - 1) whole in
+  let frame_bytes (r : Vids.Trace.record) = 16 + 14 + 20 + 8 + String.length r.Vids.Trace.payload in
+  write_bytes capture
+    (String.sub tee 0 (24 + List.fold_left (fun n r -> n + frame_bytes r) 20 before_cut));
+  let recovered =
+    Vids.Recovery.recover_files ~journal_path:journal ~trace_path:capture ~snapshot_path:snap ()
+  in
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ path; snap; snap ^ ".1"; journal; capture ];
+  match recovered with
+  | Error e -> Alcotest.failf "torn tee: recovery: %s" e
+  | Ok fr ->
+      let o = fr.Vids.Recovery.outcome in
+      check "torn tee: records after the checkpoint replayed" true (o.Vids.Recovery.replayed > 0);
+      Alcotest.(check (list string))
+        "torn tee: the truncated tail is listed" [ "truncated tail" ]
+        (List.map snd fr.Vids.Recovery.trace_skipped);
+      let at = Dsim.Scheduler.now o.Vids.Recovery.sched in
+      let _sched, offline = Vids.Trace.replay_until ~until:at before_cut in
+      check_str "torn tee: recovered digest equals replay of the records before the cut"
+        (Vids.Snapshot.digest ~at offline)
+        (Vids.Snapshot.digest ~at o.Vids.Recovery.engine)
 
 let daemon_hard_kill_recovers () =
   let records = flood_then_benign () in
@@ -639,19 +723,19 @@ let daemon_hard_kill_recovers () =
       let o = fr.Vids.Recovery.outcome in
       let at = Dsim.Scheduler.now o.Vids.Recovery.sched in
       let dispatched_records =
-        match open_in_bin capture with
-        | ic ->
-            let rs, bad = Vids.Trace.load_lenient ic in
-            close_in ic;
+        match Vids.Pcap.read_file capture with
+        | Ok (rs, bad, _) ->
             check_int "capture parses cleanly" 0 (List.length bad);
             rs
+        | Error e -> Alcotest.failf "capture: %s" e
       in
       let _sched, offline = Vids.Trace.replay_until ~until:at dispatched_records in
       check_str "recovered digest equals replay of the capture"
         (Vids.Snapshot.digest ~at offline)
         (Vids.Snapshot.digest ~at o.Vids.Recovery.engine));
   List.iter (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; snap; snap ^ ".1"; journal; capture ]
+    [ path; snap; snap ^ ".1"; journal; capture ];
+  hard_kill_torn_tee ()
 
 (* ------------------------------------------------------------------ *)
 (* Daemon: soak under a memory ceiling                                 *)
@@ -680,7 +764,7 @@ let soak_ceiling =
 let daemon_soak_holds_memory_flat () =
   let records = by_time (Test_recovery.make_trace ~calls:8000) in
   let path = tmp_path ".pcap" and snap = tmp_path ".ck" in
-  Ingest.Pcap.write_file path records;
+  Vids.Pcap.write_file path records;
   let config =
     {
       Ingest.Daemon.default with
@@ -773,7 +857,7 @@ let daemon_udp_quarantine_and_detection () =
           in
           let report =
             run_daemon
-              ~config:{ daemon_config with Ingest.Daemon.quarantine_threshold = 5 }
+              ~config:daemon_config
               ~stop
               ~on_batch:(fun () ->
                 incr batches;
@@ -821,7 +905,7 @@ let suite =
         tc "manual clock" manual_clock;
         tc "system clock monotone" system_clock_monotone;
         tc "pcap round-trip" pcap_roundtrip;
-        tc "pcap non-IP host mapping" pcap_nonip_hosts;
+        tc "pcap refuses non-IP hosts and ports above 65535" pcap_refuses_unwritable_addresses;
         tc "pcap every octet" pcap_every_octet;
         tc "pcap torn record header flags the tail" pcap_torn_tail;
         pcap_dotted_quad_roundtrip;
@@ -839,7 +923,7 @@ let suite =
         tc "daemon paced run under manual clock" daemon_paced_run;
         tc "daemon SIGTERM preserves earned alerts" daemon_sigterm_preserves_alerts;
         tc "daemon hard kill recovers through Recovery" daemon_hard_kill_recovers;
-        tc "enforced recovery skips an out-of-range port" enforced_recovery_skips_out_of_range_port;
+        tc "enforced recovery skips a non-UDP frame" enforced_recovery_skips_a_non_udp_frame;
         tc "enforced recovery applies a journaled rule" enforced_recovery_applies_journaled_rule;
         tc "daemon quarantines hostile UDP source, still detects" daemon_udp_quarantine_and_detection;
         tc "daemon soak holds memory flat under a ceiling" daemon_soak_holds_memory_flat;

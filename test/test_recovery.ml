@@ -248,36 +248,6 @@ let crc32_matches_reference () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-let host_gen =
-  QCheck.Gen.(
-    map
-      (fun (a, b, c, d) -> Printf.sprintf "%d.%d.%d.%d" a b c d)
-      (quad (int_range 0 255) (int_range 0 255) (int_range 0 255) (int_range 0 255)))
-
-let trace_record_gen =
-  QCheck.Gen.(
-    map
-      (fun (at, (sh, sp), (dh, dp), payload) ->
-        {
-          Vids.Trace.at = Dsim.Time.of_us at;
-          src = Dsim.Addr.v sh sp;
-          dst = Dsim.Addr.v dh dp;
-          payload;
-        })
-      (quad (int_range 0 1_000_000_000)
-         (pair host_gen (int_range 1 65535))
-         (pair host_gen (int_range 1 65535))
-         (string_size ~gen:any_byte (int_range 0 200))))
-
-let trace_record_arb = QCheck.make ~print:Vids.Trace.record_to_line trace_record_gen
-
-let trace_line_roundtrip =
-  q "trace: record_of_line (record_to_line r) = r (arbitrary payload bytes)" trace_record_arb
-    (fun r ->
-      match Vids.Trace.record_of_line (Vids.Trace.record_to_line r) with
-      | Ok r' -> r' = r
-      | Error _ -> false)
-
 let alert_gen =
   QCheck.Gen.(
     map
@@ -518,7 +488,7 @@ let journal_lenient_load () =
   let torn = String.sub (Vids.Journal.entry_to_line e3) 0 12 in
   let content = String.concat "\n" (good @ [ "not a journal line at all"; torn ]) ^ "\n" in
   with_temp_file content (fun path ->
-      match Vids.Journal.load_lenient path with
+      match Vids.Journal.load path with
       | Error e -> Alcotest.failf "load failed: %s" e
       | Ok (entries, skipped) ->
           check_int "three entries survive" 3 (List.length entries);
@@ -545,23 +515,6 @@ let journal_suffix_split () =
   (* No marker: timestamp fallback. *)
   check_int "timestamp fallback" 1
     (List.length (Vids.Journal.suffix_after ~seq:99 ~at:(ms 20.) entries))
-
-let trace_lenient_load () =
-  let r1 =
-    { Vids.Trace.at = ms 1.; src = sip_addr "10.0.0.1"; dst = sip_addr "10.0.0.2"; payload = "x" }
-  in
-  let r2 = { r1 with Vids.Trace.at = ms 2.; payload = "line\nwith\nnewlines\x00\xff" } in
-  let content =
-    String.concat "\n"
-      [ Vids.Trace.record_to_line r1; "garbage here"; Vids.Trace.record_to_line r2; "1 2 3 zz" ]
-    ^ "\n"
-  in
-  with_temp_file content (fun path ->
-      let ic = open_in_bin path in
-      let records, skipped = Vids.Trace.load_lenient ic in
-      close_in ic;
-      check "good records kept" true (records = [ r1; r2 ]);
-      check "bad lines reported" true (List.map fst skipped = [ 2; 4 ]))
 
 (* ------------------------------------------------------------------ *)
 (* Files: rotation and fallback                                        *)
@@ -606,6 +559,23 @@ let rotation_and_fallback () =
           (match Vids.Recovery.recover_files ~snapshot_path:path () with
           | Ok _ -> Alcotest.fail "recovered from two corrupt snapshots"
           | Error e -> check "diagnostic names both files" true (String.length e > 0)))
+
+(* A capture that is not pcap, such as a text tee an older daemon wrote,
+   is refused by name rather than replayed as an empty suffix. *)
+let non_pcap_capture_refused () =
+  let snap = Filename.temp_file "vids-ckpt" ".snap" in
+  Vids.Snapshot.save ~path:snap
+    (Vids.Snapshot.capture ~seq:1 ~at:Dsim.Time.zero
+       (Vids.Engine.create (Dsim.Scheduler.create ())));
+  let text = "1000 10.1.0.2:5060 10.2.0.2:5060 494e56495445\n" in
+  with_temp_file text (fun path ->
+      let recovered = Vids.Recovery.recover_files ~trace_path:path ~snapshot_path:snap () in
+      Sys.remove snap;
+      match recovered with
+      | Ok _ -> Alcotest.fail "a text capture was replayed"
+      | Error e ->
+          check (Printf.sprintf "the error %S names the file" e) true
+            (String.starts_with ~prefix:path e))
 
 (* ------------------------------------------------------------------ *)
 (* Journal merge semantics                                             *)
@@ -704,26 +674,12 @@ let journal_corruption_fuzz =
     (QCheck.Test.make ~name:"journal: corruption never raises, keeps CRC-valid prefix"
        ~count:300 corruption_arb (fun op ->
          with_corrupt_file journal_fixture_lines op (fun path intact ->
-             match Vids.Journal.load_lenient path with
+             match Vids.Journal.load path with
              | Error e -> QCheck.Test.fail_reportf "load refused to open: %s" e
              | Ok (entries, _bad) ->
                  prefix_matches
                    (List.map Vids.Journal.entry_to_line entries)
                    journal_fixture_lines intact)))
-
-let trace_fixture_lines = List.map Vids.Trace.record_to_line (make_trace ~calls:4)
-
-let trace_corruption_fuzz =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"trace: corruption never raises, keeps CRC-valid prefix"
-       ~count:300 corruption_arb (fun op ->
-         with_corrupt_file trace_fixture_lines op (fun path intact ->
-             let ic = open_in_bin path in
-             let records, _bad = Vids.Trace.load_lenient ic in
-             close_in ic;
-             prefix_matches
-               (List.map Vids.Trace.record_to_line records)
-               trace_fixture_lines intact)))
 
 (* ------------------------------------------------------------------ *)
 
@@ -735,7 +691,6 @@ let suite =
         hex_matches_reference;
         tc "unhex accepts exactly hex digits" unhex_accepts_exactly_hex_digits;
         tc "crc32 matches a byte-wise reference" crc32_matches_reference;
-        trace_line_roundtrip;
         journal_line_roundtrip;
         tc "snapshot text round-trip" snapshot_text_roundtrip;
         tc "snapshot restore digest" snapshot_restore_digest;
@@ -745,10 +700,9 @@ let suite =
         tc "snapshot version skew rejected" snapshot_version_skew;
         tc "journal lenient load" journal_lenient_load;
         tc "journal suffix split" journal_suffix_split;
-        tc "trace lenient load" trace_lenient_load;
         tc "checkpoint rotation and fallback" rotation_and_fallback;
+        tc "a capture that is not pcap is refused by name" non_pcap_capture_refused;
         tc "journal merge idempotent" merge_idempotent;
         journal_corruption_fuzz;
-        trace_corruption_fuzz;
       ] );
   ]
