@@ -449,7 +449,14 @@ let parse_listen spec =
 let ingest_report_json ?profile (r : Ingest.Daemon.report) =
   let module J = Obs.Json in
   let q = r.Ingest.Daemon.queue in
-  let quar = r.Ingest.Daemon.quarantine in
+  let capture (path, (s : Vids.Pcap.stats)) =
+    J.obj
+      [
+        ("path", J.quote path); ("frames", J.int s.Vids.Pcap.frames);
+        ("records", J.int s.Vids.Pcap.records); ("skipped", J.int s.Vids.Pcap.skipped);
+        ("truncated_tail", J.bool s.Vids.Pcap.truncated_tail);
+      ]
+  in
   J.obj
     ([
        ( "ingest",
@@ -465,10 +472,7 @@ let ingest_report_json ?profile (r : Ingest.Daemon.report) =
              ("queue_shed_media", J.int q.Ingest.Shed_queue.shed_media);
              ("queue_shed_oldest", J.int q.Ingest.Shed_queue.shed_oldest);
              ("queue_peak_depth", J.int q.Ingest.Shed_queue.peak_depth);
-             ("quarantine_errors", J.int quar.Ingest.Quarantine.errors);
-             ("quarantined_sources", J.int quar.Ingest.Quarantine.quarantines);
-             ("quarantine_dropped", J.int quar.Ingest.Quarantine.dropped);
-             ("quarantine_active", J.int quar.Ingest.Quarantine.active);
+             ("captures", J.arr (List.map capture r.Ingest.Daemon.pcap));
              ("dispatch_p99_us",
               J.float (1e6 *. Dsim.Stat.Quantiles.p99 r.Ingest.Daemon.dispatch));
              ("horizon_us", J.int (Dsim.Time.to_us r.Ingest.Daemon.horizon));
@@ -488,7 +492,6 @@ let print_capture ppf path (s : Vids.Pcap.stats) =
 
 let print_ingest_report (r : Ingest.Daemon.report) =
   let q = r.Ingest.Daemon.queue in
-  let quar = r.Ingest.Daemon.quarantine in
   Format.printf "ingestion stopped: %s at %a@."
     (stop_reason_string r.Ingest.Daemon.stop_reason)
     Dsim.Time.pp r.Ingest.Daemon.horizon;
@@ -498,10 +501,6 @@ let print_ingest_report (r : Ingest.Daemon.report) =
     (q.Ingest.Shed_queue.shed_media + q.Ingest.Shed_queue.shed_oldest)
     q.Ingest.Shed_queue.shed_media q.Ingest.Shed_queue.shed_oldest
     q.Ingest.Shed_queue.peak_depth;
-  if quar.Ingest.Quarantine.errors > 0 then
-    Format.printf "quarantine: %d errors charged, %d sources quarantined, %d datagrams dropped@."
-      quar.Ingest.Quarantine.errors quar.Ingest.Quarantine.quarantines
-      quar.Ingest.Quarantine.dropped;
   List.iter (fun (path, s) -> print_capture Format.std_formatter path s) r.Ingest.Daemon.pcap;
   List.iter
     (fun (s : Ingest.Udp_source.stats) ->
@@ -731,7 +730,7 @@ let profile_workload seed minutes attacks json obs =
       List.iter
         (fun r ->
           Obs.Prof.enter prof Obs.Prof.Drive;
-          ignore (Vids.Trace.step player r);
+          Vids.Trace.step player r;
           Obs.Prof.exit prof Obs.Prof.Drive)
         records;
       (* Close detector windows and grace timers under the same
@@ -1184,9 +1183,10 @@ let enforce_term =
       value & flag
       & info [ "enforce" ]
           ~doc:
-            "Prevention mode: act on alerts — drop flooding sources, rate-limit media \
-             floods, tear down hijacked calls.  Decisions are journaled and checkpointed \
-             so they survive a crash.")
+            "Prevention mode: act on alerts and parse failures — drop flooding sources and \
+             endpoints that keep sending what does not parse, rate-limit media floods, tear \
+             down hijacked calls.  Decisions are journaled and checkpointed so they survive \
+             a crash.")
   in
   let block_ttl =
     Arg.(

@@ -10,17 +10,38 @@ type t = {
   engine : Engine.t;
   snapshot_path : string option;
   writer : Journal.writer option;
-  tee : out_channel option;
+  tee : (out_channel * Pcap.writer) option;
   counter : Obs.Metrics.counter option;
   seconds : Obs.Metrics.histogram option;
   mutable ext : unit -> (string * string) list;
   mutable seq : int;
 }
 
-let create ?tee ?counter ?snapshot_path ?journal_path sched engine =
+let flush_tee t = Option.iter (fun (oc, _) -> flush oc) t.tee
+
+(* The tee is flushed before every append: no alert or decision is
+   durable ahead of the record that caused it. *)
+let journal t entry =
+  match t.writer with
+  | None -> ()
+  | Some w ->
+      flush_tee t;
+      Journal.append w entry
+
+let create ?record_path ?counter ?snapshot_path ?journal_path sched engine =
   let registry = Engine.metrics_registry engine in
   let writer = Option.map (Journal.create_writer ?registry) journal_path in
-  Option.iter (fun w -> Journal.attach w engine) writer;
+  (* The tee's pcap header is on disk before the first record, so a kill
+     at any point leaves a capture recovery can read. *)
+  let tee =
+    Option.map
+      (fun p ->
+        let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 p in
+        let w = Pcap.to_channel oc in
+        flush oc;
+        (oc, w))
+      record_path
+  in
   let seconds =
     match (registry, snapshot_path) with
     | Some m, Some _ ->
@@ -29,9 +50,17 @@ let create ?tee ?counter ?snapshot_path ?journal_path sched engine =
              ~help:"Wall-clock duration of one checkpoint (capture, save, journal marker, fsync)")
     | _ -> None
   in
-  { sched; engine; snapshot_path; writer; tee; counter; seconds; ext = (fun () -> []); seq = 0 }
+  let t =
+    { sched; engine; snapshot_path; writer; tee; counter; seconds; ext = (fun () -> []); seq = 0 }
+  in
+  if writer <> None then begin
+    Engine.on_alert engine (fun a -> journal t (Journal.Alert a));
+    Engine.on_eviction engine (fun ~at ~subject ~detail ->
+        journal t (Journal.Eviction { at; subject; detail }))
+  end;
+  t
 
-let journal t entry = Option.iter (fun w -> Journal.append w entry) t.writer
+let tee t = Option.map snd t.tee
 let set_ext t ext = t.ext <- ext
 let taken t = t.seq
 
@@ -46,7 +75,7 @@ let take t =
       let t0 = match t.seconds with None -> 0.0 | Some _ -> Unix.gettimeofday () in
       (* A kill -9 must not leave a snapshot whose replay suffix is still
          sitting in the tee's buffer. *)
-      Option.iter flush t.tee;
+      flush_tee t;
       let at = Dsim.Scheduler.now t.sched in
       Snapshot.save ~path (Snapshot.capture ~seq:(t.seq + 1) ~ext:(t.ext ()) ~at t.engine);
       t.seq <- t.seq + 1;
@@ -79,4 +108,12 @@ let arm t ~every ?until () =
     arm_at (Dsim.Time.add (Dsim.Scheduler.now t.sched) every)
   end
 
-let close t = Option.iter Journal.close_writer t.writer
+let close t =
+  Option.iter
+    (fun (oc, _) ->
+      flush oc;
+      (try Unix.fsync (Unix.descr_of_out_channel oc)
+       with Unix.Unix_error _ | Sys_error _ | Invalid_argument _ -> ());
+      close_out_noerr oc)
+    t.tee;
+  Option.iter Journal.close_writer t.writer

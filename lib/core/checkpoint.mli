@@ -3,7 +3,10 @@
     The live daemon, [--checkpoint-interval] on [simulate], [detect] and
     [analyze], and the [profile] command all checkpoint through this
     module, so every checkpoint file and journal is written the same way
-    and {!Recovery} has one format to read.  A step runs, in order:
+    and {!Recovery} has one format to read.  It owns the record tee too,
+    because the tee is written ahead of the journal: every journal
+    append flushes the tee first, so the capture holds every record
+    whose alert or decision the journal holds.  A step runs, in order:
 
     + flush the record tee, so the capture is durable at least up to the
       snapshot instant (recovery replays the records after it);
@@ -22,7 +25,7 @@
 type t
 
 val create :
-  ?tee:out_channel ->
+  ?record_path:string ->
   ?counter:Obs.Metrics.counter ->
   ?snapshot_path:string ->
   ?journal_path:string ->
@@ -32,15 +35,21 @@ val create :
 (** Opens the journal at [journal_path] (append, create) and subscribes
     it to the engine's alerts and evictions.  Without [snapshot_path]
     {!take} and {!arm} do nothing; without [journal_path] nothing is
-    journaled.  [tee] is the record capture to flush before each
-    snapshot; [counter] is ticked once per checkpoint saved.  With a
-    snapshot path and a metrics registry on the engine, each step's
-    wall-clock duration is observed into [vids_checkpoint_seconds].  Call
-    after the engine's telemetry is attached. *)
+    journaled.  [record_path] opens the record tee there: a pcap capture
+    ({!Pcap}, truncated) whose header is on disk when [create] returns,
+    so a kill at any point leaves a capture recovery can read.
+    [counter] is ticked once per checkpoint saved.  With a snapshot path
+    and a metrics registry on the engine, each step's wall-clock
+    duration is observed into [vids_checkpoint_seconds].  Call after the
+    engine's telemetry is attached. *)
+
+val tee : t -> Pcap.writer option
+(** The record tee.  Write each record to it before its step, stamped
+    with the instant the step delivers it at ({!Trace.stamp}). *)
 
 val journal : t -> Journal.entry -> unit
-(** Appends one entry (write-ahead, flushed); a no-op without a
-    journal.  Shaped for [Enforcer.create ~journal]. *)
+(** Flushes the tee, then appends one entry (write-ahead, flushed); a
+    no-op without a journal.  Shaped for [Enforcer.create ~journal]. *)
 
 val set_ext : t -> (unit -> (string * string) list) -> unit
 (** The (tag, payload) extension records to store in every later
@@ -59,4 +68,4 @@ val taken : t -> int
     number. *)
 
 val close : t -> unit
-(** Fsyncs and closes the journal. *)
+(** Fsyncs and closes the tee, then the journal. *)

@@ -123,10 +123,6 @@ let close_writer w =
     close_out w.oc
   end
 
-let attach w engine =
-  Engine.on_alert engine (fun alert -> append w (Alert alert));
-  Engine.on_eviction engine (fun ~at ~subject ~detail -> append w (Eviction { at; subject; detail }))
-
 (* --------------------------------------------------------------- *)
 (* Loading                                                          *)
 (* --------------------------------------------------------------- *)
@@ -151,9 +147,13 @@ let load path =
   match open_in_bin path with
   | exception Sys_error e -> Error e
   | ic ->
-      let result = load_channel ic in
-      close_in ic;
-      Ok result
+      let result =
+        match load_channel ic with
+        | loaded -> Ok loaded
+        | exception Sys_error e -> Error (path ^ ": " ^ e)
+      in
+      close_in_noerr ic;
+      result
 
 (* --------------------------------------------------------------- *)
 (* Recovery suffix                                                  *)

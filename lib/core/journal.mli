@@ -53,16 +53,12 @@ val fsync_writer : writer -> unit
 val close_writer : writer -> unit
 (** Fsyncs, then closes. *)
 
-val attach : writer -> Engine.t -> unit
-(** Subscribes the writer to the engine's alert and eviction streams so
-    every subsequent event is journaled write-ahead. *)
-
 (** {1 Reading} *)
 
 val load : string -> (entry list * (int * string) list, string) result
 (** Loads leniently: a torn or corrupt line is skipped and reported as
-    [(line, reason)].  [Error] only when the file itself cannot be
-    opened. *)
+    [(line, reason)].  [Error], naming the file, only when the file
+    itself cannot be opened or read (a directory, say). *)
 
 val suffix_after : seq:int -> at:Dsim.Time.t -> entry list -> entry list
 (** Entries recorded after the [Checkpoint] marker with the given sequence

@@ -46,3 +46,8 @@ let st_invite_flood = "FLOOD_ATTACK"
 let st_media_spam = "MEDIA_SPAM_ATTACK"
 let st_rtp_flood = "RTP_FLOOD_ATTACK"
 let st_drdos = "DRDOS_ATTACK"
+
+(* Hosts on the wire are almost always lowercase already: copy only the
+   rare mixed-case one. *)
+let canonical_host h =
+  if String.exists (fun c -> c >= 'A' && c <= 'Z') h then String.lowercase_ascii h else h

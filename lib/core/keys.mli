@@ -1,6 +1,7 @@
 (** Names shared by the event distributor and the machine specs: event
     parameters, event names, machine names and the states the engine
-    maps to alerts. *)
+    maps to alerts; and the canonical form of a host wherever one keys
+    state. *)
 
 (** {1 Event parameters (the input vector x̄)}
 
@@ -79,3 +80,11 @@ val st_media_spam : string
 val st_rtp_flood : string
 
 val st_drdos : string
+
+(** {1 Canonical keys} *)
+
+val canonical_host : string -> string
+(** A host as a key: lowercased, since hosts compare case-insensitively
+    (RFC 3261 §19.1.4).  One host keys one detector ({!Sip_event.flood_key})
+    and one enforcement rule or strike count ([Enforce.Source_key])
+    however it is spelled. *)

@@ -101,14 +101,10 @@ let recover_files ?config ?prepare ?on_snapshot ?on_ext ?gate ?journal_path ?tra
            (List.map (fun (p, e) -> Printf.sprintf "%s: %s" p e) rejected))
   | Ok (snapshot, used_path, used_fallback, rejected) -> (
       (match on_snapshot with None -> () | Some f -> f snapshot);
-      let journal, journal_skipped =
+      let journal =
         match journal_path with
-        | None -> ([], [])
-        | Some p when not (Sys.file_exists p) -> ([], [])
-        | Some p -> (
-            match Journal.load p with
-            | Ok (entries, skipped) -> (entries, skipped)
-            | Error _ -> ([], []))
+        | Some p when Sys.file_exists p -> Journal.load p
+        | _ -> Ok ([], [])
       in
       let trace =
         match trace_path with
@@ -116,9 +112,9 @@ let recover_files ?config ?prepare ?on_snapshot ?on_ext ?gate ?journal_path ?tra
             Result.map (fun (records, skipped, _) -> (records, skipped)) (Pcap.read_file p)
         | _ -> Ok ([], [])
       in
-      match trace with
-      | Error e -> Error e
-      | Ok (trace, trace_skipped) ->
+      match (journal, trace) with
+      | Error e, _ | _, Error e -> Error e
+      | Ok (journal, journal_skipped), Ok (trace, trace_skipped) ->
           Result.map
             (fun outcome ->
               {

@@ -80,5 +80,6 @@ val recover_files :
     treated as empty.  [on_snapshot] sees the loaded snapshot (after
     fallback selection, before any restore) — the hook for reading its
     {!Snapshot.ext} records.  [Error] when no snapshot at all can be
-    validated, or when the capture cannot be read or is not a pcap file
-    (the message names it). *)
+    validated, when the journal cannot be read, or when the capture
+    cannot be read or is not a pcap file (the message names the
+    file). *)

@@ -66,13 +66,6 @@ let media_of_event event =
   | V.Str host, V.Int port -> Some (Dsim.Addr.v host port)
   | _ -> None
 
-(* Hosts compare case-insensitively (RFC 3261 §19.1.4), so one
-   destination must key one detector however its host is spelled.  Hosts
-   on the wire are almost always lowercase already: copy only the rare
-   mixed-case one. *)
-let lowercase_host h =
-  if String.exists (fun c -> c >= 'A' && c <= 'Z') h then String.lowercase_ascii h else h
-
 let hex_digit c =
   match c with
   | '0' .. '9' -> Char.code c - 48
@@ -118,5 +111,5 @@ let flood_key msg =
   match msg.Sip.Msg.start with
   | Sip.Msg.Request { meth = Sip.Msg_method.INVITE; uri } ->
       let user = match uri.Sip.Uri.user with Some u -> unescape_user u | None -> "" in
-      Some (user ^ "@" ^ lowercase_host uri.Sip.Uri.host)
+      Some (user ^ "@" ^ Keys.canonical_host uri.Sip.Uri.host)
   | Sip.Msg.Request _ | Sip.Msg.Response _ -> None

@@ -31,11 +31,17 @@ let player ?gate sched engine =
   let deliver = match gate with Some f -> f | None -> Engine.process_packet engine in
   { sched; deliver; alloc = Dsim.Packet.allocator () }
 
-let step p r =
-  let at = Dsim.Time.max r.at (Dsim.Scheduler.now p.sched) in
-  Dsim.Scheduler.advance_to p.sched at;
-  p.deliver (Dsim.Packet.make p.alloc ~src:r.src ~dst:r.dst ~sent_at:at r.payload);
+(* The clock never moves backwards. *)
+let instant p r = Dsim.Time.max r.at (Dsim.Scheduler.now p.sched)
+
+let stamp p r =
+  let at = instant p r in
   if at = r.at then r else { r with at }
+
+let step p r =
+  let at = instant p r in
+  Dsim.Scheduler.advance_to p.sched at;
+  p.deliver (Dsim.Packet.make p.alloc ~src:r.src ~dst:r.dst ~sent_at:at r.payload)
 
 (* Captures are chronological, so most inputs need no sort (nor its
    allocation). *)
@@ -53,7 +59,7 @@ let play ?(decisions = []) ?until p records =
   let rec go rs ds =
     match (rs, ds) with
     | r :: rs', _ when within r.at && record_first r ds ->
-        ignore (step p r);
+        step p r;
         go rs' ds
     | _, (at, decide) :: ds' when within at ->
         Dsim.Scheduler.advance_to p.sched at;

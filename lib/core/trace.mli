@@ -51,11 +51,14 @@ val player : ?gate:(Dsim.Packet.t -> unit) -> Dsim.Scheduler.t -> Engine.t -> pl
     delivery instead of [Engine.process_packet]: an enforcement layer
     passes its own, so a replay drops the packets the live run dropped. *)
 
-val step : player -> record -> record
+val stamp : player -> record -> record
+(** The record as {!step} would deliver it now: the clock never moves
+    backwards, so a record stamped before the current instant is
+    delivered at it.  What the daemon's tee writes, before the step. *)
+
+val step : player -> record -> unit
 (** Runs the timers due strictly before the record's instant, then
-    delivers it.  The clock never moves backwards: a record stamped
-    earlier is delivered at the current instant, and comes back with that
-    instant (what the daemon's tee writes). *)
+    delivers it, at its {!stamp}. *)
 
 val play :
   ?decisions:(Dsim.Time.t * (unit -> unit)) list ->

@@ -30,8 +30,11 @@ type stats = {
   limited : int;
 }
 
+type strike = { s_key : Source_key.t; mutable count : int; mutable until : Dsim.Time.t }
+
 type t = {
   table : (scope, rule) Hashtbl.t;
+  strikes : (int, strike) Hashtbl.t;  (** By slot; see [strike]. *)
   t_max_rules : int;
   on_expire : scope -> unit;
   mutable next_serial : int;
@@ -54,6 +57,7 @@ let create ?(max_rules = 4096) ?(on_expire = fun _ -> ()) () =
   if max_rules <= 0 then invalid_arg "Block_table.create: max_rules must be positive";
   {
     table = Hashtbl.create 64;
+    strikes = Hashtbl.create 16;
     t_max_rules = max_rules;
     on_expire;
     next_serial = 0;
@@ -208,6 +212,34 @@ let decide t ~now ~src ~dst =
         in
         charge matched
 
+(* --------------------------------------------------------------- *)
+(* Strikes                                                          *)
+(* --------------------------------------------------------------- *)
+
+(* A key counts in the one slot its hash picks out of [t_max_rules], and
+   a key charged into a slot that another key holds takes it over.  The
+   slot depends on the key alone, never on the table's history, so a
+   restored table evicts exactly as the live one would.  A count whose
+   window has lapsed restarts on its next charge, so it is as good as an
+   empty slot, and [serialize] leaves it out. *)
+let slot t key = Hashtbl.hash key mod t.t_max_rules
+
+let strike t ~now ~window ~threshold key =
+  let slot = slot t key in
+  let s =
+    match Hashtbl.find_opt t.strikes slot with
+    | Some s when s.s_key = key && Dsim.Time.( <= ) now s.until -> s
+    | _ ->
+        let s = { s_key = key; count = 0; until = Dsim.Time.add now window } in
+        Hashtbl.replace t.strikes slot s;
+        s
+  in
+  s.count <- s.count + 1;
+  if s.count < threshold then false
+  else (
+    Hashtbl.remove t.strikes slot;
+    true)
+
 let rules t ~now =
   ignore (purge_expired t ~now);
   let all = Hashtbl.fold (fun _ r acc -> r :: acc) t.table [] in
@@ -256,20 +288,30 @@ let bucket_lines r =
       Printf.sprintf "B %s %h %d" (Codec.hex k) b.tokens (Dsim.Time.to_us b.last))
     entries
 
+let strike_lines t ~now =
+  let live =
+    Hashtbl.fold
+      (fun _ s acc ->
+        if Dsim.Time.( <= ) now s.until then (Source_key.to_string s.s_key, s) :: acc else acc)
+      t.strikes []
+  in
+  List.map
+    (fun (k, s) -> Printf.sprintf "S %s %d %d" (Codec.hex k) s.count (Dsim.Time.to_us s.until))
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) live)
+
 let serialize t ~now =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "ENF 1 %d\n" (if t.t_lockdown then 1 else 0));
+  let add l =
+    Buffer.add_string buf l;
+    Buffer.add_char buf '\n'
+  in
+  add (Printf.sprintf "ENF 1 %d" (if t.t_lockdown then 1 else 0));
   List.iter
     (fun r ->
-      Buffer.add_string buf (rule_line ~hits:r.hits r);
-      Buffer.add_char buf '\n';
-      List.iter
-        (fun l ->
-          Buffer.add_string buf l;
-          Buffer.add_char buf '\n')
-        (bucket_lines r))
+      add (rule_line ~hits:r.hits r);
+      List.iter add (bucket_lines r))
     (rules t ~now);
+  List.iter add (strike_lines t ~now);
   Buffer.contents buf
 
 let ( let* ) = Result.bind
@@ -371,6 +413,7 @@ let parse_bucket_tokens = function
 
 let restore t payload =
   Hashtbl.reset t.table;
+  Hashtbl.reset t.strikes;
   t.next_serial <- 0;
   let lines = String.split_on_char '\n' payload in
   let lines = List.filter (fun l -> l <> "") lines in
@@ -392,6 +435,12 @@ let restore t payload =
             Hashtbl.replace r.buckets key b;
             Ok ()
         | None -> Error "bucket line before any rule")
+    | [ "S"; keyhex; count; until ] ->
+        let* key = Result.bind (Codec.unhex keyhex) Source_key.of_string in
+        let* count = Codec.int_tok count in
+        let* until = Codec.time_tok until in
+        Hashtbl.replace t.strikes (slot t key) { s_key = key; count; until };
+        Ok ()
     | _ -> Error (Printf.sprintf "unrecognized enforcement line %S" line)
   in
   let rec go = function
@@ -401,6 +450,7 @@ let restore t payload =
         | Ok () -> go rest
         | Error e ->
             Hashtbl.reset t.table;
+            Hashtbl.reset t.strikes;
             Error e)
   in
   go lines

@@ -22,7 +22,8 @@
 
     The canonical {!digest} covers the durable rule set (scopes, actions,
     deadlines, reasons) and excludes the volatile counters (hits, bucket
-    levels) — it is the enforcement analogue of [Snapshot.digest]. *)
+    levels, strikes) — it is the enforcement analogue of
+    [Snapshot.digest]. *)
 
 type scope =
   | Src of Source_key.t  (** Matches a datagram's source. *)
@@ -118,6 +119,16 @@ val decide : t -> now:Dsim.Time.t -> src:Dsim.Addr.t -> dst:Dsim.Addr.t -> verdi
     before any scope is built; otherwise the only string built is the
     bucket key of a matching [Dst] rate limit. *)
 
+val strike :
+  t -> now:Dsim.Time.t -> window:Dsim.Time.t -> threshold:int -> Source_key.t -> bool
+(** Charges one strike (the enforcer's: a parse failure) to the key:
+    [true] when it is the [threshold]th within [window] of the key's
+    first, which also clears the key's count.  Counts are held in
+    [max_rules] slots picked by the key's hash, and a key charged into a
+    slot another key holds takes it over: a source cycling ports cannot
+    grow the state, and the slot depends on the key alone, so a restored
+    table evicts exactly as the live one. *)
+
 val rules : t -> now:Dsim.Time.t -> rule list
 (** Active rules in install order (purges first). *)
 
@@ -128,7 +139,10 @@ val stats : t -> now:Dsim.Time.t -> stats
 
     Snapshot payload (multi-line): an [ENF 1 <lockdown>] header, then per
     rule an [R] line (identity, action, deadlines, hits, reason) followed
-    by its [B] bucket lines — tokens as hex floats for exact round-trip.
+    by its [B] bucket lines — tokens as hex floats for exact round-trip —
+    then an [S] line (key, count, window deadline) per {!strike} count
+    whose window is still open, sorted by key.  A table that holds no
+    such count writes no [S] line.
     Journal payloads are single [R] lines {e without} hits or buckets:
     replay re-derives the volatile state by re-running the gate. *)
 
@@ -149,7 +163,7 @@ val apply_rule_line : t -> keep_hits:bool -> string -> (unit, string) result
 
 val digest : t -> now:Dsim.Time.t -> string
 (** MD5 over the canonical active rule set plus the lockdown flag,
-    excluding volatile hits and bucket levels.  Two tables enforce
+    excluding volatile hits, bucket levels and strikes.  Two tables enforce
     equivalently iff their digests are equal. *)
 
 val to_text : t -> now:Dsim.Time.t -> string

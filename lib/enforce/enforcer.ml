@@ -144,6 +144,17 @@ let protect_victim t ~victim ~reason =
     (Block_table.Rate_limit { pps = t.p.rate_pps; burst = t.p.rate_burst })
     ~escalate:true ~reason
 
+(* Parse failures are evidence against the endpoint that sent them: this
+   many within [strike_window] of its first drop it like any
+   alert-driven rule, for the policy's TTL. *)
+let strikes = 8
+let strike_window = Dsim.Time.of_sec 10.0
+
+let charge_parse_failure t src =
+  let key = Source_key.of_addr src in
+  if Block_table.strike t.tbl ~now:(now t) ~window:strike_window ~threshold:strikes key then
+    install t (Block_table.Src key) Block_table.Drop ~escalate:false ~reason:"malformed-source"
+
 (* ---- forced call teardown ----------------------------------------- *)
 
 let do_teardown t ~call_id ~at =
@@ -221,9 +232,11 @@ let ingest t pkt =
   | Block_table.Pass ->
       t.passed <- t.passed + 1;
       t.current <- Some pkt;
+      let failures = Engine.malformed_packets t.eng in
       Fun.protect
         ~finally:(fun () -> t.current <- None)
         (fun () -> Engine.process_packet t.eng pkt);
+      if Engine.malformed_packets t.eng > failures then charge_parse_failure t src;
       true
   | Block_table.Blocked _ ->
       t.blocked <- t.blocked + 1;

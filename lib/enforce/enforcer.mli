@@ -15,10 +15,24 @@
       {e escalation}: any source that trips the limiter earns its own
       drop rule; the reflector source of the triggering packet is dropped
       outright.
+    - Parse failures → drop the sending endpoint: the gate charges each
+      packet the engine counts as malformed to its source endpoint
+      ({!Source_key.of_addr}, in virtual time), and the 8th within 10 s
+      of the endpoint's first installs a [Drop] rule for [block_ttl] with
+      reason [malformed-source].  The gate counts packets, not alerts:
+      the spec deviation a parse failure raises is reported once per
+      source.
     - Health alerts ([Engine_fault], [Resource_pressure],
       [Spec_deviation]) → never enforced on: they describe the engine,
       not an attacker, and acting on them would let a fault turn into an
       outage.
+
+    The malformed-source rule is a decision like the others, so it
+    exists only in prevention mode ([--enforce]).  Without a gate the
+    sensor is the paper's passive monitor: it drops nothing it received
+    but what the daemon's load shedding sheds, and a malformed datagram
+    is parsed, counted and reported as a spec deviation, whatever its
+    source sent before.
 
     Attribution uses the packet under analysis: alerts fire synchronously
     inside {!Vids.Engine.process_packet}, so the gate records the current
@@ -27,9 +41,9 @@
 
     Fault tolerance is the other half of the contract: every install,
     teardown and lockdown transition is journaled ({!Vids.Journal.Ext},
-    tag {!ext_tag}) and the full table (including token-bucket levels)
-    rides in each snapshot, so a [kill -9] recovers into the same
-    enforcement state — see {!Recover}. *)
+    tag {!ext_tag}) and the full table (including token-bucket levels
+    and strike counts) rides in each snapshot, so a [kill -9] recovers
+    into the same enforcement state — see {!Recover}. *)
 
 type policy = {
   block_ttl : Dsim.Time.t;  (** Rule lifetime; refreshes extend it. *)
@@ -40,7 +54,7 @@ type policy = {
           the gate down (drop everything) on rule-table overflow or a
           corrupt recovery payload; [false] (default) fails open —
           detection continues, enforcement degrades. *)
-  max_rules : int;
+  max_rules : int;  (** Bounds the rule table, and the strike counts. *)
 }
 
 val default_policy : policy
@@ -64,7 +78,8 @@ val create :
 val table : t -> Block_table.t
 
 val ingest : t -> Dsim.Packet.t -> bool
-(** The gated tap: decides, then delivers to the engine only on [Pass].
+(** The gated tap: decides, then delivers to the engine only on [Pass],
+    charging the packet's source if the engine could not parse it.
     Returns whether the packet was delivered.  This is the {e only} entry
     point prevention mode routes packets through — shaped for
     [Dsim.Network.set_tap] (ignore the result) and for the daemon's

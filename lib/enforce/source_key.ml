@@ -2,15 +2,11 @@
 
 type t = Host of string | Endpoint of string * int
 
-(* Hosts on the wire are almost always lowercase already: copy only the
-   ones that are not. *)
-let normalize h =
-  if String.exists (fun c -> c >= 'A' && c <= 'Z') h then String.lowercase_ascii h else h
-let host h = Host (normalize h)
+let host h = Host (Vids.Keys.canonical_host h)
 
 let endpoint h p =
   if p < 0 || p > 65535 then invalid_arg "Source_key.endpoint: port out of range";
-  Endpoint (normalize h, p)
+  Endpoint (Vids.Keys.canonical_host h, p)
 
 let of_addr (a : Dsim.Addr.t) = endpoint a.Dsim.Addr.host a.Dsim.Addr.port
 let host_of_addr (a : Dsim.Addr.t) = host a.Dsim.Addr.host

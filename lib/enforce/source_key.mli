@@ -1,12 +1,13 @@
-(** Canonical traffic-source identity shared by the enforcement block
-    table and the ingest quarantine.
+(** Canonical traffic-source identity: the key of every enforcement rule
+    and of the parse-failure strikes the enforcer charges.
 
-    Both subsystems key per-source state on attacker-controlled addresses;
-    using one normalization (lowercased host, explicit host-only vs
-    host:port distinction) guarantees that a source quarantined at the
-    parse boundary and the same source blocked by an alert-driven rule
-    agree on identity — and that neither can be split into two records by
-    case games in a hostname. *)
+    Keys are attacker-controlled addresses, so one normalization
+    ({!Vids.Keys.canonical_host}, the rule the detectors key on) and an
+    explicit host-only vs host:port distinction keep a source from being
+    split into two records by case games in a hostname.  Strikes and the
+    rules they earn are endpoint-scoped: NATed or loopback deployments
+    see many independent senders behind one IP, and one hostile socket
+    must not take its neighbours down with it. *)
 
 type t =
   | Host of string  (** Every port on the host — signaling-level blocks. *)

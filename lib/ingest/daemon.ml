@@ -47,7 +47,6 @@ type report = {
   parse_errors : int;
   checkpoints : int;
   queue : Shed_queue.stats;
-  quarantine : Quarantine.stats;
   pcap : (string * Vids.Pcap.stats) list;
   udp : Udp_source.stats list;
   dispatch : Dsim.Stat.Quantiles.t;
@@ -124,29 +123,15 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
         in
         Vids.Engine.set_telemetry engine ?metrics ?flight ();
         Vids.Engine.set_profiler engine prof;
-        let record_oc =
-          Option.map
-            (fun p -> open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 p)
-            config.record_path
-        in
-        (* The tee's pcap header is on disk before the first record, so a
-           kill at any point leaves a capture recovery can read. *)
-        let tee =
-          Option.map
-            (fun oc ->
-              let w = Vids.Pcap.to_channel oc in
-              flush oc;
-              w)
-            record_oc
-        in
         let ctr name help =
           Option.map (fun m -> Obs.Metrics.counter m name ~help) metrics
         in
         let ck =
-          Vids.Checkpoint.create ?tee:record_oc
+          Vids.Checkpoint.create ?record_path:config.record_path
             ?counter:(ctr "vids_ingest_checkpoints_total" "Checkpoints saved by the daemon")
             ?snapshot_path:config.snapshot_path ?journal_path:config.journal_path sched engine
         in
+        let tee = Vids.Checkpoint.tee ck in
         (* Prevention mode: the gate sits between the queue and the
            engine, its decisions are journaled write-ahead through the
            same writer as alerts, and the block table (with live
@@ -167,10 +152,8 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
           Shed_queue.create ?high_water:config.queue_high_water
             ~capacity:config.queue_capacity ()
         in
-        let quar = Quarantine.create () in
         let packets_c = ctr "vids_ingest_packets_total" "Records dispatched to the engine" in
         let shed_c = ctr "vids_ingest_shed_total" "Records refused or displaced by the ingest queue" in
-        let quarantines_c = ctr "vids_ingest_quarantines_total" "Sources entering quarantine" in
         let dispatch_h =
           Option.map
             (fun m ->
@@ -202,31 +185,21 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
                  enforcer)
         in
         let dispatched = ref 0 in
-        let parse_errors = ref 0 in
         Vids.Checkpoint.arm ck ~every:(Dsim.Time.of_sec config.checkpoint_every_s) ();
         let dispatch r =
           penter Obs.Prof.Drive;
-          let before = Vids.Engine.malformed_packets engine in
+          (* Into the tee before the step, so before any alert or decision
+             it causes reaches the journal.  A wall-timestamped datagram
+             can land behind a capture that raced ahead of real time; the
+             tee records the instant the step delivers it at. *)
+          (match tee with None -> () | Some w -> Vids.Pcap.write w (Vids.Trace.stamp player r));
           let t0 = Unix.gettimeofday () in
-          (* A wall-timestamped datagram can land behind a capture that
-             raced ahead of real time; the step delivers it at the current
-             instant, and the tee records that instant. *)
-          let r = Vids.Trace.step player r in
+          Vids.Trace.step player r;
           let dt = Unix.gettimeofday () -. t0 in
           Dsim.Stat.Quantiles.add quantiles dt;
           Option.iter (fun h -> Obs.Metrics.observe h dt) dispatch_h;
           incr dispatched;
           tick packets_c;
-          (match tee with None -> () | Some w -> Vids.Pcap.write w r);
-          let after = Vids.Engine.malformed_packets engine in
-          if after > before then begin
-            parse_errors := !parse_errors + (after - before);
-            if Quarantine.note_error quar ~now:(clock.Clock.now ()) ~src:r.Vids.Trace.src
-            then begin
-              tick quarantines_c;
-              note "quarantine" (Dsim.Addr.to_string r.Vids.Trace.src)
-            end
-          end;
           pexit Obs.Prof.Drive
         in
         let push r =
@@ -276,15 +249,13 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
                 note "source_dead" (Dsim.Addr.to_string (Udp_source.local_addr u));
               List.iter
                 (fun { Udp_source.src; payload } ->
-                  let now_s = clock.Clock.now () in
-                  if not (Quarantine.blocked quar ~now:now_s ~src) then
-                    push
-                      {
-                        Vids.Trace.at = vat now_s;
-                        src;
-                        dst = Udp_source.local_addr u;
-                        payload;
-                      })
+                  push
+                    {
+                      Vids.Trace.at = vat (clock.Clock.now ());
+                      src;
+                      dst = Udp_source.local_addr u;
+                      payload;
+                    })
                 ds;
               List.length ds
         in
@@ -368,13 +339,6 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
             | Killed -> assert false);
           Vids.Checkpoint.take ck;
           Vids.Checkpoint.close ck;
-          Option.iter
-            (fun oc ->
-              flush oc;
-              (try Unix.fsync (Unix.descr_of_out_channel oc)
-               with Unix.Unix_error _ | Sys_error _ | Invalid_argument _ -> ());
-              close_out_noerr oc)
-            record_oc;
           List.iter (function S_udp u -> Udp_source.close u | S_pcap _ -> ()) states;
           Option.iter (fun fl -> ignore (Obs.Trace.dump fl ~reason:"daemon shutdown")) flight
         end;
@@ -382,10 +346,9 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
           {
             stop_reason = reason;
             dispatched = !dispatched;
-            parse_errors = !parse_errors;
+            parse_errors = Vids.Engine.malformed_packets engine;
             checkpoints = Vids.Checkpoint.taken ck;
             queue = Shed_queue.stats queue;
-            quarantine = Quarantine.stats quar ~now:(clock.Clock.now ());
             pcap =
               List.filter_map
                 (function

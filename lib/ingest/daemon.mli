@@ -1,18 +1,19 @@
-(** The live-ingestion daemon: sources → quarantine → shed queue →
-    clock bridge → engine.
+(** The live-ingestion daemon: sources → shed queue → clock bridge →
+    (enforcement gate) → engine.
 
     This is the composition root of [lib/ingest]: it owns the single
     ingestion loop that polls every source, admits datagrams through the
-    per-source {!Quarantine} and the watermarked {!Shed_queue}, bridges
-    the wall clock onto the virtual clock, and dispatches each record
-    into a {!Vids.Engine} through {!Vids.Trace.step}, the step offline
-    replay and recovery use, so a live run orders every instant as they
-    do and converges to the same digest as a replay of its own
-    capture.
+    watermarked {!Shed_queue}, bridges the wall clock onto the virtual
+    clock, and dispatches each record into a {!Vids.Engine} through
+    {!Vids.Trace.step}, the step offline replay and recovery use, so a
+    live run orders every instant as they do and converges to the same
+    digest as a replay of its own capture.  The queue is the only place
+    it drops a record it received; under [--enforce] the gate drops what
+    its rules block, a source of repeated parse failures among them
+    ({!Enforce.Enforcer}).
 
     Robustness contract:
-    - Parse failures are counted and charged to the sending transport
-      address (quarantining repeat offenders), never fatal.
+    - Parse failures are counted, never fatal.
     - Socket errors retry with capped exponential backoff under a
       budget ({!Udp_source}); a dead source stops the daemon only when
       no source remains.
@@ -43,9 +44,10 @@ type config = {
   journal_path : string option;
   record_path : string option;
       (** Capture every dispatched record to this pcap file ({!Vids.Pcap}),
-          stamped with the instant it was dispatched at: the header is
-          written and flushed at start, each checkpoint flushes the
-          frames before it. *)
+          stamped with the instant it was dispatched at, before its
+          dispatch: the header is written and flushed at start, and each
+          checkpoint and each journal append flushes the frames before
+          it ({!Vids.Checkpoint}). *)
   max_runtime_s : float option;  (** Wall-clock deadline ([run --max-runtime]). *)
   batch : int;  (** Max records pulled per source per loop turn. *)
   poll_interval_s : float;  (** Idle nap when every source is dry. *)
@@ -60,9 +62,7 @@ type config = {
 
 val default : config
 (** 4096-deep queue, 5 s checkpoints (when [snapshot_path] is set),
-    batch 256, 10 ms poll.  Quarantine always runs at
-    {!Quarantine.create}'s defaults: 8 errors in 10 s, then a 30 s
-    block. *)
+    batch 256, 10 ms poll. *)
 
 type stop_reason =
   | Eof  (** Every file source exhausted (and no socket still alive). *)
@@ -74,10 +74,9 @@ type stop_reason =
 type report = {
   stop_reason : stop_reason;
   dispatched : int;  (** Records fed to the engine. *)
-  parse_errors : int;  (** Engine-side malformed packets, attributed here. *)
+  parse_errors : int;  (** Packets the engine could not parse ({!Vids.Engine.malformed_packets}). *)
   checkpoints : int;
   queue : Shed_queue.stats;
-  quarantine : Quarantine.stats;
   pcap : (string * Vids.Pcap.stats) list;  (** Per capture file, in source order. *)
   udp : Udp_source.stats list;  (** Per socket, in source order. *)
   dispatch : Dsim.Stat.Quantiles.t;

@@ -1,7 +1,7 @@
 (* Live-ingestion tests: the pcap codec as a hostile-input boundary, the
-   shed queue's watermark discipline, per-source quarantine, backoff
-   arithmetic, the UDP listener over a real loopback socket, and the
-   daemon's convergence contract — a live run digests equal to an offline
+   shed queue's watermark discipline, backoff arithmetic, the UDP
+   listener over a real loopback socket, and the daemon's convergence
+   contract — a live run digests equal to an offline
    replay of the same capture, a SIGTERM mid-ingest loses no alert
    already earned, and an 8 000-call soak under a memory ceiling keeps
    its live heap flat. *)
@@ -266,54 +266,6 @@ let shed_queue_classifier () =
   check "SIP response is signaling" true (is_signaling "SIP/2.0 200 OK");
   check "RTP is media" false (is_signaling "\x80\x12\x00\x01");
   check "empty is media" false (is_signaling "")
-
-(* ------------------------------------------------------------------ *)
-(* Quarantine                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let srcp p = Dsim.Addr.v "203.0.113.9" p
-
-let quarantine_threshold_and_ttl () =
-  let t = Ingest.Quarantine.create ~threshold:3 ~window_s:10.0 ~ttl_s:5.0 () in
-  let src = srcp 1000 in
-  check "1st error below threshold" false (Ingest.Quarantine.note_error t ~now:0.0 ~src);
-  check "2nd error below threshold" false (Ingest.Quarantine.note_error t ~now:0.1 ~src);
-  check "not blocked yet" false (Ingest.Quarantine.blocked t ~now:0.2 ~src);
-  check "3rd error trips" true (Ingest.Quarantine.note_error t ~now:0.2 ~src);
-  check "blocked" true (Ingest.Quarantine.blocked t ~now:0.3 ~src);
-  (* Neighbouring ports on the same host are untouched. *)
-  check "same host, other port unaffected" false
-    (Ingest.Quarantine.blocked t ~now:0.3 ~src:(srcp 1001));
-  check "still blocked before ttl" true (Ingest.Quarantine.blocked t ~now:5.1 ~src);
-  check "released after ttl" false (Ingest.Quarantine.blocked t ~now:5.3 ~src);
-  let s = Ingest.Quarantine.stats t ~now:6.0 in
-  check_int "errors charged" 3 s.Ingest.Quarantine.errors;
-  check_int "one quarantine" 1 s.Ingest.Quarantine.quarantines;
-  check_int "drops counted" 2 s.Ingest.Quarantine.dropped;
-  check_int "none active after ttl" 0 s.Ingest.Quarantine.active
-
-let quarantine_window_slides () =
-  let t = Ingest.Quarantine.create ~threshold:3 ~window_s:1.0 ~ttl_s:5.0 () in
-  let src = srcp 2000 in
-  (* Errors spread wider than the window never accumulate to the
-     threshold. *)
-  check "t=0" false (Ingest.Quarantine.note_error t ~now:0.0 ~src);
-  check "t=2" false (Ingest.Quarantine.note_error t ~now:2.0 ~src);
-  check "t=4" false (Ingest.Quarantine.note_error t ~now:4.0 ~src);
-  check "t=6" false (Ingest.Quarantine.note_error t ~now:6.0 ~src);
-  check "never quarantined" false (Ingest.Quarantine.blocked t ~now:6.1 ~src)
-
-let quarantine_lru_bound () =
-  let t = Ingest.Quarantine.create ~threshold:2 ~window_s:100.0 ~ttl_s:100.0 ~max_sources:4 () in
-  (* Many more distinct sources than the table admits: no growth beyond
-     the cap, no exception — the attacker cycling ports cannot turn the
-     defense into a leak. *)
-  for p = 1 to 100 do
-    ignore (Ingest.Quarantine.note_error t ~now:(float_of_int p) ~src:(srcp p))
-  done;
-  (* A source whose state was LRU-evicted restarts from zero. *)
-  check "evicted source needs a full threshold again" false
-    (Ingest.Quarantine.note_error t ~now:101.0 ~src:(srcp 1))
 
 (* ------------------------------------------------------------------ *)
 (* Backoff                                                             *)
@@ -610,26 +562,24 @@ let enforced_recovery_applies_journaled_rule () =
       check_str "recovered enforcement digest" (Enforce.Enforcer.digest live)
         (Enforce.Enforcer.digest e)
 
-(* The tee as a crash tears it.  The daemon's channel spills to disk in
-   buffer-sized chunks between checkpoints, so records after the last
-   checkpoint can be on disk, the last of them cut short.  Here 160
-   kilobyte datagrams land just after a checkpoint, on a port the sensor
-   does not analyse (so none raises an alert that the journal would carry
-   past the cut); the daemon is killed once they are dispatched, and the
-   tee is then cut inside its last whole frame. *)
-let hard_kill_torn_tee () =
-  let benign = flood_then_benign () in
-  let first = (List.hd benign).Vids.Trace.at in
-  let last = (List.nth benign (List.length benign - 1)).Vids.Trace.at in
+(* The tee as a crash leaves it.  [base] is a chronological capture;
+   after the checkpoint that follows it come [burst] records made by
+   [extra], 1 ms apart, then 64 more, and the daemon is killed once the
+   burst is dispatched.  Every journal append flushes the tee first, so
+   the frames a kill can tear are those written after the last journal
+   entry; the tee is cut inside its last whole frame if that is one of
+   them.  Recovery must equal a replay of the frames before the cut. *)
+let hard_kill_tee ?enforce label base ~burst extra =
+  let first = (List.hd base).Vids.Trace.at in
+  let last = (List.nth base (List.length base - 1)).Vids.Trace.at in
   (* The daemon rebases onto the first record and checkpoints every
      500 ms from there. *)
   let next_checkpoint = ((Dsim.Time.to_us (Dsim.Time.sub last first) / 500_000) + 1) * 500_000 in
-  let other i =
-    record
-      ~at:(Dsim.Time.add first (Dsim.Time.of_us (next_checkpoint + 1000 + (1000 * i))))
-      ~src:(Dsim.Addr.v "10.1.0.10" 9) ~dst:(Dsim.Addr.v "10.2.0.10" 9) (String.make 1000 'x')
+  let records =
+    base
+    @ List.init (burst + 64) (fun i ->
+          extra i (Dsim.Time.add first (Dsim.Time.of_us (next_checkpoint + 1000 + (1000 * i)))))
   in
-  let records = benign @ List.init (160 + 64) other in
   let path = tmp_path ".pcap" and snap = tmp_path ".ck" and capture = tmp_path ".pcap" in
   let journal = snap ^ ".journal" in
   Vids.Pcap.write_file path records;
@@ -640,9 +590,10 @@ let hard_kill_torn_tee () =
       snapshot_path = Some snap;
       journal_path = Some journal;
       record_path = Some capture;
+      enforce;
     }
   in
-  let kill_batch = (List.length benign + 160 + 31) / 32 in
+  let kill_batch = (List.length base + burst + 31) / 32 in
   let hard_kill = ref false and batches = ref 0 in
   let killed =
     run_daemon ~config ~hard_kill
@@ -651,33 +602,56 @@ let hard_kill_torn_tee () =
         if !batches = kill_batch then hard_kill := true)
       [ Ingest.Daemon.Pcap_file { path; pace = false } ]
   in
-  check "torn tee: killed" true (killed.Ingest.Daemon.stop_reason = Ingest.Daemon.Killed);
+  let check what = check (label ^ ": " ^ what) true in
+  check "killed" (killed.Ingest.Daemon.stop_reason = Ingest.Daemon.Killed);
+  let journaled =
+    match Vids.Journal.load journal with
+    | Ok (entries, _) ->
+        List.fold_left
+          (fun acc -> function
+            | Vids.Journal.Alert a -> Dsim.Time.max acc a.Vids.Alert.at
+            | Vids.Journal.Eviction { at; _ }
+            | Vids.Journal.Checkpoint { at; _ }
+            | Vids.Journal.Ext { at; _ } -> Dsim.Time.max acc at)
+          Dsim.Time.zero entries
+    | Error e -> Alcotest.failf "%s: journal: %s" label e
+  in
   let tee = read_bytes capture in
   let whole =
     match Vids.Pcap.read_file capture with
     | Ok (rs, _, _) -> rs
-    | Error e -> Alcotest.failf "torn tee: %s" e
+    | Error e -> Alcotest.failf "%s: %s" label e
   in
-  let before_cut = List.filteri (fun i _ -> i < List.length whole - 1) whole in
+  let last_frame = List.nth whole (List.length whole - 1) in
+  let cut = Dsim.Time.( > ) last_frame.Vids.Trace.at journaled in
+  let before_cut = if cut then List.filteri (fun i _ -> i < List.length whole - 1) whole else whole in
   let frame_bytes (r : Vids.Trace.record) = 16 + 14 + 20 + 8 + String.length r.Vids.Trace.payload in
-  write_bytes capture
-    (String.sub tee 0 (24 + List.fold_left (fun n r -> n + frame_bytes r) 20 before_cut));
+  if cut then
+    write_bytes capture
+      (String.sub tee 0 (24 + List.fold_left (fun n r -> n + frame_bytes r) 20 before_cut));
   let recovered =
-    Vids.Recovery.recover_files ~journal_path:journal ~trace_path:capture ~snapshot_path:snap ()
+    match enforce with
+    | None ->
+        Vids.Recovery.recover_files ~journal_path:journal ~trace_path:capture ~snapshot_path:snap ()
+    | Some policy ->
+        Result.map fst
+          (Enforce.Recover.recover_files ~policy ~journal_path:journal ~trace_path:capture
+             ~snapshot_path:snap ())
   in
   List.iter (fun p -> if Sys.file_exists p then Sys.remove p)
     [ path; snap; snap ^ ".1"; journal; capture ];
   match recovered with
-  | Error e -> Alcotest.failf "torn tee: recovery: %s" e
+  | Error e -> Alcotest.failf "%s: recovery: %s" label e
   | Ok fr ->
       let o = fr.Vids.Recovery.outcome in
-      check "torn tee: records after the checkpoint replayed" true (o.Vids.Recovery.replayed > 0);
+      check "records after the checkpoint replayed" (o.Vids.Recovery.replayed > 0);
       Alcotest.(check (list string))
-        "torn tee: the truncated tail is listed" [ "truncated tail" ]
+        (label ^ ": a truncated tail is listed iff the tee was cut")
+        (if cut then [ "truncated tail" ] else [])
         (List.map snd fr.Vids.Recovery.trace_skipped);
       let at = Dsim.Scheduler.now o.Vids.Recovery.sched in
       let _sched, offline = Vids.Trace.replay_until ~until:at before_cut in
-      check_str "torn tee: recovered digest equals replay of the records before the cut"
+      check_str (label ^ ": recovered digest equals replay of the records before the cut")
         (Vids.Snapshot.digest ~at offline)
         (Vids.Snapshot.digest ~at o.Vids.Recovery.engine)
 
@@ -735,7 +709,22 @@ let daemon_hard_kill_recovers () =
         (Vids.Snapshot.digest ~at o.Vids.Recovery.engine));
   List.iter (fun p -> if Sys.file_exists p then Sys.remove p)
     [ path; snap; snap ^ ".1"; journal; capture ];
-  hard_kill_torn_tee ()
+  (* Kilobyte datagrams to a port the sensor does not analyse spill the
+     tee's channel buffer to disk, and raise nothing the journal would
+     carry, so the kill tears the tee inside a frame. *)
+  hard_kill_tee "torn tee" (flood_then_benign ()) ~burst:160 (fun _ at ->
+      record ~at ~src:(Dsim.Addr.v "10.1.0.10" 9) ~dst:(Dsim.Addr.v "10.2.0.10" 9)
+        (String.make 1000 'x'));
+  (* Garbage SIP from distinct sources, each raising a spec deviation the
+     journal holds: its frames must be in the tee before the journal
+     holds its alerts. *)
+  hard_kill_tee ~enforce:Enforce.Enforcer.default_policy "garbage SIP"
+    (by_time (Test_recovery.make_trace ~calls:6))
+    ~burst:20
+    (fun i at ->
+      record ~at
+        ~src:(Dsim.Addr.v (Printf.sprintf "10.3.%d.%d" (i / 200) (1 + (i mod 200))) 5060)
+        ~dst:(Dsim.Addr.v "10.2.0.2" 5060) (Printf.sprintf "GARBAGE %d" i))
 
 (* ------------------------------------------------------------------ *)
 (* Daemon: soak under a memory ceiling                                 *)
@@ -833,12 +822,14 @@ let mangled_invites ~count =
 
 (* A hostile source sends [first] and, well after it, [second], while a
    distinct source floods INVITEs: once with plain garbage, once with
-   mangled INVITEs. *)
-let daemon_udp_quarantine_and_detection () =
+   mangled INVITEs, each with and without prevention mode.  Without it
+   the sensor drops nothing and counts every parse failure; with it the
+   hostile endpoint's failures earn it a drop rule of its own. *)
+let daemon_udp_hostile_source_and_detection () =
   let garbage what n = List.init n (fun i -> Printf.sprintf "GARBAGE %s %d" what (i + 1)) in
   let mangled = mangled_invites ~count:30 in
   List.iter
-    (fun (label, first, second) ->
+    (fun ((label, first, second), enforce) ->
       (* The classifier keys SIP on port 5060, so the listener must own
          it; if another process does, fail loudly rather than silently
          skip. *)
@@ -857,7 +848,7 @@ let daemon_udp_quarantine_and_detection () =
           in
           let report =
             run_daemon
-              ~config:daemon_config
+              ~config:{ daemon_config with Ingest.Daemon.enforce }
               ~stop
               ~on_batch:(fun () ->
                 incr batches;
@@ -871,30 +862,51 @@ let daemon_udp_quarantine_and_detection () =
                     send_invite i
                   done
                 end;
-                (* A second burst well after the first: by now the source
-                   is quarantined, so these must die at the door — the
-                   drop counter is the proof the filter is load-bearing. *)
+                (* A second burst well after the first: under enforcement
+                   its source has earned its rule by now. *)
                 if !batches = 50 then List.iter (sendto hostile daemon_addr) second;
                 if !batches = 200 then stop := true)
               [ Ingest.Daemon.Udp u ]
           in
+          let label = if enforce = None then label else label ^ ", enforcing" in
           let check what = check (label ^ ": " ^ what) in
           check "stopped by the test flag" true
             (report.Ingest.Daemon.stop_reason = Ingest.Daemon.Signalled);
-          (* The hostile datagrams were counted and their source
-             quarantined... *)
           check "parse errors counted" true (report.Ingest.Daemon.parse_errors >= 5);
-          check "hostile source quarantined" true
-            (report.Ingest.Daemon.quarantine.Ingest.Quarantine.quarantines >= 1);
-          check "datagrams dropped at the door" true
-            (report.Ingest.Daemon.quarantine.Ingest.Quarantine.dropped >= 1);
+          (match report.Ingest.Daemon.enforcer with
+          | None ->
+              let q = report.Ingest.Daemon.queue in
+              check "nothing shed" true
+                (q.Ingest.Shed_queue.shed_media + q.Ingest.Shed_queue.shed_oldest = 0);
+              check_int (label ^ ": every datagram dispatched")
+                (List.fold_left (fun n s -> n + s.Ingest.Udp_source.received) 0
+                   report.Ingest.Daemon.udp)
+                report.Ingest.Daemon.dispatched
+          | Some e ->
+              (* The INVITE flood also drops its host, 127.0.0.1: check the
+                 hostile endpoint's own rule. *)
+              let port =
+                match Unix.getsockname hostile with Unix.ADDR_INET (_, p) -> p | _ -> 0
+              in
+              let endpoint = Enforce.Source_key.of_addr (Dsim.Addr.v "127.0.0.1" port) in
+              match
+                Enforce.Block_table.find (Enforce.Enforcer.table e)
+                  (Enforce.Block_table.Src endpoint)
+              with
+              | None -> check "the hostile endpoint has a rule" true false
+              | Some r ->
+                  check "a malformed-source rule" true
+                    (r.Enforce.Block_table.reason = "malformed-source");
+                  check "that dropped its datagrams" true (r.Enforce.Block_table.hits >= 1));
           (* ...while the concurrent legitimate detection still fired. *)
           check "INVITE flood still detected" true
             (Vids.Engine.alerts_of_kind report.Ingest.Daemon.engine Vids.Alert.Invite_flood <> []))
-    [
-      ("garbage", garbage "not sip" 12, garbage "again" 6);
-      ("mangled INVITEs", mangled, mangled);
-    ]
+    (List.concat_map
+       (fun input -> [ (input, None); (input, Some Enforce.Enforcer.default_policy) ])
+       [
+         ("garbage", garbage "not sip" 12, garbage "again" 6);
+         ("mangled INVITEs", mangled, mangled);
+       ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -913,9 +925,6 @@ let suite =
         pcap_garbage_fuzz;
         tc "shed queue watermarks" shed_queue_watermarks;
         tc "shed queue classifier" shed_queue_classifier;
-        tc "quarantine threshold and ttl" quarantine_threshold_and_ttl;
-        tc "quarantine window slides" quarantine_window_slides;
-        tc "quarantine lru bound" quarantine_lru_bound;
         tc "backoff doubles, caps, budgets" backoff_doubles_caps_budgets;
         tc "backoff immune to float overflow" backoff_no_overflow;
         tc "udp source over loopback" udp_source_loopback;
@@ -925,7 +934,8 @@ let suite =
         tc "daemon hard kill recovers through Recovery" daemon_hard_kill_recovers;
         tc "enforced recovery skips a non-UDP frame" enforced_recovery_skips_a_non_udp_frame;
         tc "enforced recovery applies a journaled rule" enforced_recovery_applies_journaled_rule;
-        tc "daemon quarantines hostile UDP source, still detects" daemon_udp_quarantine_and_detection;
+        tc "daemon quarantines hostile UDP source, still detects"
+          daemon_udp_hostile_source_and_detection;
         tc "daemon soak holds memory flat under a ceiling" daemon_soak_holds_memory_flat;
       ] );
   ]

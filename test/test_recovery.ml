@@ -577,6 +577,22 @@ let non_pcap_capture_refused () =
           check (Printf.sprintf "the error %S names the file" e) true
             (String.starts_with ~prefix:path e))
 
+(* A journal that exists but cannot be read, here a directory, is
+   refused by name rather than raising or passing for an empty one. *)
+let unreadable_journal_refused () =
+  let snap = Filename.temp_file "vids-ckpt" ".snap" in
+  Vids.Snapshot.save ~path:snap
+    (Vids.Snapshot.capture ~seq:1 ~at:Dsim.Time.zero
+       (Vids.Engine.create (Dsim.Scheduler.create ())));
+  let dir = Filename.get_temp_dir_name () in
+  let recovered = Vids.Recovery.recover_files ~journal_path:dir ~snapshot_path:snap () in
+  List.iter Sys.remove [ snap; Vids.Snapshot.previous_path snap ];
+  match recovered with
+  | Ok _ -> Alcotest.fail "a directory passed for a journal"
+  | Error e ->
+      check (Printf.sprintf "the error %S names the journal" e) true
+        (String.starts_with ~prefix:dir e)
+
 (* ------------------------------------------------------------------ *)
 (* Journal merge semantics                                             *)
 (* ------------------------------------------------------------------ *)
@@ -702,6 +718,7 @@ let suite =
         tc "journal suffix split" journal_suffix_split;
         tc "checkpoint rotation and fallback" rotation_and_fallback;
         tc "a capture that is not pcap is refused by name" non_pcap_capture_refused;
+        tc "a journal that cannot be read is refused by name" unreadable_journal_refused;
         tc "journal merge idempotent" merge_idempotent;
         journal_corruption_fuzz;
       ] );
