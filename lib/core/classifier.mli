@@ -5,13 +5,15 @@
     message on a signaling port that fails to parse is itself a reportable
     condition. *)
 
-type classification =
-  | Sip of Sip.Msg.t
+type 'sip verdict =
+  | Sip of 'sip
   | Rtp of Rtp.Rtp_packet.t
   | Rtcp of Rtp.Rtcp.t
-  | Malformed_sip of string  (** Parse error text. *)
+  | Malformed_sip of string  (** {!Sip.Msg.parse}'s error text. *)
   | Malformed_rtp of string
   | Other
+
+type classification = Sip.Msg.t verdict
 
 val classify :
   ?prof:Obs.Prof.t -> known_media:(Dsim.Addr.t -> bool) -> Dsim.Packet.t -> classification
@@ -19,6 +21,17 @@ val classify :
     (from the fact base); unknown ports in the dynamic RTP range are also
     tried as media.  With [prof], the wire-parse calls run inside
     [Sip_parse] / [Rtp_parse] spans. *)
+
+val read :
+  ?prof:Obs.Prof.t ->
+  Sip.Index.t ->
+  known_media:(Dsim.Addr.t -> bool) ->
+  Dsim.Packet.t ->
+  unit verdict
+(** What the engine runs: {!classify}, except that a SIP message is only
+    read into the index, which then describes it, and [Sip ()] stands for
+    [Sip m].  The verdict, error text included, is {!classify}'s: both
+    read SIP through {!Sip.Index.read}. *)
 
 val rtp_port_range : int * int
 (** Dynamic range used by the simulated endpoints; even = RTP, odd = RTCP. *)

@@ -42,6 +42,7 @@ type t = {
   config : Config.t;
   sched : Dsim.Scheduler.t;
   base : Fact_base.t;
+  index : Sip.Index.t; (* the SIP message being read, and no other *)
   mutable inst : instruments option;
   mutable flight : Obs.Trace.t option;
   mutable prof : Obs.Prof.t option;
@@ -300,6 +301,7 @@ let create ?(config = Config.default) ?(overrides = []) sched =
       degraded_since = None;
       degraded_log = [];
       inline_free_at = Dsim.Time.zero;
+      index = Sip.Index.create ();
     }
   in
   self := Some t;
@@ -431,38 +433,32 @@ let feed_detector t kind ~key event =
       Fact_base.quarantine_detector t.base kind ~key;
       trace_quarantine t ~subject ~origin
 
-let feed_flood_detector t msg event =
-  match Sip_event.flood_key msg with
-  | None -> ()
-  | Some key -> feed_detector t `Flood ~key event
-
 let feed_drdos_detector t (packet : Dsim.Packet.t) event =
   feed_detector t `Drdos ~key:(Dsim.Addr.host packet.dst)
     (Efsm.Event.rename event Keys.orphan_response)
 
 (* A REGISTER crossing the boundary sensor: intra-enterprise registrations
    never reach this vantage point, so someone outside is rebinding a
-   protected user's contact. *)
-let check_boundary_register t msg =
-  if t.config.Config.flag_boundary_register then
-    match msg.Sip.Msg.start with
-    | Sip.Msg.Request { meth = Sip.Msg_method.REGISTER; _ } ->
-        let subject =
-          match Sip.Msg.to_ msg with
-          | Ok to_ ->
-              let uri = to_.Sip.Name_addr.uri in
-              Option.value uri.Sip.Uri.user ~default:"" ^ "@" ^ uri.Sip.Uri.host
-          | Error _ -> "unknown-aor"
-        in
-        let contact =
-          match Sip.Msg.contact msg with
-          | Ok na -> Sip.Uri.to_string na.Sip.Name_addr.uri
-          | Error _ -> "?"
-        in
-        raise_alert t
-          (Alert.make ~kind:Alert.Registration_hijack ~at:(now t) ~subject
-             (Printf.sprintf "REGISTER crossed the boundary sensor binding contact %s" contact))
-    | Sip.Msg.Request _ | Sip.Msg.Response _ -> ()
+   protected user's contact.  Rare enough to build the message for. *)
+let check_boundary_register t =
+  if t.config.Config.flag_boundary_register then begin
+    let msg = Sip.Msg.of_index t.index in
+    let subject =
+      match Sip.Msg.to_ msg with
+      | Ok to_ ->
+          let uri = to_.Sip.Name_addr.uri in
+          Option.value uri.Sip.Uri.user ~default:"" ^ "@" ^ uri.Sip.Uri.host
+      | Error _ -> "unknown-aor"
+    in
+    let contact =
+      match Sip.Msg.contact msg with
+      | Ok na -> Sip.Uri.to_string na.Sip.Name_addr.uri
+      | Error _ -> "?"
+    in
+    raise_alert t
+      (Alert.make ~kind:Alert.Registration_hijack ~at:(now t) ~subject
+         (Printf.sprintf "REGISTER crossed the boundary sensor binding contact %s" contact))
+  end
 
 let trace_packet t (packet : Dsim.Packet.t) proto =
   match t.flight with
@@ -472,48 +468,53 @@ let trace_packet t (packet : Dsim.Packet.t) proto =
         (Obs.Trace.Packet
            { proto; src = packet.Dsim.Packet.src; dst = packet.Dsim.Packet.dst })
 
-let handle_sip t (packet : Dsim.Packet.t) msg =
+(* The message is the one [t.index] has just read; the event and the
+   flood key are built from its spans, and the Call-ID is the event's. *)
+let handle_sip t (packet : Dsim.Packet.t) =
   t.sip_packets <- t.sip_packets + 1;
   tick t (fun i -> i.i_sip);
   trace_packet t packet "sip";
   t.busy <- Dsim.Time.add t.busy t.config.Config.sip_cpu_cost;
-  let event = Sip_event.of_msg ?prof:t.prof ~at:(now t) ~src:packet.src ~dst:packet.dst msg in
-  check_boundary_register t msg;
-  (match msg.Sip.Msg.start with
-  | Sip.Msg.Request { meth = Sip.Msg_method.INVITE; _ } -> feed_flood_detector t msg event
-  | Sip.Msg.Request _ | Sip.Msg.Response _ -> ());
-  match Sip.Msg.call_id msg with
-  | Error e ->
-      t.malformed_packets <- t.malformed_packets + 1;
-      tick t (fun i -> i.i_malformed);
-      raise_alert t
-        (Alert.make ~kind:Alert.Spec_deviation ~at:(now t)
-           ~subject:(Dsim.Addr.to_string packet.src)
-           (Printf.sprintf "SIP message without Call-ID: %s" e))
-  | Ok call_id -> (
+  let event =
+    Sip_event.of_index ?prof:t.prof ~at:(now t) ~src:packet.src ~dst:packet.dst t.index
+  in
+  let meth = if Sip.Index.code t.index < 0 then Some (Sip.Index.meth t.index) else None in
+  (match meth with Some Sip.Msg_method.REGISTER -> check_boundary_register t | _ -> ());
+  (match Sip_event.index_flood_key t.index with
+  | None -> ()
+  | Some key -> feed_detector t `Flood ~key event);
+  match Efsm.Event.get event Keys.Field.call_id with
+  | Efsm.Value.Str call_id -> (
       match Fact_base.find_call t.base call_id with
       | Some call ->
           register_event_media t call event;
           inject_call t call ~machine:Keys.sip_machine event
       | None -> (
-          match msg.Sip.Msg.start with
-          | Sip.Msg.Request { meth = Sip.Msg_method.INVITE; _ } ->
+          match meth with
+          | Some Sip.Msg_method.INVITE ->
               let call = Fact_base.create_call t.base ~call_id in
               register_event_media t call event;
               inject_call t call ~machine:Keys.sip_machine event
-          | Sip.Msg.Request { meth = Sip.Msg_method.REGISTER; _ } ->
+          | Some Sip.Msg_method.REGISTER ->
               (* Already reported by the boundary-REGISTER check; a
                  registration is not expected to belong to a call. *)
               ()
-          | Sip.Msg.Request { meth; _ } ->
+          | Some meth ->
               t.orphan_requests <- t.orphan_requests + 1;
               raise_alert t
                 (Alert.make ~kind:Alert.Spec_deviation ~severity:Alert.Warning ~at:(now t)
                    ~subject:(call_id ^ "/" ^ Sip.Msg_method.to_string meth)
                    "request for a call the sensor never saw established")
-          | Sip.Msg.Response _ ->
+          | None ->
               t.orphan_responses <- t.orphan_responses + 1;
               feed_drdos_detector t packet event))
+  | _ ->
+      t.malformed_packets <- t.malformed_packets + 1;
+      tick t (fun i -> i.i_malformed);
+      raise_alert t
+        (Alert.make ~kind:Alert.Spec_deviation ~at:(now t)
+           ~subject:(Dsim.Addr.to_string packet.src)
+           "SIP message without Call-ID: missing Call-ID")
 
 (* --------------------------------------------------------------- *)
 (* RTP distribution                                                 *)
@@ -562,8 +563,8 @@ let handle_rtp t (packet : Dsim.Packet.t) decoded =
 (* --------------------------------------------------------------- *)
 
 let dispatch t packet =
-  match Classifier.classify ?prof:t.prof ~known_media:(Fact_base.known_media t.base) packet with
-  | Classifier.Sip msg -> handle_sip t packet msg
+  match Classifier.read ?prof:t.prof t.index ~known_media:(Fact_base.known_media t.base) packet with
+  | Classifier.Sip () -> handle_sip t packet
   | Classifier.Rtp decoded -> handle_rtp t packet decoded
   | Classifier.Rtcp _ ->
       t.rtcp_packets <- t.rtcp_packets + 1;

@@ -39,7 +39,7 @@
     show up in the [vids_gc_*] gauges. *)
 
 type stage =
-  | Sip_parse  (** [Sip.Msg.parse] in the classifier. *)
+  | Sip_parse  (** The SIP scan in the classifier ([Sip.Index.read]). *)
   | Sdp_parse  (** [Sdp.parse] of a SIP body during event construction. *)
   | Rtp_parse  (** RTP/RTCP decode in the classifier. *)
   | Efsm_dispatch  (** Guard+action injection into per-call machines. *)

@@ -39,9 +39,9 @@ val audio_media : port:int -> formats:int list -> media
 val parse : string -> (t, string) result
 
 val parse_range : string -> int -> int -> (t, string) result
-(** Test seam: [parse_range s start stop] is
-    [parse (String.sub s start (stop - start))] without the copy, which the
-    SIP differential checks on a padded slice. *)
+(** [parse_range s start stop] is [parse (String.sub s start (stop - start))]
+    without the copy: the sensor reads a body where it lies in the SIP
+    payload. *)
 
 val to_string : t -> string
 

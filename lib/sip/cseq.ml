@@ -14,7 +14,7 @@ let parse_range s start stop =
   else
     let number = Scan.decimal s a number_stop in
     if number < 0 then Error (Printf.sprintf "CSeq: bad number %S" (Scan.sub s a number_stop))
-    else Ok { number; meth = Msg_method.of_string (Scan.sub s meth_start meth_stop) }
+    else Ok { number; meth = Msg_method.of_range s meth_start meth_stop }
 
 let parse s = parse_range s 0 (String.length s)
 

@@ -7,8 +7,8 @@ val make : int -> Msg_method.t -> t
 val parse : string -> (t, string) result
 
 val parse_range : string -> int -> int -> (t, string) result
-(** Test seam: [parse_range s start stop] is
-    [parse (String.sub s start (stop - start))] without the copy, which the
-    SIP differential checks on a padded slice. *)
+(** [parse_range s start stop] is [parse (String.sub s start (stop - start))]
+    without the copy: the sensor reads a CSeq where it lies in the
+    payload. *)
 
 val to_string : t -> string

@@ -55,10 +55,20 @@ let compact = function
   | _ -> ""
 
 let rec known s start stop i =
-  if i = Array.length known_names then ""
+  if i = Array.length known_names then -1
   else
     let name = known_names.(i) in
-    if Scan.equal_ci s start stop name then name else known s start stop (i + 1)
+    if String.length name = stop - start && Scan.equal_ci_at s start stop name 0 then i
+    else known s start stop (i + 1)
+
+let slot s start stop =
+  if stop - start <> 1 then known s start stop 0
+  else
+    match compact (Char.lowercase_ascii s.[start]) with
+    | "" -> -1
+    | name -> known name 0 (String.length name) 0
+
+let slot_name i = known_names.(i)
 
 (* Title-case each '-'-separated word: "x-custom-header" -> "X-Custom-Header". *)
 let title_case s =
@@ -72,11 +82,9 @@ let title_case s =
 
 (* Compact and known names come from the tables without allocating. *)
 let canonical_slice s start stop =
-  let canon =
-    if stop - start = 1 then compact (Char.lowercase_ascii s.[start]) else known s start stop 0
-  in
-  if canon <> "" then canon
-  else title_case (String.lowercase_ascii (Scan.sub s start stop))
+  match slot s start stop with
+  | -1 -> title_case (String.lowercase_ascii (Scan.sub s start stop))
+  | i -> known_names.(i)
 
 let canonical_name name = canonical_slice name 0 (String.length name)
 
@@ -91,6 +99,16 @@ let rec find name = function
 
 let get t name = find (canonical_name name) t
 let get_canonical t name = find name t
+
+let rec nth name n = function
+  | [] -> None
+  | (field, value) :: rest ->
+      if not (String.equal field name) then nth name n rest
+      else if n = 0 then Some value
+      else nth name (n - 1) rest
+
+let find_slot t slot n = nth known_names.(slot) n t
+let of_list t = t
 
 (* The trimmed, non-empty items of [s.[start .. stop-1]], consed onto [acc]
    last first. *)
@@ -125,37 +143,3 @@ let remove_first t name =
 
 let fold f t init = List.fold_left (fun acc (name, value) -> f name value acc) init t
 let to_list t = t
-
-(* ------------------------------------------------------------------ *)
-(* Parsing                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* One pass over the lines of [s.[start .. stop-1]]: each field is consed
-   onto [acc] and the list reversed once at the end.  A folded line is the
-   only one copied before it is split. *)
-let rec fields s start stop acc =
-  let nl = Scan.line_end s start stop in
-  if Scan.folded s (nl + 1) stop || Scan.folded s start stop then
-    let line, nl = Scan.unfold s start stop in
-    field line 0 (String.length line) s nl stop acc
-  else field s start (Scan.content_end s start nl) s nl stop acc
-
-(* The field on line [l.[a .. b-1]], then the lines after [nl]. *)
-and field l a b s nl stop acc =
-  let name_start = Scan.skip_space l a b in
-  if name_start = b then next s nl stop acc
-  else
-    let colon = Scan.index l a b ':' in
-    if colon < 0 then Error (Printf.sprintf "bad header line %S" (Scan.sub l a b))
-    else
-      let name_stop = Scan.trim_end l name_start colon in
-      if name_start = name_stop then
-        Error (Printf.sprintf "empty header name in %S" (Scan.sub l a b))
-      else
-        let value_start = Scan.skip_space l (colon + 1) b in
-        let value = Scan.sub l value_start (Scan.trim_end l value_start b) in
-        next s nl stop ((canonical_slice l name_start name_stop, value) :: acc)
-
-and next s nl stop acc = if nl < stop then fields s (nl + 1) stop acc else Ok (List.rev acc)
-
-let parse_range s start stop = fields s start stop []

@@ -12,6 +12,17 @@ val canonical_name : string -> string
 (** Expands compact forms and title-cases known fields, e.g.
     [canonical_name "i" = "Call-ID"], [canonical_name "cseq" = "CSeq"]. *)
 
+val slot : string -> int -> int -> int
+(** [slot s start stop] numbers the known field named by
+    [s.\[start .. stop - 1\]] under any case or compact form, the same for
+    every spelling of it, and is negative for any other name. *)
+
+val slot_name : int -> string
+(** The canonical name of a {!slot}. *)
+
+val of_list : (string * string) list -> t
+(** Fields whose names are already canonical, in order. *)
+
 val add : t -> string -> string -> t
 (** Appends at the end (after any same-named fields). *)
 
@@ -24,6 +35,10 @@ val get : t -> string -> string option
 val get_canonical : t -> string -> string option
 (** [get] for a name already in canonical form ([canonical_name name =
     name], e.g. ["Call-ID"]), which it does not canonicalise again. *)
+
+val find_slot : t -> int -> int -> string option
+(** [find_slot t slot n] is the value of the [n]th field (from 0) named
+    {!slot_name} [slot]. *)
 
 val get_all : t -> string -> string list
 (** All values in order, comma-separated list values split apart.  Splitting
@@ -39,9 +54,3 @@ val fold : (string -> string -> 'a -> 'a) -> t -> 'a -> 'a
 (** In field order. *)
 
 val to_list : t -> (string * string) list
-
-val parse_range : string -> int -> int -> (t, string) result
-(** The header fields on the lines of [s.\[start .. stop - 1\]], one per
-    line, with LF or CRLF line ends.  A line that starts with white space
-    continues the one before it (RFC 3261 §7.3.1); blank lines are
-    skipped.  Names are canonicalised and values trimmed. *)

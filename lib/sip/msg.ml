@@ -101,87 +101,26 @@ let ack_for req ~response =
 (* Wire format                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The start of the blank line that ends the head: the first CRLF CRLF or
-   LF LF, or -1. *)
-let rec head_end text i len =
-  if i + 1 >= len then -1
-  else
-    match text.[i] with
-    | '\r' when i + 3 < len && text.[i + 1] = '\n' && text.[i + 2] = '\r' && text.[i + 3] = '\n'
-      ->
-        i
-    | '\n' when text.[i + 1] = '\n' -> i
-    | _ -> head_end text (i + 1) len
-
-(* Status-Code = 3DIGIT, within 100-699; -1 otherwise. *)
-let status_code s start stop =
-  let code = if stop - start = 3 then Scan.decimal s start stop else -1 in
-  if code >= 100 && code <= 699 then code else -1
-
-(* The start line on [s.[a .. b-1]]. *)
-let parse_start_line s a b =
-  if b - a >= 8 && Scan.equal s a (a + 8) "SIP/2.0 " then begin
-    let rest = a + 8 in
-    let space = Scan.index s rest b ' ' in
-    if space < 0 then
-      let code = status_code s rest b in
-      if code < 0 then Error (Printf.sprintf "bad status line %S" (Scan.sub s a b))
-      else Ok (Response { code; reason = "" })
-    else
-      let code = status_code s rest space in
-      if code < 0 then Error (Printf.sprintf "bad status code %S" (Scan.sub s rest space))
-      else Ok (Response { code; reason = Scan.sub s (space + 1) b })
-  end
-  else
-    (* Method, URI and version: exactly two spaces. *)
-    let sp1 = Scan.index s a b ' ' in
-    let sp2 = if sp1 < 0 then -1 else Scan.index s (sp1 + 1) b ' ' in
-    if sp2 < 0 || Scan.index s (sp2 + 1) b ' ' >= 0 || not (Scan.equal s (sp2 + 1) b sip_version)
-    then Error (Printf.sprintf "bad request line %S" (Scan.sub s a b))
-    else
-      match Uri.parse_range s (sp1 + 1) sp2 with
-      | Ok uri -> Ok (Request { meth = Msg_method.of_string (Scan.sub s a sp1); uri })
-      | Error e -> Error e
-
 (* A trimmed 1*DIGIT header value, or -1. *)
 let decimal_value v =
   let start = Scan.skip_space v 0 (String.length v) in
   Scan.decimal v start (Scan.trim_end v start (String.length v))
 
-let with_body start headers text body_start =
-  let available = String.length text - body_start in
-  match Header.get_canonical headers "Content-Length" with
-  | None -> Ok { start; headers; body = String.sub text body_start available }
-  | Some len_str ->
-      let len = decimal_value len_str in
-      if len < 0 then Error (Printf.sprintf "bad Content-Length %S" len_str)
-      else if len > available then Error "Content-Length exceeds body"
-      else Ok { start; headers; body = String.sub text body_start len }
-
-let with_headers start text nl stop body_start =
-  match start with
-  | Error e -> Error e
-  | Ok start -> (
-      let headers = if nl < stop then Header.parse_range text (nl + 1) stop else Ok Header.empty in
-      match headers with
-      | Error e -> Error e
-      | Ok headers -> with_body start headers text body_start)
-
-(* One pass over the payload: the head is split into lines in place and
-   only the fields the message keeps are copied.  A folded start line is
-   the one line materialised before it is split. *)
-let parse text =
-  let len = String.length text in
-  let blank = head_end text 0 len in
-  let stop = if blank < 0 then len else blank in
-  let body_start =
-    if blank < 0 then len else if text.[blank] = '\r' then blank + 4 else blank + 2
+let of_index idx =
+  let s = Index.text idx and target = Index.target idx in
+  let start =
+    if Index.code idx >= 0 then Response { code = Index.code idx; reason = Scan.sub_span s target }
+    else
+      let uri = Uri.parse_range s (Scan.span_start target) (Scan.span_stop target) in
+      Request { meth = Index.meth idx; uri = Result.get_ok uri }
   in
-  let nl = Scan.line_end text 0 stop in
-  if Scan.folded text (nl + 1) stop || Scan.folded text 0 stop then
-    let line, nl = Scan.unfold text 0 stop in
-    with_headers (parse_start_line line 0 (String.length line)) text nl stop body_start
-  else with_headers (parse_start_line text 0 (Scan.content_end text 0 nl)) text nl stop body_start
+  let field i = (Index.name idx i, Scan.sub_span s (Index.value idx i)) in
+  let headers = Header.of_list (List.init (Index.count idx) field) in
+  { start; headers; body = Scan.sub_span s (Index.body idx) }
+
+let parse text =
+  let idx = Index.create () in
+  match Index.read idx text with Ok () -> Ok (of_index idx) | Error e -> Error e
 
 let serialize t =
   let buffer = Buffer.create 512 in
@@ -255,38 +194,22 @@ let name_addr_field t name =
 let from_ t = name_addr_field t "From"
 let to_ t = name_addr_field t "To"
 
-(* [read] of the first item of the first Via, where it lies.  Only a first
+(* The first item of the first Via, parsed where it lies.  Only a first
    Via with no item before its first comma needs the whole list. *)
-let read_top_via t ~missing read =
+let top_via t =
   match Header.get_canonical t.headers "Via" with
-  | None -> missing
+  | None -> Error "missing Via"
   | Some v -> (
       let e = Scan.item_end v 0 (String.length v) in
       let a = Scan.skip_space v 0 e in
       let b = Scan.trim_end v a e in
-      if a < b then read v a b
+      if a < b then Via.parse_range v a b
       else
         match Header.get_all t.headers "Via" with
-        | [] -> missing
-        | v :: _ -> read v 0 (String.length v))
+        | [] -> Error "missing Via"
+        | v :: _ -> Via.parse_range v 0 (String.length v))
 
-let top_via t = read_top_via t ~missing:(Error "missing Via") Via.parse_range
 let contact t = name_addr_field t "Contact"
-
-(* The span [locate] finds in a field's value, copied. *)
-let copy_span v locate start stop =
-  let p = locate v start stop in
-  if p < 0 then None else Some (Scan.sub_span v p)
-
-let located_field t name locate =
-  match Header.get_canonical t.headers name with
-  | None -> None
-  | Some v -> copy_span v locate 0 (String.length v)
-
-let from_tag t = located_field t "From" Name_addr.tag_span
-let to_tag t = located_field t "To" Name_addr.tag_span
-let contact_host t = located_field t "Contact" Name_addr.host_span
-let branch t = read_top_via t ~missing:None (fun v a b -> copy_span v Via.branch_span a b)
 
 let decimal_field t name =
   match Header.get_canonical t.headers name with
@@ -297,23 +220,25 @@ let decimal_field t name =
 
 let content_type t = Header.get_canonical t.headers "Content-Type"
 
+let media_type_is v start stop media_type =
+  let stop = Scan.until v start stop ';' in
+  let slash = Scan.index v start stop '/' in
+  slash >= 0
+  &&
+  let type_start = Scan.skip_space v start slash in
+  let type_stop = Scan.trim_end v type_start slash in
+  let sub_start = Scan.skip_space v (slash + 1) stop in
+  let sub_stop = Scan.trim_end v sub_start stop in
+  let n = type_stop - type_start in
+  String.length media_type = n + 1 + (sub_stop - sub_start)
+  && media_type.[n] = '/'
+  && Scan.equal_ci_at v type_start type_stop media_type 0
+  && Scan.equal_ci_at v sub_start sub_stop media_type (n + 1)
+
 let content_type_is t media_type =
   match content_type t with
   | None -> false
-  | Some v ->
-      let stop = Scan.until v 0 (String.length v) ';' in
-      let slash = Scan.index v 0 stop '/' in
-      slash >= 0
-      &&
-      let type_start = Scan.skip_space v 0 slash in
-      let type_stop = Scan.trim_end v type_start slash in
-      let sub_start = Scan.skip_space v (slash + 1) stop in
-      let sub_stop = Scan.trim_end v sub_start stop in
-      let n = type_stop - type_start in
-      String.length media_type = n + 1 + (sub_stop - sub_start)
-      && media_type.[n] = '/'
-      && Scan.equal_ci_at v type_start type_stop media_type 0
-      && Scan.equal_ci_at v sub_start sub_stop media_type (n + 1)
+  | Some v -> media_type_is v 0 (String.length v) media_type
 
 let expires t = decimal_field t "Expires"
 

@@ -43,6 +43,12 @@ val ack_for : t -> response:t -> t
 (** {1 Wire format} *)
 
 val parse : string -> (t, string) result
+(** {!Index.read} on a fresh index, then {!of_index}: the one grammar the
+    sensor reads too. *)
+
+val of_index : Index.t -> t
+(** The message an index that has just read [Ok] describes: every field
+    copied out of {!Index.text}, names canonical. *)
 
 val serialize : t -> string
 (** CRLF line endings; Content-Length is recomputed from the body. *)
@@ -76,29 +82,15 @@ val top_via : t -> (Via.t, string) result
 
 val contact : t -> (Name_addr.t, string) result
 
-(** {1 Located fields}
-
-    One part of a header, found by the allocation-free locators of
-    {!Name_addr} and {!Via}: only the part itself is copied.  Each is
-    [None] where the typed accessor fails or has no such part. *)
-
-val from_tag : t -> string option
-(** [Name_addr.tag] of {!from_}. *)
-
-val to_tag : t -> string option
-(** [Name_addr.tag] of {!to_}. *)
-
-val contact_host : t -> string option
-(** The host of {!contact}'s URI. *)
-
-val branch : t -> string option
-(** [Via.branch] of {!top_via}. *)
-
 val content_type_is : t -> string -> bool
 (** [content_type_is t "application/sdp"] holds when the Content-Type names
     that media type: type and subtype compare case-insensitively, and
     parameters and white space around them are ignored (RFC 3261 §20.15,
     RFC 2045 §5.1). *)
+
+val media_type_is : string -> int -> int -> string -> bool
+(** [media_type_is s start stop media_type] is {!content_type_is} on a
+    Content-Type value [s.\[start .. stop - 1\]]. *)
 
 val expires : t -> int option
 

@@ -19,9 +19,14 @@ type t =
 
 val to_string : t -> string
 
+val of_range : string -> int -> int -> t
+(** The method named by [s.\[start .. stop - 1\]], copying only an
+    extension method.  Method names are case-sensitive tokens in SIP;
+    unknown ones map to [Extension]. *)
+
 val of_string : string -> t
-(** Method names are case-sensitive tokens in SIP; unknown ones map to
-    [Extension]. *)
+(** Test oracle: {!of_range} over the whole string, as the reference
+    parsers in the SIP differential read a method name. *)
 
 val equal : t -> t -> bool
 

@@ -64,26 +64,6 @@ let rec line_end s i stop = if i < stop && s.[i] <> '\n' then line_end s (i + 1)
 let content_end s start nl = if nl > start && s.[nl - 1] = '\r' then nl - 1 else nl
 let folded s i stop = i < stop && (s.[i] = ' ' || s.[i] = '\t')
 
-(* A continuation line is trimmed, and joined to the line so far by one
-   space; a buffer keeps a message of many folds linear. *)
-let rec join s stop buf i =
-  let nl = line_end s i stop in
-  let a = skip_space s i nl in
-  Buffer.add_char buf ' ';
-  Buffer.add_substring buf s a (trim_end s a nl - a);
-  if folded s (nl + 1) stop then join s stop buf (nl + 1) else nl
-
-let unfold s start stop =
-  let nl = line_end s start stop in
-  let a = if folded s start stop then skip_space s start nl else start in
-  let b = if folded s start stop then trim_end s a nl else content_end s start nl in
-  if not (folded s (nl + 1) stop) then (sub s a b, nl)
-  else
-    let buf = Buffer.create (b - a + 64) in
-    Buffer.add_substring buf s a (b - a);
-    let nl = join s stop buf (nl + 1) in
-    (Buffer.contents buf, nl)
-
 let rec decimal_from s i stop n =
   if i = stop then n
   else

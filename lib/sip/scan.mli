@@ -1,6 +1,5 @@
 (** Index scanners over a range [\[start, stop)] of a string, shared by the
-    SIP and SDP parsers.  Only {!sub}, {!sub_span}, {!params} and {!unfold}
-    allocate: a
+    SIP and SDP parsers.  Only {!sub}, {!sub_span} and {!params} allocate: a
     parser built on them copies only the fields it returns, one
     [String.sub] each. *)
 
@@ -92,12 +91,6 @@ val content_end : string -> int -> int -> int
 val folded : string -> int -> int -> bool
 (** [folded s i stop] holds when the line that starts at [i] continues the
     one before it: [i < stop] and [s.\[i\]] is a space or tab. *)
-
-val unfold : string -> int -> int -> string * int
-(** [unfold s start stop] is the logical line that starts at [start], with
-    each continuation line trimmed and joined to it by one space, and the
-    end of its last physical line.  A first line that is itself a
-    continuation is trimmed.  This is the one copy a folded line costs. *)
 
 (** {1 Numbers} *)
 

@@ -748,6 +748,92 @@ let test_enforcing_daemon () =
         (!last_garbage / 64) + 1 );
     ]
 
+(* Process history cannot change a verdict.  The enforcing daemon, with
+   journal and checkpoints, reads the flood and garbage capture, then a
+   capture of other garbage, folded and many-headed messages, stray
+   responses and a message refused mid-head, then the first capture
+   again: the first and third runs
+   report the same engine and enforcement digests, alerts and rules, so
+   nothing the second run read (the SIP index the engine reads through
+   among it) shows through. *)
+let other_garbage () =
+  let from = addr "192.0.2.44" 5060 in
+  let stray i =
+    Printf.sprintf
+      "SIP/2.0 486 Busy Here\r\nVia: SIP/2.0/UDP 192.0.2.44:5060;branch=z9hG4bKs%d\r\n\
+       From: <sip:x@192.0.2.44>;tag=f%d\r\nTo: <sip:y@b.example>;tag=t%d\r\n\
+       Call-ID: stray-%d\r\nCSeq: %d INVITE\r\nContent-Length: 0\r\n\r\n"
+      i i i i i
+  in
+  let folded i =
+    Printf.sprintf "OPTIONS sip:y@b.example SIP/2.0\r\nCall-ID: folded-%d\r\n  continued\r\n%s\r\n"
+      i (String.concat "\r\n" (List.init 30 (Printf.sprintf "X-Filler-%d: %d" i)))
+  in
+  List.concat
+    (List.init 40 (fun i ->
+         let at = sec (0.1 *. float_of_int i) in
+         [
+           { Vids.Trace.at; src = garbage_src; dst = victim; payload = "GARBAGE" };
+           { Vids.Trace.at; src = from; dst = victim; payload = folded i };
+           { Vids.Trace.at; src = from; dst = victim; payload = stray i };
+         ]))
+  (* Last, between endpoints no rule names, a message refused after a
+     field was read. *)
+  @ [
+      {
+        Vids.Trace.at = sec 4.0;
+        src = addr "192.0.2.77" 5060;
+        dst = addr "10.3.0.3" 5060;
+        payload =
+          "OPTIONS sip:y@b.example SIP/2.0\r\nCall-ID: refused\r\nno colon\r\n\
+           Max-Forwards: 70\r\n\r\n";
+      };
+    ]
+
+let test_history_independent () =
+  let attack = Test_ingest.by_time (flood_capture () @ garbage_around_checkpoint ()) in
+  let run records =
+    let path = Test_ingest.tmp_path ".pcap" and snap = Test_ingest.tmp_path ".ck" in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter
+          (fun p -> if Sys.file_exists p then Sys.remove p)
+          [ path; snap; snap ^ ".1"; snap ^ ".journal"; snap ^ ".tee" ])
+      (fun () ->
+        Ingest.Pcap.write_file path records;
+        let config =
+          {
+            Ingest.Daemon.default with
+            Ingest.Daemon.enforce = Some Enforce.Enforcer.default_policy;
+            batch = 64;
+            checkpoint_every_s = 2.0;
+            snapshot_path = Some snap;
+            journal_path = Some (snap ^ ".journal");
+            record_path = Some (snap ^ ".tee");
+          }
+        in
+        let r = Test_ingest.run_daemon ~config [ Ingest.Daemon.Pcap_file { path; pace = false } ] in
+        let e = Option.get r.Ingest.Daemon.enforcer and at = r.Ingest.Daemon.horizon in
+        [
+          ( "engine digest",
+            Digest.to_hex (Digest.string (Vids.Snapshot.digest ~at r.Ingest.Daemon.engine)) );
+          ("enforcement digest", Enforce.Enforcer.digest e);
+          ( "alerts",
+            String.concat "\n"
+              (List.map (Format.asprintf "%a" Vids.Alert.pp)
+                 (Vids.Engine.alerts r.Ingest.Daemon.engine)) );
+          ( "rules",
+            String.concat "\n"
+              (List.map BT.rule_to_line (BT.rules (Enforce.Enforcer.table e) ~now:at)) );
+        ])
+  in
+  let first = run attack in
+  ignore (run (other_garbage ()));
+  let third = run attack in
+  List.iter2
+    (fun (what, a) (_, b) -> Alcotest.(check string) ("first and third run: " ^ what) a b)
+    first third
+
 (* ------------------------------------------------------------------ *)
 (* Response coverage on the Figure-7 testbed                           *)
 (* ------------------------------------------------------------------ *)
@@ -841,5 +927,7 @@ let suite =
           test_enforcing_daemon;
         Alcotest.test_case "every attack scenario gets its mapped response" `Quick
           test_response_coverage;
+        Alcotest.test_case "a daemon run reads the same after a run over other traffic" `Quick
+          test_history_independent;
       ] );
   ]

@@ -660,28 +660,30 @@ let folded_message_allocation () =
   if per_byte > 16. then
     Alcotest.failf "parsing allocated %.0f B per byte of %d, limit 16" per_byte (String.length text)
 
-(* The SIP path allocates once per field it keeps: classifying an INVITE
-   with SDP and building its event costs at most 6 500 B, and an ACK at
-   most 4 500 B.  Copying every line before splitting it, and appending
-   header lists and event arguments with [@], cost ≈13.5 KB and ≈9 KB. *)
+(* The engine's SIP path, from payload to event, copies only what the
+   event keeps: [Classifier.read] indexes the payload without allocating,
+   and [Sip_event.of_index] builds the event from the spans.  An INVITE
+   with SDP costs at most 1 320 B (1 208 measured) and an ACK at most
+   610 B (560).  Parsing each message into a header list and building the
+   event from that (the path before the index) cost 2 472 and 1 496 B. *)
 let sip_path_allocation () =
   let src = sip_addr "10.1.0.2" and dst = sip_addr "10.2.0.2" in
+  let index = Sip.Index.create () in
   List.iter
     (fun (name, text, limit) ->
       let p = packet ~src ~dst text in
       let n = 100 in
       let w0 = Gc.minor_words () in
       for _ = 1 to n do
-        match Vids.Classifier.classify ~known_media:no_media p with
-        | Vids.Classifier.Sip msg ->
-            ignore (Sys.opaque_identity (Vids.Sip_event.of_msg ~at:0 ~src ~dst msg))
+        match Vids.Classifier.read index ~known_media:no_media p with
+        | Vids.Classifier.Sip () ->
+            ignore (Sys.opaque_identity (Vids.Sip_event.of_index ~at:0 ~src ~dst index))
         | _ -> Alcotest.fail "expected SIP"
       done;
       let per_message = 8. *. (Gc.minor_words () -. w0) /. float_of_int n in
       if per_message > limit then
         Alcotest.failf "%s: %.0f B allocated per message, limit %.0f" name per_message limit)
-    [ ("INVITE with SDP", invite_text, 6500.); ("ACK", ack_text, 4500.) ]
-
+    [ ("INVITE with SDP", invite_text, 1320.); ("ACK", ack_text, 610.) ]
 
 (* A checkpoint of 1 000 held calls is ≈870 KB of text.  Encoding it
    must allocate at most 16 B per output byte (one Printf per hex byte
@@ -778,7 +780,8 @@ let churn_dialogs =
   completed @ completed @ cancelled
 
 (* [Sip_event.of_msg] copies only the strings its event keeps: over
-   churn-shaped messages it allocates at most 1 000 B per message.
+   churn-shaped messages it allocates at most 990 B per message (906
+   measured, 870 before [of_msg] shared its lookup with the index path).
    Parsing From, To and Contact into name-addrs with their URIs and the
    top Via into a record, only to read two tags, a host and a branch, cost
    ≈1 770 B. *)
@@ -800,8 +803,8 @@ let of_msg_allocation () =
   let per_message =
     8. *. (allocated_words () -. w0) /. float_of_int (n * List.length msgs)
   in
-  if per_message > 1000. then
-    Alcotest.failf "of_msg allocated %.0f B per message, limit 1000" per_message
+  if per_message > 990. then
+    Alcotest.failf "of_msg allocated %.0f B per message, limit 990" per_message
 
 (* [Pcap.next] copies each record's UDP payload and little else: reading
    1 000 SIP records allocates at most 96 B per record beyond the payload

@@ -562,15 +562,26 @@ let rotation_and_fallback () =
 
 (* A capture that is not pcap, such as a text tee an older daemon wrote,
    is refused by name rather than replayed as an empty suffix. *)
-let non_pcap_capture_refused () =
+(* [Snapshot.save] over the empty file [Filename.temp_file] made rotates
+   that file to [previous_path], so both are removed. *)
+let with_snapshot f =
   let snap = Filename.temp_file "vids-ckpt" ".snap" in
-  Vids.Snapshot.save ~path:snap
-    (Vids.Snapshot.capture ~seq:1 ~at:Dsim.Time.zero
-       (Vids.Engine.create (Dsim.Scheduler.create ())));
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ snap; Vids.Snapshot.previous_path snap ])
+    (fun () ->
+      Vids.Snapshot.save ~path:snap
+        (Vids.Snapshot.capture ~seq:1 ~at:Dsim.Time.zero
+           (Vids.Engine.create (Dsim.Scheduler.create ())));
+      f snap)
+
+let non_pcap_capture_refused () =
+  with_snapshot @@ fun snap ->
   let text = "1000 10.1.0.2:5060 10.2.0.2:5060 494e56495445\n" in
   with_temp_file text (fun path ->
       let recovered = Vids.Recovery.recover_files ~trace_path:path ~snapshot_path:snap () in
-      Sys.remove snap;
       match recovered with
       | Ok _ -> Alcotest.fail "a text capture was replayed"
       | Error e ->
@@ -580,13 +591,9 @@ let non_pcap_capture_refused () =
 (* A journal that exists but cannot be read, here a directory, is
    refused by name rather than raising or passing for an empty one. *)
 let unreadable_journal_refused () =
-  let snap = Filename.temp_file "vids-ckpt" ".snap" in
-  Vids.Snapshot.save ~path:snap
-    (Vids.Snapshot.capture ~seq:1 ~at:Dsim.Time.zero
-       (Vids.Engine.create (Dsim.Scheduler.create ())));
+  with_snapshot @@ fun snap ->
   let dir = Filename.get_temp_dir_name () in
   let recovered = Vids.Recovery.recover_files ~journal_path:dir ~snapshot_path:snap () in
-  List.iter Sys.remove [ snap; Vids.Snapshot.previous_path snap ];
   match recovered with
   | Ok _ -> Alcotest.fail "a directory passed for a journal"
   | Error e ->

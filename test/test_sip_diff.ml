@@ -234,10 +234,11 @@ let mutated st gen =
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let disagree what pp got want =
-  QCheck.Test.fail_reportf "%s differs:@.  scanner:   %s@.  reference: %s" what (pp got) (pp want)
+let disagree ?(sides = ("scanner", "reference")) what pp got want =
+  QCheck.Test.fail_reportf "%s differs:@.  %-10s %s@.  %-10s %s" what (fst sides ^ ":") (pp got)
+    (snd sides ^ ":") (pp want)
 
-let agree what pp got want = got = want || disagree what pp got want
+let agree ?sides what pp got want = got = want || disagree ?sides what pp got want
 
 let show_result show = function Ok v -> "Ok " ^ show v | Error e -> Printf.sprintf "Error %S" e
 let show_opt show = function Some v -> "Some " ^ show v | None -> "None"
@@ -382,9 +383,9 @@ let known_fields st =
    spelling of it: the name itself, all upper or lower case, or its
    compact form. *)
 let canonical_lookup_agrees text =
-  match Sip.Header.parse_range text 0 (String.length text) with
+  match Sip.Msg.parse ("OPTIONS sip:b@b.example SIP/2.0\r\n" ^ text) with
   | Error _ -> true
-  | Ok h ->
+  | Ok { headers = h; _ } ->
       let same spelling canon =
         agree ("Header.get " ^ spelling) (show_opt show_str)
           (Sip.Header.get_canonical h canon) (Sip.Header.get h spelling)
@@ -396,6 +397,78 @@ let canonical_lookup_agrees text =
       && List.for_all
            (fun (short, canon) -> same short canon && same (String.uppercase_ascii short) canon)
            R.Header.compact_table
+
+(* ------------------------------------------------------------------ *)
+(* The sensor's reading: the index, not the parsed message             *)
+(* ------------------------------------------------------------------ *)
+
+let packets = Dsim.Packet.allocator ()
+let sip_packet text = Dsim.Packet.make packets ~src ~dst ~sent_at:Dsim.Time.zero text
+let no_media _ = false
+
+(* What the engine reads of [text] through [index]: [Classifier.read]'s
+   verdict and, for an accepted message, the event, its Call-ID, the flood
+   key and the message the index describes. *)
+type reading = {
+  verdict : (unit, string) result;
+  event : (string * (string * Efsm.Value.t) list) option;
+  call_id : Efsm.Value.t;
+  flood : string option;
+  message : (string * (string * string) list * string) option;
+}
+
+let read_through index text =
+  match Vids.Classifier.read index ~known_media:no_media (sip_packet text) with
+  | Vids.Classifier.Sip () ->
+      let e = Vids.Sip_event.of_index ~at:Dsim.Time.zero ~src ~dst index in
+      let m = Sip.Msg.of_index index in
+      {
+        verdict = Ok ();
+        event = Some (Efsm.Event.name e, Efsm.Event.args e);
+        call_id = Efsm.Event.get e Vids.Keys.Field.call_id;
+        flood = Vids.Sip_event.index_flood_key index;
+        message = Some (show_start m.start, Sip.Header.to_list m.headers, m.body);
+      }
+  | Vids.Classifier.Malformed_sip e ->
+      { verdict = Error e; event = None; call_id = Efsm.Value.Unset; flood = None; message = None }
+  | _ -> QCheck.Test.fail_reportf "a SIP packet classified as something else"
+
+(* (a) The engine accepts what the reference accepts, with its error. *)
+let engine_verdict_agrees text =
+  let got = (read_through (Sip.Index.create ()) text).verdict in
+  match (got, R.parse text) with
+  | Ok (), Ok _ -> true
+  | Error got, Error want -> agree "engine error" show_str got want
+  | Ok (), Error e -> QCheck.Test.fail_reportf "engine accepted, reference rejected: %S" e
+  | Error e, Ok _ -> QCheck.Test.fail_reportf "engine rejected (%S), reference accepted" e
+
+(* (b) The event the engine builds from the index is the reference's, and
+   so are the Call-ID it keys the call by and the flood key. *)
+let engine_event_agrees text =
+  match (read_through (Sip.Index.create ()) text, R.parse text, Sip.Msg.parse text) with
+  | { event = Some (name, args); call_id; flood; _ }, Ok r, Ok m ->
+      let want = R.of_msg ~at:Dsim.Time.zero ~src ~dst r in
+      agree "event name" Fun.id name (Efsm.Event.name want)
+      && agree "event args" show_args args (Efsm.Event.args want)
+      && agree "call_id" (show_result show_str)
+           (match call_id with Efsm.Value.Str c -> Ok c | _ -> Error "missing Call-ID")
+           (R.call_id r)
+      && agree "flood key" (show_opt show_str) flood (Vids.Sip_event.flood_key m)
+  | _ -> true
+
+(* (c) Reading [b] right after [a] gives what [b] gives alone. *)
+let history_independent (a, b) =
+  let index = Sip.Index.create () in
+  ignore (read_through index a);
+  let after = read_through index b and alone = read_through (Sip.Index.create ()) b in
+  let sides = ("after", "alone") in
+  agree ~sides "verdict" (show_result (fun () -> "()")) after.verdict alone.verdict
+  && agree ~sides "event" (show_opt (fun (n, args) -> n ^ " " ^ show_args args)) after.event
+       alone.event
+  && agree ~sides "flood key" (show_opt show_str) after.flood alone.flood
+  && agree ~sides "message"
+       (show_opt (fun (start, fields, body) -> start ^ " " ^ show_fields fields ^ " " ^ body))
+       after.message alone.message
 
 let q ~count name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count (arb gen) prop)
@@ -414,6 +487,18 @@ let suite =
             agree "Sdp.parse" show_sdp (Sdp.parse text) (R.sdp text));
         q ~count:1000 "canonical-name lookup agrees with get" known_fields
           canonical_lookup_agrees;
+        q ~count:3000 "the engine's verdict agrees with the reference"
+          (fun st -> mutated st message)
+          engine_verdict_agrees;
+        q ~count:3000 "the engine's event, Call-ID and flood key agree with the reference"
+          (fun st -> mutated st message)
+          engine_event_agrees;
+        QCheck_alcotest.to_alcotest
+          (QCheck.Test.make ~count:3000 ~name:"a reading does not depend on the message before"
+             (QCheck.make
+                ~print:(fun (a, b) -> Printf.sprintf "%S then %S" a b)
+                (fun st -> (mutated st message, mutated st message)))
+             history_independent);
         q ~count:1000 "range parsers agree with whole-string parsers"
           (fun st -> mutated st (fun st -> if chance st 3 then sdp st else field st))
           ranges_agree;
