@@ -1,6 +1,6 @@
 type 'sip verdict =
   | Sip of 'sip
-  | Rtp of Rtp.Rtp_packet.t
+  | Rtp of int
   | Rtcp of Rtp.Rtcp.t
   | Malformed_sip of string
   | Malformed_rtp of string
@@ -23,42 +23,45 @@ let quick_protocol (packet : Dsim.Packet.t) =
   else if in_rtp_range packet.dst.Dsim.Addr.port then `Media
   else `Other
 
+let enter prof stage = match prof with None -> () | Some p -> Obs.Prof.enter p stage
+let leave prof stage = match prof with None -> () | Some p -> Obs.Prof.exit p stage
+
+(* The range test runs first: both are pure, and it is the cheaper. *)
 let media ?prof ~known_media (packet : Dsim.Packet.t) =
-  let enter s = match prof with None -> () | Some p -> Obs.Prof.enter p s in
-  let leave s = match prof with None -> () | Some p -> Obs.Prof.exit p s in
   let dst_port = packet.dst.Dsim.Addr.port in
-  if known_media packet.dst || in_rtp_range dst_port then
+  if in_rtp_range dst_port || known_media packet.dst then
     if dst_port land 1 = 0 then begin
-      enter Obs.Prof.Rtp_parse;
-      let decoded = Rtp.Rtp_packet.decode packet.payload in
-      leave Obs.Prof.Rtp_parse;
-      match decoded with Ok p -> Rtp p | Error e -> Malformed_rtp e
+      enter prof Obs.Prof.Rtp_parse;
+      match Rtp.Rtp_packet.payload_length packet.payload with
+      | size ->
+          leave prof Obs.Prof.Rtp_parse;
+          Rtp size
+      | exception Rtp.Rtp_packet.Malformed e ->
+          leave prof Obs.Prof.Rtp_parse;
+          Malformed_rtp e
     end
     else begin
-      enter Obs.Prof.Rtp_parse;
+      enter prof Obs.Prof.Rtp_parse;
       let decoded = Rtp.Rtcp.decode packet.payload in
-      leave Obs.Prof.Rtp_parse;
+      leave prof Obs.Prof.Rtp_parse;
       match decoded with Ok r -> Rtcp r | Error e -> Malformed_rtp e
     end
   else Other
 
-let enter prof = match prof with None -> () | Some p -> Obs.Prof.enter p Obs.Prof.Sip_parse
-let leave prof = match prof with None -> () | Some p -> Obs.Prof.exit p Obs.Prof.Sip_parse
-
 let classify ?prof ~known_media (packet : Dsim.Packet.t) =
   if is_sip packet then begin
-    enter prof;
+    enter prof Obs.Prof.Sip_parse;
     let parsed = Sip.Msg.parse packet.payload in
-    leave prof;
+    leave prof Obs.Prof.Sip_parse;
     match parsed with Ok msg -> Sip msg | Error e -> Malformed_sip e
   end
   else media ?prof ~known_media packet
 
 let read ?prof index ~known_media (packet : Dsim.Packet.t) =
   if is_sip packet then begin
-    enter prof;
+    enter prof Obs.Prof.Sip_parse;
     let indexed = Sip.Index.read index packet.payload in
-    leave prof;
+    leave prof Obs.Prof.Sip_parse;
     match indexed with Ok () -> Sip () | Error e -> Malformed_sip e
   end
   else media ?prof ~known_media packet

@@ -7,10 +7,13 @@
 
 type 'sip verdict =
   | Sip of 'sip
-  | Rtp of Rtp.Rtp_packet.t
+  | Rtp of int
+      (** The payload's length ({!Rtp.Rtp_packet.payload_length}); the
+          header is read where it lies. *)
   | Rtcp of Rtp.Rtcp.t
   | Malformed_sip of string  (** {!Sip.Msg.parse}'s error text. *)
   | Malformed_rtp of string
+      (** {!Rtp.Rtp_packet.decode}'s or {!Rtp.Rtcp.decode}'s error text. *)
   | Other
 
 type classification = Sip.Msg.t verdict

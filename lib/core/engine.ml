@@ -43,6 +43,7 @@ type t = {
   sched : Dsim.Scheduler.t;
   base : Fact_base.t;
   index : Sip.Index.t; (* the SIP message being read, and no other *)
+  known_media : Dsim.Addr.t -> bool; (* the classifier's question to [base] *)
   mutable inst : instruments option;
   mutable flight : Obs.Trace.t option;
   mutable prof : Obs.Prof.t option;
@@ -150,15 +151,12 @@ let raise_alert t alert =
 
 exception Chaos_fault
 
-(* Runs [f] inside the containment boundary and returns the exception
-   that escaped it, if any; it never unwinds further.  The call site
-   reports it with [fault] and quarantines the offending record, so a
-   fault's subject string is built only once there is a fault. *)
-let contain f =
-  match f () with
-  | () -> None
-  | exception ((Stack_overflow | Out_of_memory) as fatal) -> raise fatal
-  | exception exn -> Some exn
+(* What a containment boundary holds: every exception but the runtime's
+   own exhaustion.  Each boundary is a handler at its call site, which
+   reports the exception with [fault] and quarantines the offending
+   record, so a fault's subject string is built only once there is a
+   fault, and a record that does not fault allocates nothing for it. *)
+let contained = function Stack_overflow | Out_of_memory -> false | _ -> true
 
 (* A contained exception is counted and reported as an [Engine_fault]
    alert. *)
@@ -266,9 +264,10 @@ let create ?(config = Config.default) ?(overrides = []) sched =
               match !self with
               | None -> f ()
               | Some t -> (
-                  match contain f with
-                  | None -> ()
-                  | Some exn -> fault t ~subject:"timer" ~origin:"timer callback" exn)));
+                  match f () with
+                  | () -> ()
+                  | exception exn when contained exn ->
+                      fault t ~subject:"timer" ~origin:"timer callback" exn)));
     }
   in
   let base = Fact_base.create ~on_pressure ~overrides ~config ~timer_host ~on_alert ~on_anomaly () in
@@ -302,6 +301,7 @@ let create ?(config = Config.default) ?(overrides = []) sched =
       degraded_log = [];
       inline_free_at = Dsim.Time.zero;
       index = Sip.Index.create ();
+      known_media = Fact_base.known_media base;
     }
   in
   self := Some t;
@@ -392,15 +392,13 @@ let inject_call t call ~machine event =
   tick t (fun i -> i.i_inject_call);
   trace_dispatch t "call" call.Fact_base.call_id;
   penter t Obs.Prof.Efsm_dispatch;
-  let escaped =
-    contain (fun () ->
-        checked_inject t call.Fact_base.system ~machine event;
-        Fact_base.maybe_finish t.base call)
-  in
-  pexit t Obs.Prof.Efsm_dispatch;
-  match escaped with
-  | None -> ()
-  | Some exn ->
+  match
+    checked_inject t call.Fact_base.system ~machine event;
+    Fact_base.maybe_finish t.base call
+  with
+  | () -> pexit t Obs.Prof.Efsm_dispatch
+  | exception exn when contained exn ->
+      pexit t Obs.Prof.Efsm_dispatch;
       let subject = call.Fact_base.call_id and origin = "call machine" in
       fault t ~subject ~origin exn;
       Fact_base.quarantine_call t.base call;
@@ -408,33 +406,36 @@ let inject_call t call ~machine event =
 
 (* The standalone detectors, keyed by destination (flood), stream (spam)
    or victim host (drdos); a faulting detector is quarantined the same
-   way. *)
-let feed_detector t kind ~key event =
+   way.  A key's text is built only for the flight recorder or a fault:
+   a stream's address is not formatted per packet. *)
+let feed_detector t kind key event =
+  let label = Fact_base.kind_of kind in
   (match t.inst with
   | None -> ()
   | Some i ->
       Obs.Metrics.incr
-        (match kind with
+        (match label with
         | `Flood -> i.i_inject_flood
         | `Spam -> i.i_inject_spam
         | `Drdos -> i.i_inject_drdos));
-  trace_dispatch t (Fact_base.kind_label kind) key;
-  penter t Obs.Prof.Detect;
-  let d = Fact_base.detector t.base kind ~key in
-  let machine = Efsm.Machine.name d.Fact_base.d_machine in
-  let escaped = contain (fun () -> checked_inject t d.Fact_base.d_system ~machine event) in
-  pexit t Obs.Prof.Detect;
-  match escaped with
+  (match t.flight with
   | None -> ()
-  | Some exn ->
-      let subject = Fact_base.detector_subject kind key
-      and origin = Fact_base.kind_label kind ^ " detector" in
+  | Some _ -> trace_dispatch t (Fact_base.kind_label label) (Fact_base.key_text kind key));
+  penter t Obs.Prof.Detect;
+  let d = Fact_base.detector t.base kind key in
+  let machine = Efsm.Machine.name d.Fact_base.d_machine in
+  match checked_inject t d.Fact_base.d_system ~machine event with
+  | () -> pexit t Obs.Prof.Detect
+  | exception exn when contained exn ->
+      pexit t Obs.Prof.Detect;
+      let subject = Fact_base.detector_subject label (Fact_base.key_text kind key)
+      and origin = Fact_base.kind_label label ^ " detector" in
       fault t ~subject ~origin exn;
-      Fact_base.quarantine_detector t.base kind ~key;
+      Fact_base.quarantine_detector t.base kind key;
       trace_quarantine t ~subject ~origin
 
 let feed_drdos_detector t (packet : Dsim.Packet.t) event =
-  feed_detector t `Drdos ~key:(Dsim.Addr.host packet.dst)
+  feed_detector t Fact_base.Victim (Dsim.Addr.host packet.dst)
     (Efsm.Event.rename event Keys.orphan_response)
 
 (* A REGISTER crossing the boundary sensor: intra-enterprise registrations
@@ -482,7 +483,7 @@ let handle_sip t (packet : Dsim.Packet.t) =
   (match meth with Some Sip.Msg_method.REGISTER -> check_boundary_register t | _ -> ());
   (match Sip_event.index_flood_key t.index with
   | None -> ()
-  | Some key -> feed_detector t `Flood ~key event);
+  | Some key -> feed_detector t Fact_base.Dst key event);
   match Efsm.Event.get event Keys.Field.call_id with
   | Efsm.Value.Str call_id -> (
       match Fact_base.find_call t.base call_id with
@@ -520,28 +521,32 @@ let handle_sip t (packet : Dsim.Packet.t) =
 (* RTP distribution                                                 *)
 (* --------------------------------------------------------------- *)
 
-let rtp_event ~at ~src ~dst (p : Rtp.Rtp_packet.t) =
+(* The header is read where it lies, in a datagram the classifier
+   accepted: no packet record and no payload copy. *)
+let rtp_event ~at (packet : Dsim.Packet.t) size =
   let module E = Efsm.Event in
   let module F = Keys.Field in
   let module V = Efsm.Value in
+  let module P = Rtp.Rtp_packet in
+  let payload = packet.payload in
   let e = E.blank (E.Data "RTP") ~at ~last:F.size Keys.rtp_packet in
-  E.set e F.src_ip (V.Str (Dsim.Addr.host src));
-  E.set e F.src_port (V.Int (Dsim.Addr.port src));
-  E.set e F.dst_ip (V.Str (Dsim.Addr.host dst));
-  E.set e F.dst_port (V.Int (Dsim.Addr.port dst));
-  E.set e F.ssrc (V.Int (Int32.to_int p.Rtp.Rtp_packet.ssrc));
-  E.set e F.seq (V.Int p.Rtp.Rtp_packet.sequence);
-  E.set e F.ts (V.Int (Int32.to_int p.Rtp.Rtp_packet.timestamp));
-  E.set e F.payload_type (V.Int p.Rtp.Rtp_packet.payload_type);
-  E.set e F.size (V.Int (String.length p.Rtp.Rtp_packet.payload));
+  E.set e F.src_ip (V.Str (Dsim.Addr.host packet.src));
+  E.set e F.src_port (V.Int (Dsim.Addr.port packet.src));
+  E.set e F.dst_ip (V.Str (Dsim.Addr.host packet.dst));
+  E.set e F.dst_port (V.Int (Dsim.Addr.port packet.dst));
+  E.set e F.ssrc (V.Int (P.ssrc_of payload));
+  E.set e F.seq (V.Int (P.sequence_of payload));
+  E.set e F.ts (V.Int (P.timestamp_of payload));
+  E.set e F.payload_type (V.Int (P.payload_type_of payload));
+  E.set e F.size (V.Int size);
   e
 
-let handle_rtp t (packet : Dsim.Packet.t) decoded =
+let handle_rtp t (packet : Dsim.Packet.t) size =
   t.rtp_packets <- t.rtp_packets + 1;
   tick t (fun i -> i.i_rtp);
   trace_packet t packet "rtp";
   t.busy <- Dsim.Time.add t.busy t.config.Config.rtp_cpu_cost;
-  let event = rtp_event ~at:(now t) ~src:packet.src ~dst:packet.dst decoded in
+  let event = rtp_event ~at:(now t) packet size in
   (* Stream-level checks (Figure 6) run on every stream the sensor sees —
      unless the engine is degraded, in which case they are shed first:
      they are the per-packet bulk of the load and each unknown stream
@@ -550,22 +555,22 @@ let handle_rtp t (packet : Dsim.Packet.t) decoded =
     t.rtp_shed <- t.rtp_shed + 1;
     tick t (fun i -> i.i_rtp_shed)
   end
-  else feed_detector t `Spam ~key:(Dsim.Addr.to_string packet.dst) event;
+  else feed_detector t Fact_base.Stream packet.dst event;
   (* Call-level cross-protocol checks (Figure 5) when the stream belongs to
      a tracked call; these stay live even degraded (they are bounded by the
      call cap and carry the BYE-DoS/billing-fraud discrimination). *)
   match Fact_base.call_for_media t.base packet.dst with
-  | None -> ()
-  | Some call -> inject_call t call ~machine:Keys.rtp_machine event
+  | call -> inject_call t call ~machine:Keys.rtp_machine event
+  | exception Not_found -> ()
 
 (* --------------------------------------------------------------- *)
 (* Entry points                                                     *)
 (* --------------------------------------------------------------- *)
 
 let dispatch t packet =
-  match Classifier.read ?prof:t.prof t.index ~known_media:(Fact_base.known_media t.base) packet with
+  match Classifier.read ?prof:t.prof t.index ~known_media:t.known_media packet with
   | Classifier.Sip () -> handle_sip t packet
-  | Classifier.Rtp decoded -> handle_rtp t packet decoded
+  | Classifier.Rtp size -> handle_rtp t packet size
   | Classifier.Rtcp _ ->
       t.rtcp_packets <- t.rtcp_packets + 1;
       tick t (fun i -> i.i_rtcp);
@@ -599,9 +604,9 @@ let process_packet t packet =
   (* Outer boundary: whatever the inner per-record boundaries miss
      (classifier, parser, distributor) is contained here, so no packet —
      however crafted — can unwind the sensor's packet loop. *)
-  match contain (fun () -> dispatch t packet) with
-  | None -> ()
-  | Some exn ->
+  match dispatch t packet with
+  | () -> ()
+  | exception exn when contained exn ->
       fault t ~subject:(Dsim.Addr.to_string packet.Dsim.Packet.src) ~origin:"packet pipeline" exn
 
 (* Inline forwarding latency: a fixed per-protocol pipeline latency plus

@@ -28,10 +28,15 @@ type detector = {
 
 type detector_kind = [ `Flood | `Spam | `Drdos ]
 
-(* Calls and detectors are keyed by attacker-controlled strings.  FNV-1a
-   reads every byte, so Call-IDs that share a long prefix still spread
-   over the table; over native ints it keeps the low 63 bits of the 64-bit
-   FNV product, and allocates nothing. *)
+type _ key = Dst : string key | Stream : Dsim.Addr.t key | Victim : string key
+
+(* A creation-order entry: the record's key, and its serial. *)
+type entry = Entry : 'k key * 'k * int -> entry
+
+(* Calls are keyed by attacker-controlled strings.  FNV-1a reads every
+   byte, so Call-IDs that share a long prefix still spread over the table;
+   over native ints it keeps the low 63 bits of the 64-bit FNV product,
+   and allocates nothing. *)
 module Key = struct
   type t = string
 
@@ -69,9 +74,10 @@ type t = {
   on_pressure : subject:string -> detail:string -> unit;
   calls : call Key_tbl.t; (* by Call-ID *)
   media_index : call Addr_tbl.t;
-  floods : detector Key_tbl.t;
-  spams : detector Key_tbl.t;
-  drdoses : detector Key_tbl.t;
+  (* Detectors by key, hashed and compared by structure. *)
+  floods : (string, detector) Hashtbl.t;
+  spams : (Dsim.Addr.t, detector) Hashtbl.t;
+  drdoses : (string, detector) Hashtbl.t;
   (* Creation-order queues back oldest-first eviction in O(1) amortized:
      entries are validated lazily against the live tables, so a record
      deleted through the normal lifecycle just leaves a stale entry to be
@@ -80,7 +86,7 @@ type t = {
      live record count under sustained churn.  Entries hold the key, not
      the record, so a deleted record's machines are not kept alive. *)
   call_order : (string * int) Queue.t; (* Call-ID, serial *)
-  detector_order : (detector_kind * string * int) Queue.t; (* kind, key, serial *)
+  detector_order : entry Queue.t;
   mutable next_serial : int;
   mutable peak : int;
   mutable created : int;
@@ -139,9 +145,9 @@ let create ?(on_pressure = fun ~subject:_ ~detail:_ -> ()) ?(overrides = []) ~co
     on_pressure;
     calls = Key_tbl.create 256;
     media_index = Addr_tbl.create 256;
-    floods = Key_tbl.create 64;
-    spams = Key_tbl.create 256;
-    drdoses = Key_tbl.create 64;
+    floods = Hashtbl.create 64;
+    spams = Hashtbl.create 256;
+    drdoses = Hashtbl.create 64;
     call_order = Queue.create ();
     detector_order = Queue.create ();
     next_serial = 0;
@@ -259,17 +265,28 @@ let register_media t call addr =
     Addr_tbl.replace t.media_index addr call
   end
 
-let call_for_media t addr = Addr_tbl.find_opt t.media_index addr
+let call_for_media t addr = Addr_tbl.find t.media_index addr
 
 let known_media t addr = Addr_tbl.mem t.media_index addr
 
-let detector_table t = function
-  | `Flood -> t.floods
-  | `Spam -> t.spams
-  | `Drdos -> t.drdoses
+let kind_of : type k. k key -> detector_kind = function
+  | Dst -> `Flood
+  | Stream -> `Spam
+  | Victim -> `Drdos
 
-let detector_count t =
-  Key_tbl.length t.floods + Key_tbl.length t.spams + Key_tbl.length t.drdoses
+let key_text : type k. k key -> k -> string =
+ fun kind key -> match kind with Dst -> key | Stream -> Dsim.Addr.to_string key | Victim -> key
+
+let table : type k. t -> k key -> (k, detector) Hashtbl.t =
+ fun t -> function Dst -> t.floods | Stream -> t.spams | Victim -> t.drdoses
+
+(* The live record an entry names, if any. *)
+let live t (Entry (kind, key, serial)) =
+  match Hashtbl.find (table t kind) key with
+  | d when d.d_serial = serial -> Some d
+  | _ | (exception Not_found) -> None
+
+let detector_count t = Hashtbl.length t.floods + Hashtbl.length t.spams + Hashtbl.length t.drdoses
 
 let occupancy t = Key_tbl.length t.calls + detector_count t
 
@@ -279,39 +296,34 @@ let compact_detector_order t =
   if Queue.length t.detector_order > (2 * detector_count t) + 64 then begin
     let keep = Queue.create () in
     Queue.iter
-      (fun ((kind, key, serial) as entry) ->
-        match Key_tbl.find_opt (detector_table t kind) key with
-        | Some d when d.d_serial = serial -> Queue.add entry keep
-        | Some _ | None -> ())
+      (fun entry -> if Option.is_some (live t entry) then Queue.add entry keep)
       t.detector_order;
     Queue.clear t.detector_order;
     Queue.transfer keep t.detector_order
   end
 
-let remove_detector t kind ~key =
-  let table = detector_table t kind in
-  match Key_tbl.find_opt table key with
-  | None -> false
-  | Some d ->
+let remove_detector t kind key =
+  match Hashtbl.find (table t kind) key with
+  | exception Not_found -> ()
+  | d ->
       Efsm.System.release d.d_system;
-      Key_tbl.remove table key;
-      compact_detector_order t;
-      true
+      Hashtbl.remove (table t kind) key;
+      compact_detector_order t
 
 let rec evict_oldest_detector t =
   match Queue.take_opt t.detector_order with
   | None -> ()
-  | Some (kind, key, serial) -> (
-      match Key_tbl.find_opt (detector_table t kind) key with
-      | Some d when d.d_serial = serial ->
-          ignore (remove_detector t kind ~key);
+  | Some (Entry (kind, key, _) as entry) -> (
+      match live t entry with
+      | Some d ->
+          remove_detector t kind key;
           t.detectors_evicted <- t.detectors_evicted + 1;
           t.on_pressure ~subject:"fact-base/detectors"
             ~detail:
               (Printf.sprintf "detector %s evicted: %d-detector cap reached"
-                 (kind_label kind ^ ":" ^ key)
+                 (kind_label (kind_of kind) ^ ":" ^ Efsm.System.owner d.d_system)
                  t.config.Config.max_detectors)
-      | Some _ | None -> evict_oldest_detector t)
+      | None -> evict_oldest_detector t)
 
 let detector_program t = function
   | `Flood -> Lazy.force t.flood_program
@@ -324,34 +336,38 @@ let detector_hooks t = function
   | `Drdos -> t.drdos_hooks
 
 (* Builds a detector on the shared program and registers it; the cap is
-   the caller's business. *)
-let add_detector t kind ~key ~created_at ~touched =
-  let d_system = Efsm.System.create ~hooks:(detector_hooks t kind) ~owner:key t.timer_host in
-  let d_machine = Efsm.System.add_machine d_system (detector_program t kind) in
+   the caller's business.  [name], the key's text, is its system's owner:
+   its alerts' subject and its snapshot line. *)
+let add_detector t kind key ~name ~created_at ~touched =
+  let label = kind_of kind in
+  let d_system = Efsm.System.create ~hooks:(detector_hooks t label) ~owner:name t.timer_host in
+  let d_machine = Efsm.System.add_machine d_system (detector_program t label) in
   let d =
     { d_system; d_machine; d_created = created_at; d_serial = fresh_serial t; d_touched = touched }
   in
-  Key_tbl.replace (detector_table t kind) key d;
-  Queue.add (kind, key, d.d_serial) t.detector_order;
+  Hashtbl.replace (table t kind) key d;
+  Queue.add (Entry (kind, key, d.d_serial)) t.detector_order;
   d
 
-let detector t kind ~key =
-  match Key_tbl.find_opt (detector_table t kind) key with
-  | Some d ->
+(* A lookup raises [Not_found] rather than return an option, so that it
+   allocates nothing. *)
+let detector t kind key =
+  match Hashtbl.find (table t kind) key with
+  | d ->
       d.d_touched <- t.timer_host.Efsm.System.now ();
       d
-  | None ->
+  | exception Not_found ->
       let cap = t.config.Config.max_detectors in
       if cap > 0 && detector_count t >= cap then evict_oldest_detector t;
       let now = t.timer_host.Efsm.System.now () in
-      add_detector t kind ~key ~created_at:now ~touched:now
+      add_detector t kind key ~name:(key_text kind key) ~created_at:now ~touched:now
 
 (* --------------------------------------------------------------- *)
 (* Fault quarantine                                                 *)
 (* --------------------------------------------------------------- *)
 
 let quarantine_call t call = delete_call t call
-let quarantine_detector t kind ~key = ignore (remove_detector t kind ~key)
+let quarantine_detector = remove_detector
 
 let rtp_done call =
   Efsm.Machine.is_final call.rtp
@@ -417,16 +433,14 @@ let sweep t ~max_age =
 let sweep_detectors t ~max_age =
   let now = t.timer_host.Efsm.System.now () in
   let stale =
-    List.concat_map
-      (fun kind ->
-        Key_tbl.fold
-          (fun key d acc ->
-            if Dsim.Time.( > ) (Dsim.Time.sub now d.d_touched) max_age then (kind, key) :: acc
-            else acc)
-          (detector_table t kind) [])
-      [ `Flood; `Spam; `Drdos ]
+    Queue.fold
+      (fun acc entry ->
+        match live t entry with
+        | Some d when Dsim.Time.( > ) (Dsim.Time.sub now d.d_touched) max_age -> entry :: acc
+        | Some _ | None -> acc)
+      [] t.detector_order
   in
-  List.iter (fun (kind, key) -> ignore (remove_detector t kind ~key)) stale;
+  List.iter (fun (Entry (kind, key, _)) -> remove_detector t kind key) stale;
   List.length stale
 
 let arm_sweep t ~delay =
@@ -500,10 +514,10 @@ let calls_in_creation_order t =
 
 let detectors_in_creation_order t =
   Queue.fold
-    (fun acc (kind, key, serial) ->
-      match Key_tbl.find_opt (detector_table t kind) key with
-      | Some d when d.d_serial = serial -> (kind, key, d) :: acc
-      | Some _ | None -> acc)
+    (fun acc (Entry (kind, _, _) as entry) ->
+      match live t entry with
+      | Some d -> (kind_of kind, Efsm.System.owner d.d_system, d) :: acc
+      | None -> acc)
     [] t.detector_order
   |> List.rev
 
@@ -516,11 +530,26 @@ let restore_call t ~call_id ~created_at =
     invalid_arg (Printf.sprintf "Fact_base.restore_call: duplicate call %S" call_id);
   add_call t ~call_id ~created_at
 
-let restore_detector t kind ~key ~created_at ~touched =
-  if Key_tbl.mem (detector_table t kind) key then
-    invalid_arg
-      (Printf.sprintf "Fact_base.restore_detector: duplicate %s detector %S" (kind_label kind) key);
-  add_detector t kind ~key ~created_at ~touched
+(* A spam detector's key is the text of its stream's address; a snapshot
+   comes from outside, so one that does not parse is refused by name. *)
+let restore_detector t label ~key:name ~created_at ~touched =
+  let restore kind key =
+    if Hashtbl.mem (table t kind) key then
+      invalid_arg
+        (Printf.sprintf "Fact_base.restore_detector: duplicate %s detector %S"
+           (kind_label label) name);
+    add_detector t kind key ~name ~created_at ~touched
+  in
+  match label with
+  | `Flood -> restore Dst name
+  | `Drdos -> restore Victim name
+  | `Spam -> (
+      match Dsim.Addr.of_string name with
+      | Some addr -> restore Stream addr
+      | None ->
+          invalid_arg
+            (Printf.sprintf
+               "Fact_base.restore_detector: spam detector key %S is not host:port" name))
 
 let set_counters t ~peak ~created ~deleted ~calls_evicted ~detectors_evicted ~swept
     ~detectors_swept =

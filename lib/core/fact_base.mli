@@ -46,6 +46,15 @@ type call = {
 
 type detector_kind = [ `Flood | `Spam | `Drdos ]
 
+(** How each kind of detector is keyed: INVITE flood by destination,
+    media spam by the stream's address, DRDoS by victim host. *)
+type _ key = Dst : string key | Stream : Dsim.Addr.t key | Victim : string key
+
+val kind_of : 'k key -> detector_kind
+
+val key_text : 'k key -> 'k -> string
+(** The text a key is named by: the key itself, or ["host:port"]. *)
+
 type detector = private {
   d_system : Efsm.System.t;
   d_machine : Efsm.Machine.t;
@@ -79,13 +88,16 @@ val create_call : t -> call_id:string -> call
 val register_media : t -> call -> Dsim.Addr.t -> unit
 (** Binds a media address to the call for RTP routing. *)
 
-val call_for_media : t -> Dsim.Addr.t -> call option
+val call_for_media : t -> Dsim.Addr.t -> call
+(** @raise Not_found when no call holds the address, so that a lookup
+    allocates nothing. *)
 
 val known_media : t -> Dsim.Addr.t -> bool
 
-val detector : t -> detector_kind -> key:string -> detector
-(** The detector of that kind for [key] (created on first use): INVITE
-    flood per destination, media spam per stream, DRDoS per victim host. *)
+val detector : t -> 'k key -> 'k -> detector
+(** The detector of that kind for the key, created on first use, when
+    its key's text is built once: its system's owner, which names it in
+    alerts and snapshots. *)
 
 val detector_subject : detector_kind -> string -> string
 (** The subject its alerts carry: ["dst:"], ["stream:"] or ["victim:"]
@@ -98,7 +110,7 @@ val quarantine_call : t -> call -> unit
 (** Removes a call whose machine faulted so the fault cannot recur; the
     engine raises the matching [Engine_fault] alert. *)
 
-val quarantine_detector : t -> detector_kind -> key:string -> unit
+val quarantine_detector : t -> 'k key -> 'k -> unit
 (** Same, for a standalone detector. *)
 
 val maybe_finish : t -> call -> unit
@@ -121,7 +133,7 @@ val calls_in_creation_order : t -> call list
     eviction order, so restoring in this order preserves both). *)
 
 val detectors_in_creation_order : t -> (detector_kind * string * detector) list
-(** Kind, key and record. *)
+(** Kind, key text and record. *)
 
 val restore_call : t -> call_id:string -> created_at:Dsim.Time.t -> call
 (** Rebuilds an empty call record (machines in their initial states) under
@@ -134,6 +146,9 @@ val restore_detector :
   created_at:Dsim.Time.t ->
   touched:Dsim.Time.t ->
   detector
+(** [key] is a key's text, which a spam detector's must parse as
+    ["host:port"] ({!Dsim.Addr.of_string}).  Raises [Invalid_argument],
+    naming the key, when it does not, or on a duplicate. *)
 
 val arm_delete_at : t -> call -> Dsim.Time.t -> unit
 (** Marks the call closing and schedules its deletion at the absolute time

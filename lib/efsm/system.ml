@@ -50,20 +50,23 @@ let create ~hooks ~owner timer_host =
   }
 
 let globals t = t.shared
+let owner t = t.owner
 
+(* Raises [Not_found], so that a lookup allocates nothing. *)
 let rec find_machine name = function
-  | [] -> None
-  | m :: rest -> if String.equal (Machine.name m) name then Some m else find_machine name rest
+  | [] -> raise Not_found
+  | m :: rest -> if String.equal (Machine.name m) name then m else find_machine name rest
+
+let machine t name =
+  match find_machine name t.machines with m -> Some m | exception Not_found -> None
 
 let add_machine t program =
   let m = Machine.instantiate program ~globals:t.shared in
   let name = Machine.name m in
-  if Option.is_some (find_machine name t.machines) then
+  if Option.is_some (machine t name) then
     invalid_arg (Printf.sprintf "System.add_machine: duplicate machine %S" name);
   t.machines <- t.machines @ [ m ];
   m
-
-let machine t name = find_machine name t.machines
 
 let is_timer machine_name id a = String.equal a.machine_name machine_name && String.equal a.id id
 
@@ -110,10 +113,10 @@ and apply_effects t machine_name = function
 
 and feed t machine_name event ~is_data =
   match find_machine machine_name t.machines with
-  | None ->
+  | exception Not_found ->
       t.hooks.on_anomaly t.owner
         { machine = machine_name; state = "?"; event; detail = "no such machine in system" }
-  | Some m -> (
+  | m -> (
       match Machine.step m event with
       | Machine.Moved { effects; attack; _ } -> (
           apply_effects t machine_name effects;

@@ -43,6 +43,8 @@ val create : hooks:hooks -> owner:string -> timer_host -> t
 val globals : t -> Env.globals
 (** The shared global-variable store of this call's machines. *)
 
+val owner : t -> string
+
 val add_machine : t -> Machine.program -> Machine.t
 (** Instantiates the program bound to this system's global store.  Machine
     names must be unique within the system. *)

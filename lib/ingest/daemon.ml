@@ -197,7 +197,7 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
           Vids.Trace.step player r;
           let dt = Unix.gettimeofday () -. t0 in
           Dsim.Stat.Quantiles.add quantiles dt;
-          Option.iter (fun h -> Obs.Metrics.observe h dt) dispatch_h;
+          (match dispatch_h with None -> () | Some h -> Obs.Metrics.observe h dt);
           incr dispatched;
           tick packets_c;
           pexit Obs.Prof.Drive
@@ -239,7 +239,8 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
                       let now_s = clock.Clock.now () in
                       if target > now_s then clock.Clock.sleep (target -. now_s)
                     end;
-                    push { r with Vids.Trace.at = at }
+                    (* The identity for a capture that starts at 0. *)
+                    push (if at = r.Vids.Trace.at then r else { r with Vids.Trace.at = at })
               done;
               !consumed
           | S_udp u ->

@@ -43,66 +43,52 @@ let encode t =
   List.iteri (fun i csrc -> Bytes.set_int32_be header (12 + (4 * i)) csrc) t.csrc;
   Bytes.to_string header ^ t.payload
 
-let decode s =
+exception Malformed of string
+
+(* Where the payload ends: before the padding, whose last byte counts it. *)
+let payload_end s =
   let len = String.length s in
-  if len < 12 then Error "RTP: shorter than fixed header"
-  else begin
-    let b = Bytes.unsafe_of_string s in
-    let b0 = Bytes.get_uint8 b 0 in
-    let version = b0 lsr 6 in
-    if version <> 2 then Error (Printf.sprintf "RTP: version %d" version)
-    else begin
-      let padding = b0 land 0x20 <> 0 in
-      let extension = b0 land 0x10 <> 0 in
-      let cc = b0 land 0xF in
-      let b1 = Bytes.get_uint8 b 1 in
-      let marker = b1 land 0x80 <> 0 in
-      let payload_type = b1 land 0x7F in
-      let sequence = Bytes.get_uint16_be b 2 in
-      let timestamp = Bytes.get_int32_be b 4 in
-      let ssrc = Bytes.get_int32_be b 8 in
-      let after_fixed = 12 + (4 * cc) in
-      if len < after_fixed then Error "RTP: truncated CSRC list"
-      else begin
-        let csrc = List.init cc (fun i -> Bytes.get_int32_be b (12 + (4 * i))) in
-        let payload_start =
-          if not extension then Ok after_fixed
-          else if len < after_fixed + 4 then Error "RTP: truncated extension header"
-          else begin
-            let words = Bytes.get_uint16_be b (after_fixed + 2) in
-            let start = after_fixed + 4 + (4 * words) in
-            if len < start then Error "RTP: truncated extension body" else Ok start
-          end
-        in
-        match payload_start with
-        | Error e -> Error e
-        | Ok start ->
-            let payload_end =
-              if not padding then Ok len
-              else begin
-                let pad = Bytes.get_uint8 b (len - 1) in
-                if pad = 0 || len - pad < start then Error "RTP: bad padding"
-                else Ok (len - pad)
-              end
-            in
-            (match payload_end with
-            | Error e -> Error e
-            | Ok stop ->
-                Ok
-                  {
-                    version;
-                    padding;
-                    marker;
-                    payload_type;
-                    sequence;
-                    timestamp;
-                    ssrc;
-                    csrc;
-                    payload = String.sub s start (stop - start);
-                  })
-      end
-    end
-  end
+  if String.get_uint8 s 0 land 0x20 = 0 then len else len - String.get_uint8 s (len - 1)
+
+let payload_length s =
+  let len = String.length s in
+  if len < 12 then raise (Malformed "RTP: shorter than fixed header");
+  let b0 = String.get_uint8 s 0 in
+  if b0 lsr 6 <> 2 then raise (Malformed (Printf.sprintf "RTP: version %d" (b0 lsr 6)));
+  let after_fixed = 12 + (4 * (b0 land 0xF)) in
+  if len < after_fixed then raise (Malformed "RTP: truncated CSRC list");
+  let start =
+    if b0 land 0x10 = 0 then after_fixed
+    else if len < after_fixed + 4 then raise (Malformed "RTP: truncated extension header")
+    else after_fixed + 4 + (4 * String.get_uint16_be s (after_fixed + 2))
+  in
+  if len < start then raise (Malformed "RTP: truncated extension body");
+  let stop = payload_end s in
+  if b0 land 0x20 <> 0 && (stop = len || stop < start) then raise (Malformed "RTP: bad padding");
+  stop - start
+
+let payload_type_of s = String.get_uint8 s 1 land 0x7F
+let sequence_of s = String.get_uint16_be s 2
+let timestamp_of s = Int32.to_int (String.get_int32_be s 4)
+let ssrc_of s = Int32.to_int (String.get_int32_be s 8)
+
+let decode s =
+  match payload_length s with
+  | exception Malformed e -> Error e
+  | size ->
+      let b0 = String.get_uint8 s 0 in
+      Ok
+        {
+          version = 2;
+          padding = b0 land 0x20 <> 0;
+          marker = String.get_uint8 s 1 land 0x80 <> 0;
+          payload_type = payload_type_of s;
+          sequence = sequence_of s;
+          timestamp = Int32.of_int (timestamp_of s);
+          ssrc = Int32.of_int (ssrc_of s);
+          csrc = List.init (b0 land 0xF) (fun i -> String.get_int32_be s (12 + (4 * i)));
+          payload = String.sub s (payload_end s - size) size;
+        }
 
 let seq_delta a b =
   let d = (b - a) land 0xFFFF in

@@ -24,6 +24,25 @@ val encode : t -> string
 
 val decode : string -> (t, string) result
 
+(** {1 Reading in place}
+
+    What the sensor reads of a datagram, without building a packet.  The
+    field readers read one that {!payload_length} accepted, the SSRC and
+    timestamp as [Int32.to_int] reads them: negative from 2^31. *)
+
+exception Malformed of string
+(** Why a datagram is not an RTP packet: {!decode}'s [Error] text. *)
+
+val payload_length : string -> int
+(** The one header reader, {!decode}'s too: the length of the payload,
+    between the header (CSRCs and extension included) and the padding.
+    @raise Malformed when the datagram is not an RTP version 2 packet. *)
+
+val payload_type_of : string -> int
+val sequence_of : string -> int
+val timestamp_of : string -> int
+val ssrc_of : string -> int
+
 val seq_delta : int -> int -> int
 (** Test oracle: the RFC 1982 serial arithmetic that MEDIA_SPAM's
     [wrap16] replaced, to which the differential holds it.  [seq_delta a

@@ -749,12 +749,12 @@ let test_enforcing_daemon () =
     ]
 
 (* Process history cannot change a verdict.  The enforcing daemon, with
-   journal and checkpoints, reads the flood and garbage capture, then a
-   capture of other garbage, folded and many-headed messages, stray
+   journal and checkpoints, reads the flood, garbage and media capture,
+   then a capture of other garbage, folded and many-headed messages, stray
    responses and a message refused mid-head, then the first capture
-   again: the first and third runs
-   report the same engine and enforcement digests, alerts and rules, so
-   nothing the second run read (the SIP index the engine reads through
+   again: the first and third runs report the same engine and enforcement
+   digests, alerts and rules, so nothing the second run read (the SIP
+   index the engine reads through, and the address-keyed spam detectors,
    among it) shows through. *)
 let other_garbage () =
   let from = addr "192.0.2.44" 5060 in
@@ -790,8 +790,36 @@ let other_garbage () =
       };
     ]
 
+(* A stream in order for 4 s at 50 packets a second, and at 2 s a burst
+   into it from another source under a foreign SSRC above 2^31, which its
+   spam detector flags. *)
+let stream_and_spam_burst () =
+  let dst = addr "10.2.0.20" 20000 in
+  let rtp ~ssrc seq =
+    Rtp.Rtp_packet.encode
+      (Rtp.Rtp_packet.make ~payload_type:18 ~sequence:seq ~timestamp:(Int32.of_int (160 * seq))
+         ~ssrc (String.make 20 'm'))
+  in
+  List.init 200 (fun i ->
+      {
+        Vids.Trace.at = Dsim.Time.of_ms (20. *. float_of_int i);
+        src = addr "10.1.0.20" 20000;
+        dst;
+        payload = rtp ~ssrc:0x1234l (i + 1);
+      })
+  @ List.init 10 (fun i ->
+        {
+          Vids.Trace.at = Dsim.Time.add (sec 2.0) (Dsim.Time.of_ms (float_of_int i));
+          src = addr "198.51.100.23" 40000;
+          dst;
+          payload = rtp ~ssrc:0x8000_4321l (30_000 + i);
+        })
+
 let test_history_independent () =
-  let attack = Test_ingest.by_time (flood_capture () @ garbage_around_checkpoint ()) in
+  let attack =
+    Test_ingest.by_time
+      (flood_capture () @ garbage_around_checkpoint () @ stream_and_spam_burst ())
+  in
   let run records =
     let path = Test_ingest.tmp_path ".pcap" and snap = Test_ingest.tmp_path ".ck" in
     Fun.protect
@@ -828,6 +856,14 @@ let test_history_independent () =
         ])
   in
   let first = run attack in
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool)
+    "the burst is flagged on its stream" true
+    (contains (List.assoc "alerts" first) "stream:10.2.0.20:20000");
   ignore (run (other_garbage ()));
   let third = run attack in
   List.iter2

@@ -66,7 +66,9 @@ let classify_rtp () =
   in
   let p = packet ~src:(Dsim.Addr.v "10.1.0.10" 16384) ~dst:(Dsim.Addr.v "10.2.0.10" 20000) rtp in
   (match Vids.Classifier.classify ~known_media:no_media p with
-  | Vids.Classifier.Rtp decoded -> check_int "seq" 5 decoded.Rtp.Rtp_packet.sequence
+  | Vids.Classifier.Rtp size ->
+      check_int "payload length" 1 size;
+      check_int "seq" 5 (Rtp.Rtp_packet.sequence_of p.Dsim.Packet.payload)
   | _ -> Alcotest.fail "expected RTP (port range)");
   (* Outside the range but registered as media. *)
   let p2 = packet ~src:(Dsim.Addr.v "h" 999) ~dst:(Dsim.Addr.v "10.2.0.10" 40002) rtp in
@@ -345,8 +347,8 @@ let fact_base_media_index () =
       check "decoy session address" false (known "10.9.9.9" 20000);
       check "declined stream" false (known "10.2.0.10" 0);
       match Vids.Fact_base.call_for_media base (Dsim.Addr.v "10.2.0.10" 20000) with
-      | Some call -> check_str "routes to call" "c-1" call.Vids.Fact_base.call_id
-      | None -> Alcotest.fail "media not indexed")
+      | call -> check_str "routes to call" "c-1" call.Vids.Fact_base.call_id
+      | exception Not_found -> Alcotest.fail "media not indexed")
     [
       ("session level", caller_sdp, callee_sdp);
       ( "both levels",
@@ -387,15 +389,20 @@ let fact_base_shares_specs () =
   let c = F.restore_call base ~call_id:"share-c" ~created_at:Dsim.Time.zero in
   check "sip spec shared" true (same a.F.sip b.F.sip && same a.F.sip c.F.sip);
   check "rtp spec shared" true (same a.F.rtp b.F.rtp && same a.F.rtp c.F.rtp);
-  List.iter
-    (fun kind ->
-      let d1 = F.detector base kind ~key:"k1" and d2 = F.detector base kind ~key:"k2" in
-      let d3 =
-        F.restore_detector base kind ~key:"k3" ~created_at:Dsim.Time.zero ~touched:Dsim.Time.zero
-      in
-      check (F.kind_label kind ^ " spec shared") true
-        (same d1.F.d_machine d2.F.d_machine && same d1.F.d_machine d3.F.d_machine))
-    [ `Flood; `Spam; `Drdos ]
+  let shared kind (k1, k2) k3 =
+    let d1 = F.detector base kind k1 and d2 = F.detector base kind k2 in
+    let d3 =
+      F.restore_detector base (F.kind_of kind) ~key:k3 ~created_at:Dsim.Time.zero
+        ~touched:Dsim.Time.zero
+    in
+    check
+      (F.kind_label (F.kind_of kind) ^ " spec shared")
+      true
+      (same d1.F.d_machine d2.F.d_machine && same d1.F.d_machine d3.F.d_machine)
+  in
+  shared F.Dst ("k1", "k2") "k3";
+  shared F.Stream (Dsim.Addr.v "10.0.0.1" 16384, Dsim.Addr.v "10.0.0.2" 16384) "10.0.0.3:16384";
+  shared F.Victim ("k1", "k2") "k3"
 
 let flood_invite ?(user = "bob") ?(host = "b.example") i =
   Printf.sprintf
@@ -608,43 +615,68 @@ let media_call_footprint () =
 (* No address is formatted, no name is resolved and no history entry is
    allocated on the per-packet path: 2 000 RTP packets of an established
    call, each through the spam detector and the call's RTP machine,
-   allocate at most 1 135 B apiece.  Formatting the media-index key, the
-   stream key and both containment subjects through [Format] cost
-   ≈12 KB; an event as a list of named arguments, stepped by searching
-   the spec's transitions, ≈2.4 KB; a history entry per step as a cons
-   and a tuple, ≈1 280 B; a (system, machine) pair per detector lookup,
-   ≈1 146 B. *)
+   allocate at most 390 B apiece (360 measured).  Formatting the
+   media-index key, the stream key and both containment subjects through
+   [Format] cost ≈12 KB; an event as a list of named arguments, stepped by
+   searching the spec's transitions, ≈2.4 KB; a history entry per step as
+   a cons and a tuple, ≈1 280 B; a (system, machine) pair per detector
+   lookup, ≈1 146 B.  Before the header was read where it lies, the same
+   packets cost 976 B: a [host:port] string per packet as the spam
+   detector's key, a decoded packet with two boxed [int32]s and a copy of
+   its payload, two span closures in the classifier and the fact base's
+   [known_media] closure per packet, a containment closure per
+   injection, and an option per detector, call and machine lookup. *)
 let rtp_packet_allocation () =
   let p = make_pipeline () in
   run_call p;
   let src = Dsim.Addr.v "10.1.0.10" 16384 and dst = Dsim.Addr.v "10.2.0.10" 20000 in
   let n = 2000 in
-  let packets =
-    Array.init n (fun i -> packet ~src ~dst (rtp_bytes ~seq:(i + 1) ~ts:(160 * (i + 1)) ()))
-  in
   let start = Dsim.Scheduler.now p.sched in
   (* [Gc.minor_words] is exact and allocates nothing; OCaml 5.1's
-     [Gc.allocated_bytes] lags between minor collections. *)
-  let words = ref 0. in
-  Array.iteri
-    (fun i pkt ->
-      Dsim.Scheduler.run_until p.sched (Dsim.Time.add start (Dsim.Time.of_ms (20. *. float i)));
+     [Gc.allocated_bytes] lags between minor collections.  The first
+     round, which creates the stream's spam detector, is not measured. *)
+  let round r =
+    let words = ref 0. in
+    for i = 1 to n do
+      let seq = (r * n) + i in
+      let pkt = packet ~src ~dst (rtp_bytes ~seq ~ts:(160 * seq) ()) in
+      Dsim.Scheduler.run_until p.sched
+        (Dsim.Time.add start (Dsim.Time.of_ms (20. *. float_of_int (seq - 1))));
       let w0 = Gc.minor_words () in
       Vids.Engine.process_packet p.engine pkt;
-      words := !words +. (Gc.minor_words () -. w0))
-    packets;
-  check_int "rtp seen" n (Vids.Engine.counters p.engine).Vids.Engine.rtp_packets;
+      words := !words +. (Gc.minor_words () -. w0)
+    done;
+    !words
+  in
+  ignore (round 0);
+  let words = round 1 in
+  check_int "rtp seen" (2 * n) (Vids.Engine.counters p.engine).Vids.Engine.rtp_packets;
   check_int "no alerts" 0 (List.length (Vids.Engine.alerts p.engine));
-  let per_packet = 8. *. !words /. float_of_int n in
-  if per_packet > 1135. then
-    Alcotest.failf "%.0f B allocated per RTP packet, limit 1135" per_packet
+  let per_packet = 8. *. words /. float_of_int n in
+  if per_packet > 390. then Alcotest.failf "%.0f B allocated per RTP packet, limit 390" per_packet
 
-(* Words allocated so far, exactly: [Gc.minor_words] counts the minor heap
-   (OCaml 5.1's [Gc.allocated_bytes] lags between minor collections), and
-   blocks too large for it are the major words that were not promoted. *)
+(* Words allocated so far, blocks too large for the minor heap included:
+   [Gc.minor_words], plus the major words that were not promoted.  OCaml
+   5.1 adds a block allocated in the major heap to [major_words] only at a
+   later major slice, so a reading can count words from before it: a first
+   measured loop of small blocks once read 44 418 major words with no
+   minor collection and no promotion, and the next three runs of it none.
+   A full major cycle first brings the count up to date.  Only the tests
+   that allocate large blocks by design read it; the others read
+   [Gc.minor_words] alone, which is exact and allocates nothing (OCaml
+   5.1's [Gc.allocated_bytes] lags between minor collections). *)
 let allocated_words () =
+  Gc.full_major ();
   let s = Gc.quick_stat () in
   Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* [f ()] and the words it allocates by [words], on its second run: the
+   first, unmeasured, fills whatever a run fills once. *)
+let second_run words f =
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = words () in
+  let r = f () in
+  (r, words () -. w0)
 
 (* A folded line is joined in one buffer, so a message folded 20 000 times
    (100 KB) allocates at most 16 B per byte.  Joining each continuation
@@ -653,9 +685,8 @@ let allocated_words () =
 let folded_message_allocation () =
   let folds = String.concat "" (List.init 20_000 (fun i -> Printf.sprintf "\r\n x%d" (i mod 10))) in
   let text = "OPTIONS sip:b@y SIP/2.0\r\nSubject: a" ^ folds ^ "\r\n\r\n" in
-  let w0 = allocated_words () in
-  let m = ok (Sip.Msg.parse text) in
-  let per_byte = 8. *. (allocated_words () -. w0) /. float_of_int (String.length text) in
+  let m, words = second_run allocated_words (fun () -> ok (Sip.Msg.parse text)) in
+  let per_byte = 8. *. words /. float_of_int (String.length text) in
   check_int "one field" 1 (List.length (Sip.Header.to_list m.Sip.Msg.headers));
   if per_byte > 16. then
     Alcotest.failf "parsing allocated %.0f B per byte of %d, limit 16" per_byte (String.length text)
@@ -673,14 +704,16 @@ let sip_path_allocation () =
     (fun (name, text, limit) ->
       let p = packet ~src ~dst text in
       let n = 100 in
-      let w0 = Gc.minor_words () in
-      for _ = 1 to n do
-        match Vids.Classifier.read index ~known_media:no_media p with
-        | Vids.Classifier.Sip () ->
-            ignore (Sys.opaque_identity (Vids.Sip_event.of_index ~at:0 ~src ~dst index))
-        | _ -> Alcotest.fail "expected SIP"
-      done;
-      let per_message = 8. *. (Gc.minor_words () -. w0) /. float_of_int n in
+      let (), words =
+        second_run Gc.minor_words (fun () ->
+            for _ = 1 to n do
+              match Vids.Classifier.read index ~known_media:no_media p with
+              | Vids.Classifier.Sip () ->
+                  ignore (Sys.opaque_identity (Vids.Sip_event.of_index ~at:0 ~src ~dst index))
+              | _ -> Alcotest.fail "expected SIP"
+            done)
+      in
+      let per_message = 8. *. words /. float_of_int n in
       if per_message > limit then
         Alcotest.failf "%s: %.0f B allocated per message, limit %.0f" name per_message limit)
     [ ("INVITE with SDP", invite_text, 1320.); ("ACK", ack_text, 610.) ]
@@ -695,9 +728,8 @@ let snapshot_encoding_cost () =
   let p = make_pipeline () in
   hold_calls p 1000;
   let snap = Vids.Snapshot.capture ~seq:1 ~at:(Dsim.Scheduler.now p.sched) p.engine in
-  let w0 = allocated_words () in
-  let text = Vids.Snapshot.to_string snap in
-  let per_byte = 8. *. (allocated_words () -. w0) /. float_of_int (String.length text) in
+  let text, words = second_run allocated_words (fun () -> Vids.Snapshot.to_string snap) in
+  let per_byte = 8. *. words /. float_of_int (String.length text) in
   if per_byte > 16. then
     Alcotest.failf "to_string allocated %.1f B per byte of %d, limit 16" per_byte
       (String.length text);
@@ -708,9 +740,8 @@ let snapshot_encoding_cost () =
         (fun f -> if Sys.file_exists f then Sys.remove f)
         [ path; Vids.Snapshot.previous_path path ])
     (fun () ->
-      let w0 = allocated_words () in
-      Vids.Snapshot.save ~path snap;
-      let per_byte = 8. *. (allocated_words () -. w0) /. float_of_int (String.length text) in
+      let (), words = second_run allocated_words (fun () -> Vids.Snapshot.save ~path snap) in
+      let per_byte = 8. *. words /. float_of_int (String.length text) in
       if per_byte > 1. then
         Alcotest.failf "save allocated %.2f B per byte of %d, limit 1" per_byte
           (String.length text);
@@ -796,13 +827,13 @@ let of_msg_allocation () =
       check "from tag found" true (Efsm.Event.get e Vids.Keys.Field.from_tag <> Efsm.Value.Unset))
     msgs;
   let n = 100 in
-  let w0 = allocated_words () in
-  for _ = 1 to n do
-    List.iter (fun m -> ignore (Sys.opaque_identity (event m))) msgs
-  done;
-  let per_message =
-    8. *. (allocated_words () -. w0) /. float_of_int (n * List.length msgs)
+  let (), words =
+    second_run Gc.minor_words (fun () ->
+        for _ = 1 to n do
+          List.iter (fun m -> ignore (Sys.opaque_identity (event m))) msgs
+        done)
   in
+  let per_message = 8. *. words /. float_of_int (n * List.length msgs) in
   if per_message > 990. then
     Alcotest.failf "of_msg allocated %.0f B per message, limit 990" per_message
 
@@ -815,7 +846,7 @@ let pcap_read_allocation () =
   let src = Dsim.Addr.v "172.16.0.1" 5060 and dst = Dsim.Addr.v "172.16.0.2" 5060 in
   let n = 1000 in
   let records =
-    List.init (n + 1) (fun i ->
+    List.init ((2 * n) + 1) (fun i ->
         { Vids.Trace.at = Dsim.Time.of_ms (float_of_int i); src; dst; payload = invite_text })
   in
   let path = Filename.temp_file "vids-read" ".pcap" in
@@ -832,23 +863,25 @@ let pcap_read_allocation () =
           in
           (* The first record sizes the frame buffer and fills the cache. *)
           let first = read () in
-          let w0 = allocated_words () in
-          let last = ref first in
-          for _ = 1 to n do
-            last := read ()
-          done;
-          let words = allocated_words () -. w0 in
+          let last, words =
+            second_run Gc.minor_words (fun () ->
+                let last = ref first in
+                for _ = 1 to n do
+                  last := read ()
+                done;
+                !last)
+          in
           let payload_bytes = 8 * Obj.reachable_words (Obj.repr invite_text) in
           let per_record = (8. *. words /. float_of_int n) -. float_of_int payload_bytes in
           if per_record > 96. then
             Alcotest.failf "Pcap.next allocated %.0f B per record beyond the payload, limit 96"
               per_record;
-          check "payload copied" true (String.equal !last.Vids.Trace.payload invite_text);
-          check "stream shares its source" true (!last.Vids.Trace.src == first.Vids.Trace.src);
+          check "payload copied" true (String.equal last.Vids.Trace.payload invite_text);
+          check "stream shares its source" true (last.Vids.Trace.src == first.Vids.Trace.src);
           check "stream shares its destination" true
-            (!last.Vids.Trace.dst == first.Vids.Trace.dst);
-          check_str "source host" "172.16.0.1" (Dsim.Addr.host !last.Vids.Trace.src);
-          check_int "destination port" 5060 (Dsim.Addr.port !last.Vids.Trace.dst)))
+            (last.Vids.Trace.dst == first.Vids.Trace.dst);
+          check_str "source host" "172.16.0.1" (Dsim.Addr.host last.Vids.Trace.src);
+          check_int "destination port" 5060 (Dsim.Addr.port last.Vids.Trace.dst)))
 
 (* Call-IDs sharing a long prefix, as an attacker's generated ones do,
    are distinct calls, each found by its own Call-ID. *)

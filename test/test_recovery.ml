@@ -466,6 +466,46 @@ let snapshot_version_skew () =
       in
       check "mentions version" true (contains e "version")
 
+(* A spam detector is keyed by its stream's address, and its snapshot line
+   carries that address's text.  A snapshot comes from outside, so a spam
+   key that is not host:port, resealed under a good CRC, is refused by
+   name rather than restored under a key no packet can reach. *)
+let snapshot_refuses_unparsable_spam_key () =
+  let text = Lazy.force base_snapshot_text in
+  let lines = String.split_on_char '\n' text in
+  let bad = "no-port-here" in
+  let edited = ref 0 in
+  let lines =
+    List.map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | "DET" :: "spam" :: _ :: rest when !edited = 0 ->
+            incr edited;
+            String.concat " " ("DET" :: "spam" :: Vids.Codec.hex bad :: rest)
+        | _ -> line)
+      lines
+  in
+  check_int "a spam detector line edited" 1 !edited;
+  (* Header, body, then the "END <crc> <len>" trailer and its newline. *)
+  let n = List.length lines in
+  let body = String.concat "\n" (List.filteri (fun i _ -> i > 0 && i < n - 2) lines) ^ "\n" in
+  let resealed =
+    List.hd lines ^ "\n" ^ body
+    ^ Printf.sprintf "END %08x %d\n" (Vids.Codec.crc32 body) (String.length body)
+  in
+  match Vids.Snapshot.of_string resealed with
+  | Error e -> Alcotest.failf "the resealed snapshot does not parse: %s" e
+  | Ok snap -> (
+      match Vids.Snapshot.restore snap with
+      | Ok _ -> Alcotest.fail "a spam detector keyed by no address restored"
+      | Error e ->
+          let contains hay needle =
+            let nh = String.length hay and nn = String.length needle in
+            let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+            go 0
+          in
+          if not (contains e bad) then Alcotest.failf "the error does not name the key: %s" e)
+
 (* ------------------------------------------------------------------ *)
 (* Lenient loaders                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -721,6 +761,8 @@ let suite =
         tc "convergence at fixed cuts" convergence_fixed;
         snapshot_fuzz;
         tc "snapshot version skew rejected" snapshot_version_skew;
+        tc "snapshot refuses a spam key that is not host:port"
+          snapshot_refuses_unparsable_spam_key;
         tc "journal lenient load" journal_lenient_load;
         tc "journal suffix split" journal_suffix_split;
         tc "checkpoint rotation and fallback" rotation_and_fallback;

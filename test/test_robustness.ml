@@ -110,7 +110,22 @@ let t_detector_cap_eviction () =
   let stats = Vids.Engine.memory_stats r.engine in
   check_int "detectors at cap" 3 stats.Vids.Fact_base.detectors;
   check_int "detectors evicted" 7 stats.Vids.Fact_base.detectors_evicted;
-  check "pressure alert raised" true (pressure_alerts r <> [])
+  check "pressure alert raised" true (pressure_alerts r <> []);
+  (* The newest three streams survive, in creation order, as their
+     snapshot lines name them. *)
+  let snap = Vids.Snapshot.capture ~at:(Dsim.Scheduler.now r.sched) r.engine in
+  let streams =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | "DET" :: "spam" :: key :: _ -> Result.to_option (Vids.Codec.unhex key)
+        | _ -> None)
+      (String.split_on_char '\n' (Vids.Snapshot.to_string snap))
+  in
+  Alcotest.(check (list string))
+    "surviving streams"
+    [ "10.2.0.10:20014"; "10.2.0.10:20016"; "10.2.0.10:20018" ]
+    streams
 
 (* --- scheduled sweep --------------------------------------------------- *)
 
