@@ -748,7 +748,10 @@ let restore ?(config = Config.default) snap =
   let engine = Engine.create ~config sched in
   match apply engine snap with
   | () -> Ok (sched, engine)
-  | exception Restore_error e -> Error ("snapshot restore: " ^ e)
+  | exception (Restore_error e | Invalid_argument e | Failure e) ->
+      (* The message alone: an operator reads it, not OCaml's spelling
+         of the exception. *)
+      Error ("snapshot restore: " ^ e)
   | exception exn -> Error ("snapshot restore: " ^ Printexc.to_string exn)
 
 (* --------------------------------------------------------------- *)

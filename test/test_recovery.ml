@@ -504,7 +504,10 @@ let snapshot_refuses_unparsable_spam_key () =
             let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
             go 0
           in
-          if not (contains e bad) then Alcotest.failf "the error does not name the key: %s" e)
+          if not (contains e bad) then Alcotest.failf "the error does not name the key: %s" e;
+          (* The message alone, not OCaml's printing of the exception. *)
+          if contains e "Invalid_argument" || String.contains e '\\' then
+            Alcotest.failf "the error is not plain text: %s" e)
 
 (* ------------------------------------------------------------------ *)
 (* Lenient loaders                                                     *)
