@@ -781,7 +781,7 @@ let recover snapshot_path journal_path trace_path until obs enforce_policy =
   let obs_state = make_obs obs in
   let prepare =
     Option.map
-      (fun (metrics, flight) _sched engine ->
+      (fun (metrics, flight) ~journal:_ _sched engine ->
         Vids.Engine.set_telemetry engine ~metrics ~flight ())
       obs_state
   in
@@ -813,7 +813,7 @@ let recover snapshot_path journal_path trace_path until obs enforce_policy =
         (fun (metrics, _) ->
           let h =
             Obs.Metrics.histogram metrics "vids_recovery_seconds"
-              ~help:"Wall-clock duration of snapshot restore + journal merge + replay"
+              ~help:"Wall-clock duration of snapshot restore + replay + journal audit"
           in
           Obs.Metrics.observe h (Unix.gettimeofday () -. t0);
           let replayed =
@@ -828,9 +828,17 @@ let recover snapshot_path journal_path trace_path until obs enforce_policy =
       List.iter
         (fun (path, reason) -> Format.printf "rejected %s: %s@." path reason)
         fr.Vids.Recovery.rejected;
-      Format.printf "journal: %d alert(s) merged, %d eviction(s) noted, %d line(s) skipped@."
-        o.Vids.Recovery.journal_alerts o.Vids.Recovery.journal_evictions
+      Format.printf
+        "journal: %d entr(ies) after the checkpoint, %d reproduced by the replay, %d line(s) \
+         skipped@."
+        o.Vids.Recovery.audited
+        (o.Vids.Recovery.audited - List.length o.Vids.Recovery.not_reproduced)
         (List.length fr.Vids.Recovery.journal_skipped);
+      List.iter
+        (fun (line, entry) ->
+          Format.printf "  journal line %d not reproduced: %s@." line
+            (Vids.Journal.entry_to_line entry))
+        o.Vids.Recovery.not_reproduced;
       List.iter
         (fun (line, reason) -> Format.printf "  journal line %d skipped: %s@." line reason)
         fr.Vids.Recovery.journal_skipped;
@@ -1359,7 +1367,9 @@ let recover_cmd =
   let journal =
     Arg.(
       value & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE" ~doc:"Write-ahead journal to merge (loaded leniently).")
+      & info [ "journal" ] ~docv:"FILE" ~doc:
+            "Write-ahead journal the replay is checked against (loaded leniently); an entry \
+             the replay does not reproduce is listed, never applied.")
   in
   let trace =
     Arg.(

@@ -49,13 +49,6 @@ type t = {
   mutable prof : Obs.Prof.t option;
   mutable alerts : Alert.t list; (* newest first *)
   seen : (string, unit) Hashtbl.t; (* alert dedup keys *)
-  (* Dedup keys of alerts recovered from the write-ahead journal but not
-     yet reproduced by replay.  The first re-raise of such a key "claims"
-     it: the alert is already in the log, so the raise neither appends nor
-     counts as a suppressed duplicate — exactly-once semantics that let a
-     journal merge plus trace-suffix replay converge with an uninterrupted
-     run. *)
-  journal_pending : (string, unit) Hashtbl.t;
   mutable listeners : (Alert.t -> unit) list;
   mutable eviction_listeners : (at:Dsim.Time.t -> subject:string -> detail:string -> unit) list;
   mutable busy : Dsim.Time.t;
@@ -119,14 +112,7 @@ let count_alert t (alert : Alert.t) =
 
 let raise_alert t alert =
   let key = Alert.dedup_key alert in
-  if Hashtbl.mem t.journal_pending key then begin
-    (* Claimed: the journal merge already logged this alert (and notified
-       nobody — it was delivered before the crash), so the replayed raise
-       is the original one, not a duplicate. *)
-    Hashtbl.remove t.journal_pending key;
-    Hashtbl.replace t.seen key ()
-  end
-  else if Hashtbl.mem t.seen key then begin
+  if Hashtbl.mem t.seen key then begin
     t.suppressed <- t.suppressed + 1;
     tick t (fun i -> i.i_suppressed)
   end
@@ -281,7 +267,6 @@ let create ?(config = Config.default) ?(overrides = []) sched =
       prof = None;
       alerts = [];
       seen = Hashtbl.create 64;
-      journal_pending = Hashtbl.create 8;
       listeners = [];
       eviction_listeners = [];
       busy = Dsim.Time.zero;
@@ -653,17 +638,6 @@ let fact_base t = t.base
 let memory_stats t = Fact_base.stats t.base
 let on_alert t listener = t.listeners <- listener :: t.listeners
 let on_eviction t listener = t.eviction_listeners <- listener :: t.eviction_listeners
-
-(* --------------------------------------------------------------- *)
-(* Crash safety                                                     *)
-(* --------------------------------------------------------------- *)
-
-let merge_journal_alert t alert =
-  let key = Alert.dedup_key alert in
-  if not (Hashtbl.mem t.seen key || Hashtbl.mem t.journal_pending key) then begin
-    t.alerts <- alert :: t.alerts;
-    Hashtbl.replace t.journal_pending key ()
-  end
 
 module Persist = struct
   type dump = {

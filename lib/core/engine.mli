@@ -125,16 +125,9 @@ val profiler : t -> Obs.Prof.t option
 
     Hooks for the checkpoint/recovery subsystem ({!Snapshot}, {!Journal},
     {!Recovery}).  The contract is deterministic convergence: restoring a
-    snapshot, merging the journal suffix, and replaying the trace suffix
-    recorded after the snapshot's timestamp yields the same engine state as
-    a run that never crashed. *)
-
-val merge_journal_alert : t -> Alert.t -> unit
-(** Adds an alert recovered from the write-ahead journal to the log.  The
-    alert's dedup key is marked pending rather than seen: the first
-    re-raise during replay "claims" it (no duplicate log entry, no
-    suppressed count, no listener notification — it was already delivered
-    before the crash), keeping replay exactly-once. *)
+    snapshot and replaying the capture recorded after the snapshot's
+    timestamp, every listener notified, yields the same engine state, and
+    re-raises the same alerts, as a run that never crashed. *)
 
 (** Engine-internal mutable state as plain data, for {!Snapshot} only. *)
 module Persist : sig

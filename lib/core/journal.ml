@@ -14,8 +14,7 @@ type entry =
   | Ext of { at : Dsim.Time.t; tag : string; payload : string }
       (* A record for a subsystem layered on top of the engine (e.g. an
          enforcement decision), uninterpreted here: journaled like an alert
-         so a crash loses none, replayed to the owning subsystem during
-         recovery. *)
+         so a crash loses none. *)
 
 let ( let* ) = Result.bind
 
@@ -137,13 +136,13 @@ let load_channel ic =
        incr line_no;
        if String.trim line <> "" then
          match entry_of_line line with
-         | Ok entry -> entries := entry :: !entries
+         | Ok entry -> entries := (!line_no, entry) :: !entries
          | Error reason -> skipped := (!line_no, reason) :: !skipped
      done
    with End_of_file -> ());
   (List.rev !entries, List.rev !skipped)
 
-let load path =
+let load_numbered path =
   match open_in_bin path with
   | exception Sys_error e -> Error e
   | ic ->
@@ -155,6 +154,8 @@ let load path =
       close_in_noerr ic;
       result
 
+let load path = Result.map (fun (entries, skipped) -> (List.map snd entries, skipped)) (load_numbered path)
+
 (* --------------------------------------------------------------- *)
 (* Recovery suffix                                                  *)
 (* --------------------------------------------------------------- *)
@@ -162,7 +163,7 @@ let load path =
 let suffix_after ~seq ~at entries =
   let rec after_marker acc found = function
     | [] -> if found then Some (List.rev acc) else None
-    | Checkpoint c :: rest when c.seq = seq -> after_marker [] true rest
+    | (_, Checkpoint c) :: rest when c.seq = seq -> after_marker [] true rest
     | e :: rest -> after_marker (if found then e :: acc else acc) found rest
   in
   match after_marker [] false entries with
@@ -170,4 +171,4 @@ let suffix_after ~seq ~at entries =
   | None ->
       (* No marker for this checkpoint (e.g. the journal rotated, or the
          snapshot predates journaling): fall back to timestamps. *)
-      List.filter (fun e -> Dsim.Time.compare (entry_at e) at > 0) entries
+      List.filter (fun (_, e) -> Dsim.Time.compare (entry_at e) at > 0) entries

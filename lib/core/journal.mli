@@ -20,14 +20,14 @@ type entry =
   | Ext of { at : Dsim.Time.t; tag : string; payload : string }
       (** A record for a subsystem layered on top of the engine (e.g. an
           enforcement decision), uninterpreted here.  Journaled with the
-          same durability as an alert; recovery hands the post-checkpoint
-          suffix back to the owning subsystem ({!Recovery.recover}'s
-          [on_ext]). *)
+          same durability as an alert.  Recovery re-takes each decision
+          by replaying the capture, and checks the replay against the
+          journaled ones ({!Recovery.outcome}'s [not_reproduced]). *)
 
 val entry_to_line : entry -> string
-(** Test seam: one entry's line, which the corruption tests damage.  One
-    line, no newline: [<crc32> <tag> <fields…>] with strings
-    hex-armored. *)
+(** One entry's line, no newline: [<crc32> <tag> <fields…>] with strings
+    hex-armored.  Recovery compares journaled and replayed entries by
+    it. *)
 
 val entry_of_line : string -> (entry, string) result
 (** Test seam: reads one line back, as the corruption tests do.  Total:
@@ -55,12 +55,16 @@ val close_writer : writer -> unit
 
 (** {1 Reading} *)
 
-val load : string -> (entry list * (int * string) list, string) result
-(** Loads leniently: a torn or corrupt line is skipped and reported as
-    [(line, reason)].  [Error], naming the file, only when the file
-    itself cannot be opened or read (a directory, say). *)
+val load_numbered : string -> ((int * entry) list * (int * string) list, string) result
+(** Loads leniently, each entry with its line number (from 1): a torn or
+    corrupt line is skipped and reported as [(line, reason)].  [Error],
+    naming the file, only when the file itself cannot be opened or read
+    (a directory, say). *)
 
-val suffix_after : seq:int -> at:Dsim.Time.t -> entry list -> entry list
+val load : string -> (entry list * (int * string) list, string) result
+(** Test seam: {!load_numbered} without the line numbers. *)
+
+val suffix_after : seq:int -> at:Dsim.Time.t -> (int * entry) list -> (int * entry) list
 (** Entries recorded after the [Checkpoint] marker with the given sequence
     number — the part of the journal the snapshot does not already cover.
     When no such marker exists (rotated journal, pre-journal snapshot),

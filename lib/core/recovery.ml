@@ -1,70 +1,92 @@
-(* Deterministic recovery: snapshot + journal suffix + trace replay.
+(* Deterministic recovery: snapshot + capture replay, audited by the
+   journal.
 
    The convergence contract (held by the property tests and by fixed cuts
    under the default and governed presets): restoring the latest valid
-   snapshot, merging journal entries recorded after its checkpoint marker,
-   and replaying the trace records timestamped strictly after it yields an
-   engine whose canonical digest equals that of a run that never crashed.
+   snapshot and replaying the capture's records timestamped strictly
+   after it yields an engine whose canonical digest equals that of a run
+   that never crashed.
 
-   Journal alerts are merged before the replay, so their dedup keys are
-   pending and a replay that re-raises one stays exactly-once.  The
-   replay is one [Trace.play] pass over the packets and the journaled
-   extension records, so ties at an instant follow [Trace]'s rule as
-   they did in the run that never crashed. *)
+   The replay notifies every listener, so each alert and each decision
+   taken on one is re-derived inside the step that caused it, as live.
+   The capture is written ahead of the journal, so the replay re-raises
+   every entry the journal holds after the checkpoint marker; one it does
+   not is reported by its line, never applied. *)
 
 type outcome = {
   engine : Engine.t;
   sched : Dsim.Scheduler.t;
   snapshot_seq : int;
   snapshot_at : Dsim.Time.t;
-  journal_alerts : int;
-  journal_evictions : int;
-  journal_exts : int;
+  audited : int;
+  not_reproduced : (int * Journal.entry) list;
   replayed : int;
 }
 
-let recover ?config ?prepare ?on_ext ?gate ?(journal = []) ?(trace = []) ?until snapshot =
+(* Journal entries the replay did not reproduce.  Within a kind the
+   journal holds the live run's order; across kinds it does not (an
+   alert's newest listener, the enforcer, journals its decision first),
+   so each journaled entry is sought, in order, among the replayed
+   entries of its kind after the last one matched.  A replayed entry
+   past the journal's end is not a finding: a kill can leave records in
+   the capture whose alerts never reached the journal. *)
+let audit suffix replayed =
+  let kind = function
+    | Journal.Alert _ -> 0
+    | Journal.Eviction _ -> 1
+    | Journal.Ext _ -> 2
+    | Journal.Checkpoint _ -> 3
+  in
+  let rec seek line = function
+    | [] -> None
+    | l :: rest -> if String.equal l line then Some rest else seek line rest
+  in
+  let missing k =
+    let lines = List.filter_map (fun e -> if kind e = k then Some (Journal.entry_to_line e) else None) replayed in
+    let rec go acc lines = function
+      | [] -> acc
+      | (n, e) :: rest when kind e = k -> (
+          match seek (Journal.entry_to_line e) lines with
+          | Some lines -> go acc lines rest
+          | None -> go ((n, e) :: acc) lines rest)
+      | _ :: rest -> go acc lines rest
+    in
+    go [] lines suffix
+  in
+  List.sort compare (List.concat_map missing [ 0; 1; 2 ])
+
+let recover ?config ?prepare ?gate ?(journal = []) ?(trace = []) ?until snapshot =
   let snapshot_at = Snapshot.at snapshot in
   let snapshot_seq = Snapshot.seq snapshot in
   let suffix = Journal.suffix_after ~seq:snapshot_seq ~at:snapshot_at journal in
-  let alerts = List.filter_map (function Journal.Alert a -> Some a | _ -> None) suffix in
-  let evictions =
-    List.length (List.filter (function Journal.Eviction _ -> true | _ -> false) suffix)
-  in
-  let exts =
-    List.filter_map
-      (function Journal.Ext { at; tag; payload } -> Some (at, tag, payload) | _ -> None)
-      suffix
-  in
   let packets =
     List.filter (fun (r : Trace.record) -> Dsim.Time.( > ) r.Trace.at snapshot_at) trace
   in
   match Snapshot.restore ?config snapshot with
   | Error e -> Error e
   | Ok (sched, engine) ->
-      (* The caller's hook first, before any packet or journal entry
-         lands: telemetry re-attaches its registry; an enforcement layer
-         rebuilds its state from the snapshot's extension records. *)
-      Option.iter (fun f -> f sched engine) prepare;
-      List.iter (Engine.merge_journal_alert engine) alerts;
-      (* Replayed alerts are claimed and never re-notify listeners, so an
-         action taken on one live comes back from the journal, applied
-         when the pass reaches its instant. *)
-      let decisions =
-        match on_ext with
-        | None -> []
-        | Some f -> List.map (fun (at, tag, payload) -> (at, fun () -> f ~tag ~payload)) exts
-      in
-      Trace.play ~decisions ?until (Trace.player ?gate sched engine) packets;
+      (* What the live run journals, collected during the replay only. *)
+      let replaying = ref true and replayed = ref [] in
+      let note entry = if !replaying then replayed := entry :: !replayed in
+      Engine.on_alert engine (fun a -> note (Journal.Alert a));
+      Engine.on_eviction engine (fun ~at ~subject ~detail ->
+          note (Journal.Eviction { at; subject; detail }));
+      (* The caller's hook, before any packet lands: telemetry re-attaches
+         its registry; an enforcement layer rebuilds its state from the
+         snapshot's extension records and journals into [note]. *)
+      Option.iter (fun f -> f ~journal:note sched engine) prepare;
+      Trace.play ?until (Trace.player ?gate sched engine) packets;
+      replaying := false;
       Ok
         {
           engine;
           sched;
           snapshot_seq;
           snapshot_at;
-          journal_alerts = List.length alerts;
-          journal_evictions = evictions;
-          journal_exts = List.length exts;
+          audited =
+            List.length
+              (List.filter (function _, Journal.Checkpoint _ -> false | _ -> true) suffix);
+          not_reproduced = audit suffix (List.rev !replayed);
           replayed = List.length packets;
         }
 
@@ -92,7 +114,7 @@ let load_with_fallback path =
         | Ok snap -> Ok (snap, fallback, true, [ (path, primary_err) ])
         | Error fallback_err -> Error [ (path, primary_err); (fallback, fallback_err) ])
 
-let recover_files ?config ?prepare ?on_snapshot ?on_ext ?gate ?journal_path ?trace_path ?until
+let recover_files ?config ?prepare ?on_snapshot ?gate ?journal_path ?trace_path ?until
     ~snapshot_path () =
   match load_with_fallback snapshot_path with
   | Error rejected ->
@@ -103,7 +125,7 @@ let recover_files ?config ?prepare ?on_snapshot ?on_ext ?gate ?journal_path ?tra
       (match on_snapshot with None -> () | Some f -> f snapshot);
       let journal =
         match journal_path with
-        | Some p when Sys.file_exists p -> Journal.load p
+        | Some p when Sys.file_exists p -> Journal.load_numbered p
         | _ -> Ok ([], [])
       in
       let trace =
@@ -125,4 +147,4 @@ let recover_files ?config ?prepare ?on_snapshot ?on_ext ?gate ?journal_path ?tra
                 journal_skipped;
                 trace_skipped;
               })
-            (recover ?config ?prepare ?on_ext ?gate ~journal ~trace ?until snapshot))
+            (recover ?config ?prepare ?gate ~journal ~trace ?until snapshot))

@@ -1,21 +1,32 @@
-(** Deterministic crash recovery.
+(** Deterministic crash recovery: one replay, audited by the journal.
 
-    Composes the crash-safety pieces: restore the latest valid
-    {!Snapshot}, merge the {!Journal} suffix recorded after its checkpoint
-    marker (exactly-once: replayed alerts claim their journaled twins), and
-    replay the {!Trace} records timestamped strictly after the snapshot,
-    with the journaled extension records, in one {!Trace.play} pass.
+    Restore the latest valid {!Snapshot}, then replay the capture's
+    records timestamped strictly after it in one {!Trace.play} pass,
+    every listener notified, so each alert and each decision taken on
+    one is re-derived inside the step that caused it, as it was live.
     The recovered engine's {!Snapshot.digest} equals that of a run that
-    never crashed — the convergence property the test suite checks. *)
+    never crashed — the convergence property the test suite checks.
+
+    The {!Journal} is never applied.  The capture is written ahead of it,
+    so the replay re-raises every alert, eviction and extension record
+    the journal holds after the snapshot's checkpoint marker; an entry it
+    does not reproduce is a finding, reported by its journal line.
+    Without a capture nothing is replayed, so every such entry is
+    reported: the recovered state is the snapshot's. *)
 
 type outcome = {
   engine : Engine.t;
   sched : Dsim.Scheduler.t;
   snapshot_seq : int;
   snapshot_at : Dsim.Time.t;
-  journal_alerts : int;  (** Journal alerts merged ahead of replay. *)
-  journal_evictions : int;  (** Journaled reclamations in the suffix (informational). *)
-  journal_exts : int;  (** Extension records handed to [on_ext]. *)
+  audited : int;
+      (** Journal entries after the checkpoint marker, later markers
+          excluded: what the replay was checked against. *)
+  not_reproduced : (int * Journal.entry) list;
+      (** Those the replay did not re-derive, by journal line, in order:
+          within a kind (alert, eviction, extension record), each entry
+          is sought in order among the replayed ones of its kind.
+          Replayed entries past the journal's end are not listed. *)
   replayed : int;
       (** Trace records stamped after the snapshot instant: the replay
           suffix, counted whole even when [until] cuts it short. *)
@@ -23,26 +34,23 @@ type outcome = {
 
 val recover :
   ?config:Config.t ->
-  ?prepare:(Dsim.Scheduler.t -> Engine.t -> unit) ->
-  ?on_ext:(tag:string -> payload:string -> unit) ->
+  ?prepare:(journal:(Journal.entry -> unit) -> Dsim.Scheduler.t -> Engine.t -> unit) ->
   ?gate:(Dsim.Packet.t -> unit) ->
-  ?journal:Journal.entry list ->
+  ?journal:(int * Journal.entry) list ->
   ?trace:Trace.record list ->
   ?until:Dsim.Time.t ->
   Snapshot.t ->
   (outcome, string) result
 (** Pure-data recovery, in order: restore the snapshot; run [prepare] on
-    the restored engine; merge the journal's alerts; then one
-    {!Trace.play} pass over the trace suffix and the journal's
-    {!Journal.Ext} entries in time order; then run the clock to [until].
-    [prepare] is the hook telemetry uses to re-attach its registry before
-    any replayed packet lands, and an enforcement layer uses to rebuild
-    its tables from the snapshot's extension records.  [on_ext] receives
-    each [Ext] entry when the pass reaches its instant, ordered by
-    {!Trace}'s rule.  Replayed alerts are claimed exactly-once and never
-    re-notify listeners, so decisions taken on them live must be
-    restored from the journal, not re-derived.  [gate] takes each
-    replayed delivery (see {!Trace.player}) so a gate that dropped
+    the restored engine; one {!Trace.play} pass over the trace suffix;
+    then run the clock to [until]; then audit the replay against the
+    [journal] (entries with their line numbers, see
+    {!Journal.load_numbered}).  [prepare] is the hook telemetry uses to
+    re-attach its registry before any replayed packet lands, and an
+    enforcement layer uses to rebuild its tables from the snapshot's
+    extension records; its [journal] is the sink the audit reads, for
+    the entries the layer journals live ({!Journal.Ext}).  [gate] takes
+    each replayed delivery (see {!Trace.player}) so a gate that dropped
     packets live drops the same packets again.  Nothing stamped after
     [until] is replayed; omit it to drain the queue — but beware that
     configs with a periodic sweep re-arm it forever, so bound governed
@@ -63,9 +71,8 @@ type file_report = {
 
 val recover_files :
   ?config:Config.t ->
-  ?prepare:(Dsim.Scheduler.t -> Engine.t -> unit) ->
+  ?prepare:(journal:(Journal.entry -> unit) -> Dsim.Scheduler.t -> Engine.t -> unit) ->
   ?on_snapshot:(Snapshot.t -> unit) ->
-  ?on_ext:(tag:string -> payload:string -> unit) ->
   ?gate:(Dsim.Packet.t -> unit) ->
   ?journal_path:string ->
   ?trace_path:string ->

@@ -45,29 +45,22 @@ let step p r =
 
 (* Captures are chronological, so most inputs need no sort (nor its
    allocation). *)
-let by_time key l =
+let by_time l =
   let rec sorted = function
-    | a :: (b :: _ as rest) -> Dsim.Time.( <= ) (key a) (key b) && sorted rest
+    | a :: (b :: _ as rest) -> Dsim.Time.( <= ) a.at b.at && sorted rest
     | _ -> true
   in
-  if sorted l then l else List.stable_sort (fun a b -> Dsim.Time.compare (key a) (key b)) l
+  if sorted l then l else List.stable_sort (fun a b -> Dsim.Time.compare a.at b.at) l
 
-let play ?(decisions = []) ?until p records =
+let play ?until p records =
   let within at = match until with None -> true | Some u -> Dsim.Time.( <= ) at u in
-  (* At an instant, the record goes before the decision. *)
-  let record_first r = function [] -> true | (at, _) :: _ -> Dsim.Time.( <= ) r.at at in
-  let rec go rs ds =
-    match (rs, ds) with
-    | r :: rs', _ when within r.at && record_first r ds ->
+  let rec go = function
+    | r :: rs when within r.at ->
         step p r;
-        go rs' ds
-    | _, (at, decide) :: ds' when within at ->
-        Dsim.Scheduler.advance_to p.sched at;
-        decide ();
-        go rs ds'
+        go rs
     | _ -> ()
   in
-  go (by_time (fun r -> r.at) records) (by_time fst decisions);
+  go (by_time records);
   match until with
   | Some u -> Dsim.Scheduler.run_until p.sched u
   | None -> Dsim.Scheduler.run p.sched

@@ -34,14 +34,13 @@ val records : recorder -> record list
 (** {1 Replay}
 
     Every replay of a capture goes through {!step}: the daemon's dispatch,
-    {!replay} and {!replay_until}, recovery's suffix and its journaled
-    decisions, [vids-cli analyze] and [profile].  A step advances the
+    {!replay} and {!replay_until}, recovery's suffix, [vids-cli analyze]
+    and [profile].  A step advances the
     clock to just before the record's instant ([Dsim.Scheduler.advance_to])
     and then delivers the record, so one rule orders every instant, however
     and whenever its timers were armed:
 
     + the packets recorded at it run first, in capture order;
-    + then the journaled decisions taken at it ({!play}'s [decisions]);
     + then the timers due at it, once the clock moves past it. *)
 
 type player
@@ -60,17 +59,11 @@ val step : player -> record -> unit
 (** Runs the timers due strictly before the record's instant, then
     delivers it, at its {!stamp}. *)
 
-val play :
-  ?decisions:(Dsim.Time.t * (unit -> unit)) list ->
-  ?until:Dsim.Time.t ->
-  player ->
-  record list ->
-  unit
-(** One pass in time order over [records] (stably sorted) and
-    [decisions] (journaled actions, stably sorted), then runs the clock to
-    [until], or drains the queue without it — which never ends under a
-    config whose periodic sweep re-arms itself.  Nothing stamped after
-    [until] is delivered or run. *)
+val play : ?until:Dsim.Time.t -> player -> record list -> unit
+(** One pass in time order over [records] (stably sorted), then runs the
+    clock to [until], or drains the queue without it — which never ends
+    under a config whose periodic sweep re-arms itself.  Nothing stamped
+    after [until] is delivered or run. *)
 
 val replay : ?config:Config.t -> record list -> Engine.t
 (** Runs a fresh engine over the trace, in any order, and returns it (with

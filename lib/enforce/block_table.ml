@@ -354,53 +354,25 @@ let parse_rule_tokens = function
       Ok { p_scope; p_action; p_installed; p_expires; p_escalate = esc <> 0; p_hits; p_reason }
   | _ -> Error "malformed rule line"
 
-(* Force-creates or overwrites a rule from parsed fields; no overflow or
-   refresh-merge semantics — restore and journal replay record the exact
-   post-install state, so re-applying it verbatim is what converges. *)
-let put_rule t p ~hits ~buckets =
-  match Hashtbl.find_opt t.table p.p_scope with
-  | Some r ->
-      r.action <- p.p_action;
-      r.installed_at <- p.p_installed;
-      r.expires_at <- p.p_expires;
-      r.escalate <- p.p_escalate;
-      r.reason <- p.p_reason;
-      (match hits with Some h -> r.hits <- h | None -> ());
-      (match buckets with
-      | Some bs ->
-          Hashtbl.reset r.buckets;
-          List.iter (fun (k, b) -> Hashtbl.replace r.buckets k b) bs
-      | None -> ());
-      r
-  | None ->
-      let r =
-        {
-          scope = p.p_scope;
-          action = p.p_action;
-          installed_at = p.p_installed;
-          expires_at = p.p_expires;
-          escalate = p.p_escalate;
-          reason = p.p_reason;
-          hits = (match hits with Some h -> h | None -> 0);
-          serial = t.next_serial;
-          buckets = Hashtbl.create 4;
-        }
-      in
-      (match buckets with
-      | Some bs -> List.iter (fun (k, b) -> Hashtbl.replace r.buckets k b) bs
-      | None -> ());
-      t.next_serial <- t.next_serial + 1;
-      Hashtbl.replace t.table p.p_scope r;
-      r
-
-let apply_rule_line t ~keep_hits line =
-  match String.split_on_char ' ' line with
-  | "R" :: rest ->
-      let* p = parse_rule_tokens rest in
-      let hits = if keep_hits then None else Some p.p_hits in
-      let (_ : rule) = put_rule t p ~hits ~buckets:None in
-      Ok ()
-  | _ -> Error "expected an R line"
+(* A rule exactly as the payload records it; no overflow or
+   refresh-merge semantics. *)
+let put_rule t p =
+  let r =
+    {
+      scope = p.p_scope;
+      action = p.p_action;
+      installed_at = p.p_installed;
+      expires_at = p.p_expires;
+      escalate = p.p_escalate;
+      reason = p.p_reason;
+      hits = p.p_hits;
+      serial = t.next_serial;
+      buckets = Hashtbl.create 4;
+    }
+  in
+  t.next_serial <- t.next_serial + 1;
+  Hashtbl.replace t.table p.p_scope r;
+  r
 
 let parse_bucket_tokens = function
   | [ keyhex; tokens; last ] ->
@@ -426,7 +398,7 @@ let restore t payload =
         Ok ()
     | "R" :: rest ->
         let* p = parse_rule_tokens rest in
-        current := Some (put_rule t p ~hits:(Some p.p_hits) ~buckets:None);
+        current := Some (put_rule t p);
         Ok ()
     | "B" :: rest -> (
         let* key, b = parse_bucket_tokens rest in

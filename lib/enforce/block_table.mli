@@ -16,9 +16,9 @@
       clock; bucket state round-trips exactly (hex float encoding)
       through checkpoints so a recovered gate makes the same pass/drop
       calls as the uninterrupted run.
-    - {!install} is an idempotent upsert keyed by scope, so re-applying a
-      journaled install after its live twin converges instead of
-      duplicating.
+    - {!install} is an upsert keyed by scope: a refresh extends the
+      rule in place, so a replay that re-takes the live run's installs
+      reaches the live run's table.
 
     The canonical {!digest} covers the durable rule set (scopes, actions,
     deadlines, reasons) and excludes the volatile counters (hits, bucket
@@ -144,7 +144,8 @@ val stats : t -> now:Dsim.Time.t -> stats
     whose window is still open, sorted by key.  A table that holds no
     such count writes no [S] line.
     Journal payloads are single [R] lines {e without} hits or buckets:
-    replay re-derives the volatile state by re-running the gate. *)
+    recovery re-takes each install by re-running the gate, and compares
+    its line with the journaled one. *)
 
 val serialize : t -> now:Dsim.Time.t -> string
 
@@ -155,11 +156,6 @@ val restore : t -> string -> (unit, string) result
 
 val rule_to_line : rule -> string
 (** The journal form: hits rendered as 0, no bucket state. *)
-
-val apply_rule_line : t -> keep_hits:bool -> string -> (unit, string) result
-(** Re-applies a journaled [R] line: overwrites the rule's durable fields
-    (creating it if absent), preserving accumulated hits and buckets when
-    [keep_hits] — the exactly-once contract for journal replay. *)
 
 val digest : t -> now:Dsim.Time.t -> string
 (** MD5 over the canonical active rule set plus the lockdown flag,

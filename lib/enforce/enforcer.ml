@@ -288,24 +288,3 @@ let restore t ~payload =
   | Error e ->
       if t.p.fail_closed then enter_lockdown t;
       Error e
-
-let ( let* ) = Result.bind
-
-(* The payload self-describes (the teardown line carries its own absolute
-   time), so the entry timestamp only decides when recovery applies it. *)
-let apply_payload t payload =
-  match String.split_on_char ' ' payload with
-  | "R" :: _ -> Block_table.apply_rule_line t.tbl ~keep_hits:true payload
-  | [ "T"; callid_hex; t_us ] ->
-      let* call_id = Codec.unhex callid_hex in
-      let* at = Codec.time_tok t_us in
-      ignore (do_teardown t ~call_id ~at);
-      Ok ()
-  | [ "L"; flag ] ->
-      let* flag = Codec.int_tok flag in
-      Block_table.set_lockdown t.tbl (flag <> 0);
-      Ok ()
-  | _ -> Error (Printf.sprintf "unrecognized enforcement journal payload %S" payload)
-
-let apply_journal t ~payload =
-  match apply_payload t payload with Ok () -> () | Error _ -> trace t "journal-skip" payload

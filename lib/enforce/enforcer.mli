@@ -116,11 +116,3 @@ val restore : t -> payload:string -> (unit, string) result
 (** Replaces the table from a snapshot payload.  Under a [fail_closed]
     policy a corrupt payload locks the gate down (and still returns the
     [Error]); fail-open starts empty. *)
-
-val apply_journal : t -> payload:string -> unit
-(** Re-applies one journaled decision now.  Recovery calls it when its
-    replay reaches the decision's recorded instant, ordered by
-    {!Vids.Trace}'s rule, so the replayed packets up to that instant see
-    the pre-decision table, as live — where the packet that triggered the
-    alert had already passed the gate when the rule landed.  Malformed
-    payloads are counted as faults and skipped, never raised. *)

@@ -1,21 +1,20 @@
 (** Crash recovery with enforcement: {!Vids.Recovery.recover_files}
-    plus the three hooks that restore prevention mode.
+    plus the hooks that restore prevention mode.
 
     The ordering burden lives here so callers cannot get it wrong:
 
     + the snapshot's [enforce] extension payload is stashed before any
       restore work ([on_snapshot]);
     + the enforcer is created and its table restored inside [prepare] —
-      before the journal merge and the replay, so the gate exists (with
-      the checkpoint's rules and token-bucket levels) when the first
-      replayed packet arrives;
-    + each journaled enforcement decision is applied when the replay
-      reaches its recorded instant ([on_ext], {!Enforcer.apply_journal},
-      ordered by {!Vids.Trace}'s rule), so the replayed packets up to it
-      see the pre-decision table;
+      before the replay, so the gate exists (with the checkpoint's rules,
+      token-bucket levels and strike counts) when the first replayed
+      packet arrives; its journal is the recovery's audit sink;
     + replay is routed through {!Enforcer.ingest} ([gate]) so packets
       the gate dropped live are dropped again instead of reaching the
-      engine.
+      engine, and every replayed alert reaches the enforcer, which
+      re-takes each decision inside the step of the packet that caused
+      it, as live.  The journaled decisions are only compared with the
+      re-taken ones ({!Vids.Recovery.outcome}'s [not_reproduced]).
 
     The convergence property (checked by the enforcing daemon's kill -9
     test and the qcheck properties): the recovered engine digest {e and}
@@ -25,14 +24,12 @@
 val recover_files :
   ?config:Vids.Config.t ->
   ?policy:Enforcer.policy ->
-  ?journal:(Vids.Journal.entry -> unit) ->
   ?journal_path:string ->
   ?trace_path:string ->
   ?until:Dsim.Time.t ->
   snapshot_path:string ->
   unit ->
   (Vids.Recovery.file_report * Enforcer.t, string) result
-(** [journal] is handed to {!Enforcer.create} so decisions taken {e after}
-    recovery are journaled again (pass the daemon's writer).  A corrupt
-    enforcement payload follows the policy's fail-open/fail-closed knob
-    (see {!Enforcer.restore}) — it never fails the recovery itself. *)
+(** A corrupt enforcement payload follows the policy's
+    fail-open/fail-closed knob (see {!Enforcer.restore}) — it never fails
+    the recovery itself. *)

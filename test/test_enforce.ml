@@ -514,11 +514,12 @@ let test_malformed_spread_never_trips () =
   Alcotest.(check int) "never blocked" 0
     (List.length (BT.rules (Enforce.Enforcer.table e) ~now:(Dsim.Scheduler.now sched)))
 
-let test_journal_replay_at_its_time () =
-  (* A journaled install applied during recovery must not block replayed
-     packets that predate it, nor those recorded at its own instant:
-     recovery applies it when its replay reaches the install's time, after
-     the packets recorded there. *)
+let test_journal_audits_the_replay () =
+  (* Recovery never applies the journal: it replays the capture and
+     checks the replay against the journal.  This journal holds, after
+     its marker, an install at 2 s and an alert that no packet of the
+     capture causes: recovery installs nothing, and lists both by their
+     journal lines as not reproduced. *)
   let snap = Test_ingest.tmp_path ".ck" and capture = Test_ingest.tmp_path ".trace" in
   let journal = snap ^ ".journal" in
   let sched = Dsim.Scheduler.create () in
@@ -535,6 +536,10 @@ let test_journal_replay_at_its_time () =
   Vids.Journal.append w (Vids.Journal.Checkpoint { at = Dsim.Time.zero; seq = 1 });
   Vids.Journal.append w
     (Vids.Journal.Ext { at = sec 2.0; tag = Enforce.Enforcer.ext_tag; payload = line });
+  Vids.Journal.append w
+    (Vids.Journal.Alert
+       (Vids.Alert.make ~kind:Vids.Alert.Invite_flood ~at:(sec 2.5) ~subject:"sip:x@b.example"
+          "forged"));
   Vids.Journal.close_writer w;
   let oc = open_out_bin capture in
   Vids.Trace.save oc
@@ -557,11 +562,16 @@ let test_journal_replay_at_its_time () =
   List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ snap; journal; capture ];
   match recovered with
   | Error err -> Alcotest.failf "recovery: %s" err
-  | Ok (_, e) ->
+  | Ok (fr, e) ->
       let s = Enforce.Enforcer.stats e in
-      Alcotest.(check int) "packets at 1 s and at the install's 2 s passed" 2
-        s.Enforce.Enforcer.passed;
-      Alcotest.(check int) "packet at 3 s was blocked" 1 s.Enforce.Enforcer.blocked
+      Alcotest.(check int) "every packet passed" 3 s.Enforce.Enforcer.passed;
+      Alcotest.(check int) "none blocked" 0 s.Enforce.Enforcer.blocked;
+      Alcotest.(check int) "no rule installed" 0
+        (List.length (BT.rules (Enforce.Enforcer.table e) ~now:(sec 4.0)));
+      let o = fr.Vids.Recovery.outcome in
+      Alcotest.(check int) "two entries after the marker audited" 2 o.Vids.Recovery.audited;
+      Alcotest.(check (list int)) "the install and the forged alert, by journal line" [ 2; 3 ]
+        (List.map fst o.Vids.Recovery.not_reproduced)
 
 let test_fail_closed_on_corrupt_restore () =
   let open_policy = Enforce.Enforcer.default_policy in
@@ -727,6 +737,174 @@ let enforcing_daemon (label, records, rule_keys, hostile, kill_batch) =
       agree "recovered" ~at:until
         (fr.Vids.Recovery.outcome.Vids.Recovery.engine, recovered)
         (replay ~until tee)
+
+(* Several records at one instant, the rule tripped mid-burst: the 7th
+   of twelve flood INVITEs 40 ms apart trips the rule at 1.24 s, and one
+   more INVITE from the attacker shares that instant, which the live gate
+   drops inside the same step.  A checkpoint at 0.9 s precedes the trip,
+   and the kill follows a garbage datagram whose spec deviation is
+   journaled.  Recovery must re-take the decision inside the tripping
+   step, as the live gate did. *)
+let test_same_instant_recovery () =
+  let invite_at i s =
+    {
+      Vids.Trace.at = sec s;
+      src = attacker;
+      dst = victim;
+      payload =
+        invite ~call_id:(Printf.sprintf "burst-%s" i) ~from_host:"198.51.100.99"
+          ~callee:"victim@b.example";
+    }
+  in
+  let flood = List.init 11 (fun i -> invite_at (string_of_int i) (1.0 +. (0.04 *. float_of_int i))) in
+  let records =
+    ({ Vids.Trace.at = Dsim.Time.zero; src = addr "10.1.0.10" 9; dst = addr "10.2.0.10" 9;
+       payload = "pin" }
+    :: List.filteri (fun i _ -> i <= 6) flood)
+    @ [ invite_at "extra" 1.24 ]
+    @ List.filteri (fun i _ -> i > 6) flood
+    @ [ { Vids.Trace.at = sec 1.5; src = addr "203.0.113.8" 7000; dst = victim;
+          payload = "GARBAGE" } ]
+  in
+  let path = Test_ingest.tmp_path ".pcap" in
+  let snap = Test_ingest.tmp_path ".ck" and capture = Test_ingest.tmp_path ".trace" in
+  let journal = snap ^ ".journal" in
+  Ingest.Pcap.write_file path records;
+  let policy = Enforce.Enforcer.default_policy in
+  let config =
+    {
+      Ingest.Daemon.default with
+      Ingest.Daemon.enforce = Some policy;
+      batch = 1;
+      checkpoint_every_s = 0.9;
+      snapshot_path = Some snap;
+      journal_path = Some journal;
+      record_path = Some capture;
+    }
+  in
+  let hard_kill = ref false and batches = ref 0 in
+  let killed =
+    Test_ingest.run_daemon ~config ~hard_kill
+      ~on_batch:(fun () ->
+        incr batches;
+        if !batches = 14 then hard_kill := true)
+      [ Ingest.Daemon.Pcap_file { path; pace = false } ]
+  in
+  let live = Option.get killed.Ingest.Daemon.enforcer in
+  let until = killed.Ingest.Daemon.horizon in
+  let recovered =
+    Enforce.Recover.recover_files ~policy ~journal_path:journal ~trace_path:capture ~until
+      ~snapshot_path:snap ()
+  in
+  let tee = Vids.Pcap.read_file capture in
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ path; snap; Vids.Snapshot.previous_path snap; journal; capture ];
+  match (recovered, tee) with
+  | Error err, _ | _, Error err -> Alcotest.failf "recovery: %s" err
+  | Ok (fr, e), Ok (tee, _, _) ->
+      let hits e =
+        match BT.find (Enforce.Enforcer.table e) (BT.Src (SK.host "198.51.100.99")) with
+        | Some r -> r.BT.hits
+        | None -> Alcotest.fail "no flood rule"
+      in
+      Alcotest.(check int) "the killed gate's flood-rule hits" 5 (hits live);
+      Alcotest.(check int) "the recovered flood rule's hits" (hits live) (hits e);
+      let sched = Dsim.Scheduler.create () in
+      let engine = Vids.Engine.create sched in
+      let gate = Enforce.Enforcer.create ~policy sched engine in
+      Vids.Trace.play ~until
+        (Vids.Trace.player sched engine ~gate:(fun p -> ignore (Enforce.Enforcer.ingest gate p)))
+        tee;
+      let md5 engine = Digest.to_hex (Digest.string (Vids.Snapshot.digest ~at:until engine)) in
+      let o = fr.Vids.Recovery.outcome in
+      Alcotest.(check string) "engine digest = a gated replay of the tee" (md5 engine)
+        (md5 o.Vids.Recovery.engine);
+      Alcotest.(check string) "enforcement digest" (Enforce.Enforcer.digest gate)
+        (Enforce.Enforcer.digest e);
+      Alcotest.(check string) "enforce payload" (Enforce.Enforcer.snapshot_payload gate)
+        (Enforce.Enforcer.snapshot_payload e);
+      Alcotest.(check (list int)) "the audit lists nothing" []
+        (List.map fst o.Vids.Recovery.not_reproduced)
+
+(* The enforcing daemon over the invite-flood capture, built as [vids-cli
+   record invite-flood] builds it, with batch 1 and a 5 s checkpoint,
+   killed after each batch in turn: every kill that leaves a checkpoint
+   recovers to a gated replay of its tee, and the audit lists nothing. *)
+let test_kill_after_every_batch () =
+  let tb = Voip.Testbed.make ~seed:1 ~vids:Voip.Testbed.Off () in
+  let recorder = Vids.Trace.recorder () in
+  Dsim.Network.set_tap tb.Voip.Testbed.vids_node
+    (Some (Vids.Trace.tap recorder tb.Voip.Testbed.sched));
+  let atk = Attack.Scenarios.create tb ~host:"203.0.113.66" in
+  Attack.Scenarios.schedule atk ~on_unknown:(fun _ -> ()) [ "invite-flood" ];
+  Voip.Testbed.run_until tb (sec 65.0);
+  let records = Vids.Trace.records recorder in
+  let path = Test_ingest.tmp_path ".pcap" in
+  Ingest.Pcap.write_file path records;
+  let policy = Enforce.Enforcer.default_policy in
+  let recovered_kills = ref 0 in
+  for kill_batch = 1 to List.length records do
+    let snap = Test_ingest.tmp_path ".ck" and capture = Test_ingest.tmp_path ".trace" in
+    let journal = snap ^ ".journal" in
+    let config =
+      {
+        Ingest.Daemon.default with
+        Ingest.Daemon.enforce = Some policy;
+        batch = 1;
+        checkpoint_every_s = 5.0;
+        snapshot_path = Some snap;
+        journal_path = Some journal;
+        record_path = Some capture;
+      }
+    in
+    let hard_kill = ref false and batches = ref 0 in
+    let killed =
+      Test_ingest.run_daemon ~config ~hard_kill
+        ~on_batch:(fun () ->
+          incr batches;
+          if !batches = kill_batch then hard_kill := true)
+        [ Ingest.Daemon.Pcap_file { path; pace = false } ]
+    in
+    let until = killed.Ingest.Daemon.horizon in
+    let outcome =
+      if not (Sys.file_exists snap) then None
+      else
+        Some
+          ( Enforce.Recover.recover_files ~policy ~journal_path:journal ~trace_path:capture
+              ~until ~snapshot_path:snap (),
+            Vids.Pcap.read_file capture )
+    in
+    List.iter
+      (fun p -> if Sys.file_exists p then Sys.remove p)
+      [ snap; Vids.Snapshot.previous_path snap; journal; capture ];
+    match outcome with
+    | None -> ()
+    | Some ((Error err, _) | (_, Error err)) ->
+        Alcotest.failf "kill after batch %d: recovery: %s" kill_batch err
+    | Some (Ok (fr, e), Ok (tee, _, _)) ->
+        incr recovered_kills;
+        let sched = Dsim.Scheduler.create () in
+        let engine = Vids.Engine.create sched in
+        let gate = Enforce.Enforcer.create ~policy sched engine in
+        Vids.Trace.play ~until
+          (Vids.Trace.player sched engine ~gate:(fun p -> ignore (Enforce.Enforcer.ingest gate p)))
+          tee;
+        let o = fr.Vids.Recovery.outcome in
+        let what s = Printf.sprintf "kill after batch %d: %s" kill_batch s in
+        Alcotest.(check string) (what "engine digest")
+          (Vids.Snapshot.digest ~at:until engine)
+          (Vids.Snapshot.digest ~at:until o.Vids.Recovery.engine);
+        Alcotest.(check string) (what "enforcement digest") (Enforce.Enforcer.digest gate)
+          (Enforce.Enforcer.digest e);
+        Alcotest.(check string) (what "enforce payload") (Enforce.Enforcer.snapshot_payload gate)
+          (Enforce.Enforcer.snapshot_payload e);
+        Alcotest.(check (list int)) (what "the audit lists nothing") []
+          (List.map fst o.Vids.Recovery.not_reproduced)
+  done;
+  Sys.remove path;
+  Alcotest.(check bool) (Printf.sprintf "%d kills left a checkpoint" !recovered_kills) true
+    (!recovered_kills > 0)
 
 let test_enforcing_daemon () =
   let flood = flood_capture () in
@@ -955,12 +1133,16 @@ let suite =
           test_malformed_source_threshold_and_ttl;
         Alcotest.test_case "parse failures wider than the window never drop" `Quick
           test_malformed_spread_never_trips;
-        Alcotest.test_case "journaled installs replay at their time" `Quick
-          test_journal_replay_at_its_time;
+        Alcotest.test_case "a journal entry the capture does not cause is listed, not applied"
+          `Quick test_journal_audits_the_replay;
         Alcotest.test_case "fail-open vs fail-closed on corrupt state" `Quick
           test_fail_closed_on_corrupt_restore;
         Alcotest.test_case "enforcing daemon contains a flood, replays and recovers" `Quick
           test_enforcing_daemon;
+        Alcotest.test_case "recovery re-takes a decision inside the step that tripped it" `Quick
+          test_same_instant_recovery;
+        Alcotest.test_case "every kill of the enforcing daemon recovers to a replay of its tee"
+          `Quick test_kill_after_every_batch;
         Alcotest.test_case "every attack scenario gets its mapped response" `Quick
           test_response_coverage;
         Alcotest.test_case "a daemon run reads the same after a run over other traffic" `Quick

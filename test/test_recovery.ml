@@ -552,6 +552,7 @@ let journal_suffix_split () =
       Vids.Journal.Checkpoint { at = ms 20.; seq = 2 };
       a (ms 25.) "s-3";
     ]
+    |> List.mapi (fun i e -> (i + 1, e))
   in
   check_int "after marker 2" 1 (List.length (Vids.Journal.suffix_after ~seq:2 ~at:(ms 20.) entries));
   check_int "after marker 1" 3 (List.length (Vids.Journal.suffix_after ~seq:1 ~at:(ms 10.) entries));
@@ -642,22 +643,6 @@ let unreadable_journal_refused () =
   | Error e ->
       check (Printf.sprintf "the error %S names the journal" e) true
         (String.starts_with ~prefix:dir e)
-
-(* ------------------------------------------------------------------ *)
-(* Journal merge semantics                                             *)
-(* ------------------------------------------------------------------ *)
-
-let merge_idempotent () =
-  let sched = Dsim.Scheduler.create () in
-  let engine = Vids.Engine.create sched in
-  let alert =
-    Vids.Alert.make ~kind:Vids.Alert.Invite_flood ~at:(ms 5.) ~subject:"sip:bob@b.example"
-      "INVITE flood"
-  in
-  Vids.Engine.merge_journal_alert engine alert;
-  Vids.Engine.merge_journal_alert engine alert;
-  check_int "merged exactly once" 1 (List.length (Vids.Engine.alerts engine));
-  check_int "no suppression counted" 0 (Vids.Engine.counters engine).Vids.Engine.alerts_suppressed
 
 (* ------------------------------------------------------------------ *)
 (* Durable-file corruption fuzz                                        *)
@@ -771,7 +756,6 @@ let suite =
         tc "checkpoint rotation and fallback" rotation_and_fallback;
         tc "a capture that is not pcap is refused by name" non_pcap_capture_refused;
         tc "a journal that cannot be read is refused by name" unreadable_journal_refused;
-        tc "journal merge idempotent" merge_idempotent;
         journal_corruption_fuzz;
       ] );
   ]
