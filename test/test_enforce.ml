@@ -906,6 +906,110 @@ let test_kill_after_every_batch () =
   Alcotest.(check bool) (Printf.sprintf "%d kills left a checkpoint" !recovered_kills) true
     (!recovered_kills > 0)
 
+(* Flood bursts at one instant, under a kill at any batch: [instants]
+   instants 40 ms apart from 1 s, each with 1 to 3 flood INVITEs, and a
+   garbage datagram from a fresh port after the instants drawn for it.
+   The daemon runs with batch 1 and a checkpoint every 0.9 s (so one
+   falls before the flood trips) and is killed after batch [kill].
+   Every kill that leaves a checkpoint recovers to a gated replay of its
+   tee, and the audit lists nothing. *)
+let burst_arb =
+  QCheck.make
+    ~print:(fun (bursts, kill) ->
+      Printf.sprintf "bursts=[%s] kill=%d"
+        (String.concat ";"
+           (List.map (fun (n, g) -> Printf.sprintf "%d%s" n (if g then "+g" else "")) bursts))
+        kill)
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 6 15) (pair (int_range 1 3) (map (fun k -> k = 0) (int_range 0 2))))
+        (int_range 1 60))
+
+let prop_burst_recovery =
+  q ~count:30 "recovery: flood bursts at one instant, killed anywhere = a replay of the tee"
+    burst_arb (fun (bursts, kill) ->
+      let records =
+        { Vids.Trace.at = Dsim.Time.zero; src = addr "10.1.0.10" 9; dst = addr "10.2.0.10" 9;
+          payload = "pin" }
+        :: List.concat
+             (List.mapi
+                (fun i (n, garbage) ->
+                  let at = sec (1.0 +. (0.04 *. float_of_int i)) in
+                  List.init n (fun j ->
+                      {
+                        Vids.Trace.at;
+                        src = attacker;
+                        dst = victim;
+                        payload =
+                          invite ~call_id:(Printf.sprintf "b-%d-%d" i j)
+                            ~from_host:"198.51.100.99" ~callee:"victim@b.example";
+                      })
+                  @
+                  if garbage then
+                    [ { Vids.Trace.at = Dsim.Time.add at (Dsim.Time.of_ms 10.);
+                        src = addr "203.0.113.8" (7000 + i); dst = victim; payload = "GARBAGE" } ]
+                  else [])
+                bursts)
+      in
+      let path = Test_ingest.tmp_path ".pcap" in
+      let snap = Test_ingest.tmp_path ".ck" and capture = Test_ingest.tmp_path ".trace" in
+      let journal = snap ^ ".journal" in
+      Ingest.Pcap.write_file path records;
+      let policy = Enforce.Enforcer.default_policy in
+      let config =
+        {
+          Ingest.Daemon.default with
+          Ingest.Daemon.enforce = Some policy;
+          batch = 1;
+          checkpoint_every_s = 0.9;
+          snapshot_path = Some snap;
+          journal_path = Some journal;
+          record_path = Some capture;
+        }
+      in
+      let hard_kill = ref false and batches = ref 0 in
+      let killed =
+        Test_ingest.run_daemon ~config ~hard_kill
+          ~on_batch:(fun () ->
+            incr batches;
+            if !batches = kill then hard_kill := true)
+          [ Ingest.Daemon.Pcap_file { path; pace = false } ]
+      in
+      let until = killed.Ingest.Daemon.horizon in
+      let outcome =
+        if not (Sys.file_exists snap) then None
+        else
+          Some
+            ( Enforce.Recover.recover_files ~policy ~journal_path:journal ~trace_path:capture
+                ~until ~snapshot_path:snap (),
+              Vids.Pcap.read_file capture )
+      in
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ path; snap; Vids.Snapshot.previous_path snap; journal; capture ];
+      match outcome with
+      | None -> true
+      | Some ((Error err, _) | (_, Error err)) -> QCheck.Test.fail_reportf "recovery: %s" err
+      | Some (Ok (fr, e), Ok (tee, _, _)) ->
+          let sched = Dsim.Scheduler.create () in
+          let engine = Vids.Engine.create sched in
+          let gate = Enforce.Enforcer.create ~policy sched engine in
+          Vids.Trace.play ~until
+            (Vids.Trace.player sched engine ~gate:(fun p -> ignore (Enforce.Enforcer.ingest gate p)))
+            tee;
+          let o = fr.Vids.Recovery.outcome in
+          let agree what a b =
+            String.equal a b || QCheck.Test.fail_reportf "%s:\nreplay:\n%s\nrecovered:\n%s" what a b
+          in
+          agree "engine digest" (Vids.Snapshot.digest ~at:until engine)
+            (Vids.Snapshot.digest ~at:until o.Vids.Recovery.engine)
+          && agree "enforcement digest" (Enforce.Enforcer.digest gate) (Enforce.Enforcer.digest e)
+          && agree "enforce payload" (Enforce.Enforcer.snapshot_payload gate)
+               (Enforce.Enforcer.snapshot_payload e)
+          && (o.Vids.Recovery.not_reproduced = []
+             || QCheck.Test.fail_reportf "journal lines not reproduced: %s"
+                  (String.concat " " (List.map (fun (l, _) -> string_of_int l) o.Vids.Recovery.not_reproduced))))
+
 let test_enforcing_daemon () =
   let flood = flood_capture () in
   let with_garbage = Test_ingest.by_time (flood @ garbage_around_checkpoint ()) in
@@ -1123,6 +1227,7 @@ let suite =
       [
         prop_checkpoint_recover_preserves_table;
         prop_recovered_gate_decides_identically;
+        prop_burst_recovery;
       ] );
     ( "enforce.e2e",
       [
