@@ -154,7 +154,8 @@ let load_numbered path =
       close_in_noerr ic;
       result
 
-let load path = Result.map (fun (entries, skipped) -> (List.map snd entries, skipped)) (load_numbered path)
+let load path =
+  Result.map (fun (entries, skipped) -> (List.map snd entries, skipped)) (load_numbered path)
 
 (* --------------------------------------------------------------- *)
 (* Recovery suffix                                                  *)

@@ -42,7 +42,11 @@ let audit suffix replayed =
     | l :: rest -> if String.equal l line then Some rest else seek line rest
   in
   let missing k =
-    let lines = List.filter_map (fun e -> if kind e = k then Some (Journal.entry_to_line e) else None) replayed in
+    let lines =
+      List.filter_map
+        (fun e -> if kind e = k then Some (Journal.entry_to_line e) else None)
+        replayed
+    in
     let rec go acc lines = function
       | [] -> acc
       | (n, e) :: rest when kind e = k -> (
