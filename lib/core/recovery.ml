@@ -23,41 +23,38 @@ type outcome = {
   replayed : int;
 }
 
-(* Journal entries the replay did not reproduce.  Within a kind the
-   journal holds the live run's order; across kinds it does not (an
-   alert's newest listener, the enforcer, journals its decision first),
-   so each journaled entry is sought, in order, among the replayed
-   entries of its kind after the last one matched.  A replayed entry
-   past the journal's end is not a finding: a kill can leave records in
-   the capture whose alerts never reached the journal. *)
-let audit suffix replayed =
-  let kind = function
-    | Journal.Alert _ -> 0
-    | Journal.Eviction _ -> 1
-    | Journal.Ext _ -> 2
-    | Journal.Checkpoint _ -> 3
-  in
+let kind = function
+  | Journal.Alert _ -> `Alert
+  | Journal.Eviction _ -> `Eviction
+  | Journal.Ext _ -> `Ext
+  | Journal.Checkpoint _ -> `Marker
+
+(* Journal entries of kind [k] the replay did not reproduce.  Within a
+   kind the journal holds the live run's order; across kinds it does not
+   (an alert's newest listener, the enforcer, journals its decision
+   first), so each journaled entry is sought, in order, among the
+   replayed entries of its kind after the last one matched.  A replayed
+   entry past the journal's end is not a finding: a kill can leave
+   records in the capture whose alerts never reached the journal. *)
+let missing suffix replayed k =
   let rec seek line = function
     | [] -> None
     | l :: rest -> if String.equal l line then Some rest else seek line rest
   in
-  let missing k =
-    let lines =
-      List.filter_map
-        (fun e -> if kind e = k then Some (Journal.entry_to_line e) else None)
-        replayed
-    in
-    let rec go acc lines = function
-      | [] -> acc
-      | (n, e) :: rest when kind e = k -> (
-          match seek (Journal.entry_to_line e) lines with
-          | Some lines -> go acc lines rest
-          | None -> go ((n, e) :: acc) lines rest)
-      | _ :: rest -> go acc lines rest
-    in
-    go [] lines suffix
+  let lines =
+    List.filter_map
+      (fun e -> if kind e = k then Some (Journal.entry_to_line e) else None)
+      replayed
   in
-  List.sort compare (List.concat_map missing [ 0; 1; 2 ])
+  let rec go acc lines = function
+    | [] -> acc
+    | (n, e) :: rest when kind e = k -> (
+        match seek (Journal.entry_to_line e) lines with
+        | Some lines -> go acc lines rest
+        | None -> go ((n, e) :: acc) lines rest)
+    | _ :: rest -> go acc lines rest
+  in
+  go [] lines suffix
 
 let recover ?config ?prepare ?gate ?(journal = []) ?(trace = []) ?until snapshot =
   let snapshot_at = Snapshot.at snapshot in
@@ -69,28 +66,40 @@ let recover ?config ?prepare ?gate ?(journal = []) ?(trace = []) ?until snapshot
   match Snapshot.restore ?config snapshot with
   | Error e -> Error e
   | Ok (sched, engine) ->
-      (* What the live run journals, collected during the replay only. *)
+      (* What the live run journals, collected during the replay only,
+         and only of the kinds the suffix holds: after a clean shutdown
+         the checkpoint's marker is the journal's last entry, and the
+         replay collects nothing. *)
+      let kinds =
+        List.filter
+          (fun k -> List.exists (fun (_, e) -> kind e = k) suffix)
+          [ `Alert; `Eviction; `Ext ]
+      in
       let replaying = ref true and replayed = ref [] in
       let note entry = if !replaying then replayed := entry :: !replayed in
-      Engine.on_alert engine (fun a -> note (Journal.Alert a));
-      Engine.on_eviction engine (fun ~at ~subject ~detail ->
-          note (Journal.Eviction { at; subject; detail }));
+      if List.mem `Alert kinds then Engine.on_alert engine (fun a -> note (Journal.Alert a));
+      if List.mem `Eviction kinds then
+        Engine.on_eviction engine (fun ~at ~subject ~detail ->
+            note (Journal.Eviction { at; subject; detail }));
       (* The caller's hook, before any packet lands: telemetry re-attaches
          its registry; an enforcement layer rebuilds its state from the
-         snapshot's extension records and journals into [note]. *)
-      Option.iter (fun f -> f ~journal:note sched engine) prepare;
+         snapshot's extension records and journals into [journal]. *)
+      let journal = if List.mem `Ext kinds then Some note else None in
+      Option.iter (fun f -> f ~journal sched engine) prepare;
       Trace.play ?until (Trace.player ?gate sched engine) packets;
       replaying := false;
+      let replayed = List.rev !replayed in
       Ok
         {
           engine;
           sched;
           snapshot_seq;
           snapshot_at;
-          audited =
-            List.length
-              (List.filter (function _, Journal.Checkpoint _ -> false | _ -> true) suffix);
-          not_reproduced = audit suffix (List.rev !replayed);
+          audited = List.length (List.filter (fun (_, e) -> kind e <> `Marker) suffix);
+          not_reproduced =
+            List.sort
+              (fun (a, _) (b, _) -> Int.compare a b)
+              (List.concat_map (missing suffix replayed) kinds);
           replayed = List.length packets;
         }
 

@@ -34,7 +34,7 @@ type outcome = {
 
 val recover :
   ?config:Config.t ->
-  ?prepare:(journal:(Journal.entry -> unit) -> Dsim.Scheduler.t -> Engine.t -> unit) ->
+  ?prepare:(journal:(Journal.entry -> unit) option -> Dsim.Scheduler.t -> Engine.t -> unit) ->
   ?gate:(Dsim.Packet.t -> unit) ->
   ?journal:(int * Journal.entry) list ->
   ?trace:Trace.record list ->
@@ -49,7 +49,10 @@ val recover :
     re-attach its registry before any replayed packet lands, and an
     enforcement layer uses to rebuild its tables from the snapshot's
     extension records; its [journal] is the sink the audit reads, for
-    the entries the layer journals live ({!Journal.Ext}).  [gate] takes
+    the entries the layer journals live ({!Journal.Ext}), and [None]
+    when the suffix holds none, so the layer journals nothing.  The
+    replay is collected only for the kinds of entry the suffix holds:
+    with none, the audit costs nothing.  [gate] takes
     each replayed delivery (see {!Trace.player}) so a gate that dropped
     packets live drops the same packets again.  Nothing stamped after
     [until] is replayed; omit it to drain the queue — but beware that
@@ -71,7 +74,7 @@ type file_report = {
 
 val recover_files :
   ?config:Config.t ->
-  ?prepare:(journal:(Journal.entry -> unit) -> Dsim.Scheduler.t -> Engine.t -> unit) ->
+  ?prepare:(journal:(Journal.entry -> unit) option -> Dsim.Scheduler.t -> Engine.t -> unit) ->
   ?on_snapshot:(Snapshot.t -> unit) ->
   ?gate:(Dsim.Packet.t -> unit) ->
   ?journal_path:string ->

@@ -103,8 +103,8 @@ let install t scope action ~escalate ~reason =
       match Block_table.find t.tbl scope with
       | None -> ()
       | Some r ->
-          (* Journal the post-install state: re-applying it verbatim on
-             recovery converges even when the install was a refresh. *)
+          (* Journal the post-install state: the recovery audit compares
+             it with the line of the install its replay re-takes. *)
           emit_ext t (Block_table.rule_to_line r);
           let action_tag =
             match action with Block_table.Drop -> "block" | Block_table.Rate_limit _ -> "rate-limit"

@@ -6,7 +6,7 @@ let recover_files ?config ?policy ?journal_path ?trace_path ?until ~snapshot_pat
   let stash = ref None in
   let on_snapshot snap = stash := List.assoc_opt Enforcer.ext_tag (Vids.Snapshot.ext snap) in
   let prepare ~journal sched engine =
-    let e = Enforcer.create ?policy ~journal sched engine in
+    let e = Enforcer.create ?policy ?journal sched engine in
     (match !stash with
     | None -> ()
     | Some payload ->

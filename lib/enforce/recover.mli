@@ -8,7 +8,8 @@
     + the enforcer is created and its table restored inside [prepare] —
       before the replay, so the gate exists (with the checkpoint's rules,
       token-bucket levels and strike counts) when the first replayed
-      packet arrives; its journal is the recovery's audit sink;
+      packet arrives; its journal is the recovery's audit sink, if the
+      journal holds a decision after the checkpoint;
     + replay is routed through {!Enforcer.ingest} ([gate]) so packets
       the gate dropped live are dropped again instead of reaching the
       engine, and every replayed alert reaches the enforcer, which

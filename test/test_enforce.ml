@@ -738,34 +738,32 @@ let enforcing_daemon (label, records, rule_keys, hostile, kill_batch) =
         (fr.Vids.Recovery.outcome.Vids.Recovery.engine, recovered)
         (replay ~until tee)
 
-(* Several records at one instant, the rule tripped mid-burst: the 7th
-   of twelve flood INVITEs 40 ms apart trips the rule at 1.24 s, and one
-   more INVITE from the attacker shares that instant, which the live gate
-   drops inside the same step.  A checkpoint at 0.9 s precedes the trip,
-   and the kill follows a garbage datagram whose spec deviation is
-   journaled.  Recovery must re-take the decision inside the tripping
-   step, as the live gate did. *)
-let test_same_instant_recovery () =
-  let invite_at i s =
-    {
-      Vids.Trace.at = sec s;
-      src = attacker;
-      dst = victim;
-      payload =
-        invite ~call_id:(Printf.sprintf "burst-%s" i) ~from_host:"198.51.100.99"
-          ~callee:"victim@b.example";
-    }
-  in
-  let flood = List.init 11 (fun i -> invite_at (string_of_int i) (1.0 +. (0.04 *. float_of_int i))) in
-  let records =
-    ({ Vids.Trace.at = Dsim.Time.zero; src = addr "10.1.0.10" 9; dst = addr "10.2.0.10" 9;
-       payload = "pin" }
-    :: List.filteri (fun i _ -> i <= 6) flood)
-    @ [ invite_at "extra" 1.24 ]
-    @ List.filteri (fun i _ -> i > 6) flood
-    @ [ { Vids.Trace.at = sec 1.5; src = addr "203.0.113.8" 7000; dst = victim;
-          payload = "GARBAGE" } ]
-  in
+(* An INVITE of the flood from the attacker to the victim. *)
+let flood_invite ~at call_id =
+  {
+    Vids.Trace.at;
+    src = attacker;
+    dst = victim;
+    payload = invite ~call_id ~from_host:"198.51.100.99" ~callee:"victim@b.example";
+  }
+
+(* Keeps the daemon's clock at zero before the flood. *)
+let pin =
+  { Vids.Trace.at = Dsim.Time.zero; src = addr "10.1.0.10" 9; dst = addr "10.2.0.10" 9;
+    payload = "pin" }
+
+type kill = {
+  live : Enforce.Enforcer.t;  (** The killed daemon's gate. *)
+  until : Dsim.Time.t;  (** The killed run's horizon. *)
+  recovered : Vids.Recovery.outcome * Enforce.Enforcer.t;
+  replayed : Vids.Engine.t * Enforce.Enforcer.t;  (** A gated replay of the tee. *)
+}
+
+(* The enforcing daemon over [records] with batch 1, a journal, a tee
+   and a checkpoint every [every] seconds, killed after batch [kill];
+   then recovery from its files and a gated replay of its tee, every
+   file removed.  [Ok None] when the kill left no checkpoint. *)
+let kill_and_recover ~every ~kill records =
   let path = Test_ingest.tmp_path ".pcap" in
   let snap = Test_ingest.tmp_path ".ck" and capture = Test_ingest.tmp_path ".trace" in
   let journal = snap ^ ".journal" in
@@ -776,7 +774,7 @@ let test_same_instant_recovery () =
       Ingest.Daemon.default with
       Ingest.Daemon.enforce = Some policy;
       batch = 1;
-      checkpoint_every_s = 0.9;
+      checkpoint_every_s = every;
       snapshot_path = Some snap;
       journal_path = Some journal;
       record_path = Some capture;
@@ -787,45 +785,95 @@ let test_same_instant_recovery () =
     Test_ingest.run_daemon ~config ~hard_kill
       ~on_batch:(fun () ->
         incr batches;
-        if !batches = 14 then hard_kill := true)
+        if !batches = kill then hard_kill := true)
       [ Ingest.Daemon.Pcap_file { path; pace = false } ]
   in
-  let live = Option.get killed.Ingest.Daemon.enforcer in
   let until = killed.Ingest.Daemon.horizon in
-  let recovered =
-    Enforce.Recover.recover_files ~policy ~journal_path:journal ~trace_path:capture ~until
-      ~snapshot_path:snap ()
+  let files =
+    if not (Sys.file_exists snap) then None
+    else
+      Some
+        ( Enforce.Recover.recover_files ~policy ~journal_path:journal ~trace_path:capture ~until
+            ~snapshot_path:snap (),
+          Vids.Pcap.read_file capture )
   in
-  let tee = Vids.Pcap.read_file capture in
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
     [ path; snap; Vids.Snapshot.previous_path snap; journal; capture ];
-  match (recovered, tee) with
-  | Error err, _ | _, Error err -> Alcotest.failf "recovery: %s" err
-  | Ok (fr, e), Ok (tee, _, _) ->
-      let hits e =
-        match BT.find (Enforce.Enforcer.table e) (BT.Src (SK.host "198.51.100.99")) with
-        | Some r -> r.BT.hits
-        | None -> Alcotest.fail "no flood rule"
-      in
-      Alcotest.(check int) "the killed gate's flood-rule hits" 5 (hits live);
-      Alcotest.(check int) "the recovered flood rule's hits" (hits live) (hits e);
+  match files with
+  | None -> Ok None
+  | Some ((Error err, _) | (_, Error err)) -> Error err
+  | Some (Ok (fr, e), Ok (tee, _, _)) ->
       let sched = Dsim.Scheduler.create () in
       let engine = Vids.Engine.create sched in
       let gate = Enforce.Enforcer.create ~policy sched engine in
       Vids.Trace.play ~until
         (Vids.Trace.player sched engine ~gate:(fun p -> ignore (Enforce.Enforcer.ingest gate p)))
         tee;
-      let md5 engine = Digest.to_hex (Digest.string (Vids.Snapshot.digest ~at:until engine)) in
-      let o = fr.Vids.Recovery.outcome in
-      Alcotest.(check string) "engine digest = a gated replay of the tee" (md5 engine)
-        (md5 o.Vids.Recovery.engine);
-      Alcotest.(check string) "enforcement digest" (Enforce.Enforcer.digest gate)
-        (Enforce.Enforcer.digest e);
-      Alcotest.(check string) "enforce payload" (Enforce.Enforcer.snapshot_payload gate)
-        (Enforce.Enforcer.snapshot_payload e);
-      Alcotest.(check (list int)) "the audit lists nothing" []
-        (List.map fst o.Vids.Recovery.not_reproduced)
+      Ok
+        (Some
+           {
+             live = Option.get killed.Ingest.Daemon.enforcer;
+             until;
+             recovered = (fr.Vids.Recovery.outcome, e);
+             replayed = (engine, gate);
+           })
+
+(* What a recovery must share with a gated replay of its tee, as (what,
+   replayed, recovered): engine digest, enforcement digest and payload,
+   and an audit that lists no journal line. *)
+let replay_vs_recovery k =
+  let o, e = k.recovered and engine, gate = k.replayed in
+  let md5 engine = Digest.to_hex (Digest.string (Vids.Snapshot.digest ~at:k.until engine)) in
+  [
+    ("engine digest", md5 engine, md5 o.Vids.Recovery.engine);
+    ("enforcement digest", Enforce.Enforcer.digest gate, Enforce.Enforcer.digest e);
+    ( "enforce payload",
+      Enforce.Enforcer.snapshot_payload gate,
+      Enforce.Enforcer.snapshot_payload e );
+    ( "journal lines not reproduced",
+      "",
+      String.concat " "
+        (List.map (fun (line, _) -> string_of_int line) o.Vids.Recovery.not_reproduced) );
+  ]
+
+let check_recovery label k =
+  List.iter
+    (fun (what, replayed, recovered) ->
+      Alcotest.(check string) (label ^ what) replayed recovered)
+    (replay_vs_recovery k)
+
+(* Several records at one instant, the rule tripped mid-burst: the 7th
+   of twelve flood INVITEs 40 ms apart trips the rule at 1.24 s, and one
+   more INVITE from the attacker shares that instant, which the live gate
+   drops inside the same step.  A checkpoint at 0.9 s precedes the trip,
+   and the kill follows a garbage datagram whose spec deviation is
+   journaled.  Recovery must re-take the decision inside the tripping
+   step, as the live gate did. *)
+let test_same_instant_recovery () =
+  let flood =
+    List.init 11 (fun i ->
+        flood_invite ~at:(sec (1.0 +. (0.04 *. float_of_int i))) (Printf.sprintf "burst-%d" i))
+  in
+  let records =
+    (pin :: List.filteri (fun i _ -> i <= 6) flood)
+    @ [ flood_invite ~at:(sec 1.24) "burst-extra" ]
+    @ List.filteri (fun i _ -> i > 6) flood
+    @ [ { Vids.Trace.at = sec 1.5; src = addr "203.0.113.8" 7000; dst = victim;
+          payload = "GARBAGE" } ]
+  in
+  match kill_and_recover ~every:0.9 ~kill:14 records with
+  | Error err -> Alcotest.failf "recovery: %s" err
+  | Ok None -> Alcotest.fail "no checkpoint before the kill"
+  | Ok (Some k) ->
+      let hits e =
+        match BT.find (Enforce.Enforcer.table e) (BT.Src (SK.host "198.51.100.99")) with
+        | Some r -> r.BT.hits
+        | None -> Alcotest.fail "no flood rule"
+      in
+      Alcotest.(check int) "the killed gate's flood-rule hits" 5 (hits k.live);
+      Alcotest.(check int) "the recovered flood rule's hits" (hits k.live) (hits (snd k.recovered));
+      check_recovery "recovered vs a gated replay of the tee: " k
 
 (* The enforcing daemon over the invite-flood capture, built as [vids-cli
    record invite-flood] builds it, with batch 1 and a 5 s checkpoint,
@@ -840,69 +888,15 @@ let test_kill_after_every_batch () =
   Attack.Scenarios.schedule atk ~on_unknown:(fun _ -> ()) [ "invite-flood" ];
   Voip.Testbed.run_until tb (sec 65.0);
   let records = Vids.Trace.records recorder in
-  let path = Test_ingest.tmp_path ".pcap" in
-  Ingest.Pcap.write_file path records;
-  let policy = Enforce.Enforcer.default_policy in
   let recovered_kills = ref 0 in
-  for kill_batch = 1 to List.length records do
-    let snap = Test_ingest.tmp_path ".ck" and capture = Test_ingest.tmp_path ".trace" in
-    let journal = snap ^ ".journal" in
-    let config =
-      {
-        Ingest.Daemon.default with
-        Ingest.Daemon.enforce = Some policy;
-        batch = 1;
-        checkpoint_every_s = 5.0;
-        snapshot_path = Some snap;
-        journal_path = Some journal;
-        record_path = Some capture;
-      }
-    in
-    let hard_kill = ref false and batches = ref 0 in
-    let killed =
-      Test_ingest.run_daemon ~config ~hard_kill
-        ~on_batch:(fun () ->
-          incr batches;
-          if !batches = kill_batch then hard_kill := true)
-        [ Ingest.Daemon.Pcap_file { path; pace = false } ]
-    in
-    let until = killed.Ingest.Daemon.horizon in
-    let outcome =
-      if not (Sys.file_exists snap) then None
-      else
-        Some
-          ( Enforce.Recover.recover_files ~policy ~journal_path:journal ~trace_path:capture
-              ~until ~snapshot_path:snap (),
-            Vids.Pcap.read_file capture )
-    in
-    List.iter
-      (fun p -> if Sys.file_exists p then Sys.remove p)
-      [ snap; Vids.Snapshot.previous_path snap; journal; capture ];
-    match outcome with
-    | None -> ()
-    | Some ((Error err, _) | (_, Error err)) ->
-        Alcotest.failf "kill after batch %d: recovery: %s" kill_batch err
-    | Some (Ok (fr, e), Ok (tee, _, _)) ->
+  for kill = 1 to List.length records do
+    match kill_and_recover ~every:5.0 ~kill records with
+    | Error err -> Alcotest.failf "kill after batch %d: recovery: %s" kill err
+    | Ok None -> ()
+    | Ok (Some k) ->
         incr recovered_kills;
-        let sched = Dsim.Scheduler.create () in
-        let engine = Vids.Engine.create sched in
-        let gate = Enforce.Enforcer.create ~policy sched engine in
-        Vids.Trace.play ~until
-          (Vids.Trace.player sched engine ~gate:(fun p -> ignore (Enforce.Enforcer.ingest gate p)))
-          tee;
-        let o = fr.Vids.Recovery.outcome in
-        let what s = Printf.sprintf "kill after batch %d: %s" kill_batch s in
-        Alcotest.(check string) (what "engine digest")
-          (Vids.Snapshot.digest ~at:until engine)
-          (Vids.Snapshot.digest ~at:until o.Vids.Recovery.engine);
-        Alcotest.(check string) (what "enforcement digest") (Enforce.Enforcer.digest gate)
-          (Enforce.Enforcer.digest e);
-        Alcotest.(check string) (what "enforce payload") (Enforce.Enforcer.snapshot_payload gate)
-          (Enforce.Enforcer.snapshot_payload e);
-        Alcotest.(check (list int)) (what "the audit lists nothing") []
-          (List.map fst o.Vids.Recovery.not_reproduced)
+        check_recovery (Printf.sprintf "kill after batch %d: " kill) k
   done;
-  Sys.remove path;
   Alcotest.(check bool) (Printf.sprintf "%d kills left a checkpoint" !recovered_kills) true
     (!recovered_kills > 0)
 
@@ -928,87 +922,25 @@ let burst_arb =
 let prop_burst_recovery =
   q ~count:30 "recovery: flood bursts at one instant, killed anywhere = a replay of the tee"
     burst_arb (fun (bursts, kill) ->
-      let records =
-        { Vids.Trace.at = Dsim.Time.zero; src = addr "10.1.0.10" 9; dst = addr "10.2.0.10" 9;
-          payload = "pin" }
-        :: List.concat
-             (List.mapi
-                (fun i (n, garbage) ->
-                  let at = sec (1.0 +. (0.04 *. float_of_int i)) in
-                  List.init n (fun j ->
-                      {
-                        Vids.Trace.at;
-                        src = attacker;
-                        dst = victim;
-                        payload =
-                          invite ~call_id:(Printf.sprintf "b-%d-%d" i j)
-                            ~from_host:"198.51.100.99" ~callee:"victim@b.example";
-                      })
-                  @
-                  if garbage then
-                    [ { Vids.Trace.at = Dsim.Time.add at (Dsim.Time.of_ms 10.);
-                        src = addr "203.0.113.8" (7000 + i); dst = victim; payload = "GARBAGE" } ]
-                  else [])
-                bursts)
+      let burst i (n, garbage) =
+        let at = sec (1.0 +. (0.04 *. float_of_int i)) in
+        List.init n (fun j -> flood_invite ~at (Printf.sprintf "b-%d-%d" i j))
+        @
+        if garbage then
+          [ { Vids.Trace.at = Dsim.Time.add at (Dsim.Time.of_ms 10.);
+              src = addr "203.0.113.8" (7000 + i); dst = victim; payload = "GARBAGE" } ]
+        else []
       in
-      let path = Test_ingest.tmp_path ".pcap" in
-      let snap = Test_ingest.tmp_path ".ck" and capture = Test_ingest.tmp_path ".trace" in
-      let journal = snap ^ ".journal" in
-      Ingest.Pcap.write_file path records;
-      let policy = Enforce.Enforcer.default_policy in
-      let config =
-        {
-          Ingest.Daemon.default with
-          Ingest.Daemon.enforce = Some policy;
-          batch = 1;
-          checkpoint_every_s = 0.9;
-          snapshot_path = Some snap;
-          journal_path = Some journal;
-          record_path = Some capture;
-        }
-      in
-      let hard_kill = ref false and batches = ref 0 in
-      let killed =
-        Test_ingest.run_daemon ~config ~hard_kill
-          ~on_batch:(fun () ->
-            incr batches;
-            if !batches = kill then hard_kill := true)
-          [ Ingest.Daemon.Pcap_file { path; pace = false } ]
-      in
-      let until = killed.Ingest.Daemon.horizon in
-      let outcome =
-        if not (Sys.file_exists snap) then None
-        else
-          Some
-            ( Enforce.Recover.recover_files ~policy ~journal_path:journal ~trace_path:capture
-                ~until ~snapshot_path:snap (),
-              Vids.Pcap.read_file capture )
-      in
-      List.iter
-        (fun p -> if Sys.file_exists p then Sys.remove p)
-        [ path; snap; Vids.Snapshot.previous_path snap; journal; capture ];
-      match outcome with
-      | None -> true
-      | Some ((Error err, _) | (_, Error err)) -> QCheck.Test.fail_reportf "recovery: %s" err
-      | Some (Ok (fr, e), Ok (tee, _, _)) ->
-          let sched = Dsim.Scheduler.create () in
-          let engine = Vids.Engine.create sched in
-          let gate = Enforce.Enforcer.create ~policy sched engine in
-          Vids.Trace.play ~until
-            (Vids.Trace.player sched engine ~gate:(fun p -> ignore (Enforce.Enforcer.ingest gate p)))
-            tee;
-          let o = fr.Vids.Recovery.outcome in
-          let agree what a b =
-            String.equal a b || QCheck.Test.fail_reportf "%s:\nreplay:\n%s\nrecovered:\n%s" what a b
-          in
-          agree "engine digest" (Vids.Snapshot.digest ~at:until engine)
-            (Vids.Snapshot.digest ~at:until o.Vids.Recovery.engine)
-          && agree "enforcement digest" (Enforce.Enforcer.digest gate) (Enforce.Enforcer.digest e)
-          && agree "enforce payload" (Enforce.Enforcer.snapshot_payload gate)
-               (Enforce.Enforcer.snapshot_payload e)
-          && (o.Vids.Recovery.not_reproduced = []
-             || QCheck.Test.fail_reportf "journal lines not reproduced: %s"
-                  (String.concat " " (List.map (fun (l, _) -> string_of_int l) o.Vids.Recovery.not_reproduced))))
+      match kill_and_recover ~every:0.9 ~kill (pin :: List.concat (List.mapi burst bursts)) with
+      | Error err -> QCheck.Test.fail_reportf "recovery: %s" err
+      | Ok None -> true
+      | Ok (Some k) ->
+          List.for_all
+            (fun (what, replayed, recovered) ->
+              String.equal replayed recovered
+              || QCheck.Test.fail_reportf "%s:\nreplay:\n%s\nrecovered:\n%s" what replayed
+                   recovered)
+            (replay_vs_recovery k))
 
 let test_enforcing_daemon () =
   let flood = flood_capture () in
