@@ -619,9 +619,9 @@ let flood_capture () =
 (* A garbage endpoint whose eight parse failures straddle the 6 s
    checkpoint of the killed run below, five before it and three after,
    then one more datagram at the eighth's instant, which the live gate
-   drops.  A journaled rule lands after the packets of its instant, so
-   recovery drops that datagram only if the checkpoint carried the first
-   five failures.  One failure from the neighbouring port follows: its
+   drops.  Recovery re-derives the endpoint's rule from its strikes, so
+   it drops that datagram only if the checkpoint carried the first five
+   failures.  One failure from the neighbouring port follows: its
    spec deviation is journaled, which puts the dropped datagram in the
    tee a kill leaves. *)
 let garbage_src = addr "203.0.113.7" 7000
@@ -747,27 +747,33 @@ let flood_invite ~at call_id =
     payload = invite ~call_id ~from_host:"198.51.100.99" ~callee:"victim@b.example";
   }
 
-(* Keeps the daemon's clock at zero before the flood. *)
+(* The daemon rebases time onto its first record: one at 0 s keeps the
+   flood at the instants it is drawn at. *)
 let pin =
   { Vids.Trace.at = Dsim.Time.zero; src = addr "10.1.0.10" 9; dst = addr "10.2.0.10" 9;
     payload = "pin" }
 
-type kill = {
+type killed_run = {
   live : Enforce.Enforcer.t;  (** The killed daemon's gate. *)
   until : Dsim.Time.t;  (** The killed run's horizon. *)
   recovered : Vids.Recovery.outcome * Enforce.Enforcer.t;
   replayed : Vids.Engine.t * Enforce.Enforcer.t;  (** A gated replay of the tee. *)
 }
 
-(* The enforcing daemon over [records] with batch 1, a journal, a tee
-   and a checkpoint every [every] seconds, killed after batch [kill];
-   then recovery from its files and a gated replay of its tee, every
-   file removed.  [Ok None] when the kill left no checkpoint. *)
-let kill_and_recover ~every ~kill records =
+(* [f] over a pcap file of [records], removed when [f] returns or raises. *)
+let with_capture records f =
   let path = Test_ingest.tmp_path ".pcap" in
+  Ingest.Pcap.write_file path records;
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
+
+(* The enforcing daemon over the capture at [path] with batch 1, a
+   journal, a tee and a checkpoint every [every] seconds, killed after
+   batch [kill]; then recovery from its files and a gated replay of its
+   tee, every file it wrote removed.  [Ok None] when the kill left no
+   checkpoint. *)
+let kill_and_recover ~every ~kill path =
   let snap = Test_ingest.tmp_path ".ck" and capture = Test_ingest.tmp_path ".trace" in
   let journal = snap ^ ".journal" in
-  Ingest.Pcap.write_file path records;
   let policy = Enforce.Enforcer.default_policy in
   let config =
     {
@@ -799,7 +805,7 @@ let kill_and_recover ~every ~kill records =
   in
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; snap; Vids.Snapshot.previous_path snap; journal; capture ];
+    [ snap; Vids.Snapshot.previous_path snap; journal; capture ];
   match files with
   | None -> Ok None
   | Some ((Error err, _) | (_, Error err)) -> Error err
@@ -862,7 +868,7 @@ let test_same_instant_recovery () =
     @ [ { Vids.Trace.at = sec 1.5; src = addr "203.0.113.8" 7000; dst = victim;
           payload = "GARBAGE" } ]
   in
-  match kill_and_recover ~every:0.9 ~kill:14 records with
+  match with_capture records (kill_and_recover ~every:0.9 ~kill:14) with
   | Error err -> Alcotest.failf "recovery: %s" err
   | Ok None -> Alcotest.fail "no checkpoint before the kill"
   | Ok (Some k) ->
@@ -889,14 +895,15 @@ let test_kill_after_every_batch () =
   Voip.Testbed.run_until tb (sec 65.0);
   let records = Vids.Trace.records recorder in
   let recovered_kills = ref 0 in
-  for kill = 1 to List.length records do
-    match kill_and_recover ~every:5.0 ~kill records with
-    | Error err -> Alcotest.failf "kill after batch %d: recovery: %s" kill err
-    | Ok None -> ()
-    | Ok (Some k) ->
-        incr recovered_kills;
-        check_recovery (Printf.sprintf "kill after batch %d: " kill) k
-  done;
+  with_capture records (fun path ->
+      for kill = 1 to List.length records do
+        match kill_and_recover ~every:5.0 ~kill path with
+        | Error err -> Alcotest.failf "kill after batch %d: recovery: %s" kill err
+        | Ok None -> ()
+        | Ok (Some k) ->
+            incr recovered_kills;
+            check_recovery (Printf.sprintf "kill after batch %d: " kill) k
+      done);
   Alcotest.(check bool) (Printf.sprintf "%d kills left a checkpoint" !recovered_kills) true
     (!recovered_kills > 0)
 
@@ -931,7 +938,8 @@ let prop_burst_recovery =
               src = addr "203.0.113.8" (7000 + i); dst = victim; payload = "GARBAGE" } ]
         else []
       in
-      match kill_and_recover ~every:0.9 ~kill (pin :: List.concat (List.mapi burst bursts)) with
+      let records = pin :: List.concat (List.mapi burst bursts) in
+      match with_capture records (kill_and_recover ~every:0.9 ~kill) with
       | Error err -> QCheck.Test.fail_reportf "recovery: %s" err
       | Ok None -> true
       | Ok (Some k) ->
